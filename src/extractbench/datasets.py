@@ -14,6 +14,9 @@ float64, samples row-major in index order) + labels.bin (little-endian int32).
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
@@ -115,10 +118,14 @@ def generate(spec: DatasetSpec) -> Dataset:
                    labels=labels[perm].astype(np.int32), role="train")
 
 
-def split(dataset: Dataset, query_fraction: float, seed: int):
-    """Label-stratified disjoint partition into (query, test)."""
+def check_query_fraction(query_fraction: float) -> None:
     if not 0.0 < query_fraction < 1.0:
         raise ValueError("query_fraction must lie strictly between 0 and 1")
+
+
+def split(dataset: Dataset, query_fraction: float, seed: int):
+    """Label-stratified disjoint partition into (query, test)."""
+    check_query_fraction(query_fraction)
     rng = np.random.default_rng(seed)
     query_idx, test_idx = [], []
     for label in np.unique(dataset.labels):
@@ -258,15 +265,25 @@ def csg_complexity(dataset: Dataset, monte_carlo_samples: int = 100,
 # ---------------------------------------------------------------------------
 
 def save_dataset(dataset: Dataset, directory) -> Path:
+    """Write atomically: a temp directory is renamed into place."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    meta = {"spec": dataset.spec.to_dict(), "role": dataset.role,
-            "count": len(dataset)}
-    (directory / "meta.json").write_text(json.dumps(meta, indent=2))
-    (directory / "samples.bin").write_bytes(
-        np.ascontiguousarray(dataset.inputs, dtype="<f8").tobytes())
-    (directory / "labels.bin").write_bytes(
-        np.ascontiguousarray(dataset.labels, dtype="<i4").tobytes())
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=directory.name + ".tmp",
+                                dir=directory.parent))
+    try:
+        meta = {"spec": dataset.spec.to_dict(), "role": dataset.role,
+                "count": len(dataset)}
+        (tmp / "meta.json").write_text(json.dumps(meta, indent=2))
+        (tmp / "samples.bin").write_bytes(
+            np.ascontiguousarray(dataset.inputs, dtype="<f8").tobytes())
+        (tmp / "labels.bin").write_bytes(
+            np.ascontiguousarray(dataset.labels, dtype="<i4").tobytes())
+        if directory.exists():
+            shutil.rmtree(directory)
+        os.rename(tmp, directory)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
     return directory
 
 

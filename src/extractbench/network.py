@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
@@ -268,7 +269,7 @@ class TrainConfig:
     learning_rate: float = 0.01
     batch_size: int = 10
     epochs: int = 10
-    loss: str = "cross_entropy"  # or "soft_target_kl"
+    loss: Literal["cross_entropy", "soft_target_kl"] = "cross_entropy"
     seed: int = 0
 
     def __post_init__(self):

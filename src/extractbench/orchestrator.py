@@ -16,17 +16,22 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 import time
+import types
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
+from functools import cache
 from pathlib import Path
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 import zlib
 
-from .datasets import Dataset, DatasetSpec, generate, load_dataset, save_dataset, split
+from .datasets import (Dataset, DatasetSpec, check_query_fraction, generate,
+                       load_dataset, save_dataset, split)
 from .network import TrainConfig, train
 from .query_attacks import (
     GradientHandle,
@@ -34,6 +39,7 @@ from .query_attacks import (
     KnockoffConfig,
     QueryHandle,
     ThreatModel,
+    check_budgets,
     knockoff_extract,
     miface_invert,
     save_pgm,
@@ -69,9 +75,12 @@ from .zoo import (
 SCHEMA_VERSION = 1
 ROOT_ENV_VAR = "EXTRACTBENCH_ROOT"
 
-ATTACK_TYPES = ("knockoff", "deepsniffer", "deeprecon", "miface",
-                "staged_inversion", "equivalency")
+AttackType = Literal["knockoff", "deepsniffer", "deeprecon", "miface",
+                     "staged_inversion", "equivalency"]
+ATTACK_TYPES = get_args(AttackType)
 EXCLUSIVE_ATTACKS = frozenset({"deepsniffer", "deeprecon"})
+OutputMode = Literal["confidence_vector", "top1_label"]
+InitMode = Literal["random", "auxiliary_sample"]
 
 REQUIRED_TRIPLES = {
     "knockoff": ThreatModel("hidden", "none", "partial"),
@@ -107,6 +116,38 @@ class ScenarioError(ValueError):
 # ---------------------------------------------------------------------------
 
 _REQUIRED = object()
+_field_hints = cache(get_type_hints)  # evaluating annotations dominates parsing
+_TYPE_NAMES = {int: "an integer", float: "a finite number",
+               bool: "true or false", str: "a string"}
+
+
+def _typed(value, hint, name: str):
+    """Check a JSON value against a field annotation. Nothing is cast,
+    except that an integer is accepted where a float is expected."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Literal:
+        if isinstance(value, str) and value in args:
+            return value
+        raise ScenarioError(f"{name}: {value!r} is not one of {sorted(args)}")
+    if origin is types.UnionType:  # X | None, and take() handled None
+        (inner,) = [a for a in args if a is not type(None)]
+        return _typed(value, inner, name)
+    if origin is tuple:
+        if type(value) is not list:
+            raise ScenarioError(f"{name}: expected a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ScenarioError(
+                f"{name}: expected {len(args)} items, got {len(value)}")
+        return tuple(_typed(v, t, f"{name}[{i}]")
+                     for i, (v, t) in enumerate(zip(value, args)))
+    if hint is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) is hint:
+        return value
+    raise ScenarioError(f"{name}: expected {_TYPE_NAMES[hint]}, got {value!r}")
 
 
 class _Section:
@@ -122,13 +163,15 @@ class _Section:
     def _name(self, key):
         return f"{self.path}.{key}" if self.path else key
 
-    def take(self, key, default=_REQUIRED):
+    def take(self, key, hint, default=_REQUIRED):
+        """The value of `key` checked against `hint`; absent or null gives
+        `default`."""
         self.seen.add(key)
         if key not in self.doc or self.doc[key] is None:
             if default is _REQUIRED:
                 raise ScenarioError(f"{self._name(key)} required")
             return default
-        return self.doc[key]
+        return _typed(self.doc[key], hint, self._name(key))
 
     def section(self, key, required=False):
         self.seen.add(key)
@@ -139,13 +182,6 @@ class _Section:
             value = {}
         return _Section(value, self._name(key))
 
-    def choice(self, key, options, default=_REQUIRED):
-        value = self.take(key, default)
-        if value not in options:
-            raise ScenarioError(
-                f"{self._name(key)}: {value!r} is not one of {sorted(options)}")
-        return value
-
     def close(self):
         unknown = set(self.doc) - self.seen
         if unknown:
@@ -153,37 +189,79 @@ class _Section:
                 f"unknown field(s) {sorted(self._name(k) for k in unknown)}")
 
 
-def _parse_train_config(section: _Section, scenario_seed: int,
-                        defaults: TrainConfig) -> TrainConfig:
-    cfg = TrainConfig(
-        learning_rate=float(section.take("learning_rate", defaults.learning_rate)),
-        batch_size=int(section.take("batch_size", defaults.batch_size)),
-        epochs=int(section.take("epochs", defaults.epochs)),
-        loss=section.choice("loss", ("cross_entropy", "soft_target_kl"),
-                            defaults.loss),
-        seed=int(section.take("seed", scenario_seed)))
+def _construct(cls, path: str, **values):
+    """Build a config, reporting its own range checks as schema errors."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
+
+
+def _build(cls, section: _Section, seed: int, base=None):
+    """Read a dataclass from a section, one field per annotation.
+
+    Defaults come from `base` (the default instance of the enclosing field)
+    or else from the field; a field with neither is required. Dataclass
+    fields are read as nested sections with their default as base, and a
+    TrainConfig seed defaults to the scenario seed.
+    """
+    hints = _field_hints(cls)
+    values = {}
+    for f in fields(cls):
+        if cls is TrainConfig and f.name == "seed":
+            default = seed
+        elif base is not None:
+            default = getattr(base, f.name)
+        elif f.default_factory is not MISSING:
+            default = f.default_factory()
+        else:
+            default = _REQUIRED if f.default is MISSING else f.default
+        hint = hints[f.name]
+        if is_dataclass(hint):
+            values[f.name] = _build(hint, section.section(f.name), seed, default)
+        else:
+            values[f.name] = section.take(f.name, hint, default)
     section.close()
-    return cfg
+    return _construct(cls, section.path, **values)
+
+
+def _to_doc(value):
+    """A dataclass as its JSON document: fields in order, tuples as lists."""
+    if is_dataclass(value):
+        return {f.name: _to_doc(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_to_doc(v) for v in value]
+    return value
 
 
 # ---------------------------------------------------------------------------
-# attack parameter blocks
+# attack parameter blocks: the annotated fields are the schema
 # ---------------------------------------------------------------------------
+
+def _check_minimums(params, **minimums):
+    for name, low in minimums.items():
+        if getattr(params, name) < low:
+            raise ValueError(f"{name} must be >= {low}")
+
+
+def _steal_config(p, query_budget: int, surrogate: str | None = None):
+    """Knockoff config of a stealing attack's params; also applies the
+    query/test split rule, so parsing checks every stealing field."""
+    check_query_fraction(p.query_fraction)
+    return KnockoffConfig(query_budget, p.output_mode, p.recreate, surrogate)
+
 
 @dataclass
 class KnockoffParams:
     query_budget: int
-    output_mode: str = "confidence_vector"
+    output_mode: OutputMode = "confidence_vector"
     surrogate_architecture: str | None = None
     query_fraction: float = 0.5
     recreate: TrainConfig = field(default_factory=lambda: TrainConfig(
         epochs=20, loss="soft_target_kl"))
 
-    def to_dict(self):
-        return {"query_budget": self.query_budget, "output_mode": self.output_mode,
-                "surrogate_architecture": self.surrogate_architecture,
-                "query_fraction": self.query_fraction,
-                "recreate": self.recreate.to_dict()}
+    def __post_init__(self):
+        _steal_config(self, self.query_budget)
 
 
 @dataclass
@@ -191,44 +269,42 @@ class InversionParams:
     posterior_threshold: float = 0.95
     max_iterations: int = 400
     step_size: float = 0.2
-    init_mode: str = "random"
+    init_mode: InitMode = "random"
     clamp_range: tuple[float, float] = (-4.0, 4.0)
 
-    def to_dict(self):
-        return {"posterior_threshold": self.posterior_threshold,
-                "max_iterations": self.max_iterations,
-                "step_size": self.step_size, "init_mode": self.init_mode,
-                "clamp_range": list(self.clamp_range)}
+    def __post_init__(self):
+        self.config(target_class=0)
+
+    def config(self, target_class: int) -> InversionConfig:
+        return InversionConfig(target_class, self.posterior_threshold,
+                               self.max_iterations, self.step_size,
+                               self.init_mode, self.clamp_range)
 
 
 @dataclass
 class MifaceParams(InversionParams):
-    target_class: int = 0
+    target_class: int = field(kw_only=True)
     query_fraction: float = 0.5
 
-    def to_dict(self):
-        out = super().to_dict()
-        out.update({"target_class": self.target_class,
-                    "query_fraction": self.query_fraction})
-        return out
+    def __post_init__(self):
+        _check_minimums(self, target_class=0)
+        check_query_fraction(self.query_fraction)
+        self.config(self.target_class)
 
 
 @dataclass
 class StagedInversionParams:
     budgets: tuple[int, ...]
-    output_mode: str = "confidence_vector"
+    output_mode: OutputMode = "confidence_vector"
     surrogate_architecture: str | None = None
     query_fraction: float = 0.5
     recreate: TrainConfig = field(default_factory=lambda: TrainConfig(
         epochs=20, loss="soft_target_kl"))
     inversion: InversionParams = field(default_factory=InversionParams)
 
-    def to_dict(self):
-        return {"budgets": list(self.budgets), "output_mode": self.output_mode,
-                "surrogate_architecture": self.surrogate_architecture,
-                "query_fraction": self.query_fraction,
-                "recreate": self.recreate.to_dict(),
-                "inversion": self.inversion.to_dict()}
+    def __post_init__(self):
+        check_budgets(self.budgets)
+        _steal_config(self, max(self.budgets))
 
 
 @dataclass
@@ -239,11 +315,17 @@ class DeepSnifferParams:
     window: int = 1
     classifier_epochs: int = 200
 
-    def to_dict(self):
-        return {"corpus_architectures": list(self.corpus_architectures),
-                "traces_per_architecture": self.traces_per_architecture,
-                "train_jitter": self.train_jitter, "window": self.window,
-                "classifier_epochs": self.classifier_epochs}
+    def __post_init__(self):
+        if not self.corpus_architectures:
+            raise ValueError("corpus_architectures must be non-empty")
+        _check_minimums(self, traces_per_architecture=1, train_jitter=0,
+                        window=0)
+        self.classifier(seed=0)
+
+    def classifier(self, seed: int) -> TrainConfig:
+        return TrainConfig(learning_rate=0.5, batch_size=16,
+                           epochs=self.classifier_epochs, loss="cross_entropy",
+                           seed=seed)
 
 
 @dataclass
@@ -254,117 +336,37 @@ class DeepReconParams:
     trials: int = 6
     k_neighbors: int = 5
 
-    def to_dict(self):
-        return {"corpus_architectures": list(self.corpus_architectures),
-                "histograms_per_architecture": self.histograms_per_architecture,
-                "trials": self.trials, "k_neighbors": self.k_neighbors}
+    def __post_init__(self):
+        if len(set(self.corpus_architectures)) < 2:
+            raise ValueError("corpus_architectures must name at least two "
+                             "architectures")
+        _check_minimums(self, histograms_per_architecture=1, trials=1)
+        corpus = len(self.corpus_architectures) * self.histograms_per_architecture
+        if not 1 <= self.k_neighbors <= corpus:
+            raise ValueError(f"k_neighbors must lie in [1, {corpus}]")
 
 
 @dataclass
-class EquivalencyParams:
-    query_budget: int
-    output_mode: str = "confidence_vector"
-    surrogate_architecture: str | None = None
-    query_fraction: float = 0.5
-    recreate: TrainConfig = field(default_factory=lambda: TrainConfig(
-        epochs=20, loss="soft_target_kl"))
+class EquivalencyParams(KnockoffParams):
     student_architecture: str = "mini-student-cnn"
     temperature: float = 4.0
     hard_label_weight: float = 0.1
     distill_train: TrainConfig = field(default_factory=lambda: TrainConfig(
         epochs=20))
 
-    def to_dict(self):
-        return {"query_budget": self.query_budget, "output_mode": self.output_mode,
-                "surrogate_architecture": self.surrogate_architecture,
-                "query_fraction": self.query_fraction,
-                "recreate": self.recreate.to_dict(),
-                "student_architecture": self.student_architecture,
-                "temperature": self.temperature,
-                "hard_label_weight": self.hard_label_weight,
-                "distill_train": self.distill_train.to_dict()}
+    def __post_init__(self):
+        super().__post_init__()
+        self.distill_config(student_spec=None)
+
+    def distill_config(self, student_spec) -> DistillConfig:
+        return DistillConfig(student_spec, self.temperature,
+                             self.hard_label_weight, self.distill_train)
 
 
-def _parse_attack_params(attack_type: str, section: _Section, seed: int):
-    soft = TrainConfig(epochs=20, loss="soft_target_kl", seed=seed)
-    if attack_type == "knockoff":
-        params = KnockoffParams(
-            query_budget=int(section.take("query_budget")),
-            output_mode=section.choice("output_mode",
-                                       ("confidence_vector", "top1_label"),
-                                       "confidence_vector"),
-            surrogate_architecture=section.take("surrogate_architecture", None),
-            query_fraction=float(section.take("query_fraction", 0.5)),
-            recreate=_parse_train_config(section.section("recreate"), seed, soft))
-    elif attack_type == "miface":
-        clamp = section.take("clamp_range", [-4.0, 4.0])
-        params = MifaceParams(
-            target_class=int(section.take("target_class")),
-            posterior_threshold=float(section.take("posterior_threshold", 0.95)),
-            max_iterations=int(section.take("max_iterations", 400)),
-            step_size=float(section.take("step_size", 0.2)),
-            init_mode=section.choice("init_mode",
-                                     ("random", "auxiliary_sample"), "random"),
-            clamp_range=(float(clamp[0]), float(clamp[1])),
-            query_fraction=float(section.take("query_fraction", 0.5)))
-    elif attack_type == "staged_inversion":
-        inv = section.section("inversion")
-        clamp = inv.take("clamp_range", [-4.0, 4.0])
-        inversion = InversionParams(
-            posterior_threshold=float(inv.take("posterior_threshold", 0.95)),
-            max_iterations=int(inv.take("max_iterations", 400)),
-            step_size=float(inv.take("step_size", 0.2)),
-            init_mode=inv.choice("init_mode", ("random", "auxiliary_sample"),
-                                 "random"),
-            clamp_range=(float(clamp[0]), float(clamp[1])))
-        inv.close()
-        budgets = section.take("budgets")
-        params = StagedInversionParams(
-            budgets=tuple(int(b) for b in budgets),
-            output_mode=section.choice("output_mode",
-                                       ("confidence_vector", "top1_label"),
-                                       "confidence_vector"),
-            surrogate_architecture=section.take("surrogate_architecture", None),
-            query_fraction=float(section.take("query_fraction", 0.5)),
-            recreate=_parse_train_config(section.section("recreate"), seed, soft),
-            inversion=inversion)
-    elif attack_type == "deepsniffer":
-        params = DeepSnifferParams(
-            corpus_architectures=tuple(section.take(
-                "corpus_architectures", list(CONVENTIONAL_ARCHITECTURES))),
-            traces_per_architecture=int(section.take("traces_per_architecture", 6)),
-            train_jitter=float(section.take("train_jitter", 0.05)),
-            window=int(section.take("window", 1)),
-            classifier_epochs=int(section.take("classifier_epochs", 200)))
-    elif attack_type == "deeprecon":
-        default_corpus = [a for a in BUILTIN_ARCHITECTURES
-                          if a != "mini-student-cnn"]
-        params = DeepReconParams(
-            corpus_architectures=tuple(section.take("corpus_architectures",
-                                                    default_corpus)),
-            histograms_per_architecture=int(
-                section.take("histograms_per_architecture", 8)),
-            trials=int(section.take("trials", 6)),
-            k_neighbors=int(section.take("k_neighbors", 5)))
-    elif attack_type == "equivalency":
-        params = EquivalencyParams(
-            query_budget=int(section.take("query_budget")),
-            output_mode=section.choice("output_mode",
-                                       ("confidence_vector", "top1_label"),
-                                       "confidence_vector"),
-            surrogate_architecture=section.take("surrogate_architecture", None),
-            query_fraction=float(section.take("query_fraction", 0.5)),
-            recreate=_parse_train_config(section.section("recreate"), seed, soft),
-            student_architecture=section.take("student_architecture",
-                                              "mini-student-cnn"),
-            temperature=float(section.take("temperature", 4.0)),
-            hard_label_weight=float(section.take("hard_label_weight", 0.1)),
-            distill_train=_parse_train_config(
-                section.section("distill_train"), seed, TrainConfig(epochs=20)))
-    else:
-        raise ScenarioError(f"attack.type: unknown attack {attack_type!r}")
-    section.close()
-    return params
+_PARAMS = {"knockoff": KnockoffParams, "miface": MifaceParams,
+           "staged_inversion": StagedInversionParams,
+           "deepsniffer": DeepSnifferParams, "deeprecon": DeepReconParams,
+           "equivalency": EquivalencyParams}
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +378,6 @@ class EnvironmentSpec:
     environment_profile: str | None = None
     machine_profile: str | None = None
     verbose_runtime: bool = False
-
-    def to_dict(self):
-        return {"environment_profile": self.environment_profile,
-                "machine_profile": self.machine_profile,
-                "verbose_runtime": self.verbose_runtime}
 
 
 @dataclass
@@ -399,9 +396,9 @@ class Scenario:
         return {"schema_version": self.schema_version, "id": self.id,
                 "seed": self.seed,
                 "attack": {"type": self.attack_type,
-                           "params": self.attack_params.to_dict()},
+                           "params": _to_doc(self.attack_params)},
                 "target": self.target.to_dict(),
-                "environment": self.environment.to_dict(),
+                "environment": _to_doc(self.environment),
                 "grants": self.grants.to_dict(),
                 "evaluation": list(self.evaluation)}
 
@@ -409,8 +406,10 @@ class Scenario:
 def parse_scenario(document: str) -> Scenario:
     """Parse and fully validate a scenario JSON document.
 
-    Unknown fields anywhere are rejected; every omitted optional field is
-    filled with its default, so `to_dict()` round-trips an explicit form.
+    Unknown fields anywhere are rejected, every value must have its field's
+    JSON type, and the attack's own range rules run here; every omitted
+    optional field is filled with its default, so `to_dict()` round-trips
+    an explicit form.
     """
     try:
         doc = json.loads(document)
@@ -419,44 +418,43 @@ def parse_scenario(document: str) -> Scenario:
             f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}")
 
     top = _Section(doc, "")
-    version = int(top.take("schema_version"))
+    version = top.take("schema_version", int)
     if version != SCHEMA_VERSION:
         raise ScenarioError(
             f"schema_version: {version} unsupported (expected {SCHEMA_VERSION})")
-    scenario_id = str(top.take("id"))
-    seed = int(top.take("seed", 0))
+    scenario_id = top.take("id", str)
+    seed = top.take("seed", int, 0)
+    if seed < 0:
+        raise ScenarioError(f"seed: {seed} must be >= 0")
 
     attack = top.section("attack", required=True)
-    attack_type = attack.choice("type", ATTACK_TYPES)
-    params = _parse_attack_params(attack_type, attack.section("params"), seed)
+    attack_type = attack.take("type", AttackType)
+    params = _build(_PARAMS[attack_type], attack.section("params"), seed)
     attack.close()
 
     target = top.section("target", required=True)
-    subset = target.take("class_subset", None)
-    ref = ModelRef(
-        architecture_id=str(target.take("architecture_id")),
-        dataset_id=str(target.take("dataset_id")),
-        class_subset=tuple(int(c) for c in subset) if subset else None,
-        checkpoint_tag=str(target.take("checkpoint_tag", "default")))
+    ref = _construct(
+        ModelRef, "target",
+        architecture_id=target.take("architecture_id", str),
+        dataset_id=target.take("dataset_id", str),
+        # an empty subset means all classes, as null does
+        class_subset=target.take("class_subset", tuple[int, ...], None) or None,
+        checkpoint_tag=target.take("checkpoint_tag", str, "default"))
     target.close()
 
-    env = top.section("environment")
-    environment = EnvironmentSpec(
-        environment_profile=env.take("environment_profile", None),
-        machine_profile=env.take("machine_profile", None),
-        verbose_runtime=bool(env.take("verbose_runtime", False)))
-    env.close()
+    environment = _build(EnvironmentSpec, top.section("environment"), seed)
 
     grants_sec = top.section("grants", required=True)
     grants = ThreatModel(
-        model_knowledge=grants_sec.choice("model_knowledge",
-                                          ("observed", "hidden")),
-        system_knowledge=grants_sec.choice("system_knowledge",
-                                           ("partial", "none")),
-        aux_dataset=grants_sec.choice("aux_dataset", ("partial", "none")))
+        model_knowledge=grants_sec.take("model_knowledge",
+                                        Literal["observed", "hidden"]),
+        system_knowledge=grants_sec.take("system_knowledge",
+                                         Literal["partial", "none"]),
+        aux_dataset=grants_sec.take("aux_dataset", Literal["partial", "none"]))
     grants_sec.close()
 
-    evaluation = tuple(top.take("evaluation", list(AVAILABLE_METRICS[attack_type])))
+    evaluation = top.take("evaluation", tuple[str, ...],
+                          AVAILABLE_METRICS[attack_type])
     top.close()
 
     available = set(AVAILABLE_METRICS[attack_type])
@@ -615,13 +613,20 @@ class Workbench:
         return self.root / "artifacts"
 
     def dataset(self, dataset_id: str) -> Dataset:
-        """Load from the cache, generating (and caching) on first use."""
+        """Load from the cache, generating (and caching) on first use.
+
+        A cache entry that fails to load is regenerated; generation is
+        deterministic, so the replacement equals what was lost.
+        """
         if dataset_id not in self.dataset_specs:
             raise KeyError(f"unknown dataset id {dataset_id!r}")
         cache = self.datasets_dir / dataset_id
         with self._cache_lock:
-            if (cache / "meta.json").exists():
-                return load_dataset(cache)
+            if cache.exists():
+                try:
+                    return load_dataset(cache)
+                except (OSError, ValueError, KeyError):
+                    pass
             data = generate(self.dataset_specs[dataset_id])
             save_dataset(data, cache)
             return data
@@ -754,16 +759,21 @@ def _derived_seed(scenario: Scenario, tag: str) -> int:
     return zlib.crc32(f"{scenario.seed}|{tag}".encode()) & 0x7FFFFFFF
 
 
-def _run_knockoff(scenario, bench, target, art_dir):
-    p: KnockoffParams = scenario.attack_params
+def _steal_setup(scenario, bench, query_budget: int):
+    """Shared prefix of the stealing attacks: the seeded query/test split,
+    the surrogate architecture and the knockoff config."""
+    p = scenario.attack_params
     data = bench.dataset(scenario.target.dataset_id)
     queries, test = split(data, p.query_fraction,
                           _derived_seed(scenario, "split"))
     arch_id = p.surrogate_architecture or scenario.target.architecture_id
     spec = bench.architecture(arch_id, data.spec.input_shape, data.class_count)
-    config = KnockoffConfig(query_budget=p.query_budget,
-                            output_mode=p.output_mode, recreate=p.recreate,
-                            surrogate_architecture=spec.id)
+    return queries, test, spec, _steal_config(p, query_budget, spec.id)
+
+
+def _run_knockoff(scenario, bench, target, art_dir):
+    p: KnockoffParams = scenario.attack_params
+    queries, test, spec, config = _steal_setup(scenario, bench, p.query_budget)
     stolen, record = knockoff_extract(QueryHandle(target), queries, spec,
                                       config, seed=scenario.seed)
     stolen_ref = ModelRef(spec.id, scenario.target.dataset_id,
@@ -785,13 +795,8 @@ def _run_miface(scenario, bench, target, art_dir):
     if p.init_mode == "auxiliary_sample":
         data = bench.dataset(scenario.target.dataset_id)
         aux, _ = split(data, p.query_fraction, _derived_seed(scenario, "split"))
-    config = InversionConfig(
-        target_class=p.target_class,
-        posterior_threshold=p.posterior_threshold,
-        max_iterations=p.max_iterations, step_size=p.step_size,
-        init_mode=p.init_mode, clamp_range=p.clamp_range)
-    result = miface_invert(GradientHandle(target), config, aux=aux,
-                           seed=scenario.seed)
+    result = miface_invert(GradientHandle(target), p.config(p.target_class),
+                           aux=aux, seed=scenario.seed)
     pgm = save_pgm(result.reconstruction,
                    art_dir / f"reconstruction_c{p.target_class}.pgm")
     sample_dir = art_dir / f"reconstruction_c{p.target_class}"
@@ -811,21 +816,10 @@ def _run_miface(scenario, bench, target, art_dir):
 
 def _run_staged_inversion(scenario, bench, target, art_dir):
     p: StagedInversionParams = scenario.attack_params
-    data = bench.dataset(scenario.target.dataset_id)
-    queries, test = split(data, p.query_fraction,
-                          _derived_seed(scenario, "split"))
-    arch_id = p.surrogate_architecture or scenario.target.architecture_id
-    spec = bench.architecture(arch_id, data.spec.input_shape, data.class_count)
-    knock = KnockoffConfig(query_budget=max(p.budgets),
-                           output_mode=p.output_mode, recreate=p.recreate,
-                           surrogate_architecture=spec.id)
-    inversion = InversionConfig(
-        target_class=0, posterior_threshold=p.inversion.posterior_threshold,
-        max_iterations=p.inversion.max_iterations,
-        step_size=p.inversion.step_size, init_mode=p.inversion.init_mode,
-        clamp_range=p.inversion.clamp_range)
+    queries, test, spec, knock = _steal_setup(scenario, bench, max(p.budgets))
     rows = staged_inversion_study(target, queries, test, list(p.budgets), spec,
-                                  knock, inversion, seed=scenario.seed)
+                                  knock, p.inversion.config(target_class=0),
+                                  seed=scenario.seed)
     metrics, artifacts = {}, []
     for row in rows:
         metrics[f"fidelity_b{row.budget}"] = row.fidelity
@@ -862,11 +856,8 @@ def _run_deepsniffer(scenario, bench, target, art_dir):
             trace = simulate_kernel_trace(
                 spec, train_profile, seed=_derived_seed(scenario, f"{arch_id}|{i}"))
             corpus.append((trace, truth))
-    classifier = train_ds_model(
-        corpus, window=p.window,
-        config=TrainConfig(learning_rate=0.5, batch_size=16,
-                           epochs=p.classifier_epochs, loss="cross_entropy",
-                           seed=scenario.seed))
+    classifier = train_ds_model(corpus, window=p.window,
+                                config=p.classifier(scenario.seed))
     target_spec = target.spec
     trace = simulate_kernel_trace(target_spec, profile,
                                   seed=_derived_seed(scenario, "victim"))
@@ -909,22 +900,12 @@ def _run_deeprecon(scenario, bench, target, art_dir):
 
 def _run_equivalency(scenario, bench, target, art_dir):
     p: EquivalencyParams = scenario.attack_params
-    data = bench.dataset(scenario.target.dataset_id)
-    queries, test = split(data, p.query_fraction,
-                          _derived_seed(scenario, "split"))
-    arch_id = p.surrogate_architecture or scenario.target.architecture_id
-    spec = bench.architecture(arch_id, data.spec.input_shape, data.class_count)
-    config = KnockoffConfig(query_budget=p.query_budget,
-                            output_mode=p.output_mode, recreate=p.recreate,
-                            surrogate_architecture=spec.id)
+    queries, test, spec, config = _steal_setup(scenario, bench, p.query_budget)
     stolen, _ = knockoff_extract(QueryHandle(target), queries, spec, config,
                                  seed=scenario.seed)
-    student = bench.architecture(p.student_architecture, data.spec.input_shape,
-                                 data.class_count)
-    distill_cfg = DistillConfig(student_spec=student, temperature=p.temperature,
-                                hard_label_weight=p.hard_label_weight,
-                                train=p.distill_train)
-    report = equivalency_report(target, stolen, test, distill_cfg)
+    student = bench.architecture(p.student_architecture,
+                                 queries.spec.input_shape, queries.class_count)
+    report = equivalency_report(target, stolen, test, p.distill_config(student))
     metrics = dict(report.metrics())
     pwccas = [v for k, v in metrics.items() if k.startswith("pwcca_")]
     metrics["pwcca"] = float(np.mean(pwccas))

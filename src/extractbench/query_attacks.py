@@ -279,6 +279,15 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(af @ bf / denom) if denom > 0 else 0.0
 
 
+def check_budgets(budgets) -> None:
+    if not budgets:
+        raise ValueError("budgets must be non-empty")
+    if any(b < 1 for b in budgets):
+        raise ValueError("budgets must be positive")
+    if sorted(budgets) != list(budgets):
+        raise ValueError("budgets must be ascending")
+
+
 def staged_inversion_study(target: Network, queries: Dataset, test: Dataset,
                            budgets: list[int], surrogate_spec: ArchitectureSpec,
                            knockoff_config: KnockoffConfig,
@@ -286,10 +295,7 @@ def staged_inversion_study(target: Network, queries: Dataset, test: Dataset,
                            seed: int = 0) -> list[StagedBudgetResult]:
     """For each budget: steal, invert every class of the stolen model, and
     score reconstructions against the true class-mean images."""
-    if any(b < 1 for b in budgets):
-        raise ValueError("budgets must be positive")
-    if sorted(budgets) != list(budgets):
-        raise ValueError("budgets must be ascending")
+    check_budgets(budgets)
     handle = QueryHandle(target)
     probe_t = default_probe_point(target)
     results = []

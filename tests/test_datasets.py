@@ -5,6 +5,8 @@ oracle: every point of every class is scanned with a brute-force neighbor
 search, and the spectral summary is recomputed along an independent path.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,3 +259,21 @@ class TestCacheFiles:
         samples.write_bytes(samples.read_bytes()[:-8])
         with pytest.raises(ValueError, match="corrupt"):
             load_dataset(tmp_path / "d")
+
+    def test_interrupted_save_leaves_old_entry_and_no_debris(self, tmp_path,
+                                                             monkeypatch):
+        old = generate(spec_for(classes=3, per_class=20, seed=13))
+        save_dataset(old, tmp_path / "d")
+        new = generate(spec_for(classes=3, per_class=20, seed=14))
+        real_write = Path.write_bytes
+
+        def failing_write(path, data):
+            if path.name == "labels.bin":
+                raise OSError("disk full")
+            return real_write(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(new, tmp_path / "d")
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert np.array_equal(load_dataset(tmp_path / "d").inputs, old.inputs)

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extractbench.cli import main
+from extractbench.datasets import load_dataset
 from extractbench.orchestrator import (
     ATTACK_TYPES,
     EXCLUSIVE_ATTACKS,
@@ -46,6 +48,137 @@ def scenario_doc(attack_type="knockoff", **over):
     }
     doc.update(over)
     return doc
+
+
+def minimal_doc(attack_type, sid="s1"):
+    """Smallest valid document of an attack type, with grants it passes."""
+    if attack_type in EXCLUSIVE_ATTACKS:
+        grants = {"model_knowledge": "observed",
+                  "system_knowledge": "partial", "aux_dataset": "none"}
+        env = ({"environment_profile": "gpu-quiet"}
+               if attack_type == "deepsniffer"
+               else {"machine_profile": "i7-6850k-like"})
+        params = {}
+    else:
+        grants = {"model_knowledge": "hidden", "system_knowledge": "none",
+                  "aux_dataset": "partial"}
+        env = {}
+        params = ({"query_budget": 10} if attack_type != "miface"
+                  else {"target_class": 0})
+        if attack_type == "staged_inversion":
+            params = {"budgets": [5, 10]}
+    doc = scenario_doc(attack_type, id=sid, params=params, grants=grants)
+    doc["environment"] = env
+    return doc
+
+
+FIELD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 300),
+    st.floats(-2.0, 5.0), st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["confidence_vector", "top1_label", "random",
+                     "auxiliary_sample", "soft_target_kl", "mini-vgg-4",
+                     "mini-mlp-1", "gpu-low", "i5-3470-like", "partial", "x"]),
+    st.lists(st.integers(-1, 200), max_size=3),
+    st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=3),
+    st.lists(st.sampled_from(["mini-vgg-4", "mini-dense-3", "fidelity"]),
+             max_size=3),
+    st.dictionaries(st.sampled_from(["epochs", "seed", "x"]),
+                    st.integers(0, 5), max_size=2))
+
+
+@st.composite
+def mutated_documents(draw):
+    """The explicit form of a valid document with a few fields replaced,
+    removed or added, anywhere in it."""
+    doc = parse_scenario(json.dumps(minimal_doc(
+        draw(st.sampled_from(ATTACK_TYPES))))).to_dict()
+    params = doc["attack"]["params"]
+    sections = [doc, doc["attack"], params, doc["target"], doc["environment"],
+                doc["grants"]]
+    sections += [v for v in params.values() if isinstance(v, dict)]
+    for _ in range(draw(st.integers(1, 3))):
+        section = draw(st.sampled_from(sections))
+        key = draw(st.sampled_from(sorted(section) + ["unknown"]))
+        if draw(st.booleans()):
+            section.pop(key, None)
+        else:
+            section[key] = draw(FIELD_VALUES)
+    return json.dumps(doc)
+
+
+GPU = {"environment": {"environment_profile": "gpu-quiet"}}
+CPU = {"environment": {"machine_profile": "i7-6850k-like"}}
+
+# (attack type, params, top-level overrides, field path the error must name)
+BAD_DOCUMENTS = [
+    ("knockoff", {"query_budget": 120},
+     {"environment": {"verbose_runtime": "false"}},
+     r"environment\.verbose_runtime: expected true or false"),
+    ("knockoff", {"query_budget": "500"}, {},
+     r"attack\.params\.query_budget: expected an integer"),
+    ("knockoff", {"query_budget": 120.0}, {},
+     r"attack\.params\.query_budget: expected an integer"),
+    ("knockoff", {"query_budget": 120}, {"seed": True},
+     r"^seed: expected an integer"),
+    ("knockoff", {"query_budget": 120}, {"seed": -1}, r"^seed: -1 must be >= 0"),
+    ("knockoff", {"query_budget": 120}, {"id": 7}, r"^id: expected a string"),
+    ("knockoff", {"query_budget": 0}, {},
+     r"attack\.params: query_budget must be >= 1"),
+    ("knockoff", {"query_budget": 120, "query_fraction": 2.0}, {},
+     r"attack\.params: query_fraction must lie strictly between 0 and 1"),
+    ("knockoff", {"query_budget": 120, "query_fraction": 0}, {},
+     r"attack\.params: query_fraction"),
+    ("knockoff", {"query_budget": 120, "output_mode": "logits"}, {},
+     r"attack\.params\.output_mode: 'logits' is not one of"),
+    ("knockoff", {"query_budget": 120, "recreate": {"epochs": "5"}}, {},
+     r"attack\.params\.recreate\.epochs: expected an integer"),
+    ("knockoff", {"query_budget": 120, "recreate": {"loss": "mse"}}, {},
+     r"attack\.params\.recreate\.loss: 'mse' is not one of"),
+    ("knockoff", {"query_budget": 120, "recreate": {"learning_rate": 0}}, {},
+     r"attack\.params\.recreate: learning_rate must be positive"),
+    ("knockoff", {"query_budget": 120}, {"evaluation": "fidelity"},
+     r"^evaluation: expected a list"),
+    ("knockoff", {"query_budget": 120},
+     {"target": {"architecture_id": "mini-mlp-1",
+                 "dataset_id": "blobs-2c-easy", "class_subset": [1, 1]}},
+     r"^target: class_subset must be non-empty with unique indices"),
+    ("deepsniffer", {"corpus_architectures": "mini-vgg-4"}, GPU,
+     r"attack\.params\.corpus_architectures: expected a list"),
+    ("deepsniffer", {"window": -3}, GPU,
+     r"attack\.params: window must be >= 0"),
+    ("deepsniffer", {"traces_per_architecture": 0}, GPU,
+     r"attack\.params: traces_per_architecture must be >= 1"),
+    ("deeprecon", {"trials": 0}, CPU,
+     r"attack\.params: trials must be >= 1"),
+    ("deeprecon", {"histograms_per_architecture": 0}, CPU,
+     r"attack\.params: histograms_per_architecture must be >= 1"),
+    ("deeprecon", {"k_neighbors": 0}, CPU,
+     r"attack\.params: k_neighbors must lie in \[1, 104\]"),
+    ("miface", {"target_class": 0, "clamp_range": [1]}, {},
+     r"attack\.params\.clamp_range: expected 2 items, got 1"),
+    ("miface", {"target_class": 0, "clamp_range": [4, -4]}, {},
+     r"attack\.params: clamp_range must be \(lo, hi\) with lo < hi"),
+    ("miface", {"target_class": 0, "step_size": float("nan")}, {},
+     r"attack\.params\.step_size: expected a finite number"),
+    ("miface", {"target_class": -1}, {}, r"attack\.params: target_class must be >= 0"),
+    ("miface", {"target_class": 0, "max_iterations": 2.5}, {},
+     r"attack\.params\.max_iterations: expected an integer"),
+    ("miface", {}, {}, r"attack\.params\.target_class required"),
+    ("staged_inversion", {"budgets": 30}, {},
+     r"attack\.params\.budgets: expected a list"),
+    ("staged_inversion", {"budgets": []}, {},
+     r"attack\.params: budgets must be non-empty"),
+    ("staged_inversion", {"budgets": [0, 10]}, {},
+     r"attack\.params: budgets must be positive"),
+    ("staged_inversion", {"budgets": [20, 10]}, {},
+     r"attack\.params: budgets must be ascending"),
+    ("staged_inversion", {"budgets": [5, 10], "inversion": {"clamp_range": [2, 2]}}, {},
+     r"attack\.params\.inversion: clamp_range must be"),
+    ("equivalency", {"query_budget": 120, "temperature": 0}, {},
+     r"attack\.params: temperature must be positive"),
+    ("equivalency", {"query_budget": 120, "hard_label_weight": 1.5}, {},
+     r"attack\.params: hard_label_weight must lie in \[0, 1\]"),
+]
 
 
 @pytest.fixture()
@@ -107,6 +240,47 @@ class TestParseScenario:
         with pytest.raises(ScenarioError, match="grants"):
             parse_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "attack_type,params,over,path", BAD_DOCUMENTS,
+        ids=[f"{case[0]}-{i}" for i, case in enumerate(BAD_DOCUMENTS)])
+    def test_bad_document_names_field(self, attack_type, params, over, path):
+        doc = scenario_doc(attack_type, params=params, **over)
+        with pytest.raises(ScenarioError, match=path):
+            parse_scenario(json.dumps(doc))
+
+    def test_empty_class_subset_means_all_classes(self):
+        doc = scenario_doc(target={"architecture_id": "mini-mlp-1",
+                                   "dataset_id": "blobs-2c-easy",
+                                   "class_subset": []})
+        assert parse_scenario(json.dumps(doc)).target.class_subset is None
+
+    def test_integer_accepted_for_float(self):
+        doc = scenario_doc(params={"query_budget": 120,
+                                   "recreate": {"learning_rate": 1}})
+        recreate = parse_scenario(json.dumps(doc)).attack_params.recreate
+        assert type(recreate.learning_rate) is float
+
+    @given(document=st.one_of(mutated_documents(), st.text(max_size=40)))
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip_property(self, document):
+        try:
+            sc = parse_scenario(document)
+        except ScenarioError:
+            return
+        assert parse_scenario(json.dumps(sc.to_dict())) == sc
+
+
+class TestCli:
+    def test_validate_bad_clamp_range_is_invalid_not_traceback(
+            self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(scenario_doc(
+            "miface", params={"target_class": 0, "clamp_range": [1]})))
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid: attack.params.clamp_range")
+        assert "Traceback" not in err
+
 
 class TestValidateThreatModel:
     def test_deepsniffer_needs_observed_and_partial(self):
@@ -149,24 +323,7 @@ class TestValidateThreatModel:
 
 class TestSchedule:
     def _mini(self, attack_type, sid):
-        if attack_type in EXCLUSIVE_ATTACKS:
-            grants = {"model_knowledge": "observed",
-                      "system_knowledge": "partial", "aux_dataset": "none"}
-            env = ({"environment_profile": "gpu-quiet"}
-                   if attack_type == "deepsniffer"
-                   else {"machine_profile": "i7-6850k-like"})
-            params = {}
-        else:
-            grants = {"model_knowledge": "hidden", "system_knowledge": "none",
-                      "aux_dataset": "partial"}
-            env = {}
-            params = ({"query_budget": 10} if attack_type != "miface"
-                      else {"target_class": 0})
-            if attack_type == "staged_inversion":
-                params = {"budgets": [5, 10]}
-        doc = scenario_doc(attack_type, id=sid, params=params, grants=grants)
-        doc["environment"] = env
-        return parse_scenario(json.dumps(doc))
+        return parse_scenario(json.dumps(minimal_doc(attack_type, sid)))
 
     def test_mixed_batch_example(self):
         batch = [self._mini("knockoff", "k1"), self._mini("knockoff", "k2"),
@@ -239,6 +396,18 @@ class TestZooResolve:
     def test_unknown_architecture_named(self, bench):
         with pytest.raises(KeyError, match="mini-nothing"):
             zoo_resolve(ModelRef("mini-nothing", "blobs-2c-easy"), bench)
+
+
+class TestDatasetCache:
+    def test_truncated_samples_are_regenerated(self, bench):
+        first = bench.dataset("blobs-2c-easy")
+        cache = bench.datasets_dir / "blobs-2c-easy"
+        samples = cache / "samples.bin"
+        samples.write_bytes(samples.read_bytes()[:-8])
+        again = bench.dataset("blobs-2c-easy")
+        assert np.array_equal(again.inputs, first.inputs)
+        assert np.array_equal(again.labels, first.labels)
+        assert np.array_equal(load_dataset(cache).inputs, first.inputs)
 
 
 class TestExecute:
