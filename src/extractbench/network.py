@@ -3,9 +3,10 @@
 A model is a list of :class:`NodeSpec` entries wired by node id (the reserved
 id ``"input"`` denotes the graph input). Execution order is topological with
 ties broken by declaration order, so two builds of the same node list behave
-identically. Forward passes cache per-node activations; backward consumes the
-cache and returns gradients for every trainable tensor plus the graph input
-(the latter is what inversion attacks climb).
+identically. A training forward pass caches per-node activations and kernel
+workspace; backward consumes the cache and returns gradients for every
+trainable tensor plus the graph input (the latter is what inversion attacks
+climb). Inference goes through ``predict``, which caches nothing.
 """
 
 from __future__ import annotations
@@ -131,7 +132,13 @@ class Network:
             self.weights[node.node_id] = w
             self.buffers[node.node_id] = b
         self.bn_calibrated = not any(n.kind is OperatorKind.BN for n in self.nodes)
+        # node id -> the activations whose last consumer it is
+        last_consumer = {d: n.node_id for n in self.order for d in n.inputs}
+        self._last_use: dict[str, list[str]] = {n.node_id: [] for n in self.order}
+        for dep, node_id in last_consumer.items():
+            self._last_use[node_id].append(dep)
         self._acts: dict[str, np.ndarray] | None = None
+        self._ctxs: dict[str, dict] = {}
 
     # -- structure ----------------------------------------------------------
 
@@ -183,31 +190,46 @@ class Network:
 
     # -- execution -----------------------------------------------------------
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Batched forward pass; caches activations for backward."""
+    def _run(self, x, target: str | None = None):
+        """The one forward loop. Without `target` (training) every activation
+        and each node's kernel workspace are kept for backward; with it
+        (inference) no workspace is made and each activation other than
+        `target`'s is dropped after its last consumer."""
+        keep = target is None
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1:] != self.input_shape:
             raise ShapeError(
                 f"input shape {x.shape[1:]} does not match model input "
                 f"{self.input_shape}")
         acts: dict[str, np.ndarray] = {INPUT_ID: x}
+        ctxs: dict[str, dict] = {}
         for node in self.order:
             ins = [acts[d] for d in node.inputs]
+            ctx = ctxs[node.node_id] = {} if keep else None
             acts[node.node_id] = op_forward(
                 node.kind, node.params, self.weights[node.node_id],
-                self.buffers[node.node_id], ins)
-        self._acts = acts
-        return acts[self.output_id]
+                self.buffers[node.node_id], ins, ctx)
+            if not keep:
+                for dep in self._last_use[node.node_id]:
+                    if dep != target:
+                        del acts[dep]
+        return acts, ctxs
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Batched training forward pass: keeps every activation and kernel
+        workspace for :meth:`backward`."""
+        self._acts, self._ctxs = self._run(x)
+        return self._acts[self.output_id]
 
-    def activation(self, node_id: str) -> np.ndarray:
-        if self._acts is None:
-            raise RuntimeError("no cached forward pass")
-        if node_id not in self._acts:
-            raise KeyError(f"unknown probe point {node_id!r}")
-        return self._acts[node_id]
+    def predict(self, x: np.ndarray, node_id: str | None = None) -> np.ndarray:
+        """Inference-only forward pass: the output, or the activation at
+        `node_id`. Keeps nothing, and leaves the cache of the last
+        :meth:`forward` alone."""
+        target = self.output_id if node_id is None else node_id
+        if target not in self.shapes:
+            raise KeyError(f"unknown probe point {target!r}")
+        acts, _ = self._run(x, target)
+        return acts[target]
 
     def backward(self, output_gradient: np.ndarray) -> Gradients:
         """Backpropagate from the output; requires a cached forward pass."""
@@ -230,7 +252,8 @@ class Network:
             ins = [self._acts[d] for d in node.inputs]
             wgrads, igrads = op_backward(
                 node.kind, node.params, self.weights[node.node_id],
-                self.buffers[node.node_id], ins, self._acts[node.node_id], g)
+                self.buffers[node.node_id], ins, self._acts[node.node_id], g,
+                self._ctxs[node.node_id])
             if wgrads:
                 by_node[node.node_id] = wgrads
             for dep, ig in zip(node.inputs, igrads):
@@ -279,6 +302,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.loss not in ("cross_entropy", "soft_target_kl"):
             raise ValueError(f"unknown loss {self.loss!r}")
 

@@ -747,8 +747,15 @@ def persist_record(record: RunRecord, bench: Workbench) -> Path:
 
 
 def load_records(records_dir) -> list[RunRecord]:
-    paths = sorted(Path(records_dir).glob("*.json"))
-    return [RunRecord.from_dict(json.loads(p.read_text())) for p in paths]
+    """Every readable record in the directory; an unreadable or incomplete
+    file is skipped and named on stderr."""
+    records = []
+    for path in sorted(Path(records_dir).glob("*.json")):
+        try:
+            records.append(RunRecord.from_dict(json.loads(path.read_text())))
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            print(f"skipping unreadable record {path}: {exc}", file=sys.stderr)
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -105,11 +105,7 @@ def default_probe_point(model: Network) -> str:
 def collect_activations(model: Network, probe_point: str, inputs) -> np.ndarray:
     """Row i is the flattened probe-layer activation on input i."""
     x = _as_inputs(inputs)
-    if probe_point != "input" and probe_point not in model.shapes:
-        raise KeyError(f"unknown probe point {probe_point!r}")
-    model.forward(x)
-    acts = model.activation(probe_point)
-    return acts.reshape(x.shape[0], -1)
+    return model.predict(x, probe_point).reshape(x.shape[0], -1)
 
 
 # ---------------------------------------------------------------------------

@@ -245,10 +245,22 @@ def _col2im(gcols, padded_shape, kh, kw, stride, out_h, out_w):
     return gx
 
 
-def _conv_forward(params, weights, x):
-    out_h, out_w, kh, kw, s, (pt, pb, pl, pr) = _conv_geometry(params, x.shape[1:])
-    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    cols = _im2col(xp, kh, kw, s, out_h, out_w)
+def _conv_cols(x, out_h, out_w, kh, kw, s, pads):
+    """im2col columns of `x` zero-padded by `pads` (top, bottom, left, right)."""
+    pt, pb, pl, pr = pads
+    if any(pads):
+        n, h, w, c = x.shape
+        xp = np.zeros((n, h + pt + pb, w + pl + pr, c), dtype=x.dtype)
+        xp[:, pt:pt + h, pl:pl + w, :] = x
+        x = xp
+    return _im2col(x, kh, kw, s, out_h, out_w)
+
+
+def _conv_forward(params, weights, x, ctx):
+    out_h, out_w, kh, kw, s, pads = _conv_geometry(params, x.shape[1:])
+    cols = _conv_cols(x, out_h, out_w, kh, kw, s, pads)
+    if ctx is not None:
+        ctx["cols"] = cols
     w = weights["weight"]
     cout = w.shape[3]
     y = cols.reshape(x.shape[0] * out_h * out_w, -1) @ w.reshape(-1, cout)
@@ -258,10 +270,11 @@ def _conv_forward(params, weights, x):
     return y
 
 
-def _conv_backward(params, weights, x, grad):
-    out_h, out_w, kh, kw, s, (pt, pb, pl, pr) = _conv_geometry(params, x.shape[1:])
-    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    cols = _im2col(xp, kh, kw, s, out_h, out_w)
+def _conv_backward(params, weights, x, grad, ctx):
+    out_h, out_w, kh, kw, s, pads = _conv_geometry(params, x.shape[1:])
+    cols = (ctx or {}).get("cols")
+    if cols is None:
+        cols = _conv_cols(x, out_h, out_w, kh, kw, s, pads)
     w = weights["weight"]
     cout = w.shape[3]
     gflat = grad.reshape(-1, cout)
@@ -270,43 +283,50 @@ def _conv_backward(params, weights, x, grad):
     if "bias" in weights:
         wgrads["bias"] = gflat.sum(axis=0)
     gcols = (gflat @ w.reshape(-1, cout).T).reshape(cols.shape)
-    gxp = _col2im(gcols, xp.shape, kh, kw, s, out_h, out_w)
-    h, wd = x.shape[1], x.shape[2]
+    pt, pb, pl, pr = pads
+    n, h, wd, c = x.shape
+    gxp = _col2im(gcols, (n, h + pt + pb, wd + pl + pr, c), kh, kw, s, out_h, out_w)
     return wgrads, [gxp[:, pt:pt + h, pl:pl + wd, :]]
 
 
-def _pool_windows(kind, params, x):
-    out_h, out_w, kh, kw, s = _pool_geometry(kind, params, x.shape[1:])
-    cols = _im2col(x, kh, kw, s, out_h, out_w)
+def _pool_windows(x, out_h, out_w, kh, kw, s):
     # (n, oh, ow, kh*kw, c): window axis is row-major over (i, j)
-    return cols.reshape(x.shape[0], out_h, out_w, kh * kw, x.shape[3]), out_h, out_w, kh, kw, s
+    cols = _im2col(x, kh, kw, s, out_h, out_w)
+    return cols.reshape(x.shape[0], out_h, out_w, kh * kw, x.shape[3])
 
 
-def _maxpool_forward(params, x):
-    win, *_ = _pool_windows(OperatorKind.MAXPOOL, params, x)
+def _maxpool_forward(params, x, ctx):
+    geometry = _pool_geometry(OperatorKind.MAXPOOL, params, x.shape[1:])
+    win = _pool_windows(x, *geometry)
+    if ctx is not None:
+        ctx["win"] = win
     return win.max(axis=3)
 
 
-def _maxpool_backward(params, x, grad):
-    win, out_h, out_w, kh, kw, s = _pool_windows(OperatorKind.MAXPOOL, params, x)
+def _maxpool_backward(params, x, grad, ctx):
+    out_h, out_w, kh, kw, s = geometry = _pool_geometry(
+        OperatorKind.MAXPOOL, params, x.shape[1:])
+    win = (ctx or {}).get("win")
+    if win is None:
+        win = _pool_windows(x, *geometry)
     # argmax picks the first maximum: row-major tie-breaking within the window
-    idx = win.argmax(axis=3)
-    gwin = np.zeros_like(win)
-    np.put_along_axis(gwin, idx[:, :, :, None, :], grad[:, :, :, None, :], axis=3)
+    idx = win.argmax(axis=3)[:, :, :, None, :]
+    slots = np.arange(kh * kw)[:, None]
+    gwin = np.where(slots == idx, grad[:, :, :, None, :], 0.0)
     gwin = gwin.reshape(x.shape[0], out_h, out_w, kh, kw, x.shape[3])
     return {}, [_col2im(gwin, x.shape, kh, kw, s, out_h, out_w)]
 
 
 def _avgpool_forward(params, x):
-    win, *_ = _pool_windows(OperatorKind.AVGPOOL, params, x)
-    return win.mean(axis=3)
+    geometry = _pool_geometry(OperatorKind.AVGPOOL, params, x.shape[1:])
+    return _pool_windows(x, *geometry).mean(axis=3)
 
 
 def _avgpool_backward(params, x, grad):
-    win, out_h, out_w, kh, kw, s = _pool_windows(OperatorKind.AVGPOOL, params, x)
+    out_h, out_w, kh, kw, s = _pool_geometry(OperatorKind.AVGPOOL, params, x.shape[1:])
     gwin = np.broadcast_to(
-        grad[:, :, :, None, :] / (kh * kw), win.shape
-    ).reshape(x.shape[0], out_h, out_w, kh, kw, x.shape[3])
+        grad[:, :, :, None, None, :] / (kh * kw),
+        (x.shape[0], out_h, out_w, kh, kw, x.shape[3]))
     return {}, [_col2im(np.ascontiguousarray(gwin), x.shape, kh, kw, s, out_h, out_w)]
 
 
@@ -361,10 +381,17 @@ def _fc_backward(weights, x, grad):
     return wgrads, [(grad @ weights["weight"].T).reshape(x.shape)]
 
 
-def op_forward(kind, params, weights, buffers, inputs: list[np.ndarray]) -> np.ndarray:
-    """Run one operator on batched arrays; pure."""
+def op_forward(kind, params, weights, buffers, inputs: list[np.ndarray],
+               ctx: dict | None = None) -> np.ndarray:
+    """Run one operator on batched arrays.
+
+    `ctx`, when given, is a fresh dict that belongs to this one call: the
+    kernel stores in it the workspace its backward can reuse (CONV: the
+    im2col columns, MAXPOOL: the pooling windows). Without it the kernel is
+    pure and keeps nothing.
+    """
     if kind is OperatorKind.CONV:
-        return _conv_forward(params, weights, inputs[0])
+        return _conv_forward(params, weights, inputs[0], ctx)
     if kind is OperatorKind.FC:
         return _fc_forward(weights, inputs[0])
     if kind is OperatorKind.RELU:
@@ -374,7 +401,7 @@ def op_forward(kind, params, weights, buffers, inputs: list[np.ndarray]) -> np.n
     if kind is OperatorKind.BN:
         return _bn_forward(weights, buffers, inputs[0])
     if kind is OperatorKind.MAXPOOL:
-        return _maxpool_forward(params, inputs[0])
+        return _maxpool_forward(params, inputs[0], ctx)
     if kind is OperatorKind.AVGPOOL:
         return _avgpool_forward(params, inputs[0])
     if kind is OperatorKind.ADD:
@@ -393,10 +420,15 @@ def op_forward(kind, params, weights, buffers, inputs: list[np.ndarray]) -> np.n
     raise ValueError(f"unknown operator kind {kind}")
 
 
-def op_backward(kind, params, weights, buffers, inputs, output, grad):
-    """Gradients of one operator: returns (weight grads, per-input grads)."""
+def op_backward(kind, params, weights, buffers, inputs, output, grad,
+                ctx: dict | None = None):
+    """Gradients of one operator: returns (weight grads, per-input grads).
+
+    `ctx` is the dict the matching :func:`op_forward` filled; without it
+    (or with an empty one) the kernel recomputes its workspace from `inputs`.
+    """
     if kind is OperatorKind.CONV:
-        return _conv_backward(params, weights, inputs[0], grad)
+        return _conv_backward(params, weights, inputs[0], grad, ctx)
     if kind is OperatorKind.FC:
         return _fc_backward(weights, inputs[0], grad)
     if kind is OperatorKind.RELU:
@@ -406,7 +438,7 @@ def op_backward(kind, params, weights, buffers, inputs, output, grad):
     if kind is OperatorKind.BN:
         return _bn_backward(weights, buffers, inputs[0], grad)
     if kind is OperatorKind.MAXPOOL:
-        return _maxpool_backward(params, inputs[0], grad)
+        return _maxpool_backward(params, inputs[0], grad, ctx)
     if kind is OperatorKind.AVGPOOL:
         return _avgpool_backward(params, inputs[0], grad)
     if kind is OperatorKind.ADD:

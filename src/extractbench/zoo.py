@@ -91,6 +91,8 @@ class ModelRef:
             subset = tuple(self.class_subset)
             if not subset or len(set(subset)) != len(subset):
                 raise ValueError("class_subset must be non-empty with unique indices")
+            if min(subset) < 0:
+                raise ValueError(f"class_subset index {min(subset)} must be >= 0")
             object.__setattr__(self, "class_subset", tuple(sorted(subset)))
 
     def slug(self) -> str:
@@ -255,12 +257,19 @@ def load_checkpoint(ref: ModelRef, root) -> Network:
     params_file = path / "params.bin"
     if not meta_file.exists() or not params_file.exists():
         raise CheckpointError(f"no checkpoint at {path}")
-    meta = json.loads(meta_file.read_text())
-    if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+    try:
+        meta = json.loads(meta_file.read_text())
+        if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+            raise CheckpointError(
+                f"unsupported checkpoint format {meta.get('format_version')}")
+        spec = ArchitectureSpec.from_dict(meta["spec"])
+        seed = int(meta.get("seed") or 0)
+        epochs_trained = int(meta.get("epochs_trained", 0))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CheckpointError(
-            f"unsupported checkpoint format {meta.get('format_version')}")
-    spec = ArchitectureSpec.from_dict(meta["spec"])
-    model = build_model(spec, seed=int(meta.get("seed") or 0))
+            f"corrupt checkpoint {path}: unreadable metadata.json "
+            f"({type(exc).__name__}: {exc})") from exc
+    model = build_model(spec, seed=seed)
     raw = np.frombuffer(params_file.read_bytes(), dtype="<f8")
     expected = model.state_vector().size
     if raw.size != expected:
@@ -268,7 +277,7 @@ def load_checkpoint(ref: ModelRef, root) -> Network:
             f"corrupt checkpoint {path}: params.bin holds {raw.size} values, "
             f"architecture {spec.id} needs {expected}")
     model.load_state_vector(np.asarray(raw, dtype=np.float64))
-    model.meta["epochs_trained"] = int(meta.get("epochs_trained", 0))
+    model.meta["epochs_trained"] = epochs_trained
     model.meta["seed"] = meta.get("seed")
     model.bn_calibrated = bool(meta.get("bn_calibrated", True))
     return model

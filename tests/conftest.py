@@ -19,6 +19,13 @@ def trained_model(arch_id, dataset, epochs=12, seed=0, lr=0.01):
     return model
 
 
+def same_bits(a, b):
+    """Equal values and equal signs, so +0.0 and -0.0 count as different."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
 @pytest.fixture(scope="session")
 def blobs4():
     return make_blobs(classes=4, per_class=200, overlap=0.3, seed=11)

@@ -13,8 +13,9 @@ from extractbench.network import (
 )
 from extractbench.tensor import OperatorKind as K
 from extractbench.tensor import ShapeError
+from extractbench.zoo import BUILTIN_ARCHITECTURES, build_model, builtin_spec
 
-from conftest import make_blobs
+from conftest import make_blobs, same_bits
 
 
 def fc_softmax(din, dout, seed=0):
@@ -238,3 +239,51 @@ class TestBatchNorm:
         # inference form: same input, same output, regardless of batch makeup
         single = net.forward(batch[:1])
         assert np.allclose(normalized[:1], single)
+
+
+class TestPredictAndWorkspace:
+    """`forward` keeps activations and kernel workspace for `backward`;
+    `predict` keeps nothing and returns the same bits."""
+
+    @staticmethod
+    def _model_and_input(arch_id, batch):
+        model = build_model(builtin_spec(arch_id, (8, 8, 1), 4), seed=1)
+        x = np.random.default_rng(batch).standard_normal((batch, 8, 8, 1))
+        return model, x
+
+    @pytest.mark.parametrize("batch", [1, 10])
+    @pytest.mark.parametrize("arch_id", sorted(BUILTIN_ARCHITECTURES))
+    def test_predict_equals_forward(self, arch_id, batch):
+        model, x = self._model_and_input(arch_id, batch)
+        out = model.forward(x)
+        acts = dict(model._acts)
+        assert same_bits(model.predict(x), out)
+        for node_id, act in acts.items():
+            assert same_bits(model.predict(x, node_id), act), node_id
+
+    @pytest.mark.parametrize("batch", [1, 10])
+    @pytest.mark.parametrize("arch_id", sorted(BUILTIN_ARCHITECTURES))
+    def test_kept_workspace_gradients_equal_recompute(self, arch_id, batch):
+        model, x = self._model_and_input(arch_id, batch)
+        out = model.forward(x)
+        gout = np.random.default_rng(2).standard_normal(out.shape)
+        model.predict(x[:1])  # inference in between leaves the cache alone
+        kept = model.backward(gout)
+        model._ctxs = {node_id: {} for node_id in model._ctxs}
+        fresh = model.backward(gout)
+        assert same_bits(kept.input, fresh.input)
+        assert kept.by_node.keys() == fresh.by_node.keys()
+        for node_id, wgrads in fresh.by_node.items():
+            for name, g in wgrads.items():
+                assert same_bits(kept.by_node[node_id][name], g), node_id
+
+    def test_predict_caches_nothing(self):
+        model, x = self._model_and_input("mini-vgg-4", 3)
+        model.predict(x)
+        with pytest.raises(RuntimeError, match="before forward"):
+            model.backward(np.zeros((3, 4)))
+
+    def test_predict_unknown_node_rejected(self):
+        model, x = self._model_and_input("mini-mlp-2", 2)
+        with pytest.raises(KeyError, match="probe"):
+            model.predict(x, "nope")

@@ -178,6 +178,12 @@ BAD_DOCUMENTS = [
      r"attack\.params: temperature must be positive"),
     ("equivalency", {"query_budget": 120, "hard_label_weight": 1.5}, {},
      r"attack\.params: hard_label_weight must lie in \[0, 1\]"),
+    ("knockoff", {"query_budget": 120},
+     {"target": {"architecture_id": "mini-mlp-1",
+                 "dataset_id": "blobs-2c-easy", "class_subset": [-1, 0]}},
+     r"^target: class_subset index -1 must be >= 0"),
+    ("knockoff", {"query_budget": 120, "recreate": {"seed": -5}}, {},
+     r"attack\.params\.recreate: seed must be non-negative"),
 ]
 
 
@@ -397,6 +403,17 @@ class TestZooResolve:
         with pytest.raises(KeyError, match="mini-nothing"):
             zoo_resolve(ModelRef("mini-nothing", "blobs-2c-easy"), bench)
 
+    def test_truncated_metadata_retrains(self, bench):
+        ref = ModelRef("mini-mlp-1", "blobs-2c-easy", None, "default")
+        first, _, _ = zoo_resolve(ref, bench)
+        meta = bench.checkpoints_dir / ref.slug() / "metadata.json"
+        meta.write_text(meta.read_text()[:40])
+        again, cached, _ = zoo_resolve(ref, bench)
+        assert not cached
+        assert np.array_equal(again.state_vector(), first.state_vector())
+        _, cached, _ = zoo_resolve(ref, bench)
+        assert cached
+
 
 class TestDatasetCache:
     def test_truncated_samples_are_regenerated(self, bench):
@@ -543,6 +560,15 @@ class TestReport:
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no records"):
             report([], "csv", tmp_path / "x.csv")
+
+    def test_report_skips_unreadable_record(self, bench, tmp_path, capsys):
+        persist_record(self._records(bench, n=1)[0], bench)
+        (bench.records_dir / "broken.json").write_text("{")
+        out = tmp_path / "out.json"
+        assert main(["report", str(bench.records_dir), "--format", "json",
+                     "--out", str(out)]) == 0
+        assert "broken.json" in capsys.readouterr().err
+        assert [r["scenario"]["id"] for r in json.loads(out.read_text())] == ["r0"]
 
     def test_records_embed_schema_version(self, bench):
         record = self._records(bench, n=1)[0]

@@ -18,6 +18,9 @@ from extractbench.tensor import (
     op_backward,
     op_forward,
 )
+from extractbench.zoo import BUILTIN_ARCHITECTURES, build_model, builtin_spec
+
+from conftest import same_bits
 
 K = OperatorKind
 STEP = 1e-5
@@ -208,3 +211,52 @@ GRADIENT_CASES = [
                          ids=[f"{c[0].name}-{i}" for i, c in enumerate(GRADIENT_CASES)])
 def test_gradients_match_finite_differences(case, kind, params, shapes):
     check_kind_gradients(kind, params, shapes, seed=101 + case)
+
+
+class TestKeptWorkspace:
+    """A backward that reuses its forward's workspace (`ctx`) must give the
+    bits a backward that recomputes it gives."""
+
+    @pytest.mark.parametrize("batch", [1, 10])
+    @pytest.mark.parametrize("arch_id", sorted(BUILTIN_ARCHITECTURES))
+    def test_every_zoo_node_matches_recompute(self, arch_id, batch):
+        model = build_model(builtin_spec(arch_id, (8, 8, 1), 4), seed=0)
+        rng = np.random.default_rng(batch)
+        acts = {"input": rng.standard_normal((batch, 8, 8, 1))}
+        for node in model.order:
+            w, b = model.weights[node.node_id], model.buffers[node.node_id]
+            ins = [acts[d] for d in node.inputs]
+            ctx = {}
+            out = op_forward(node.kind, node.params, w, b, ins, ctx)
+            assert same_bits(out, op_forward(node.kind, node.params, w, b, ins))
+            if node.kind in (K.CONV, K.MAXPOOL):
+                assert ctx, f"{node.node_id}: no workspace kept"
+            grad = rng.standard_normal(out.shape)
+            grad[grad < -1.0] = -0.0
+            kept = op_backward(node.kind, node.params, w, b, ins, out, grad, ctx)
+            fresh = op_backward(node.kind, node.params, w, b, ins, out, grad)
+            assert kept[0].keys() == fresh[0].keys()
+            for name in fresh[0]:
+                assert same_bits(kept[0][name], fresh[0][name]), node.node_id
+            assert len(kept[1]) == len(fresh[1])
+            for k, f in zip(kept[1], fresh[1]):
+                assert same_bits(k, f), node.node_id
+            acts[node.node_id] = out
+
+    def test_maxpool_gradient_equals_scatter_oracle(self):
+        rng = np.random.default_rng(7)
+        # rounded values give many ties; -0.0 gradients must keep their sign
+        x = np.round(rng.standard_normal((3, 6, 6, 2)))
+        params = {"kernel": [2, 2], "stride": 2}
+        grad = rng.standard_normal((3, 3, 3, 2))
+        grad[grad < 0] = -0.0
+        _, (gx,) = op_backward(K.MAXPOOL, params, {}, {}, [x], None, grad)
+        oracle = np.zeros_like(x)
+        for b in range(3):
+            for i in range(3):
+                for j in range(3):
+                    for c in range(2):
+                        window = x[b, 2 * i:2 * i + 2, 2 * j:2 * j + 2, c]
+                        di, dj = divmod(int(window.argmax()), 2)
+                        oracle[b, 2 * i + di, 2 * j + dj, c] += grad[b, i, j, c]
+        assert same_bits(gx, oracle)

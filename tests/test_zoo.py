@@ -1,5 +1,7 @@
 """Architecture specs, MAdd accounting, transfer learning, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,23 @@ class TestCheckpoints:
         params = checkpoint_path(tmp_path, ref) / "params.bin"
         params.write_bytes(params.read_bytes()[:-16])
         with pytest.raises(CheckpointError, match="corrupt"):
+            load_checkpoint(ref, tmp_path)
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:len(text) // 2],
+        lambda text: "",
+        lambda text: json.dumps({k: v for k, v in json.loads(text).items()
+                                 if k != "spec"}),
+        lambda text: "[]",
+    ], ids=["truncated", "empty", "no-spec", "not-an-object"])
+    def test_unreadable_metadata_is_corruption(self, tmp_path, damage):
+        data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=6)
+        model = trained_model("mini-mlp-2", data, epochs=1, seed=7)
+        ref = ModelRef("mini-mlp-2", data.spec.id, None, "t1")
+        save_checkpoint(model, ref, tmp_path)
+        meta = checkpoint_path(tmp_path, ref) / "metadata.json"
+        meta.write_text(damage(meta.read_text()))
+        with pytest.raises(CheckpointError, match="corrupt.*metadata.json"):
             load_checkpoint(ref, tmp_path)
 
     def test_missing_checkpoint_errors(self, tmp_path):
