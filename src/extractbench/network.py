@@ -18,9 +18,7 @@ from typing import Literal
 import numpy as np
 
 from .tensor import (
-    BUFFER_ORDER,
     OperatorKind,
-    PARAM_ORDER,
     ShapeError,
     Tensor,
     infer_shape,
@@ -80,6 +78,20 @@ def topological_order(nodes: list[NodeSpec]) -> list[NodeSpec]:
     return order
 
 
+def node_shapes(order: list[NodeSpec], input_shape) -> dict[str, tuple[int, ...]]:
+    """Output shape of every node (batch axis excluded), plus the graph input
+    under ``INPUT_ID``; `order` must be topological. An invalid node is a
+    ValueError (a ShapeError for shape conflicts) that names the node."""
+    shapes = {INPUT_ID: tuple(input_shape)}
+    for node in order:
+        try:
+            shapes[node.node_id] = infer_shape(
+                node.kind, node.params, [shapes[d] for d in node.inputs])
+        except ValueError as exc:
+            raise type(exc)(f"node {node.node_id}: {exc}") from exc
+    return shapes
+
+
 def sink_node(nodes: list[NodeSpec]) -> NodeSpec:
     consumed = {d for n in nodes for d in n.inputs}
     sinks = [n for n in nodes if n.node_id not in consumed]
@@ -115,13 +127,7 @@ class Network:
         self.spec = spec
         self.meta: dict = {"seed": int(seed), "epochs_trained": 0}
 
-        self.shapes: dict[str, tuple[int, ...]] = {INPUT_ID: self.input_shape}
-        for node in self.order:
-            in_shapes = [self.shapes[d] for d in node.inputs]
-            try:
-                self.shapes[node.node_id] = infer_shape(node.kind, node.params, in_shapes)
-            except ShapeError as exc:
-                raise ShapeError(f"node {node.node_id}: {exc}") from exc
+        self.shapes = node_shapes(self.order, self.input_shape)
 
         rng = np.random.default_rng(seed)
         self.weights: dict[str, dict[str, np.ndarray]] = {}
@@ -162,11 +168,12 @@ class Network:
     # -- checkpoint support: flat parameter vector in declared order --------
 
     def _state_items(self):
+        # the weights/buffers dicts hold each node's tensors in the order
+        # init_weights made them, the operator table's checkpoint order
         for node in self.nodes:
-            for name in PARAM_ORDER.get(node.kind, ()):
-                if name in self.weights[node.node_id]:
-                    yield node.node_id, name, False
-            for name in BUFFER_ORDER.get(node.kind, ()):
+            for name in self.weights[node.node_id]:
+                yield node.node_id, name, False
+            for name in self.buffers[node.node_id]:
                 yield node.node_id, name, True
 
     def state_vector(self) -> np.ndarray:
@@ -193,8 +200,9 @@ class Network:
     def _run(self, x, target: str | None = None):
         """The one forward loop. Without `target` (training) every activation
         and each node's kernel workspace are kept for backward; with it
-        (inference) no workspace is made and each activation other than
-        `target`'s is dropped after its last consumer."""
+        (inference) no workspace is made, each activation other than
+        `target`'s is dropped after its last consumer, and the loop stops
+        once `target` is computed."""
         keep = target is None
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1:] != self.input_shape:
@@ -204,6 +212,8 @@ class Network:
         acts: dict[str, np.ndarray] = {INPUT_ID: x}
         ctxs: dict[str, dict] = {}
         for node in self.order:
+            if target in acts:
+                break
             ins = [acts[d] for d in node.inputs]
             ctx = ctxs[node.node_id] = {} if keep else None
             acts[node.node_id] = op_forward(
@@ -427,19 +437,19 @@ def finite_difference_check(model: Network, probe_input, step: float = 1e-5,
     proj = np.random.default_rng(0).standard_normal((1,) + model.output_shape)
 
     def objective():
-        return float((model.forward(batch) * proj).sum())
+        return float((model.predict(batch) * proj).sum())
 
-    objective()
+    model.forward(batch)
     analytic = model.backward(proj)
 
     worst = None
     max_err = 0.0
     checked = 0
 
-    def compare(store, node_id, name, a_grad):
+    def compare(tensor, a_grad, node_id, name):
+        """Perturbs `tensor` in place: it must be an array the model reads."""
         nonlocal worst, max_err, checked
-        t = store[node_id][name]
-        flat = t.reshape(-1)
+        flat = tensor.reshape(-1)
         aflat = a_grad.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
@@ -459,26 +469,13 @@ def finite_difference_check(model: Network, probe_input, step: float = 1e-5,
     for node_id in model.parameterized_nodes():
         for name in model.weights[node_id]:
             has_params = True
-            compare(model.weights, node_id, name, analytic.by_node[node_id][name])
+            compare(model.weights[node_id][name], analytic.by_node[node_id][name],
+                    node_id, name)
 
     if check_input:
-        aflat = analytic.input.reshape(-1)
-        flat = batch.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = objective()
-            flat[i] = orig - step
-            down = objective()
-            flat[i] = orig
-            numeric = (up - down) / (2 * step)
-            err = abs(aflat[i] - numeric) / max(abs(aflat[i]), abs(numeric), 1e-12)
-            checked += 1
-            if err > max_err:
-                max_err = err
-                worst = (INPUT_ID, "input", i)
+        compare(batch, analytic.input, INPUT_ID, "input")
 
-    objective()  # leave caches consistent with unperturbed weights
+    model.forward(batch)  # leave caches consistent with unperturbed weights
     if not has_params and not check_input:
         return GradCheckResult(0.0, False, 0)
     return GradCheckResult(max_err, has_params, checked, worst)

@@ -1,7 +1,11 @@
 """Dense float64 tensors and the operator kernels behind every model graph.
 
 Everything downstream (model building, training, attack simulation) runs on
-the eleven operator kinds defined here. Kernels are pure functions over
+the eleven operator kinds defined here. Each kind is declared once, as one
+entry of the operator table ``_OPS``: its static parameters with their value
+checks, its output-shape rule, its weight and buffer shapes (in checkpoint
+order), its multiply count, and its forward and backward kernels. The public
+functions below are lookups in that table. Kernels are pure functions over
 batched numpy arrays (leading axis = batch); the public :func:`forward`
 wrapper applies a single operator to unbatched tensors, which is the level
 the shape examples and hand calculations work at.
@@ -15,8 +19,11 @@ Data layout conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -69,30 +76,27 @@ class Tensor:
         return self.data.reshape(self.shape)
 
 
-# Canonical tensor order per kind, used by checkpoint serialization.
-PARAM_ORDER: dict[OperatorKind, tuple[str, ...]] = {
-    OperatorKind.CONV: ("weight", "bias"),
-    OperatorKind.FC: ("weight", "bias"),
-    OperatorKind.BN: ("gamma", "beta"),
-}
-BUFFER_ORDER: dict[OperatorKind, tuple[str, ...]] = {
-    OperatorKind.BN: ("running_mean", "running_var"),
-}
+# ---------------------------------------------------------------------------
+# static parameters: each check is (what a valid value is, predicate)
+# ---------------------------------------------------------------------------
 
-_ALLOWED_PARAMS: dict[OperatorKind, set[str]] = {
-    OperatorKind.CONV: {"out_channels", "kernel", "stride", "padding", "bias"},
-    OperatorKind.FC: {"out_features", "bias"},
-    OperatorKind.MAXPOOL: {"kernel", "stride"},
-    OperatorKind.AVGPOOL: {"kernel", "stride"},
-}
+def _is_positive_int(value) -> bool:
+    # numbers.Integral takes numpy ints; bool is an int subclass and is refused
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value > 0)
 
 
-def _check_params(kind: OperatorKind, params: dict) -> None:
-    allowed = _ALLOWED_PARAMS.get(kind, set())
-    unknown = set(params) - allowed
-    if unknown:
-        raise ValueError(f"{kind.name}: unknown parameter(s) {sorted(unknown)}")
+_POSITIVE_INT = ("a positive int", _is_positive_int)
+_KERNEL = ("two positive ints",
+           lambda v: isinstance(v, (list, tuple)) and len(v) == 2
+           and all(_is_positive_int(k) for k in v))
+_BOOL = ("a bool", lambda v: isinstance(v, bool))
+_PADDING = ("'same' or 'valid'", lambda v: isinstance(v, str) and v in ("same", "valid"))
 
+
+# ---------------------------------------------------------------------------
+# shape rules (shapes exclude the batch axis)
+# ---------------------------------------------------------------------------
 
 def _pool_geometry(kind, params, shape):
     if len(shape) != 3:
@@ -111,118 +115,131 @@ def _conv_geometry(params, shape):
     h, w, _ = shape
     kh, kw = params["kernel"]
     s = params.get("stride", 1)
-    padding = params.get("padding", "same")
-    if padding == "same":
+    if params.get("padding", "same") == "same":
         out_h = -(-h // s)
         out_w = -(-w // s)
         pad_h = max((out_h - 1) * s + kh - h, 0)
         pad_w = max((out_w - 1) * s + kw - w, 0)
         pads = (pad_h // 2, pad_h - pad_h // 2, pad_w // 2, pad_w - pad_w // 2)
-    elif padding == "valid":
+    else:  # "valid"
         if kh > h or kw > w:
             raise ShapeError(f"CONV: kernel {kh}x{kw} larger than input {shape}")
         out_h = (h - kh) // s + 1
         out_w = (w - kw) // s + 1
         pads = (0, 0, 0, 0)
-    else:
-        raise ValueError(f"CONV: unknown padding mode {padding!r}")
     return out_h, out_w, kh, kw, s, pads
 
 
-def infer_shape(kind: OperatorKind, params: dict, input_shapes: list[tuple[int, ...]]):
-    """Output shape of one operator application (shapes exclude the batch axis)."""
-    _check_params(kind, params)
-    if kind in (OperatorKind.RELU, OperatorKind.GELU, OperatorKind.SOFTMAX,
-                OperatorKind.BN):
-        (shape,) = input_shapes
-        return shape
-    if kind is OperatorKind.FLATTEN:
-        (shape,) = input_shapes
-        return (int(np.prod(shape)),)
-    if kind is OperatorKind.FC:
-        (shape,) = input_shapes
-        return (int(params["out_features"]),)
-    if kind is OperatorKind.CONV:
-        (shape,) = input_shapes
-        out_h, out_w, *_ = _conv_geometry(params, shape)
-        return (out_h, out_w, int(params["out_channels"]))
-    if kind in (OperatorKind.MAXPOOL, OperatorKind.AVGPOOL):
-        (shape,) = input_shapes
-        out_h, out_w, _, _, _ = _pool_geometry(kind, params, shape)
-        return (out_h, out_w, shape[2])
-    if kind is OperatorKind.ADD:
-        if len(input_shapes) < 2:
-            raise ShapeError(f"ADD needs at least two inputs, got {len(input_shapes)}")
-        first = input_shapes[0]
-        for other in input_shapes[1:]:
-            if other != first:
-                raise ShapeError(f"ADD: mismatched input shapes {first} vs {other}")
-        return first
-    if kind is OperatorKind.CONCAT:
-        if len(input_shapes) < 2:
-            raise ShapeError(f"CONCAT needs at least two inputs, got {len(input_shapes)}")
-        first = input_shapes[0]
-        for other in input_shapes[1:]:
-            if other[:-1] != first[:-1]:
-                raise ShapeError(f"CONCAT: mismatched input shapes {first} vs {other}")
-        return first[:-1] + (sum(s[-1] for s in input_shapes),)
-    raise ValueError(f"unknown operator kind {kind}")
+def _same_shape(params, input_shapes):
+    (shape,) = input_shapes
+    return shape
 
 
-def weight_shapes(kind: OperatorKind, params: dict, input_shapes) -> dict[str, tuple]:
-    if kind is OperatorKind.CONV:
-        (shape,) = input_shapes
-        kh, kw = params["kernel"]
-        cout = int(params["out_channels"])
-        out = {"weight": (kh, kw, shape[2], cout)}
-        if params.get("bias", True):
-            out["bias"] = (cout,)
-        return out
-    if kind is OperatorKind.FC:
-        (shape,) = input_shapes
-        din = int(np.prod(shape))
-        dout = int(params["out_features"])
-        out = {"weight": (din, dout)}
-        if params.get("bias", True):
-            out["bias"] = (dout,)
-        return out
-    if kind is OperatorKind.BN:
-        (shape,) = input_shapes
-        return {"gamma": (shape[-1],), "beta": (shape[-1],)}
+def _flatten_shape(params, input_shapes):
+    (shape,) = input_shapes
+    return (int(np.prod(shape)),)
+
+
+def _fc_shape(params, input_shapes):
+    (shape,) = input_shapes
+    return (int(params["out_features"]),)
+
+
+def _conv_shape(params, input_shapes):
+    (shape,) = input_shapes
+    out_h, out_w, *_ = _conv_geometry(params, shape)
+    return (out_h, out_w, int(params["out_channels"]))
+
+
+def _pool_shape(kind, params, input_shapes):
+    (shape,) = input_shapes
+    out_h, out_w, _, _, _ = _pool_geometry(kind, params, shape)
+    return (out_h, out_w, shape[2])
+
+
+def _add_shape(params, input_shapes):
+    if len(input_shapes) < 2:
+        raise ShapeError(f"ADD needs at least two inputs, got {len(input_shapes)}")
+    first = input_shapes[0]
+    for other in input_shapes[1:]:
+        if other != first:
+            raise ShapeError(f"ADD: mismatched input shapes {first} vs {other}")
+    return first
+
+
+def _concat_shape(params, input_shapes):
+    if len(input_shapes) < 2:
+        raise ShapeError(f"CONCAT needs at least two inputs, got {len(input_shapes)}")
+    first = input_shapes[0]
+    for other in input_shapes[1:]:
+        if other[:-1] != first[:-1]:
+            raise ShapeError(f"CONCAT: mismatched input shapes {first} vs {other}")
+    return first[:-1] + (sum(s[-1] for s in input_shapes),)
+
+
+# ---------------------------------------------------------------------------
+# trainable tensors and multiply counts
+# ---------------------------------------------------------------------------
+
+def _no_tensors(params, input_shapes):
     return {}
 
 
-def buffer_shapes(kind: OperatorKind, params: dict, input_shapes) -> dict[str, tuple]:
-    if kind is OperatorKind.BN:
-        (shape,) = input_shapes
-        return {"running_mean": (shape[-1],), "running_var": (shape[-1],)}
-    return {}
+def _with_bias(params, weight_shape):
+    out = {"weight": weight_shape}
+    if params.get("bias", True):
+        out["bias"] = (weight_shape[-1],)
+    return out
 
 
-def init_weights(kind, params, input_shapes, rng: np.random.Generator):
-    """Glorot-uniform weights, zero biases, identity BN."""
-    weights = {}
-    for name, shape in weight_shapes(kind, params, input_shapes).items():
-        if name == "bias" or name == "beta":
-            weights[name] = np.zeros(shape)
-        elif name == "gamma":
-            weights[name] = np.ones(shape)
-        else:
-            if kind is OperatorKind.CONV:
-                kh, kw, cin, cout = shape
-                fan_in, fan_out = kh * kw * cin, kh * kw * cout
-            else:
-                fan_in, fan_out = shape
-            bound = math.sqrt(6.0 / (fan_in + fan_out))
-            weights[name] = rng.uniform(-bound, bound, size=shape)
-    buffers = {}
-    for name, shape in buffer_shapes(kind, params, input_shapes).items():
-        buffers[name] = np.ones(shape) if name == "running_var" else np.zeros(shape)
-    return weights, buffers
+def _conv_weights(params, input_shapes):
+    (shape,) = input_shapes
+    kh, kw = params["kernel"]
+    return _with_bias(params, (kh, kw, shape[2], int(params["out_channels"])))
+
+
+def _fc_weights(params, input_shapes):
+    (shape,) = input_shapes
+    return _with_bias(params, (int(np.prod(shape)), int(params["out_features"])))
+
+
+def _bn_weights(params, input_shapes):
+    (shape,) = input_shapes
+    return {"gamma": (shape[-1],), "beta": (shape[-1],)}
+
+
+def _bn_buffers(params, input_shapes):
+    (shape,) = input_shapes
+    return {"running_mean": (shape[-1],), "running_var": (shape[-1],)}
+
+
+def _no_madd(params, input_shapes):
+    return 0
+
+
+def _conv_madd(params, input_shapes):
+    # one multiply per kernel tap and output element; padded taps count too
+    (shape,) = input_shapes
+    out_h, out_w, kh, kw, _, _ = _conv_geometry(params, shape)
+    return out_h * out_w * int(params["out_channels"]) * kh * kw * shape[2]
+
+
+def _fc_madd(params, input_shapes):
+    (shape,) = input_shapes
+    return int(np.prod(shape)) * int(params["out_features"])
+
+
+def _bn_madd(params, input_shapes):
+    (shape,) = input_shapes
+    return int(np.prod(shape))
 
 
 # ---------------------------------------------------------------------------
 # kernels (batched: arrays carry a leading batch axis)
+#
+# forward:  (params, weights, buffers, inputs, ctx) -> output
+# backward: (params, weights, buffers, inputs, output, grad, ctx)
+#           -> (weight grads, per-input grads)
 # ---------------------------------------------------------------------------
 
 def _im2col(x, kh, kw, stride, out_h, out_w):
@@ -256,7 +273,8 @@ def _conv_cols(x, out_h, out_w, kh, kw, s, pads):
     return _im2col(x, kh, kw, s, out_h, out_w)
 
 
-def _conv_forward(params, weights, x, ctx):
+def _conv_forward(params, weights, buffers, inputs, ctx):
+    (x,) = inputs
     out_h, out_w, kh, kw, s, pads = _conv_geometry(params, x.shape[1:])
     cols = _conv_cols(x, out_h, out_w, kh, kw, s, pads)
     if ctx is not None:
@@ -270,7 +288,8 @@ def _conv_forward(params, weights, x, ctx):
     return y
 
 
-def _conv_backward(params, weights, x, grad, ctx):
+def _conv_backward(params, weights, buffers, inputs, output, grad, ctx):
+    (x,) = inputs
     out_h, out_w, kh, kw, s, pads = _conv_geometry(params, x.shape[1:])
     cols = (ctx or {}).get("cols")
     if cols is None:
@@ -295,7 +314,8 @@ def _pool_windows(x, out_h, out_w, kh, kw, s):
     return cols.reshape(x.shape[0], out_h, out_w, kh * kw, x.shape[3])
 
 
-def _maxpool_forward(params, x, ctx):
+def _maxpool_forward(params, weights, buffers, inputs, ctx):
+    (x,) = inputs
     geometry = _pool_geometry(OperatorKind.MAXPOOL, params, x.shape[1:])
     win = _pool_windows(x, *geometry)
     if ctx is not None:
@@ -303,7 +323,8 @@ def _maxpool_forward(params, x, ctx):
     return win.max(axis=3)
 
 
-def _maxpool_backward(params, x, grad, ctx):
+def _maxpool_backward(params, weights, buffers, inputs, output, grad, ctx):
+    (x,) = inputs
     out_h, out_w, kh, kw, s = geometry = _pool_geometry(
         OperatorKind.MAXPOOL, params, x.shape[1:])
     win = (ctx or {}).get("win")
@@ -317,12 +338,14 @@ def _maxpool_backward(params, x, grad, ctx):
     return {}, [_col2im(gwin, x.shape, kh, kw, s, out_h, out_w)]
 
 
-def _avgpool_forward(params, x):
+def _avgpool_forward(params, weights, buffers, inputs, ctx):
+    (x,) = inputs
     geometry = _pool_geometry(OperatorKind.AVGPOOL, params, x.shape[1:])
     return _pool_windows(x, *geometry).mean(axis=3)
 
 
-def _avgpool_backward(params, x, grad):
+def _avgpool_backward(params, weights, buffers, inputs, output, grad, ctx):
+    (x,) = inputs
     out_h, out_w, kh, kw, s = _pool_geometry(OperatorKind.AVGPOOL, params, x.shape[1:])
     gwin = np.broadcast_to(
         grad[:, :, :, None, None, :] / (kh * kw),
@@ -330,28 +353,46 @@ def _avgpool_backward(params, x, grad):
     return {}, [_col2im(np.ascontiguousarray(gwin), x.shape, kh, kw, s, out_h, out_w)]
 
 
-def _gelu(x):
+def _relu_forward(params, weights, buffers, inputs, ctx):
+    return np.maximum(inputs[0], 0.0)
+
+
+def _relu_backward(params, weights, buffers, inputs, output, grad, ctx):
+    return {}, [grad * (inputs[0] > 0)]
+
+
+def _gelu_forward(params, weights, buffers, inputs, ctx):
+    (x,) = inputs
     return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x ** 3)))
 
 
-def _gelu_grad(x):
+def _gelu_backward(params, weights, buffers, inputs, output, grad, ctx):
+    (x,) = inputs
     u = _GELU_C * (x + _GELU_A * x ** 3)
     t = np.tanh(u)
     sech2 = 1.0 - t * t
-    return 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x ** 2)
+    return {}, [grad * (0.5 * (1.0 + t)
+                        + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x ** 2))]
 
 
-def _softmax(x):
+def _softmax_forward(params, weights, buffers, inputs, ctx):
+    (x,) = inputs
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _bn_forward(weights, buffers, x):
+def _softmax_backward(params, weights, buffers, inputs, output, grad, ctx):
+    dot = (grad * output).sum(axis=-1, keepdims=True)
+    return {}, [output * (grad - dot)]
+
+
+def _bn_forward(params, weights, buffers, inputs, ctx):
     inv = 1.0 / np.sqrt(buffers["running_var"] + BN_EPS)
-    return weights["gamma"] * (x - buffers["running_mean"]) * inv + weights["beta"]
+    return weights["gamma"] * (inputs[0] - buffers["running_mean"]) * inv + weights["beta"]
 
 
-def _bn_backward(weights, buffers, x, grad):
+def _bn_backward(params, weights, buffers, inputs, output, grad, ctx):
+    (x,) = inputs
     inv = 1.0 / np.sqrt(buffers["running_var"] + BN_EPS)
     xhat = (x - buffers["running_mean"]) * inv
     axes = tuple(range(x.ndim - 1))
@@ -361,7 +402,8 @@ def _bn_backward(weights, buffers, x, grad):
     )
 
 
-def _fc_forward(weights, x):
+def _fc_forward(params, weights, buffers, inputs, ctx):
+    (x,) = inputs
     x2 = x.reshape(x.shape[0], -1)
     if x2.shape[1] != weights["weight"].shape[0]:
         raise ShapeError(
@@ -373,12 +415,149 @@ def _fc_forward(weights, x):
     return y
 
 
-def _fc_backward(weights, x, grad):
+def _fc_backward(params, weights, buffers, inputs, output, grad, ctx):
+    (x,) = inputs
     x2 = x.reshape(x.shape[0], -1)
     wgrads = {"weight": x2.T @ grad}
     if "bias" in weights:
         wgrads["bias"] = grad.sum(axis=0)
     return wgrads, [(grad @ weights["weight"].T).reshape(x.shape)]
+
+
+def _add_forward(params, weights, buffers, inputs, ctx):
+    if len({a.shape for a in inputs}) != 1:
+        raise ShapeError(f"ADD: mismatched shapes {[a.shape for a in inputs]}")
+    out = inputs[0].copy()
+    for a in inputs[1:]:
+        out += a
+    return out
+
+
+def _add_backward(params, weights, buffers, inputs, output, grad, ctx):
+    return {}, [grad] * len(inputs)
+
+
+def _concat_forward(params, weights, buffers, inputs, ctx):
+    return np.concatenate(inputs, axis=-1)
+
+
+def _concat_backward(params, weights, buffers, inputs, output, grad, ctx):
+    offsets = np.cumsum([a.shape[-1] for a in inputs])[:-1]
+    return {}, list(np.split(grad, offsets, axis=-1))
+
+
+def _flatten_forward(params, weights, buffers, inputs, ctx):
+    return inputs[0].reshape(inputs[0].shape[0], -1)
+
+
+def _flatten_backward(params, weights, buffers, inputs, output, grad, ctx):
+    return {}, [grad.reshape(inputs[0].shape)]
+
+
+# ---------------------------------------------------------------------------
+# the operator table
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Op:
+    """Everything the engine knows about one operator kind."""
+
+    shape: Callable       # (params, input_shapes) -> output shape
+    forward: Callable     # kernel signatures: see the kernels section
+    backward: Callable
+    params: dict = field(default_factory=dict)   # name -> (valid value, check)
+    weights: Callable = _no_tensors   # (params, input_shapes) -> {name: shape},
+    buffers: Callable = _no_tensors   # in checkpoint order
+    madd: Callable = _no_madd         # (params, input_shapes) -> multiplies
+
+
+_OPS: dict[OperatorKind, _Op] = {
+    OperatorKind.CONV: _Op(
+        _conv_shape, _conv_forward, _conv_backward,
+        params={"out_channels": _POSITIVE_INT, "kernel": _KERNEL,
+                "stride": _POSITIVE_INT, "padding": _PADDING, "bias": _BOOL},
+        weights=_conv_weights, madd=_conv_madd),
+    OperatorKind.FC: _Op(
+        _fc_shape, _fc_forward, _fc_backward,
+        params={"out_features": _POSITIVE_INT, "bias": _BOOL},
+        weights=_fc_weights, madd=_fc_madd),
+    OperatorKind.RELU: _Op(_same_shape, _relu_forward, _relu_backward),
+    OperatorKind.GELU: _Op(_same_shape, _gelu_forward, _gelu_backward),
+    OperatorKind.BN: _Op(
+        _same_shape, _bn_forward, _bn_backward,
+        weights=_bn_weights, buffers=_bn_buffers, madd=_bn_madd),
+    OperatorKind.MAXPOOL: _Op(
+        partial(_pool_shape, OperatorKind.MAXPOOL), _maxpool_forward,
+        _maxpool_backward, params={"kernel": _KERNEL, "stride": _POSITIVE_INT}),
+    OperatorKind.AVGPOOL: _Op(
+        partial(_pool_shape, OperatorKind.AVGPOOL), _avgpool_forward,
+        _avgpool_backward, params={"kernel": _KERNEL, "stride": _POSITIVE_INT}),
+    OperatorKind.ADD: _Op(_add_shape, _add_forward, _add_backward),
+    OperatorKind.CONCAT: _Op(_concat_shape, _concat_forward, _concat_backward),
+    OperatorKind.SOFTMAX: _Op(_same_shape, _softmax_forward, _softmax_backward),
+    OperatorKind.FLATTEN: _Op(_flatten_shape, _flatten_forward, _flatten_backward),
+}
+
+
+# ---------------------------------------------------------------------------
+# public interface: one table lookup each
+# ---------------------------------------------------------------------------
+
+def infer_shape(kind: OperatorKind, params: dict, input_shapes: list[tuple[int, ...]]):
+    """Output shape of one operator application (shapes exclude the batch axis).
+
+    Also checks the static params: an unknown name or an invalid value is a
+    ValueError that names the kind and the param.
+    """
+    op = _OPS[kind]
+    unknown = set(params) - set(op.params)
+    if unknown:
+        raise ValueError(f"{kind.name}: unknown parameter(s) {sorted(unknown)}")
+    for name, value in params.items():
+        valid, check = op.params[name]
+        if not check(value):
+            raise ValueError(f"{kind.name}: parameter {name!r} must be {valid}, "
+                             f"got {value!r}")
+    return op.shape(params, input_shapes)
+
+
+def weight_shapes(kind: OperatorKind, params: dict, input_shapes) -> dict[str, tuple]:
+    """Trainable tensor shapes by name, in checkpoint order."""
+    return _OPS[kind].weights(params, input_shapes)
+
+
+def buffer_shapes(kind: OperatorKind, params: dict, input_shapes) -> dict[str, tuple]:
+    """Non-trainable (BN running statistics) shapes by name, in checkpoint order."""
+    return _OPS[kind].buffers(params, input_shapes)
+
+
+def madd(kind: OperatorKind, params: dict, input_shapes) -> int:
+    """Multiplies of one operator application.
+
+    Convention: CONV = H_out*W_out*C_out*K_h*K_w*C_in; FC = fan_in*fan_out;
+    BN = one multiply per element; activations, pools, ADD, CONCAT, SOFTMAX
+    and FLATTEN count zero.
+    """
+    return _OPS[kind].madd(params, input_shapes)
+
+
+def init_weights(kind, params, input_shapes, rng: np.random.Generator):
+    """Glorot-uniform weights, zero biases, identity BN."""
+    weights = {}
+    for name, shape in weight_shapes(kind, params, input_shapes).items():
+        if name == "bias" or name == "beta":
+            weights[name] = np.zeros(shape)
+        elif name == "gamma":
+            weights[name] = np.ones(shape)
+        else:  # (..., fan_in, fan_out): CONV (kh, kw, cin, cout), FC (din, dout)
+            receptive = math.prod(shape[:-2])
+            fan_in, fan_out = receptive * shape[-2], receptive * shape[-1]
+            bound = math.sqrt(6.0 / (fan_in + fan_out))
+            weights[name] = rng.uniform(-bound, bound, size=shape)
+    buffers = {}
+    for name, shape in buffer_shapes(kind, params, input_shapes).items():
+        buffers[name] = np.ones(shape) if name == "running_var" else np.zeros(shape)
+    return weights, buffers
 
 
 def op_forward(kind, params, weights, buffers, inputs: list[np.ndarray],
@@ -390,34 +569,7 @@ def op_forward(kind, params, weights, buffers, inputs: list[np.ndarray],
     im2col columns, MAXPOOL: the pooling windows). Without it the kernel is
     pure and keeps nothing.
     """
-    if kind is OperatorKind.CONV:
-        return _conv_forward(params, weights, inputs[0], ctx)
-    if kind is OperatorKind.FC:
-        return _fc_forward(weights, inputs[0])
-    if kind is OperatorKind.RELU:
-        return np.maximum(inputs[0], 0.0)
-    if kind is OperatorKind.GELU:
-        return _gelu(inputs[0])
-    if kind is OperatorKind.BN:
-        return _bn_forward(weights, buffers, inputs[0])
-    if kind is OperatorKind.MAXPOOL:
-        return _maxpool_forward(params, inputs[0], ctx)
-    if kind is OperatorKind.AVGPOOL:
-        return _avgpool_forward(params, inputs[0])
-    if kind is OperatorKind.ADD:
-        if len({a.shape for a in inputs}) != 1:
-            raise ShapeError(f"ADD: mismatched shapes {[a.shape for a in inputs]}")
-        out = inputs[0].copy()
-        for a in inputs[1:]:
-            out += a
-        return out
-    if kind is OperatorKind.CONCAT:
-        return np.concatenate(inputs, axis=-1)
-    if kind is OperatorKind.SOFTMAX:
-        return _softmax(inputs[0])
-    if kind is OperatorKind.FLATTEN:
-        return inputs[0].reshape(inputs[0].shape[0], -1)
-    raise ValueError(f"unknown operator kind {kind}")
+    return _OPS[kind].forward(params, weights, buffers, inputs, ctx)
 
 
 def op_backward(kind, params, weights, buffers, inputs, output, grad,
@@ -427,38 +579,7 @@ def op_backward(kind, params, weights, buffers, inputs, output, grad,
     `ctx` is the dict the matching :func:`op_forward` filled; without it
     (or with an empty one) the kernel recomputes its workspace from `inputs`.
     """
-    if kind is OperatorKind.CONV:
-        return _conv_backward(params, weights, inputs[0], grad, ctx)
-    if kind is OperatorKind.FC:
-        return _fc_backward(weights, inputs[0], grad)
-    if kind is OperatorKind.RELU:
-        return {}, [grad * (inputs[0] > 0)]
-    if kind is OperatorKind.GELU:
-        return {}, [grad * _gelu_grad(inputs[0])]
-    if kind is OperatorKind.BN:
-        return _bn_backward(weights, buffers, inputs[0], grad)
-    if kind is OperatorKind.MAXPOOL:
-        return _maxpool_backward(params, inputs[0], grad, ctx)
-    if kind is OperatorKind.AVGPOOL:
-        return _avgpool_backward(params, inputs[0], grad)
-    if kind is OperatorKind.ADD:
-        return {}, [grad] * len(inputs)
-    if kind is OperatorKind.CONCAT:
-        offsets = np.cumsum([a.shape[-1] for a in inputs])[:-1]
-        return {}, list(np.split(grad, offsets, axis=-1))
-    if kind is OperatorKind.SOFTMAX:
-        dot = (grad * output).sum(axis=-1, keepdims=True)
-        return {}, [output * (grad - dot)]
-    if kind is OperatorKind.FLATTEN:
-        return {}, [grad.reshape(inputs[0].shape)]
-    raise ValueError(f"unknown operator kind {kind}")
-
-
-# Kinds whose kernels require the leading batch axis.
-_BATCHED_KINDS = {
-    OperatorKind.CONV, OperatorKind.FC, OperatorKind.BN,
-    OperatorKind.MAXPOOL, OperatorKind.AVGPOOL, OperatorKind.FLATTEN,
-}
+    return _OPS[kind].backward(params, weights, buffers, inputs, output, grad, ctx)
 
 
 def forward(kind: OperatorKind, params: dict, inputs: list[Tensor]) -> Tensor:
@@ -472,10 +593,5 @@ def forward(kind: OperatorKind, params: dict, inputs: list[Tensor]) -> Tensor:
                for k, v in params.pop("weights", {}).items()}
     buffers = {k: np.asarray(v, dtype=np.float64)
                for k, v in params.pop("buffers", {}).items()}
-    arrays = [t.to_array() for t in inputs]
-    if kind in _BATCHED_KINDS:
-        out = op_forward(kind, params, weights, buffers, [a[None, ...] for a in arrays])
-        out = out[0]
-    else:
-        out = op_forward(kind, params, weights, buffers, arrays)
-    return Tensor.from_array(out)
+    batch = [t.to_array()[None, ...] for t in inputs]
+    return Tensor.from_array(op_forward(kind, params, weights, buffers, batch)[0])

@@ -10,9 +10,11 @@ Checkpoint format (one directory per (architecture, dataset, class subset,
 tag) key):
   metadata.json  format_version, architecture id, full spec echo, dataset id,
                  class subset, epochs trained, seed
-  params.bin     little-endian float64; nodes in spec order; per node the
-                 declared tensor order (CONV/FC: weight, bias; BN: gamma,
-                 beta, running_mean, running_var); row-major
+  params.bin     little-endian float64; nodes in spec order; per node its
+                 weights, then its buffers, in the order the kind's entry of
+                 the operator table (tensor._OPS) declares them (CONV/FC:
+                 weight, bias; BN: gamma, beta, running_mean, running_var);
+                 row-major
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import Network, NodeSpec, sink_node, topological_order
-from .tensor import OperatorKind, ShapeError, infer_shape
+from .network import Network, NodeSpec, node_shapes, topological_order
+from .tensor import OperatorKind, ShapeError, madd
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -54,14 +56,7 @@ class ArchitectureSpec:
         self.derive_shapes()  # rejects cycles and shape conflicts up front
 
     def derive_shapes(self) -> dict[str, tuple[int, ...]]:
-        shapes = {"input": tuple(self.input_shape)}
-        for node in topological_order(list(self.nodes)):
-            in_shapes = [shapes[d] for d in node.inputs]
-            try:
-                shapes[node.node_id] = infer_shape(node.kind, node.params, in_shapes)
-            except ShapeError as exc:
-                raise ShapeError(f"node {node.node_id}: {exc}") from exc
-        return shapes
+        return node_shapes(topological_order(list(self.nodes)), self.input_shape)
 
     def to_dict(self) -> dict:
         return {"id": self.id, "family": self.family,
@@ -121,27 +116,11 @@ class MAddReport:
 
 
 def compute_madd(spec: ArchitectureSpec) -> MAddReport:
-    """Multiply counts per node.
-
-    Convention: CONV = H_out*W_out*C_out*K_h*K_w*C_in; FC = fan_in*fan_out;
-    BN = one multiply per element; activations, pools, ADD, CONCAT and
-    SOFTMAX count zero.
-    """
+    """Multiply counts per node, by the convention of :func:`tensor.madd`."""
     shapes = spec.derive_shapes()
-    per_node: dict[str, int] = {}
-    for node in spec.nodes:
-        if node.kind is OperatorKind.CONV:
-            oh, ow, cout = shapes[node.node_id]
-            kh, kw = node.params["kernel"]
-            cin = shapes[node.inputs[0]][2]
-            per_node[node.node_id] = oh * ow * cout * kh * kw * cin
-        elif node.kind is OperatorKind.FC:
-            din = int(np.prod(shapes[node.inputs[0]]))
-            per_node[node.node_id] = din * int(node.params["out_features"])
-        elif node.kind is OperatorKind.BN:
-            per_node[node.node_id] = int(np.prod(shapes[node.inputs[0]]))
-        else:
-            per_node[node.node_id] = 0
+    per_node = {node.node_id: madd(node.kind, node.params,
+                                   [shapes[d] for d in node.inputs])
+                for node in spec.nodes}
     return MAddReport(per_node=per_node, total=sum(per_node.values()))
 
 

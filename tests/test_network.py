@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from extractbench import network
 from extractbench.network import (
     GraphError,
     Network,
@@ -276,6 +277,24 @@ class TestPredictAndWorkspace:
         for node_id, wgrads in fresh.by_node.items():
             for name, g in wgrads.items():
                 assert same_bits(kept.by_node[node_id][name], g), node_id
+
+    @pytest.mark.parametrize("arch_id", sorted(BUILTIN_ARCHITECTURES))
+    def test_predict_stops_at_node(self, arch_id, monkeypatch):
+        model, x = self._model_and_input(arch_id, 2)
+        calls = []
+        real = network.op_forward
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(network, "op_forward", counting)
+        model.predict(x, "input")
+        assert calls == []
+        for i, node in enumerate(model.order):
+            calls.clear()
+            model.predict(x, node.node_id)
+            assert calls == [n.kind for n in model.order[:i + 1]], node.node_id
 
     def test_predict_caches_nothing(self):
         model, x = self._model_and_input("mini-vgg-4", 3)

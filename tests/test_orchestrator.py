@@ -414,6 +414,19 @@ class TestZooResolve:
         _, cached, _ = zoo_resolve(ref, bench)
         assert cached
 
+    def test_invalid_param_in_metadata_retrains(self, bench):
+        ref = ModelRef("mini-student-cnn", "blobs-2c-easy", None, "default")
+        first, _, _ = zoo_resolve(ref, bench)
+        meta_file = bench.checkpoints_dir / ref.slug() / "metadata.json"
+        meta = json.loads(meta_file.read_text())
+        meta["spec"]["nodes"][0]["params"]["stride"] = 0
+        meta_file.write_text(json.dumps(meta))
+        again, cached, _ = zoo_resolve(ref, bench)
+        assert not cached
+        assert np.array_equal(again.state_vector(), first.state_vector())
+        _, cached, _ = zoo_resolve(ref, bench)
+        assert cached
+
 
 class TestDatasetCache:
     def test_truncated_samples_are_regenerated(self, bench):

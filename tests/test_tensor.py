@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from extractbench.tensor import (
+    _OPS,
     OperatorKind,
     ShapeError,
     Tensor,
@@ -136,6 +137,32 @@ class TestShapeContracts:
             infer_shape(K.CONV, {"out_channels": 1, "kernel": [1, 1],
                                  "striide": 2}, [(4, 4, 1)])
 
+    @pytest.mark.parametrize("kind,params,bad", [
+        (K.CONV, {"out_channels": 2, "kernel": [3, 3], "stride": 0}, "stride"),
+        (K.MAXPOOL, {"kernel": [2, 2], "stride": -1}, "stride"),
+        (K.AVGPOOL, {"kernel": [2, 2], "stride": 2.5}, "stride"),
+        (K.CONV, {"out_channels": 0, "kernel": [3, 3]}, "out_channels"),
+        (K.CONV, {"out_channels": "3", "kernel": [3, 3]}, "out_channels"),
+        (K.FC, {"out_features": 0}, "out_features"),
+        (K.FC, {"out_features": True}, "out_features"),
+        (K.CONV, {"out_channels": 2, "kernel": [3]}, "kernel"),
+        (K.MAXPOOL, {"kernel": [2, 0]}, "kernel"),
+        (K.MAXPOOL, {"kernel": "22"}, "kernel"),
+        (K.FC, {"out_features": 3, "bias": 1}, "bias"),
+        (K.CONV, {"out_channels": 2, "kernel": [3, 3], "padding": "full"},
+         "padding"),
+    ])
+    def test_invalid_param_value_named(self, kind, params, bad):
+        shape = (4,) if kind is K.FC else (6, 6, 2)
+        with pytest.raises(ValueError, match=rf"^{kind.name}: parameter '{bad}'"):
+            infer_shape(kind, params, [shape])
+
+    def test_numpy_ints_accepted(self):
+        shape = infer_shape(K.CONV, {"out_channels": np.int64(2),
+                                     "kernel": [np.int32(3), 3],
+                                     "stride": np.int64(2)}, [(6, 6, 2)])
+        assert shape == (3, 3, 2)
+
     def test_conv_same_padding_shape(self):
         shape = infer_shape(K.CONV, {"out_channels": 5, "kernel": [3, 3],
                                      "stride": 2, "padding": "same"},
@@ -211,6 +238,23 @@ GRADIENT_CASES = [
                          ids=[f"{c[0].name}-{i}" for i, c in enumerate(GRADIENT_CASES)])
 def test_gradients_match_finite_differences(case, kind, params, shapes):
     check_kind_gradients(kind, params, shapes, seed=101 + case)
+
+
+@pytest.mark.parametrize("case,kind,params,shapes",
+                         [(i,) + c for i, c in enumerate(GRADIENT_CASES)],
+                         ids=[f"{c[0].name}-{i}" for i, c in enumerate(GRADIENT_CASES)])
+def test_unbatched_forward_equals_batch_of_one(case, kind, params, shapes):
+    rng = np.random.default_rng(case)
+    weights, buffers = init_weights(kind, params, shapes, rng)
+    arrays = [rng.standard_normal(s) for s in shapes]
+    out = forward(kind, dict(params, weights=weights, buffers=buffers),
+                  [Tensor.from_array(a) for a in arrays])
+    batched = op_forward(kind, params, weights, buffers, [a[None] for a in arrays])
+    assert same_bits(out.to_array(), batched[0])
+
+
+def test_operator_table_covers_every_kind():
+    assert set(_OPS) == set(OperatorKind)
 
 
 class TestKeptWorkspace:

@@ -23,7 +23,7 @@ from extractbench.zoo import (
     transfer_learn,
 )
 
-from conftest import make_blobs, trained_model
+from conftest import make_blobs, same_bits, trained_model
 
 SHAPE = (8, 8, 1)
 
@@ -32,6 +32,20 @@ def conv_node(nid, src, channels, kernel=3, stride=1, padding="same"):
     return NodeSpec(nid, K.CONV, {"out_channels": channels,
                                   "kernel": [kernel, kernel], "stride": stride,
                                   "padding": padding}, (src,))
+
+
+def _set_param(metadata_text, node_id, name, value):
+    """metadata.json text with one node param of the spec echo replaced."""
+    meta = json.loads(metadata_text)
+    for node in meta["spec"]["nodes"]:
+        if node["node_id"] == node_id:
+            node["params"][name] = value
+    return json.dumps(meta)
+
+
+# The checkpoint tensor order the module docstring documents.
+CHECKPOINT_ORDER = {K.CONV: ("weight", "bias"), K.FC: ("weight", "bias"),
+                    K.BN: ("gamma", "beta", "running_mean", "running_var")}
 
 
 class TestBuildModel:
@@ -68,6 +82,21 @@ class TestBuildModel:
             model = build_model(spec, seed=1)
             out = model.forward(np.zeros((2,) + SHAPE))
             assert out.shape == (2, 3), arch_id
+
+    @pytest.mark.parametrize("arch_id", sorted(BUILTIN_ARCHITECTURES))
+    def test_state_vector_follows_documented_order(self, arch_id):
+        model = build_model(builtin_spec(arch_id, SHAPE, 4), seed=2)
+        rng = np.random.default_rng(0)
+        for store in (model.weights, model.buffers):  # no two tensors alike
+            for tensors in store.values():
+                for name, t in tensors.items():
+                    tensors[name] = rng.standard_normal(t.shape)
+        parts = []
+        for node in model.spec.nodes:
+            for name in CHECKPOINT_ORDER.get(node.kind, ()):
+                store = model.buffers if name.startswith("running") else model.weights
+                parts.append(store[node.node_id][name].reshape(-1))
+        assert same_bits(model.state_vector(), np.concatenate(parts))
 
 
 class TestMAdd:
@@ -250,11 +279,14 @@ class TestCheckpoints:
         lambda text: json.dumps({k: v for k, v in json.loads(text).items()
                                  if k != "spec"}),
         lambda text: "[]",
-    ], ids=["truncated", "empty", "no-spec", "not-an-object"])
+        lambda text: _set_param(text, "conv", "stride", 0),
+        lambda text: _set_param(text, "head", "out_features", 0),
+    ], ids=["truncated", "empty", "no-spec", "not-an-object", "stride-0",
+            "out-features-0"])
     def test_unreadable_metadata_is_corruption(self, tmp_path, damage):
         data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=6)
-        model = trained_model("mini-mlp-2", data, epochs=1, seed=7)
-        ref = ModelRef("mini-mlp-2", data.spec.id, None, "t1")
+        model = trained_model("mini-student-cnn", data, epochs=1, seed=7)
+        ref = ModelRef("mini-student-cnn", data.spec.id, None, "t1")
         save_checkpoint(model, ref, tmp_path)
         meta = checkpoint_path(tmp_path, ref) / "metadata.json"
         meta.write_text(damage(meta.read_text()))
