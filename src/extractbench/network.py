@@ -4,9 +4,10 @@ A model is a list of :class:`NodeSpec` entries wired by node id (the reserved
 id ``"input"`` denotes the graph input). Execution order is topological with
 ties broken by declaration order, so two builds of the same node list behave
 identically. A training forward pass caches per-node activations and kernel
-workspace; backward consumes the cache and returns gradients for every
-trainable tensor plus the graph input (the latter is what inversion attacks
-climb). Inference goes through ``predict``, which caches nothing.
+workspace; backward consumes the cache and returns the gradients its caller
+asks for: those of every trainable tensor (what training reads), of the
+graph input (what inversion attacks climb), or both. Inference goes through
+``predict``, which caches nothing.
 """
 
 from __future__ import annotations
@@ -104,10 +105,11 @@ def sink_node(nodes: list[NodeSpec]) -> NodeSpec:
 
 @dataclass
 class Gradients:
-    """Per-node trainable-tensor gradients plus the graph-input gradient."""
+    """Per-node trainable-tensor gradients plus the graph-input gradient;
+    what :meth:`Network.backward` was not asked for is ``{}`` or ``None``."""
 
     by_node: dict[str, dict[str, np.ndarray]]
-    input: np.ndarray
+    input: np.ndarray | None
 
 
 class Network:
@@ -241,8 +243,15 @@ class Network:
         acts, _ = self._run(x, target)
         return acts[target]
 
-    def backward(self, output_gradient: np.ndarray) -> Gradients:
-        """Backpropagate from the output; requires a cached forward pass."""
+    def backward(self, output_gradient: np.ndarray, *, weight_grads: bool = True,
+                 input_grad: bool = True) -> Gradients:
+        """Backpropagate from the output; requires a cached forward pass.
+
+        `weight_grads=False` computes no trainable-tensor gradient
+        (``by_node`` is ``{}``) and `input_grad=False` no graph-input
+        gradient (``input`` is ``None``); what is computed has the same bits
+        either way.
+        """
         if self._acts is None:
             raise RuntimeError("backward called before forward")
         grad = np.asarray(output_gradient, dtype=np.float64)
@@ -253,8 +262,8 @@ class Network:
                 f"{out.shape}")
         grads_at: dict[str, np.ndarray] = {self.output_id: grad}
         by_node: dict[str, dict[str, np.ndarray]] = {}
-        zero_in = np.zeros_like(self._acts[INPUT_ID])
-        grads_at.setdefault(INPUT_ID, zero_in)
+        if input_grad:  # else INPUT_ID stays out and its gradients are dropped
+            grads_at[INPUT_ID] = np.zeros_like(self._acts[INPUT_ID])
         for node in reversed(self.order):
             g = grads_at.get(node.node_id)
             if g is None:
@@ -263,19 +272,21 @@ class Network:
             wgrads, igrads = op_backward(
                 node.kind, node.params, self.weights[node.node_id],
                 self.buffers[node.node_id], ins, self._acts[node.node_id], g,
-                self._ctxs[node.node_id])
+                self._ctxs[node.node_id], weight_grads=weight_grads,
+                input_grad=input_grad or any(d != INPUT_ID for d in node.inputs))
             if wgrads:
                 by_node[node.node_id] = wgrads
             for dep, ig in zip(node.inputs, igrads):
                 if dep in grads_at:
                     grads_at[dep] = grads_at[dep] + ig
-                else:
+                elif dep != INPUT_ID:
                     grads_at[dep] = ig
-        for node in self.order:  # zero grads for nodes off the gradient path
-            if node.node_id not in by_node and self.weights[node.node_id]:
-                by_node[node.node_id] = {
-                    k: np.zeros_like(v) for k, v in self.weights[node.node_id].items()}
-        return Gradients(by_node=by_node, input=grads_at[INPUT_ID])
+        if weight_grads:
+            for node in self.order:  # zero grads for nodes off the gradient path
+                if node.node_id not in by_node and self.weights[node.node_id]:
+                    by_node[node.node_id] = {
+                        k: np.zeros_like(v) for k, v in self.weights[node.node_id].items()}
+        return Gradients(by_node=by_node, input=grads_at.get(INPUT_ID))
 
     def calibrate_bn(self, batch: np.ndarray) -> None:
         """Fix BN running statistics from one calibration batch (one-time)."""
@@ -364,7 +375,7 @@ def sgd_run(model: Network, inputs: np.ndarray, grad_fn,
             idx = perm[start:start + config.batch_size]
             probs = model.forward(inputs[idx])
             loss, gout = grad_fn(probs, idx)
-            grads = model.backward(gout)
+            grads = model.backward(gout, input_grad=False)
             for node_id, wgrads in grads.by_node.items():
                 store = model.weights[node_id]
                 for name, g in wgrads.items():
@@ -440,7 +451,7 @@ def finite_difference_check(model: Network, probe_input, step: float = 1e-5,
         return float((model.predict(batch) * proj).sum())
 
     model.forward(batch)
-    analytic = model.backward(proj)
+    analytic = model.backward(proj, input_grad=check_input)
 
     worst = None
     max_err = 0.0

@@ -85,7 +85,7 @@ class GradientHandle(QueryHandle):
         p = max(float(probs[0, target_class]), 1e-300)
         seed = np.zeros_like(probs)
         seed[0, target_class] = 1.0 / p
-        grads = self._model.backward(seed)
+        grads = self._model.backward(seed, weight_grads=False)
         return p, grads.input[0]
 
 

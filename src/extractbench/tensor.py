@@ -77,7 +77,8 @@ class Tensor:
 
 
 # ---------------------------------------------------------------------------
-# static parameters: each check is (what a valid value is, predicate)
+# static parameters: each is (what a valid value is, predicate, required);
+# a param that is not required has its default in the kind's shape rule
 # ---------------------------------------------------------------------------
 
 def _is_positive_int(value) -> bool:
@@ -86,12 +87,18 @@ def _is_positive_int(value) -> bool:
             and value > 0)
 
 
-_POSITIVE_INT = ("a positive int", _is_positive_int)
+_POSITIVE_INT = ("a positive int", _is_positive_int, False)
 _KERNEL = ("two positive ints",
            lambda v: isinstance(v, (list, tuple)) and len(v) == 2
-           and all(_is_positive_int(k) for k in v))
-_BOOL = ("a bool", lambda v: isinstance(v, bool))
-_PADDING = ("'same' or 'valid'", lambda v: isinstance(v, str) and v in ("same", "valid"))
+           and all(_is_positive_int(k) for k in v), False)
+_BOOL = ("a bool", lambda v: isinstance(v, bool), False)
+_PADDING = ("'same' or 'valid'",
+            lambda v: isinstance(v, str) and v in ("same", "valid"), False)
+
+
+def _required(param):
+    valid, check, _ = param
+    return valid, check, True
 
 
 # ---------------------------------------------------------------------------
@@ -238,27 +245,33 @@ def _bn_madd(params, input_shapes):
 # kernels (batched: arrays carry a leading batch axis)
 #
 # forward:  (params, weights, buffers, inputs, ctx) -> output
-# backward: (params, weights, buffers, inputs, output, grad, ctx)
-#           -> (weight grads, per-input grads)
+# backward: (params, weights, buffers, inputs, output, grad, ctx, *,
+#            weight_grads, input_grad) -> (weight grads, per-input grads)
+#           (what the two flags skip: see op_backward)
 # ---------------------------------------------------------------------------
 
-def _im2col(x, kh, kw, stride, out_h, out_w):
+def _windows(x, kh, kw, stride, out_h, out_w):
+    """(n, oh, ow, kh, kw, c) strided view of the windows of a contiguous
+    `x`; np.ndarray on x's buffer costs far less per call than as_strided."""
     n, _, _, c = x.shape
-    cols = np.empty((n, out_h, out_w, kh, kw, c), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, :, i, j, :] = x[
-                :, i:i + stride * (out_h - 1) + 1:stride,
-                j:j + stride * (out_w - 1) + 1:stride, :]
-    return cols
+    sn, sh, sw, sc = x.strides
+    return np.ndarray((n, out_h, out_w, kh, kw, c), x.dtype, buffer=x,
+                      strides=(sn, sh * stride, sw * stride, sh, sw, sc))
+
+
+def _im2col(x, kh, kw, stride, out_h, out_w):
+    return _windows(np.ascontiguousarray(x), kh, kw, stride, out_h, out_w).copy()
 
 
 def _col2im(gcols, padded_shape, kh, kw, stride, out_h, out_w):
     gx = np.zeros(padded_shape, dtype=gcols.dtype)
+    # tap-major copy, so each tap's += reads contiguous memory; the (i, j)
+    # order of the additions, and so every rounding, is unchanged
+    taps = np.ascontiguousarray(gcols.transpose(3, 4, 0, 1, 2, 5))
     for i in range(kh):
         for j in range(kw):
             gx[:, i:i + stride * (out_h - 1) + 1:stride,
-               j:j + stride * (out_w - 1) + 1:stride, :] += gcols[:, :, :, i, j, :]
+               j:j + stride * (out_w - 1) + 1:stride, :] += taps[i, j]
     return gx
 
 
@@ -288,24 +301,29 @@ def _conv_forward(params, weights, buffers, inputs, ctx):
     return y
 
 
-def _conv_backward(params, weights, buffers, inputs, output, grad, ctx):
+def _conv_backward(params, weights, buffers, inputs, output, grad, ctx, *,
+                   weight_grads, input_grad):
     (x,) = inputs
     out_h, out_w, kh, kw, s, pads = _conv_geometry(params, x.shape[1:])
-    cols = (ctx or {}).get("cols")
-    if cols is None:
-        cols = _conv_cols(x, out_h, out_w, kh, kw, s, pads)
     w = weights["weight"]
     cout = w.shape[3]
     gflat = grad.reshape(-1, cout)
-    cflat = cols.reshape(gflat.shape[0], -1)
-    wgrads = {"weight": (cflat.T @ gflat).reshape(w.shape)}
-    if "bias" in weights:
-        wgrads["bias"] = gflat.sum(axis=0)
-    gcols = (gflat @ w.reshape(-1, cout).T).reshape(cols.shape)
-    pt, pb, pl, pr = pads
-    n, h, wd, c = x.shape
-    gxp = _col2im(gcols, (n, h + pt + pb, wd + pl + pr, c), kh, kw, s, out_h, out_w)
-    return wgrads, [gxp[:, pt:pt + h, pl:pl + wd, :]]
+    wgrads, igrads = {}, [None]
+    if weight_grads:
+        cols = (ctx or {}).get("cols")
+        if cols is None:
+            cols = _conv_cols(x, out_h, out_w, kh, kw, s, pads)
+        cflat = cols.reshape(gflat.shape[0], -1)
+        wgrads["weight"] = (cflat.T @ gflat).reshape(w.shape)
+        if "bias" in weights:
+            wgrads["bias"] = gflat.sum(axis=0)
+    if input_grad:
+        n, h, wd, c = x.shape
+        gcols = (gflat @ w.reshape(-1, cout).T).reshape(n, out_h, out_w, kh, kw, c)
+        pt, pb, pl, pr = pads
+        gxp = _col2im(gcols, (n, h + pt + pb, wd + pl + pr, c), kh, kw, s, out_h, out_w)
+        igrads = [gxp[:, pt:pt + h, pl:pl + wd, :]]
+    return wgrads, igrads
 
 
 def _pool_windows(x, out_h, out_w, kh, kw, s):
@@ -314,28 +332,43 @@ def _pool_windows(x, out_h, out_w, kh, kw, s):
     return cols.reshape(x.shape[0], out_h, out_w, kh * kw, x.shape[3])
 
 
+def _pool_scatter(gwin, shape, out_h, out_w, kh, kw, s):
+    """Input gradient of a pool from per-window gradients `gwin`, shaped
+    (n, oh, ow, kh, kw, c) or broadcastable to it: each window's entries
+    are added onto zeros (so a -0.0 gradient lands as +0.0)."""
+    if s >= kh and s >= kw:
+        # the windows do not overlap: one += through their view of the zeros
+        gx = np.zeros(shape)
+        windows = _windows(gx, kh, kw, s, out_h, out_w)
+        windows += gwin
+        return gx
+    n, _, _, c = shape
+    gwin = np.broadcast_to(gwin, (n, out_h, out_w, kh, kw, c))
+    return _col2im(gwin, shape, kh, kw, s, out_h, out_w)
+
+
 def _maxpool_forward(params, weights, buffers, inputs, ctx):
     (x,) = inputs
     geometry = _pool_geometry(OperatorKind.MAXPOOL, params, x.shape[1:])
     win = _pool_windows(x, *geometry)
     if ctx is not None:
-        ctx["win"] = win
+        # argmax picks the first maximum: row-major tie-breaking in the window
+        ctx["argmax"] = win.argmax(axis=3)
     return win.max(axis=3)
 
 
-def _maxpool_backward(params, weights, buffers, inputs, output, grad, ctx):
+def _maxpool_backward(params, weights, buffers, inputs, output, grad, ctx, *,
+                      weight_grads, input_grad):
     (x,) = inputs
     out_h, out_w, kh, kw, s = geometry = _pool_geometry(
         OperatorKind.MAXPOOL, params, x.shape[1:])
-    win = (ctx or {}).get("win")
-    if win is None:
-        win = _pool_windows(x, *geometry)
-    # argmax picks the first maximum: row-major tie-breaking within the window
-    idx = win.argmax(axis=3)[:, :, :, None, :]
+    idx = (ctx or {}).get("argmax")
+    if idx is None:
+        idx = _pool_windows(x, *geometry).argmax(axis=3)
     slots = np.arange(kh * kw)[:, None]
-    gwin = np.where(slots == idx, grad[:, :, :, None, :], 0.0)
+    gwin = np.where(slots == idx[:, :, :, None, :], grad[:, :, :, None, :], 0.0)
     gwin = gwin.reshape(x.shape[0], out_h, out_w, kh, kw, x.shape[3])
-    return {}, [_col2im(gwin, x.shape, kh, kw, s, out_h, out_w)]
+    return {}, [_pool_scatter(gwin, x.shape, *geometry)]
 
 
 def _avgpool_forward(params, weights, buffers, inputs, ctx):
@@ -344,20 +377,21 @@ def _avgpool_forward(params, weights, buffers, inputs, ctx):
     return _pool_windows(x, *geometry).mean(axis=3)
 
 
-def _avgpool_backward(params, weights, buffers, inputs, output, grad, ctx):
+def _avgpool_backward(params, weights, buffers, inputs, output, grad, ctx, *,
+                      weight_grads, input_grad):
     (x,) = inputs
-    out_h, out_w, kh, kw, s = _pool_geometry(OperatorKind.AVGPOOL, params, x.shape[1:])
-    gwin = np.broadcast_to(
-        grad[:, :, :, None, None, :] / (kh * kw),
-        (x.shape[0], out_h, out_w, kh, kw, x.shape[3]))
-    return {}, [_col2im(np.ascontiguousarray(gwin), x.shape, kh, kw, s, out_h, out_w)]
+    out_h, out_w, kh, kw, s = geometry = _pool_geometry(
+        OperatorKind.AVGPOOL, params, x.shape[1:])
+    gwin = grad[:, :, :, None, None, :] / (kh * kw)
+    return {}, [_pool_scatter(gwin, x.shape, *geometry)]
 
 
 def _relu_forward(params, weights, buffers, inputs, ctx):
     return np.maximum(inputs[0], 0.0)
 
 
-def _relu_backward(params, weights, buffers, inputs, output, grad, ctx):
+def _relu_backward(params, weights, buffers, inputs, output, grad, ctx, *,
+                   weight_grads, input_grad):
     return {}, [grad * (inputs[0] > 0)]
 
 
@@ -366,7 +400,8 @@ def _gelu_forward(params, weights, buffers, inputs, ctx):
     return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x ** 3)))
 
 
-def _gelu_backward(params, weights, buffers, inputs, output, grad, ctx):
+def _gelu_backward(params, weights, buffers, inputs, output, grad, ctx, *,
+                   weight_grads, input_grad):
     (x,) = inputs
     u = _GELU_C * (x + _GELU_A * x ** 3)
     t = np.tanh(u)
@@ -381,7 +416,8 @@ def _softmax_forward(params, weights, buffers, inputs, ctx):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _softmax_backward(params, weights, buffers, inputs, output, grad, ctx):
+def _softmax_backward(params, weights, buffers, inputs, output, grad, ctx, *,
+                      weight_grads, input_grad):
     dot = (grad * output).sum(axis=-1, keepdims=True)
     return {}, [output * (grad - dot)]
 
@@ -391,15 +427,18 @@ def _bn_forward(params, weights, buffers, inputs, ctx):
     return weights["gamma"] * (inputs[0] - buffers["running_mean"]) * inv + weights["beta"]
 
 
-def _bn_backward(params, weights, buffers, inputs, output, grad, ctx):
+def _bn_backward(params, weights, buffers, inputs, output, grad, ctx, *,
+                 weight_grads, input_grad):
     (x,) = inputs
     inv = 1.0 / np.sqrt(buffers["running_var"] + BN_EPS)
-    xhat = (x - buffers["running_mean"]) * inv
-    axes = tuple(range(x.ndim - 1))
-    return (
-        {"gamma": (grad * xhat).sum(axis=axes), "beta": grad.sum(axis=axes)},
-        [grad * weights["gamma"] * inv],
-    )
+    wgrads, igrads = {}, [None]
+    if weight_grads:
+        xhat = (x - buffers["running_mean"]) * inv
+        axes = tuple(range(x.ndim - 1))
+        wgrads = {"gamma": (grad * xhat).sum(axis=axes), "beta": grad.sum(axis=axes)}
+    if input_grad:
+        igrads = [grad * weights["gamma"] * inv]
+    return wgrads, igrads
 
 
 def _fc_forward(params, weights, buffers, inputs, ctx):
@@ -415,13 +454,17 @@ def _fc_forward(params, weights, buffers, inputs, ctx):
     return y
 
 
-def _fc_backward(params, weights, buffers, inputs, output, grad, ctx):
+def _fc_backward(params, weights, buffers, inputs, output, grad, ctx, *,
+                 weight_grads, input_grad):
     (x,) = inputs
-    x2 = x.reshape(x.shape[0], -1)
-    wgrads = {"weight": x2.T @ grad}
-    if "bias" in weights:
-        wgrads["bias"] = grad.sum(axis=0)
-    return wgrads, [(grad @ weights["weight"].T).reshape(x.shape)]
+    wgrads, igrads = {}, [None]
+    if weight_grads:
+        wgrads["weight"] = x.reshape(x.shape[0], -1).T @ grad
+        if "bias" in weights:
+            wgrads["bias"] = grad.sum(axis=0)
+    if input_grad:
+        igrads = [(grad @ weights["weight"].T).reshape(x.shape)]
+    return wgrads, igrads
 
 
 def _add_forward(params, weights, buffers, inputs, ctx):
@@ -433,7 +476,8 @@ def _add_forward(params, weights, buffers, inputs, ctx):
     return out
 
 
-def _add_backward(params, weights, buffers, inputs, output, grad, ctx):
+def _add_backward(params, weights, buffers, inputs, output, grad, ctx, *,
+                  weight_grads, input_grad):
     return {}, [grad] * len(inputs)
 
 
@@ -441,7 +485,8 @@ def _concat_forward(params, weights, buffers, inputs, ctx):
     return np.concatenate(inputs, axis=-1)
 
 
-def _concat_backward(params, weights, buffers, inputs, output, grad, ctx):
+def _concat_backward(params, weights, buffers, inputs, output, grad, ctx, *,
+                     weight_grads, input_grad):
     offsets = np.cumsum([a.shape[-1] for a in inputs])[:-1]
     return {}, list(np.split(grad, offsets, axis=-1))
 
@@ -450,7 +495,8 @@ def _flatten_forward(params, weights, buffers, inputs, ctx):
     return inputs[0].reshape(inputs[0].shape[0], -1)
 
 
-def _flatten_backward(params, weights, buffers, inputs, output, grad, ctx):
+def _flatten_backward(params, weights, buffers, inputs, output, grad, ctx, *,
+                      weight_grads, input_grad):
     return {}, [grad.reshape(inputs[0].shape)]
 
 
@@ -465,7 +511,7 @@ class _Op:
     shape: Callable       # (params, input_shapes) -> output shape
     forward: Callable     # kernel signatures: see the kernels section
     backward: Callable
-    params: dict = field(default_factory=dict)   # name -> (valid value, check)
+    params: dict = field(default_factory=dict)   # name -> (valid, check, required)
     weights: Callable = _no_tensors   # (params, input_shapes) -> {name: shape},
     buffers: Callable = _no_tensors   # in checkpoint order
     madd: Callable = _no_madd         # (params, input_shapes) -> multiplies
@@ -474,12 +520,12 @@ class _Op:
 _OPS: dict[OperatorKind, _Op] = {
     OperatorKind.CONV: _Op(
         _conv_shape, _conv_forward, _conv_backward,
-        params={"out_channels": _POSITIVE_INT, "kernel": _KERNEL,
+        params={"out_channels": _required(_POSITIVE_INT), "kernel": _required(_KERNEL),
                 "stride": _POSITIVE_INT, "padding": _PADDING, "bias": _BOOL},
         weights=_conv_weights, madd=_conv_madd),
     OperatorKind.FC: _Op(
         _fc_shape, _fc_forward, _fc_backward,
-        params={"out_features": _POSITIVE_INT, "bias": _BOOL},
+        params={"out_features": _required(_POSITIVE_INT), "bias": _BOOL},
         weights=_fc_weights, madd=_fc_madd),
     OperatorKind.RELU: _Op(_same_shape, _relu_forward, _relu_backward),
     OperatorKind.GELU: _Op(_same_shape, _gelu_forward, _gelu_backward),
@@ -488,10 +534,12 @@ _OPS: dict[OperatorKind, _Op] = {
         weights=_bn_weights, buffers=_bn_buffers, madd=_bn_madd),
     OperatorKind.MAXPOOL: _Op(
         partial(_pool_shape, OperatorKind.MAXPOOL), _maxpool_forward,
-        _maxpool_backward, params={"kernel": _KERNEL, "stride": _POSITIVE_INT}),
+        _maxpool_backward,
+        params={"kernel": _required(_KERNEL), "stride": _POSITIVE_INT}),
     OperatorKind.AVGPOOL: _Op(
         partial(_pool_shape, OperatorKind.AVGPOOL), _avgpool_forward,
-        _avgpool_backward, params={"kernel": _KERNEL, "stride": _POSITIVE_INT}),
+        _avgpool_backward,
+        params={"kernel": _required(_KERNEL), "stride": _POSITIVE_INT}),
     OperatorKind.ADD: _Op(_add_shape, _add_forward, _add_backward),
     OperatorKind.CONCAT: _Op(_concat_shape, _concat_forward, _concat_backward),
     OperatorKind.SOFTMAX: _Op(_same_shape, _softmax_forward, _softmax_backward),
@@ -506,15 +554,18 @@ _OPS: dict[OperatorKind, _Op] = {
 def infer_shape(kind: OperatorKind, params: dict, input_shapes: list[tuple[int, ...]]):
     """Output shape of one operator application (shapes exclude the batch axis).
 
-    Also checks the static params: an unknown name or an invalid value is a
-    ValueError that names the kind and the param.
+    Also checks the static params: an unknown name, a missing required one or
+    an invalid value is a ValueError that names the kind and the param.
     """
     op = _OPS[kind]
     unknown = set(params) - set(op.params)
     if unknown:
         raise ValueError(f"{kind.name}: unknown parameter(s) {sorted(unknown)}")
+    for name, (_, _, required) in op.params.items():
+        if required and name not in params:
+            raise ValueError(f"{kind.name}: missing parameter {name!r}")
     for name, value in params.items():
-        valid, check = op.params[name]
+        valid, check, _ = op.params[name]
         if not check(value):
             raise ValueError(f"{kind.name}: parameter {name!r} must be {valid}, "
                              f"got {value!r}")
@@ -566,20 +617,29 @@ def op_forward(kind, params, weights, buffers, inputs: list[np.ndarray],
 
     `ctx`, when given, is a fresh dict that belongs to this one call: the
     kernel stores in it the workspace its backward can reuse (CONV: the
-    im2col columns, MAXPOOL: the pooling windows). Without it the kernel is
-    pure and keeps nothing.
+    im2col columns, MAXPOOL: the argmax of each window). Without it the
+    kernel is pure and keeps nothing.
     """
     return _OPS[kind].forward(params, weights, buffers, inputs, ctx)
 
 
 def op_backward(kind, params, weights, buffers, inputs, output, grad,
-                ctx: dict | None = None):
+                ctx: dict | None = None, *, weight_grads: bool = True,
+                input_grad: bool = True):
     """Gradients of one operator: returns (weight grads, per-input grads).
 
     `ctx` is the dict the matching :func:`op_forward` filled; without it
     (or with an empty one) the kernel recomputes its workspace from `inputs`.
+
+    The flags say which gradients the caller reads. With
+    `weight_grads=False` no weight gradient is computed and the first item
+    is ``{}``. With `input_grad=False` the kinds with weights (CONV, FC, BN)
+    compute no input gradient and return ``None`` for each input; the
+    other kinds compute only input gradients and return them anyway. Asked
+    for, each gradient has the same bits either way.
     """
-    return _OPS[kind].backward(params, weights, buffers, inputs, output, grad, ctx)
+    return _OPS[kind].backward(params, weights, buffers, inputs, output, grad, ctx,
+                               weight_grads=weight_grads, input_grad=input_grad)
 
 
 def forward(kind: OperatorKind, params: dict, inputs: list[Tensor]) -> Tensor:
@@ -587,11 +647,13 @@ def forward(kind: OperatorKind, params: dict, inputs: list[Tensor]) -> Tensor:
 
     `params` carries the static configuration plus, for parameterized kinds,
     a "weights" (and for BN a "buffers") mapping of tensor-name to array.
+    The static configuration is checked by :func:`infer_shape` first.
     """
     params = dict(params)
     weights = {k: np.asarray(v, dtype=np.float64)
                for k, v in params.pop("weights", {}).items()}
     buffers = {k: np.asarray(v, dtype=np.float64)
                for k, v in params.pop("buffers", {}).items()}
+    infer_shape(kind, params, [t.shape for t in inputs])
     batch = [t.to_array()[None, ...] for t in inputs]
     return Tensor.from_array(op_forward(kind, params, weights, buffers, batch)[0])

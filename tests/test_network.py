@@ -41,6 +41,12 @@ class TestGraphStructure:
         with pytest.raises(GraphError, match="exactly one output"):
             Network(nodes, (4,), 0)
 
+    def test_missing_param_names_node(self):
+        nodes = [NodeSpec("c1", K.CONV, {"out_channels": 2}, ("input",))]
+        with pytest.raises(ValueError,
+                           match=r"^node c1: CONV: missing parameter 'kernel'$"):
+            Network(nodes, (6, 6, 1), 0)
+
     def test_diamond_executes(self):
         nodes = [NodeSpec("l", K.RELU, {}, ("input",)),
                  NodeSpec("r", K.GELU, {}, ("input",)),
@@ -206,8 +212,8 @@ class TestFiniteDifferenceCheck:
 
     def test_scaled_gradient_is_flagged(self):
         class Sabotaged(Network):
-            def backward(self, grad):
-                out = super().backward(grad)
+            def backward(self, grad, **flags):
+                out = super().backward(grad, **flags)
                 out.by_node["fc"]["weight"] = 2.0 * out.by_node["fc"]["weight"]
                 return out
 
@@ -306,3 +312,56 @@ class TestPredictAndWorkspace:
         model, x = self._model_and_input("mini-mlp-2", 2)
         with pytest.raises(KeyError, match="probe"):
             model.predict(x, "nope")
+
+
+class TestRequestedGradients:
+    """`backward` computes only the gradients its caller asks for, and each
+    one it computes has the bits of the full backward."""
+
+    @pytest.mark.parametrize("batch", [1, 10])
+    @pytest.mark.parametrize("arch_id", sorted(BUILTIN_ARCHITECTURES))
+    def test_partial_backward_equals_full(self, arch_id, batch):
+        model = build_model(builtin_spec(arch_id, (8, 8, 1), 4), seed=2)
+        rng = np.random.default_rng(batch)
+        out = model.forward(rng.standard_normal((batch, 8, 8, 1)))
+        gout = rng.standard_normal(out.shape)
+        gout[gout < -1.0] = -0.0
+        full = model.backward(gout)
+        weights_only = model.backward(gout, input_grad=False)
+        input_only = model.backward(gout, weight_grads=False)
+        assert weights_only.input is None
+        assert input_only.by_node == {}
+        assert same_bits(input_only.input, full.input)
+        assert weights_only.by_node.keys() == full.by_node.keys()
+        for node_id, wgrads in full.by_node.items():
+            assert wgrads.keys() == weights_only.by_node[node_id].keys()
+            for name, g in wgrads.items():
+                assert same_bits(weights_only.by_node[node_id][name], g), node_id
+
+    def test_two_readers_of_the_input_without_input_grad(self):
+        # the CONV skips its input gradient, the ADD's is dropped
+        nodes = [NodeSpec("c", K.CONV, {"out_channels": 1, "kernel": [3, 3]},
+                          ("input",)),
+                 NodeSpec("sum", K.ADD, {}, ("input", "c"))]
+        net = Network(nodes, (4, 4, 1), seed=0)
+        net.forward(np.ones((2, 4, 4, 1)))
+        grads = net.backward(np.ones((2, 4, 4, 1)), input_grad=False)
+        assert grads.input is None
+        assert same_bits(grads.by_node["c"]["weight"],
+                         net.backward(np.ones((2, 4, 4, 1))).by_node["c"]["weight"])
+
+    def test_sgd_never_builds_an_input_gradient(self, monkeypatch):
+        flags = []
+        real = Network.backward
+
+        def recording(self, grad, **kwargs):
+            flags.append(kwargs)
+            result = real(self, grad, **kwargs)
+            assert result.input is None
+            return result
+
+        monkeypatch.setattr(Network, "backward", recording)
+        data = make_blobs(classes=3, per_class=10, shape=(6, 6, 1), seed=3)
+        model = build_model(builtin_spec("mini-vgg-4", (6, 6, 1), 3), seed=0)
+        train(model, data.inputs, data.labels, TrainConfig(epochs=2, batch_size=10))
+        assert flags == [{"input_grad": False}] * 6

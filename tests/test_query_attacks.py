@@ -173,6 +173,27 @@ class TestKnockoffExtract:
 
 
 class TestMifaceInvert:
+    def test_gradient_handle_asks_for_the_input_gradient_only(self, monkeypatch):
+        model = build_model(builtin_spec("mini-vgg-4", (6, 6, 1), 3), seed=0)
+        x = np.random.default_rng(0).standard_normal((6, 6, 1))
+        model.forward(x[None])
+        seed = np.zeros((1, 3))
+        p_full = float(model.predict(x[None])[0, 1])
+        seed[0, 1] = 1.0 / p_full
+        expected = model.backward(seed).input[0]
+        flags = []
+        real = Network.backward
+
+        def recording(self, grad, **kwargs):
+            flags.append(kwargs)
+            return real(self, grad, **kwargs)
+
+        monkeypatch.setattr(Network, "backward", recording)
+        p, grad = GradientHandle(model).posterior_and_gradient(x, 1)
+        assert flags == [{"weight_grads": False}]
+        assert p == p_full
+        assert np.array_equal(grad, expected)
+
     def test_satisfied_threshold_returns_init(self, blobs4):
         model = trained_model("mini-mlp-2", blobs4, epochs=8)
         handle = GradientHandle(model)

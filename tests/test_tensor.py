@@ -13,6 +13,12 @@ from extractbench.tensor import (
     OperatorKind,
     ShapeError,
     Tensor,
+    _col2im,
+    _conv_cols,
+    _conv_geometry,
+    _im2col,
+    _pool_scatter,
+    _pool_windows,
     forward,
     infer_shape,
     init_weights,
@@ -156,6 +162,29 @@ class TestShapeContracts:
         shape = (4,) if kind is K.FC else (6, 6, 2)
         with pytest.raises(ValueError, match=rf"^{kind.name}: parameter '{bad}'"):
             infer_shape(kind, params, [shape])
+
+    @pytest.mark.parametrize("kind,params,missing", [
+        (K.CONV, {"out_channels": 2}, "kernel"),
+        (K.CONV, {"kernel": [3, 3], "stride": 1}, "out_channels"),
+        (K.FC, {"bias": False}, "out_features"),
+        (K.MAXPOOL, {"stride": 2}, "kernel"),
+        (K.AVGPOOL, {}, "kernel"),
+    ])
+    def test_missing_required_param_named(self, kind, params, missing):
+        shape = (4,) if kind is K.FC else (6, 6, 2)
+        with pytest.raises(ValueError,
+                           match=rf"^{kind.name}: missing parameter '{missing}'$"):
+            infer_shape(kind, params, [shape])
+
+    @pytest.mark.parametrize("kind,params", [
+        (K.CONV, {"out_channels": 1, "kernel": [1, 1], "stride": 0,
+                  "weights": {"weight": np.ones((1, 1, 1, 1)), "bias": np.zeros(1)}}),
+        (K.MAXPOOL, {"kernel": [2, 2], "stride": -1}),
+    ])
+    def test_unbatched_forward_checks_params(self, kind, params):
+        x = Tensor.from_array(np.ones((4, 4, 1)))
+        with pytest.raises(ValueError, match=rf"^{kind.name}: parameter 'stride'"):
+            forward(kind, params, [x])
 
     def test_numpy_ints_accepted(self):
         shape = infer_shape(K.CONV, {"out_channels": np.int64(2),
@@ -304,3 +333,127 @@ class TestKeptWorkspace:
                         di, dj = divmod(int(window.argmax()), 2)
                         oracle[b, 2 * i + di, 2 * j + dj, c] += grad[b, i, j, c]
         assert same_bits(gx, oracle)
+
+
+def _requested(kind, params, shapes, seed):
+    """One operator application: its inputs, forward ctx and output grad."""
+    rng = np.random.default_rng(seed)
+    weights, buffers = init_weights(kind, params, shapes, rng)
+    inputs = [rng.standard_normal((2,) + tuple(s)) for s in shapes]
+    ctx = {}
+    output = op_forward(kind, params, weights, buffers, inputs, ctx)
+    grad = rng.standard_normal(output.shape)
+    grad[grad < -1.0] = -0.0
+    return (kind, params, weights, buffers, inputs, output, grad, ctx)
+
+
+@pytest.mark.parametrize("case,kind,params,shapes",
+                         [(i,) + c for i, c in enumerate(GRADIENT_CASES)],
+                         ids=[f"{c[0].name}-{i}" for i, c in enumerate(GRADIENT_CASES)])
+def test_requested_gradients_equal_full(case, kind, params, shapes):
+    args = _requested(kind, params, shapes, seed=case)
+    full_w, full_in = op_backward(*args)
+    only_w, skipped_in = op_backward(*args, input_grad=False)
+    none_w, only_in = op_backward(*args, weight_grads=False)
+    assert none_w == {}
+    assert only_w.keys() == full_w.keys()
+    for name, g in full_w.items():
+        assert same_bits(only_w[name], g), name
+    assert len(only_in) == len(full_in)
+    for got, want in zip(only_in, full_in):
+        assert same_bits(got, want)
+    if full_w:  # the kinds with weights skip the input gradient
+        assert skipped_in == [None] * len(shapes)
+
+
+def _tap_loop_cols(xp, kh, kw, s, out_h, out_w):
+    """Per-tap im2col oracle: one slice per kernel tap."""
+    n, _, _, c = xp.shape
+    cols = np.empty((n, out_h, out_w, kh, kw, c))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, :, i, j, :] = xp[:, i:i + s * (out_h - 1) + 1:s,
+                                        j:j + s * (out_w - 1) + 1:s, :]
+    return cols
+
+
+def _tap_loop_scatter(gcols, padded_shape, kh, kw, s, out_h, out_w):
+    """Per-tap col2im oracle: adds the taps onto zeros in (i, j) order."""
+    gx = np.zeros(padded_shape)
+    for i in range(kh):
+        for j in range(kw):
+            gx[:, i:i + s * (out_h - 1) + 1:s,
+               j:j + s * (out_w - 1) + 1:s, :] += gcols[:, :, :, i, j, :]
+    return gx
+
+
+class TestLoopFreeDataMovement:
+    """The strided-window im2col, the tap-major col2im and the one-`+=`
+    scatter of non-overlapping pools must give the bits of the per-tap
+    loops they replace."""
+
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("kernel,hw", [([3, 3], (7, 7)), ([2, 3], (6, 5)),
+                                           ([1, 1], (4, 4))])
+    def test_im2col_and_col2im_equal_tap_loops(self, kernel, hw, stride, padding):
+        rng = np.random.default_rng(stride * 10 + kernel[1])
+        # a channel slice: the windows must follow the input's own strides
+        x = rng.standard_normal((3,) + hw + (5,))[..., 1:4]
+        params = {"out_channels": 2, "kernel": kernel, "stride": stride,
+                  "padding": padding}
+        out_h, out_w, kh, kw, s, pads = _conv_geometry(params, x.shape[1:])
+        pt, pb, pl, pr = pads
+        xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+        cols = _conv_cols(x, out_h, out_w, kh, kw, s, pads)
+        assert same_bits(cols, _tap_loop_cols(xp, kh, kw, s, out_h, out_w))
+        assert same_bits(_im2col(xp, kh, kw, s, out_h, out_w), cols)
+        gcols = rng.standard_normal(cols.shape)
+        gcols[gcols < -0.5] = -0.0
+        assert same_bits(_col2im(gcols, xp.shape, kh, kw, s, out_h, out_w),
+                         _tap_loop_scatter(gcols, xp.shape, kh, kw, s, out_h, out_w))
+
+    @pytest.mark.parametrize("k,s", [(2, 2), (3, 3), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("hw", [(6, 6), (5, 5), (7, 7), (6, 7)])
+    def test_tiled_pool_equals_generic_path(self, hw, k, s):
+        rng = np.random.default_rng(hw[0] * 10 + hw[1] + k + 5 * s)
+        x = rng.standard_normal((3,) + hw + (2,))
+        out_h, out_w = (hw[0] - k) // s + 1, (hw[1] - k) // s + 1
+        windows = _pool_windows(x, out_h, out_w, k, k, s)
+        oracle = _tap_loop_cols(x, k, k, s, out_h, out_w).reshape(windows.shape)
+        assert same_bits(windows, oracle)
+        gwin = rng.standard_normal((3, out_h, out_w, k, k, 2))
+        gwin[gwin < -0.5] = -0.0
+        assert same_bits(_pool_scatter(gwin, x.shape, out_h, out_w, k, k, s),
+                         _tap_loop_scatter(gwin, x.shape, k, k, s, out_h, out_w))
+        # a broadcast window gradient, as AVGPOOL passes it
+        gavg = rng.standard_normal((3, out_h, out_w, 1, 1, 2))
+        assert same_bits(
+            _pool_scatter(gavg, x.shape, out_h, out_w, k, k, s),
+            _tap_loop_scatter(np.broadcast_to(gavg, gwin.shape), x.shape, k, k, s,
+                              out_h, out_w))
+
+    @pytest.mark.parametrize("hw", [(6, 6), (5, 5), (7, 7)])
+    def test_maxpool_ties_and_signed_zeros_match_generic_path(self, hw):
+        rng = np.random.default_rng(hw[0])
+        # many ties, among them +0.0 and -0.0 in the same window
+        x = rng.integers(-1, 2, size=(4,) + hw + (3,)).astype(float)
+        x[rng.random(x.shape) < 0.3] = -0.0
+        params = {"kernel": [2, 2], "stride": 2}
+        out_h, out_w = hw[0] // 2, hw[1] // 2
+        grad = rng.standard_normal((4, out_h, out_w, 3))
+        grad[grad < 0] = -0.0
+        win = _im2col(x, 2, 2, 2, out_h, out_w).reshape(4, out_h, out_w, 4, 3)
+        slots = np.arange(4)[:, None]
+        gwin = np.where(slots == win.argmax(axis=3)[:, :, :, None, :],
+                        grad[:, :, :, None, :], 0.0)
+        oracle = _col2im(gwin.reshape(4, out_h, out_w, 2, 2, 3), x.shape,
+                         2, 2, 2, out_h, out_w)
+        ctx = {}
+        out = op_forward(K.MAXPOOL, params, {}, {}, [x], ctx)
+        assert same_bits(out, win.max(axis=3))
+        kept = op_backward(K.MAXPOOL, params, {}, {}, [x], out, grad, ctx)[1][0]
+        fresh = op_backward(K.MAXPOOL, params, {}, {}, [x], out, grad)[1][0]
+        assert same_bits(kept, oracle)
+        assert same_bits(fresh, oracle)
+        assert not np.signbit(oracle).any()  # every -0.0 gradient lands as +0.0
