@@ -127,7 +127,9 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("batch", help="execute every scenario in a directory")
     p.add_argument("directory")
-    p.add_argument("--slots", type=int, default=1)
+    p.add_argument("--slots", type=int, default=1,
+                   help="slots of the resource plan (default 1); they shape "
+                        "the plan only, scenarios run one at a time")
     p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser("report", help="collate run records")

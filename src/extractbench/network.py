@@ -140,6 +140,10 @@ class Network:
             self.weights[node.node_id] = w
             self.buffers[node.node_id] = b
         self.bn_calibrated = not any(n.kind is OperatorKind.BN for n in self.nodes)
+        # per-step facts that backward would otherwise recompute each call
+        self._weighted = [n.node_id for n in self.order if self.weights[n.node_id]]
+        self._reads_inner = {n.node_id: any(d != INPUT_ID for d in n.inputs)
+                             for n in self.order}
         # node id -> the activations whose last consumer it is
         last_consumer = {d: n.node_id for n in self.order for d in n.inputs}
         self._last_use: dict[str, list[str]] = {n.node_id: [] for n in self.order}
@@ -159,7 +163,7 @@ class Network:
         return int(np.prod(self.output_shape))
 
     def parameterized_nodes(self) -> list[str]:
-        return [n.node_id for n in self.order if self.weights[n.node_id]]
+        return list(self._weighted)
 
     def parameter_count(self) -> int:
         return sum(t.size for w in self.weights.values() for t in w.values())
@@ -273,7 +277,7 @@ class Network:
                 node.kind, node.params, self.weights[node.node_id],
                 self.buffers[node.node_id], ins, self._acts[node.node_id], g,
                 self._ctxs[node.node_id], weight_grads=weight_grads,
-                input_grad=input_grad or any(d != INPUT_ID for d in node.inputs))
+                input_grad=input_grad or self._reads_inner[node.node_id])
             if wgrads:
                 by_node[node.node_id] = wgrads
             for dep, ig in zip(node.inputs, igrads):
@@ -282,10 +286,10 @@ class Network:
                 elif dep != INPUT_ID:
                     grads_at[dep] = ig
         if weight_grads:
-            for node in self.order:  # zero grads for nodes off the gradient path
-                if node.node_id not in by_node and self.weights[node.node_id]:
-                    by_node[node.node_id] = {
-                        k: np.zeros_like(v) for k, v in self.weights[node.node_id].items()}
+            for node_id in self._weighted:  # zero grads off the gradient path
+                if node_id not in by_node:
+                    by_node[node_id] = {
+                        k: np.zeros_like(v) for k, v in self.weights[node_id].items()}
         return Gradients(by_node=by_node, input=grads_at.get(INPUT_ID))
 
     def calibrate_bn(self, batch: np.ndarray) -> None:
@@ -338,8 +342,8 @@ def cross_entropy_grad(probs: np.ndarray, labels: np.ndarray):
     n = probs.shape[0]
     rows = np.arange(n)
     p = np.maximum(probs[rows, labels], _LOG_EPS)
-    loss = -np.mean(np.log(p))
-    grad = np.zeros_like(probs)
+    loss = -(np.add.reduce(np.log(p)) / n)  # np.mean's bits, minus its wrapper
+    grad = np.zeros(probs.shape, probs.dtype)  # zeros_like, minus its wrapper
     grad[rows, labels] = -1.0 / (p * n)
     return loss, grad
 

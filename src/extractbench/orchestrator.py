@@ -20,7 +20,6 @@ import sys
 import threading
 import time
 import types
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from functools import cache
@@ -380,6 +379,14 @@ class EnvironmentSpec:
     verbose_runtime: bool = False
 
 
+# The one attack type that reads each environment field: set on any other,
+# a field would be ignored silently, so parse_scenario rejects it. deepsniffer
+# captures accelerator kernel traces, deeprecon probes the CPU cache.
+_ENVIRONMENT_READERS = {"environment_profile": "deepsniffer",
+                        "machine_profile": "deeprecon",
+                        "verbose_runtime": "deepsniffer"}
+
+
 @dataclass
 class Scenario:
     id: str
@@ -464,12 +471,13 @@ def parse_scenario(document: str) -> Scenario:
             f"evaluation: metric(s) {bad} not produced by {attack_type} "
             f"(available: {sorted(available)})")
 
-    if attack_type == "deepsniffer":
-        if environment.machine_profile is not None:
+    for name, reader in _ENVIRONMENT_READERS.items():
+        if getattr(environment, name) not in (None, False) \
+                and attack_type != reader:
             raise ScenarioError(
-                "environment.machine_profile: deepsniffer captures accelerator "
-                "traces and needs environment.environment_profile, not a CPU "
-                "machine_profile")
+                f"environment.{name}: {attack_type} never reads it; only "
+                f"{reader} does")
+    if attack_type == "deepsniffer":
         if environment.environment_profile is None:
             raise ScenarioError(
                 "environment.environment_profile required for deepsniffer")
@@ -478,11 +486,6 @@ def parse_scenario(document: str) -> Scenario:
                 f"environment.environment_profile: unknown profile "
                 f"{environment.environment_profile!r}")
     if attack_type == "deeprecon":
-        if environment.environment_profile is not None:
-            raise ScenarioError(
-                "environment.environment_profile: deeprecon probes the CPU "
-                "cache and needs environment.machine_profile, not an "
-                "accelerator environment_profile")
         if environment.machine_profile is None:
             raise ScenarioError(
                 "environment.machine_profile required for deeprecon")
@@ -1003,11 +1006,13 @@ def simulated_makespan(plan: ResourcePlan, durations: dict[str, float]) -> float
 
 def run_batch(scenarios: list[Scenario], bench: Workbench,
               slots: int = 1) -> BatchResult:
-    """Execute a batch per its resource plan.
+    """Execute a batch per its resource plan, one scenario at a time.
 
-    Non-exclusive windows run their scenarios concurrently (each scenario
-    owns its models and datasets; the record store stays single-writer in
-    this thread). Exclusive windows run alone.
+    Windows run in plan order, and the scenarios of a window one after the
+    other in this thread. `slots` shapes the plan only (which scenarios
+    share a window, hence :func:`simulated_makespan`): scenario threads
+    would contend for the interpreter lock, and measured slower than one.
+    Records are persisted in batch order.
     """
     plan = schedule(scenarios, slots)
     by_id = {s.id: s for s in scenarios}
@@ -1016,17 +1021,9 @@ def run_batch(scenarios: list[Scenario], bench: Workbench,
     records: dict[str, RunRecord] = {}
     t0 = time.perf_counter()
     for window in plan.windows():
-        if len(window) == 1:
-            a = window[0]
+        for a in window:
             records[a.scenario_id] = execute(by_id[a.scenario_id], bench,
                                              persist=False)
-        else:
-            with ThreadPoolExecutor(max_workers=slots) as pool:
-                futures = {a.scenario_id: pool.submit(
-                    execute, by_id[a.scenario_id], bench, False)
-                    for a in window}
-                for sid, fut in futures.items():
-                    records[sid] = fut.result()
     ordered = [records[s.id] for s in scenarios]
     for record in ordered:
         persist_record(record, bench)

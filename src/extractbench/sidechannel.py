@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .network import Network, NodeSpec, TrainConfig, train, topological_order
-from .tensor import OperatorKind
+from .network import Network, NodeSpec, TrainConfig, train
+from .tensor import OperatorKind, buffer_shapes, weight_shapes
 from .zoo import ArchitectureSpec, compute_madd
 
 NOISE = "NOISE"
@@ -71,6 +72,9 @@ _SYMBOL_MAP: dict[OperatorKind, tuple[str, ...]] = {
     OperatorKind.GELU: (),
     OperatorKind.FLATTEN: (),
 }
+# per kind, the positions in SYMBOLS of the symbols it touches
+_SYMBOL_HITS = {kind: tuple(SYMBOLS.index(sym) for sym in syms)
+                for kind, syms in _SYMBOL_MAP.items()}
 
 
 @dataclass(frozen=True)
@@ -165,55 +169,58 @@ BUILTIN_MACHINE_PROFILES = {
 
 def ds_truth_sequence(spec: ArchitectureSpec) -> list[str]:
     """Trace-aligned ground-truth labels (one per node, execution order)."""
-    return [_DS_LABEL[n.kind] for n in topological_order(list(spec.nodes))]
+    return [_DS_LABEL[n.kind] for n in spec.execution_order]
 
 
 # ---------------------------------------------------------------------------
 # kernel-trace simulation
 # ---------------------------------------------------------------------------
 
+def _base_metrics(spec: ArchitectureSpec, latency_scale: float) -> np.ndarray:
+    """Noise-free (exec_lat, read, write, input, output) of every node, one
+    row each in execution order."""
+    shapes = spec.derive_shapes()
+    madd = compute_madd(spec).per_node
+    rows = []
+    for node in spec.execution_order:
+        in_shapes = [shapes[d] for d in node.inputs]
+        in_elems = sum(math.prod(s) for s in in_shapes)
+        out_elems = math.prod(shapes[node.node_id])
+        param_elems = sum(
+            math.prod(s) for tensors in (
+                weight_shapes(node.kind, node.params, in_shapes),
+                buffer_shapes(node.kind, node.params, in_shapes))
+            for s in tensors.values())
+        rows.append((latency_scale * (madd[node.node_id] + out_elems),
+                     8 * (in_elems + param_elems), 8 * out_elems,
+                     in_elems, out_elems))
+    return np.array(rows, dtype=np.float64)
+
+
 def simulate_kernel_trace(spec: ArchitectureSpec, profile: EnvironmentProfile,
                           seed: int = 0) -> list[KernelTraceEvent]:
     """One event per operator node in execution order; deterministic under
-    (spec, profile, seed) and stateless across calls."""
+    (spec, profile, seed) and stateless across calls.
+
+    Draw order (the contract that keeps traces equal under a seed): with
+    jitter, five log-normal factors per event, event by event in execution
+    order and (lat, read, write, input, output) within one; then, for a
+    verbose runtime, per NOISE event its five uniform metrics and then its
+    insertion position.
+    """
     rng = np.random.default_rng(seed)
-    shapes = spec.derive_shapes()
-    madd = compute_madd(spec).per_node
-    order = topological_order(list(spec.nodes))
-
-    def param_elements(node: NodeSpec) -> int:
-        from .tensor import buffer_shapes, weight_shapes
-        in_shapes = [shapes[d] for d in node.inputs]
-        total = 0
-        for s in weight_shapes(node.kind, node.params, in_shapes).values():
-            total += int(np.prod(s))
-        for s in buffer_shapes(node.kind, node.params, in_shapes).values():
-            total += int(np.prod(s))
-        return total
-
-    def jitter() -> float:
-        if profile.metric_jitter == 0:
-            return 1.0
-        return float(rng.lognormal(0.0, profile.metric_jitter))
-
-    events = []
-    for node in order:
-        in_elems = sum(int(np.prod(shapes[d])) for d in node.inputs)
-        out_elems = int(np.prod(shapes[node.node_id]))
-        read = 8 * (in_elems + param_elements(node))
-        write = 8 * out_elems
-        lat = profile.latency_scale * (madd[node.node_id] + out_elems)
-        events.append(KernelTraceEvent(
-            exec_lat=lat * jitter(),
-            read_volume=int(round(read * jitter())),
-            write_volume=int(round(write * jitter())),
-            input_volume=int(round(in_elems * jitter())),
-            output_volume=int(round(out_elems * jitter())),
-            true_kind=node.kind.name))
+    mats = _base_metrics(spec, profile.latency_scale)
+    if profile.metric_jitter > 0:
+        mats *= rng.lognormal(0.0, profile.metric_jitter, size=mats.shape)
+    # volumes are whole bytes and elements: rounded half to even, as round()
+    mats[:, 1:] = np.rint(mats[:, 1:])
+    events = [KernelTraceEvent(lat, int(rv), int(wv), int(iv), int(ov),
+                               node.kind.name)
+              for (lat, rv, wv, iv, ov), node in zip(mats.tolist(),
+                                                     spec.execution_order)]
 
     if profile.verbose_runtime:
         extra = max(1, int(round(0.3 * len(events))))
-        mats = np.array([e.metrics() for e in events])
         lo, hi = mats.min(axis=0), mats.max(axis=0)
         for _ in range(extra):
             vals = rng.uniform(lo, np.maximum(hi, lo + 1.0))
@@ -351,18 +358,28 @@ def sequence_fidelity(predicted, truth) -> float:
 
 def simulate_symbol_stream(spec: ArchitectureSpec, profile: MachineProfile,
                            seed: int = 0) -> SymbolHistogram:
-    """Symbol counts observed during one inference under a machine profile."""
+    """Symbol counts observed during one inference under a machine profile.
+
+    Draw order (the contract that keeps histograms equal under a seed): one
+    uniform keep-or-drop draw per true symbol hit, node by node in execution
+    order and in each kind's symbol order; then, symbol by symbol in SYMBOLS
+    order, a Poisson count of spurious hits followed by their reload times.
+    """
     rng = np.random.default_rng(seed)
-    counts = {s: 0 for s in SYMBOLS}
-    for node in topological_order(list(spec.nodes)):
-        for sym in _SYMBOL_MAP[node.kind]:
-            if rng.random() >= profile.drop_rate:
-                counts[sym] += 1
-    for sym in SYMBOLS:
+    hits = [i for node in spec.execution_order for i in _SYMBOL_HITS[node.kind]]
+    counts = [0] * len(SYMBOLS)
+    # a few dozen hits: a Python loop counts them faster than np.bincount
+    for i, draw in zip(hits, rng.random(len(hits)).tolist()):
+        if draw >= profile.drop_rate:
+            counts[i] += 1
+    # reload time gates spurious hits; almost all pass the default threshold
+    threshold = float(profile.reload_threshold)  # compared as numpy would
+    for i in range(len(SYMBOLS)):
         spurious = int(rng.poisson(profile.spurious_rate))
-        # reload time gates spurious hits; almost all pass the default threshold
-        reloads = rng.exponential(50.0, size=spurious)
-        counts[sym] += int(np.sum(reloads <= profile.reload_threshold))
+        if spurious:  # a draw of size 0 consumes nothing
+            reloads = rng.exponential(50.0, size=spurious).tolist()
+            counts[i] += sum(r <= threshold for r in reloads)
+    counts = dict(zip(SYMBOLS, counts))
     if not profile.matmul_visible:
         counts["MatMul"] = 0
     return SymbolHistogram(counts=counts, machine_profile_id=profile.id,

@@ -410,15 +410,19 @@ def _gelu_backward(params, weights, buffers, inputs, output, grad, ctx, *,
                         + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x ** 2))]
 
 
+# The softmax and FC kernels call the ufunc reductions directly: the
+# ndarray methods reach the same reductions through Python wrappers that
+# cost microseconds a call, which tiny-FC SGD steps pay thousands of times.
+
 def _softmax_forward(params, weights, buffers, inputs, ctx):
     (x,) = inputs
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _softmax_backward(params, weights, buffers, inputs, output, grad, ctx, *,
                       weight_grads, input_grad):
-    dot = (grad * output).sum(axis=-1, keepdims=True)
+    dot = np.add.reduce(grad * output, axis=-1, keepdims=True)
     return {}, [output * (grad - dot)]
 
 
@@ -461,7 +465,7 @@ def _fc_backward(params, weights, buffers, inputs, output, grad, ctx, *,
     if weight_grads:
         wgrads["weight"] = x.reshape(x.shape[0], -1).T @ grad
         if "bias" in weights:
-            wgrads["bias"] = grad.sum(axis=0)
+            wgrads["bias"] = np.add.reduce(grad, axis=0)
     if input_grad:
         igrads = [(grad @ weights["weight"].T).reshape(x.shape)]
     return wgrads, igrads

@@ -24,6 +24,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -53,10 +54,32 @@ class ArchitectureSpec:
             raise ValueError("family must be non-empty")
         if self.class_count < 1:
             raise ValueError("class_count must be positive")
-        self.derive_shapes()  # rejects cycles and shape conflicts up front
+        self._shapes  # rejects cycles and shape conflicts up front
+
+    # Facts derived from the fields, computed once per spec: the spec is
+    # frozen, so they cannot go stale. They live on the instance, since specs
+    # hold dicts and are unhashable, so no cache keyed on a spec could. The
+    # dicts are private; callers get copies (derive_shapes, compute_madd).
+
+    @cached_property
+    def execution_order(self) -> tuple[NodeSpec, ...]:
+        """Nodes in execution order (topological, declaration-order ties)."""
+        return tuple(topological_order(list(self.nodes)))
+
+    @cached_property
+    def _shapes(self) -> dict[str, tuple[int, ...]]:
+        return node_shapes(self.execution_order, self.input_shape)
+
+    @cached_property
+    def _node_madd(self) -> dict[str, int]:
+        return {node.node_id: madd(node.kind, node.params,
+                                   [self._shapes[d] for d in node.inputs])
+                for node in self.nodes}
 
     def derive_shapes(self) -> dict[str, tuple[int, ...]]:
-        return node_shapes(topological_order(list(self.nodes)), self.input_shape)
+        """Output shape of every node, plus the graph input under "input";
+        a fresh dict each call."""
+        return dict(self._shapes)
 
     def to_dict(self) -> dict:
         return {"id": self.id, "family": self.family,
@@ -117,16 +140,13 @@ class MAddReport:
 
 def compute_madd(spec: ArchitectureSpec) -> MAddReport:
     """Multiply counts per node, by the convention of :func:`tensor.madd`."""
-    shapes = spec.derive_shapes()
-    per_node = {node.node_id: madd(node.kind, node.params,
-                                   [shapes[d] for d in node.inputs])
-                for node in spec.nodes}
+    per_node = dict(spec._node_madd)
     return MAddReport(per_node=per_node, total=sum(per_node.values()))
 
 
 def operator_sequence(spec: ArchitectureSpec) -> list[OperatorKind]:
     """Execution-order operator kinds (topological, declaration-order ties)."""
-    return [n.kind for n in topological_order(list(spec.nodes))]
+    return [n.kind for n in spec.execution_order]
 
 
 def build_model(spec: ArchitectureSpec, seed: int) -> Network:

@@ -1,3 +1,9 @@
+import importlib.util
+import json
+import math
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -34,3 +40,110 @@ def blobs4():
 @pytest.fixture(scope="session")
 def blobs4_split(blobs4):
     return split(blobs4, 0.7, seed=5)
+
+
+# ---------------------------------------------------------------------------
+# golden data: stored results that later versions must reproduce
+# ---------------------------------------------------------------------------
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+# Off the platform a golden entry was made on, floats may differ in the last
+# bits (another BLAS kernel, numpy SIMD path or version), so they are held to
+# this relative tolerance there; ints, strings and the keys stay exact.
+GOLDEN_RTOL = 1e-9
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--write-golden", action="store_true",
+        help="store the results of the golden tests that run as their new "
+             "golden data (for a change that alters results on purpose, "
+             "which must say so)")
+
+
+def platform_key() -> dict:
+    """The benchmark's platform key: what must match for float results to
+    be bit-identical to stored ones."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "machine.py"
+    spec = importlib.util.spec_from_file_location("_bench_machine", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.platform_key()
+
+
+@pytest.fixture(scope="session")
+def platform():
+    return platform_key()
+
+
+def _tolerant_mismatch(stored, got, path="") -> str | None:
+    if isinstance(stored, dict) and isinstance(got, dict):
+        if list(stored) != list(got):
+            return f"{path or 'top'}: keys {list(got)} != stored {list(stored)}"
+        for key in stored:
+            problem = _tolerant_mismatch(stored[key], got[key], f"{path}.{key}")
+            if problem:
+                return problem
+        return None
+    if isinstance(stored, list) and isinstance(got, list):
+        if len(stored) != len(got):
+            return f"{path}: {len(got)} items != stored {len(stored)}"
+        for i, (s, g) in enumerate(zip(stored, got)):
+            problem = _tolerant_mismatch(s, g, f"{path}[{i}]")
+            if problem:
+                return problem
+        return None
+    if isinstance(stored, float) and isinstance(got, float):
+        if math.isclose(stored, got, rel_tol=GOLDEN_RTOL, abs_tol=0.0):
+            return None
+    elif type(stored) is type(got) and stored == got:
+        return None
+    return f"{path}: {got!r} != stored {stored!r}"
+
+
+@pytest.fixture()
+def golden(request, platform, record_property):
+    """`golden(file, name, value)` compares a JSON value with the entry
+    `name` of ``tests/golden/<file>.json``: exactly (as canonical JSON text)
+    when the entry was made on this platform, else within GOLDEN_RTOL. Under
+    ``--write-golden`` it stores the value instead and skips. The mode is
+    recorded on the test and listed at the end of the run."""
+
+    def check(file: str, name: str, value) -> None:
+        value = json.loads(json.dumps(value))  # tuples -> lists, as stored
+        path = GOLDEN_DIR / f"{file}.json"
+        stored = json.loads(path.read_text()) if path.is_file() else {}
+        if request.config.getoption("--write-golden"):
+            stored[name] = {"platform": platform, "value": value}
+            GOLDEN_DIR.mkdir(exist_ok=True)
+            path.write_text(json.dumps(dict(sorted(stored.items())), indent=1)
+                            + "\n")
+            record_property("golden_mode", "written")
+            pytest.skip(f"golden entry {file}:{name} written")
+        assert name in stored, f"no golden entry {file}:{name}; see --write-golden"
+        entry = stored[name]
+        if entry["platform"] == platform:
+            record_property("golden_mode", "exact")
+            assert json.dumps(value) == json.dumps(entry["value"]), \
+                f"{file}:{name} differs from its golden entry (exact mode)"
+        else:
+            record_property("golden_mode", "tolerant")
+            problem = _tolerant_mismatch(entry["value"], value)
+            assert problem is None, \
+                f"{file}:{name} differs from its golden entry (tolerant mode, " \
+                f"made on {entry['platform']}): {problem}"
+
+    return check
+
+
+def pytest_terminal_summary(terminalreporter):
+    modes = Counter(mode for reports in terminalreporter.stats.values()
+                    for report in reports if getattr(report, "when", "") == "call"
+                    for key, mode in getattr(report, "user_properties", ())
+                    if key == "golden_mode")
+    if modes:
+        terminalreporter.write_line(
+            "golden comparisons: "
+            + ", ".join(f"{n} {mode}" for mode, n in sorted(modes.items()))
+            + f" (exact: made on this platform; tolerant: floats within "
+              f"rel {GOLDEN_RTOL})")

@@ -12,6 +12,13 @@ from extractbench.network import (
     finite_difference_check,
     train,
 )
+from extractbench.sidechannel import (
+    BUILTIN_ENVIRONMENT_PROFILES,
+    DS_VOCABULARY,
+    ds_truth_sequence,
+    simulate_kernel_trace,
+    train_ds_model,
+)
 from extractbench.tensor import OperatorKind as K
 from extractbench.tensor import ShapeError
 from extractbench.zoo import BUILTIN_ARCHITECTURES, build_model, builtin_spec
@@ -365,3 +372,40 @@ class TestRequestedGradients:
         model = build_model(builtin_spec("mini-vgg-4", (6, 6, 1), 3), seed=0)
         train(model, data.inputs, data.labels, TrainConfig(epochs=2, batch_size=10))
         assert flags == [{"input_grad": False}] * 6
+
+
+class TestTrainingMatchesGolden:
+    """Trained weights and loss history, bit for bit, of the two small nets
+    whose per-call overhead the engine trims: the side-channel sequence
+    classifier (FC + SOFTMAX) and mini-mlp-2 (stored in
+    ``tests/golden/training.json``; see ``conftest.golden``)."""
+
+    def test_ds_classifier(self, golden):
+        specs = [builtin_spec(a, (6, 6, 1), 4)
+                 for a in ("mini-vgg-4", "mini-resnet-4", "mini-dense-3")]
+        profile = BUILTIN_ENVIRONMENT_PROFILES["gpu-low"]
+        corpus = [(simulate_kernel_trace(spec, profile, seed=i),
+                   ds_truth_sequence(spec)) for spec in specs for i in range(2)]
+        config = TrainConfig(learning_rate=0.5, batch_size=16, epochs=30,
+                             loss="cross_entropy", seed=0)
+        classifier = train_ds_model(corpus, config=config)
+        # the same net trained on the same standardized rows, for its losses
+        rows = np.concatenate([
+            classifier.features(trace)[[t in DS_VOCABULARY for t in truth]]
+            for trace, truth in corpus])
+        labels = np.array([DS_VOCABULARY.index(t) for _, truth in corpus
+                           for t in truth if t in DS_VOCABULARY])
+        replica = fc_softmax(rows.shape[1], len(DS_VOCABULARY), seed=0)
+        losses = train(replica, rows, labels, config)
+        assert same_bits(replica.state_vector(), classifier.model.state_vector())
+        golden("training", "ds-classifier",
+               {"state": classifier.model.state_vector().tolist(),
+                "losses": losses})
+
+    def test_mini_mlp_2(self, golden):
+        data = make_blobs(classes=4, per_class=30, overlap=0.3, seed=2)
+        model = build_model(builtin_spec("mini-mlp-2", (6, 6, 1), 4), seed=1)
+        losses = train(model, data.inputs, data.labels,
+                       TrainConfig(learning_rate=0.05, epochs=4, seed=1))
+        golden("training", "mini-mlp-2",
+               {"state": model.state_vector().tolist(), "losses": losses})

@@ -184,6 +184,20 @@ BAD_DOCUMENTS = [
      r"^target: class_subset index -1 must be >= 0"),
     ("knockoff", {"query_budget": 120, "recreate": {"seed": -5}}, {},
      r"attack\.params\.recreate: seed must be non-negative"),
+    ("knockoff", {"query_budget": 120}, GPU,
+     r"^environment\.environment_profile: knockoff never reads it"),
+    ("miface", {"target_class": 0}, CPU,
+     r"^environment\.machine_profile: miface never reads it"),
+    ("knockoff", {"query_budget": 120},
+     {"environment": {"verbose_runtime": True}},
+     r"^environment\.verbose_runtime: knockoff never reads it"),
+    ("deeprecon", {}, {"environment": {"machine_profile": "tf2-like",
+                                       "verbose_runtime": True}},
+     r"^environment\.verbose_runtime: deeprecon never reads it"),
+    ("deeprecon", {}, GPU,
+     r"^environment\.environment_profile: deeprecon never reads it"),
+    ("deepsniffer", {}, CPU,
+     r"^environment\.machine_profile: deepsniffer never reads it"),
 ]
 
 
@@ -500,7 +514,7 @@ class TestBatchAndRecords:
         stored = load_records(bench.records_dir)
         assert {r.scenario["id"] for r in stored} == {"b0", "b1", "b2"}
 
-    def test_concurrent_window_matches_serial_metrics(self, bench):
+    def test_two_slot_window_matches_serial_metrics(self, bench):
         docs = [scenario_doc(id=f"c{i}", seed=5, params={"query_budget": 60})
                 for i in range(2)]
         scenarios = [parse_scenario(json.dumps(d)) for d in docs]

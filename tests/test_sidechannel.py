@@ -35,9 +35,12 @@ from extractbench.sidechannel import (
     write_histograms_csv,
     write_trace_jsonl,
 )
-from extractbench.network import NodeSpec
+from extractbench.sidechannel import _SYMBOL_MAP
+from extractbench.network import NodeSpec, node_shapes, topological_order
 from extractbench.tensor import OperatorKind as K
-from extractbench.zoo import ArchitectureSpec, builtin_spec
+from extractbench.tensor import buffer_shapes, madd, weight_shapes
+from extractbench.zoo import (BUILTIN_ARCHITECTURES, ArchitectureSpec,
+                              builtin_spec, compute_madd)
 
 SHAPE = (8, 8, 1)
 CONVENTIONAL = ("mini-vgg-4", "mini-vgg-6", "mini-resnet-4", "mini-resnet-6",
@@ -387,3 +390,157 @@ class TestDrClassify:
         query["Conv"] = 5
         pred = dr_classify(SymbolHistogram(query, "p", "?", "?"), model)
         assert pred.architecture_id == "b"  # nearest tied label wins
+
+
+# ---------------------------------------------------------------------------
+# the simulators against their per-node scalar-draw forms
+# ---------------------------------------------------------------------------
+
+def oracle_kernel_trace(spec, profile, seed):
+    """One scalar draw per jitter factor, node by node, every fact
+    recomputed from the node list: the simulator's defining form."""
+    rng = np.random.default_rng(seed)
+    order = topological_order(list(spec.nodes))
+    shapes = node_shapes(order, spec.input_shape)
+
+    def jitter():
+        if profile.metric_jitter == 0:
+            return 1.0
+        return float(rng.lognormal(0.0, profile.metric_jitter))
+
+    events = []
+    for node in order:
+        in_shapes = [shapes[d] for d in node.inputs]
+        in_elems = sum(int(np.prod(s)) for s in in_shapes)
+        out_elems = int(np.prod(shapes[node.node_id]))
+        params = sum(int(np.prod(s)) for s in
+                     list(weight_shapes(node.kind, node.params, in_shapes).values())
+                     + list(buffer_shapes(node.kind, node.params, in_shapes).values()))
+        lat = profile.latency_scale * (madd(node.kind, node.params, in_shapes)
+                                       + out_elems)
+        events.append(KernelTraceEvent(
+            exec_lat=lat * jitter(),
+            read_volume=int(round(8 * (in_elems + params) * jitter())),
+            write_volume=int(round(8 * out_elems * jitter())),
+            input_volume=int(round(in_elems * jitter())),
+            output_volume=int(round(out_elems * jitter())),
+            true_kind=node.kind.name))
+    if profile.verbose_runtime:
+        mats = np.array([e.metrics() for e in events])
+        lo, hi = mats.min(axis=0), mats.max(axis=0)
+        for _ in range(max(1, int(round(0.3 * len(events))))):
+            vals = rng.uniform(lo, np.maximum(hi, lo + 1.0))
+            noise = KernelTraceEvent(float(vals[0]), int(vals[1]), int(vals[2]),
+                                     int(vals[3]), int(vals[4]), NOISE)
+            events.insert(int(rng.integers(len(events) + 1)), noise)
+    return events
+
+
+def oracle_symbol_stream(spec, profile, seed):
+    """One scalar keep-or-drop draw per true symbol hit, node by node."""
+    rng = np.random.default_rng(seed)
+    counts = {s: 0 for s in SYMBOLS}
+    for node in topological_order(list(spec.nodes)):
+        for sym in _SYMBOL_MAP[node.kind]:
+            if rng.random() >= profile.drop_rate:
+                counts[sym] += 1
+    for sym in SYMBOLS:
+        spurious = int(rng.poisson(profile.spurious_rate))
+        reloads = rng.exponential(50.0, size=spurious)
+        counts[sym] += int(np.sum(reloads <= profile.reload_threshold))
+    if not profile.matmul_visible:
+        counts["MatMul"] = 0
+    return counts
+
+
+def builtin_specs():
+    return [builtin_spec(a, SHAPE, 4) for a in BUILTIN_ARCHITECTURES]
+
+
+def same_events(a, b):
+    """Equal events, with exec_lat compared by its bits (repr round-trips)."""
+    return ([(repr(e.exec_lat),) + tuple(e.to_dict().values()) for e in a]
+            == [(repr(e.exec_lat),) + tuple(e.to_dict().values()) for e in b])
+
+
+class TestSimulatorsMatchScalarDraws:
+    SEEDS = range(20)
+
+    @pytest.mark.parametrize("profile_id", sorted(BUILTIN_ENVIRONMENT_PROFILES))
+    def test_kernel_trace(self, profile_id):
+        profile = BUILTIN_ENVIRONMENT_PROFILES[profile_id]
+        for spec in builtin_specs():
+            for seed in self.SEEDS:
+                got = simulate_kernel_trace(spec, profile, seed=seed)
+                want = oracle_kernel_trace(spec, profile, seed)
+                assert same_events(got, want), (spec.id, seed)
+                assert all(type(v) is type(w) for e, f in zip(got, want)
+                           for v, w in zip(e.to_dict().values(),
+                                           f.to_dict().values()))
+
+    def test_kernel_trace_with_latency_scale(self):
+        profile = EnvironmentProfile("scaled", metric_jitter=0.3,
+                                     latency_scale=0.37)
+        for spec in builtin_specs():
+            assert same_events(simulate_kernel_trace(spec, profile, seed=3),
+                               oracle_kernel_trace(spec, profile, 3)), spec.id
+
+    @pytest.mark.parametrize("profile_id", sorted(BUILTIN_MACHINE_PROFILES))
+    def test_symbol_stream(self, profile_id):
+        profile = BUILTIN_MACHINE_PROFILES[profile_id]
+        for spec in builtin_specs():
+            for seed in self.SEEDS:
+                got = simulate_symbol_stream(spec, profile, seed=seed).counts
+                want = oracle_symbol_stream(spec, profile, seed)
+                assert list(got.items()) == list(want.items()), (spec.id, seed)
+                assert all(type(v) is int for v in got.values())
+
+    def test_symbol_stream_with_reload_gating(self):
+        # a threshold near the reload times' mean discards many spurious hits
+        profile = MachineProfile("gated", drop_rate=0.3, spurious_rate=4.0,
+                                 reload_threshold=40)
+        for spec in builtin_specs():
+            for seed in range(5):
+                assert (list(simulate_symbol_stream(spec, profile, seed=seed)
+                             .counts.items())
+                        == list(oracle_symbol_stream(spec, profile, seed).items()))
+
+    def test_symbol_stream_without_symbols(self):
+        # GELU and FLATTEN touch no watched symbol: no drop draw at all
+        spec = ArchitectureSpec(
+            "quiet", "test", (NodeSpec("g", K.GELU, {}, ("input",)),
+                              NodeSpec("f", K.FLATTEN, {}, ("g",))), (4,), 4)
+        profile = BUILTIN_MACHINE_PROFILES["i5-3470-like"]
+        for seed in range(5):
+            assert (simulate_symbol_stream(spec, profile, seed=seed).counts
+                    == oracle_symbol_stream(spec, profile, seed))
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 14, 44])
+    def test_bulk_draws_equal_scalar_draws(self, k):
+        for seed in range(20):
+            bulk, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert (bulk.random(k).tolist()
+                    == [scalar.random() for _ in range(k)])
+            assert bulk.bit_generator.state == scalar.bit_generator.state
+            assert (bulk.lognormal(0.0, 0.15, size=(k, 5)).ravel().tolist()
+                    == [scalar.lognormal(0.0, 0.15) for _ in range(5 * k)])
+            assert bulk.bit_generator.state == scalar.bit_generator.state
+
+
+class TestSpecFacts:
+    def test_derive_shapes_returns_a_copy(self):
+        spec = builtin_spec("mini-vgg-4", SHAPE, 4)
+        before = spec.derive_shapes()
+        mutated = spec.derive_shapes()
+        mutated["conv1"] = (1, 1, 1)
+        del mutated["input"]
+        assert spec.derive_shapes() == before
+        assert simulate_kernel_trace(spec, BUILTIN_ENVIRONMENT_PROFILES["gpu-low"],
+                                     seed=1) == oracle_kernel_trace(
+            spec, BUILTIN_ENVIRONMENT_PROFILES["gpu-low"], 1)
+
+    def test_compute_madd_returns_a_copy(self):
+        spec = builtin_spec("mini-vgg-4", SHAPE, 4)
+        before = dict(compute_madd(spec).per_node)
+        compute_madd(spec).per_node["conv1"] = -1
+        assert compute_madd(spec).per_node == before
