@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Literal
+from operator import itemgetter
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .tensor import (
     Tensor,
     infer_shape,
     init_weights,
+    kernel_geometry,
     op_backward,
     op_forward,
 )
@@ -112,8 +114,42 @@ class Gradients:
     input: np.ndarray | None
 
 
+class _Step(NamedTuple):
+    """One node of a Network's execution plan."""
+
+    node_id: str
+    kind: OperatorKind
+    params: dict
+    weights: dict           # the Network's own dicts, updated in place
+    buffers: dict
+    inputs: tuple[int, ...]  # positions in the activation list
+    gather: itemgetter       # activation list -> the inputs (see _gather)
+    output: int              # position of this node's output
+    geometry: tuple | None   # tensor.kernel_geometry, computed once
+    frees: tuple[int, ...]   # positions whose last reader this step is
+    reads_inner: bool        # an input is another node's output
+
+
+def _gather(positions: tuple[int, ...]) -> itemgetter:
+    """What reads a step's inputs off the activation list, as a sequence,
+    in one C call (about 150 ns less than a list comprehension, which every
+    node of every pass would pay). One input is read as a one-item slice,
+    since an itemgetter of one position returns the bare item."""
+    if len(positions) == 1:
+        (k,) = positions
+        return itemgetter(slice(k, k + 1))
+    return itemgetter(*positions)
+
+
 class Network:
     """A compiled operator DAG with parameters and activation caches.
+
+    Construction compiles the DAG into a plan: one :class:`_Step` per node
+    in execution order. Activations and gradients live in lists indexed by
+    position: 0 is the graph input, ``k + 1`` the output of the k-th step.
+    Every other node leads to the one output node, so it runs last and its
+    output is the last activation. Every pass sends each node it runs
+    through ``op_forward`` or ``op_backward`` once, with the kind first.
 
     One instance belongs to one pipeline at a time: forward/backward share a
     cache and train mutates weights in place. Distinct instances are fully
@@ -121,15 +157,24 @@ class Network:
     """
 
     def __init__(self, nodes, input_shape, seed: int, spec=None):
-        self.nodes = [NodeSpec(n.node_id, n.kind, dict(n.params), tuple(n.inputs))
-                      for n in nodes]
+        """With `spec` (an ArchitectureSpec of these same `nodes` and
+        `input_shape`), the execution order and the shapes come from the
+        spec's caches."""
         self.input_shape = tuple(int(s) for s in input_shape)
-        self.order = topological_order(self.nodes)
+        if spec is None:
+            self.nodes = [NodeSpec(n.node_id, n.kind, dict(n.params),
+                                   tuple(n.inputs)) for n in nodes]
+            self.order = topological_order(self.nodes)
+            self.shapes = node_shapes(self.order, self.input_shape)
+        else:
+            if tuple(nodes) != spec.nodes or self.input_shape != spec.input_shape:
+                raise ValueError(f"nodes and input shape differ from spec {spec.id}")
+            self.nodes = list(spec.nodes)
+            self.order = list(spec.execution_order)
+            self.shapes = spec.derive_shapes()
         self.output_id = sink_node(self.nodes).node_id
         self.spec = spec
         self.meta: dict = {"seed": int(seed), "epochs_trained": 0}
-
-        self.shapes = node_shapes(self.order, self.input_shape)
 
         rng = np.random.default_rng(seed)
         self.weights: dict[str, dict[str, np.ndarray]] = {}
@@ -140,17 +185,27 @@ class Network:
             self.weights[node.node_id] = w
             self.buffers[node.node_id] = b
         self.bn_calibrated = not any(n.kind is OperatorKind.BN for n in self.nodes)
-        # per-step facts that backward would otherwise recompute each call
         self._weighted = [n.node_id for n in self.order if self.weights[n.node_id]]
-        self._reads_inner = {n.node_id: any(d != INPUT_ID for d in n.inputs)
-                             for n in self.order}
-        # node id -> the activations whose last consumer it is
-        last_consumer = {d: n.node_id for n in self.order for d in n.inputs}
-        self._last_use: dict[str, list[str]] = {n.node_id: [] for n in self.order}
-        for dep, node_id in last_consumer.items():
-            self._last_use[node_id].append(dep)
-        self._acts: dict[str, np.ndarray] | None = None
-        self._ctxs: dict[str, dict] = {}
+
+        self._position = {INPUT_ID: 0}
+        for k, node in enumerate(self.order, start=1):
+            self._position[node.node_id] = k
+        last_reader = {d: node.node_id for node in self.order for d in node.inputs}
+        self._plan: list[_Step] = []
+        for node in self.order:
+            node_id = node.node_id
+            inputs = tuple(self._position[d] for d in node.inputs)
+            self._plan.append(_Step(
+                node_id, node.kind, node.params, self.weights[node_id],
+                self.buffers[node_id], inputs, _gather(inputs),
+                self._position[node_id],
+                kernel_geometry(node.kind, node.params,
+                                self.shapes[node.inputs[0]]),
+                tuple(self._position[d] for d, reader in last_reader.items()
+                      if reader == node_id),
+                any(d != INPUT_ID for d in node.inputs)))
+        self._acts: list[np.ndarray] | None = None
+        self._ctxs: list[dict] = []
 
     # -- structure ----------------------------------------------------------
 
@@ -203,49 +258,57 @@ class Network:
 
     # -- execution -----------------------------------------------------------
 
-    def _run(self, x, target: str | None = None):
-        """The one forward loop. Without `target` (training) every activation
-        and each node's kernel workspace are kept for backward; with it
-        (inference) no workspace is made, each activation other than
-        `target`'s is dropped after its last consumer, and the loop stops
-        once `target` is computed."""
-        keep = target is None
+    def _run(self, x, steps: int | None = None, keep: bool = False,
+             calibrate: bool = False):
+        """The one forward loop: runs the first `steps` plan steps (all by
+        default) and returns (activations, kernel workspaces).
+
+        With `keep` (training) every activation and each step's workspace
+        are kept for backward. Without it no workspace is made and each
+        activation is dropped after its last reader, so only the last
+        step's output survives. `calibrate` first sets each BN's running
+        statistics from the batch that reaches it.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape[1:] != self.input_shape:
             raise ShapeError(
                 f"input shape {x.shape[1:]} does not match model input "
                 f"{self.input_shape}")
-        acts: dict[str, np.ndarray] = {INPUT_ID: x}
-        ctxs: dict[str, dict] = {}
-        for node in self.order:
-            if target in acts:
-                break
-            ins = [acts[d] for d in node.inputs]
-            ctx = ctxs[node.node_id] = {} if keep else None
-            acts[node.node_id] = op_forward(
-                node.kind, node.params, self.weights[node.node_id],
-                self.buffers[node.node_id], ins, ctx)
-            if not keep:
-                for dep in self._last_use[node.node_id]:
-                    if dep != target:
-                        del acts[dep]
+        plan = self._plan if steps is None else self._plan[:steps]
+        acts: list = [x]  # step k appends position k + 1
+        ctxs: list = []
+        for _, kind, params, weights, buffers, _, gather, _, geometry, frees, \
+                _ in plan:
+            inputs = gather(acts)
+            if calibrate and kind is OperatorKind.BN:
+                axes = tuple(range(inputs[0].ndim - 1))
+                buffers["running_mean"] = inputs[0].mean(axis=axes)
+                buffers["running_var"] = inputs[0].var(axis=axes)
+            ctx = {} if keep else None
+            acts.append(op_forward(kind, params, weights, buffers, inputs, ctx,
+                                   geometry))
+            if keep:
+                ctxs.append(ctx)
+            else:
+                for k in frees:
+                    acts[k] = None
         return acts, ctxs
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Batched training forward pass: keeps every activation and kernel
         workspace for :meth:`backward`."""
-        self._acts, self._ctxs = self._run(x)
-        return self._acts[self.output_id]
+        self._acts, self._ctxs = self._run(x, keep=True)
+        return self._acts[-1]
 
     def predict(self, x: np.ndarray, node_id: str | None = None) -> np.ndarray:
         """Inference-only forward pass: the output, or the activation at
-        `node_id`. Keeps nothing, and leaves the cache of the last
-        :meth:`forward` alone."""
+        `node_id`. Runs no node after `node_id`, keeps nothing, and leaves
+        the cache of the last :meth:`forward` alone."""
         target = self.output_id if node_id is None else node_id
-        if target not in self.shapes:
+        if target not in self._position:
             raise KeyError(f"unknown probe point {target!r}")
-        acts, _ = self._run(x, target)
-        return acts[target]
+        steps = self._position[target]
+        return self._run(x, steps)[0][steps]
 
     def backward(self, output_gradient: np.ndarray, *, weight_grads: bool = True,
                  input_grad: bool = True) -> Gradients:
@@ -256,55 +319,46 @@ class Network:
         gradient (``input`` is ``None``); what is computed has the same bits
         either way.
         """
-        if self._acts is None:
+        acts = self._acts
+        if acts is None:
             raise RuntimeError("backward called before forward")
         grad = np.asarray(output_gradient, dtype=np.float64)
-        out = self._acts[self.output_id]
-        if grad.shape != out.shape:
+        if grad.shape != acts[-1].shape:
             raise ShapeError(
                 f"output gradient shape {grad.shape} does not match output "
-                f"{out.shape}")
-        grads_at: dict[str, np.ndarray] = {self.output_id: grad}
+                f"{acts[-1].shape}")
+        grads: list = [None] * len(acts)
+        grads[-1] = grad
+        if input_grad:  # else position 0 stays None and its gradients drop
+            grads[0] = np.zeros_like(acts[0])
         by_node: dict[str, dict[str, np.ndarray]] = {}
-        if input_grad:  # else INPUT_ID stays out and its gradients are dropped
-            grads_at[INPUT_ID] = np.zeros_like(self._acts[INPUT_ID])
-        for node in reversed(self.order):
-            g = grads_at.get(node.node_id)
+        for step, ctx in zip(reversed(self._plan), reversed(self._ctxs)):
+            node_id, kind, params, weights, buffers, ins, gather, out, geometry, \
+                _, reads_inner = step
+            g = grads[out]
             if g is None:
                 continue
-            ins = [self._acts[d] for d in node.inputs]
             wgrads, igrads = op_backward(
-                node.kind, node.params, self.weights[node.node_id],
-                self.buffers[node.node_id], ins, self._acts[node.node_id], g,
-                self._ctxs[node.node_id], weight_grads=weight_grads,
-                input_grad=input_grad or self._reads_inner[node.node_id])
+                kind, params, weights, buffers, gather(acts),
+                acts[out], g, ctx, geometry, weight_grads=weight_grads,
+                input_grad=input_grad or reads_inner)
             if wgrads:
-                by_node[node.node_id] = wgrads
-            for dep, ig in zip(node.inputs, igrads):
-                if dep in grads_at:
-                    grads_at[dep] = grads_at[dep] + ig
-                elif dep != INPUT_ID:
-                    grads_at[dep] = ig
+                by_node[node_id] = wgrads
+            for k, ig in zip(ins, igrads):
+                if grads[k] is not None:
+                    grads[k] = grads[k] + ig
+                elif k:
+                    grads[k] = ig
         if weight_grads:
             for node_id in self._weighted:  # zero grads off the gradient path
                 if node_id not in by_node:
                     by_node[node_id] = {
                         k: np.zeros_like(v) for k, v in self.weights[node_id].items()}
-        return Gradients(by_node=by_node, input=grads_at.get(INPUT_ID))
+        return Gradients(by_node=by_node, input=grads[0])
 
     def calibrate_bn(self, batch: np.ndarray) -> None:
         """Fix BN running statistics from one calibration batch (one-time)."""
-        x = np.asarray(batch, dtype=np.float64)
-        acts: dict[str, np.ndarray] = {INPUT_ID: x}
-        for node in self.order:
-            ins = [acts[d] for d in node.inputs]
-            if node.kind is OperatorKind.BN:
-                axes = tuple(range(ins[0].ndim - 1))
-                self.buffers[node.node_id]["running_mean"] = ins[0].mean(axis=axes)
-                self.buffers[node.node_id]["running_var"] = ins[0].var(axis=axes)
-            acts[node.node_id] = op_forward(
-                node.kind, node.params, self.weights[node.node_id],
-                self.buffers[node.node_id], ins)
+        self._run(batch, calibrate=True)
         self.bn_calibrated = True
 
 

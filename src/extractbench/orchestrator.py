@@ -598,6 +598,7 @@ class Workbench:
     def __post_init__(self):
         self.root = Path(self.root)
         self._cache_lock = threading.RLock()
+        self._specs: dict[tuple, ArchitectureSpec] = {}
 
     @property
     def checkpoints_dir(self) -> Path:
@@ -636,12 +637,39 @@ class Workbench:
 
     def architecture(self, arch_id: str, input_shape,
                      class_count: int) -> ArchitectureSpec:
+        """The spec of `arch_id` for an input shape and class count. A
+        built-in spec is built once per key and then shared, so the facts
+        it caches (execution order, shapes, MAdds) outlive one scenario."""
         if arch_id in self.architecture_overrides:
             return self.architecture_overrides[arch_id]
-        try:
-            return builtin_spec(arch_id, input_shape, class_count)
-        except KeyError:
-            raise KeyError(f"unknown architecture id {arch_id!r}") from None
+        key = (arch_id, tuple(int(s) for s in input_shape), int(class_count))
+        spec = self._specs.get(key)
+        if spec is None:
+            try:
+                spec = self._specs[key] = builtin_spec(*key)
+            except KeyError:
+                raise KeyError(f"unknown architecture id {arch_id!r}") from None
+        return spec
+
+    def check_ids(self, scenario: Scenario) -> None:
+        """Raise a ScenarioError that names the first architecture or
+        dataset id of `scenario` missing from this workbench's registries."""
+        if scenario.target.dataset_id not in self.dataset_specs:
+            raise ScenarioError(
+                f"target.dataset_id: unknown dataset id "
+                f"{scenario.target.dataset_id!r}")
+        p = scenario.attack_params
+        named = [("target.architecture_id", scenario.target.architecture_id)]
+        for name in ("surrogate_architecture", "student_architecture"):
+            if getattr(p, name, None) is not None:
+                named.append((f"attack.params.{name}", getattr(p, name)))
+        named += [("attack.params.corpus_architectures", a)
+                  for a in getattr(p, "corpus_architectures", ())]
+        for where, arch_id in named:
+            if arch_id not in self.architecture_overrides \
+                    and arch_id not in BUILTIN_ARCHITECTURES:
+                raise ScenarioError(
+                    f"{where}: unknown architecture id {arch_id!r}")
 
     def recipe(self, dataset_id: str) -> TrainConfig:
         return self.recipes.get(dataset_id, self.default_recipe)
@@ -940,7 +968,8 @@ def execute(scenario: Scenario, bench: Workbench,
             persist: bool = True) -> RunRecord:
     """Run one validated scenario end to end.
 
-    Threat gating happens first; the target resolve (disk load or
+    The registry check (every architecture and dataset id is known) and
+    threat gating happen first; the target resolve (disk load or
     train-on-miss) is kicked off before attack construction; any failure is
     captured into a failed record rather than raised past this boundary.
     """
@@ -950,6 +979,7 @@ def execute(scenario: Scenario, bench: Workbench,
     from_cache = None
     art_dir = bench.artifacts_dir / scenario.id / started.replace(":", "")
     try:
+        bench.check_ids(scenario)
         violations = validate_threat_model(scenario)
         if violations:
             raise PermissionError(

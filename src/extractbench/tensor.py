@@ -244,10 +244,11 @@ def _bn_madd(params, input_shapes):
 # ---------------------------------------------------------------------------
 # kernels (batched: arrays carry a leading batch axis)
 #
-# forward:  (params, weights, buffers, inputs, ctx) -> output
-# backward: (params, weights, buffers, inputs, output, grad, ctx, *,
-#            weight_grads, input_grad) -> (weight grads, per-input grads)
-#           (what the two flags skip: see op_backward)
+# forward:  (params, weights, buffers, inputs, ctx, geometry) -> output
+# backward: (params, weights, buffers, inputs, output, grad, ctx, geometry,
+#            *, weight_grads, input_grad) -> (weight grads, per-input grads)
+#           (what the two flags skip: see op_backward; `geometry` is the
+#           kind's geometry tuple, None for the kinds that have none)
 # ---------------------------------------------------------------------------
 
 def _windows(x, kh, kw, stride, out_h, out_w):
@@ -264,15 +265,21 @@ def _im2col(x, kh, kw, stride, out_h, out_w):
 
 
 def _col2im(gcols, padded_shape, kh, kw, stride, out_h, out_w):
-    gx = np.zeros(padded_shape, dtype=gcols.dtype)
-    # tap-major copy, so each tap's += reads contiguous memory; the (i, j)
-    # order of the additions, and so every rounding, is unchanged
-    taps = np.ascontiguousarray(gcols.transpose(3, 4, 0, 1, 2, 5))
-    for i in range(kh):
-        for j in range(kw):
-            gx[:, i:i + stride * (out_h - 1) + 1:stride,
-               j:j + stride * (out_w - 1) + 1:stride, :] += taps[i, j]
-    return gx
+    """Sum the (n, oh, ow, kh, kw, c) column gradients back onto the
+    padded image: window (a, b) tap (i, j) lands at (a*s + i, b*s + j).
+
+    One assignment writes every tap into its own zeroed image, shifted by
+    (i, j), and one reduce adds the kh*kw images. The reduce runs over the
+    outer axis, so each element is summed in (i, j) order from +0.0, the
+    order and the roundings of a per-tap `+=` onto zeros."""
+    n, hp, wp, c = padded_shape
+    taps = np.zeros((kh * kw, n, hp, wp, c), dtype=gcols.dtype)
+    tap, sn, sh, sw, sc = taps.strides
+    shifted = np.ndarray((kh, kw, n, out_h, out_w, c), taps.dtype, buffer=taps,
+                         strides=(kw * tap + sh, tap + sw, sn,
+                                  stride * sh, stride * sw, sc))
+    shifted[...] = gcols.transpose(3, 4, 0, 1, 2, 5)
+    return np.add.reduce(taps, axis=0, initial=0.0)
 
 
 def _conv_cols(x, out_h, out_w, kh, kw, s, pads):
@@ -286,9 +293,9 @@ def _conv_cols(x, out_h, out_w, kh, kw, s, pads):
     return _im2col(x, kh, kw, s, out_h, out_w)
 
 
-def _conv_forward(params, weights, buffers, inputs, ctx):
+def _conv_forward(params, weights, buffers, inputs, ctx, geometry):
     (x,) = inputs
-    out_h, out_w, kh, kw, s, pads = _conv_geometry(params, x.shape[1:])
+    out_h, out_w, kh, kw, s, pads = geometry
     cols = _conv_cols(x, out_h, out_w, kh, kw, s, pads)
     if ctx is not None:
         ctx["cols"] = cols
@@ -301,10 +308,10 @@ def _conv_forward(params, weights, buffers, inputs, ctx):
     return y
 
 
-def _conv_backward(params, weights, buffers, inputs, output, grad, ctx, *,
-                   weight_grads, input_grad):
+def _conv_backward(params, weights, buffers, inputs, output, grad, ctx,
+                   geometry, *, weight_grads, input_grad):
     (x,) = inputs
-    out_h, out_w, kh, kw, s, pads = _conv_geometry(params, x.shape[1:])
+    out_h, out_w, kh, kw, s, pads = geometry
     w = weights["weight"]
     cout = w.shape[3]
     gflat = grad.reshape(-1, cout)
@@ -347,21 +354,18 @@ def _pool_scatter(gwin, shape, out_h, out_w, kh, kw, s):
     return _col2im(gwin, shape, kh, kw, s, out_h, out_w)
 
 
-def _maxpool_forward(params, weights, buffers, inputs, ctx):
-    (x,) = inputs
-    geometry = _pool_geometry(OperatorKind.MAXPOOL, params, x.shape[1:])
-    win = _pool_windows(x, *geometry)
+def _maxpool_forward(params, weights, buffers, inputs, ctx, geometry):
+    win = _pool_windows(inputs[0], *geometry)
     if ctx is not None:
         # argmax picks the first maximum: row-major tie-breaking in the window
         ctx["argmax"] = win.argmax(axis=3)
     return win.max(axis=3)
 
 
-def _maxpool_backward(params, weights, buffers, inputs, output, grad, ctx, *,
-                      weight_grads, input_grad):
+def _maxpool_backward(params, weights, buffers, inputs, output, grad, ctx,
+                      geometry, *, weight_grads, input_grad):
     (x,) = inputs
-    out_h, out_w, kh, kw, s = geometry = _pool_geometry(
-        OperatorKind.MAXPOOL, params, x.shape[1:])
+    out_h, out_w, kh, kw, s = geometry
     idx = (ctx or {}).get("argmax")
     if idx is None:
         idx = _pool_windows(x, *geometry).argmax(axis=3)
@@ -371,37 +375,33 @@ def _maxpool_backward(params, weights, buffers, inputs, output, grad, ctx, *,
     return {}, [_pool_scatter(gwin, x.shape, *geometry)]
 
 
-def _avgpool_forward(params, weights, buffers, inputs, ctx):
-    (x,) = inputs
-    geometry = _pool_geometry(OperatorKind.AVGPOOL, params, x.shape[1:])
-    return _pool_windows(x, *geometry).mean(axis=3)
+def _avgpool_forward(params, weights, buffers, inputs, ctx, geometry):
+    return _pool_windows(inputs[0], *geometry).mean(axis=3)
 
 
-def _avgpool_backward(params, weights, buffers, inputs, output, grad, ctx, *,
-                      weight_grads, input_grad):
-    (x,) = inputs
-    out_h, out_w, kh, kw, s = geometry = _pool_geometry(
-        OperatorKind.AVGPOOL, params, x.shape[1:])
+def _avgpool_backward(params, weights, buffers, inputs, output, grad, ctx,
+                      geometry, *, weight_grads, input_grad):
+    _, _, kh, kw, _ = geometry
     gwin = grad[:, :, :, None, None, :] / (kh * kw)
-    return {}, [_pool_scatter(gwin, x.shape, *geometry)]
+    return {}, [_pool_scatter(gwin, inputs[0].shape, *geometry)]
 
 
-def _relu_forward(params, weights, buffers, inputs, ctx):
+def _relu_forward(params, weights, buffers, inputs, ctx, geometry):
     return np.maximum(inputs[0], 0.0)
 
 
-def _relu_backward(params, weights, buffers, inputs, output, grad, ctx, *,
-                   weight_grads, input_grad):
+def _relu_backward(params, weights, buffers, inputs, output, grad, ctx,
+                   geometry, *, weight_grads, input_grad):
     return {}, [grad * (inputs[0] > 0)]
 
 
-def _gelu_forward(params, weights, buffers, inputs, ctx):
+def _gelu_forward(params, weights, buffers, inputs, ctx, geometry):
     (x,) = inputs
     return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x ** 3)))
 
 
-def _gelu_backward(params, weights, buffers, inputs, output, grad, ctx, *,
-                   weight_grads, input_grad):
+def _gelu_backward(params, weights, buffers, inputs, output, grad, ctx,
+                   geometry, *, weight_grads, input_grad):
     (x,) = inputs
     u = _GELU_C * (x + _GELU_A * x ** 3)
     t = np.tanh(u)
@@ -414,25 +414,25 @@ def _gelu_backward(params, weights, buffers, inputs, output, grad, ctx, *,
 # ndarray methods reach the same reductions through Python wrappers that
 # cost microseconds a call, which tiny-FC SGD steps pay thousands of times.
 
-def _softmax_forward(params, weights, buffers, inputs, ctx):
+def _softmax_forward(params, weights, buffers, inputs, ctx, geometry):
     (x,) = inputs
     e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def _softmax_backward(params, weights, buffers, inputs, output, grad, ctx, *,
-                      weight_grads, input_grad):
+def _softmax_backward(params, weights, buffers, inputs, output, grad, ctx,
+                      geometry, *, weight_grads, input_grad):
     dot = np.add.reduce(grad * output, axis=-1, keepdims=True)
     return {}, [output * (grad - dot)]
 
 
-def _bn_forward(params, weights, buffers, inputs, ctx):
+def _bn_forward(params, weights, buffers, inputs, ctx, geometry):
     inv = 1.0 / np.sqrt(buffers["running_var"] + BN_EPS)
     return weights["gamma"] * (inputs[0] - buffers["running_mean"]) * inv + weights["beta"]
 
 
-def _bn_backward(params, weights, buffers, inputs, output, grad, ctx, *,
-                 weight_grads, input_grad):
+def _bn_backward(params, weights, buffers, inputs, output, grad, ctx,
+                 geometry, *, weight_grads, input_grad):
     (x,) = inputs
     inv = 1.0 / np.sqrt(buffers["running_var"] + BN_EPS)
     wgrads, igrads = {}, [None]
@@ -445,7 +445,7 @@ def _bn_backward(params, weights, buffers, inputs, output, grad, ctx, *,
     return wgrads, igrads
 
 
-def _fc_forward(params, weights, buffers, inputs, ctx):
+def _fc_forward(params, weights, buffers, inputs, ctx, geometry):
     (x,) = inputs
     x2 = x.reshape(x.shape[0], -1)
     if x2.shape[1] != weights["weight"].shape[0]:
@@ -458,8 +458,8 @@ def _fc_forward(params, weights, buffers, inputs, ctx):
     return y
 
 
-def _fc_backward(params, weights, buffers, inputs, output, grad, ctx, *,
-                 weight_grads, input_grad):
+def _fc_backward(params, weights, buffers, inputs, output, grad, ctx,
+                 geometry, *, weight_grads, input_grad):
     (x,) = inputs
     wgrads, igrads = {}, [None]
     if weight_grads:
@@ -471,7 +471,7 @@ def _fc_backward(params, weights, buffers, inputs, output, grad, ctx, *,
     return wgrads, igrads
 
 
-def _add_forward(params, weights, buffers, inputs, ctx):
+def _add_forward(params, weights, buffers, inputs, ctx, geometry):
     if len({a.shape for a in inputs}) != 1:
         raise ShapeError(f"ADD: mismatched shapes {[a.shape for a in inputs]}")
     out = inputs[0].copy()
@@ -480,27 +480,27 @@ def _add_forward(params, weights, buffers, inputs, ctx):
     return out
 
 
-def _add_backward(params, weights, buffers, inputs, output, grad, ctx, *,
-                  weight_grads, input_grad):
+def _add_backward(params, weights, buffers, inputs, output, grad, ctx,
+                  geometry, *, weight_grads, input_grad):
     return {}, [grad] * len(inputs)
 
 
-def _concat_forward(params, weights, buffers, inputs, ctx):
+def _concat_forward(params, weights, buffers, inputs, ctx, geometry):
     return np.concatenate(inputs, axis=-1)
 
 
-def _concat_backward(params, weights, buffers, inputs, output, grad, ctx, *,
-                     weight_grads, input_grad):
+def _concat_backward(params, weights, buffers, inputs, output, grad, ctx,
+                     geometry, *, weight_grads, input_grad):
     offsets = np.cumsum([a.shape[-1] for a in inputs])[:-1]
     return {}, list(np.split(grad, offsets, axis=-1))
 
 
-def _flatten_forward(params, weights, buffers, inputs, ctx):
+def _flatten_forward(params, weights, buffers, inputs, ctx, geometry):
     return inputs[0].reshape(inputs[0].shape[0], -1)
 
 
-def _flatten_backward(params, weights, buffers, inputs, output, grad, ctx, *,
-                      weight_grads, input_grad):
+def _flatten_backward(params, weights, buffers, inputs, output, grad, ctx,
+                      geometry, *, weight_grads, input_grad):
     return {}, [grad.reshape(inputs[0].shape)]
 
 
@@ -519,6 +519,8 @@ class _Op:
     weights: Callable = _no_tensors   # (params, input_shapes) -> {name: shape},
     buffers: Callable = _no_tensors   # in checkpoint order
     madd: Callable = _no_madd         # (params, input_shapes) -> multiplies
+    geometry: Callable | None = None  # (params, input_shape) -> the kernels'
+                                      # static window geometry (CONV, pools)
 
 
 _OPS: dict[OperatorKind, _Op] = {
@@ -526,7 +528,7 @@ _OPS: dict[OperatorKind, _Op] = {
         _conv_shape, _conv_forward, _conv_backward,
         params={"out_channels": _required(_POSITIVE_INT), "kernel": _required(_KERNEL),
                 "stride": _POSITIVE_INT, "padding": _PADDING, "bias": _BOOL},
-        weights=_conv_weights, madd=_conv_madd),
+        weights=_conv_weights, madd=_conv_madd, geometry=_conv_geometry),
     OperatorKind.FC: _Op(
         _fc_shape, _fc_forward, _fc_backward,
         params={"out_features": _required(_POSITIVE_INT), "bias": _BOOL},
@@ -539,11 +541,13 @@ _OPS: dict[OperatorKind, _Op] = {
     OperatorKind.MAXPOOL: _Op(
         partial(_pool_shape, OperatorKind.MAXPOOL), _maxpool_forward,
         _maxpool_backward,
-        params={"kernel": _required(_KERNEL), "stride": _POSITIVE_INT}),
+        params={"kernel": _required(_KERNEL), "stride": _POSITIVE_INT},
+        geometry=partial(_pool_geometry, OperatorKind.MAXPOOL)),
     OperatorKind.AVGPOOL: _Op(
         partial(_pool_shape, OperatorKind.AVGPOOL), _avgpool_forward,
         _avgpool_backward,
-        params={"kernel": _required(_KERNEL), "stride": _POSITIVE_INT}),
+        params={"kernel": _required(_KERNEL), "stride": _POSITIVE_INT},
+        geometry=partial(_pool_geometry, OperatorKind.AVGPOOL)),
     OperatorKind.ADD: _Op(_add_shape, _add_forward, _add_backward),
     OperatorKind.CONCAT: _Op(_concat_shape, _concat_forward, _concat_backward),
     OperatorKind.SOFTMAX: _Op(_same_shape, _softmax_forward, _softmax_backward),
@@ -596,6 +600,17 @@ def madd(kind: OperatorKind, params: dict, input_shapes) -> int:
     return _OPS[kind].madd(params, input_shapes)
 
 
+def kernel_geometry(kind: OperatorKind, params: dict, input_shape):
+    """The static window geometry the kernels of a CONV or pool read, for
+    an input of `input_shape` (batch axis excluded); None for other kinds.
+
+    CONV: (out_h, out_w, kh, kw, stride, (top, bottom, left, right) pads);
+    MAXPOOL and AVGPOOL: (out_h, out_w, kh, kw, stride).
+    """
+    rule = _OPS[kind].geometry
+    return None if rule is None else rule(params, tuple(input_shape))
+
+
 def init_weights(kind, params, input_shapes, rng: np.random.Generator):
     """Glorot-uniform weights, zero biases, identity BN."""
     weights = {}
@@ -616,24 +631,33 @@ def init_weights(kind, params, input_shapes, rng: np.random.Generator):
 
 
 def op_forward(kind, params, weights, buffers, inputs: list[np.ndarray],
-               ctx: dict | None = None) -> np.ndarray:
+               ctx: dict | None = None, geometry=None) -> np.ndarray:
     """Run one operator on batched arrays.
 
     `ctx`, when given, is a fresh dict that belongs to this one call: the
     kernel stores in it the workspace its backward can reuse (CONV: the
     im2col columns, MAXPOOL: the argmax of each window). Without it the
     kernel is pure and keeps nothing.
+
+    `geometry` is what :func:`kernel_geometry` returns for this node and
+    input shape; a caller that runs the node many times (a `Network`
+    plan) passes it precomputed. Left out, it is computed here by the
+    same rule.
     """
-    return _OPS[kind].forward(params, weights, buffers, inputs, ctx)
+    op = _OPS[kind]
+    if geometry is None and op.geometry is not None:
+        geometry = op.geometry(params, inputs[0].shape[1:])
+    return op.forward(params, weights, buffers, inputs, ctx, geometry)
 
 
 def op_backward(kind, params, weights, buffers, inputs, output, grad,
-                ctx: dict | None = None, *, weight_grads: bool = True,
-                input_grad: bool = True):
+                ctx: dict | None = None, geometry=None, *,
+                weight_grads: bool = True, input_grad: bool = True):
     """Gradients of one operator: returns (weight grads, per-input grads).
 
     `ctx` is the dict the matching :func:`op_forward` filled; without it
     (or with an empty one) the kernel recomputes its workspace from `inputs`.
+    `geometry` is as for :func:`op_forward`.
 
     The flags say which gradients the caller reads. With
     `weight_grads=False` no weight gradient is computed and the first item
@@ -642,8 +666,11 @@ def op_backward(kind, params, weights, buffers, inputs, output, grad,
     other kinds compute only input gradients and return them anyway. Asked
     for, each gradient has the same bits either way.
     """
-    return _OPS[kind].backward(params, weights, buffers, inputs, output, grad, ctx,
-                               weight_grads=weight_grads, input_grad=input_grad)
+    op = _OPS[kind]
+    if geometry is None and op.geometry is not None:
+        geometry = op.geometry(params, inputs[0].shape[1:])
+    return op.backward(params, weights, buffers, inputs, output, grad, ctx,
+                       geometry, weight_grads=weight_grads, input_grad=input_grad)
 
 
 def forward(kind: OperatorKind, params: dict, inputs: list[Tensor]) -> Tensor:

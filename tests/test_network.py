@@ -1,9 +1,11 @@
 """Graph execution, backprop through DAGs, SGD training, gradient checking."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from extractbench import network
+from extractbench import network, tensor
 from extractbench.network import (
     GraphError,
     Network,
@@ -270,9 +272,13 @@ class TestPredictAndWorkspace:
     def test_predict_equals_forward(self, arch_id, batch):
         model, x = self._model_and_input(arch_id, batch)
         out = model.forward(x)
-        acts = dict(model._acts)
+        # the kept activations: the input at position 0, then one per node
+        # in execution order
+        ids = ["input"] + [node.node_id for node in model.order]
+        acts = list(model._acts)
+        assert len(acts) == len(ids)
         assert same_bits(model.predict(x), out)
-        for node_id, act in acts.items():
+        for node_id, act in zip(ids, acts):
             assert same_bits(model.predict(x, node_id), act), node_id
 
     @pytest.mark.parametrize("batch", [1, 10])
@@ -283,7 +289,7 @@ class TestPredictAndWorkspace:
         gout = np.random.default_rng(2).standard_normal(out.shape)
         model.predict(x[:1])  # inference in between leaves the cache alone
         kept = model.backward(gout)
-        model._ctxs = {node_id: {} for node_id in model._ctxs}
+        model._ctxs = [{} for _ in model._ctxs]
         fresh = model.backward(gout)
         assert same_bits(kept.input, fresh.input)
         assert kept.by_node.keys() == fresh.by_node.keys()
@@ -319,6 +325,88 @@ class TestPredictAndWorkspace:
         model, x = self._model_and_input("mini-mlp-2", 2)
         with pytest.raises(KeyError, match="probe"):
             model.predict(x, "nope")
+
+
+class TestPlanSeam:
+    """Every pass sends each node it runs through `network.op_forward` or
+    `network.op_backward` once, with the kind first and the node's weights
+    mapping third: `benchmarks/tracing.py` times the kernels by wrapping
+    those two names. And the plan hands the kernels their geometry, so no
+    pass computes any."""
+
+    _model = staticmethod(TestPredictAndWorkspace._model_and_input)
+
+    @staticmethod
+    def _record(monkeypatch, model):
+        calls = []
+        owner = {id(w): node_id for node_id, w in model.weights.items()}
+        for name in ("op_forward", "op_backward"):
+            def record(*args, _real=getattr(network, name), _name=name, **kwargs):
+                calls.append((_name, args[0], owner[id(args[2])]))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(network, name, record)
+        return calls
+
+    @pytest.mark.parametrize("arch_id", sorted(BUILTIN_ARCHITECTURES))
+    def test_every_pass_calls_each_node_once(self, arch_id, monkeypatch):
+        model, x = self._model(arch_id, 3)
+        calls = self._record(monkeypatch, model)
+        forward = [("op_forward", n.kind, n.node_id) for n in model.order]
+        backward = [("op_backward", n.kind, n.node_id)
+                    for n in reversed(model.order)]
+        out = model.forward(x)
+        assert calls == forward
+        calls.clear()
+        model.predict(x)
+        assert calls == forward
+        for flags in ({}, {"weight_grads": False}, {"input_grad": False}):
+            calls.clear()
+            model.backward(np.ones_like(out), **flags)
+            assert calls == backward, flags
+        calls.clear()
+        model.calibrate_bn(x)
+        assert calls == forward
+
+    def test_no_geometry_is_computed_per_pass(self, monkeypatch):
+        # mini-pyramid-4 has a CONV, a MAXPOOL and an AVGPOOL
+        model, x = self._model("mini-pyramid-4", 3)
+        rules = 0
+
+        def counted(rule):
+            def count(*args):
+                nonlocal rules
+                rules += 1
+                return rule(*args)
+            return count
+
+        for kind in (K.CONV, K.MAXPOOL, K.AVGPOOL):
+            op = tensor._OPS[kind]
+            monkeypatch.setitem(tensor._OPS, kind,
+                                replace(op, geometry=counted(op.geometry)))
+        out = model.forward(x)
+        model.backward(np.ones_like(out))
+        model.backward(np.ones_like(out), weight_grads=False)
+        model.predict(x)
+        model.calibrate_bn(x)
+        assert rules == 0
+        # a kernel called outside a plan gets its geometry from the same rule
+        tensor.op_forward(K.MAXPOOL, {"kernel": [2, 2]}, {}, {}, [x])
+        assert rules == 1
+
+    def test_spec_supplies_order_and_shapes(self, monkeypatch):
+        spec = builtin_spec("mini-resnet-6", (8, 8, 1), 4)
+
+        def not_again(*args):
+            raise AssertionError("recomputed what the spec holds")
+
+        monkeypatch.setattr(network, "topological_order", not_again)
+        monkeypatch.setattr(network, "node_shapes", not_again)
+        model = build_model(spec, seed=0)
+        assert model.order == list(spec.execution_order)
+        assert model.shapes == spec.derive_shapes()
+        with pytest.raises(ValueError, match="differ from spec"):
+            Network(spec.nodes[:-1], spec.input_shape, 0, spec=spec)
 
 
 class TestRequestedGradients:

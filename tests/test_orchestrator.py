@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extractbench import orchestrator
 from extractbench.cli import main
 from extractbench.datasets import load_dataset
 from extractbench.orchestrator import (
@@ -301,6 +302,43 @@ class TestCli:
         assert err.startswith("invalid: attack.params.clamp_range")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("target,where,name", [
+        ({"architecture_id": "mini-ghost", "dataset_id": "blobs-2c-easy"},
+         "target.architecture_id", "mini-ghost"),
+        ({"architecture_id": "mini-mlp-1", "dataset_id": "blobs-9c-none"},
+         "target.dataset_id", "blobs-9c-none")])
+    def test_validate_rejects_unknown_ids(self, tmp_path, capsys, target,
+                                          where, name):
+        path = tmp_path / "unknown.json"
+        path.write_text(json.dumps(scenario_doc(target=target)))
+        root = tmp_path / "repo"
+        assert main(["--root", str(root), "validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid: {where}: unknown")
+        assert repr(name) in err
+        assert not root.exists()  # checking ids touches no repository
+
+    @pytest.mark.parametrize("attack_type,params,where", [
+        ("knockoff", {"query_budget": 10, "surrogate_architecture": "x-net"},
+         "attack.params.surrogate_architecture"),
+        ("equivalency", {"query_budget": 10, "student_architecture": "x-net"},
+         "attack.params.student_architecture"),
+        ("deepsniffer", {"corpus_architectures": ["mini-vgg-4", "x-net"]},
+         "attack.params.corpus_architectures"),
+        ("deeprecon", {"corpus_architectures": ["x-net", "mini-vgg-4"]},
+         "attack.params.corpus_architectures")])
+    def test_every_architecture_id_is_checked(self, bench, attack_type, params,
+                                             where):
+        doc = minimal_doc(attack_type)
+        doc["attack"]["params"] = params
+        scenario = parse_scenario(json.dumps(doc))
+        with pytest.raises(ScenarioError,
+                           match=f"^{where}: unknown architecture id 'x-net'"):
+            bench.check_ids(scenario)
+        bench.architecture_overrides["x-net"] = bench.architecture(
+            "mini-vgg-4", (6, 6, 1), 2)
+        bench.check_ids(scenario)  # an override is a known id
+
 
 class TestValidateThreatModel:
     def test_deepsniffer_needs_observed_and_partial(self):
@@ -409,6 +447,32 @@ class TestZooResolve:
                       == (data.labels[mask] == 3))
         assert acc > 0.9  # trained on exactly those classes
 
+    def test_specs_are_built_once_per_key(self, bench, monkeypatch):
+        built = []
+        real = orchestrator.builtin_spec
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(orchestrator, "builtin_spec", counting)
+        spec = bench.architecture("mini-vgg-4", (6, 6, 1), 4)
+        assert bench.architecture("mini-vgg-4", [6, 6, 1], 4) is spec
+        assert bench.architecture("mini-vgg-4", (8, 8, 1), 4) is not spec
+        assert bench.architecture("mini-vgg-4", (6, 6, 1), 5) is not spec
+        assert len(built) == 3
+        # a deeprecon scenario builds its corpus specs once, not per run
+        doc = minimal_doc("deeprecon")
+        doc["attack"]["params"] = {"histograms_per_architecture": 1,
+                                   "trials": 1, "k_neighbors": 1}
+        built_after = []
+        for seed in (1, 2):
+            doc["seed"] = seed
+            assert execute(parse_scenario(json.dumps(doc)), bench,
+                           persist=False).status == "ok"
+            built_after.append(len(built))
+        assert built_after[1] == built_after[0]
+
     def test_unknown_dataset_named(self, bench):
         with pytest.raises(KeyError, match="no-such-data"):
             zoo_resolve(ModelRef("mini-mlp-1", "no-such-data"), bench)
@@ -486,6 +550,9 @@ class TestExecute:
         assert record.status == "failed"
         assert "mini-ghost" in record.failure_reason
         assert record.artifacts == []
+        # the registry check fails it before the target is resolved
+        assert record.failure_reason.startswith("ScenarioError: target.")
+        assert record.resolved_from_cache is None
 
     def test_rerun_reproduces_metrics_exactly(self, bench):
         sc = parse_scenario(json.dumps(scenario_doc(seed=21)))

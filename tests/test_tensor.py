@@ -388,9 +388,9 @@ def _tap_loop_scatter(gcols, padded_shape, kh, kw, s, out_h, out_w):
 
 
 class TestLoopFreeDataMovement:
-    """The strided-window im2col, the tap-major col2im and the one-`+=`
-    scatter of non-overlapping pools must give the bits of the per-tap
-    loops they replace."""
+    """The strided-window im2col, the write-and-reduce col2im and the
+    one-`+=` scatter of non-overlapping pools must give the bits of the
+    per-tap loops they replace."""
 
     @pytest.mark.parametrize("padding", ["same", "valid"])
     @pytest.mark.parametrize("stride", [1, 2])
@@ -412,6 +412,76 @@ class TestLoopFreeDataMovement:
         gcols[gcols < -0.5] = -0.0
         assert same_bits(_col2im(gcols, xp.shape, kh, kw, s, out_h, out_w),
                          _tap_loop_scatter(gcols, xp.shape, kh, kw, s, out_h, out_w))
+
+    @staticmethod
+    def _signed_zero_gradients(rng, shape, integers):
+        """Gradients with many +0.0 and -0.0 entries; with `integers`,
+        small integer values whose overlapping sums often cancel to an
+        exact zero, whose sign the oracle fixes too."""
+        if integers:
+            g = rng.integers(-2, 3, size=shape).astype(float)
+        else:
+            g = rng.standard_normal(shape)
+        draw = rng.random(shape)
+        g[draw < 0.2] = -0.0
+        g[(draw >= 0.2) & (draw < 0.3)] = 0.0
+        return g
+
+    @pytest.mark.parametrize("integers", [False, True])
+    @pytest.mark.parametrize("batch", [1, 10])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", [[1, 1], [2, 2], [3, 3], [4, 4], [5, 5],
+                                        [1, 3], [3, 2]])
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_col2im_equals_tap_loop(self, padding, kernel, stride, batch,
+                                    integers):
+        rng = np.random.default_rng([batch, stride, *kernel, int(integers)])
+        params = {"out_channels": 2, "kernel": kernel, "stride": stride,
+                  "padding": padding}
+        h, w, c = 7, 6, 3
+        out_h, out_w, kh, kw, s, pads = _conv_geometry(params, (h, w, c))
+        padded = (batch, h + pads[0] + pads[1], w + pads[2] + pads[3], c)
+        gcols = self._signed_zero_gradients(
+            rng, (batch, out_h, out_w, kh, kw, c), integers)
+        oracle = _tap_loop_scatter(gcols, padded, kh, kw, s, out_h, out_w)
+        assert same_bits(_col2im(gcols, padded, kh, kw, s, out_h, out_w), oracle)
+        # and through the CONV kernel, which crops the padding off
+        x = rng.standard_normal((batch, h, w, c))
+        weights, _ = init_weights(K.CONV, params, [(h, w, c)], rng)
+        grad = self._signed_zero_gradients(rng, (batch, out_h, out_w, 2),
+                                           integers)
+        _, (gx,) = op_backward(K.CONV, params, weights, {}, [x], None, grad,
+                               weight_grads=False)
+        wflat = weights["weight"].reshape(-1, 2)
+        gcols = (grad.reshape(-1, 2) @ wflat.T).reshape(gcols.shape)
+        full = _tap_loop_scatter(gcols, padded, kh, kw, s, out_h, out_w)
+        assert same_bits(gx, full[:, pads[0]:pads[0] + h, pads[2]:pads[2] + w])
+
+    @pytest.mark.parametrize("batch", [1, 10])
+    @pytest.mark.parametrize("k,s", [(2, 1), (3, 1), (3, 2), (4, 3), (5, 2),
+                                     (5, 3)])
+    def test_overlapping_pool_scatter_equals_tap_loop(self, k, s, batch):
+        rng = np.random.default_rng([batch, k, s])
+        x = rng.integers(-1, 2, size=(batch, 8, 7, 3)).astype(float)
+        x[rng.random(x.shape) < 0.3] = -0.0
+        params = {"kernel": [k, k], "stride": s}
+        out_h, out_w = (8 - k) // s + 1, (7 - k) // s + 1
+        grad = self._signed_zero_gradients(rng, (batch, out_h, out_w, 3), True)
+        # MAXPOOL: each window's gradient goes to its first maximum
+        win = _im2col(x, k, k, s, out_h, out_w).reshape(
+            batch, out_h, out_w, k * k, 3)
+        first = np.arange(k * k)[:, None] == win.argmax(axis=3)[:, :, :, None, :]
+        gwin = np.where(first, grad[:, :, :, None, :], 0.0)
+        oracle = _tap_loop_scatter(gwin.reshape(batch, out_h, out_w, k, k, 3),
+                                   x.shape, k, k, s, out_h, out_w)
+        _, (gx,) = op_backward(K.MAXPOOL, params, {}, {}, [x], None, grad)
+        assert same_bits(gx, oracle)
+        # AVGPOOL: every tap gets the window's share
+        share = np.broadcast_to(grad[:, :, :, None, None, :] / (k * k),
+                                (batch, out_h, out_w, k, k, 3))
+        oracle = _tap_loop_scatter(share, x.shape, k, k, s, out_h, out_w)
+        _, (gx,) = op_backward(K.AVGPOOL, params, {}, {}, [x], None, grad)
+        assert same_bits(gx, oracle)
 
     @pytest.mark.parametrize("k,s", [(2, 2), (3, 3), (2, 3), (3, 2)])
     @pytest.mark.parametrize("hw", [(6, 6), (5, 5), (7, 7), (6, 7)])
