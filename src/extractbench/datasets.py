@@ -19,7 +19,6 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -79,10 +78,6 @@ class Dataset:
     @property
     def class_count(self) -> int:
         return self.spec.class_count
-
-    def sample(self, i: int):
-        from .tensor import Tensor
-        return Tensor.from_array(self.inputs[i])
 
     def flat_inputs(self) -> np.ndarray:
         return self.inputs.reshape(len(self), -1)
@@ -175,19 +170,6 @@ def restrict_to_classes(dataset: Dataset, classes) -> Dataset:
                    class_count=len(classes))
     return Dataset(spec, dataset.inputs[mask], labels, dataset.role,
                    dataset.sample_ids[mask], class_map)
-
-
-def chunked_iter(dataset: Dataset, chunk_size: int,
-                 limit: int | None = None) -> Iterator[Dataset]:
-    """Stable-order lazy chunks; `limit` caps the total samples served."""
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    n = len(dataset) if limit is None else min(limit, len(dataset))
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        yield Dataset(dataset.spec, dataset.inputs[start:stop],
-                      dataset.labels[start:stop], dataset.role,
-                      dataset.sample_ids[start:stop], dataset.class_map)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -48,6 +48,10 @@ class OperatorKind(Enum):
     CONCAT = "concat"
     SOFTMAX = "softmax"
     FLATTEN = "flatten"
+
+    # members are singletons, so identity is equality; a C-level hash spares
+    # every `_OPS[kind]` lookup the Python-level Enum.__hash__
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -323,7 +327,7 @@ def _conv_backward(params, weights, buffers, inputs, output, grad, ctx,
         cflat = cols.reshape(gflat.shape[0], -1)
         wgrads["weight"] = (cflat.T @ gflat).reshape(w.shape)
         if "bias" in weights:
-            wgrads["bias"] = gflat.sum(axis=0)
+            wgrads["bias"] = np.add.reduce(gflat, axis=0)
     if input_grad:
         n, h, wd, c = x.shape
         gcols = (gflat @ w.reshape(-1, cout).T).reshape(n, out_h, out_w, kh, kw, c)
@@ -334,9 +338,33 @@ def _conv_backward(params, weights, buffers, inputs, output, grad, ctx,
 
 
 def _pool_windows(x, out_h, out_w, kh, kw, s):
-    # (n, oh, ow, kh*kw, c): window axis is row-major over (i, j)
-    cols = _im2col(x, kh, kw, s, out_h, out_w)
-    return cols.reshape(x.shape[0], out_h, out_w, kh * kw, x.shape[3])
+    """(kh*kw, n, oh, ow, c) contiguous copy of the pool windows of `x`,
+    tap-first with the taps row-major over (i, j): a reduce over axis 0
+    runs over whole slabs, one tap after another in (i, j) order."""
+    n, _, _, c = x.shape
+    win = _windows(np.ascontiguousarray(x), kh, kw, s, out_h, out_w)
+    return win.transpose(3, 4, 0, 1, 2, 5).reshape(kh * kw, n, out_h, out_w, c)
+
+
+@lru_cache(maxsize=32)
+def _pool_offsets(shape, out_h, out_w, kh, kw, s):
+    """Flat positions in an input of `shape` (n, H, W, C): each tap's offset
+    from its window's first element, shaped (kh*kw,), and each window's
+    first element, shaped (n, oh, ow, c). Read-only, as they are shared."""
+    n, h, w, c = shape
+    taps = (np.arange(kh)[:, None] * (w * c) + np.arange(kw) * c).reshape(-1)
+    base = (np.arange(n)[:, None, None, None] * (h * w * c)
+            + np.arange(out_h)[:, None, None] * (s * w * c)
+            + np.arange(out_w)[:, None] * (s * c) + np.arange(c))
+    taps.flags.writeable = base.flags.writeable = False
+    return taps, base
+
+
+def _pool_winners(win, shape, geometry):
+    """Flat input position of each window's first maximum (argmax breaks
+    ties towards the first tap, row-major in the window)."""
+    taps, base = _pool_offsets(shape, *geometry)
+    return taps[win.argmax(axis=0)] + base
 
 
 def _pool_scatter(gwin, shape, out_h, out_w, kh, kw, s):
@@ -357,26 +385,33 @@ def _pool_scatter(gwin, shape, out_h, out_w, kh, kw, s):
 def _maxpool_forward(params, weights, buffers, inputs, ctx, geometry):
     win = _pool_windows(inputs[0], *geometry)
     if ctx is not None:
-        # argmax picks the first maximum: row-major tie-breaking in the window
-        ctx["argmax"] = win.argmax(axis=3)
-    return win.max(axis=3)
+        ctx["winner"] = _pool_winners(win, inputs[0].shape, geometry)
+    return np.maximum.reduce(win, axis=0)
 
 
 def _maxpool_backward(params, weights, buffers, inputs, output, grad, ctx,
                       geometry, *, weight_grads, input_grad):
     (x,) = inputs
     out_h, out_w, kh, kw, s = geometry
-    idx = (ctx or {}).get("argmax")
-    if idx is None:
-        idx = _pool_windows(x, *geometry).argmax(axis=3)
-    slots = np.arange(kh * kw)[:, None]
-    gwin = np.where(slots == idx[:, :, :, None, :], grad[:, :, :, None, :], 0.0)
-    gwin = gwin.reshape(x.shape[0], out_h, out_w, kh, kw, x.shape[3])
-    return {}, [_pool_scatter(gwin, x.shape, *geometry)]
+    winner = (ctx or {}).get("winner")
+    if winner is None:
+        winner = _pool_winners(_pool_windows(x, *geometry), x.shape, geometry)
+    if s >= kh and s >= kw:
+        # no two windows share an input: each gradient lands on its winner
+        # (`+ 0.0` turns a -0.0 into the +0.0 an add onto zeros gives)
+        gx = np.zeros(x.shape)
+        gx.reshape(-1)[winner] = grad + 0.0
+        return {}, [gx]
+    taps, base = _pool_offsets(x.shape, *geometry)
+    first = taps[:, None, None, None, None] + base == winner
+    gwin = np.where(first, grad, 0.0).reshape((kh, kw) + grad.shape)
+    return {}, [_col2im(gwin.transpose(2, 3, 4, 0, 1, 5), x.shape,
+                        kh, kw, s, out_h, out_w)]
 
 
 def _avgpool_forward(params, weights, buffers, inputs, ctx, geometry):
-    return _pool_windows(inputs[0], *geometry).mean(axis=3)
+    _, _, kh, kw, _ = geometry
+    return np.add.reduce(_pool_windows(inputs[0], *geometry), axis=0) / (kh * kw)
 
 
 def _avgpool_backward(params, weights, buffers, inputs, output, grad, ctx,
@@ -410,9 +445,9 @@ def _gelu_backward(params, weights, buffers, inputs, output, grad, ctx,
                         + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x ** 2))]
 
 
-# The softmax and FC kernels call the ufunc reductions directly: the
-# ndarray methods reach the same reductions through Python wrappers that
-# cost microseconds a call, which tiny-FC SGD steps pay thousands of times.
+# The kernels call the ufunc reductions directly: the ndarray methods
+# reach the same reductions through Python wrappers that cost microseconds
+# a call, which tiny-FC SGD steps pay thousands of times.
 
 def _softmax_forward(params, weights, buffers, inputs, ctx, geometry):
     (x,) = inputs
@@ -439,7 +474,8 @@ def _bn_backward(params, weights, buffers, inputs, output, grad, ctx,
     if weight_grads:
         xhat = (x - buffers["running_mean"]) * inv
         axes = tuple(range(x.ndim - 1))
-        wgrads = {"gamma": (grad * xhat).sum(axis=axes), "beta": grad.sum(axis=axes)}
+        wgrads = {"gamma": np.add.reduce(grad * xhat, axis=axes),
+                  "beta": np.add.reduce(grad, axis=axes)}
     if input_grad:
         igrads = [grad * weights["gamma"] * inv]
     return wgrads, igrads
@@ -636,8 +672,8 @@ def op_forward(kind, params, weights, buffers, inputs: list[np.ndarray],
 
     `ctx`, when given, is a fresh dict that belongs to this one call: the
     kernel stores in it the workspace its backward can reuse (CONV: the
-    im2col columns, MAXPOOL: the argmax of each window). Without it the
-    kernel is pure and keeps nothing.
+    im2col columns, MAXPOOL: the flat input position of each window's
+    first maximum). Without it the kernel is pure and keeps nothing.
 
     `geometry` is what :func:`kernel_geometry` returns for this node and
     input shape; a caller that runs the node many times (a `Network`

@@ -1,4 +1,4 @@
-"""Synthetic data generation, splits, chunking, and the CSG complexity score.
+"""Synthetic data generation, splits, and the CSG complexity score.
 
 The CSG tests carry their own exhaustive (non-Monte-Carlo) class-overlap
 oracle: every point of every class is scanned with a brute-force neighbor
@@ -9,12 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from extractbench.datasets import (
     DatasetSpec,
-    chunked_iter,
     class_prototypes,
     csg_complexity,
     generate,
@@ -145,37 +142,6 @@ class TestSubsetClasses:
         sub = restrict_to_classes(data, (3, 0))
         assert sub.class_map == {3: 0, 0: 1}
         assert len(sub) == 24
-
-
-class TestChunkedIter:
-    def test_chunk_sizes(self):
-        data = generate(spec_for(classes=2, per_class=5))  # n = 10
-        sizes = [len(c) for c in chunked_iter(data, 3)]
-        assert sizes == [3, 3, 3, 1]
-
-    def test_limit(self):
-        data = generate(spec_for(classes=2, per_class=5))
-        sizes = [len(c) for c in chunked_iter(data, 3, limit=4)]
-        assert sizes == [3, 1]
-
-    def test_lazy(self):
-        data = generate(spec_for(classes=2, per_class=50))
-        it = chunked_iter(data, 7)
-        first = next(it)
-        assert len(first) == 7  # nothing past the first chunk materialized
-
-    @given(chunk=st.integers(1, 13), limit=st.one_of(st.none(),
-                                                     st.integers(1, 60)))
-    @settings(max_examples=25, deadline=None)
-    def test_concatenated_chunks_equal_limited_dataset(self, chunk, limit):
-        data = generate(spec_for(classes=3, per_class=14))
-        chunks = list(chunked_iter(data, chunk, limit=limit))
-        n = len(data) if limit is None else min(limit, len(data))
-        got = np.concatenate([c.inputs for c in chunks])
-        assert got.shape[0] == n
-        assert np.array_equal(got, data.inputs[:n])
-        assert np.array_equal(np.concatenate([c.labels for c in chunks]),
-                              data.labels[:n])
 
 
 class TestCsg:

@@ -17,6 +17,7 @@ from extractbench.tensor import (
     _conv_cols,
     _conv_geometry,
     _im2col,
+    _pool_offsets,
     _pool_scatter,
     _pool_windows,
     forward,
@@ -489,9 +490,11 @@ class TestLoopFreeDataMovement:
         rng = np.random.default_rng(hw[0] * 10 + hw[1] + k + 5 * s)
         x = rng.standard_normal((3,) + hw + (2,))
         out_h, out_w = (hw[0] - k) // s + 1, (hw[1] - k) // s + 1
+        # the pool windows are tap-first: the tap-loop columns, transposed
         windows = _pool_windows(x, out_h, out_w, k, k, s)
-        oracle = _tap_loop_cols(x, k, k, s, out_h, out_w).reshape(windows.shape)
-        assert same_bits(windows, oracle)
+        oracle = _tap_loop_cols(x, k, k, s, out_h, out_w).transpose(3, 4, 0, 1, 2, 5)
+        assert windows.flags.c_contiguous
+        assert same_bits(windows, oracle.reshape(windows.shape))
         gwin = rng.standard_normal((3, out_h, out_w, k, k, 2))
         gwin[gwin < -0.5] = -0.0
         assert same_bits(_pool_scatter(gwin, x.shape, out_h, out_w, k, k, s),
@@ -527,3 +530,89 @@ class TestLoopFreeDataMovement:
         assert same_bits(kept, oracle)
         assert same_bits(fresh, oracle)
         assert not np.signbit(oracle).any()  # every -0.0 gradient lands as +0.0
+
+
+def _tap_loop_pool(x, kind, kh, kw, s, out_h, out_w):
+    """Per-tap pool oracle: the output, folded tap by tap in (i, j) order
+    (MAXPOOL from the first tap, AVGPOOL's sum from +0.0), and each
+    window's first maximal tap."""
+    taps = [x[:, i:i + s * (out_h - 1) + 1:s, j:j + s * (out_w - 1) + 1:s, :]
+            for i in range(kh) for j in range(kw)]
+    first = np.zeros(taps[0].shape, dtype=int)
+    if kind is K.AVGPOOL:
+        out = np.zeros(taps[0].shape)
+        for tap in taps:
+            out = out + tap
+        return out / (kh * kw), first
+    out = taps[0].copy()
+    for t, tap in enumerate(taps[1:], start=1):
+        first[tap > out] = t  # a tie keeps the earlier tap
+        out = np.maximum(out, tap)
+    return out, first
+
+
+class TestPoolsEqualTapLoops:
+    """MAXPOOL and AVGPOOL forward, kept-workspace backward and fresh
+    backward give the bits, sign bits included, of per-tap loops."""
+
+    @pytest.mark.parametrize("values", ["normal", "ties"])
+    @pytest.mark.parametrize("kind", [K.MAXPOOL, K.AVGPOOL])
+    @pytest.mark.parametrize("batch", [1, 10])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("kernel,s", [([2, 2], 2), ([3, 3], 3), ([2, 3], 3),
+                                          ([3, 2], 3), ([1, 2], 2), ([3, 3], 2)])
+    @pytest.mark.parametrize("hw", [(8, 8), (5, 5), (7, 7)])
+    def test_pool_equals_tap_loop(self, hw, kernel, s, channels, batch, kind,
+                                  values):
+        rng = np.random.default_rng([*hw, *kernel, s, channels, batch,
+                                     values == "ties"])
+        shape = (batch,) + hw + (channels,)
+        if values == "ties":  # integer ties, +0.0 and -0.0 among them
+            x = rng.integers(-1, 2, size=shape).astype(float)
+            x[rng.random(shape) < 0.3] = -0.0
+        else:
+            x = rng.standard_normal(shape)
+        kh, kw = kernel
+        params = {"kernel": kernel, "stride": s}
+        out_h, out_w = (hw[0] - kh) // s + 1, (hw[1] - kw) // s + 1
+        out, first = _tap_loop_pool(x, kind, kh, kw, s, out_h, out_w)
+        ctx = {}
+        assert same_bits(op_forward(kind, params, {}, {}, [x], ctx), out)
+        assert same_bits(op_forward(kind, params, {}, {}, [x]), out)
+
+        grad = rng.integers(-2, 3, size=out.shape).astype(float)
+        grad[rng.random(out.shape) < 0.3] = -0.0
+        if kind is K.MAXPOOL:
+            gwin = np.zeros((batch, out_h, out_w, kh * kw, channels))
+            np.put_along_axis(gwin, first[:, :, :, None, :],
+                              grad[:, :, :, None, :], axis=3)
+        else:
+            gwin = np.broadcast_to(grad[:, :, :, None, :] / (kh * kw),
+                                   (batch, out_h, out_w, kh * kw, channels))
+        oracle = _tap_loop_scatter(gwin.reshape(out.shape[:3] + (kh, kw, channels)),
+                                   x.shape, kh, kw, s, out_h, out_w)
+        kept = op_backward(kind, params, {}, {}, [x], out, grad, ctx)[1][0]
+        fresh = op_backward(kind, params, {}, {}, [x], out, grad)[1][0]
+        assert same_bits(kept, oracle)
+        assert same_bits(fresh, oracle)
+        if kind is K.MAXPOOL and s >= max(kh, kw):
+            assert not np.signbit(kept[kept == 0]).any()  # -0.0 lands as +0.0
+
+    def test_winners_are_first_maxima_in_input_positions(self):
+        x = np.zeros((2, 4, 6, 2))
+        x[1, 1, 5, 0] = 1.0  # batch 1, window (0, 2), channel 0: tap (1, 1)
+        ctx = {}
+        op_forward(K.MAXPOOL, {"kernel": [2, 2], "stride": 2}, {}, {}, [x], ctx)
+        winner = ctx["winner"]
+        assert winner.shape == (2, 2, 3, 2)
+        # all-zero windows: the first tap (0, 0) wins
+        assert winner[0, 1, 2, 1] == np.ravel_multi_index((0, 2, 4, 1), x.shape)
+        assert winner[1, 0, 2, 0] == np.ravel_multi_index((1, 1, 5, 0), x.shape)
+
+    def test_offset_cache_is_bounded(self):
+        maxsize = _pool_offsets.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 64
+        for n in range(1, maxsize + 10):
+            taps, base = _pool_offsets((n, 4, 4, 1), 2, 2, 2, 2, 2)
+            assert not taps.flags.writeable and not base.flags.writeable
+        assert _pool_offsets.cache_info().currsize <= maxsize
