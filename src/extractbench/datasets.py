@@ -145,15 +145,9 @@ def subset_classes(dataset: Dataset, k: int, seed: int) -> Dataset:
     if not 2 <= k <= dataset.class_count:
         raise ValueError(
             f"k must lie in [2, {dataset.class_count}], got {k}")
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(dataset.class_count, size=k, replace=False)
-    class_map = {int(old): new for new, old in enumerate(chosen)}
-    mask = np.isin(dataset.labels, chosen)
-    labels = np.array([class_map[int(l)] for l in dataset.labels[mask]],
-                      dtype=np.int32)
-    spec = replace(dataset.spec, id=f"{dataset.spec.id}-sub{k}", class_count=k)
-    return Dataset(spec, dataset.inputs[mask], labels, dataset.role,
-                   dataset.sample_ids[mask], class_map)
+    chosen = np.random.default_rng(seed).choice(dataset.class_count, size=k,
+                                                replace=False)
+    return restrict_to_classes(dataset, chosen.tolist())
 
 
 def restrict_to_classes(dataset: Dataset, classes) -> Dataset:
@@ -161,7 +155,9 @@ def restrict_to_classes(dataset: Dataset, classes) -> Dataset:
     classes = tuple(classes)
     bad = [c for c in classes if not 0 <= c < dataset.class_count]
     if bad or len(set(classes)) != len(classes):
-        raise ValueError(f"invalid class selection {classes}")
+        raise ValueError(
+            f"invalid class selection {classes} of dataset {dataset.spec.id!r} "
+            f"with {dataset.class_count} classes")
     class_map = {int(old): new for new, old in enumerate(classes)}
     mask = np.isin(dataset.labels, classes)
     labels = np.array([class_map[int(l)] for l in dataset.labels[mask]],

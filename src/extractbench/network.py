@@ -22,7 +22,6 @@ import numpy as np
 from .tensor import (
     OperatorKind,
     ShapeError,
-    Tensor,
     infer_shape,
     init_weights,
     kernel_geometry,
@@ -501,8 +500,7 @@ def finite_difference_check(model: Network, probe_input, step: float = 1e-5,
     all trainable parameter elements (and input elements when requested); a
     model with no parameters reports 0.0 with has_parameters=False.
     """
-    x = probe_input.to_array() if isinstance(probe_input, Tensor) else np.asarray(probe_input)
-    batch = np.asarray(x, dtype=np.float64)[None, ...]
+    batch = np.asarray(probe_input, dtype=np.float64)[None, ...]
     proj = np.random.default_rng(0).standard_normal((1,) + model.output_shape)
 
     def objective():

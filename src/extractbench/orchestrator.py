@@ -30,7 +30,7 @@ import numpy as np
 import zlib
 
 from .datasets import (Dataset, DatasetSpec, check_query_fraction, generate,
-                       load_dataset, save_dataset, split)
+                       load_dataset, restrict_to_classes, save_dataset, split)
 from .network import TrainConfig, train
 from .query_attacks import (
     GradientHandle,
@@ -63,6 +63,7 @@ from .zoo import (
     ArchitectureSpec,
     BUILTIN_ARCHITECTURES,
     CheckpointError,
+    FILE_NAME,
     ModelRef,
     build_model,
     builtin_spec,
@@ -243,11 +244,11 @@ def _check_minimums(params, **minimums):
             raise ValueError(f"{name} must be >= {low}")
 
 
-def _steal_config(p, query_budget: int, surrogate: str | None = None):
+def _steal_config(p, query_budget: int):
     """Knockoff config of a stealing attack's params; also applies the
     query/test split rule, so parsing checks every stealing field."""
     check_query_fraction(p.query_fraction)
-    return KnockoffConfig(query_budget, p.output_mode, p.recreate, surrogate)
+    return KnockoffConfig(query_budget, p.output_mode, p.recreate)
 
 
 @dataclass
@@ -430,6 +431,9 @@ def parse_scenario(document: str) -> Scenario:
         raise ScenarioError(
             f"schema_version: {version} unsupported (expected {SCHEMA_VERSION})")
     scenario_id = top.take("id", str)
+    if not FILE_NAME.fullmatch(scenario_id):
+        raise ScenarioError(f"id: {scenario_id!r} must be one file-name "
+                            f"component ({FILE_NAME.pattern})")
     seed = top.take("seed", int, 0)
     if seed < 0:
         raise ScenarioError(f"seed: {seed} must be >= 0")
@@ -653,13 +657,20 @@ class Workbench:
 
     def check_ids(self, scenario: Scenario) -> None:
         """Raise a ScenarioError that names the first architecture or
-        dataset id of `scenario` missing from this workbench's registries."""
-        if scenario.target.dataset_id not in self.dataset_specs:
+        dataset id of `scenario` missing from this workbench's registries,
+        or the target's class subset if it names a class the dataset lacks."""
+        target = scenario.target
+        if target.dataset_id not in self.dataset_specs:
             raise ScenarioError(
-                f"target.dataset_id: unknown dataset id "
-                f"{scenario.target.dataset_id!r}")
+                f"target.dataset_id: unknown dataset id {target.dataset_id!r}")
+        classes = self.dataset_specs[target.dataset_id].class_count
+        bad = [c for c in target.class_subset or () if c >= classes]
+        if bad:
+            raise ScenarioError(
+                f"target.class_subset: {bad} outside dataset "
+                f"{target.dataset_id!r} with {classes} classes")
         p = scenario.attack_params
-        named = [("target.architecture_id", scenario.target.architecture_id)]
+        named = [("target.architecture_id", target.architecture_id)]
         for name in ("surrogate_architecture", "student_architecture"):
             if getattr(p, name, None) is not None:
                 named.append((f"attack.params.{name}", getattr(p, name)))
@@ -703,12 +714,6 @@ def _zoo_resolve_locked(ref: ModelRef, bench: Workbench, started: float):
         pass
     data = bench.dataset(ref.dataset_id)
     if ref.class_subset is not None:
-        bad = [c for c in ref.class_subset if c >= data.class_count]
-        if bad:
-            raise ValueError(
-                f"class_subset {bad} outside dataset {ref.dataset_id!r} with "
-                f"{data.class_count} classes")
-        from .datasets import restrict_to_classes
         data = restrict_to_classes(data, ref.class_subset)
     spec = bench.architecture(ref.architecture_id, data.spec.input_shape,
                               data.class_count)
@@ -806,7 +811,7 @@ def _steal_setup(scenario, bench, query_budget: int):
                           _derived_seed(scenario, "split"))
     arch_id = p.surrogate_architecture or scenario.target.architecture_id
     spec = bench.architecture(arch_id, data.spec.input_shape, data.class_count)
-    return queries, test, spec, _steal_config(p, query_budget, spec.id)
+    return queries, test, spec, _steal_config(p, query_budget)
 
 
 def _run_knockoff(scenario, bench, target, art_dir):

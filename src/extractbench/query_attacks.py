@@ -11,7 +11,7 @@ the handle types is what enforces the threat model by construction.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -99,7 +99,6 @@ class KnockoffConfig:
     output_mode: str = "confidence_vector"
     recreate: TrainConfig = field(default_factory=lambda: TrainConfig(
         epochs=20, loss="soft_target_kl"))
-    surrogate_architecture: str | None = None  # default: the target's own
 
     def __post_init__(self):
         if self.query_budget < 1:
@@ -169,15 +168,12 @@ def knockoff_extract(target: QueryHandle, queries: Dataset,
     stolen_data = build_stolen_dataset(target, queries, config.query_budget,
                                        config.output_mode, seed)
     surrogate = build_model(surrogate_spec, seed=seed)
-    recreate = config.recreate
     if config.output_mode == "confidence_vector":
-        cfg = TrainConfig(recreate.learning_rate, recreate.batch_size,
-                          recreate.epochs, "soft_target_kl", recreate.seed)
-        history = train(surrogate, stolen_data.inputs, stolen_data.targets, cfg)
+        history = train(surrogate, stolen_data.inputs, stolen_data.targets,
+                        replace(config.recreate, loss="soft_target_kl"))
     else:
-        cfg = TrainConfig(recreate.learning_rate, recreate.batch_size,
-                          recreate.epochs, "cross_entropy", recreate.seed)
-        history = train(surrogate, stolen_data.inputs, stolen_data.hard_labels(), cfg)
+        history = train(surrogate, stolen_data.inputs, stolen_data.hard_labels(),
+                        replace(config.recreate, loss="cross_entropy"))
     record = AttackRecord(
         attack="knockoff", budget=config.query_budget,
         output_mode=config.output_mode,
@@ -300,10 +296,7 @@ def staged_inversion_study(target: Network, queries: Dataset, test: Dataset,
     probe_t = default_probe_point(target)
     results = []
     for budget in budgets:
-        cfg = KnockoffConfig(query_budget=budget,
-                             output_mode=knockoff_config.output_mode,
-                             recreate=knockoff_config.recreate,
-                             surrogate_architecture=surrogate_spec.id)
+        cfg = replace(knockoff_config, query_budget=budget)
         stolen, _ = knockoff_extract(handle, queries, surrogate_spec, cfg, seed)
         fid = fidelity(stolen, target, test)
         dist = pwcca_distance(
@@ -312,13 +305,7 @@ def staged_inversion_study(target: Network, queries: Dataset, test: Dataset,
         recons, sims, succ = {}, {}, {}
         grad_handle = GradientHandle(stolen)
         for cls in range(target.output_width):
-            inv_cfg = InversionConfig(
-                target_class=cls,
-                posterior_threshold=inversion_config.posterior_threshold,
-                max_iterations=inversion_config.max_iterations,
-                step_size=inversion_config.step_size,
-                init_mode=inversion_config.init_mode,
-                clamp_range=inversion_config.clamp_range)
+            inv_cfg = replace(inversion_config, target_class=cls)
             res = miface_invert(grad_handle, inv_cfg, aux=queries,
                                 seed=np.random.default_rng([seed, budget, cls])
                                 .integers(2 ** 31))

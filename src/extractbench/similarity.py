@@ -9,9 +9,7 @@ every argmax yet organize their representations differently.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -122,17 +120,6 @@ class SensitivityCurves:
     def auc(self) -> dict[str, float]:
         return {lid: float(np.trapezoid(self.accuracy[i], self.magnitudes))
                 for i, lid in enumerate(self.layer_ids)}
-
-    def write_csv(self, path) -> Path:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["layer", "magnitude", "mean_accuracy", "trials"])
-            for i, lid in enumerate(self.layer_ids):
-                for j, mag in enumerate(self.magnitudes):
-                    writer.writerow([lid, mag, f"{self.accuracy[i, j]:.6f}",
-                                     self.trials])
-        return path
 
 
 def layer_noise_sensitivity(model: Network, test_set, magnitudes,
@@ -274,22 +261,18 @@ class EquivalencyReport:
 
 def equivalency_report(target: Network, stolen: Network, test_set,
                        distill_config: DistillConfig,
-                       probe_pairs: list[tuple[str, str]] | None = None,
                        baseline: Network | None = None) -> EquivalencyReport:
     """Fidelity + PWCCA between a target and its stolen copy, then the same
     PWCCA after both are distilled into one student spec (matched probes)."""
     if target.output_width != stolen.output_width:
         raise ValueError("models are not comparable: output widths differ")
-    if probe_pairs is None:
-        probe_pairs = [(default_probe_point(target), default_probe_point(stolen))]
+    pa, pb = default_probe_point(target), default_probe_point(stolen)
     inputs = test_set.inputs
 
     fid = fidelity(target, stolen, test_set)
-    distances = {}
-    for pa, pb in probe_pairs:
-        distances[f"{pa}:{pb}"] = pwcca_distance(
-            collect_activations(target, pa, inputs),
-            collect_activations(stolen, pb, inputs))
+    distances = {f"{pa}:{pb}": pwcca_distance(
+        collect_activations(target, pa, inputs),
+        collect_activations(stolen, pb, inputs))}
 
     st_target = distill(target, distill_config, test_set)
     st_stolen = distill(stolen, distill_config, test_set)
@@ -300,14 +283,12 @@ def equivalency_report(target: Network, stolen: Network, test_set,
 
     baseline_d = None
     if baseline is not None:
-        pa = default_probe_point(target)
-        pb = default_probe_point(baseline)
         baseline_d = pwcca_distance(
             collect_activations(target, pa, inputs),
-            collect_activations(baseline, pb, inputs))
+            collect_activations(baseline, default_probe_point(baseline), inputs))
 
     report = SimilarityReport(
-        fidelity=fid, pwcca_distance=distances, probe_points=probe_pairs,
+        fidelity=fid, pwcca_distance=distances, probe_points=[(pa, pb)],
         accuracy_target=accuracy(target, test_set),
         accuracy_stolen=accuracy(stolen, test_set))
     return EquivalencyReport(similarity=report, distilled_pwcca=distilled,

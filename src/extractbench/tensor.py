@@ -1,4 +1,4 @@
-"""Dense float64 tensors and the operator kernels behind every model graph.
+"""The operator kernels behind every model graph.
 
 Everything downstream (model building, training, attack simulation) runs on
 the eleven operator kinds defined here. Each kind is declared once, as one
@@ -6,9 +6,7 @@ entry of the operator table ``_OPS``: its static parameters with their value
 checks, its output-shape rule, its weight and buffer shapes (in checkpoint
 order), its multiply count, and its forward and backward kernels. The public
 functions below are lookups in that table. Kernels are pure functions over
-batched numpy arrays (leading axis = batch); the public :func:`forward`
-wrapper applies a single operator to unbatched tensors, which is the level
-the shape examples and hand calculations work at.
+batched float64 numpy arrays (leading axis = batch).
 
 Data layout conventions:
   - images are (H, W, C), channels last
@@ -52,32 +50,6 @@ class OperatorKind(Enum):
     # members are singletons, so identity is equality; a C-level hash spares
     # every `_OPS[kind]` lookup the Python-level Enum.__hash__
     __hash__ = object.__hash__
-
-
-@dataclass(frozen=True)
-class Tensor:
-    """Flat row-major float64 buffer plus its logical shape."""
-
-    shape: tuple[int, ...]
-    data: np.ndarray
-
-    def __post_init__(self):
-        if any(s <= 0 for s in self.shape):
-            raise ShapeError(f"non-positive dimension in shape {self.shape}")
-        if self.data.size != int(np.prod(self.shape)):
-            raise ShapeError(
-                f"buffer of {self.data.size} values does not fill shape {self.shape}"
-            )
-
-    @staticmethod
-    def from_array(array) -> "Tensor":
-        arr = np.ascontiguousarray(array, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor values must be finite")
-        return Tensor(tuple(arr.shape), arr.reshape(-1))
-
-    def to_array(self) -> np.ndarray:
-        return self.data.reshape(self.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -707,20 +679,3 @@ def op_backward(kind, params, weights, buffers, inputs, output, grad,
         geometry = op.geometry(params, inputs[0].shape[1:])
     return op.backward(params, weights, buffers, inputs, output, grad, ctx,
                        geometry, weight_grads=weight_grads, input_grad=input_grad)
-
-
-def forward(kind: OperatorKind, params: dict, inputs: list[Tensor]) -> Tensor:
-    """Apply one operator to unbatched tensors.
-
-    `params` carries the static configuration plus, for parameterized kinds,
-    a "weights" (and for BN a "buffers") mapping of tensor-name to array.
-    The static configuration is checked by :func:`infer_shape` first.
-    """
-    params = dict(params)
-    weights = {k: np.asarray(v, dtype=np.float64)
-               for k, v in params.pop("weights", {}).items()}
-    buffers = {k: np.asarray(v, dtype=np.float64)
-               for k, v in params.pop("buffers", {}).items()}
-    infer_shape(kind, params, [t.shape for t in inputs])
-    batch = [t.to_array()[None, ...] for t in inputs]
-    return Tensor.from_array(op_forward(kind, params, weights, buffers, batch)[0])

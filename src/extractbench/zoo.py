@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
 import tempfile
 from dataclasses import dataclass, field
@@ -33,6 +34,9 @@ from .network import Network, NodeSpec, node_shapes, topological_order
 from .tensor import OperatorKind, ShapeError, madd
 
 CHECKPOINT_FORMAT_VERSION = 1
+# one file-name component: scenario ids and checkpoint tags become parts of
+# cache, record and artifact paths, so none may climb out of its directory
+FILE_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 class CheckpointError(RuntimeError):
@@ -109,9 +113,15 @@ class ModelRef:
             subset = tuple(self.class_subset)
             if not subset or len(set(subset)) != len(subset):
                 raise ValueError("class_subset must be non-empty with unique indices")
+            if len(subset) < 2:
+                raise ValueError(f"class_subset {list(subset)} must name at "
+                                 f"least two classes")
             if min(subset) < 0:
                 raise ValueError(f"class_subset index {min(subset)} must be >= 0")
             object.__setattr__(self, "class_subset", tuple(sorted(subset)))
+        if not FILE_NAME.fullmatch(self.checkpoint_tag):
+            raise ValueError(f"checkpoint_tag {self.checkpoint_tag!r} must be one "
+                             f"file-name component ({FILE_NAME.pattern})")
 
     def slug(self) -> str:
         subset = "all" if self.class_subset is None else \
@@ -156,58 +166,6 @@ def build_model(spec: ArchitectureSpec, seed: int) -> Network:
         raise ShapeError(
             f"spec {spec.id}: output shape {model.output_shape} does not "
             f"produce {spec.class_count} classes")
-    return model
-
-
-def transfer_learn(base: Network, inputs: np.ndarray, labels: np.ndarray,
-                   head_classes: int, config) -> Network:
-    """Replace the final FC head and fine-tune every layer on the new task.
-
-    The base model is left untouched; the returned model shares no arrays
-    with it. The head is re-initialized from config.seed even when the class
-    count is unchanged.
-    """
-    if head_classes < 2:
-        raise ValueError("head_classes must be >= 2")
-    labels = np.asarray(labels)
-    if config.epochs > 0 and (labels.min() < 0 or labels.max() >= head_classes):
-        raise ValueError(
-            f"dataset labels [{labels.min()}, {labels.max()}] outside "
-            f"[0, {head_classes})")
-    if base.spec is None:
-        raise ValueError("base model carries no architecture spec")
-
-    fc_ids = [n.node_id for n in base.order if n.kind is OperatorKind.FC]
-    if not fc_ids:
-        raise ValueError("base model has no FC head to replace")
-    head_id = fc_ids[-1]
-
-    nodes = []
-    for node in base.spec.nodes:
-        if node.node_id == head_id:
-            params = dict(node.params, out_features=int(head_classes))
-            nodes.append(NodeSpec(node.node_id, node.kind, params, node.inputs))
-        else:
-            nodes.append(node)
-    spec = ArchitectureSpec(
-        id=f"{base.spec.id}-head{head_classes}", family=base.spec.family,
-        nodes=tuple(nodes), input_shape=base.spec.input_shape,
-        class_count=int(head_classes))
-
-    model = build_model(spec, seed=config.seed)
-    for node_id, weights in base.weights.items():
-        if node_id == head_id:
-            continue
-        for name, value in weights.items():
-            model.weights[node_id][name] = value.copy()
-    for node_id, buffers in base.buffers.items():
-        for name, value in buffers.items():
-            model.buffers[node_id][name] = value.copy()
-    model.bn_calibrated = base.bn_calibrated
-
-    if config.epochs > 0:
-        from .network import train
-        train(model, inputs, labels, config)
     return model
 
 

@@ -199,6 +199,25 @@ BAD_DOCUMENTS = [
      r"^environment\.environment_profile: deeprecon never reads it"),
     ("deepsniffer", {}, CPU,
      r"^environment\.machine_profile: deepsniffer never reads it"),
+    ("knockoff", {"query_budget": 120},
+     {"target": {"architecture_id": "mini-mlp-1",
+                 "dataset_id": "blobs-2c-easy", "class_subset": [1]}},
+     r"^target: class_subset \[1\] must name at least two classes"),
+    # ids and tags become file names: none may leave its directory
+    ("knockoff", {"query_budget": 120}, {"id": ".."},
+     r"^id: '\.\.' must be one file-name component"),
+    ("knockoff", {"query_budget": 120}, {"id": "/abs"},
+     r"^id: '/abs' must be one file-name component"),
+    ("knockoff", {"query_budget": 120}, {"id": "a/b"},
+     r"^id: 'a/b' must be one file-name component"),
+    ("knockoff", {"query_budget": 120}, {"id": ""},
+     r"^id: '' must be one file-name component"),
+    ("knockoff", {"query_budget": 120},
+     {"target": {"architecture_id": "mini-mlp-1",
+                 "dataset_id": "blobs-2c-easy",
+                 "checkpoint_tag": "x/../../../tagesc"}},
+     r"^target: checkpoint_tag 'x/\.\./\.\./\.\./tagesc' must be one "
+     r"file-name component"),
 ]
 
 
@@ -317,6 +336,21 @@ class TestCli:
         assert err.startswith(f"invalid: {where}: unknown")
         assert repr(name) in err
         assert not root.exists()  # checking ids touches no repository
+
+    @pytest.mark.parametrize("subset,error", [
+        ([0, 5], "target.class_subset: [5] outside dataset 'blobs-2c-easy' "
+                 "with 2 classes"),
+        ([5], "target: class_subset [5] must name at least two classes")])
+    def test_validate_rejects_class_subset_a_run_would(self, tmp_path, capsys,
+                                                       subset, error):
+        path = tmp_path / "subset.json"
+        path.write_text(json.dumps(scenario_doc(target={
+            "architecture_id": "mini-mlp-1", "dataset_id": "blobs-2c-easy",
+            "class_subset": subset})))
+        root = tmp_path / "repo"
+        assert main(["--root", str(root), "validate", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"invalid: {error}")
+        assert not root.exists()
 
     @pytest.mark.parametrize("attack_type,params,where", [
         ("knockoff", {"query_budget": 10, "surrogate_architecture": "x-net"},

@@ -179,16 +179,6 @@ class TestLayerNoiseSensitivity:
         med = np.median(curves.accuracy, axis=0)
         assert all(med[i + 1] <= med[i] + 0.02 for i in range(len(med) - 1))
 
-    def test_csv_emission(self, tmp_path, blobs4_split):
-        _, test = blobs4_split
-        model = trained_model("mini-mlp-2", test, epochs=1)
-        curves = layer_noise_sensitivity(model, test, [0.0, 1.0], trials=1,
-                                         seed=0)
-        path = curves.write_csv(tmp_path / "curves.csv")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "layer,magnitude,mean_accuracy,trials"
-        assert len(lines) == 1 + 2 * len(curves.layer_ids)
-
 
 class TestDistill:
     def test_alpha_one_is_exactly_ordinary_training(self):

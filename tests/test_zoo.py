@@ -1,11 +1,11 @@
-"""Architecture specs, MAdd accounting, transfer learning, checkpoints."""
+"""Architecture specs, MAdd accounting, checkpoints."""
 
 import json
 
 import numpy as np
 import pytest
 
-from extractbench.network import NodeSpec, TrainConfig
+from extractbench.network import NodeSpec
 from extractbench.tensor import OperatorKind as K
 from extractbench.tensor import ShapeError
 from extractbench.zoo import (
@@ -20,7 +20,6 @@ from extractbench.zoo import (
     load_checkpoint,
     operator_sequence,
     save_checkpoint,
-    transfer_learn,
 )
 
 from conftest import make_blobs, same_bits, trained_model
@@ -206,52 +205,6 @@ class TestOperatorSequence:
             assert K.GELU not in operator_sequence(builtin_spec(arch_id, SHAPE, 4))
 
 
-class TestTransferLearn:
-    def test_zero_epochs_replaces_only_head(self):
-        data = make_blobs(classes=4, per_class=30, shape=(4, 4, 1), seed=3)
-        base = trained_model("mini-mlp-2", data, epochs=2, seed=1)
-        adapted = transfer_learn(base, data.inputs, data.labels, 4,
-                                 TrainConfig(epochs=0, seed=9))
-        assert np.array_equal(adapted.weights["fc1"]["weight"],
-                              base.weights["fc1"]["weight"])
-        assert not np.array_equal(adapted.weights["head"]["weight"],
-                                  base.weights["head"]["weight"])
-        assert adapted.spec.class_count == 4
-
-    def test_adapts_to_disjoint_task(self):
-        source = make_blobs(classes=4, per_class=150, shape=(4, 4, 1),
-                            overlap=0.0, seed=21)
-        target = make_blobs(classes=2, per_class=150, shape=(4, 4, 1),
-                            overlap=0.0, seed=22)
-        base = trained_model("mini-mlp-2", source, epochs=12, seed=2)
-        adapted = transfer_learn(base, target.inputs, target.labels, 2,
-                                 TrainConfig(epochs=20, seed=5))
-        acc = np.mean(adapted.predict(target.inputs).argmax(1) == target.labels)
-        assert acc >= 0.9
-        # base untouched
-        assert base.output_width == 4
-
-    def test_source_task_regresses_after_adaptation(self):
-        source = make_blobs(classes=4, per_class=150, shape=(4, 4, 1),
-                            overlap=0.2, seed=31)
-        other = make_blobs(classes=4, per_class=150, shape=(4, 4, 1),
-                           overlap=0.2, seed=32)
-        base = trained_model("mini-mlp-2", source, epochs=15, seed=3)
-        base_acc = np.mean(base.predict(source.inputs).argmax(1) == source.labels)
-        adapted = transfer_learn(base, other.inputs, other.labels, 4,
-                                 TrainConfig(epochs=20, seed=6))
-        adapted_acc = np.mean(adapted.predict(source.inputs).argmax(1)
-                              == source.labels)
-        assert adapted_acc <= base_acc
-
-    def test_label_out_of_range_rejected(self):
-        data = make_blobs(classes=4, per_class=20, shape=(4, 4, 1), seed=4)
-        base = trained_model("mini-mlp-2", data, epochs=1, seed=1)
-        with pytest.raises(ValueError, match="outside"):
-            transfer_learn(base, data.inputs, data.labels, 2,
-                           TrainConfig(epochs=1, seed=0))
-
-
 class TestCheckpoints:
     def test_round_trip_bit_identical(self, tmp_path):
         data = make_blobs(classes=3, per_class=30, shape=(4, 4, 1), seed=5)
@@ -309,3 +262,9 @@ class TestCheckpoints:
                               m1.state_vector())
         assert np.array_equal(load_checkpoint(r2, tmp_path).state_vector(),
                               m2.state_vector())
+
+    @pytest.mark.parametrize("tag", ["..", "/abs", "a/b", "", "x/../../../tagesc"])
+    def test_tag_is_one_file_name_component(self, tag):
+        with pytest.raises(ValueError,
+                           match="checkpoint_tag .* must be one file-name component"):
+            ModelRef("mini-mlp-2", "blobs-2c-easy", None, tag)
