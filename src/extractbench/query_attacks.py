@@ -10,7 +10,6 @@ the handle types is what enforces the threat model by construction.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -124,12 +123,7 @@ class StolenDataset:
 @dataclass
 class AttackRecord:
     attack: str
-    budget: int
-    output_mode: str
-    surrogate_architecture: str
-    seed: int
     loss_history: list[float]
-    elapsed_seconds: float
     queries_used: int
 
 
@@ -164,7 +158,6 @@ def knockoff_extract(target: QueryHandle, queries: Dataset,
                      seed: int = 0):
     """Steal by querying: build the stolen dataset, then train a fresh
     surrogate on it (KL against confidences, cross-entropy against labels)."""
-    started = time.perf_counter()
     stolen_data = build_stolen_dataset(target, queries, config.query_budget,
                                        config.output_mode, seed)
     surrogate = build_model(surrogate_spec, seed=seed)
@@ -174,12 +167,8 @@ def knockoff_extract(target: QueryHandle, queries: Dataset,
     else:
         history = train(surrogate, stolen_data.inputs, stolen_data.hard_labels(),
                         replace(config.recreate, loss="cross_entropy"))
-    record = AttackRecord(
-        attack="knockoff", budget=config.query_budget,
-        output_mode=config.output_mode,
-        surrogate_architecture=surrogate_spec.id, seed=seed,
-        loss_history=history, elapsed_seconds=time.perf_counter() - started,
-        queries_used=len(stolen_data))
+    record = AttackRecord(attack="knockoff", loss_history=history,
+                          queries_used=len(stolen_data))
     return surrogate, record
 
 

@@ -473,12 +473,30 @@ def _vote(labels: list[str], order: np.ndarray) -> tuple[str, dict[str, int]]:
     raise AssertionError("unreachable")
 
 
+def _nearest(points: np.ndarray, point: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the `k` rows of the (m, 2) `points` nearest to `point`,
+    nearest first, ties to the lower index: what
+    ``np.argsort(np.linalg.norm(points - point, axis=1), kind="stable")[:k]``
+    returns, from the same distances, without sorting every row."""
+    px, py = point
+    # norm's bits, a column at a time: the squares summed in column order
+    dist = points[:, 0] - px
+    dist *= dist
+    dy = points[:, 1] - py
+    dy *= dy
+    dist += dy
+    np.sqrt(dist, out=dist)
+    # the rows no farther than the k-th distance, in index order, then
+    # stably sorted by distance
+    kth = np.partition(dist, k - 1)[k - 1]
+    near = np.flatnonzero(dist <= kth)
+    return near[np.argsort(dist[near], kind="stable")[:k]]
+
+
 def dr_classify(histogram: SymbolHistogram, model: FingerprintModel) -> DrPrediction:
     """Majority vote over the k nearest projected neighbors, taken
     independently for the exact architecture and for the family."""
-    point = model.project(histogram)
-    dist = np.linalg.norm(model.points - point, axis=1)
-    order = np.argsort(dist, kind="stable")[:model.k]
+    order = _nearest(model.points, model.project(histogram), model.k)
     arch, arch_votes = _vote(model.architecture_labels, order)
     family, family_votes = _vote(model.family_labels, order)
     return DrPrediction(architecture_id=arch, family=family,

@@ -197,8 +197,13 @@ def distill(teacher: Network, config: DistillConfig, transfer_set) -> Network:
             f"{config.student_spec.class_count}")
     inputs = transfer_set.inputs
     labels = transfer_set.labels
-    student = build_model(config.student_spec, seed=config.train.seed)
     alpha = config.hard_label_weight
+    width = teacher.output_width
+    if alpha > 0.0 and (labels.min() < 0 or labels.max() >= width):
+        raise ValueError(
+            f"label range [{labels.min()}, {labels.max()}] incompatible with "
+            f"student class count {width}")
+    student = build_model(config.student_spec, seed=config.train.seed)
     tau = config.temperature
     soft_targets = None
     if alpha < 1.0:

@@ -419,18 +419,24 @@ def _gelu_backward(params, weights, buffers, inputs, output, grad, ctx,
 
 # The kernels call the ufunc reductions directly: the ndarray methods
 # reach the same reductions through Python wrappers that cost microseconds
-# a call, which tiny-FC SGD steps pay thousands of times.
+# a call, which tiny-FC SGD steps pay thousands of times. For the same
+# reason they work in place on the temporaries they make themselves (never
+# on an input, a weight or a gradient they were handed): an in-place ufunc
+# rounds exactly as the one that allocates.
 
 def _softmax_forward(params, weights, buffers, inputs, ctx, geometry):
     (x,) = inputs
-    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    e = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_backward(params, weights, buffers, inputs, output, grad, ctx,
                       geometry, *, weight_grads, input_grad):
-    dot = np.add.reduce(grad * output, axis=-1, keepdims=True)
-    return {}, [output * (grad - dot)]
+    g = grad - np.add.reduce(grad * output, axis=-1, keepdims=True)
+    g *= output
+    return {}, [g]
 
 
 def _bn_forward(params, weights, buffers, inputs, ctx, geometry):
@@ -455,14 +461,18 @@ def _bn_backward(params, weights, buffers, inputs, output, grad, ctx,
 
 def _fc_forward(params, weights, buffers, inputs, ctx, geometry):
     (x,) = inputs
-    x2 = x.reshape(x.shape[0], -1)
-    if x2.shape[1] != weights["weight"].shape[0]:
+    if x.ndim != 2:
+        x = x.reshape(x.shape[0], -1)
+    w = weights["weight"]
+    try:
+        y = x @ w
+    except ValueError:
         raise ShapeError(
-            f"FC: input of {x2.shape[1]} features does not match weight "
-            f"{weights['weight'].shape}")
-    y = x2 @ weights["weight"]
-    if "bias" in weights:
-        y = y + weights["bias"]
+            f"FC: input of {x.shape[1]} features does not match weight "
+            f"{w.shape}") from None
+    bias = weights.get("bias")
+    if bias is not None:
+        y += bias
     return y
 
 
@@ -471,7 +481,8 @@ def _fc_backward(params, weights, buffers, inputs, output, grad, ctx,
     (x,) = inputs
     wgrads, igrads = {}, [None]
     if weight_grads:
-        wgrads["weight"] = x.reshape(x.shape[0], -1).T @ grad
+        x2 = x if x.ndim == 2 else x.reshape(x.shape[0], -1)
+        wgrads["weight"] = x2.T @ grad
         if "bias" in weights:
             wgrads["bias"] = np.add.reduce(grad, axis=0)
     if input_grad:

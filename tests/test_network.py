@@ -446,20 +446,166 @@ class TestRequestedGradients:
                          net.backward(np.ones((2, 4, 4, 1))).by_node["c"]["weight"])
 
     def test_sgd_never_builds_an_input_gradient(self, monkeypatch):
-        flags = []
-        real = Network.backward
+        # and each step runs one forward, on that step's rows
+        flags, rows = [], []
+        real_forward, real_backward = Network.forward, Network.backward
 
-        def recording(self, grad, **kwargs):
+        def forward(self, x):
+            rows.append(len(x))
+            return real_forward(self, x)
+
+        def backward(self, grad, **kwargs):
             flags.append(kwargs)
-            result = real(self, grad, **kwargs)
+            result = real_backward(self, grad, **kwargs)
             assert result.input is None
             return result
 
-        monkeypatch.setattr(Network, "backward", recording)
+        monkeypatch.setattr(Network, "forward", forward)
+        monkeypatch.setattr(Network, "backward", backward)
         data = make_blobs(classes=3, per_class=10, shape=(6, 6, 1), seed=3)
         model = build_model(builtin_spec("mini-vgg-4", (6, 6, 1), 3), seed=0)
-        train(model, data.inputs, data.labels, TrainConfig(epochs=2, batch_size=10))
-        assert flags == [{"input_grad": False}] * 6
+        train(model, data.inputs, data.labels, TrainConfig(epochs=2, batch_size=8))
+        assert flags == [{"input_grad": False}] * 8
+        assert rows == [8, 8, 8, 6] * 2
+
+
+def per_step_gather_sgd_run(model, inputs, grad_fn, config):
+    """The plainest form of the SGD loop, and the oracle of `sgd_run`'s
+    bits: a fancy-index gather of each batch's rows and ``w -= lr * g``."""
+    n = inputs.shape[0]
+    rng = np.random.default_rng(config.seed)
+    history = []
+    for _ in range(config.epochs):
+        perm = rng.permutation(n)
+        if not model.bn_calibrated:
+            model.calibrate_bn(inputs[perm[:config.batch_size]])
+        losses = []
+        for start in range(0, n, config.batch_size):
+            idx = perm[start:start + config.batch_size]
+            probs = model.forward(inputs[idx])
+            loss, gout = grad_fn(probs, idx)
+            grads = model.backward(gout, input_grad=False)
+            for node_id, wgrads in grads.by_node.items():
+                store = model.weights[node_id]
+                for name, g in wgrads.items():
+                    store[name] -= config.learning_rate * g
+            losses.append(loss)
+        history.append(float(np.mean(losses)))
+        model.meta["epochs_trained"] += 1
+    return history
+
+
+@pytest.mark.parametrize("arch_id", sorted(BUILTIN_ARCHITECTURES))
+def test_weight_gradients_are_fresh_arrays(arch_id):
+    # sgd_run scales each weight gradient in place (`g *= lr`), which is
+    # only safe while no gradient shares memory with a weight, a buffer, an
+    # activation, a kernel workspace, the output gradient or another one
+    model, x = TestPredictAndWorkspace._model_and_input(arch_id, 3)
+    out = model.forward(x)
+    gout = np.random.default_rng(0).standard_normal(out.shape)
+    grads = model.backward(gout, input_grad=False).by_node
+    kept = [gout, *model._acts]
+    kept += [a for w in model.weights.values() for a in w.values()]
+    kept += [a for b in model.buffers.values() for a in b.values()]
+    kept += [a for ctx in model._ctxs for a in ctx.values()]
+    fresh = [g for wgrads in grads.values() for g in wgrads.values()]
+    assert fresh and len(fresh) == sum(len(w) for w in model.weights.values())
+    for i, g in enumerate(fresh):
+        assert not any(np.shares_memory(g, a) for a in kept + fresh[:i])
+
+
+class TestSgdLoopMatchesPerStepGather:
+    """`sgd_run` trains to the bits of the per-step-gather loop: weights,
+    BN statistics and loss history."""
+
+    @staticmethod
+    def _both(monkeypatch, module, run):
+        """`run()` with the real loop, then with the oracle in its place
+        in `module`; each returns (model, history)."""
+        lean = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "sgd_run", per_step_gather_sgd_run)
+            oracle = run()
+        return lean, oracle
+
+    @staticmethod
+    def _assert_same(lean, oracle):
+        (model, history), (want_model, want_history) = lean, oracle
+        assert history == want_history
+        assert same_bits(model.state_vector(), want_model.state_vector())
+        assert model.meta == want_model.meta
+
+    @pytest.mark.parametrize("arch_id,batch_size", [
+        ("mini-mlp-2", 7),       # 60 rows: a partial last batch
+        ("mini-mlp-2", 60),      # one batch of every row
+        ("mini-mlp-2", 100),     # batch_size > n
+        ("mini-resnet-4", 16),   # BN: calibrate_bn runs on the first batch
+    ])
+    def test_cross_entropy(self, monkeypatch, arch_id, batch_size):
+        data = make_blobs(classes=3, per_class=20, overlap=0.3, seed=5)
+
+        def run():
+            model = build_model(builtin_spec(arch_id, (6, 6, 1), 3), seed=1)
+            history = train(model, data.inputs, data.labels,
+                            TrainConfig(learning_rate=0.05, batch_size=batch_size,
+                                        epochs=3, seed=2))
+            return model, history
+
+        self._assert_same(*self._both(monkeypatch, network, run))
+
+    def test_tiny_fc_classifier(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        rows = rng.standard_normal((53, 15))
+        labels = rng.integers(0, len(DS_VOCABULARY), 53)
+
+        def run():
+            model = fc_softmax(15, len(DS_VOCABULARY), seed=0)
+            history = train(model, rows, labels,
+                            TrainConfig(learning_rate=0.5, batch_size=16,
+                                        epochs=5, seed=0))
+            return model, history
+
+        self._assert_same(*self._both(monkeypatch, network, run))
+
+    def test_soft_target_kl(self, monkeypatch):
+        data = make_blobs(classes=4, per_class=12, overlap=0.4, seed=6)
+        teacher = fc_softmax_model(data, seed=3, epochs=2)
+        soft = teacher.predict(data.inputs)
+
+        def run():
+            model = build_model(builtin_spec("mini-vgg-4", (6, 6, 1), 4), seed=4)
+            history = train(model, data.inputs, soft,
+                            TrainConfig(learning_rate=0.05, batch_size=10,
+                                        epochs=2, loss="soft_target_kl", seed=5))
+            return model, history
+
+        self._assert_same(*self._both(monkeypatch, network, run))
+
+    def test_distill_blended_targets(self, monkeypatch):
+        from extractbench import similarity
+        from extractbench.similarity import DistillConfig, distill
+        data = make_blobs(classes=3, per_class=15, shape=(4, 4, 1),
+                          overlap=0.3, seed=8)
+        teacher = fc_softmax_model(data, seed=2, epochs=3)
+        config = DistillConfig(
+            student_spec=builtin_spec("mini-mlp-2", (4, 4, 1), 3),
+            temperature=2.0, hard_label_weight=0.4,
+            train=TrainConfig(learning_rate=0.05, batch_size=8, epochs=3, seed=6))
+        histories = []
+
+        def run():
+            real = similarity.sgd_run
+
+            def recording(*args):
+                histories.append(real(*args))
+                return histories[-1]
+
+            with monkeypatch.context() as patch:
+                patch.setattr(similarity, "sgd_run", recording)
+                student = distill(teacher, config, data)
+            return student, histories[-1]
+
+        self._assert_same(*self._both(monkeypatch, similarity, run))
 
 
 class TestTrainingMatchesGolden:

@@ -14,7 +14,6 @@ from extractbench.orchestrator import (
     ATTACK_TYPES,
     EXCLUSIVE_ATTACKS,
     ScenarioError,
-    Workbench,
     default_workbench,
     execute,
     load_records,

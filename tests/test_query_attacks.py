@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from extractbench.datasets import DatasetSpec, Dataset, generate, split, subset_classes
-from extractbench.network import Network, NodeSpec, TrainConfig, train
+from extractbench.network import Network, TrainConfig, train
 from extractbench.query_attacks import (
     GradientHandle,
     InversionConfig,
@@ -19,7 +19,6 @@ from extractbench.query_attacks import (
     staged_inversion_study,
 )
 from extractbench.similarity import fidelity
-from extractbench.tensor import OperatorKind as K
 from extractbench.zoo import builtin_spec, build_model
 
 from conftest import make_blobs, trained_model

@@ -35,7 +35,7 @@ from extractbench.sidechannel import (
     write_histograms_csv,
     write_trace_jsonl,
 )
-from extractbench.sidechannel import _SYMBOL_MAP
+from extractbench.sidechannel import _SYMBOL_MAP, _nearest, _vote
 from extractbench.network import NodeSpec, node_shapes, topological_order
 from extractbench.tensor import OperatorKind as K
 from extractbench.tensor import buffer_shapes, madd, weight_shapes
@@ -390,6 +390,49 @@ class TestDrClassify:
         query["Conv"] = 5
         pred = dr_classify(SymbolHistogram(query, "p", "?", "?"), model)
         assert pred.architecture_id == "b"  # nearest tied label wins
+
+    @staticmethod
+    def oracle_nearest(points, point, k):
+        """The full stable sort of every norm distance."""
+        return np.argsort(np.linalg.norm(points - point, axis=1),
+                          kind="stable")[:k]
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_nearest_matches_full_stable_sort(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 60))
+        if seed % 2:  # small integer grid: many tied distances
+            points = rng.integers(-3, 4, size=(m, 2)).astype(np.float64)
+            point = rng.integers(-3, 4, size=2).astype(np.float64)
+        else:
+            points = rng.standard_normal((m, 2))
+            point = rng.standard_normal(2)
+        points[rng.integers(0, m, size=m // 3)] = points[0]  # exact duplicates
+        for k in sorted({1, 2, (m + 1) // 2, m - 1, m} - {0}):
+            got = _nearest(points, point, k)
+            want = self.oracle_nearest(points, point, k)
+            assert got.dtype == want.dtype and np.array_equal(got, want), k
+
+    @pytest.mark.parametrize("k", [1, 3, None])
+    def test_classify_matches_full_stable_sort(self, k):
+        # integer symbol counts: many histograms project onto one point
+        rng = np.random.default_rng(7)
+        corpus = []
+        for i in range(40):
+            counts = dict.fromkeys(SYMBOLS, 0)
+            counts["Conv"] = int(rng.integers(0, 3))
+            counts["Add"] = int(rng.integers(0, 3))
+            corpus.append(SymbolHistogram(counts, "p", f"arch-{i % 5}",
+                                          f"family-{i % 2}"))
+        k = len(corpus) if k is None else k
+        model = fit_fingerprint_space(corpus, k=k)
+        for query in corpus[:10]:
+            order = self.oracle_nearest(model.points, model.project(query), k)
+            arch, arch_votes = _vote(model.architecture_labels, order)
+            family, family_votes = _vote(model.family_labels, order)
+            pred = dr_classify(query, model)
+            assert (pred.architecture_id, pred.exact_votes) == (arch, arch_votes)
+            assert (pred.family, pred.family_votes) == (family, family_votes)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from extractbench.datasets import DatasetSpec, generate, split
-from extractbench.network import Network, NodeSpec, TrainConfig, train
+from extractbench.datasets import split
+from extractbench.network import TrainConfig, train
 from extractbench.similarity import (
     DistillConfig,
-    SensitivityCurves,
     accuracy,
     collect_activations,
     default_probe_point,
@@ -17,7 +16,6 @@ from extractbench.similarity import (
     layer_noise_sensitivity,
     pwcca_distance,
 )
-from extractbench.tensor import OperatorKind as K
 from extractbench.zoo import build_model, builtin_spec, make_student_cnn
 
 from conftest import make_blobs, trained_model
@@ -194,6 +192,20 @@ class TestDistill:
         train(reference, data.inputs, data.labels,
               TrainConfig(epochs=5, seed=9))
         assert np.array_equal(student.state_vector(), reference.state_vector())
+
+    def test_out_of_range_hard_label_rejected(self):
+        data = make_blobs(classes=3, per_class=10, shape=(4, 4, 1), seed=84)
+        teacher = trained_model("mini-mlp-2", data, epochs=1, seed=1)
+        data.labels[4] = 3  # the teacher and the student have 3 classes
+        spec = builtin_spec("mini-mlp-2", data.spec.input_shape, 3)
+        for weight in (0.5, 1.0):
+            cfg = DistillConfig(student_spec=spec, hard_label_weight=weight,
+                                train=TrainConfig(epochs=1, seed=9))
+            with pytest.raises(ValueError, match="label range"):
+                distill(teacher, cfg, data)
+        cfg = DistillConfig(student_spec=spec, hard_label_weight=0.0,
+                            train=TrainConfig(epochs=1, seed=9))
+        distill(teacher, cfg, data)  # soft targets alone read no label
 
     def test_self_distillation_reaches_high_fidelity(self):
         data = make_blobs(classes=3, per_class=150, shape=(4, 4, 1),
