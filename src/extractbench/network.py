@@ -334,7 +334,9 @@ class Network:
         `weight_grads=False` computes no trainable-tensor gradient
         (``by_node`` is ``{}``) and `input_grad=False` no graph-input
         gradient (``input`` is ``None``); what is computed has the same bits
-        either way.
+        either way. Every node leads to the one output (``sink_node``
+        rejects any other graph), so each node's output gradient exists when
+        its turn comes and ``by_node`` holds every weighted node.
         """
         acts = self._acts
         if acts is None:
@@ -354,12 +356,10 @@ class Network:
         ctxs = self._ctxs
         for node_id, kind, params, weights, buffers, ins, gather, out, geometry, \
                 _, reads_inner in self._reversed:
-            g = grads[out]
-            if g is None:
-                continue
             wgrads, igrads = op_backward(
                 kind, params, weights, buffers, gather(acts),
-                acts[out], g, ctxs[out - 1], geometry, weight_grads=weight_grads,
+                acts[out], grads[out], ctxs[out - 1], geometry,
+                weight_grads=weight_grads,
                 input_grad=input_grad or reads_inner)
             if wgrads:
                 by_node[node_id] = wgrads
@@ -370,11 +370,6 @@ class Network:
                     grads[k] = grads[k] + ig
                 elif k:
                     grads[k] = ig
-        if weight_grads and len(by_node) < len(self._weighted):
-            for node_id in self._weighted:  # zero grads off the gradient path
-                if node_id not in by_node:
-                    by_node[node_id] = {
-                        k: np.zeros_like(v) for k, v in self.weights[node_id].items()}
         return Gradients(by_node, grads[0])
 
     def calibrate_bn(self, batch: np.ndarray) -> None:

@@ -822,11 +822,13 @@ def _run_knockoff(scenario, bench, target, art_dir):
     stolen_ref = ModelRef(spec.id, scenario.target.dataset_id,
                           checkpoint_tag=f"stolen-{scenario.id}")
     save_checkpoint(stolen, stolen_ref, art_dir)
+    out_stolen = stolen.predict(test.inputs)
+    out_target = target.predict(test.inputs)
     metrics = {
-        "fidelity": fidelity(stolen, target, test),
+        "fidelity": fidelity(out_stolen, out_target, test),
         "queries_used": float(record.queries_used),
-        "accuracy_target": accuracy(target, test),
-        "accuracy_stolen": accuracy(stolen, test),
+        "accuracy_target": accuracy(out_target, test),
+        "accuracy_stolen": accuracy(out_stolen, test),
         "final_loss": record.loss_history[-1] if record.loss_history else 0.0,
     }
     return metrics, [str(checkpoint_path(art_dir, stolen_ref))]

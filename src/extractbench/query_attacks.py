@@ -282,14 +282,17 @@ def staged_inversion_study(target: Network, queries: Dataset, test: Dataset,
     score reconstructions against the true class-mean images."""
     check_budgets(budgets)
     handle = QueryHandle(target)
-    probe_t = default_probe_point(target)
+    # the target is the same at every budget: run it on the test set once
+    out_target = target.predict(test.inputs)
+    acts_target = collect_activations(target, default_probe_point(target),
+                                      test.inputs)
     results = []
     for budget in budgets:
         cfg = replace(knockoff_config, query_budget=budget)
         stolen, _ = knockoff_extract(handle, queries, surrogate_spec, cfg, seed)
-        fid = fidelity(stolen, target, test)
+        fid = fidelity(stolen, out_target, test)
         dist = pwcca_distance(
-            collect_activations(target, probe_t, test.inputs),
+            acts_target,
             collect_activations(stolen, default_probe_point(stolen), test.inputs))
         recons, sims, succ = {}, {}, {}
         grad_handle = GradientHandle(stolen)

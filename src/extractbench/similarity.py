@@ -22,13 +22,28 @@ def _as_inputs(test_set) -> np.ndarray:
     return test_set.inputs if hasattr(test_set, "inputs") else np.asarray(test_set)
 
 
+def _outputs(model, inputs: np.ndarray) -> np.ndarray:
+    """A model's output rows on `inputs`. `model` is a Network, or those rows
+    already computed by the caller from this very array: a prediction is a
+    function of the whole batch, so rows of any other array (a chunk, a copy
+    of another split) need not carry the same bits."""
+    if not isinstance(model, np.ndarray):
+        return model.predict(inputs)
+    if model.shape[0] != inputs.shape[0]:
+        raise ValueError(
+            f"{model.shape[0]} output rows for {inputs.shape[0]} inputs")
+    return model
+
+
 def fidelity(model_a, model_b, test_set) -> float:
-    """Fraction of inputs on which the two models' top-1 labels agree."""
+    """Fraction of inputs on which the two models' top-1 labels agree.
+
+    Either model may be given as its output rows on the test set."""
     inputs = _as_inputs(test_set)
     if inputs.shape[0] == 0:
         raise ValueError("empty test set")
-    pa = model_a.predict(inputs)
-    pb = model_b.predict(inputs)
+    pa = _outputs(model_a, inputs)
+    pb = _outputs(model_b, inputs)
     if pa.shape[1] != pb.shape[1]:
         raise ValueError(
             f"output widths differ: {pa.shape[1]} vs {pb.shape[1]}")
@@ -36,7 +51,9 @@ def fidelity(model_a, model_b, test_set) -> float:
 
 
 def accuracy(model, dataset) -> float:
-    return float(np.mean(model.predict(dataset.inputs).argmax(axis=1)
+    """Top-1 accuracy on a labelled set; `model` may be given as its output
+    rows on the set."""
+    return float(np.mean(_outputs(model, dataset.inputs).argmax(axis=1)
                          == dataset.labels))
 
 
@@ -274,10 +291,13 @@ def equivalency_report(target: Network, stolen: Network, test_set,
     pa, pb = default_probe_point(target), default_probe_point(stolen)
     inputs = test_set.inputs
 
-    fid = fidelity(target, stolen, test_set)
+    # each model runs once on the test set for its output and once for its
+    # probe; every metric below reads those arrays
+    out_target, out_stolen = target.predict(inputs), stolen.predict(inputs)
+    acts_target = collect_activations(target, pa, inputs)
+    fid = fidelity(out_target, out_stolen, test_set)
     distances = {f"{pa}:{pb}": pwcca_distance(
-        collect_activations(target, pa, inputs),
-        collect_activations(stolen, pb, inputs))}
+        acts_target, collect_activations(stolen, pb, inputs))}
 
     st_target = distill(target, distill_config, test_set)
     st_stolen = distill(stolen, distill_config, test_set)
@@ -289,13 +309,13 @@ def equivalency_report(target: Network, stolen: Network, test_set,
     baseline_d = None
     if baseline is not None:
         baseline_d = pwcca_distance(
-            collect_activations(target, pa, inputs),
+            acts_target,
             collect_activations(baseline, default_probe_point(baseline), inputs))
 
     report = SimilarityReport(
         fidelity=fid, pwcca_distance=distances, probe_points=[(pa, pb)],
-        accuracy_target=accuracy(target, test_set),
-        accuracy_stolen=accuracy(stolen, test_set))
+        accuracy_target=accuracy(out_target, test_set),
+        accuracy_stolen=accuracy(out_stolen, test_set))
     return EquivalencyReport(similarity=report, distilled_pwcca=distilled,
                              distill_config=distill_config.to_dict(),
                              baseline_pwcca=baseline_d)

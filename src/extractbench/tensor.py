@@ -280,7 +280,7 @@ def _conv_forward(params, weights, buffers, inputs, ctx, geometry):
     y = cols.reshape(x.shape[0] * out_h * out_w, -1) @ w.reshape(-1, cout)
     y = y.reshape(x.shape[0], out_h, out_w, cout)
     if "bias" in weights:
-        y = y + weights["bias"]
+        y += weights["bias"]
     return y
 
 
@@ -441,7 +441,12 @@ def _softmax_backward(params, weights, buffers, inputs, output, grad, ctx,
 
 def _bn_forward(params, weights, buffers, inputs, ctx, geometry):
     inv = 1.0 / np.sqrt(buffers["running_var"] + BN_EPS)
-    return weights["gamma"] * (inputs[0] - buffers["running_mean"]) * inv + weights["beta"]
+    # gamma * (x - mean) * inv + beta, on the one temporary
+    y = inputs[0] - buffers["running_mean"]
+    np.multiply(weights["gamma"], y, out=y)
+    y *= inv
+    y += weights["beta"]
+    return y
 
 
 def _bn_backward(params, weights, buffers, inputs, output, grad, ctx,

@@ -9,7 +9,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from extractbench.datasets import DatasetSpec, generate, split, subset_classes, csg_complexity
 from extractbench.network import Network, NodeSpec, TrainConfig, finite_difference_check, train
@@ -51,7 +50,7 @@ from extractbench.similarity import (
     pwcca_distance,
 )
 from extractbench.tensor import OperatorKind as K
-from extractbench.zoo import ArchitectureSpec, build_model, builtin_spec, make_student_cnn
+from extractbench.zoo import build_model, builtin_spec, make_student_cnn
 
 SHAPE = (8, 8, 1)
 CONVENTIONAL = ("mini-vgg-4", "mini-vgg-6", "mini-resnet-4", "mini-resnet-6",

@@ -428,6 +428,8 @@ class TestRequestedGradients:
         assert input_only.by_node == {}
         assert same_bits(input_only.input, full.input)
         assert weights_only.by_node.keys() == full.by_node.keys()
+        # every node leads to the output: no weighted node goes without
+        assert full.by_node.keys() == set(model.parameterized_nodes())
         for node_id, wgrads in full.by_node.items():
             assert wgrads.keys() == weights_only.by_node[node_id].keys()
             for name, g in wgrads.items():

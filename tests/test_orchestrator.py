@@ -1,13 +1,14 @@
 """Scenario schema, threat gating, scheduling, execution, records, reports."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extractbench import orchestrator
+from extractbench import orchestrator, similarity
 from extractbench.cli import main
 from extractbench.datasets import load_dataset
 from extractbench.orchestrator import (
@@ -27,7 +28,7 @@ from extractbench.orchestrator import (
     zoo_resolve,
 )
 from extractbench.query_attacks import QueryHandle, knockoff_extract, KnockoffConfig
-from extractbench.network import TrainConfig
+from extractbench.network import Network, TrainConfig
 from extractbench.similarity import fidelity
 from extractbench.datasets import split
 from extractbench.zoo import ModelRef
@@ -551,6 +552,72 @@ class TestDatasetCache:
         assert np.array_equal(load_dataset(cache).inputs, first.inputs)
 
 
+class TestEachModelPredictsOncePerSet:
+    """`execute` runs each model on a test split once for its output and
+    once for its probe, and every metric reads those arrays. Calls are
+    counted per (model, input array, node); `distill`'s own teacher
+    predictions are its business and are not counted."""
+
+    @staticmethod
+    def _counted_execute(bench, monkeypatch, doc):
+        counts = Counter()
+        arrays = {}  # id -> every counted model and array, kept alive
+        real_predict, real_distill = Network.predict, similarity.distill
+        in_distill = []
+
+        def predict(self, x, node_id=None):
+            if not in_distill:
+                arrays[id(self)], arrays[id(x)] = self, x
+                counts[id(self), id(x), node_id] += 1
+            return real_predict(self, x, node_id)
+
+        def distill(*args, **kwargs):
+            in_distill.append(True)
+            try:
+                return real_distill(*args, **kwargs)
+            finally:
+                in_distill.pop()
+
+        monkeypatch.setattr(Network, "predict", predict)
+        monkeypatch.setattr(similarity, "distill", distill)
+        sc = parse_scenario(json.dumps(doc))
+        record = execute(sc, bench)
+        assert record.status == "ok", record.failure_reason
+        from extractbench.orchestrator import _derived_seed
+        _, test = split(bench.dataset(sc.target.dataset_id),
+                        sc.attack_params.query_fraction,
+                        _derived_seed(sc, "split"))
+        on_test = {key: n for key, n in counts.items()
+                   if np.array_equal(arrays[key[1]], test.inputs)}
+        return counts, on_test
+
+    def test_knockoff(self, bench, monkeypatch):
+        counts, on_test = self._counted_execute(bench, monkeypatch,
+                                                scenario_doc(seed=11))
+        assert set(counts.values()) == {1}
+        # the target and the stolen model, each once, at the output
+        assert len(on_test) == 2
+        assert {node for _, _, node in on_test} == {None}
+
+    def test_staged_inversion(self, bench, monkeypatch):
+        counts, on_test = self._counted_execute(bench, monkeypatch,
+                                                minimal_doc("staged_inversion"))
+        assert set(counts.values()) == {1}
+        # output and probe of the target once, and of each budget's model
+        models = {model for model, _, _ in on_test}
+        assert len(models) == 3 and len(on_test) == 6
+        assert all(sum(k[0] == m and k[2] is None for k in on_test) == 1
+                   for m in models)
+
+    def test_equivalency(self, bench, monkeypatch):
+        counts, on_test = self._counted_execute(bench, monkeypatch,
+                                                minimal_doc("equivalency"))
+        assert set(counts.values()) == {1}
+        # target and stolen: output and probe; each student: its probe
+        assert len(on_test) == 6
+        assert sum(node is None for _, _, node in on_test) == 2
+
+
 class TestExecute:
     def test_knockoff_end_to_end_matches_direct_call(self, bench):
         sc = parse_scenario(json.dumps(scenario_doc(seed=11)))
@@ -573,8 +640,7 @@ class TestExecute:
                                                 loss="soft_target_kl",
                                                 seed=11)),
             seed=11)
-        assert record.metrics["fidelity"] == pytest.approx(
-            fidelity(stolen, target, test))
+        assert record.metrics["fidelity"] == fidelity(stolen, target, test)
 
     def test_nonexistent_architecture_fails_with_name(self, bench):
         doc = scenario_doc(target={"architecture_id": "mini-ghost",

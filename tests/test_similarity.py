@@ -82,6 +82,24 @@ class TestFidelity:
         with pytest.raises(ValueError, match="empty"):
             fidelity(model, model, np.zeros((0, 6, 6, 1)))
 
+    def test_output_rows_stand_for_their_model(self, blobs4):
+        a = trained_model("mini-mlp-2", blobs4, epochs=2, seed=1)
+        b = trained_model("mini-mlp-2", blobs4, epochs=2, seed=2)
+        out_a, out_b = a.predict(blobs4.inputs), b.predict(blobs4.inputs)
+        want = fidelity(a, b, blobs4)
+        assert fidelity(out_a, b, blobs4) == want
+        assert fidelity(a, out_b, blobs4) == want
+        assert fidelity(out_a, out_b, blobs4) == want
+        assert accuracy(out_a, blobs4) == accuracy(a, blobs4)
+
+    def test_output_rows_of_another_set_rejected(self, blobs4):
+        model = trained_model("mini-mlp-2", blobs4, epochs=1)
+        rows = model.predict(blobs4.inputs[:10])
+        with pytest.raises(ValueError, match="10 output rows"):
+            fidelity(rows, model, blobs4)
+        with pytest.raises(ValueError, match="10 output rows"):
+            accuracy(rows, blobs4)
+
 
 class TestPwcca:
     def test_self_distance_negligible(self):

@@ -10,6 +10,7 @@ import pytest
 
 from extractbench.tensor import (
     _OPS,
+    BN_EPS,
     OperatorKind,
     ShapeError,
     _col2im,
@@ -604,3 +605,65 @@ class TestPoolsEqualTapLoops:
             taps, base = _pool_offsets((n, 4, 4, 1), 2, 2, 2, 2, 2)
             assert not taps.flags.writeable and not base.flags.writeable
         assert _pool_offsets.cache_info().currsize <= maxsize
+
+
+def _allocating_conv(x, weights, geometry):
+    out_h, out_w, kh, kw, s, pads = geometry
+    w = weights["weight"]
+    cols = _conv_cols(x, out_h, out_w, kh, kw, s, pads)
+    y = (cols.reshape(x.shape[0] * out_h * out_w, -1) @ w.reshape(-1, w.shape[3])
+         ).reshape(x.shape[0], out_h, out_w, w.shape[3])
+    return y + weights["bias"] if "bias" in weights else y
+
+
+def _allocating_bn(x, weights, buffers):
+    inv = 1.0 / np.sqrt(buffers["running_var"] + BN_EPS)
+    return weights["gamma"] * (x - buffers["running_mean"]) * inv + weights["beta"]
+
+
+_CONV_OR_BN = [a for a in sorted(BUILTIN_ARCHITECTURES)
+               if any(n.kind in (K.CONV, K.BN)
+                      for n in builtin_spec(a, (8, 8, 1), 4).nodes)]
+
+
+@pytest.mark.parametrize("batch", [1, 10])
+@pytest.mark.parametrize("arch_id", _CONV_OR_BN)
+def test_in_place_kernels_equal_allocating_expressions(arch_id, batch):
+    """CONV adds its bias, and BN normalizes, on the temporary they make;
+    the bits, signed zeros included, are those of the allocating forms."""
+    model = build_model(builtin_spec(arch_id, (8, 8, 1), 4), seed=3)
+    rng = np.random.default_rng([batch, 7])
+
+    def signed(shape):
+        v = rng.standard_normal(shape)
+        v[v < -1.0] = -0.0
+        v[v > 1.5] = 0.0
+        return v
+
+    for node in model.order:  # BN statistics and affine far from identity
+        if node.kind is K.BN:
+            bufs, wts = model.buffers[node.node_id], model.weights[node.node_id]
+            c = bufs["running_mean"].shape
+            bufs["running_mean"] = rng.standard_normal(c)
+            bufs["running_var"] = rng.uniform(0.1, 3.0, c)
+            wts["gamma"][...] = signed(c)
+            wts["beta"][...] = signed(c)
+            # channel 0's outputs are -0.0 or +0.0, by the sign of x - mean
+            wts["gamma"][0] = wts["beta"][0] = -0.0
+        elif node.kind is K.CONV and "bias" in model.weights[node.node_id]:
+            bias = model.weights[node.node_id]["bias"]
+            bias[...] = signed(bias.shape)
+    x = signed((batch, 8, 8, 1))
+    acts, _ = model._run(x, keep=True)
+    checked = 0
+    for step in model._plan:
+        if step.kind not in (K.CONV, K.BN):
+            continue
+        (inp,) = step.gather(acts)
+        if step.kind is K.CONV:
+            expected = _allocating_conv(inp, step.weights, step.geometry)
+        else:
+            expected = _allocating_bn(inp, step.weights, step.buffers)
+        assert same_bits(acts[step.output], expected), step.node_id
+        checked += 1
+    assert checked
