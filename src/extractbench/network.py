@@ -13,8 +13,8 @@ graph input (what inversion attacks climb), or both. Inference goes through
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import itemgetter
 from typing import Literal, NamedTuple
 
@@ -121,7 +121,10 @@ def sink_node(nodes: list[NodeSpec]) -> NodeSpec:
 @dataclass(slots=True)
 class Gradients:
     """Per-node trainable-tensor gradients plus the graph-input gradient;
-    what :meth:`Network.backward` was not asked for is ``{}`` or ``None``."""
+    what :meth:`Network.backward` was not asked for is ``{}`` or ``None``.
+
+    The arrays of ``by_node`` are views of the model's gradient vector, so
+    the next ``backward`` overwrites them; copy what must outlive it."""
 
     by_node: dict[str, dict[str, np.ndarray]]
     input: np.ndarray | None
@@ -135,6 +138,7 @@ class _Step(NamedTuple):
     params: dict
     weights: dict           # the Network's own dicts, updated in place
     buffers: dict
+    grads: dict              # views of the gradient vector, one per weight
     inputs: tuple[int, ...]  # positions in the activation list
     gather: itemgetter       # activation list -> the inputs (see _gather)
     output: int              # position of this node's output
@@ -163,6 +167,15 @@ class Network:
     Every other node leads to the one output node, so it runs last and its
     output is the last activation. Every pass sends each node it runs
     through ``op_forward`` or ``op_backward`` once, with the kind first.
+
+    Every weight and buffer is a view of one float64 state vector, laid out
+    in checkpoint order: nodes in declaration order, each node's weights
+    and then its buffers, in the order of the operator table. A gradient
+    vector of the same layout holds the weight gradients ``backward``
+    writes (its buffer entries stay zero), so a training step updates
+    every tensor with one operation. Whatever writes a weight or a buffer
+    writes into its array (``a[...] = ...``): rebinding a dict entry would
+    detach the tensor from both vectors.
 
     One instance belongs to one pipeline at a time: forward/backward share a
     cache and train mutates weights in place. Distinct instances are fully
@@ -198,6 +211,12 @@ class Network:
             self.weights[node.node_id] = w
             self.buffers[node.node_id] = b
         self.bn_calibrated = not any(n.kind is OperatorKind.BN for n in self.nodes)
+        self._grads: dict[str, dict[str, np.ndarray]] = {
+            node_id: {} for node_id in self.weights}
+        self._state = np.concatenate(
+            [np.empty(0)] + [t.reshape(-1) for _, _, t, _ in self._tensors()])
+        self._grad = np.zeros_like(self._state)
+        self._bind()
         self._weighted = [n.node_id for n in self.order if self.weights[n.node_id]]
 
         self._position = {INPUT_ID: 0}
@@ -210,7 +229,8 @@ class Network:
             inputs = tuple(self._position[d] for d in node.inputs)
             self._plan.append(_Step(
                 node_id, node.kind, node.params, self.weights[node_id],
-                self.buffers[node_id], inputs, _gather(inputs),
+                self.buffers[node_id], self._grads[node_id], inputs,
+                _gather(inputs),
                 self._position[node_id],
                 kernel_geometry(node.kind, node.params,
                                 self.shapes[node.inputs[0]]),
@@ -238,37 +258,46 @@ class Network:
         return sum(t.size for w in self.weights.values() for t in w.values())
 
     def copy(self) -> "Network":
-        return copy.deepcopy(self)
+        """An independent model with this one's state: its tensors are
+        views of its own state vector."""
+        twin = copy.deepcopy(self)  # the copied tensors are loose arrays
+        twin._bind()
+        return twin
 
-    # -- checkpoint support: flat parameter vector in declared order --------
+    # -- the state vector: every tensor, flat, in checkpoint order ----------
 
-    def _state_items(self):
-        # the weights/buffers dicts hold each node's tensors in the order
-        # init_weights made them, the operator table's checkpoint order
+    def _tensors(self):
+        """(store, name, tensor, node id or None) in checkpoint order, the
+        node id given for a weight: the weights/buffers dicts hold each
+        node's tensors in the order init_weights made them, the operator
+        table's."""
         for node in self.nodes:
-            for name in self.weights[node.node_id]:
-                yield node.node_id, name, False
-            for name in self.buffers[node.node_id]:
-                yield node.node_id, name, True
+            node_id = node.node_id
+            for name, t in self.weights[node_id].items():
+                yield self.weights[node_id], name, t, node_id
+            for name, t in self.buffers[node_id].items():
+                yield self.buffers[node_id], name, t, None
+
+    def _bind(self) -> None:
+        """Make every tensor the view of its span of the state vector, and
+        every weight gradient the view of the same span of the gradient
+        vector; the vectors must already hold the values."""
+        pos = 0
+        for store, name, t, node_id in list(self._tensors()):
+            end = pos + t.size
+            store[name] = self._state[pos:end].reshape(t.shape)
+            if node_id is not None:
+                self._grads[node_id][name] = self._grad[pos:end].reshape(t.shape)
+            pos = end
 
     def state_vector(self) -> np.ndarray:
-        parts = []
-        for node_id, name, is_buffer in self._state_items():
-            store = self.buffers if is_buffer else self.weights
-            parts.append(store[node_id][name].reshape(-1))
-        return np.concatenate(parts) if parts else np.empty(0)
+        return self._state.copy()
 
     def load_state_vector(self, flat: np.ndarray) -> None:
-        expected = self.state_vector().size
-        if flat.size != expected:
-            raise ValueError(
-                f"parameter vector holds {flat.size} values, model needs {expected}")
-        pos = 0
-        for node_id, name, is_buffer in self._state_items():
-            store = self.buffers if is_buffer else self.weights
-            t = store[node_id][name]
-            store[node_id][name] = flat[pos:pos + t.size].reshape(t.shape).copy()
-            pos += t.size
+        if flat.size != self._state.size:
+            raise ValueError(f"parameter vector holds {flat.size} values, model "
+                             f"needs {self._state.size}")
+        self._state[...] = flat
 
     # -- execution -----------------------------------------------------------
 
@@ -293,13 +322,13 @@ class Network:
         plan = self._plan if steps is None else self._plan[:steps]
         acts: list = [x]  # step k appends position k + 1
         ctxs: list = []
-        for _, kind, params, weights, buffers, _, gather, _, geometry, frees, \
-                _ in plan:
+        for _, kind, params, weights, buffers, _, _, gather, _, geometry, \
+                frees, _ in plan:
             inputs = gather(acts)
             if calibrate and kind is OperatorKind.BN:
                 axes = tuple(range(inputs[0].ndim - 1))
-                buffers["running_mean"] = inputs[0].mean(axis=axes)
-                buffers["running_var"] = inputs[0].var(axis=axes)
+                buffers["running_mean"][...] = inputs[0].mean(axis=axes)
+                buffers["running_var"][...] = inputs[0].var(axis=axes)
             if keep:
                 ctxs.append(ctx := {})
                 acts.append(op_forward(kind, params, weights, buffers, inputs,
@@ -336,7 +365,9 @@ class Network:
         gradient (``input`` is ``None``); what is computed has the same bits
         either way. Every node leads to the one output (``sink_node``
         rejects any other graph), so each node's output gradient exists when
-        its turn comes and ``by_node`` holds every weighted node.
+        its turn comes and ``by_node`` holds every weighted node. The weight
+        gradients are written into the gradient vector, and ``by_node``
+        holds views of it.
         """
         acts = self._acts
         if acts is None:
@@ -352,17 +383,14 @@ class Network:
         grads[-1] = grad
         if input_grad:  # else position 0 stays None and its gradients drop
             grads[0] = np.zeros_like(acts[0])
-        by_node: dict[str, dict[str, np.ndarray]] = {}
         ctxs = self._ctxs
-        for node_id, kind, params, weights, buffers, ins, gather, out, geometry, \
-                _, reads_inner in self._reversed:
-            wgrads, igrads = op_backward(
+        for _, kind, params, weights, buffers, wgrads, ins, gather, out, \
+                geometry, _, reads_inner in self._reversed:
+            igrads = op_backward(
                 kind, params, weights, buffers, gather(acts),
                 acts[out], grads[out], ctxs[out - 1], geometry,
                 weight_grads=weight_grads,
-                input_grad=input_grad or reads_inner)
-            if wgrads:
-                by_node[node_id] = wgrads
+                input_grad=input_grad or reads_inner, out=wgrads)[1]
             if not (input_grad or reads_inner):
                 continue  # it reads only the graph input, whose gradient drops
             for k, ig in zip(ins, igrads):
@@ -370,7 +398,10 @@ class Network:
                     grads[k] = grads[k] + ig
                 elif k:
                     grads[k] = ig
-        return Gradients(by_node, grads[0])
+        if not weight_grads:
+            return Gradients({}, grads[0])
+        return Gradients({node_id: dict(self._grads[node_id])
+                          for node_id in self._weighted}, grads[0])
 
     def calibrate_bn(self, batch: np.ndarray) -> None:
         """Fix BN running statistics from one calibration batch (one-time)."""
@@ -393,6 +424,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if not math.isfinite(self.learning_rate):
+            # the update multiplies the buffers' zero gradients by it too
+            raise ValueError("learning_rate must be finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -407,59 +441,153 @@ class TrainConfig:
                 "epochs": self.epochs, "loss": self.loss, "seed": self.seed}
 
 
-@lru_cache(maxsize=32)
-def _rows(n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """For a C-ordered (n, width) array: the flat position of each row's
-    first entry, and `n` as a constant. Read-only, as they are shared."""
-    starts = np.arange(0, n * width, width)
-    starts.flags.writeable = False
-    return starts, _constant(n)
+def _batch_sums(values: np.ndarray, size: int) -> np.ndarray:
+    """The sum of each batch of `size` consecutive entries of the 1-D
+    `values` (the last batch may be short), with the bits of one
+    np.add.reduce over that batch alone: the full batches are reduced as
+    the rows of one C-ordered block, each row by the same pairwise sum."""
+    full = values.shape[0] - values.shape[0] % size
+    sums = np.add.reduce(values[:full].reshape(-1, size), axis=1)
+    if full < values.shape[0]:
+        sums = np.append(sums, np.add.reduce(values[full:]))
+    return sums
 
 
-def cross_entropy_grad(probs: np.ndarray, labels: np.ndarray):
-    """Mean negative log-likelihood over probability outputs, and its gradient.
+class Loss:
+    """A training loss, as :func:`sgd_run` drives it.
 
-    `probs` is (n, width) and each label must lie in [0, width), which the
-    callers check once (a label out of range would address another row):
-    the label entries are read and written through their flat positions,
-    which one integer add finds."""
-    n, width = probs.shape
-    starts, count = _rows(n, width)
-    flat = starts + labels
-    p = np.maximum(probs.take(flat), _LOG_EPS)
-    loss = -(float(np.add.reduce(np.log(p))) / n)  # np.mean's bits
-    grad = np.zeros(n * width, probs.dtype)  # zeros_like, minus its wrapper
-    grad[flat] = _MINUS_ONE / (p * count)
-    return loss, grad.reshape(n, width)
+    Each epoch starts with ``epoch(perm, size)``, given the epoch's
+    permutation of the training rows and the batch size; each step calls
+    ``step(probs, start, stop)`` for the gradient of the loss with respect
+    to the model's output on the shuffled rows [start, stop); each epoch
+    ends with ``epoch_loss()``, the mean of its steps' losses. Work fixed
+    for a whole training is done once (the first epoch knows the batch
+    layout), work fixed for an epoch at its start, and a step keeps only
+    what its loss needs, which ``step_losses`` reads at the epoch's end.
+    Every value has the bits of the per-step form.
+    """
+
+    _layout: tuple[int, int] | None = None
+
+    def epoch(self, perm: np.ndarray, size: int) -> None:
+        n = perm.shape[0]
+        if self._layout != (n, size):  # the first epoch of a training
+            self._layout = (n, size)
+            self._size = size
+            # rows per step, as floats: the divisors of the step means
+            self._counts = np.full(-(-n // size), size, dtype=np.float64)
+            self._counts[-1] = n - size * (self._counts.shape[0] - 1)
+            self._prepare(n, size)
+        self._shuffle(perm)
+
+    def _prepare(self, n: int, size: int) -> None:
+        """Once per training: what the steps of every epoch write into."""
+
+    def _shuffle(self, perm: np.ndarray) -> None:
+        """Once per epoch: the per-row data in this epoch's order."""
+
+    def step(self, probs: np.ndarray, start: int, stop: int) -> np.ndarray:
+        raise NotImplementedError
+
+    def step_losses(self) -> np.ndarray:
+        """Each step's loss in the epoch just ended."""
+        raise NotImplementedError
+
+    def _step_means(self, values: np.ndarray) -> np.ndarray:
+        """Each step's np.mean of its entries of `values` (one per training
+        row, in epoch order)."""
+        return _batch_sums(values, self._size) / self._counts
+
+    def epoch_loss(self) -> float:
+        losses = self.step_losses()
+        return float(np.add.reduce(losses) / losses.shape[0])  # np.mean's bits
 
 
-def soft_kl_grad(probs: np.ndarray, targets: np.ndarray):
-    """Mean KL(target || output) over probability outputs, and its gradient."""
-    n = probs.shape[0]
-    p = np.maximum(probs, _LOG_EPS)
-    t = targets
-    tl = np.where(t > 0, np.log(np.maximum(t, _LOG_EPS)), 0.0)
-    loss = np.mean(np.sum(t * (tl - np.log(p)), axis=1))
-    grad = -(t / p) / n
-    return loss, grad
+class CrossEntropy(Loss):
+    """Mean negative log-likelihood of hard labels over probability outputs.
+
+    `labels` holds one label in [0, width) per training row, which the
+    callers check once: a label out of range would address another row.
+    Each step reads and writes its label entries through their flat
+    positions, found for the whole epoch at its start by one integer add,
+    and keeps their clamped probabilities for the epoch's losses.
+    """
+
+    def __init__(self, labels: np.ndarray, width: int):
+        self.labels = labels
+        self.width = width
+
+    def _prepare(self, n, size):
+        self._starts = np.arange(n) % size * self.width  # row starts in a batch
+        self._p = np.empty(n)
+        self._count = {int(c): _constant(c) for c in self._counts}
+
+    def _shuffle(self, perm):
+        self._flat = self._starts + self.labels.take(perm)
+
+    def step(self, probs, start, stop):
+        n, width = probs.shape
+        flat = self._flat[start:stop]
+        p = np.maximum(probs.take(flat), _LOG_EPS, out=self._p[start:stop])
+        grad = np.zeros(n * width, probs.dtype)  # zeros_like, minus its wrapper
+        grad[flat] = _MINUS_ONE / (p * self._count[n])
+        return grad.reshape(n, width)
+
+    def step_losses(self):
+        # per step: -(float(np.add.reduce(np.log(p))) / n)
+        return -self._step_means(np.log(self._p))
 
 
-def sgd_run(model: Network, inputs: np.ndarray, grad_fn,
+class SoftTargetKL(Loss):
+    """Mean KL(target || output) over probability outputs; `targets` holds
+    one probability row per training row. Their logs are taken once per
+    training, and each step keeps its clamped outputs for the epoch's
+    losses."""
+
+    def __init__(self, targets: np.ndarray):
+        self.targets = t = np.ascontiguousarray(targets, dtype=np.float64)
+        self._t_logs = np.where(t > 0, np.log(np.maximum(t, _LOG_EPS)), 0.0)
+
+    def _prepare(self, n, size):
+        self._p = np.empty(self.targets.shape)
+
+    def _shuffle(self, perm):
+        self._perm = perm
+        self._t = self.targets.take(perm, axis=0)
+
+    def step(self, probs, start, stop):
+        p = np.maximum(probs, _LOG_EPS, out=self._p[start:stop])
+        return -(self._t[start:stop] / p) / probs.shape[0]
+
+    def step_losses(self):
+        # per step: np.mean(np.sum(t * (t_logs - np.log(p)), axis=1))
+        tl = self._t_logs.take(self._perm, axis=0)
+        rows = np.sum(self._t * (tl - np.log(self._p)), axis=1)
+        return self._step_means(rows)
+
+
+def sgd_run(model: Network, inputs: np.ndarray, loss,
             config: TrainConfig) -> list[float]:
-    """Shared minibatch SGD loop.
+    """Shared minibatch SGD loop; returns the per-epoch mean loss.
 
-    `grad_fn(probs, batch_indices)` returns (loss, gradient wrt model output).
+    `loss` is a loss object (:class:`CrossEntropy`, :class:`SoftTargetKL`
+    or the distillation blend). Each epoch calls ``loss.epoch(perm,
+    batch_size)`` with its permutation of the rows, then for each batch
+    ``loss.step(probs, start, stop)`` for the output gradient of the
+    shuffled rows [start, stop), and at its end ``loss.epoch_loss()``.
+
     Shuffling consumes exactly one permutation per epoch from a generator
     seeded with `config.seed`, so two runs with equal configs are bit-equal.
     Each epoch gathers its shuffled rows once, and each batch is a slice of
-    them. The update is in place: a kernel's weight gradient is a fresh
-    array, so it is scaled by the learning rate where it lies and then
-    subtracted, with the bits of ``w - lr * g``.
+    them. ``backward`` writes every weight gradient into the model's
+    gradient vector, so one in-place update over the state vector ends a
+    step, with the bits of ``w - lr * g`` for every weight (the buffer
+    entries of the gradient vector are zeros, which leave buffers alone).
     """
     n = inputs.shape[0]
     size = config.batch_size
     rate = _constant(config.learning_rate)
-    weights = model.weights
+    state, grad = model._state, model._grad
     rng = np.random.default_rng(config.seed)
     history = []
     for _ in range(config.epochs):
@@ -467,20 +595,14 @@ def sgd_run(model: Network, inputs: np.ndarray, grad_fn,
         shuffled = inputs.take(perm, axis=0)  # inputs[perm], in half the time
         if not model.bn_calibrated:
             model.calibrate_bn(shuffled[:size])
-        losses = []
+        loss.epoch(perm, size)
         for start in range(0, n, size):
             stop = start + size
-            loss, gout = grad_fn(model.forward(shuffled[start:stop]),
-                                 perm[start:stop])
-            for node_id, wgrads in model.backward(
-                    gout, input_grad=False).by_node.items():
-                store = weights[node_id]
-                for name, g in wgrads.items():
-                    g *= rate
-                    store[name] -= g
-            losses.append(loss)
-        # np.mean's bits, minus its wrapper
-        history.append(float(np.add.reduce(np.array(losses)) / len(losses)))
+            model.backward(loss.step(model.forward(shuffled[start:stop]),
+                                     start, stop), input_grad=False)
+            grad *= rate
+            state -= grad
+        history.append(loss.epoch_loss())
         model.meta["epochs_trained"] += 1
     return history
 
@@ -502,20 +624,15 @@ def train(model: Network, inputs: np.ndarray, targets: np.ndarray,
             raise ValueError(
                 f"label range [{labels.min()}, {labels.max()}] incompatible with "
                 f"model output width {width}")
-
-        def grad_fn(probs, idx):
-            return cross_entropy_grad(probs, labels[idx])
+        loss = CrossEntropy(labels, width)
     else:
         soft = np.asarray(targets, dtype=np.float64)
         if soft.ndim != 2 or soft.shape != (inputs.shape[0], width):
             raise ValueError(
                 f"soft_target_kl expects ({inputs.shape[0]}, {width}) probability "
                 f"targets, got {soft.shape}")
-
-        def grad_fn(probs, idx):
-            return soft_kl_grad(probs, soft[idx])
-
-    return sgd_run(model, inputs, grad_fn, config)
+        loss = SoftTargetKL(soft)
+    return sgd_run(model, inputs, loss, config)
 
 
 # ---------------------------------------------------------------------------

@@ -176,9 +176,10 @@ def ds_truth_sequence(spec: ArchitectureSpec) -> list[str]:
 # kernel-trace simulation
 # ---------------------------------------------------------------------------
 
-def _base_metrics(spec: ArchitectureSpec, latency_scale: float) -> np.ndarray:
-    """Noise-free (exec_lat, read, write, input, output) of every node, one
-    row each in execution order."""
+def _node_volumes(spec: ArchitectureSpec) -> np.ndarray:
+    """Noise-free (MAdd + output elements, read, write, input, output) of
+    every node, one row each in execution order: the trace's base metrics
+    before the latency scale. A fact of the spec (``spec.derived``)."""
     shapes = spec.derive_shapes()
     madd = compute_madd(spec).per_node
     rows = []
@@ -191,10 +192,20 @@ def _base_metrics(spec: ArchitectureSpec, latency_scale: float) -> np.ndarray:
                 weight_shapes(node.kind, node.params, in_shapes),
                 buffer_shapes(node.kind, node.params, in_shapes))
             for s in tensors.values())
-        rows.append((latency_scale * (madd[node.node_id] + out_elems),
+        rows.append((madd[node.node_id] + out_elems,
                      8 * (in_elems + param_elems), 8 * out_elems,
                      in_elems, out_elems))
-    return np.array(rows, dtype=np.float64)
+    volumes = np.array(rows, dtype=np.float64)
+    volumes.flags.writeable = False  # shared by every trace of the spec
+    return volumes
+
+
+def _symbol_hits(spec: ArchitectureSpec) -> tuple[int, ...]:
+    """The position in SYMBOLS of every true symbol hit of one inference,
+    node by node in execution order and in each kind's symbol order. A
+    fact of the spec (``spec.derived``)."""
+    return tuple(i for node in spec.execution_order
+                 for i in _SYMBOL_HITS[node.kind])
 
 
 def simulate_kernel_trace(spec: ArchitectureSpec, profile: EnvironmentProfile,
@@ -209,7 +220,8 @@ def simulate_kernel_trace(spec: ArchitectureSpec, profile: EnvironmentProfile,
     insertion position.
     """
     rng = np.random.default_rng(seed)
-    mats = _base_metrics(spec, profile.latency_scale)
+    mats = spec.derived(_node_volumes).copy()
+    mats[:, 0] *= profile.latency_scale  # the integer column is exact
     if profile.metric_jitter > 0:
         mats *= rng.lognormal(0.0, profile.metric_jitter, size=mats.shape)
     # volumes are whole bytes and elements: rounded half to even, as round()
@@ -366,7 +378,7 @@ def simulate_symbol_stream(spec: ArchitectureSpec, profile: MachineProfile,
     order, a Poisson count of spurious hits followed by their reload times.
     """
     rng = np.random.default_rng(seed)
-    hits = [i for node in spec.execution_order for i in _SYMBOL_HITS[node.kind]]
+    hits = spec.derived(_symbol_hits)
     counts = [0] * len(SYMBOLS)
     # a few dozen hits: a Python loop counts them faster than np.bincount
     for i, draw in zip(hits, rng.random(len(hits)).tolist()):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import Network, TrainConfig, cross_entropy_grad, sgd_run
+from .network import CrossEntropy, Loss, Network, TrainConfig, sgd_run
 from .tensor import OperatorKind
 from .zoo import ArchitectureSpec, build_model
 
@@ -159,6 +159,7 @@ def layer_noise_sensitivity(model: Network, test_set, magnitudes,
     for i, lid in enumerate(layers):
         originals = {k: v.copy() for k, v in model.weights[lid].items()}
         scale = np.std(np.concatenate([v.reshape(-1) for v in originals.values()]))
+        # written into the model's own arrays, the views of its state vector
         for j, mag in enumerate(magnitudes):
             if j == 0:
                 continue
@@ -166,12 +167,12 @@ def layer_noise_sensitivity(model: Network, test_set, magnitudes,
             for t in range(trials):
                 rng = np.random.default_rng([seed, i, j, t])
                 for name, orig in originals.items():
-                    model.weights[lid][name] = orig + rng.normal(
+                    model.weights[lid][name][...] = orig + rng.normal(
                         0.0, mag * scale, size=orig.shape)
                 vals.append(accuracy(model, test_set))
             acc[i, j] = float(np.mean(vals))
         for name, orig in originals.items():
-            model.weights[lid][name] = orig
+            model.weights[lid][name][...] = orig
     return SensitivityCurves(layers, magnitudes, acc, trials)
 
 
@@ -199,23 +200,85 @@ class DistillConfig:
                 "train": self.train.to_dict()}
 
 
-def _soften(probs: np.ndarray, temperature: float) -> np.ndarray:
+def _soften(probs: np.ndarray, temperature: float, out=None) -> np.ndarray:
     """softmax(logits / T) computed from the probability simplex."""
     p = np.maximum(probs, 1e-300) ** (1.0 / temperature)
-    return p / p.sum(axis=1, keepdims=True)
+    return np.divide(p, p.sum(axis=1, keepdims=True), out=out)
 
 
-def distill(teacher: Network, config: DistillConfig, transfer_set) -> Network:
+class DistillLoss(Loss):
+    """`distill`'s blend: `alpha` times the cross-entropy of the hard
+    labels plus (1 - alpha) T^2 times KL(soft target || softened output),
+    where `soft_targets` are the teacher's outputs softened at temperature
+    `tau` (None when alpha is 1). Each step keeps its softened outputs; the
+    target logs are taken once per training."""
+
+    def __init__(self, labels, soft_targets, alpha: float, tau: float,
+                 width: int):
+        self.labels, self.soft_targets = labels, soft_targets
+        self.alpha, self.tau = alpha, tau
+        self._ce = CrossEntropy(labels, width) if alpha > 0.0 else None
+        if alpha < 1.0:
+            t = soft_targets
+            self._t_logs = np.where(t > 0, np.log(np.maximum(t, 1e-300)), 0.0)
+
+    def _prepare(self, n, size):
+        if self.alpha < 1.0:
+            self._s = np.empty(self.soft_targets.shape)
+
+    def epoch(self, perm, size):
+        if self._ce is not None:
+            self._ce.epoch(perm, size)
+        super().epoch(perm, size)
+
+    def _shuffle(self, perm):
+        if self.alpha < 1.0:
+            self._perm = perm
+            self._t = self.soft_targets.take(perm, axis=0)
+
+    def step(self, probs, start, stop):
+        alpha, tau = self.alpha, self.tau
+        grad = None
+        if alpha > 0.0:
+            grad = alpha * self._ce.step(probs, start, stop)
+        if alpha < 1.0:
+            t = self._t[start:stop]
+            s = _soften(probs, tau, out=self._s[start:stop])
+            p = np.maximum(probs, 1e-12)
+            kl_grad = tau * (s - t) / p / probs.shape[0]
+            kl_term = (1.0 - alpha) * tau ** 2 * kl_grad
+            grad = kl_term if grad is None else grad + kl_term
+        return grad
+
+    def step_losses(self):
+        # per step: 0.0 + alpha * ce + (1 - alpha) T^2 kl, in that order
+        alpha, tau = self.alpha, self.tau
+        loss = 0.0
+        if alpha > 0.0:
+            loss = loss + alpha * self._ce.step_losses()
+        if alpha < 1.0:
+            t = self._t
+            tl = self._t_logs.take(self._perm, axis=0)
+            rows = np.sum(t * (tl - np.log(np.maximum(self._s, 1e-300))), axis=1)
+            loss = loss + (1.0 - alpha) * tau ** 2 * self._step_means(rows)
+        return loss
+
+
+def distill(teacher, config: DistillConfig, transfer_set) -> Network:
     """Train a student on a blend of hard labels and the teacher's softened
-    outputs; with hard_label_weight=1 this is exactly ordinary training."""
-    if teacher.output_width != config.student_spec.class_count:
-        raise ValueError(
-            f"teacher width {teacher.output_width} != student class count "
-            f"{config.student_spec.class_count}")
+    outputs; with hard_label_weight=1 this is exactly ordinary training.
+
+    `teacher` is a Network, or its output rows on ``transfer_set.inputs``
+    (see `_outputs`)."""
     inputs = transfer_set.inputs
+    width = (teacher.shape[1] if isinstance(teacher, np.ndarray)
+             else teacher.output_width)
+    if width != config.student_spec.class_count:
+        raise ValueError(
+            f"teacher width {width} != student class count "
+            f"{config.student_spec.class_count}")
     labels = transfer_set.labels
     alpha = config.hard_label_weight
-    width = teacher.output_width
     if alpha > 0.0 and (labels.min() < 0 or labels.max() >= width):
         raise ValueError(
             f"label range [{labels.min()}, {labels.max()}] incompatible with "
@@ -224,28 +287,9 @@ def distill(teacher: Network, config: DistillConfig, transfer_set) -> Network:
     tau = config.temperature
     soft_targets = None
     if alpha < 1.0:
-        soft_targets = _soften(teacher.predict(inputs), tau)
-
-    def grad_fn(probs, idx):
-        loss = 0.0
-        grad = None
-        if alpha > 0.0:
-            ce_loss, ce_grad = cross_entropy_grad(probs, labels[idx])
-            loss += alpha * ce_loss
-            grad = alpha * ce_grad
-        if alpha < 1.0:
-            t = soft_targets[idx]
-            s = _soften(probs, tau)
-            p = np.maximum(probs, 1e-12)
-            tl = np.where(t > 0, np.log(np.maximum(t, 1e-300)), 0.0)
-            kl = np.mean(np.sum(t * (tl - np.log(np.maximum(s, 1e-300))), axis=1))
-            kl_grad = tau * (s - t) / p / probs.shape[0]
-            loss += (1.0 - alpha) * tau ** 2 * kl
-            kl_term = (1.0 - alpha) * tau ** 2 * kl_grad
-            grad = kl_term if grad is None else grad + kl_term
-        return loss, grad
-
-    sgd_run(student, inputs, grad_fn, config.train)
+        soft_targets = _soften(_outputs(teacher, inputs), tau)
+    sgd_run(student, inputs,
+            DistillLoss(labels, soft_targets, alpha, tau, width), config.train)
     return student
 
 
@@ -299,8 +343,8 @@ def equivalency_report(target: Network, stolen: Network, test_set,
     distances = {f"{pa}:{pb}": pwcca_distance(
         acts_target, collect_activations(stolen, pb, inputs))}
 
-    st_target = distill(target, distill_config, test_set)
-    st_stolen = distill(stolen, distill_config, test_set)
+    st_target = distill(out_target, distill_config, test_set)
+    st_stolen = distill(out_stolen, distill_config, test_set)
     probe = default_probe_point(st_target)
     distilled = pwcca_distance(
         collect_activations(st_target, probe, inputs),

@@ -222,9 +222,11 @@ def _bn_madd(params, input_shapes):
 #
 # forward:  (params, weights, buffers, inputs, ctx, geometry) -> output
 # backward: (params, weights, buffers, inputs, output, grad, ctx, geometry,
-#            *, weight_grads, input_grad) -> (weight grads, per-input grads)
-#           (what the two flags skip: see op_backward; `geometry` is the
-#           kind's geometry tuple, None for the kinds that have none)
+#            *, wgrads, input_grad) -> per-input grads
+#           (`wgrads` is None, or one array per weight, of its shape, that
+#           the kernel writes the weight's gradient into; what is skipped:
+#           see op_backward; `geometry` is the kind's geometry tuple, None
+#           for the kinds that have none)
 # ---------------------------------------------------------------------------
 
 def _windows(x, kh, kw, stride, out_h, out_w):
@@ -285,28 +287,27 @@ def _conv_forward(params, weights, buffers, inputs, ctx, geometry):
 
 
 def _conv_backward(params, weights, buffers, inputs, output, grad, ctx,
-                   geometry, *, weight_grads, input_grad):
+                   geometry, *, wgrads, input_grad):
     (x,) = inputs
     out_h, out_w, kh, kw, s, pads = geometry
     w = weights["weight"]
     cout = w.shape[3]
     gflat = grad.reshape(-1, cout)
-    wgrads, igrads = {}, [None]
-    if weight_grads:
+    if wgrads is not None:
         cols = (ctx or {}).get("cols")
         if cols is None:
             cols = _conv_cols(x, out_h, out_w, kh, kw, s, pads)
         cflat = cols.reshape(gflat.shape[0], -1)
-        wgrads["weight"] = (cflat.T @ gflat).reshape(w.shape)
-        if "bias" in weights:
-            wgrads["bias"] = np.add.reduce(gflat, axis=0)
-    if input_grad:
-        n, h, wd, c = x.shape
-        gcols = (gflat @ w.reshape(-1, cout).T).reshape(n, out_h, out_w, kh, kw, c)
-        pt, pb, pl, pr = pads
-        gxp = _col2im(gcols, (n, h + pt + pb, wd + pl + pr, c), kh, kw, s, out_h, out_w)
-        igrads = [gxp[:, pt:pt + h, pl:pl + wd, :]]
-    return wgrads, igrads
+        np.matmul(cflat.T, gflat, out=wgrads["weight"].reshape(-1, cout))
+        if "bias" in wgrads:
+            np.add.reduce(gflat, axis=0, out=wgrads["bias"])
+    if not input_grad:
+        return [None]
+    n, h, wd, c = x.shape
+    gcols = (gflat @ w.reshape(-1, cout).T).reshape(n, out_h, out_w, kh, kw, c)
+    pt, pb, pl, pr = pads
+    gxp = _col2im(gcols, (n, h + pt + pb, wd + pl + pr, c), kh, kw, s, out_h, out_w)
+    return [gxp[:, pt:pt + h, pl:pl + wd, :]]
 
 
 def _pool_windows(x, out_h, out_w, kh, kw, s):
@@ -362,7 +363,7 @@ def _maxpool_forward(params, weights, buffers, inputs, ctx, geometry):
 
 
 def _maxpool_backward(params, weights, buffers, inputs, output, grad, ctx,
-                      geometry, *, weight_grads, input_grad):
+                      geometry, *, wgrads, input_grad):
     (x,) = inputs
     out_h, out_w, kh, kw, s = geometry
     winner = (ctx or {}).get("winner")
@@ -373,11 +374,11 @@ def _maxpool_backward(params, weights, buffers, inputs, output, grad, ctx,
         # (`+ 0.0` turns a -0.0 into the +0.0 an add onto zeros gives)
         gx = np.zeros(x.shape)
         gx.reshape(-1)[winner] = grad + 0.0
-        return {}, [gx]
+        return [gx]
     taps, base = _pool_offsets(x.shape, *geometry)
     first = taps[:, None, None, None, None] + base == winner
     gwin = np.where(first, grad, 0.0).reshape((kh, kw) + grad.shape)
-    return {}, [_col2im(gwin.transpose(2, 3, 4, 0, 1, 5), x.shape,
+    return [_col2im(gwin.transpose(2, 3, 4, 0, 1, 5), x.shape,
                         kh, kw, s, out_h, out_w)]
 
 
@@ -387,10 +388,10 @@ def _avgpool_forward(params, weights, buffers, inputs, ctx, geometry):
 
 
 def _avgpool_backward(params, weights, buffers, inputs, output, grad, ctx,
-                      geometry, *, weight_grads, input_grad):
+                      geometry, *, wgrads, input_grad):
     _, _, kh, kw, _ = geometry
     gwin = grad[:, :, :, None, None, :] / (kh * kw)
-    return {}, [_pool_scatter(gwin, inputs[0].shape, *geometry)]
+    return [_pool_scatter(gwin, inputs[0].shape, *geometry)]
 
 
 def _relu_forward(params, weights, buffers, inputs, ctx, geometry):
@@ -398,8 +399,8 @@ def _relu_forward(params, weights, buffers, inputs, ctx, geometry):
 
 
 def _relu_backward(params, weights, buffers, inputs, output, grad, ctx,
-                   geometry, *, weight_grads, input_grad):
-    return {}, [grad * (inputs[0] > 0)]
+                   geometry, *, wgrads, input_grad):
+    return [grad * (inputs[0] > 0)]
 
 
 def _gelu_forward(params, weights, buffers, inputs, ctx, geometry):
@@ -408,12 +409,12 @@ def _gelu_forward(params, weights, buffers, inputs, ctx, geometry):
 
 
 def _gelu_backward(params, weights, buffers, inputs, output, grad, ctx,
-                   geometry, *, weight_grads, input_grad):
+                   geometry, *, wgrads, input_grad):
     (x,) = inputs
     u = _GELU_C * (x + _GELU_A * x ** 3)
     t = np.tanh(u)
     sech2 = 1.0 - t * t
-    return {}, [grad * (0.5 * (1.0 + t)
+    return [grad * (0.5 * (1.0 + t)
                         + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x ** 2))]
 
 
@@ -433,10 +434,10 @@ def _softmax_forward(params, weights, buffers, inputs, ctx, geometry):
 
 
 def _softmax_backward(params, weights, buffers, inputs, output, grad, ctx,
-                      geometry, *, weight_grads, input_grad):
+                      geometry, *, wgrads, input_grad):
     g = grad - np.add.reduce(grad * output, axis=-1, keepdims=True)
     g *= output
-    return {}, [g]
+    return [g]
 
 
 def _bn_forward(params, weights, buffers, inputs, ctx, geometry):
@@ -450,18 +451,17 @@ def _bn_forward(params, weights, buffers, inputs, ctx, geometry):
 
 
 def _bn_backward(params, weights, buffers, inputs, output, grad, ctx,
-                 geometry, *, weight_grads, input_grad):
+                 geometry, *, wgrads, input_grad):
     (x,) = inputs
     inv = 1.0 / np.sqrt(buffers["running_var"] + BN_EPS)
-    wgrads, igrads = {}, [None]
-    if weight_grads:
+    if wgrads is not None:
         xhat = (x - buffers["running_mean"]) * inv
         axes = tuple(range(x.ndim - 1))
-        wgrads = {"gamma": np.add.reduce(grad * xhat, axis=axes),
-                  "beta": np.add.reduce(grad, axis=axes)}
-    if input_grad:
-        igrads = [grad * weights["gamma"] * inv]
-    return wgrads, igrads
+        np.add.reduce(grad * xhat, axis=axes, out=wgrads["gamma"])
+        np.add.reduce(grad, axis=axes, out=wgrads["beta"])
+    if not input_grad:
+        return [None]
+    return [grad * weights["gamma"] * inv]
 
 
 def _fc_forward(params, weights, buffers, inputs, ctx, geometry):
@@ -482,17 +482,16 @@ def _fc_forward(params, weights, buffers, inputs, ctx, geometry):
 
 
 def _fc_backward(params, weights, buffers, inputs, output, grad, ctx,
-                 geometry, *, weight_grads, input_grad):
+                 geometry, *, wgrads, input_grad):
     (x,) = inputs
-    wgrads, igrads = {}, [None]
-    if weight_grads:
+    if wgrads is not None:
         x2 = x if x.ndim == 2 else x.reshape(x.shape[0], -1)
-        wgrads["weight"] = x2.T @ grad
-        if "bias" in weights:
-            wgrads["bias"] = np.add.reduce(grad, axis=0)
-    if input_grad:
-        igrads = [(grad @ weights["weight"].T).reshape(x.shape)]
-    return wgrads, igrads
+        np.matmul(x2.T, grad, out=wgrads["weight"])
+        if "bias" in wgrads:
+            np.add.reduce(grad, axis=0, out=wgrads["bias"])
+    if not input_grad:
+        return [None]
+    return [(grad @ weights["weight"].T).reshape(x.shape)]
 
 
 def _add_forward(params, weights, buffers, inputs, ctx, geometry):
@@ -505,8 +504,8 @@ def _add_forward(params, weights, buffers, inputs, ctx, geometry):
 
 
 def _add_backward(params, weights, buffers, inputs, output, grad, ctx,
-                  geometry, *, weight_grads, input_grad):
-    return {}, [grad] * len(inputs)
+                  geometry, *, wgrads, input_grad):
+    return [grad] * len(inputs)
 
 
 def _concat_forward(params, weights, buffers, inputs, ctx, geometry):
@@ -514,9 +513,9 @@ def _concat_forward(params, weights, buffers, inputs, ctx, geometry):
 
 
 def _concat_backward(params, weights, buffers, inputs, output, grad, ctx,
-                     geometry, *, weight_grads, input_grad):
+                     geometry, *, wgrads, input_grad):
     offsets = np.cumsum([a.shape[-1] for a in inputs])[:-1]
-    return {}, list(np.split(grad, offsets, axis=-1))
+    return list(np.split(grad, offsets, axis=-1))
 
 
 def _flatten_forward(params, weights, buffers, inputs, ctx, geometry):
@@ -524,8 +523,8 @@ def _flatten_forward(params, weights, buffers, inputs, ctx, geometry):
 
 
 def _flatten_backward(params, weights, buffers, inputs, output, grad, ctx,
-                      geometry, *, weight_grads, input_grad):
-    return {}, [grad.reshape(inputs[0].shape)]
+                      geometry, *, wgrads, input_grad):
+    return [grad.reshape(inputs[0].shape)]
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +675,8 @@ def op_forward(kind, params, weights, buffers, inputs: list[np.ndarray],
 
 def op_backward(kind, params, weights, buffers, inputs, output, grad,
                 ctx: dict | None = None, geometry=None, *,
-                weight_grads: bool = True, input_grad: bool = True):
+                weight_grads: bool = True, input_grad: bool = True,
+                out: dict | None = None):
     """Gradients of one operator: returns (weight grads, per-input grads).
 
     `ctx` is the dict the matching :func:`op_forward` filled; without it
@@ -689,9 +689,19 @@ def op_backward(kind, params, weights, buffers, inputs, output, grad,
     compute no input gradient and return ``None`` for each input; the
     other kinds compute only input gradients and return them anyway. Asked
     for, each gradient has the same bits either way.
+
+    `out`, when given, holds one array per weight, of the weight's shape
+    (a `Network` passes views of its gradient vector): the weight gradients
+    are written into those arrays, and `out` is the first item returned.
+    Without it they are fresh arrays.
     """
     op = _OPS[kind]
     if geometry is None and op.geometry is not None:
         geometry = op.geometry(params, inputs[0].shape[1:])
-    return op.backward(params, weights, buffers, inputs, output, grad, ctx,
-                       geometry, weight_grads=weight_grads, input_grad=input_grad)
+    if not weight_grads:
+        out = None
+    elif out is None:
+        out = {name: np.empty_like(w) for name, w in weights.items()}
+    igrads = op.backward(params, weights, buffers, inputs, output, grad, ctx,
+                         geometry, wgrads=out, input_grad=input_grad)
+    return ({} if out is None else out), igrads

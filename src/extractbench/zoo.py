@@ -80,6 +80,21 @@ class ArchitectureSpec:
                                    [self._shapes[d] for d in node.inputs])
                 for node in self.nodes}
 
+    @cached_property
+    def _derived(self) -> dict:
+        return {}
+
+    def derived(self, fact):
+        """``fact(self)``, computed once per spec: for the facts of a spec
+        that another module defines (the side-channel simulators' per-node
+        volumes, say). `fact` must be a pure function of the spec, and is
+        its key; what it returns is shared, so it must not be mutated."""
+        try:
+            return self._derived[fact]
+        except KeyError:
+            value = self._derived[fact] = fact(self)
+            return value
+
     def derive_shapes(self) -> dict[str, tuple[int, ...]]:
         """Output shape of every node, plus the graph input under "input";
         a fresh dict each call."""

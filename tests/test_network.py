@@ -1,5 +1,6 @@
 """Graph execution, backprop through DAGs, SGD training, gradient checking."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,13 @@ from extractbench.tensor import ShapeError
 from extractbench.zoo import BUILTIN_ARCHITECTURES, build_model, builtin_spec
 
 from conftest import make_blobs, same_bits
+
+
+def copied(by_node):
+    """A copy of `Gradients.by_node`, whose arrays are views of the model's
+    gradient vector that the next backward overwrites."""
+    return {node_id: {name: g.copy() for name, g in wgrads.items()}
+            for node_id, wgrads in by_node.items()}
 
 
 def fc_softmax(din, dout, seed=0):
@@ -289,13 +297,14 @@ class TestPredictAndWorkspace:
         gout = np.random.default_rng(2).standard_normal(out.shape)
         model.predict(x[:1])  # inference in between leaves the cache alone
         kept = model.backward(gout)
+        kept_w = copied(kept.by_node)
         model._ctxs = [{} for _ in model._ctxs]
         fresh = model.backward(gout)
         assert same_bits(kept.input, fresh.input)
-        assert kept.by_node.keys() == fresh.by_node.keys()
+        assert kept_w.keys() == fresh.by_node.keys()
         for node_id, wgrads in fresh.by_node.items():
             for name, g in wgrads.items():
-                assert same_bits(kept.by_node[node_id][name], g), node_id
+                assert same_bits(kept_w[node_id][name], g), node_id
 
     @pytest.mark.parametrize("arch_id", sorted(BUILTIN_ARCHITECTURES))
     def test_predict_stops_at_node(self, arch_id, monkeypatch):
@@ -422,15 +431,17 @@ class TestRequestedGradients:
         gout = rng.standard_normal(out.shape)
         gout[gout < -1.0] = -0.0
         full = model.backward(gout)
+        full_w = copied(full.by_node)
+        model._grad[...] = np.nan  # what input_grad=False writes must be new
         weights_only = model.backward(gout, input_grad=False)
         input_only = model.backward(gout, weight_grads=False)
         assert weights_only.input is None
         assert input_only.by_node == {}
         assert same_bits(input_only.input, full.input)
-        assert weights_only.by_node.keys() == full.by_node.keys()
+        assert weights_only.by_node.keys() == full_w.keys()
         # every node leads to the output: no weighted node goes without
-        assert full.by_node.keys() == set(model.parameterized_nodes())
-        for node_id, wgrads in full.by_node.items():
+        assert full_w.keys() == set(model.parameterized_nodes())
+        for node_id, wgrads in full_w.items():
             assert wgrads.keys() == weights_only.by_node[node_id].keys()
             for name, g in wgrads.items():
                 assert same_bits(weights_only.by_node[node_id][name], g), node_id
@@ -444,7 +455,8 @@ class TestRequestedGradients:
         net.forward(np.ones((2, 4, 4, 1)))
         grads = net.backward(np.ones((2, 4, 4, 1)), input_grad=False)
         assert grads.input is None
-        assert same_bits(grads.by_node["c"]["weight"],
+        weight = grads.by_node["c"]["weight"].copy()
+        assert same_bits(weight,
                          net.backward(np.ones((2, 4, 4, 1))).by_node["c"]["weight"])
 
     def test_sgd_never_builds_an_input_gradient(self, monkeypatch):
@@ -471,9 +483,67 @@ class TestRequestedGradients:
         assert rows == [8, 8, 8, 6] * 2
 
 
-def per_step_gather_sgd_run(model, inputs, grad_fn, config):
+def reference_cross_entropy(probs, labels):
+    """The per-step form of `network.CrossEntropy`: (loss, output gradient)."""
+    n, width = probs.shape
+    flat = np.arange(0, n * width, width) + labels
+    p = np.maximum(probs.take(flat), 1e-12)
+    grad = np.zeros(n * width)
+    grad[flat] = -1.0 / (p * n)
+    return -(float(np.add.reduce(np.log(p))) / n), grad.reshape(n, width)
+
+
+def reference_soft_kl(probs, targets):
+    """The per-step form of `network.SoftTargetKL`."""
+    p = np.maximum(probs, 1e-12)
+    t = targets
+    tl = np.where(t > 0, np.log(np.maximum(t, 1e-12)), 0.0)
+    loss = np.mean(np.sum(t * (tl - np.log(p)), axis=1))
+    return loss, -(t / p) / probs.shape[0]
+
+
+def reference_distill(probs, labels, soft, alpha, tau):
+    """The per-step form of `similarity.DistillLoss`."""
+    loss = 0.0
+    grad = None
+    if alpha > 0.0:
+        ce_loss, ce_grad = reference_cross_entropy(probs, labels)
+        loss += alpha * ce_loss
+        grad = alpha * ce_grad
+    if alpha < 1.0:
+        s = np.maximum(probs, 1e-300) ** (1.0 / tau)
+        s = s / s.sum(axis=1, keepdims=True)
+        p = np.maximum(probs, 1e-12)
+        tl = np.where(soft > 0, np.log(np.maximum(soft, 1e-300)), 0.0)
+        kl = np.mean(np.sum(soft * (tl - np.log(np.maximum(s, 1e-300))), axis=1))
+        loss += (1.0 - alpha) * tau ** 2 * kl
+        kl_term = (1.0 - alpha) * tau ** 2 * (tau * (s - soft) / p / probs.shape[0])
+        grad = kl_term if grad is None else grad + kl_term
+    return loss, grad
+
+
+def per_step_form(loss):
+    """(probs, batch row indices) -> (loss, output gradient), computed
+    from the loss object's data by the reference forms above."""
+    from extractbench.similarity import DistillLoss
+    if isinstance(loss, network.CrossEntropy):
+        return lambda probs, idx: reference_cross_entropy(probs, loss.labels[idx])
+    if isinstance(loss, network.SoftTargetKL):
+        return lambda probs, idx: reference_soft_kl(probs, loss.targets[idx])
+    if isinstance(loss, DistillLoss):
+        soft = loss.soft_targets
+        return lambda probs, idx: reference_distill(
+            probs, loss.labels[idx], None if soft is None else soft[idx],
+            loss.alpha, loss.tau)
+    raise TypeError(f"no per-step form of {type(loss).__name__}")
+
+
+def per_step_gather_sgd_run(model, inputs, loss, config):
     """The plainest form of the SGD loop, and the oracle of `sgd_run`'s
-    bits: a fancy-index gather of each batch's rows and ``w -= lr * g``."""
+    bits: a fancy-index gather of each batch's rows, the per-step form of
+    the loss, ``w -= lr * g`` tensor by tensor, and the mean of the
+    per-step losses."""
+    grad_fn = per_step_form(loss)
     n = inputs.shape[0]
     rng = np.random.default_rng(config.seed)
     history = []
@@ -485,22 +555,23 @@ def per_step_gather_sgd_run(model, inputs, grad_fn, config):
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
             probs = model.forward(inputs[idx])
-            loss, gout = grad_fn(probs, idx)
+            step_loss, gout = grad_fn(probs, idx)
             grads = model.backward(gout, input_grad=False)
             for node_id, wgrads in grads.by_node.items():
                 store = model.weights[node_id]
                 for name, g in wgrads.items():
                     store[name] -= config.learning_rate * g
-            losses.append(loss)
+            losses.append(step_loss)
         history.append(float(np.mean(losses)))
         model.meta["epochs_trained"] += 1
     return history
 
 
 @pytest.mark.parametrize("arch_id", sorted(BUILTIN_ARCHITECTURES))
-def test_weight_gradients_are_fresh_arrays(arch_id):
-    # sgd_run scales each weight gradient in place (`g *= lr`), which is
-    # only safe while no gradient shares memory with a weight, a buffer, an
+def test_weight_gradients_are_disjoint_views(arch_id):
+    # backward writes each weight gradient into its own span of the model's
+    # gradient vector, and sgd_run scales that vector in place (`g *= lr`):
+    # safe only while no gradient shares memory with a weight, a buffer, an
     # activation, a kernel workspace, the output gradient or another one
     model, x = TestPredictAndWorkspace._model_and_input(arch_id, 3)
     out = model.forward(x)
@@ -510,15 +581,16 @@ def test_weight_gradients_are_fresh_arrays(arch_id):
     kept += [a for w in model.weights.values() for a in w.values()]
     kept += [a for b in model.buffers.values() for a in b.values()]
     kept += [a for ctx in model._ctxs for a in ctx.values()]
-    fresh = [g for wgrads in grads.values() for g in wgrads.values()]
-    assert fresh and len(fresh) == sum(len(w) for w in model.weights.values())
-    for i, g in enumerate(fresh):
-        assert not any(np.shares_memory(g, a) for a in kept + fresh[:i])
+    views = [g for wgrads in grads.values() for g in wgrads.values()]
+    assert views and len(views) == sum(len(w) for w in model.weights.values())
+    for i, g in enumerate(views):
+        assert g.base is model._grad
+        assert not any(np.shares_memory(g, a) for a in kept + views[:i])
 
 
 class TestSgdLoopMatchesPerStepGather:
     """`sgd_run` trains to the bits of the per-step-gather loop: weights,
-    BN statistics and loss history."""
+    BN statistics, loss history and meta, for every loss object."""
 
     @staticmethod
     def _both(monkeypatch, module, run):
@@ -533,6 +605,7 @@ class TestSgdLoopMatchesPerStepGather:
     @staticmethod
     def _assert_same(lean, oracle):
         (model, history), (want_model, want_history) = lean, oracle
+        assert history and all(type(h) is float for h in history)
         assert history == want_history
         assert same_bits(model.state_vector(), want_model.state_vector())
         assert model.meta == want_model.meta
@@ -569,21 +642,24 @@ class TestSgdLoopMatchesPerStepGather:
 
         self._assert_same(*self._both(monkeypatch, network, run))
 
-    def test_soft_target_kl(self, monkeypatch):
+    @pytest.mark.parametrize("batch_size", [10, 7])
+    def test_soft_target_kl(self, monkeypatch, batch_size):
         data = make_blobs(classes=4, per_class=12, overlap=0.4, seed=6)
         teacher = fc_softmax_model(data, seed=3, epochs=2)
         soft = teacher.predict(data.inputs)
+        soft[::5] = np.eye(4)[data.labels[::5]]  # zero targets: their logs drop
 
         def run():
             model = build_model(builtin_spec("mini-vgg-4", (6, 6, 1), 4), seed=4)
             history = train(model, data.inputs, soft,
-                            TrainConfig(learning_rate=0.05, batch_size=10,
+                            TrainConfig(learning_rate=0.05, batch_size=batch_size,
                                         epochs=2, loss="soft_target_kl", seed=5))
             return model, history
 
         self._assert_same(*self._both(monkeypatch, network, run))
 
-    def test_distill_blended_targets(self, monkeypatch):
+    @pytest.mark.parametrize("alpha", [0.4, 0.0, 1.0])
+    def test_distill_blended_targets(self, monkeypatch, alpha):
         from extractbench import similarity
         from extractbench.similarity import DistillConfig, distill
         data = make_blobs(classes=3, per_class=15, shape=(4, 4, 1),
@@ -591,7 +667,7 @@ class TestSgdLoopMatchesPerStepGather:
         teacher = fc_softmax_model(data, seed=2, epochs=3)
         config = DistillConfig(
             student_spec=builtin_spec("mini-mlp-2", (4, 4, 1), 3),
-            temperature=2.0, hard_label_weight=0.4,
+            temperature=3.0, hard_label_weight=alpha,
             train=TrainConfig(learning_rate=0.05, batch_size=8, epochs=3, seed=6))
         histories = []
 
@@ -608,6 +684,164 @@ class TestSgdLoopMatchesPerStepGather:
             return student, histories[-1]
 
         self._assert_same(*self._both(monkeypatch, similarity, run))
+
+
+class TestOneTrainingLoop:
+    """Every trainer calls `network.sgd_run` once, with the rows at args[1]
+    and the config at args[3], and each step of it runs one
+    `Network.forward` and one `Network.backward`: what the benchmark's
+    tracer reads off that one loop (`network.sgd_steps`). A trainer with a
+    loop of its own would also escape the per-step oracle above."""
+
+    @staticmethod
+    def _record(monkeypatch):
+        from extractbench import similarity
+        calls = []
+        passes = Counter()
+        real_forward, real_backward = Network.forward, Network.backward
+
+        def forward(self, x):
+            passes["forward"] += 1
+            return real_forward(self, x)
+
+        def backward(self, grad, **flags):
+            passes["backward"] += 1
+            return real_backward(self, grad, **flags)
+
+        for module in (network, similarity):
+            def recording(*args, _real=module.sgd_run):
+                before = dict(passes)
+                history = _real(*args)
+                calls.append((args, {k: passes[k] - before.get(k, 0)
+                                     for k in ("forward", "backward")}))
+                return history
+
+            monkeypatch.setattr(module, "sgd_run", recording)
+        monkeypatch.setattr(Network, "forward", forward)
+        monkeypatch.setattr(Network, "backward", backward)
+        return calls
+
+    @staticmethod
+    def _assert_one_run(calls, rows, config):
+        assert len(calls) == 1
+        args, passes = calls[0]
+        inputs, seen = args[1], args[3]
+        assert isinstance(seen, TrainConfig)
+        assert seen.batch_size == config.batch_size
+        assert seen.epochs == config.epochs
+        assert len(inputs) == rows
+        steps = -(-len(inputs) // seen.batch_size) * seen.epochs
+        assert passes == {"forward": steps, "backward": steps}
+
+    @pytest.mark.parametrize("loss", ["cross_entropy", "soft_target_kl"])
+    def test_train(self, monkeypatch, loss):
+        data = make_blobs(classes=3, per_class=9, seed=4)
+        targets = (data.labels if loss == "cross_entropy"
+                   else np.full((27, 3), 1.0 / 3.0))
+        config = TrainConfig(batch_size=5, epochs=2, loss=loss)
+        model = build_model(builtin_spec("mini-mlp-2", (6, 6, 1), 3), seed=0)
+        calls = self._record(monkeypatch)
+        train(model, data.inputs, targets, config)
+        self._assert_one_run(calls, 27, config)
+
+    def test_distill(self, monkeypatch):
+        from extractbench.similarity import DistillConfig, distill
+        data = make_blobs(classes=3, per_class=9, shape=(4, 4, 1), seed=4)
+        teacher = fc_softmax_model(data, seed=1, epochs=1)
+        config = DistillConfig(builtin_spec("mini-mlp-2", (4, 4, 1), 3),
+                               hard_label_weight=0.5,
+                               train=TrainConfig(batch_size=4, epochs=2))
+        calls = self._record(monkeypatch)
+        distill(teacher, config, data)
+        self._assert_one_run(calls, 27, config.train)
+
+    def test_train_ds_model(self, monkeypatch):
+        spec = builtin_spec("mini-vgg-4", (6, 6, 1), 4)
+        profile = BUILTIN_ENVIRONMENT_PROFILES["gpu-low"]
+        corpus = [(simulate_kernel_trace(spec, profile, seed=i),
+                   ds_truth_sequence(spec)) for i in range(2)]
+        config = TrainConfig(learning_rate=0.5, batch_size=16, epochs=3)
+        rows = sum(t in DS_VOCABULARY for _, truth in corpus for t in truth)
+        calls = self._record(monkeypatch)
+        train_ds_model(corpus, config=config)
+        self._assert_one_run(calls, rows, config)
+
+    def test_train_on_miss(self, monkeypatch, tmp_path):
+        from extractbench.orchestrator import Workbench, zoo_resolve
+        from extractbench.zoo import ModelRef
+        recipe = TrainConfig(batch_size=10, epochs=1)
+        bench = Workbench(tmp_path / "repo", default_recipe=recipe)
+        rows = len(bench.dataset("blobs-2c-easy").inputs)
+        calls = self._record(monkeypatch)
+        _, from_cache, _ = zoo_resolve(ModelRef("mini-mlp-1", "blobs-2c-easy"),
+                                       bench)
+        assert not from_cache
+        self._assert_one_run(calls, rows, recipe)
+
+
+class TestStateVector:
+    """Every weight and buffer is a view of the model's state vector, and
+    everything that writes one writes into it, so a model keeps training
+    after any of them."""
+
+    @staticmethod
+    def _assert_bound(model):
+        state = [t for store in (model.weights, model.buffers)
+                 for tensors in store.values() for t in tensors.values()]
+        assert all(t.base is model._state for t in state)
+        assert sum(t.size for t in state) == model._state.size
+        assert all(g.base is model._grad for wgrads in model._grads.values()
+                   for g in wgrads.values())
+
+    @staticmethod
+    def _train(model, data, epochs=2):
+        return train(model, data.inputs, data.labels,
+                     TrainConfig(learning_rate=0.05, epochs=epochs, seed=3))
+
+    @pytest.mark.parametrize("arch_id", sorted(BUILTIN_ARCHITECTURES))
+    def test_tensors_are_views_after_training(self, arch_id):
+        data = make_blobs(classes=4, per_class=6, shape=(8, 8, 1), seed=2)
+        model = build_model(builtin_spec(arch_id, (8, 8, 1), 4), seed=1)
+        self._assert_bound(model)
+        self._train(model, data)  # BN calibration included
+        self._assert_bound(model)
+        flat = np.concatenate([t.reshape(-1) for _, _, t, _ in model._tensors()])
+        assert same_bits(model.state_vector(), flat)
+
+    def test_trains_alike_after_noise_sweep(self):
+        from extractbench.similarity import layer_noise_sensitivity
+        data = make_blobs(classes=3, per_class=10, overlap=0.3, seed=7)
+        swept = build_model(builtin_spec("mini-vgg-4", (6, 6, 1), 3), seed=2)
+        layer_noise_sensitivity(swept, data, [0.0, 1.0], trials=2, seed=0)
+        self._assert_bound(swept)
+        plain = build_model(builtin_spec("mini-vgg-4", (6, 6, 1), 3), seed=2)
+        assert self._train(swept, data) == self._train(plain, data)
+        assert same_bits(swept.state_vector(), plain.state_vector())
+
+    def test_trains_alike_after_load_state_vector(self):
+        data = make_blobs(classes=3, per_class=10, overlap=0.3, seed=7)
+        spec = builtin_spec("mini-resnet-4", (6, 6, 1), 3)
+        source = build_model(spec, seed=4)
+        self._train(source, data, epochs=1)  # calibrated BN statistics too
+        loaded = build_model(spec, seed=5)
+        loaded.load_state_vector(source.state_vector())
+        loaded.bn_calibrated = True
+        self._assert_bound(loaded)
+        assert self._train(loaded, data) == self._train(source, data)
+        assert same_bits(loaded.state_vector(), source.state_vector())
+
+    def test_copy_trains_alike_and_apart(self):
+        data = make_blobs(classes=3, per_class=10, overlap=0.3, seed=7)
+        model = build_model(builtin_spec("mini-resnet-4", (6, 6, 1), 3), seed=4)
+        self._train(model, data, epochs=1)
+        twin = model.copy()
+        self._assert_bound(twin)
+        before = model.state_vector()
+        history = self._train(twin, data)
+        assert same_bits(model.state_vector(), before)  # the original is apart
+        assert self._train(model, data) == history
+        assert same_bits(twin.state_vector(), model.state_vector())
+        assert twin.meta == model.meta
 
 
 class TestTrainingMatchesGolden:

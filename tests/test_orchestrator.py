@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extractbench import orchestrator, similarity
+from extractbench import orchestrator
 from extractbench.cli import main
 from extractbench.datasets import load_dataset
 from extractbench.orchestrator import (
@@ -554,32 +554,22 @@ class TestDatasetCache:
 
 class TestEachModelPredictsOncePerSet:
     """`execute` runs each model on a test split once for its output and
-    once for its probe, and every metric reads those arrays. Calls are
-    counted per (model, input array, node); `distill`'s own teacher
-    predictions are its business and are not counted."""
+    once for its probe, and every metric reads those arrays (`distill`
+    too: it softens the teacher rows the report already has). Calls are
+    counted per (model, input array, node)."""
 
     @staticmethod
     def _counted_execute(bench, monkeypatch, doc):
         counts = Counter()
         arrays = {}  # id -> every counted model and array, kept alive
-        real_predict, real_distill = Network.predict, similarity.distill
-        in_distill = []
+        real_predict = Network.predict
 
         def predict(self, x, node_id=None):
-            if not in_distill:
-                arrays[id(self)], arrays[id(x)] = self, x
-                counts[id(self), id(x), node_id] += 1
+            arrays[id(self)], arrays[id(x)] = self, x
+            counts[id(self), id(x), node_id] += 1
             return real_predict(self, x, node_id)
 
-        def distill(*args, **kwargs):
-            in_distill.append(True)
-            try:
-                return real_distill(*args, **kwargs)
-            finally:
-                in_distill.pop()
-
         monkeypatch.setattr(Network, "predict", predict)
-        monkeypatch.setattr(similarity, "distill", distill)
         sc = parse_scenario(json.dumps(doc))
         record = execute(sc, bench)
         assert record.status == "ok", record.failure_reason

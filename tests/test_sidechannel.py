@@ -582,6 +582,31 @@ class TestSpecFacts:
                                      seed=1) == oracle_kernel_trace(
             spec, BUILTIN_ENVIRONMENT_PROFILES["gpu-low"], 1)
 
+    def test_simulator_facts_are_computed_once_per_spec(self, monkeypatch):
+        from extractbench import sidechannel
+        spec = builtin_spec("mini-resnet-4", SHAPE, 4)
+        trace_profile = BUILTIN_ENVIRONMENT_PROFILES["gpu-verbose"]
+        machine = BUILTIN_MACHINE_PROFILES["i7-4770-like"]
+        want = (oracle_kernel_trace(spec, trace_profile, 2),
+                oracle_symbol_stream(spec, machine, 2))
+        calls = []
+        for name in ("_node_volumes", "_symbol_hits"):
+            real = getattr(sidechannel, name)
+
+            def counted(spec, _real=real, _name=name):
+                calls.append(_name)
+                return _real(spec)
+
+            monkeypatch.setattr(sidechannel, name, counted)
+        for _ in range(3):
+            assert same_events(simulate_kernel_trace(spec, trace_profile, 2),
+                               want[0])
+            assert (simulate_symbol_stream(spec, machine, 2).counts
+                    == want[1])
+        assert sorted(calls) == ["_node_volumes", "_symbol_hits"]
+        # shared by every trace of the spec, so no caller may write them
+        assert not spec.derived(sidechannel._node_volumes).flags.writeable
+
     def test_compute_madd_returns_a_copy(self):
         spec = builtin_spec("mini-vgg-4", SHAPE, 4)
         before = dict(compute_madd(spec).per_node)

@@ -18,7 +18,7 @@ from extractbench.similarity import (
 )
 from extractbench.zoo import build_model, builtin_spec, make_student_cnn
 
-from conftest import make_blobs, trained_model
+from conftest import make_blobs, same_bits, trained_model
 
 
 class _Fixed:
@@ -246,6 +246,24 @@ class TestDistill:
             train=TrainConfig(epochs=20, seed=5))
         student = distill(teacher, cfg, train_set)
         assert accuracy(student, test) <= accuracy(teacher, test) + 0.05
+
+    @pytest.mark.parametrize("weight", [0.0, 0.3])
+    def test_teacher_rows_stand_for_the_teacher(self, weight):
+        data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=86)
+        teacher = trained_model("mini-mlp-2", data, epochs=2, seed=1)
+        cfg = DistillConfig(
+            student_spec=builtin_spec("mini-mlp-2", data.spec.input_shape, 3),
+            temperature=2.0, hard_label_weight=weight,
+            train=TrainConfig(epochs=2, seed=7))
+        from_model = distill(teacher, cfg, data)
+        from_rows = distill(teacher.predict(data.inputs), cfg, data)
+        assert same_bits(from_rows.state_vector(), from_model.state_vector())
+        with pytest.raises(ValueError, match="output rows"):
+            distill(teacher.predict(data.inputs[:-1]), cfg, data)
+        bad = DistillConfig(
+            student_spec=builtin_spec("mini-mlp-2", data.spec.input_shape, 4))
+        with pytest.raises(ValueError, match="class count"):
+            distill(teacher.predict(data.inputs), bad, data)
 
     def test_width_mismatch_rejected(self):
         data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=83)

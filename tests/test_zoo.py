@@ -88,8 +88,8 @@ class TestBuildModel:
         rng = np.random.default_rng(0)
         for store in (model.weights, model.buffers):  # no two tensors alike
             for tensors in store.values():
-                for name, t in tensors.items():
-                    tensors[name] = rng.standard_normal(t.shape)
+                for t in tensors.values():  # written in place: views
+                    t[...] = rng.standard_normal(t.shape)
         parts = []
         for node in model.spec.nodes:
             for name in CHECKPOINT_ORDER.get(node.kind, ()):
