@@ -4,7 +4,7 @@ A model is a list of :class:`NodeSpec` entries wired by node id (the reserved
 id ``"input"`` denotes the graph input). Execution order is topological with
 ties broken by declaration order, so two builds of the same node list behave
 identically. A training forward pass caches per-node activations and kernel
-workspace; backward consumes the cache and returns the gradients its caller
+workspace; backward consumes the cache and computes the gradients its caller
 asks for: those of every trainable tensor (what training reads), of the
 graph input (what inversion attacks climb), or both. Inference goes through
 ``predict``, which caches nothing.
@@ -16,7 +16,7 @@ import copy
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Literal, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,18 +118,6 @@ def sink_node(nodes: list[NodeSpec]) -> NodeSpec:
     return sinks[0]
 
 
-@dataclass(slots=True)
-class Gradients:
-    """Per-node trainable-tensor gradients plus the graph-input gradient;
-    what :meth:`Network.backward` was not asked for is ``{}`` or ``None``.
-
-    The arrays of ``by_node`` are views of the model's gradient vector, so
-    the next ``backward`` overwrites them; copy what must outlive it."""
-
-    by_node: dict[str, dict[str, np.ndarray]]
-    input: np.ndarray | None
-
-
 class _Step(NamedTuple):
     """One node of a Network's execution plan."""
 
@@ -173,9 +161,10 @@ class Network:
     and then its buffers, in the order of the operator table. A gradient
     vector of the same layout holds the weight gradients ``backward``
     writes (its buffer entries stay zero), so a training step updates
-    every tensor with one operation. Whatever writes a weight or a buffer
-    writes into its array (``a[...] = ...``): rebinding a dict entry would
-    detach the tensor from both vectors.
+    every tensor with one operation; ``grads[node_id][name]`` is one
+    weight's view of it, which the next ``backward`` overwrites. Whatever
+    writes a weight or a buffer writes into its array (``a[...] = ...``):
+    rebinding a dict entry would detach the tensor from both vectors.
 
     One instance belongs to one pipeline at a time: forward/backward share a
     cache and train mutates weights in place. Distinct instances are fully
@@ -211,13 +200,12 @@ class Network:
             self.weights[node.node_id] = w
             self.buffers[node.node_id] = b
         self.bn_calibrated = not any(n.kind is OperatorKind.BN for n in self.nodes)
-        self._grads: dict[str, dict[str, np.ndarray]] = {
+        self.grads: dict[str, dict[str, np.ndarray]] = {
             node_id: {} for node_id in self.weights}
         self._state = np.concatenate(
             [np.empty(0)] + [t.reshape(-1) for _, _, t, _ in self._tensors()])
         self._grad = np.zeros_like(self._state)
         self._bind()
-        self._weighted = [n.node_id for n in self.order if self.weights[n.node_id]]
 
         self._position = {INPUT_ID: 0}
         for k, node in enumerate(self.order, start=1):
@@ -229,7 +217,7 @@ class Network:
             inputs = tuple(self._position[d] for d in node.inputs)
             self._plan.append(_Step(
                 node_id, node.kind, node.params, self.weights[node_id],
-                self.buffers[node_id], self._grads[node_id], inputs,
+                self.buffers[node_id], self.grads[node_id], inputs,
                 _gather(inputs),
                 self._position[node_id],
                 kernel_geometry(node.kind, node.params,
@@ -252,7 +240,7 @@ class Network:
         return int(np.prod(self.output_shape))
 
     def parameterized_nodes(self) -> list[str]:
-        return list(self._weighted)
+        return [n.node_id for n in self.order if self.weights[n.node_id]]
 
     def parameter_count(self) -> int:
         return sum(t.size for w in self.weights.values() for t in w.values())
@@ -287,7 +275,7 @@ class Network:
             end = pos + t.size
             store[name] = self._state[pos:end].reshape(t.shape)
             if node_id is not None:
-                self._grads[node_id][name] = self._grad[pos:end].reshape(t.shape)
+                self.grads[node_id][name] = self._grad[pos:end].reshape(t.shape)
             pos = end
 
     def state_vector(self) -> np.ndarray:
@@ -357,17 +345,18 @@ class Network:
         return self._run(x, steps)[0][steps]
 
     def backward(self, output_gradient: np.ndarray, *, weight_grads: bool = True,
-                 input_grad: bool = True) -> Gradients:
+                 input_grad: bool = True) -> np.ndarray | None:
         """Backpropagate from the output; requires a cached forward pass.
+        Returns the graph-input gradient, or ``None`` with
+        `input_grad=False`.
 
-        `weight_grads=False` computes no trainable-tensor gradient
-        (``by_node`` is ``{}``) and `input_grad=False` no graph-input
-        gradient (``input`` is ``None``); what is computed has the same bits
-        either way. Every node leads to the one output (``sink_node``
-        rejects any other graph), so each node's output gradient exists when
-        its turn comes and ``by_node`` holds every weighted node. The weight
-        gradients are written into the gradient vector, and ``by_node``
-        holds views of it.
+        With `weight_grads` every trainable-tensor gradient is written into
+        the gradient vector, where :attr:`grads` reads it; with
+        `weight_grads=False` none is computed and the vector keeps what it
+        held. What is computed has the same bits either way. Every node
+        leads to the one output (``sink_node`` rejects any other graph), so
+        each node's output gradient exists when its turn comes and every
+        weighted node gets its gradients.
         """
         acts = self._acts
         if acts is None:
@@ -398,10 +387,7 @@ class Network:
                     grads[k] = grads[k] + ig
                 elif k:
                     grads[k] = ig
-        if not weight_grads:
-            return Gradients({}, grads[0])
-        return Gradients({node_id: dict(self._grads[node_id])
-                          for node_id in self._weighted}, grads[0])
+        return grads[0]
 
     def calibrate_bn(self, batch: np.ndarray) -> None:
         """Fix BN running statistics from one calibration batch (one-time)."""
@@ -415,10 +401,13 @@ class Network:
 
 @dataclass
 class TrainConfig:
+    """How SGD runs: step size, rows per step, passes and the shuffling
+    seed. The loss is no part of it: it follows from what is fitted (see
+    :func:`train`)."""
+
     learning_rate: float = 0.01
     batch_size: int = 10
     epochs: int = 10
-    loss: Literal["cross_entropy", "soft_target_kl"] = "cross_entropy"
     seed: int = 0
 
     def __post_init__(self):
@@ -433,12 +422,6 @@ class TrainConfig:
             raise ValueError("epochs must be non-negative")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.loss not in ("cross_entropy", "soft_target_kl"):
-            raise ValueError(f"unknown loss {self.loss!r}")
-
-    def to_dict(self) -> dict:
-        return {"learning_rate": self.learning_rate, "batch_size": self.batch_size,
-                "epochs": self.epochs, "loss": self.loss, "seed": self.seed}
 
 
 def _batch_sums(values: np.ndarray, size: int) -> np.ndarray:
@@ -506,14 +489,18 @@ class Loss:
 class CrossEntropy(Loss):
     """Mean negative log-likelihood of hard labels over probability outputs.
 
-    `labels` holds one label in [0, width) per training row, which the
-    callers check once: a label out of range would address another row.
-    Each step reads and writes its label entries through their flat
+    `labels` holds one integer label per training row, each in [0, width):
+    one out of range would address another row, so construction checks
+    them. Each step reads and writes its label entries through their flat
     positions, found for the whole epoch at its start by one integer add,
     and keeps their clamped probabilities for the epoch's losses.
     """
 
     def __init__(self, labels: np.ndarray, width: int):
+        if labels.min() < 0 or labels.max() >= width:
+            raise ValueError(
+                f"label range [{labels.min()}, {labels.max()}] incompatible "
+                f"with output width {width}")
         self.labels = labels
         self.width = width
 
@@ -609,29 +596,27 @@ def sgd_run(model: Network, inputs: np.ndarray, loss,
 
 def train(model: Network, inputs: np.ndarray, targets: np.ndarray,
           config: TrainConfig) -> list[float]:
-    """Mini-batch SGD on hard labels (cross_entropy) or probability targets
-    (soft_target_kl). Updates the model in place; returns per-epoch mean loss.
+    """Mini-batch SGD of `model` on `targets`, whose form chooses the loss:
+    one integer label per input row is hard labels (:class:`CrossEntropy`),
+    one probability row of the output width per input row is soft targets
+    (:class:`SoftTargetKL`), and anything else is a ValueError. Updates the
+    model in place; returns the per-epoch mean loss.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.shape[0] == 0:
+    n = inputs.shape[0]
+    if n == 0:
         raise ValueError("training dataset is empty")
     width = model.output_width
-    if config.loss == "cross_entropy":
-        labels = np.asarray(targets)
-        if labels.ndim != 1 or labels.shape[0] != inputs.shape[0]:
-            raise ValueError("cross_entropy expects one integer label per sample")
-        if labels.min() < 0 or labels.max() >= width:
-            raise ValueError(
-                f"label range [{labels.min()}, {labels.max()}] incompatible with "
-                f"model output width {width}")
-        loss = CrossEntropy(labels, width)
+    targets = np.asarray(targets)
+    if targets.shape == (n,) and targets.dtype.kind in "iu":
+        loss = CrossEntropy(targets, width)
+    elif targets.shape == (n, width):
+        loss = SoftTargetKL(targets)
     else:
-        soft = np.asarray(targets, dtype=np.float64)
-        if soft.ndim != 2 or soft.shape != (inputs.shape[0], width):
-            raise ValueError(
-                f"soft_target_kl expects ({inputs.shape[0]}, {width}) probability "
-                f"targets, got {soft.shape}")
-        loss = SoftTargetKL(soft)
+        raise ValueError(
+            f"training targets must be {n} integer labels or ({n}, {width}) "
+            f"probability rows, got a {targets.dtype} array of shape "
+            f"{targets.shape}")
     return sgd_run(model, inputs, loss, config)
 
 
@@ -666,7 +651,7 @@ def finite_difference_check(model: Network, probe_input, step: float = 1e-5,
         return float((model.predict(batch) * proj).sum())
 
     model.forward(batch)
-    analytic = model.backward(proj, input_grad=check_input)
+    input_grad = model.backward(proj, input_grad=check_input)
 
     worst = None
     max_err = 0.0
@@ -695,11 +680,11 @@ def finite_difference_check(model: Network, probe_input, step: float = 1e-5,
     for node_id in model.parameterized_nodes():
         for name in model.weights[node_id]:
             has_params = True
-            compare(model.weights[node_id][name], analytic.by_node[node_id][name],
+            compare(model.weights[node_id][name], model.grads[node_id][name],
                     node_id, name)
 
     if check_input:
-        compare(batch, analytic.input, INPUT_ID, "input")
+        compare(batch, input_grad, INPUT_ID, "input")
 
     model.forward(batch)  # leave caches consistent with unperturbed weights
     if not has_params and not check_input:

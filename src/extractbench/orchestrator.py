@@ -257,8 +257,7 @@ class KnockoffParams:
     output_mode: OutputMode = "confidence_vector"
     surrogate_architecture: str | None = None
     query_fraction: float = 0.5
-    recreate: TrainConfig = field(default_factory=lambda: TrainConfig(
-        epochs=20, loss="soft_target_kl"))
+    recreate: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
 
     def __post_init__(self):
         _steal_config(self, self.query_budget)
@@ -298,8 +297,7 @@ class StagedInversionParams:
     output_mode: OutputMode = "confidence_vector"
     surrogate_architecture: str | None = None
     query_fraction: float = 0.5
-    recreate: TrainConfig = field(default_factory=lambda: TrainConfig(
-        epochs=20, loss="soft_target_kl"))
+    recreate: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
     inversion: InversionParams = field(default_factory=InversionParams)
 
     def __post_init__(self):
@@ -324,8 +322,7 @@ class DeepSnifferParams:
 
     def classifier(self, seed: int) -> TrainConfig:
         return TrainConfig(learning_rate=0.5, batch_size=16,
-                           epochs=self.classifier_epochs, loss="cross_entropy",
-                           seed=seed)
+                           epochs=self.classifier_epochs, seed=seed)
 
 
 @dataclass

@@ -84,8 +84,7 @@ class GradientHandle(QueryHandle):
         p = max(float(probs[0, target_class]), 1e-300)
         seed = np.zeros_like(probs)
         seed[0, target_class] = 1.0 / p
-        grads = self._model.backward(seed, weight_grads=False)
-        return p, grads.input[0]
+        return p, self._model.backward(seed, weight_grads=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +95,7 @@ class GradientHandle(QueryHandle):
 class KnockoffConfig:
     query_budget: int
     output_mode: str = "confidence_vector"
-    recreate: TrainConfig = field(default_factory=lambda: TrainConfig(
-        epochs=20, loss="soft_target_kl"))
+    recreate: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
 
     def __post_init__(self):
         if self.query_budget < 1:
@@ -157,16 +155,14 @@ def knockoff_extract(target: QueryHandle, queries: Dataset,
                      surrogate_spec: ArchitectureSpec, config: KnockoffConfig,
                      seed: int = 0):
     """Steal by querying: build the stolen dataset, then train a fresh
-    surrogate on it (KL against confidences, cross-entropy against labels)."""
+    surrogate on what the target leaked, its confidence rows or its top-1
+    labels; `train` fits the first by KL and the second by cross-entropy."""
     stolen_data = build_stolen_dataset(target, queries, config.query_budget,
                                        config.output_mode, seed)
     surrogate = build_model(surrogate_spec, seed=seed)
-    if config.output_mode == "confidence_vector":
-        history = train(surrogate, stolen_data.inputs, stolen_data.targets,
-                        replace(config.recreate, loss="soft_target_kl"))
-    else:
-        history = train(surrogate, stolen_data.inputs, stolen_data.hard_labels(),
-                        replace(config.recreate, loss="cross_entropy"))
+    targets = (stolen_data.targets if config.output_mode == "confidence_vector"
+               else stolen_data.hard_labels())
+    history = train(surrogate, stolen_data.inputs, targets, config.recreate)
     record = AttackRecord(attack="knockoff", loss_history=history,
                           queries_used=len(stolen_data))
     return surrogate, record

@@ -326,7 +326,7 @@ def train_ds_model(corpus: list[tuple[list[KernelTraceEvent], list[str]]],
     xs = (x - mean) / std
 
     config = config or TrainConfig(learning_rate=0.5, batch_size=16, epochs=200,
-                                   loss="cross_entropy", seed=0)
+                                   seed=0)
     dim = xs.shape[1]
     model = Network(
         [NodeSpec("logits", OperatorKind.FC, {"out_features": len(DS_VOCABULARY)},

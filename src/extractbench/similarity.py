@@ -9,7 +9,7 @@ every argmax yet organize their representations differently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -197,7 +197,7 @@ class DistillConfig:
         return {"student_spec": self.student_spec.id,
                 "temperature": self.temperature,
                 "hard_label_weight": self.hard_label_weight,
-                "train": self.train.to_dict()}
+                "train": asdict(self.train)}
 
 
 def _soften(probs: np.ndarray, temperature: float, out=None) -> np.ndarray:
@@ -208,9 +208,10 @@ def _soften(probs: np.ndarray, temperature: float, out=None) -> np.ndarray:
 
 class DistillLoss(Loss):
     """`distill`'s blend: `alpha` times the cross-entropy of the hard
-    labels plus (1 - alpha) T^2 times KL(soft target || softened output),
-    where `soft_targets` are the teacher's outputs softened at temperature
-    `tau` (None when alpha is 1). Each step keeps its softened outputs; the
+    labels (checked by :class:`CrossEntropy` when alpha is above 0) plus
+    (1 - alpha) T^2 times KL(soft target || softened output), where
+    `soft_targets` are the teacher's outputs softened at temperature `tau`
+    (None when alpha is 1). Each step keeps its softened outputs; the
     target logs are taken once per training."""
 
     def __init__(self, labels, soft_targets, alpha: float, tau: float,
@@ -277,19 +278,13 @@ def distill(teacher, config: DistillConfig, transfer_set) -> Network:
         raise ValueError(
             f"teacher width {width} != student class count "
             f"{config.student_spec.class_count}")
-    labels = transfer_set.labels
-    alpha = config.hard_label_weight
-    if alpha > 0.0 and (labels.min() < 0 or labels.max() >= width):
-        raise ValueError(
-            f"label range [{labels.min()}, {labels.max()}] incompatible with "
-            f"student class count {width}")
-    student = build_model(config.student_spec, seed=config.train.seed)
-    tau = config.temperature
+    alpha, tau = config.hard_label_weight, config.temperature
     soft_targets = None
     if alpha < 1.0:
         soft_targets = _soften(_outputs(teacher, inputs), tau)
-    sgd_run(student, inputs,
-            DistillLoss(labels, soft_targets, alpha, tau, width), config.train)
+    loss = DistillLoss(transfer_set.labels, soft_targets, alpha, tau, width)
+    student = build_model(config.student_spec, seed=config.train.seed)
+    sgd_run(student, inputs, loss, config.train)
     return student
 
 
@@ -311,7 +306,6 @@ class EquivalencyReport:
     similarity: SimilarityReport
     distilled_pwcca: float
     distill_config: dict
-    baseline_pwcca: float | None = None
 
     def metrics(self) -> dict[str, float]:
         out = {"fidelity": self.similarity.fidelity,
@@ -320,14 +314,11 @@ class EquivalencyReport:
                "distilled_pwcca": self.distilled_pwcca}
         for pair, value in self.similarity.pwcca_distance.items():
             out[f"pwcca_{pair}"] = value
-        if self.baseline_pwcca is not None:
-            out["baseline_pwcca"] = self.baseline_pwcca
         return out
 
 
 def equivalency_report(target: Network, stolen: Network, test_set,
-                       distill_config: DistillConfig,
-                       baseline: Network | None = None) -> EquivalencyReport:
+                       distill_config: DistillConfig) -> EquivalencyReport:
     """Fidelity + PWCCA between a target and its stolen copy, then the same
     PWCCA after both are distilled into one student spec (matched probes)."""
     if target.output_width != stolen.output_width:
@@ -350,16 +341,9 @@ def equivalency_report(target: Network, stolen: Network, test_set,
         collect_activations(st_target, probe, inputs),
         collect_activations(st_stolen, probe, inputs))
 
-    baseline_d = None
-    if baseline is not None:
-        baseline_d = pwcca_distance(
-            acts_target,
-            collect_activations(baseline, default_probe_point(baseline), inputs))
-
     report = SimilarityReport(
         fidelity=fid, pwcca_distance=distances, probe_points=[(pa, pb)],
         accuracy_target=accuracy(out_target, test_set),
         accuracy_stolen=accuracy(out_stolen, test_set))
     return EquivalencyReport(similarity=report, distilled_pwcca=distilled,
-                             distill_config=distill_config.to_dict(),
-                             baseline_pwcca=baseline_d)
+                             distill_config=distill_config.to_dict())

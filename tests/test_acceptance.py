@@ -75,7 +75,6 @@ def _knockoff_fidelity(data, budget, seed, epochs_target=12, epochs_steal=15):
     target, spec = _linear_target(data, seed, epochs_target)
     cfg = KnockoffConfig(query_budget=budget,
                          recreate=TrainConfig(epochs=epochs_steal,
-                                              loss="soft_target_kl",
                                               seed=seed + 1))
     stolen, _ = knockoff_extract(QueryHandle(target), queries, spec, cfg,
                                  seed=seed + 2)
@@ -196,7 +195,6 @@ def test_criterion_05_ds_in_vocabulary_success():
         clf = train_ds_model(_ds_corpus(),
                              config=TrainConfig(learning_rate=0.5,
                                                 batch_size=16, epochs=200,
-                                                loss="cross_entropy",
                                                 seed=seed))
 
         def fid(arch_id):
@@ -274,8 +272,7 @@ def test_criterion_08_staged_inversion():
     queries, test = split(data, 0.7, seed=1)
     target, spec = _linear_target(data, seed=8)
     cfg = KnockoffConfig(query_budget=600,
-                         recreate=TrainConfig(epochs=15,
-                                              loss="soft_target_kl", seed=2))
+                         recreate=TrainConfig(epochs=15, seed=2))
     stolen, _ = knockoff_extract(QueryHandle(target), queries, spec, cfg,
                                  seed=3)
     stolen_fidelity = fidelity(stolen, target, test)
@@ -328,9 +325,7 @@ def test_criterion_10_distillation_equivalency():
             train(target, data.inputs, data.labels,
                   TrainConfig(epochs=12, seed=seed))
             cfg = KnockoffConfig(query_budget=400,
-                                 recreate=TrainConfig(epochs=12,
-                                                      loss="soft_target_kl",
-                                                      seed=seed + 1))
+                                 recreate=TrainConfig(epochs=12, seed=seed + 1))
             stolen, _ = knockoff_extract(QueryHandle(target), queries, spec,
                                          cfg, seed=seed + 2)
             dcfg = DistillConfig(

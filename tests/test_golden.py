@@ -1,5 +1,6 @@
-"""Golden metrics: one small scenario per attack type must reproduce the
-metrics map stored in ``tests/golden/metrics.json``.
+"""Golden metrics: one small scenario per attack type, plus a knockoff on
+top-1 labels, must reproduce the metrics map stored in
+``tests/golden/metrics.json``.
 
 The determinism contract says the same scenario and seed give the same
 metrics; these stored maps pin what those metrics are, so an engine or
@@ -23,13 +24,17 @@ OBSERVED = {"model_knowledge": "observed", "system_knowledge": "partial",
             "aux_dataset": "none"}
 MLP = {"architecture_id": "mini-mlp-2", "dataset_id": "blobs-4c-mid"}
 
-# (attack type, params, target, environment, grants): each small enough that
-# all six run in a few seconds, and together they reach every attack runner,
-# both simulators (with verbose-runtime noise and a MatMul-blind machine)
-# and the tiny-FC classifier.
+# entry name -> (params, target, environment, grants). An entry is named
+# after its attack type, or `<attack type>-<variant>`. Each is small enough
+# that all of them run in a few seconds, and together they reach every
+# attack runner, both knockoff training targets (confidence rows and top-1
+# labels), both simulators (with verbose-runtime noise and a MatMul-blind
+# machine) and the tiny-FC classifier.
 SCENARIOS = {
     "knockoff": ({"query_budget": 60, "recreate": {"epochs": 3}}, MLP, {},
                  HIDDEN),
+    "knockoff-top1": ({"query_budget": 60, "output_mode": "top1_label",
+                       "recreate": {"epochs": 3}}, MLP, {}, HIDDEN),
     "miface": ({"target_class": 1, "max_iterations": 40}, MLP, {}, HIDDEN),
     "staged_inversion": ({"budgets": [20, 40], "recreate": {"epochs": 2},
                           "inversion": {"max_iterations": 30}}, MLP, {}, HIDDEN),
@@ -54,13 +59,14 @@ def bench(tmp_path_factory):
                      default_recipe=TrainConfig(epochs=1))
 
 
-@pytest.mark.parametrize("attack", sorted(SCENARIOS))
-def test_metrics_match_golden(attack, bench, golden):
-    params, target, environment, grants = SCENARIOS[attack]
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_metrics_match_golden(name, bench, golden):
+    params, target, environment, grants = SCENARIOS[name]
+    attack = name.partition("-")[0]
     scenario = parse_scenario(json.dumps({
-        "schema_version": 1, "id": f"golden-{attack}", "seed": 5,
+        "schema_version": 1, "id": f"golden-{name}", "seed": 5,
         "attack": {"type": attack, "params": params}, "target": target,
         "environment": environment, "grants": grants}))
     record = execute(scenario, bench, persist=False)
     assert record.status == "ok", record.failure_reason
-    golden("metrics", attack, record.metrics)
+    golden("metrics", name, record.metrics)

@@ -8,9 +8,11 @@ import pytest
 
 from extractbench import network, tensor
 from extractbench.network import (
+    CrossEntropy,
     GraphError,
     Network,
     NodeSpec,
+    SoftTargetKL,
     TrainConfig,
     finite_difference_check,
     train,
@@ -29,11 +31,11 @@ from extractbench.zoo import BUILTIN_ARCHITECTURES, build_model, builtin_spec
 from conftest import make_blobs, same_bits
 
 
-def copied(by_node):
-    """A copy of `Gradients.by_node`, whose arrays are views of the model's
+def copied(grads):
+    """A copy of `Network.grads`, whose arrays are views of the model's
     gradient vector that the next backward overwrites."""
     return {node_id: {name: g.copy() for name, g in wgrads.items()}
-            for node_id, wgrads in by_node.items()}
+            for node_id, wgrads in grads.items()}
 
 
 def fc_softmax(din, dout, seed=0):
@@ -88,11 +90,11 @@ class TestBackward:
     def test_zero_output_gradient_zeroes_parameters(self):
         net = fc_softmax(4, 3)
         net.forward(np.random.default_rng(0).standard_normal((2, 4)))
-        grads = net.backward(np.zeros((2, 3)))
-        for wgrads in grads.by_node.values():
+        input_grad = net.backward(np.zeros((2, 3)))
+        for wgrads in net.grads.values():
             for g in wgrads.values():
                 assert np.all(g == 0)
-        assert np.all(grads.input == 0)
+        assert np.all(input_grad == 0)
 
     def test_single_fc_matches_finite_differences(self):
         # independent oracle: perturb each weight, central difference 1e-5
@@ -106,10 +108,10 @@ class TestBackward:
             return float((net.forward(x) * proj).sum())
 
         objective()
-        analytic = net.backward(proj)
+        net.backward(proj)
         for name, w in net.weights["fc"].items():
             flat = w.reshape(-1)
-            aflat = analytic.by_node["fc"][name].reshape(-1)
+            aflat = net.grads["fc"][name].reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + 1e-5
@@ -159,7 +161,31 @@ class TestTrain:
         net = fc_softmax(4, 2)
         with pytest.raises(ValueError, match="probability"):
             train(net, np.zeros((3, 4)), np.full((3, 5), 0.2),
-                  TrainConfig(epochs=1, loss="soft_target_kl"))
+                  TrainConfig(epochs=1))
+
+    def test_targets_choose_the_loss(self, monkeypatch):
+        losses = []
+        monkeypatch.setattr(network, "sgd_run",
+                            lambda model, inputs, loss, config:
+                            losses.append(type(loss)) or [])
+        net = fc_softmax(4, 2)
+        for targets in (np.array([0, 1, 1]), np.array([0, 1, 1], np.uint8),
+                        np.full((3, 2), 0.5), np.eye(2, dtype=int)[[0, 1, 1]]):
+            train(net, np.zeros((3, 4)), targets, TrainConfig(epochs=1))
+        assert losses == [CrossEntropy, CrossEntropy, SoftTargetKL, SoftTargetKL]
+
+    @pytest.mark.parametrize("targets", [
+        np.array([0.0, 1.0, 1.0]),       # labels must be integers, not floats
+        np.array([False, True, True]),   # nor booleans
+        np.array([0, 1]),                # one label per row
+        np.full((3, 2, 1), 0.5),         # rows are 1-D
+        [[0, 1], [1, 0]],                # one row per input row
+    ], ids=["float-labels", "bool-labels", "short-labels", "3-d", "short-rows"])
+    def test_targets_of_neither_form_rejected(self, targets):
+        net = fc_softmax(4, 2)
+        with pytest.raises(ValueError, match=r"must be 3 integer labels or "
+                                             r"\(3, 2\) probability rows"):
+            train(net, np.zeros((3, 4)), targets, TrainConfig(epochs=1))
 
     def test_separable_blobs_reach_high_accuracy(self):
         from extractbench.datasets import DatasetSpec, generate
@@ -190,9 +216,7 @@ class TestTrain:
         for mode in ("soft", "hard"):
             # converged students: margin information needs training time to pay off
             student = Network(teacher.nodes, teacher.input_shape, seed=90)
-            cfg = TrainConfig(learning_rate=0.05, epochs=200, seed=2,
-                              loss="soft_target_kl" if mode == "soft"
-                              else "cross_entropy")
+            cfg = TrainConfig(learning_rate=0.05, epochs=200, seed=2)
             targets = probs[:budget] if mode == "soft" else probs[:budget].argmax(1)
             train(student, inputs, targets, cfg)
             agreements[mode] = np.mean(
@@ -231,7 +255,7 @@ class TestFiniteDifferenceCheck:
         class Sabotaged(Network):
             def backward(self, grad, **flags):
                 out = super().backward(grad, **flags)
-                out.by_node["fc"]["weight"] = 2.0 * out.by_node["fc"]["weight"]
+                self.grads["fc"]["weight"] *= 2.0
                 return out
 
         net = Sabotaged([NodeSpec("fc", K.FC, {"out_features": 3}, ("input",)),
@@ -297,12 +321,11 @@ class TestPredictAndWorkspace:
         gout = np.random.default_rng(2).standard_normal(out.shape)
         model.predict(x[:1])  # inference in between leaves the cache alone
         kept = model.backward(gout)
-        kept_w = copied(kept.by_node)
+        kept_w = copied(model.grads)
         model._ctxs = [{} for _ in model._ctxs]
         fresh = model.backward(gout)
-        assert same_bits(kept.input, fresh.input)
-        assert kept_w.keys() == fresh.by_node.keys()
-        for node_id, wgrads in fresh.by_node.items():
+        assert same_bits(kept, fresh)
+        for node_id, wgrads in model.grads.items():
             for name, g in wgrads.items():
                 assert same_bits(kept_w[node_id][name], g), node_id
 
@@ -431,20 +454,17 @@ class TestRequestedGradients:
         gout = rng.standard_normal(out.shape)
         gout[gout < -1.0] = -0.0
         full = model.backward(gout)
-        full_w = copied(full.by_node)
-        model._grad[...] = np.nan  # what input_grad=False writes must be new
-        weights_only = model.backward(gout, input_grad=False)
-        input_only = model.backward(gout, weight_grads=False)
-        assert weights_only.input is None
-        assert input_only.by_node == {}
-        assert same_bits(input_only.input, full.input)
-        assert weights_only.by_node.keys() == full_w.keys()
-        # every node leads to the output: no weighted node goes without
-        assert full_w.keys() == set(model.parameterized_nodes())
+        full_w = copied(model.grads)
+        # what input_grad=False writes must be new, and every node leads to
+        # the output, so no weight gradient keeps its NaN
+        model._grad[...] = np.nan
+        assert model.backward(gout, input_grad=False) is None
         for node_id, wgrads in full_w.items():
-            assert wgrads.keys() == weights_only.by_node[node_id].keys()
             for name, g in wgrads.items():
-                assert same_bits(weights_only.by_node[node_id][name], g), node_id
+                assert same_bits(model.grads[node_id][name], g), node_id
+        model._grad[...] = np.nan  # weight_grads=False writes none
+        assert same_bits(model.backward(gout, weight_grads=False), full)
+        assert np.isnan(model._grad).all()
 
     def test_two_readers_of_the_input_without_input_grad(self):
         # the CONV skips its input gradient, the ADD's is dropped
@@ -453,11 +473,10 @@ class TestRequestedGradients:
                  NodeSpec("sum", K.ADD, {}, ("input", "c"))]
         net = Network(nodes, (4, 4, 1), seed=0)
         net.forward(np.ones((2, 4, 4, 1)))
-        grads = net.backward(np.ones((2, 4, 4, 1)), input_grad=False)
-        assert grads.input is None
-        weight = grads.by_node["c"]["weight"].copy()
-        assert same_bits(weight,
-                         net.backward(np.ones((2, 4, 4, 1))).by_node["c"]["weight"])
+        assert net.backward(np.ones((2, 4, 4, 1)), input_grad=False) is None
+        weight = net.grads["c"]["weight"].copy()
+        net.backward(np.ones((2, 4, 4, 1)))
+        assert same_bits(weight, net.grads["c"]["weight"])
 
     def test_sgd_never_builds_an_input_gradient(self, monkeypatch):
         # and each step runs one forward, on that step's rows
@@ -471,7 +490,7 @@ class TestRequestedGradients:
         def backward(self, grad, **kwargs):
             flags.append(kwargs)
             result = real_backward(self, grad, **kwargs)
-            assert result.input is None
+            assert result is None
             return result
 
         monkeypatch.setattr(Network, "forward", forward)
@@ -556,8 +575,8 @@ def per_step_gather_sgd_run(model, inputs, loss, config):
             idx = perm[start:start + config.batch_size]
             probs = model.forward(inputs[idx])
             step_loss, gout = grad_fn(probs, idx)
-            grads = model.backward(gout, input_grad=False)
-            for node_id, wgrads in grads.by_node.items():
+            model.backward(gout, input_grad=False)
+            for node_id, wgrads in model.grads.items():
                 store = model.weights[node_id]
                 for name, g in wgrads.items():
                     store[name] -= config.learning_rate * g
@@ -576,7 +595,8 @@ def test_weight_gradients_are_disjoint_views(arch_id):
     model, x = TestPredictAndWorkspace._model_and_input(arch_id, 3)
     out = model.forward(x)
     gout = np.random.default_rng(0).standard_normal(out.shape)
-    grads = model.backward(gout, input_grad=False).by_node
+    model.backward(gout, input_grad=False)
+    grads = model.grads
     kept = [gout, *model._acts]
     kept += [a for w in model.weights.values() for a in w.values()]
     kept += [a for b in model.buffers.values() for a in b.values()]
@@ -653,7 +673,7 @@ class TestSgdLoopMatchesPerStepGather:
             model = build_model(builtin_spec("mini-vgg-4", (6, 6, 1), 4), seed=4)
             history = train(model, data.inputs, soft,
                             TrainConfig(learning_rate=0.05, batch_size=batch_size,
-                                        epochs=2, loss="soft_target_kl", seed=5))
+                                        epochs=2, seed=5))
             return model, history
 
         self._assert_same(*self._both(monkeypatch, network, run))
@@ -733,12 +753,12 @@ class TestOneTrainingLoop:
         steps = -(-len(inputs) // seen.batch_size) * seen.epochs
         assert passes == {"forward": steps, "backward": steps}
 
-    @pytest.mark.parametrize("loss", ["cross_entropy", "soft_target_kl"])
-    def test_train(self, monkeypatch, loss):
+    @pytest.mark.parametrize("form", ["hard-labels", "probability-rows"])
+    def test_train(self, monkeypatch, form):
         data = make_blobs(classes=3, per_class=9, seed=4)
-        targets = (data.labels if loss == "cross_entropy"
+        targets = (data.labels if form == "hard-labels"
                    else np.full((27, 3), 1.0 / 3.0))
-        config = TrainConfig(batch_size=5, epochs=2, loss=loss)
+        config = TrainConfig(batch_size=5, epochs=2)
         model = build_model(builtin_spec("mini-mlp-2", (6, 6, 1), 3), seed=0)
         calls = self._record(monkeypatch)
         train(model, data.inputs, targets, config)
@@ -790,7 +810,7 @@ class TestStateVector:
                  for tensors in store.values() for t in tensors.values()]
         assert all(t.base is model._state for t in state)
         assert sum(t.size for t in state) == model._state.size
-        assert all(g.base is model._grad for wgrads in model._grads.values()
+        assert all(g.base is model._grad for wgrads in model.grads.values()
                    for g in wgrads.values())
 
     @staticmethod
@@ -847,8 +867,9 @@ class TestStateVector:
 class TestTrainingMatchesGolden:
     """Trained weights and loss history, bit for bit, of the two small nets
     whose per-call overhead the engine trims: the side-channel sequence
-    classifier (FC + SOFTMAX) and mini-mlp-2 (stored in
-    ``tests/golden/training.json``; see ``conftest.golden``)."""
+    classifier (FC + SOFTMAX) and mini-mlp-2, the latter also as a
+    distillation student (stored in ``tests/golden/training.json``; see
+    ``conftest.golden``)."""
 
     def test_ds_classifier(self, golden):
         specs = [builtin_spec(a, (6, 6, 1), 4)
@@ -857,7 +878,7 @@ class TestTrainingMatchesGolden:
         corpus = [(simulate_kernel_trace(spec, profile, seed=i),
                    ds_truth_sequence(spec)) for spec in specs for i in range(2)]
         config = TrainConfig(learning_rate=0.5, batch_size=16, epochs=30,
-                             loss="cross_entropy", seed=0)
+                             seed=0)
         classifier = train_ds_model(corpus, config=config)
         # the same net trained on the same standardized rows, for its losses
         rows = np.concatenate([
@@ -878,4 +899,23 @@ class TestTrainingMatchesGolden:
         losses = train(model, data.inputs, data.labels,
                        TrainConfig(learning_rate=0.05, epochs=4, seed=1))
         golden("training", "mini-mlp-2",
+               {"state": model.state_vector().tolist(), "losses": losses})
+
+    def test_distill_loss(self, golden):
+        # sgd_run driven by the distillation blend. At temperature 3 the KL
+        # weight (1 - alpha) T^2 is no power of two, so how it is associated
+        # with the KL term changes the bits of some step losses; with two
+        # steps an epoch and a small hard-label weight, the epoch means keep
+        # those bits often enough to show
+        from extractbench.similarity import DistillLoss, _soften
+        data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1),
+                          overlap=0.3, seed=8)
+        teacher = fc_softmax_model(data, seed=2, epochs=3)
+        tau = 3.0
+        soft = _soften(teacher.predict(data.inputs), tau)
+        model = build_model(builtin_spec("mini-mlp-2", (4, 4, 1), 3), seed=6)
+        losses = network.sgd_run(
+            model, data.inputs, DistillLoss(data.labels, soft, 0.1, tau, 3),
+            TrainConfig(learning_rate=0.05, batch_size=30, epochs=8, seed=6))
+        golden("training", "distill-mini-mlp-2",
                {"state": model.state_vector().tolist(), "losses": losses})

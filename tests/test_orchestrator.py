@@ -134,7 +134,7 @@ BAD_DOCUMENTS = [
     ("knockoff", {"query_budget": 120, "recreate": {"epochs": "5"}}, {},
      r"attack\.params\.recreate\.epochs: expected an integer"),
     ("knockoff", {"query_budget": 120, "recreate": {"loss": "mse"}}, {},
-     r"attack\.params\.recreate\.loss: 'mse' is not one of"),
+     r"unknown field\(s\) \['attack\.params\.recreate\.loss'\]"),
     ("knockoff", {"query_budget": 120, "recreate": {"learning_rate": 0}}, {},
      r"attack\.params\.recreate: learning_rate must be positive"),
     ("knockoff", {"query_budget": 120}, {"evaluation": "fidelity"},
@@ -218,6 +218,12 @@ BAD_DOCUMENTS = [
                  "checkpoint_tag": "x/../../../tagesc"}},
      r"^target: checkpoint_tag 'x/\.\./\.\./\.\./tagesc' must be one "
      r"file-name component"),
+    # the loss follows from what is fitted: no training block names one
+    ("knockoff", {"query_budget": 120, "recreate": {"loss": "soft_target_kl"}},
+     {}, r"unknown field\(s\) \['attack\.params\.recreate\.loss'\]"),
+    ("equivalency", {"query_budget": 120,
+                     "distill_train": {"loss": "cross_entropy"}},
+     {}, r"unknown field\(s\) \['attack\.params\.distill_train\.loss'\]"),
 ]
 
 
@@ -233,7 +239,6 @@ class TestParseScenario:
         params = echoed["attack"]["params"]
         assert params["output_mode"] == "confidence_vector"
         assert params["query_fraction"] == 0.5
-        assert params["recreate"]["loss"] == "soft_target_kl"
         assert params["recreate"]["seed"] == 3  # scenario seed filled in
         assert echoed["environment"]["verbose_runtime"] is False
         assert tuple(echoed["evaluation"])  # default metric set made explicit
@@ -626,9 +631,7 @@ class TestExecute:
         stolen, _ = knockoff_extract(
             QueryHandle(target), queries, spec,
             KnockoffConfig(query_budget=120,
-                           recreate=TrainConfig(epochs=20,
-                                                loss="soft_target_kl",
-                                                seed=11)),
+                           recreate=TrainConfig(epochs=20, seed=11)),
             seed=11)
         assert record.metrics["fidelity"] == fidelity(stolen, target, test)
 

@@ -115,8 +115,7 @@ class TestKnockoffExtract:
         assert fidelity(oracle, target, test) >= 0.95
 
         cfg = KnockoffConfig(query_budget=len(queries),
-                             recreate=TrainConfig(epochs=20,
-                                                  loss="soft_target_kl", seed=9))
+                             recreate=TrainConfig(epochs=20, seed=9))
         stolen, record = knockoff_extract(QueryHandle(target), queries, spec,
                                           cfg, seed=9)
         assert fidelity(stolen, target, test) >= 0.95
@@ -136,8 +135,7 @@ class TestKnockoffExtract:
             for budget in budgets:
                 cfg = KnockoffConfig(
                     query_budget=budget,
-                    recreate=TrainConfig(epochs=15, loss="soft_target_kl",
-                                         seed=seed + 1))
+                    recreate=TrainConfig(epochs=15, seed=seed + 1))
                 stolen, _ = knockoff_extract(handle, queries, spec, cfg,
                                              seed=seed + 2)
                 fids.append(fidelity(stolen, target, test))
@@ -157,8 +155,7 @@ class TestKnockoffExtract:
                 target, spec = linear_softmax(dataset, seed=seed, epochs=12)
                 cfg = KnockoffConfig(
                     query_budget=budget,
-                    recreate=TrainConfig(epochs=15, loss="soft_target_kl",
-                                         seed=seed))
+                    recreate=TrainConfig(epochs=15, seed=seed))
                 stolen, _ = knockoff_extract(QueryHandle(target), queries,
                                              spec, cfg, seed=seed)
                 return fidelity(stolen, target, test)
@@ -179,7 +176,7 @@ class TestMifaceInvert:
         seed = np.zeros((1, 3))
         p_full = float(model.predict(x[None])[0, 1])
         seed[0, 1] = 1.0 / p_full
-        expected = model.backward(seed).input[0]
+        expected = model.backward(seed)[0]
         flags = []
         real = Network.backward
 
@@ -273,8 +270,7 @@ def study():
     queries, test = split(data, 0.7, seed=2)
     target, spec = linear_softmax(data, seed=7, epochs=12)
     cfg = KnockoffConfig(query_budget=1,
-                         recreate=TrainConfig(epochs=15,
-                                              loss="soft_target_kl", seed=3))
+                         recreate=TrainConfig(epochs=15, seed=3))
     inv = InversionConfig(target_class=0, posterior_threshold=0.999,
                           max_iterations=300, step_size=0.2)
     rows = staged_inversion_study(target, queries, test, [50, 600], spec,
@@ -314,8 +310,7 @@ class TestStagedInversion:
         rows, target, test, queries, spec, _ = study
         row = rows[0]
         cfg = KnockoffConfig(query_budget=row.budget,
-                             recreate=TrainConfig(epochs=15,
-                                                  loss="soft_target_kl", seed=3))
+                             recreate=TrainConfig(epochs=15, seed=3))
         stolen, _ = knockoff_extract(QueryHandle(target), queries, spec, cfg,
                                      seed=5)
         assert fidelity(stolen, target, test) == pytest.approx(row.fidelity)

@@ -297,5 +297,7 @@ class TestEquivalencyReport:
         assert report.distill_config["temperature"] == 2.5
         assert report.distill_config["hard_label_weight"] == 0.3
         assert report.distill_config["student_spec"] == "mini-student-cnn"
+        assert report.distill_config["train"] == {
+            "learning_rate": 0.01, "batch_size": 10, "epochs": 6, "seed": 3}
         metrics = report.metrics()
         assert "fidelity" in metrics and "distilled_pwcca" in metrics
