@@ -290,15 +290,16 @@ class Network:
     # -- execution -----------------------------------------------------------
 
     def _run(self, x, steps: int | None = None, keep: bool = False,
-             calibrate: bool = False):
+             calibrate: bool = False, hold: int | None = None):
         """The one forward loop: runs the first `steps` plan steps (all by
         default) and returns (activations, kernel workspaces).
 
         With `keep` (training) every activation and each step's workspace
         are kept for backward. Without it no workspace is made and each
         activation is dropped after its last reader, so only the last
-        step's output survives. `calibrate` first sets each BN's running
-        statistics from the batch that reaches it.
+        step's output survives, and the activation at position `hold`.
+        `calibrate` first sets each BN's running statistics from the batch
+        that reaches it.
         """
         # asarray costs about 0.1 us even when it has nothing to do
         if x.__class__ is not np.ndarray or x.dtype is not _FLOAT64:
@@ -325,7 +326,8 @@ class Network:
                 acts.append(op_forward(kind, params, weights, buffers, inputs,
                                        None, geometry))
                 for k in frees:
-                    acts[k] = None
+                    if k != hold:
+                        acts[k] = None
         return acts, ctxs
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -338,11 +340,23 @@ class Network:
         """Inference-only forward pass: the output, or the activation at
         `node_id`. Runs no node after `node_id`, keeps nothing, and leaves
         the cache of the last :meth:`forward` alone."""
-        target = self.output_id if node_id is None else node_id
-        if target not in self._position:
-            raise KeyError(f"unknown probe point {target!r}")
-        steps = self._position[target]
+        steps = self._probe_position(
+            self.output_id if node_id is None else node_id)
         return self._run(x, steps)[0][steps]
+
+    def predict_and_probe(self, x: np.ndarray,
+                          node_id: str) -> tuple[np.ndarray, np.ndarray]:
+        """The output and the activation at `node_id`, from one inference
+        pass: each has the bits :meth:`predict` gives it, since the nodes
+        up to `node_id` run once, on the same batch, for both."""
+        position = self._probe_position(node_id)
+        acts = self._run(x, hold=position)[0]
+        return acts[-1], acts[position]
+
+    def _probe_position(self, node_id: str) -> int:
+        if node_id not in self._position:
+            raise KeyError(f"unknown probe point {node_id!r}")
+        return self._position[node_id]
 
     def backward(self, output_gradient: np.ndarray, *, weight_grads: bool = True,
                  input_grad: bool = True) -> np.ndarray | None:

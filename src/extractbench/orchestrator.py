@@ -59,6 +59,7 @@ from .sidechannel import (
     write_trace_jsonl,
 )
 from .similarity import DistillConfig, accuracy, equivalency_report, fidelity
+from .tensor import one_blas_thread
 from .zoo import (
     ArchitectureSpec,
     BUILTIN_ARCHITECTURES,
@@ -692,11 +693,13 @@ def _ref_seed(ref: ModelRef) -> int:
     return zlib.crc32(ref.slug().encode()) & 0x7FFFFFFF
 
 
+@one_blas_thread()
 def zoo_resolve(ref: ModelRef, bench: Workbench):
     """Serve a model for a reference, training and caching it when absent.
 
     Returns (model, from_cache, seconds): the timing plus cache flag is what
-    makes the train-on-miss policy observable in run records.
+    makes the train-on-miss policy observable in run records. Runs with
+    BLAS on one thread (see :func:`~extractbench.tensor.one_blas_thread`).
     """
     started = time.perf_counter()
     with bench._cache_lock:
@@ -968,6 +971,7 @@ _DISPATCH = {
 }
 
 
+@one_blas_thread()
 def execute(scenario: Scenario, bench: Workbench,
             persist: bool = True) -> RunRecord:
     """Run one validated scenario end to end.
@@ -976,6 +980,8 @@ def execute(scenario: Scenario, bench: Workbench,
     threat gating happen first; the target resolve (disk load or
     train-on-miss) is kicked off before attack construction; any failure is
     captured into a failed record rather than raised past this boundary.
+    The whole run has BLAS on one thread, and the caller's thread count is
+    back when it returns (see :func:`~extractbench.tensor.one_blas_thread`).
     """
     started = _utcnow()
     t0 = time.perf_counter()

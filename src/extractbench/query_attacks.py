@@ -278,18 +278,20 @@ def staged_inversion_study(target: Network, queries: Dataset, test: Dataset,
     score reconstructions against the true class-mean images."""
     check_budgets(budgets)
     handle = QueryHandle(target)
-    # the target is the same at every budget: run it on the test set once
-    out_target = target.predict(test.inputs)
-    acts_target = collect_activations(target, default_probe_point(target),
-                                      test.inputs)
+    # the target is the same at every budget: run it on the test set once,
+    # for its output and its probe, and each budget's model once likewise
+    pt = default_probe_point(target)
+    out_target, probe_target = target.predict_and_probe(test.inputs, pt)
+    acts_target = collect_activations(probe_target, pt, test.inputs)
     results = []
     for budget in budgets:
         cfg = replace(knockoff_config, query_budget=budget)
         stolen, _ = knockoff_extract(handle, queries, surrogate_spec, cfg, seed)
-        fid = fidelity(stolen, out_target, test)
+        ps = default_probe_point(stolen)
+        out_stolen, probe_stolen = stolen.predict_and_probe(test.inputs, ps)
+        fid = fidelity(out_stolen, out_target, test)
         dist = pwcca_distance(
-            acts_target,
-            collect_activations(stolen, default_probe_point(stolen), test.inputs))
+            acts_target, collect_activations(probe_stolen, ps, test.inputs))
         recons, sims, succ = {}, {}, {}
         grad_handle = GradientHandle(stolen)
         for cls in range(target.output_width):

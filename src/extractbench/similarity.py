@@ -117,10 +117,16 @@ def default_probe_point(model: Network) -> str:
     return out.node_id
 
 
-def collect_activations(model: Network, probe_point: str, inputs) -> np.ndarray:
-    """Row i is the flattened probe-layer activation on input i."""
+def collect_activations(model, probe_point: str, inputs) -> np.ndarray:
+    """Row i is the flattened probe-layer activation on input i.
+
+    `model` is a Network, or its activation rows at `probe_point` on
+    `inputs` (see `_outputs`), such as :meth:`Network.predict_and_probe`
+    gives with the output."""
     x = _as_inputs(inputs)
-    return model.predict(x, probe_point).reshape(x.shape[0], -1)
+    if not isinstance(model, np.ndarray):
+        model = model.predict(x, probe_point)
+    return _outputs(model, x).reshape(x.shape[0], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +332,14 @@ def equivalency_report(target: Network, stolen: Network, test_set,
     pa, pb = default_probe_point(target), default_probe_point(stolen)
     inputs = test_set.inputs
 
-    # each model runs once on the test set for its output and once for its
-    # probe; every metric below reads those arrays
-    out_target, out_stolen = target.predict(inputs), stolen.predict(inputs)
-    acts_target = collect_activations(target, pa, inputs)
+    # each model runs once on the test set, for its output and its probe;
+    # every metric below reads those arrays
+    out_target, probe_target = target.predict_and_probe(inputs, pa)
+    out_stolen, probe_stolen = stolen.predict_and_probe(inputs, pb)
     fid = fidelity(out_target, out_stolen, test_set)
     distances = {f"{pa}:{pb}": pwcca_distance(
-        acts_target, collect_activations(stolen, pb, inputs))}
+        collect_activations(probe_target, pa, inputs),
+        collect_activations(probe_stolen, pb, inputs))}
 
     st_target = distill(out_target, distill_config, test_set)
     st_stolen = distill(out_stolen, distill_config, test_set)

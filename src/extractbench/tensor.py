@@ -6,7 +6,8 @@ entry of the operator table ``_OPS``: its static parameters with their value
 checks, its output-shape rule, its weight and buffer shapes (in checkpoint
 order), its multiply count, and its forward and backward kernels. The public
 functions below are lookups in that table. Kernels are pure functions over
-batched float64 numpy arrays (leading axis = batch).
+batched float64 numpy arrays (leading axis = batch). :func:`one_blas_thread`
+runs a block of them with the loaded OpenBLAS on one thread.
 
 Data layout conventions:
   - images are (H, W, C), channels last
@@ -18,9 +19,11 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -705,3 +708,98 @@ def op_backward(kind, params, weights, buffers, inputs, output, grad,
     igrads = op.backward(params, weights, buffers, inputs, output, grad, ctx,
                          geometry, wgrads=out, input_grad=input_grad)
     return ({} if out is None else out), igrads
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+# (getter, setter) pairs, in the order tried: numpy's own wheels ship
+# scipy-openblas, other builds link a system OpenBLAS with or without the
+# 64-bit-integer suffix
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+class OpenBlasThreads:
+    """The thread-count calls of the loaded OpenBLAS, and the open
+    :func:`one_blas_thread` blocks of this process.
+
+    The count is process-wide, so the blocks are counted under a lock: the
+    first to open saves the count and sets 1, the last to close restores
+    it, in whatever order and thread they close.
+    """
+
+    def __init__(self, symbol: str, getter: Callable[[], int],
+                 setter: Callable[[int], None]):
+        self.symbol = symbol  # the setter's name
+        self.get = getter
+        self.set = setter
+        self._lock = threading.Lock()
+        self._open = 0
+        self._saved = 0
+
+    def pin(self) -> None:
+        with self._lock:
+            if not self._open:
+                self._saved = self.get()
+                self.set(1)
+            self._open += 1
+
+    def unpin(self) -> None:
+        with self._lock:
+            self._open -= 1
+            if not self._open:
+                self.set(self._saved)
+
+
+@cache
+def openblas_threads() -> OpenBlasThreads | None:
+    """The thread-count calls of the OpenBLAS mapped into this process,
+    looked up once; None where none is found (no ``/proc/self/maps``, as on
+    macOS, or another BLAS, such as MKL)."""
+    import ctypes  # here, so that importing the package loads no ctypes
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower() and "/" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapping whose file is gone
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            getter = getattr(lib, get_name, None)
+            setter = getattr(lib, set_name, None)
+            if getter is not None and setter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return OpenBlasThreads(set_name, getter, setter)
+    return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with the loaded OpenBLAS on one thread, and give the
+    count it had back when the block ends, however it ends. Blocks nest.
+
+    The engine's matmuls are too small to gain from a second BLAS thread:
+    OpenBLAS splits a GEMM's rows and columns across threads, never its
+    reduction, so one thread gives the same bits, and spares the CPU time
+    the second thread spends splitting and spin-waiting. Does nothing where
+    :func:`openblas_threads` finds no OpenBLAS.
+    """
+    blas = openblas_threads()
+    if blas is None:
+        yield
+        return
+    blas.pin()
+    try:
+        yield
+    finally:
+        blas.unpin()

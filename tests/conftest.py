@@ -9,6 +9,7 @@ import pytest
 
 from extractbench.datasets import DatasetSpec, generate, split
 from extractbench.network import TrainConfig, train
+from extractbench.tensor import openblas_threads
 from extractbench.zoo import build_model, builtin_spec
 
 
@@ -30,6 +31,21 @@ def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return (a.shape == b.shape and np.array_equal(a, b)
             and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.fixture()
+def blas_threads():
+    """(the loaded OpenBLAS's thread calls, a count above 1 it is set to
+    for the test: the host's count, or 2 on a one-CPU host); skips where
+    no OpenBLAS thread setter is found, and restores the count after."""
+    blas = openblas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread-count setter in this process")
+    before = blas.get()
+    many = max(before, 2)
+    blas.set(many)
+    yield blas, many
+    blas.set(before)
 
 
 @pytest.fixture(scope="session")

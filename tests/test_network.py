@@ -2,11 +2,12 @@
 
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
-from extractbench import network, tensor
+from extractbench import network, similarity, tensor
 from extractbench.network import (
     CrossEntropy,
     GraphError,
@@ -291,7 +292,8 @@ class TestBatchNorm:
 
 class TestPredictAndWorkspace:
     """`forward` keeps activations and kernel workspace for `backward`;
-    `predict` keeps nothing and returns the same bits."""
+    `predict` and `predict_and_probe` keep nothing and return the same
+    bits."""
 
     @staticmethod
     def _model_and_input(arch_id, batch):
@@ -312,6 +314,8 @@ class TestPredictAndWorkspace:
         assert same_bits(model.predict(x), out)
         for node_id, act in zip(ids, acts):
             assert same_bits(model.predict(x, node_id), act), node_id
+            both = model.predict_and_probe(x, node_id)
+            assert same_bits(both[0], out) and same_bits(both[1], act), node_id
 
     @pytest.mark.parametrize("batch", [1, 10])
     @pytest.mark.parametrize("arch_id", sorted(BUILTIN_ARCHITECTURES))
@@ -357,6 +361,8 @@ class TestPredictAndWorkspace:
         model, x = self._model_and_input("mini-mlp-2", 2)
         with pytest.raises(KeyError, match="probe"):
             model.predict(x, "nope")
+        with pytest.raises(KeyError, match="probe"):
+            model.predict_and_probe(x, "nope")
 
 
 class TestPlanSeam:
@@ -544,12 +550,11 @@ def reference_distill(probs, labels, soft, alpha, tau):
 def per_step_form(loss):
     """(probs, batch row indices) -> (loss, output gradient), computed
     from the loss object's data by the reference forms above."""
-    from extractbench.similarity import DistillLoss
     if isinstance(loss, network.CrossEntropy):
         return lambda probs, idx: reference_cross_entropy(probs, loss.labels[idx])
     if isinstance(loss, network.SoftTargetKL):
         return lambda probs, idx: reference_soft_kl(probs, loss.targets[idx])
-    if isinstance(loss, DistillLoss):
+    if isinstance(loss, similarity.DistillLoss):
         soft = loss.soft_targets
         return lambda probs, idx: reference_distill(
             probs, loss.labels[idx], None if soft is None else soft[idx],
@@ -557,11 +562,12 @@ def per_step_form(loss):
     raise TypeError(f"no per-step form of {type(loss).__name__}")
 
 
-def per_step_gather_sgd_run(model, inputs, loss, config):
+def per_step_gather_sgd_run(model, inputs, loss, config, step_losses=None):
     """The plainest form of the SGD loop, and the oracle of `sgd_run`'s
     bits: a fancy-index gather of each batch's rows, the per-step form of
     the loss, ``w -= lr * g`` tensor by tensor, and the mean of the
-    per-step losses."""
+    per-step losses. Each epoch's step losses are appended to
+    `step_losses`, when given."""
     grad_fn = per_step_form(loss)
     n = inputs.shape[0]
     rng = np.random.default_rng(config.seed)
@@ -581,6 +587,8 @@ def per_step_gather_sgd_run(model, inputs, loss, config):
                 for name, g in wgrads.items():
                     store[name] -= config.learning_rate * g
             losses.append(step_loss)
+        if step_losses is not None:
+            step_losses.append(np.array(losses, dtype=np.float64))
         history.append(float(np.mean(losses)))
         model.meta["epochs_trained"] += 1
     return history
@@ -610,23 +618,40 @@ def test_weight_gradients_are_disjoint_views(arch_id):
 
 class TestSgdLoopMatchesPerStepGather:
     """`sgd_run` trains to the bits of the per-step-gather loop: weights,
-    BN statistics, loss history and meta, for every loss object."""
+    BN statistics, each step's loss, loss history and meta, for every loss
+    object. The step losses are compared too, since an epoch's mean can
+    keep its bits while some of its steps' losses change."""
 
     @staticmethod
     def _both(monkeypatch, module, run):
         """`run()` with the real loop, then with the oracle in its place
-        in `module`; each returns (model, history)."""
-        lean = run()
+        in `module`; each gives ((model, history), each epoch's step
+        losses)."""
+        lean_steps, oracle_steps = [], []
+        real_epoch_loss = network.Loss.epoch_loss
+
+        def epoch_loss(loss):
+            lean_steps.append(np.array(loss.step_losses(), dtype=np.float64))
+            return real_epoch_loss(loss)
+
         with monkeypatch.context() as patch:
-            patch.setattr(module, "sgd_run", per_step_gather_sgd_run)
+            patch.setattr(network.Loss, "epoch_loss", epoch_loss)
+            lean = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "sgd_run", partial(
+                per_step_gather_sgd_run, step_losses=oracle_steps))
             oracle = run()
-        return lean, oracle
+        return (lean, lean_steps), (oracle, oracle_steps)
 
     @staticmethod
     def _assert_same(lean, oracle):
-        (model, history), (want_model, want_history) = lean, oracle
+        ((model, history), steps), ((want_model, want_history), want_steps) = \
+            lean, oracle
         assert history and all(type(h) is float for h in history)
         assert history == want_history
+        assert len(steps) == len(want_steps) == len(history)
+        for epoch, (got, want) in enumerate(zip(steps, want_steps)):
+            assert same_bits(got, want), f"step losses of epoch {epoch}"
         assert same_bits(model.state_vector(), want_model.state_vector())
         assert model.meta == want_model.meta
 
@@ -678,9 +703,8 @@ class TestSgdLoopMatchesPerStepGather:
 
         self._assert_same(*self._both(monkeypatch, network, run))
 
-    @pytest.mark.parametrize("alpha", [0.4, 0.0, 1.0])
+    @pytest.mark.parametrize("alpha", [0.4, 0.3, 0.0, 1.0])
     def test_distill_blended_targets(self, monkeypatch, alpha):
-        from extractbench import similarity
         from extractbench.similarity import DistillConfig, distill
         data = make_blobs(classes=3, per_class=15, shape=(4, 4, 1),
                           overlap=0.3, seed=8)
@@ -688,7 +712,7 @@ class TestSgdLoopMatchesPerStepGather:
         config = DistillConfig(
             student_spec=builtin_spec("mini-mlp-2", (4, 4, 1), 3),
             temperature=3.0, hard_label_weight=alpha,
-            train=TrainConfig(learning_rate=0.05, batch_size=8, epochs=3, seed=6))
+            train=TrainConfig(learning_rate=0.05, batch_size=8, epochs=4, seed=6))
         histories = []
 
         def run():
@@ -715,7 +739,6 @@ class TestOneTrainingLoop:
 
     @staticmethod
     def _record(monkeypatch):
-        from extractbench import similarity
         calls = []
         passes = Counter()
         real_forward, real_backward = Network.forward, Network.backward

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extractbench import orchestrator
+from extractbench import network, orchestrator
 from extractbench.cli import main
 from extractbench.datasets import load_dataset
 from extractbench.orchestrator import (
@@ -29,7 +29,7 @@ from extractbench.orchestrator import (
 )
 from extractbench.query_attacks import QueryHandle, knockoff_extract, KnockoffConfig
 from extractbench.network import Network, TrainConfig
-from extractbench.similarity import fidelity
+from extractbench.similarity import default_probe_point, fidelity
 from extractbench.datasets import split
 from extractbench.zoo import ModelRef
 
@@ -558,23 +558,27 @@ class TestDatasetCache:
 
 
 class TestEachModelPredictsOncePerSet:
-    """`execute` runs each model on a test split once for its output and
-    once for its probe, and every metric reads those arrays (`distill`
-    too: it softens the teacher rows the report already has). Calls are
-    counted per (model, input array, node)."""
+    """`execute` runs each model on a test split in one inference pass,
+    which gives its output and, where a metric reads it, its probe; every
+    metric reads those arrays (`distill` too: it softens the teacher rows
+    the report already has). Passes (`Network._run` calls) are counted per
+    (model, input array), with the positions each returns."""
 
     @staticmethod
     def _counted_execute(bench, monkeypatch, doc):
         counts = Counter()
+        read = {}    # (model, array) -> the positions its pass returned
         arrays = {}  # id -> every counted model and array, kept alive
-        real_predict = Network.predict
+        real_run = Network._run
 
-        def predict(self, x, node_id=None):
+        def run(self, x, steps=None, keep=False, calibrate=False, hold=None):
             arrays[id(self)], arrays[id(x)] = self, x
-            counts[id(self), id(x), node_id] += 1
-            return real_predict(self, x, node_id)
+            key = id(self), id(x)
+            counts[key] += 1
+            read[key] = {len(self._plan) if steps is None else steps, hold}
+            return real_run(self, x, steps, keep, calibrate, hold)
 
-        monkeypatch.setattr(Network, "predict", predict)
+        monkeypatch.setattr(Network, "_run", run)
         sc = parse_scenario(json.dumps(doc))
         record = execute(sc, bench)
         assert record.status == "ok", record.failure_reason
@@ -584,33 +588,77 @@ class TestEachModelPredictsOncePerSet:
                         _derived_seed(sc, "split"))
         on_test = {key: n for key, n in counts.items()
                    if np.array_equal(arrays[key[1]], test.inputs)}
-        return counts, on_test
+        assert set(counts.values()) == {1}
+        # per model on the test split: does its pass give the output, and
+        # the probe?
+        shapes = sorted(
+            (len(m._plan) in read[key],
+             m._position[default_probe_point(m)] in read[key])
+            for key in on_test for m in [arrays[key[0]]])
+        return on_test, shapes
 
     def test_knockoff(self, bench, monkeypatch):
-        counts, on_test = self._counted_execute(bench, monkeypatch,
+        on_test, shapes = self._counted_execute(bench, monkeypatch,
                                                 scenario_doc(seed=11))
-        assert set(counts.values()) == {1}
-        # the target and the stolen model, each once, at the output
+        # the target and the stolen model, each one pass, to the output
         assert len(on_test) == 2
-        assert {node for _, _, node in on_test} == {None}
+        assert shapes == [(True, False)] * 2
 
     def test_staged_inversion(self, bench, monkeypatch):
-        counts, on_test = self._counted_execute(bench, monkeypatch,
-                                                minimal_doc("staged_inversion"))
-        assert set(counts.values()) == {1}
-        # output and probe of the target once, and of each budget's model
-        models = {model for model, _, _ in on_test}
-        assert len(models) == 3 and len(on_test) == 6
-        assert all(sum(k[0] == m and k[2] is None for k in on_test) == 1
-                   for m in models)
+        on_test, shapes = self._counted_execute(
+            bench, monkeypatch, minimal_doc("staged_inversion"))
+        # the target and each budget's model: one pass, output and probe
+        assert len({model for model, _ in on_test}) == 3
+        assert shapes == [(True, True)] * 3
 
     def test_equivalency(self, bench, monkeypatch):
-        counts, on_test = self._counted_execute(bench, monkeypatch,
+        on_test, shapes = self._counted_execute(bench, monkeypatch,
                                                 minimal_doc("equivalency"))
-        assert set(counts.values()) == {1}
-        # target and stolen: output and probe; each student: its probe
-        assert len(on_test) == 6
-        assert sum(node is None for _, _, node in on_test) == 2
+        # target and stolen: output and probe in one pass; each student:
+        # its probe alone
+        assert shapes == [(False, True)] * 2 + [(True, True)] * 2
+
+
+class TestOneBlasThreadPerRun:
+    """`execute` and `zoo_resolve` run with BLAS on one thread, and the
+    caller's count is back when they return, whether the run failed or
+    not."""
+
+    @staticmethod
+    def _spy(monkeypatch, blas, fails=False):
+        """The BLAS thread count at each `sgd_run`, which raises there
+        with `fails`."""
+        seen = []
+        real = network.sgd_run
+
+        def sgd_run(*args):
+            seen.append(blas.get())
+            if fails:
+                raise RuntimeError("boom")
+            return real(*args)
+
+        monkeypatch.setattr(network, "sgd_run", sgd_run)
+        return seen
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_execute(self, bench, blas_threads, monkeypatch, fails):
+        blas, many = blas_threads
+        seen = self._spy(monkeypatch, blas, fails)
+        record = execute(parse_scenario(json.dumps(scenario_doc(seed=11))),
+                         bench)
+        assert record.status == ("failed" if fails else "ok")
+        # ok: the target's train-on-miss and the surrogate; failed: the
+        # first of them raised
+        assert seen == ([1] if fails else [1, 1])
+        assert blas.get() == many
+
+    def test_zoo_resolve(self, bench, blas_threads, monkeypatch):
+        blas, many = blas_threads
+        seen = self._spy(monkeypatch, blas)
+        _, cached, _ = zoo_resolve(ModelRef("mini-mlp-1", "blobs-2c-easy"),
+                                   bench)
+        assert not cached and seen == [1]
+        assert blas.get() == many
 
 
 class TestExecute:

@@ -155,6 +155,17 @@ class TestCollectActivations:
         rows = collect_activations(model, probe, dup)
         assert np.array_equal(rows, np.repeat(rows[:1], 4, axis=0))
 
+    def test_probe_rows_stand_for_their_model(self, blobs4):
+        model = build_model(builtin_spec("mini-vgg-4", (6, 6, 1), 4), seed=0)
+        x = blobs4.inputs[:20]
+        # the pre-softmax rows, and a conv layer's (n, H, W, C) activation
+        for probe in (default_probe_point(model), model.order[0].node_id):
+            _, rows = model.predict_and_probe(x, probe)
+            assert same_bits(collect_activations(rows, probe, x),
+                             collect_activations(model, probe, x)), probe
+        with pytest.raises(ValueError, match="10 output rows"):
+            collect_activations(rows[:10], probe, x)
+
     def test_unknown_probe_rejected(self, blobs4):
         model = trained_model("mini-mlp-2", blobs4, epochs=1)
         with pytest.raises(KeyError, match="probe"):

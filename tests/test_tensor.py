@@ -5,6 +5,9 @@ finite-difference oracle (step 1e-5, relative error < 1e-4) over a fixed
 random projection of the output, per operator kind and supported rank.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -22,12 +25,15 @@ from extractbench.tensor import (
     _pool_windows,
     infer_shape,
     init_weights,
+    one_blas_thread,
     op_backward,
     op_forward,
+    openblas_threads,
 )
+from extractbench.network import TrainConfig, train
 from extractbench.zoo import BUILTIN_ARCHITECTURES, build_model, builtin_spec
 
-from conftest import same_bits
+from conftest import make_blobs, same_bits
 
 K = OperatorKind
 STEP = 1e-5
@@ -667,3 +673,100 @@ def test_in_place_kernels_equal_allocating_expressions(arch_id, batch):
         assert same_bits(acts[step.output], expected), step.node_id
         checked += 1
     assert checked
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+# ---------------------------------------------------------------------------
+
+def test_openblas_thread_setter_found_where_numpy_names_openblas():
+    # else every run would keep the host's BLAS threads, silently
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in blas.get("name", "").lower():
+        pytest.skip(f"numpy's BLAS is {blas.get('name')!r}, not OpenBLAS")
+    assert openblas_threads() is not None, \
+        f"numpy names {blas['name']!r} but no thread-count setter was found"
+
+
+class TestOneBlasThread:
+    """`one_blas_thread` runs its block with OpenBLAS on one thread and
+    gives the count back when the block ends, however it ends."""
+
+    def test_one_thread_inside_count_back_after(self, blas_threads):
+        blas, many = blas_threads
+        with one_blas_thread():
+            assert blas.get() == 1
+        assert blas.get() == many
+
+    def test_count_back_after_an_exception(self, blas_threads):
+        blas, many = blas_threads
+        with pytest.raises(RuntimeError, match="boom"):
+            with one_blas_thread():
+                raise RuntimeError("boom")
+        assert blas.get() == many
+
+    def test_nested(self, blas_threads):
+        blas, many = blas_threads
+        with one_blas_thread():
+            with one_blas_thread():
+                assert blas.get() == 1
+            assert blas.get() == 1
+        assert blas.get() == many
+
+    def test_blocks_closed_out_of_order(self, blas_threads):
+        # as blocks in two threads may close: the first to open is not
+        # the last to close, and the count comes back only at the last
+        blas, many = blas_threads
+        first, second = one_blas_thread(), one_blas_thread()
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert blas.get() == 1
+        second.__exit__(None, None, None)
+        assert blas.get() == many
+
+    def test_threads(self, blas_threads):
+        blas, many = blas_threads
+        seen = []
+        barrier = threading.Barrier(4, timeout=30)
+
+        def work():
+            barrier.wait()
+            for _ in range(200):
+                with one_blas_thread():
+                    seen.append(blas.get())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert len(seen) == 800 and set(seen) == {1}
+        assert blas.get() == many
+
+    @pytest.mark.parametrize("arch_id", ["mini-vgg-4", "mini-resnet-4"])
+    def test_same_bytes_on_one_thread(self, blas_threads, arch_id):
+        # OpenBLAS splits a GEMM's rows and columns across threads, never
+        # its reduction: batch-10 training and a whole-split prediction
+        # give the same bytes on one thread as on several
+        data = make_blobs(classes=4, per_class=50, shape=(8, 8, 1),
+                          overlap=0.3, seed=2)
+
+        def run():
+            model = build_model(builtin_spec(arch_id, (8, 8, 1), 4), seed=3)
+            train(model, data.inputs, data.labels,
+                  TrainConfig(learning_rate=0.05, batch_size=10, epochs=2,
+                              seed=4))
+            return model.state_vector(), model.predict(data.inputs)
+
+        state, out = run()
+        with one_blas_thread():
+            state_one, out_one = run()
+        assert state.tobytes() == state_one.tobytes()
+        assert out.tobytes() == out_one.tobytes()
