@@ -13,6 +13,7 @@ float64, samples row-major in index order) + labels.bin (little-endian int32).
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import shutil
@@ -89,21 +90,23 @@ class Dataset:
         return self.inputs[mask].mean(axis=0)
 
 
-def class_prototypes(spec: DatasetSpec) -> np.ndarray:
-    """Prototype image per class after applying the overlap knob."""
-    rng = np.random.default_rng(spec.seed)
+def _prototypes(spec: DatasetSpec, rng: np.random.Generator) -> np.ndarray:
+    """Prototype image per class after applying the overlap knob: the first
+    draws of a dataset's generator."""
     protos = rng.standard_normal((spec.class_count,) + tuple(spec.input_shape))
     common = protos.mean(axis=0)
     return (1.0 - spec.overlap) * protos + spec.overlap * common
 
 
+def class_prototypes(spec: DatasetSpec) -> np.ndarray:
+    """Prototype image per class after applying the overlap knob."""
+    return _prototypes(spec, np.random.default_rng(spec.seed))
+
+
 def generate(spec: DatasetSpec) -> Dataset:
     """Deterministic sampling: same spec, same bytes."""
     rng = np.random.default_rng(spec.seed)
-    protos = rng.standard_normal((spec.class_count,) + tuple(spec.input_shape))
-    common = protos.mean(axis=0)
-    protos = (1.0 - spec.overlap) * protos + spec.overlap * common
-
+    protos = _prototypes(spec, rng)
     n = spec.class_count * spec.samples_per_class
     labels = np.repeat(np.arange(spec.class_count), spec.samples_per_class)
     noise = rng.standard_normal((n,) + tuple(spec.input_shape))
@@ -242,8 +245,35 @@ def csg_complexity(dataset: Dataset, monte_carlo_samples: int = 100,
 # cache files
 # ---------------------------------------------------------------------------
 
+def publish_entry(tmp: Path, final: Path) -> None:
+    """Rename the written directory `tmp` into place at `final`. A cache
+    entry's content is a function of its name, so if `final` already
+    exists another writer won: keep its entry and discard `tmp`. No entry
+    is ever removed, so a reader never sees one half gone."""
+    try:
+        os.rename(tmp, final)
+    except OSError as exc:
+        if exc.errno not in (errno.EEXIST, errno.ENOTEMPTY):
+            raise
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def discard_entry(entry: Path) -> None:
+    """Remove a (corrupt) cache entry: rename it aside atomically, then
+    delete it, so a writer that publishes at the same time is not touched.
+    An entry that is already gone is fine."""
+    aside = Path(tempfile.mkdtemp(prefix=entry.name + ".discard",
+                                  dir=entry.parent))
+    try:
+        os.rename(entry, aside)  # onto the empty directory, atomically
+    except FileNotFoundError:
+        pass
+    shutil.rmtree(aside, ignore_errors=True)
+
+
 def save_dataset(dataset: Dataset, directory) -> Path:
-    """Write atomically: a temp directory is renamed into place."""
+    """Write atomically: a temp directory is renamed into place. An entry
+    already at `directory` is kept (see :func:`publish_entry`)."""
     directory = Path(directory)
     directory.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=directory.name + ".tmp",
@@ -256,9 +286,7 @@ def save_dataset(dataset: Dataset, directory) -> Path:
             np.ascontiguousarray(dataset.inputs, dtype="<f8").tobytes())
         (tmp / "labels.bin").write_bytes(
             np.ascontiguousarray(dataset.labels, dtype="<i4").tobytes())
-        if directory.exists():
-            shutil.rmtree(directory)
-        os.rename(tmp, directory)
+        publish_entry(tmp, directory)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise

@@ -29,8 +29,9 @@ from typing import Literal, get_args, get_origin, get_type_hints
 import numpy as np
 import zlib
 
-from .datasets import (Dataset, DatasetSpec, check_query_fraction, generate,
-                       load_dataset, restrict_to_classes, save_dataset, split)
+from .datasets import (Dataset, DatasetSpec, check_query_fraction,
+                       discard_entry, generate, load_dataset,
+                       restrict_to_classes, save_dataset, split)
 from .network import TrainConfig, train
 from .query_attacks import (
     GradientHandle,
@@ -54,6 +55,7 @@ from .sidechannel import (
     simulate_symbol_stream,
     dr_classify,
     fit_fingerprint_space,
+    seeded_generators,
     train_ds_model,
     write_histograms_csv,
     write_trace_jsonl,
@@ -621,8 +623,9 @@ class Workbench:
     def dataset(self, dataset_id: str) -> Dataset:
         """Load from the cache, generating (and caching) on first use.
 
-        A cache entry that fails to load is regenerated; generation is
-        deterministic, so the replacement equals what was lost.
+        A cache entry that fails to load is discarded and regenerated;
+        generation is deterministic, so the replacement equals what was
+        lost.
         """
         if dataset_id not in self.dataset_specs:
             raise KeyError(f"unknown dataset id {dataset_id!r}")
@@ -632,7 +635,7 @@ class Workbench:
                 try:
                     return load_dataset(cache)
                 except (OSError, ValueError, KeyError):
-                    pass
+                    discard_entry(cache)
             data = generate(self.dataset_specs[dataset_id])
             save_dataset(data, cache)
             return data
@@ -711,7 +714,9 @@ def _zoo_resolve_locked(ref: ModelRef, bench: Workbench, started: float):
         model = load_checkpoint(ref, bench.checkpoints_dir)
         return model, True, time.perf_counter() - started
     except CheckpointError:
-        pass
+        entry = checkpoint_path(bench.checkpoints_dir, ref)
+        if entry.exists():  # corrupt or half there
+            discard_entry(entry)
     data = bench.dataset(ref.dataset_id)
     if ref.class_subset is not None:
         data = restrict_to_classes(data, ref.class_subset)
@@ -884,6 +889,17 @@ def _run_staged_inversion(scenario, bench, target, art_dir):
     return metrics, artifacts
 
 
+def _stream_generators(scenario, corpus_architectures, per_architecture: int,
+                       victim_tags: list[str]):
+    """One generator per side-channel stream, seeded in bulk, in the order
+    a runner simulates them: `per_architecture` for each corpus
+    architecture, then one per victim tag."""
+    return seeded_generators(
+        [_derived_seed(scenario, f"{a}|{i}") for a in corpus_architectures
+         for i in range(per_architecture)]
+        + [_derived_seed(scenario, tag) for tag in victim_tags])
+
+
 def _run_deepsniffer(scenario, bench, target, art_dir):
     p: DeepSnifferParams = scenario.attack_params
     profile = BUILTIN_ENVIRONMENT_PROFILES[scenario.environment.environment_profile]
@@ -893,19 +909,20 @@ def _run_deepsniffer(scenario, bench, target, art_dir):
     shape, classes = data_spec.input_shape, data_spec.class_count
     train_profile = replace(profile, id="corpus", metric_jitter=p.train_jitter,
                             verbose_runtime=False)
+    specs = [bench.architecture(a, shape, classes)
+             for a in p.corpus_architectures]
+    rngs = _stream_generators(scenario, p.corpus_architectures,
+                              p.traces_per_architecture, ["victim"])
     corpus = []
-    for arch_id in p.corpus_architectures:
-        spec = bench.architecture(arch_id, shape, classes)
+    for spec in specs:
         truth = ds_truth_sequence(spec)
-        for i in range(p.traces_per_architecture):
-            trace = simulate_kernel_trace(
-                spec, train_profile, seed=_derived_seed(scenario, f"{arch_id}|{i}"))
+        for _ in range(p.traces_per_architecture):
+            trace = simulate_kernel_trace(spec, train_profile, seed=next(rngs))
             corpus.append((trace, truth))
     classifier = train_ds_model(corpus, window=p.window,
                                 config=p.classifier(scenario.seed))
     target_spec = target.spec
-    trace = simulate_kernel_trace(target_spec, profile,
-                                  seed=_derived_seed(scenario, "victim"))
+    trace = simulate_kernel_trace(target_spec, profile, seed=next(rngs))
     predicted = ds_extract(trace, classifier)
     truth = ds_truth_sequence(target_spec)
     trace_path = write_trace_jsonl(trace, art_dir / "victim_trace.jsonl")
@@ -922,18 +939,18 @@ def _run_deeprecon(scenario, bench, target, art_dir):
     profile = BUILTIN_MACHINE_PROFILES[scenario.environment.machine_profile]
     data_spec = bench.dataset_specs[scenario.target.dataset_id]
     shape, classes = data_spec.input_shape, data_spec.class_count
-    corpus = []
-    for arch_id in p.corpus_architectures:
-        spec = bench.architecture(arch_id, shape, classes)
-        for i in range(p.histograms_per_architecture):
-            corpus.append(simulate_symbol_stream(
-                spec, profile, seed=_derived_seed(scenario, f"{arch_id}|{i}")))
+    specs = [bench.architecture(a, shape, classes)
+             for a in p.corpus_architectures]
+    rngs = _stream_generators(scenario, p.corpus_architectures,
+                              p.histograms_per_architecture,
+                              [f"victim|{t}" for t in range(p.trials)])
+    corpus = [simulate_symbol_stream(spec, profile, seed=next(rngs))
+              for spec in specs for _ in range(p.histograms_per_architecture)]
     model = fit_fingerprint_space(corpus, k=p.k_neighbors)
     target_spec = target.spec
     exact = family = 0
-    for t in range(p.trials):
-        hist = simulate_symbol_stream(
-            target_spec, profile, seed=_derived_seed(scenario, f"victim|{t}"))
+    for _ in range(p.trials):
+        hist = simulate_symbol_stream(target_spec, profile, seed=next(rngs))
         pred = dr_classify(hist, model)
         exact += pred.architecture_id == target_spec.id
         family += pred.family == target_spec.family

@@ -27,8 +27,10 @@ when their simulated reload time is under the profile threshold.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -173,6 +175,95 @@ def ds_truth_sequence(spec: ArchitectureSpec) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# seeding in bulk
+# ---------------------------------------------------------------------------
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+
+def _hashmix(values: np.ndarray, const: int, mult: int):
+    """One SeedSequence hash of uint32 `values` under the hash constant
+    `const`: the hashed values and the constant it leaves. The constant
+    does not depend on the values, so one call hashes every seed."""
+    values = values ^ np.uint32(const)
+    const = const * mult & _MASK32
+    values *= np.uint32(const)
+    values ^= values >> np.uint32(16)
+    return values, const
+
+
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """The (n, 4) uint64 words ``SeedSequence(seed).generate_state(4,
+    np.uint64)`` gives for each of the uint32 `seeds`: an entropy of one
+    word, mixed into a pool of four, then eight 32-bit words drawn from the
+    pool and read in little-endian pairs."""
+    zeros = np.zeros_like(seeds)
+    pool, const = [], _INIT_A
+    for entropy in (seeds,) + (zeros,) * (_POOL_SIZE - 1):
+        word, const = _hashmix(entropy, const, _MULT_A)
+        pool.append(word)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                word, const = _hashmix(pool[src], const, _MULT_A)
+                mixed = (pool[dst] * np.uint32(_MIX_MULT_L)
+                         - word * np.uint32(_MIX_MULT_R))
+                mixed ^= mixed >> np.uint32(16)
+                pool[dst] = mixed
+    state = np.empty((len(seeds), 2 * _POOL_SIZE), dtype=np.uint32)
+    const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        state[:, i], const = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords:
+    """One seed's precomputed PCG64 seed words. PCG64 asks its seed
+    sequence once, for four uint64 words, and that is all this answers.
+    A bit generator takes it once it is registered as an `ISeedSequence`
+    (:func:`_register_seed_words`)."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+@functools.cache
+def _register_seed_words() -> None:
+    # on first use, not at import: importing numpy.random with this module
+    # would add about 13 ms (2-CPU Xeon, numpy 2.4) to every interpreter
+    # start that imports the package
+    from numpy.random.bit_generator import ISeedSequence
+    ISeedSequence.register(_SeedWords)
+
+
+def seeded_generators(seeds: Iterable[int]) -> Iterator[np.random.Generator]:
+    """A fresh generator per seed, in order, each equal to
+    ``np.random.default_rng(seed)``: numpy's SeedSequence hash runs for all
+    the seeds in one pass over uint32 arrays, and each PCG64 seeds itself
+    from its seed's row. Every seed must be an integer in [0, 2**32).
+    """
+    seeds = list(seeds)
+    for seed in seeds:
+        if not isinstance(seed, (int, np.integer)) or not 0 <= seed <= _MASK32:
+            raise ValueError(
+                f"seed must be an integer in [0, 2**32), got {seed!r}")
+    words = _seed_words(np.array(seeds, dtype=np.uint32))
+    _register_seed_words()
+    return (np.random.Generator(np.random.PCG64(_SeedWords(row)))
+            for row in words)
+
+
+# ---------------------------------------------------------------------------
 # kernel-trace simulation
 # ---------------------------------------------------------------------------
 
@@ -209,9 +300,11 @@ def _symbol_hits(spec: ArchitectureSpec) -> tuple[int, ...]:
 
 
 def simulate_kernel_trace(spec: ArchitectureSpec, profile: EnvironmentProfile,
-                          seed: int = 0) -> list[KernelTraceEvent]:
+                          seed: int | np.random.Generator = 0
+                          ) -> list[KernelTraceEvent]:
     """One event per operator node in execution order; deterministic under
-    (spec, profile, seed) and stateless across calls.
+    (spec, profile, seed) and stateless across calls. `seed` is an int or
+    a fresh generator (see :func:`seeded_generators`), which it draws from.
 
     Draw order (the contract that keeps traces equal under a seed): with
     jitter, five log-normal factors per event, event by event in execution
@@ -289,14 +382,6 @@ class SequenceClassifier:
         probs = self.model.predict(self.features(trace))
         return [DS_VOCABULARY[i] for i in probs.argmax(axis=1)]
 
-    def event_accuracy(self, trace, truth: list[str]) -> float:
-        """Accuracy over events whose truth is in vocabulary."""
-        pred = self.predict(trace)
-        pairs = [(p, t) for p, t in zip(pred, truth) if t in DS_VOCABULARY]
-        if not pairs:
-            raise ValueError("no in-vocabulary events to score")
-        return float(np.mean([p == t for p, t in pairs]))
-
 
 def train_ds_model(corpus: list[tuple[list[KernelTraceEvent], list[str]]],
                    window: int = 1,
@@ -369,8 +454,11 @@ def sequence_fidelity(predicted, truth) -> float:
 # ---------------------------------------------------------------------------
 
 def simulate_symbol_stream(spec: ArchitectureSpec, profile: MachineProfile,
-                           seed: int = 0) -> SymbolHistogram:
+                           seed: int | np.random.Generator = 0
+                           ) -> SymbolHistogram:
     """Symbol counts observed during one inference under a machine profile.
+    `seed` is an int or a fresh generator (see :func:`seeded_generators`),
+    which it draws from.
 
     Draw order (the contract that keeps histograms equal under a seed): one
     uniform keep-or-drop draw per true symbol hit, node by node in execution

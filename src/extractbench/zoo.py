@@ -20,7 +20,6 @@ tag) key):
 from __future__ import annotations
 
 import json
-import os
 import re
 import shutil
 import tempfile
@@ -30,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .datasets import publish_entry
 from .network import Network, NodeSpec, node_shapes, topological_order
 from .tensor import OperatorKind, ShapeError, madd
 
@@ -169,11 +169,6 @@ def compute_madd(spec: ArchitectureSpec) -> MAddReport:
     return MAddReport(per_node=per_node, total=sum(per_node.values()))
 
 
-def operator_sequence(spec: ArchitectureSpec) -> list[OperatorKind]:
-    """Execution-order operator kinds (topological, declaration-order ties)."""
-    return [n.kind for n in spec.execution_order]
-
-
 def build_model(spec: ArchitectureSpec, seed: int) -> Network:
     """Fresh parameters for a spec; bit-identical under equal seeds."""
     model = Network(spec.nodes, spec.input_shape, seed, spec=spec)
@@ -193,7 +188,9 @@ def checkpoint_path(root, ref: ModelRef) -> Path:
 
 
 def save_checkpoint(model: Network, ref: ModelRef, root) -> Path:
-    """Write atomically: a temp directory is renamed into place."""
+    """Write atomically: a temp directory is renamed into place. A
+    checkpoint already at the path is kept (see
+    :func:`~extractbench.datasets.publish_entry`)."""
     if model.spec is None:
         raise ValueError("model carries no architecture spec")
     root = Path(root)
@@ -214,9 +211,7 @@ def save_checkpoint(model: Network, ref: ModelRef, root) -> Path:
         (tmp / "metadata.json").write_text(json.dumps(meta, indent=2))
         flat = model.state_vector().astype("<f8")
         (tmp / "params.bin").write_bytes(flat.tobytes())
-        if final.exists():
-            shutil.rmtree(final)
-        os.rename(tmp, final)
+        publish_entry(tmp, final)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise

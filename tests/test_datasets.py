@@ -14,6 +14,7 @@ from extractbench.datasets import (
     DatasetSpec,
     class_prototypes,
     csg_complexity,
+    discard_entry,
     generate,
     load_dataset,
     restrict_to_classes,
@@ -243,3 +244,21 @@ class TestCacheFiles:
             save_dataset(new, tmp_path / "d")
         assert [p.name for p in tmp_path.iterdir()] == ["d"]
         assert np.array_equal(load_dataset(tmp_path / "d").inputs, old.inputs)
+
+    def test_save_keeps_an_existing_entry_and_leaves_no_debris(self, tmp_path):
+        # an entry's content is a function of its name, so one already in
+        # place was put there by another writer of the same content
+        first = generate(spec_for(classes=3, per_class=20, seed=15))
+        save_dataset(first, tmp_path / "d")
+        save_dataset(generate(spec_for(classes=3, per_class=20, seed=16)),
+                     tmp_path / "d")
+        assert [p.name for p in tmp_path.iterdir()] == ["d"]
+        assert np.array_equal(load_dataset(tmp_path / "d").inputs, first.inputs)
+
+    def test_discard_entry(self, tmp_path):
+        save_dataset(generate(spec_for(classes=3, per_class=20, seed=17)),
+                     tmp_path / "d")
+        discard_entry(tmp_path / "d")
+        assert list(tmp_path.iterdir()) == []
+        discard_entry(tmp_path / "d")  # already gone: nothing to do
+        assert list(tmp_path.iterdir()) == []

@@ -1,13 +1,19 @@
 """Scenario schema, threat gating, scheduling, execution, records, reports."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import extractbench
 from extractbench import network, orchestrator
 from extractbench.cli import main
 from extractbench.datasets import load_dataset
@@ -15,6 +21,7 @@ from extractbench.orchestrator import (
     ATTACK_TYPES,
     EXCLUSIVE_ATTACKS,
     ScenarioError,
+    _derived_seed,
     default_workbench,
     execute,
     load_records,
@@ -29,6 +36,9 @@ from extractbench.orchestrator import (
 )
 from extractbench.query_attacks import QueryHandle, knockoff_extract, KnockoffConfig
 from extractbench.network import Network, TrainConfig
+from extractbench.sidechannel import (read_histograms_csv,
+                                      simulate_kernel_trace,
+                                      simulate_symbol_stream)
 from extractbench.similarity import default_probe_point, fidelity
 from extractbench.datasets import split
 from extractbench.zoo import ModelRef
@@ -555,6 +565,129 @@ class TestDatasetCache:
         assert np.array_equal(again.inputs, first.inputs)
         assert np.array_equal(again.labels, first.labels)
         assert np.array_equal(load_dataset(cache).inputs, first.inputs)
+        # the corrupt entry was renamed aside and removed: nothing is left
+        assert os.listdir(bench.datasets_dir) == ["blobs-2c-easy"]
+
+    def test_missing_file_is_regenerated(self, bench):
+        first = bench.dataset("blobs-2c-easy")
+        (bench.datasets_dir / "blobs-2c-easy" / "labels.bin").unlink()
+        assert np.array_equal(bench.dataset("blobs-2c-easy").labels,
+                              first.labels)
+        assert os.listdir(bench.datasets_dir) == ["blobs-2c-easy"]
+
+
+# Saves and loads one dataset entry and one checkpoint entry, again and
+# again, from the moment a `go` file appears; any exception exits nonzero.
+_HAMMER = r"""
+import sys, time
+from pathlib import Path
+import numpy as np
+from extractbench.datasets import DatasetSpec, generate, load_dataset, save_dataset
+from extractbench.zoo import (ModelRef, build_model, builtin_spec,
+                              load_checkpoint, save_checkpoint)
+
+root, iterations = Path(sys.argv[1]), int(sys.argv[2])
+data = generate(DatasetSpec("race", 2, 5, (4, 4, 1), 0.2, seed=1))
+model = build_model(builtin_spec("mini-mlp-1", (4, 4, 1), 2), seed=3)
+ref = ModelRef("mini-mlp-1", "race")
+(root / f"ready-{sys.argv[3]}").touch()
+deadline = time.monotonic() + 60
+while not (root / "go").exists() and time.monotonic() < deadline:
+    time.sleep(0.001)
+for _ in range(iterations):
+    save_dataset(data, root / "datasets" / "race")
+    assert np.array_equal(load_dataset(root / "datasets" / "race").inputs,
+                          data.inputs)
+    save_checkpoint(model, ref, root / "checkpoints")
+    assert np.array_equal(load_checkpoint(ref, root / "checkpoints").state_vector(),
+                          model.state_vector())
+"""
+
+
+class TestCacheAcrossProcesses:
+    def test_two_processes_save_and_load_one_entry(self, tmp_path):
+        """Two writers publish the same entries: whichever rename lands
+        first wins, the other discards its copy, and no reader ever finds
+        an entry half there."""
+        src = str(Path(extractbench.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        procs = [subprocess.Popen(
+            [sys.executable, "-c", _HAMMER, str(tmp_path), "200", str(i)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for i in range(2)]
+        try:
+            deadline = time.monotonic() + 60
+            while (len(list(tmp_path.glob("ready-*"))) < 2
+                   and all(p.poll() is None for p in procs)
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            (tmp_path / "go").touch()
+            errors = [p.communicate(timeout=120)[1] for p in procs]
+        finally:
+            for p in procs:
+                p.kill()
+                p.wait()
+        assert [p.returncode for p in procs] == [0, 0], errors
+        assert os.listdir(tmp_path / "datasets") == ["race"]
+        assert (os.listdir(tmp_path / "checkpoints")
+                == [ModelRef("mini-mlp-1", "race").slug()])
+
+
+class TestSideChannelRunnersSeedInBulk:
+    """The runners draw each stream from a generator seeded in bulk. Each
+    still goes through the orchestrator's module attribute, and each
+    equals the simulator's own stream under the int seed, in order."""
+
+    @staticmethod
+    def _spied(monkeypatch, name):
+        calls = []  # (spec, profile, what the simulator returned)
+        real = getattr(orchestrator, name)
+
+        def spy(spec, profile, seed):
+            calls.append((spec, profile, real(spec, profile, seed=seed)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(orchestrator, name, spy)
+        return calls
+
+    def test_deeprecon(self, bench, monkeypatch):
+        doc = minimal_doc("deeprecon")
+        doc["attack"]["params"] = {"histograms_per_architecture": 3,
+                                   "trials": 4}
+        sc = parse_scenario(json.dumps(doc))
+        calls = self._spied(monkeypatch, "simulate_symbol_stream")
+        record = execute(sc, bench)
+        assert record.status == "ok", record.failure_reason
+        corpus_tags = [f"{a}|{i}" for a in sc.attack_params.corpus_architectures
+                       for i in range(3)]
+        tags = corpus_tags + [f"victim|{t}" for t in range(4)]
+        assert len(calls) == len(tags)
+        archs = ([t.split("|")[0] for t in corpus_tags]
+                 + [sc.target.architecture_id] * 4)
+        for (spec, profile, got), tag, arch in zip(calls, tags, archs):
+            assert spec.id == arch, tag
+            assert got.counts == simulate_symbol_stream(
+                spec, profile, seed=_derived_seed(sc, tag)).counts, tag
+        written = read_histograms_csv(next(
+            a for a in record.artifacts if a.endswith("corpus_histograms.csv")))
+        assert [h.counts for h in written] == [
+            got.counts for _, _, got in calls[:len(corpus_tags)]]
+
+    def test_deepsniffer(self, bench, monkeypatch):
+        corpus = ["mini-vgg-4", "mini-resnet-4"]
+        doc = minimal_doc("deepsniffer")
+        doc["attack"]["params"] = {"corpus_architectures": corpus,
+                                   "traces_per_architecture": 2,
+                                   "classifier_epochs": 2}
+        sc = parse_scenario(json.dumps(doc))
+        calls = self._spied(monkeypatch, "simulate_kernel_trace")
+        assert execute(sc, bench).status == "ok"
+        tags = [f"{a}|{i}" for a in corpus for i in range(2)] + ["victim"]
+        assert len(calls) == len(tags)
+        for (spec, profile, got), tag in zip(calls, tags):
+            assert got == simulate_kernel_trace(
+                spec, profile, seed=_derived_seed(sc, tag)), tag
 
 
 class TestEachModelPredictsOncePerSet:

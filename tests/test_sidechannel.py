@@ -5,6 +5,7 @@ oracle; the PCA fingerprint space is validated against full-eigendecomposition
 identities (explained variance, optimal rank-2 reconstruction error).
 """
 
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -28,6 +29,7 @@ from extractbench.sidechannel import (
     fit_fingerprint_space,
     read_histograms_csv,
     read_trace_jsonl,
+    seeded_generators,
     sequence_fidelity,
     simulate_kernel_trace,
     simulate_symbol_stream,
@@ -110,7 +112,9 @@ class TestDsModel:
         quiet = EnvironmentProfile("quiet")
         trace = simulate_kernel_trace(spec, quiet, seed=0)
         clf = train_ds_model([(trace, truth)], window=1)
-        assert clf.event_accuracy(trace, truth) == 1.0
+        scored = [(p, t) for p, t in zip(clf.predict(trace), truth)
+                  if t in DS_VOCABULARY]
+        assert scored and all(p == t for p, t in scored)
 
     def test_standardized_features_have_zero_mean(self):
         corpus = make_corpus(("mini-vgg-4", "mini-resnet-4"), seeds=3)
@@ -568,6 +572,62 @@ class TestSimulatorsMatchScalarDraws:
             assert (bulk.lognormal(0.0, 0.15, size=(k, 5)).ravel().tolist()
                     == [scalar.lognormal(0.0, 0.15) for _ in range(5 * k)])
             assert bulk.bit_generator.state == scalar.bit_generator.state
+
+
+class TestSeededGenerators:
+    """`seeded_generators` against `default_rng`, its oracle."""
+
+    @staticmethod
+    def assert_like_default_rng(seeds):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [g.random(8).tolist() for g in seeded_generators(seeds)]
+            want = [np.random.default_rng(s).random(8).tolist() for s in seeds]
+        assert len(got) == len(seeds)
+        for seed, g, w in zip(seeds, got, want):
+            assert g == w, seed
+
+    def test_edge_seeds(self):
+        self.assert_like_default_rng([0, 1, 2**31 - 1, 2**32 - 1])
+
+    def test_spread_over_the_seed_range(self):
+        # 10,001 seeds a prime step apart, over all of [0, 2**32)
+        step = 429_467
+        seeds = list(range(0, 2**32, step))
+        assert len(seeds) >= 10_000 and seeds[-1] > 2**32 - step
+        self.assert_like_default_rng(seeds)
+
+    def test_numpy_integer_seeds_and_draw_sequences(self):
+        seeds = np.array([7, 2**32 - 2, 123_456_789], dtype=np.int64)
+        for seed, g in zip(seeds, seeded_generators(seeds)):
+            want = np.random.default_rng(int(seed))
+            assert g.poisson(3.0, 5).tolist() == want.poisson(3.0, 5).tolist()
+            assert g.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [-1, 2**32, 1.0])
+    def test_out_of_range_or_float_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            seeded_generators([0, seed])
+
+    def test_each_generator_is_fresh(self):
+        a, b = seeded_generators([5, 5])
+        assert a is not b and a.bit_generator is not b.bit_generator
+        assert a.random() == b.random()
+
+    def test_no_seeds(self):
+        assert list(seeded_generators([])) == []
+
+    def test_simulators_draw_from_a_generator_as_from_its_seed(self):
+        spec = builtin_spec("mini-resnet-4", SHAPE, 4)
+        seeds = [0, 3, 2**31 - 1]
+        machine = BUILTIN_MACHINE_PROFILES["i5-3470-like"]
+        for seed, rng in zip(seeds, seeded_generators(seeds)):
+            assert (simulate_symbol_stream(spec, machine, seed=rng).counts
+                    == simulate_symbol_stream(spec, machine, seed=seed).counts)
+        env = BUILTIN_ENVIRONMENT_PROFILES["gpu-verbose"]
+        for seed, rng in zip(seeds, seeded_generators(seeds)):
+            assert same_events(simulate_kernel_trace(spec, env, seed=rng),
+                               simulate_kernel_trace(spec, env, seed=seed))
 
 
 class TestSpecFacts:

@@ -18,7 +18,6 @@ from extractbench.zoo import (
     checkpoint_path,
     compute_madd,
     load_checkpoint,
-    operator_sequence,
     save_checkpoint,
 )
 
@@ -174,13 +173,16 @@ class TestMAdd:
 
 
 class TestOperatorSequence:
+    """The execution-order operator kinds of a spec (topological,
+    declaration-order ties)."""
+
     def test_three_node_chain(self):
         nodes = (conv_node("c", "input", 2),
                  NodeSpec("r", K.RELU, {}, ("c",)),
                  NodeSpec("f", K.FC, {"out_features": 3}, ("r",)),
                  NodeSpec("sm", K.SOFTMAX, {}, ("f",)))
         spec = ArchitectureSpec("chain", "test", nodes, (4, 4, 1), 3)
-        assert operator_sequence(spec)[:3] == [K.CONV, K.RELU, K.FC]
+        assert [n.kind for n in spec.execution_order][:3] == [K.CONV, K.RELU, K.FC]
 
     def test_diamond_branches_precede_join(self):
         nodes = (conv_node("l", "input", 2),
@@ -189,20 +191,21 @@ class TestOperatorSequence:
                  NodeSpec("fc", K.FC, {"out_features": 2}, ("join",)),
                  NodeSpec("sm", K.SOFTMAX, {}, ("fc",)))
         spec = ArchitectureSpec("diamond", "test", nodes, (4, 4, 1), 2)
-        seq = operator_sequence(spec)
+        seq = [n.kind for n in spec.execution_order]
         assert seq.index(K.ADD) > max(i for i, k in enumerate(seq)
                                       if k is K.CONV)
 
     def test_length_equals_node_count(self):
         for arch_id in BUILTIN_ARCHITECTURES:
             spec = builtin_spec(arch_id, SHAPE, 4)
-            assert len(operator_sequence(spec)) == len(spec.nodes)
+            assert len(spec.execution_order) == len(spec.nodes)
 
     def test_seven_kind_specs_contain_no_gelu(self):
         for arch_id in BUILTIN_ARCHITECTURES:
             if "gelu" in arch_id:
                 continue
-            assert K.GELU not in operator_sequence(builtin_spec(arch_id, SHAPE, 4))
+            spec = builtin_spec(arch_id, SHAPE, 4)
+            assert K.GELU not in [n.kind for n in spec.execution_order]
 
 
 class TestCheckpoints:
@@ -262,6 +265,17 @@ class TestCheckpoints:
                               m1.state_vector())
         assert np.array_equal(load_checkpoint(r2, tmp_path).state_vector(),
                               m2.state_vector())
+
+    def test_save_keeps_an_existing_checkpoint(self, tmp_path):
+        data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=8)
+        m1 = trained_model("mini-mlp-2", data, epochs=1, seed=1)
+        m2 = trained_model("mini-mlp-2", data, epochs=2, seed=2)
+        ref = ModelRef("mini-mlp-2", data.spec.id, None, "t1")
+        save_checkpoint(m1, ref, tmp_path)
+        save_checkpoint(m2, ref, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [ref.slug()]
+        assert np.array_equal(load_checkpoint(ref, tmp_path).state_vector(),
+                              m1.state_vector())
 
     @pytest.mark.parametrize("tag", ["..", "/abs", "a/b", "", "x/../../../tagesc"])
     def test_tag_is_one_file_name_component(self, tag):
