@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from .orchestrator import (
+    BUILTIN_DATASETS,
     ROOT_ENV_VAR,
     ScenarioError,
     Workbench,
@@ -94,7 +95,7 @@ def _cmd_zoo(args) -> int:
         for arch_id in BUILTIN_ARCHITECTURES:
             print(f"  {arch_id}")
         print("datasets:")
-        for ds_id in bench.dataset_specs:
+        for ds_id in BUILTIN_DATASETS:
             print(f"  {ds_id}")
         ckpt_dir = bench.checkpoints_dir
         if ckpt_dir.exists():

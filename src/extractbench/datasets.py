@@ -245,17 +245,31 @@ def csg_complexity(dataset: Dataset, monte_carlo_samples: int = 100,
 # cache files
 # ---------------------------------------------------------------------------
 
-def publish_entry(tmp: Path, final: Path) -> None:
-    """Rename the written directory `tmp` into place at `final`. A cache
-    entry's content is a function of its name, so if `final` already
-    exists another writer won: keep its entry and discard `tmp`. No entry
-    is ever removed, so a reader never sees one half gone."""
+def write_entry(final, files: dict[str, bytes]) -> Path:
+    """Publish a cache entry holding `files` (name -> bytes) at `final`.
+
+    The files are written into a temp directory beside `final`, which is
+    then renamed into place, so a crash mid-write leaves no half entry. A
+    cache entry's content is a function of its name, so if `final` already
+    exists another writer won: keep its entry and discard ours. No entry is
+    ever removed here, so a reader never sees one half gone.
+    """
+    final = Path(final)
+    final.parent.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(prefix=final.name + ".tmp", dir=final.parent))
     try:
-        os.rename(tmp, final)
-    except OSError as exc:
-        if exc.errno not in (errno.EEXIST, errno.ENOTEMPTY):
-            raise
+        for name, data in files.items():
+            (tmp / name).write_bytes(data)
+        try:
+            os.rename(tmp, final)
+        except OSError as exc:
+            if exc.errno not in (errno.EEXIST, errno.ENOTEMPTY):
+                raise
+            shutil.rmtree(tmp, ignore_errors=True)
+    except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    return final
 
 
 def discard_entry(entry: Path) -> None:
@@ -272,25 +286,16 @@ def discard_entry(entry: Path) -> None:
 
 
 def save_dataset(dataset: Dataset, directory) -> Path:
-    """Write atomically: a temp directory is renamed into place. An entry
-    already at `directory` is kept (see :func:`publish_entry`)."""
-    directory = Path(directory)
-    directory.parent.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(prefix=directory.name + ".tmp",
-                                dir=directory.parent))
-    try:
-        meta = {"spec": dataset.spec.to_dict(), "role": dataset.role,
-                "count": len(dataset)}
-        (tmp / "meta.json").write_text(json.dumps(meta, indent=2))
-        (tmp / "samples.bin").write_bytes(
-            np.ascontiguousarray(dataset.inputs, dtype="<f8").tobytes())
-        (tmp / "labels.bin").write_bytes(
-            np.ascontiguousarray(dataset.labels, dtype="<i4").tobytes())
-        publish_entry(tmp, directory)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    return directory
+    """Write atomically; an entry already at `directory` is kept (see
+    :func:`write_entry`)."""
+    meta = {"spec": dataset.spec.to_dict(), "role": dataset.role,
+            "count": len(dataset)}
+    return write_entry(directory, {
+        "meta.json": json.dumps(meta, indent=2).encode(),
+        "samples.bin": np.ascontiguousarray(dataset.inputs,
+                                            dtype="<f8").tobytes(),
+        "labels.bin": np.ascontiguousarray(dataset.labels,
+                                           dtype="<i4").tobytes()})
 
 
 def load_dataset(directory) -> Dataset:

@@ -48,6 +48,7 @@ from .query_attacks import (
 from .sidechannel import (
     BUILTIN_ENVIRONMENT_PROFILES,
     BUILTIN_MACHINE_PROFILES,
+    DS_CLASSIFIER_RECIPE,
     ds_extract,
     ds_truth_sequence,
     sequence_fidelity,
@@ -324,8 +325,8 @@ class DeepSnifferParams:
         self.classifier(seed=0)
 
     def classifier(self, seed: int) -> TrainConfig:
-        return TrainConfig(learning_rate=0.5, batch_size=16,
-                           epochs=self.classifier_epochs, seed=seed)
+        return replace(DS_CLASSIFIER_RECIPE, epochs=self.classifier_epochs,
+                       seed=seed)
 
 
 @dataclass
@@ -380,12 +381,15 @@ class EnvironmentSpec:
     verbose_runtime: bool = False
 
 
-# The one attack type that reads each environment field: set on any other,
-# a field would be ignored silently, so parse_scenario rejects it. deepsniffer
-# captures accelerator kernel traces, deeprecon probes the CPU cache.
-_ENVIRONMENT_READERS = {"environment_profile": "deepsniffer",
-                        "machine_profile": "deeprecon",
-                        "verbose_runtime": "deepsniffer"}
+# The one attack type that reads each environment field, and the profiles
+# it may name (None: not a profile). Set on any other attack, a field would
+# be ignored silently, so parse_scenario rejects it; a profile field is
+# required by its reader. deepsniffer captures accelerator kernel traces,
+# deeprecon probes the CPU cache.
+_ENVIRONMENT_READERS = {
+    "environment_profile": ("deepsniffer", BUILTIN_ENVIRONMENT_PROFILES),
+    "machine_profile": ("deeprecon", BUILTIN_MACHINE_PROFILES),
+    "verbose_runtime": ("deepsniffer", None)}
 
 
 @dataclass
@@ -455,14 +459,7 @@ def parse_scenario(document: str) -> Scenario:
 
     environment = _build(EnvironmentSpec, top.section("environment"), seed)
 
-    grants_sec = top.section("grants", required=True)
-    grants = ThreatModel(
-        model_knowledge=grants_sec.take("model_knowledge",
-                                        Literal["observed", "hidden"]),
-        system_knowledge=grants_sec.take("system_knowledge",
-                                         Literal["partial", "none"]),
-        aux_dataset=grants_sec.take("aux_dataset", Literal["partial", "none"]))
-    grants_sec.close()
+    grants = _build(ThreatModel, top.section("grants", required=True), seed)
 
     evaluation = top.take("evaluation", tuple[str, ...],
                           AVAILABLE_METRICS[attack_type])
@@ -475,28 +472,21 @@ def parse_scenario(document: str) -> Scenario:
             f"evaluation: metric(s) {bad} not produced by {attack_type} "
             f"(available: {sorted(available)})")
 
-    for name, reader in _ENVIRONMENT_READERS.items():
+    for name, (reader, _) in _ENVIRONMENT_READERS.items():
         if getattr(environment, name) not in (None, False) \
                 and attack_type != reader:
             raise ScenarioError(
                 f"environment.{name}: {attack_type} never reads it; only "
                 f"{reader} does")
-    if attack_type == "deepsniffer":
-        if environment.environment_profile is None:
+    for name, (reader, profiles) in _ENVIRONMENT_READERS.items():
+        if reader != attack_type or profiles is None:
+            continue
+        value = getattr(environment, name)
+        if value is None:
+            raise ScenarioError(f"environment.{name} required for {reader}")
+        if value not in profiles:
             raise ScenarioError(
-                "environment.environment_profile required for deepsniffer")
-        if environment.environment_profile not in BUILTIN_ENVIRONMENT_PROFILES:
-            raise ScenarioError(
-                f"environment.environment_profile: unknown profile "
-                f"{environment.environment_profile!r}")
-    if attack_type == "deeprecon":
-        if environment.machine_profile is None:
-            raise ScenarioError(
-                "environment.machine_profile required for deeprecon")
-        if environment.machine_profile not in BUILTIN_MACHINE_PROFILES:
-            raise ScenarioError(
-                f"environment.machine_profile: unknown profile "
-                f"{environment.machine_profile!r}")
+                f"environment.{name}: unknown profile {value!r}")
 
     return Scenario(id=scenario_id, attack_type=attack_type,
                     attack_params=params, target=ref, environment=environment,
@@ -584,17 +574,15 @@ BUILTIN_DATASETS = {
 
 @dataclass
 class Workbench:
-    """Repository roots plus the dataset/architecture/recipe registries.
+    """Repository roots plus the training recipes; datasets and
+    architectures come from the built-in registries.
 
-    Cache fills (dataset generation, train-on-miss checkpoints) are
-    serialized through one lock so concurrent scenarios sharing a target
+    Cache fills (dataset generation, train-on-miss checkpoints) go through
+    :func:`_cached` under one lock, so concurrent scenarios sharing a target
     never write the same cache entry twice.
     """
 
     root: Path
-    dataset_specs: dict[str, DatasetSpec] = field(
-        default_factory=lambda: dict(BUILTIN_DATASETS))
-    architecture_overrides: dict[str, ArchitectureSpec] = field(default_factory=dict)
     recipes: dict[str, TrainConfig] = field(default_factory=dict)
     default_recipe: TrainConfig = field(
         default_factory=lambda: TrainConfig(epochs=12))
@@ -627,26 +615,20 @@ class Workbench:
         generation is deterministic, so the replacement equals what was
         lost.
         """
-        if dataset_id not in self.dataset_specs:
+        if dataset_id not in BUILTIN_DATASETS:
             raise KeyError(f"unknown dataset id {dataset_id!r}")
-        cache = self.datasets_dir / dataset_id
-        with self._cache_lock:
-            if cache.exists():
-                try:
-                    return load_dataset(cache)
-                except (OSError, ValueError, KeyError):
-                    discard_entry(cache)
-            data = generate(self.dataset_specs[dataset_id])
-            save_dataset(data, cache)
-            return data
+        entry = self.datasets_dir / dataset_id
+        return _cached(
+            self, entry, (OSError, ValueError, KeyError),
+            load=lambda: load_dataset(entry),
+            make=lambda: generate(BUILTIN_DATASETS[dataset_id]),
+            save=lambda data: save_dataset(data, entry))[0]
 
     def architecture(self, arch_id: str, input_shape,
                      class_count: int) -> ArchitectureSpec:
         """The spec of `arch_id` for an input shape and class count. A
         built-in spec is built once per key and then shared, so the facts
         it caches (execution order, shapes, MAdds) outlive one scenario."""
-        if arch_id in self.architecture_overrides:
-            return self.architecture_overrides[arch_id]
         key = (arch_id, tuple(int(s) for s in input_shape), int(class_count))
         spec = self._specs.get(key)
         if spec is None:
@@ -658,13 +640,13 @@ class Workbench:
 
     def check_ids(self, scenario: Scenario) -> None:
         """Raise a ScenarioError that names the first architecture or
-        dataset id of `scenario` missing from this workbench's registries,
+        dataset id of `scenario` missing from the built-in registries,
         or the target's class subset if it names a class the dataset lacks."""
         target = scenario.target
-        if target.dataset_id not in self.dataset_specs:
+        if target.dataset_id not in BUILTIN_DATASETS:
             raise ScenarioError(
                 f"target.dataset_id: unknown dataset id {target.dataset_id!r}")
-        classes = self.dataset_specs[target.dataset_id].class_count
+        classes = BUILTIN_DATASETS[target.dataset_id].class_count
         bad = [c for c in target.class_subset or () if c >= classes]
         if bad:
             raise ScenarioError(
@@ -678,8 +660,7 @@ class Workbench:
         named += [("attack.params.corpus_architectures", a)
                   for a in getattr(p, "corpus_architectures", ())]
         for where, arch_id in named:
-            if arch_id not in self.architecture_overrides \
-                    and arch_id not in BUILTIN_ARCHITECTURES:
+            if arch_id not in BUILTIN_ARCHITECTURES:
                 raise ScenarioError(
                     f"{where}: unknown architecture id {arch_id!r}")
 
@@ -696,6 +677,26 @@ def _ref_seed(ref: ModelRef) -> int:
     return zlib.crc32(ref.slug().encode()) & 0x7FFFFFFF
 
 
+def _cached(bench: Workbench, entry: Path, corrupt, load, make, save):
+    """The one cache-fill rule: `load()` the entry; if that raises one of
+    the `corrupt` exceptions, discard the entry (when there is one), then
+    `make()` the value and `save()` it. Returns (value, from_cache).
+
+    Runs under the workbench's cache lock, so one process never fills an
+    entry twice; a per-entry file lock for processes sharing a root would
+    go here too.
+    """
+    with bench._cache_lock:
+        try:
+            return load(), True
+        except corrupt:
+            if entry.exists():  # corrupt or half there
+                discard_entry(entry)
+        value = make()
+        save(value)
+        return value, False
+
+
 @one_blas_thread()
 def zoo_resolve(ref: ModelRef, bench: Workbench):
     """Serve a model for a reference, training and caching it when absent.
@@ -705,29 +706,23 @@ def zoo_resolve(ref: ModelRef, bench: Workbench):
     BLAS on one thread (see :func:`~extractbench.tensor.one_blas_thread`).
     """
     started = time.perf_counter()
-    with bench._cache_lock:
-        return _zoo_resolve_locked(ref, bench, started)
 
+    def make():
+        data = bench.dataset(ref.dataset_id)
+        if ref.class_subset is not None:
+            data = restrict_to_classes(data, ref.class_subset)
+        spec = bench.architecture(ref.architecture_id, data.spec.input_shape,
+                                  data.class_count)
+        model = build_model(spec, seed=_ref_seed(ref))
+        train(model, data.inputs, data.labels,
+              replace(bench.recipe(ref.dataset_id), seed=_ref_seed(ref)))
+        return model
 
-def _zoo_resolve_locked(ref: ModelRef, bench: Workbench, started: float):
-    try:
-        model = load_checkpoint(ref, bench.checkpoints_dir)
-        return model, True, time.perf_counter() - started
-    except CheckpointError:
-        entry = checkpoint_path(bench.checkpoints_dir, ref)
-        if entry.exists():  # corrupt or half there
-            discard_entry(entry)
-    data = bench.dataset(ref.dataset_id)
-    if ref.class_subset is not None:
-        data = restrict_to_classes(data, ref.class_subset)
-    spec = bench.architecture(ref.architecture_id, data.spec.input_shape,
-                              data.class_count)
-    model = build_model(spec, seed=_ref_seed(ref))
-    recipe = bench.recipe(ref.dataset_id)
-    train(model, data.inputs, data.labels,
-          replace(recipe, seed=_ref_seed(ref)))
-    save_checkpoint(model, ref, bench.checkpoints_dir)
-    return model, False, time.perf_counter() - started
+    model, from_cache = _cached(
+        bench, checkpoint_path(bench.checkpoints_dir, ref), CheckpointError,
+        load=lambda: load_checkpoint(ref, bench.checkpoints_dir), make=make,
+        save=lambda model: save_checkpoint(model, ref, bench.checkpoints_dir))
+    return model, from_cache, time.perf_counter() - started
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +846,7 @@ def _run_miface(scenario, bench, target, art_dir):
                    art_dir / f"reconstruction_c{p.target_class}.pgm")
     sample_dir = art_dir / f"reconstruction_c{p.target_class}"
     recon = Dataset(
-        spec=bench.dataset_specs[scenario.target.dataset_id],
+        spec=BUILTIN_DATASETS[scenario.target.dataset_id],
         inputs=result.reconstruction[None, ...],
         labels=np.array([p.target_class], dtype=np.int32), role="query")
     save_dataset(recon, sample_dir)
@@ -905,7 +900,7 @@ def _run_deepsniffer(scenario, bench, target, art_dir):
     profile = BUILTIN_ENVIRONMENT_PROFILES[scenario.environment.environment_profile]
     if scenario.environment.verbose_runtime:
         profile = replace(profile, verbose_runtime=True)
-    data_spec = bench.dataset_specs[scenario.target.dataset_id]
+    data_spec = BUILTIN_DATASETS[scenario.target.dataset_id]
     shape, classes = data_spec.input_shape, data_spec.class_count
     train_profile = replace(profile, id="corpus", metric_jitter=p.train_jitter,
                             verbose_runtime=False)
@@ -937,7 +932,7 @@ def _run_deepsniffer(scenario, bench, target, art_dir):
 def _run_deeprecon(scenario, bench, target, art_dir):
     p: DeepReconParams = scenario.attack_params
     profile = BUILTIN_MACHINE_PROFILES[scenario.environment.machine_profile]
-    data_spec = bench.dataset_specs[scenario.target.dataset_id]
+    data_spec = BUILTIN_DATASETS[scenario.target.dataset_id]
     shape, classes = data_spec.input_shape, data_spec.class_count
     specs = [bench.architecture(a, shape, classes)
              for a in p.corpus_architectures]

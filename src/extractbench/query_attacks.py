@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -27,9 +28,9 @@ OUTPUT_MODES = ("confidence_vector", "top1_label")
 class ThreatModel:
     """Capability triple granted to (or required by) an attack."""
 
-    model_knowledge: str = "hidden"    # observed | hidden
-    system_knowledge: str = "none"     # partial | none
-    aux_dataset: str = "none"          # partial | none
+    model_knowledge: Literal["observed", "hidden"]
+    system_knowledge: Literal["partial", "none"]
+    aux_dataset: Literal["partial", "none"]
 
     def __post_init__(self):
         if self.model_knowledge not in ("observed", "hidden"):
@@ -120,7 +121,6 @@ class StolenDataset:
 
 @dataclass
 class AttackRecord:
-    attack: str
     loss_history: list[float]
     queries_used: int
 
@@ -163,8 +163,7 @@ def knockoff_extract(target: QueryHandle, queries: Dataset,
     targets = (stolen_data.targets if config.output_mode == "confidence_vector"
                else stolen_data.hard_labels())
     history = train(surrogate, stolen_data.inputs, targets, config.recreate)
-    record = AttackRecord(attack="knockoff", loss_history=history,
-                          queries_used=len(stolen_data))
+    record = AttackRecord(loss_history=history, queries_used=len(stolen_data))
     return surrogate, record
 
 

@@ -383,6 +383,11 @@ class SequenceClassifier:
         return [DS_VOCABULARY[i] for i in probs.argmax(axis=1)]
 
 
+# How the per-event labeler is fitted, unless a caller says otherwise
+DS_CLASSIFIER_RECIPE = TrainConfig(learning_rate=0.5, batch_size=16,
+                                   epochs=200, seed=0)
+
+
 def train_ds_model(corpus: list[tuple[list[KernelTraceEvent], list[str]]],
                    window: int = 1,
                    config: TrainConfig | None = None) -> SequenceClassifier:
@@ -410,8 +415,7 @@ def train_ds_model(corpus: list[tuple[list[KernelTraceEvent], list[str]]],
     std[std == 0] = 1.0
     xs = (x - mean) / std
 
-    config = config or TrainConfig(learning_rate=0.5, batch_size=16, epochs=200,
-                                   seed=0)
+    config = config or DS_CLASSIFIER_RECIPE
     dim = xs.shape[1]
     model = Network(
         [NodeSpec("logits", OperatorKind.FC, {"out_features": len(DS_VOCABULARY)},

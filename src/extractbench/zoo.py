@@ -21,15 +21,13 @@ from __future__ import annotations
 
 import json
 import re
-import shutil
-import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .datasets import publish_entry
+from .datasets import write_entry
 from .network import Network, NodeSpec, node_shapes, topological_order
 from .tensor import OperatorKind, ShapeError, madd
 
@@ -188,34 +186,23 @@ def checkpoint_path(root, ref: ModelRef) -> Path:
 
 
 def save_checkpoint(model: Network, ref: ModelRef, root) -> Path:
-    """Write atomically: a temp directory is renamed into place. A
-    checkpoint already at the path is kept (see
-    :func:`~extractbench.datasets.publish_entry`)."""
+    """Write atomically; a checkpoint already at the path is kept (see
+    :func:`~extractbench.datasets.write_entry`)."""
     if model.spec is None:
         raise ValueError("model carries no architecture spec")
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    final = checkpoint_path(root, ref)
-    tmp = Path(tempfile.mkdtemp(prefix=final.name + ".tmp", dir=root))
-    try:
-        meta = {
-            "format_version": CHECKPOINT_FORMAT_VERSION,
-            "architecture_id": model.spec.id,
-            "spec": model.spec.to_dict(),
-            "dataset_id": ref.dataset_id,
-            "class_subset": list(ref.class_subset) if ref.class_subset else None,
-            "epochs_trained": model.meta.get("epochs_trained", 0),
-            "seed": model.meta.get("seed"),
-            "bn_calibrated": model.bn_calibrated,
-        }
-        (tmp / "metadata.json").write_text(json.dumps(meta, indent=2))
-        flat = model.state_vector().astype("<f8")
-        (tmp / "params.bin").write_bytes(flat.tobytes())
-        publish_entry(tmp, final)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    return final
+    meta = {
+        "format_version": CHECKPOINT_FORMAT_VERSION,
+        "architecture_id": model.spec.id,
+        "spec": model.spec.to_dict(),
+        "dataset_id": ref.dataset_id,
+        "class_subset": list(ref.class_subset) if ref.class_subset else None,
+        "epochs_trained": model.meta.get("epochs_trained", 0),
+        "seed": model.meta.get("seed"),
+        "bn_calibrated": model.bn_calibrated,
+    }
+    return write_entry(checkpoint_path(root, ref), {
+        "metadata.json": json.dumps(meta, indent=2).encode(),
+        "params.bin": model.state_vector().astype("<f8").tobytes()})
 
 
 def load_checkpoint(ref: ModelRef, root) -> Network:

@@ -384,9 +384,6 @@ class TestCli:
         with pytest.raises(ScenarioError,
                            match=f"^{where}: unknown architecture id 'x-net'"):
             bench.check_ids(scenario)
-        bench.architecture_overrides["x-net"] = bench.architecture(
-            "mini-vgg-4", (6, 6, 1), 2)
-        bench.check_ids(scenario)  # an override is a known id
 
 
 class TestValidateThreatModel:

@@ -1,6 +1,7 @@
 """Architecture specs, MAdd accounting, checkpoints."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +277,27 @@ class TestCheckpoints:
         assert [p.name for p in tmp_path.iterdir()] == [ref.slug()]
         assert np.array_equal(load_checkpoint(ref, tmp_path).state_vector(),
                               m1.state_vector())
+
+    def test_interrupted_save_leaves_old_checkpoint_and_no_debris(
+            self, tmp_path, monkeypatch):
+        data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=8)
+        old = trained_model("mini-mlp-2", data, epochs=1, seed=1)
+        new = trained_model("mini-mlp-2", data, epochs=2, seed=2)
+        ref = ModelRef("mini-mlp-2", data.spec.id, None, "t1")
+        save_checkpoint(old, ref, tmp_path)
+        real_write = Path.write_bytes
+
+        def failing_write(path, data):
+            if path.name == "params.bin":
+                raise OSError("disk full")
+            return real_write(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(new, ref, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [ref.slug()]
+        assert np.array_equal(load_checkpoint(ref, tmp_path).state_vector(),
+                              old.state_vector())
 
     @pytest.mark.parametrize("tag", ["..", "/abs", "a/b", "", "x/../../../tagesc"])
     def test_tag_is_one_file_name_component(self, tag):
