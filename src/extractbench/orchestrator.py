@@ -24,7 +24,8 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from functools import cache
 from pathlib import Path
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import (Callable, Literal, NamedTuple, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 import zlib
@@ -35,8 +36,10 @@ from .datasets import (Dataset, DatasetSpec, check_query_fraction,
 from .network import TrainConfig, train
 from .query_attacks import (
     GradientHandle,
+    InitMode,
     InversionConfig,
     KnockoffConfig,
+    OutputMode,
     QueryHandle,
     ThreatModel,
     check_budgets,
@@ -79,36 +82,8 @@ from .zoo import (
 SCHEMA_VERSION = 1
 ROOT_ENV_VAR = "EXTRACTBENCH_ROOT"
 
-AttackType = Literal["knockoff", "deepsniffer", "deeprecon", "miface",
-                     "staged_inversion", "equivalency"]
-ATTACK_TYPES = get_args(AttackType)
-EXCLUSIVE_ATTACKS = frozenset({"deepsniffer", "deeprecon"})
-OutputMode = Literal["confidence_vector", "top1_label"]
-InitMode = Literal["random", "auxiliary_sample"]
-
-REQUIRED_TRIPLES = {
-    "knockoff": ThreatModel("hidden", "none", "partial"),
-    "miface": ThreatModel("hidden", "none", "partial"),
-    "staged_inversion": ThreatModel("hidden", "none", "partial"),
-    "equivalency": ThreatModel("hidden", "none", "partial"),
-    "deepsniffer": ThreatModel("observed", "partial", "none"),
-    "deeprecon": ThreatModel("observed", "partial", "none"),
-}
-
 CONVENTIONAL_ARCHITECTURES = ("mini-vgg-4", "mini-vgg-6", "mini-resnet-4",
                               "mini-resnet-6", "mini-dense-3", "mini-dense-4")
-
-AVAILABLE_METRICS = {
-    "knockoff": ("fidelity", "queries_used", "accuracy_target",
-                 "accuracy_stolen", "final_loss"),
-    "miface": ("success", "final_posterior", "iterations", "trace_length"),
-    "staged_inversion": ("fidelity", "class_similarity", "pwcca",
-                         "inversion_success"),
-    "deepsniffer": ("sequence_fidelity", "predicted_length", "true_length"),
-    "deeprecon": ("exact_accuracy", "family_accuracy"),
-    "equivalency": ("fidelity", "pwcca", "distilled_pwcca", "accuracy_target",
-                    "accuracy_stolen"),
-}
 
 
 class ScenarioError(ValueError):
@@ -364,12 +339,6 @@ class EquivalencyParams(KnockoffParams):
                              self.hard_label_weight, self.distill_train)
 
 
-_PARAMS = {"knockoff": KnockoffParams, "miface": MifaceParams,
-           "staged_inversion": StagedInversionParams,
-           "deepsniffer": DeepSnifferParams, "deeprecon": DeepReconParams,
-           "equivalency": EquivalencyParams}
-
-
 # ---------------------------------------------------------------------------
 # scenario
 # ---------------------------------------------------------------------------
@@ -379,17 +348,6 @@ class EnvironmentSpec:
     environment_profile: str | None = None
     machine_profile: str | None = None
     verbose_runtime: bool = False
-
-
-# The one attack type that reads each environment field, and the profiles
-# it may name (None: not a profile). Set on any other attack, a field would
-# be ignored silently, so parse_scenario rejects it; a profile field is
-# required by its reader. deepsniffer captures accelerator kernel traces,
-# deeprecon probes the CPU cache.
-_ENVIRONMENT_READERS = {
-    "environment_profile": ("deepsniffer", BUILTIN_ENVIRONMENT_PROFILES),
-    "machine_profile": ("deeprecon", BUILTIN_MACHINE_PROFILES),
-    "verbose_runtime": ("deepsniffer", None)}
 
 
 @dataclass
@@ -411,7 +369,7 @@ class Scenario:
                            "params": _to_doc(self.attack_params)},
                 "target": self.target.to_dict(),
                 "environment": _to_doc(self.environment),
-                "grants": self.grants.to_dict(),
+                "grants": _to_doc(self.grants),
                 "evaluation": list(self.evaluation)}
 
 
@@ -443,8 +401,9 @@ def parse_scenario(document: str) -> Scenario:
         raise ScenarioError(f"seed: {seed} must be >= 0")
 
     attack = top.section("attack", required=True)
-    attack_type = attack.take("type", AttackType)
-    params = _build(_PARAMS[attack_type], attack.section("params"), seed)
+    attack_type = attack.take("type", Literal[tuple(ATTACKS)])
+    entry = ATTACKS[attack_type]
+    params = _build(entry.params, attack.section("params"), seed)
     attack.close()
 
     target = top.section("target", required=True)
@@ -461,29 +420,32 @@ def parse_scenario(document: str) -> Scenario:
 
     grants = _build(ThreatModel, top.section("grants", required=True), seed)
 
-    evaluation = top.take("evaluation", tuple[str, ...],
-                          AVAILABLE_METRICS[attack_type])
+    evaluation = top.take("evaluation", tuple[str, ...], entry.metrics)
     top.close()
 
-    available = set(AVAILABLE_METRICS[attack_type])
-    bad = [m for m in evaluation if m not in available]
+    bad = [m for m in evaluation if m not in entry.metrics]
     if bad:
         raise ScenarioError(
             f"evaluation: metric(s) {bad} not produced by {attack_type} "
-            f"(available: {sorted(available)})")
+            f"(available: {sorted(entry.metrics)})")
 
-    for name, (reader, _) in _ENVIRONMENT_READERS.items():
-        if getattr(environment, name) not in (None, False) \
-                and attack_type != reader:
+    # Set on an attack that never reads it, an environment field would be
+    # ignored silently; a profile field is required by the attack that
+    # reads it.
+    for f in fields(EnvironmentSpec):
+        if getattr(environment, f.name) not in (None, False) \
+                and f.name not in entry.environment:
+            reader = next(t for t, a in ATTACKS.items()
+                          if f.name in a.environment)
             raise ScenarioError(
-                f"environment.{name}: {attack_type} never reads it; only "
+                f"environment.{f.name}: {attack_type} never reads it; only "
                 f"{reader} does")
-    for name, (reader, profiles) in _ENVIRONMENT_READERS.items():
-        if reader != attack_type or profiles is None:
+    for name, profiles in entry.environment.items():
+        if profiles is None:
             continue
         value = getattr(environment, name)
         if value is None:
-            raise ScenarioError(f"environment.{name} required for {reader}")
+            raise ScenarioError(f"environment.{name} required for {attack_type}")
         if value not in profiles:
             raise ScenarioError(
                 f"environment.{name}: unknown profile {value!r}")
@@ -496,17 +458,9 @@ def parse_scenario(document: str) -> Scenario:
 
 def validate_threat_model(scenario: Scenario) -> list[str]:
     """Violations of the attack's required capability triple (empty = ok)."""
-    violations = [f"{scenario.attack_type}: {v}" for v in
-                  scenario.grants.dominates(REQUIRED_TRIPLES[scenario.attack_type])]
-    init_mode = getattr(scenario.attack_params, "init_mode", None)
-    if init_mode is None:
-        init_mode = getattr(getattr(scenario.attack_params, "inversion", None),
-                            "init_mode", None)
-    if init_mode == "auxiliary_sample" and scenario.grants.aux_dataset != "partial":
-        violations.append(
-            f"{scenario.attack_type}: auxiliary_sample initialization requires "
-            f"an auxiliary dataset grant")
-    return violations
+    required = ATTACKS[scenario.attack_type].requires
+    return [f"{scenario.attack_type}: {v}"
+            for v in scenario.grants.dominates(required)]
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +496,7 @@ def schedule(batch: list[Scenario], slots: int) -> ResourcePlan:
     window = 0
     fill = 0
     for scenario in batch:
-        if scenario.attack_type in EXCLUSIVE_ATTACKS:
+        if ATTACKS[scenario.attack_type].exclusive:
             if fill:
                 window += 1
                 fill = 0
@@ -632,10 +586,7 @@ class Workbench:
         key = (arch_id, tuple(int(s) for s in input_shape), int(class_count))
         spec = self._specs.get(key)
         if spec is None:
-            try:
-                spec = self._specs[key] = builtin_spec(*key)
-            except KeyError:
-                raise KeyError(f"unknown architecture id {arch_id!r}") from None
+            spec = self._specs[key] = builtin_spec(*key)
         return spec
 
     def check_ids(self, scenario: Scenario) -> None:
@@ -865,34 +816,37 @@ def _run_staged_inversion(scenario, bench, target, art_dir):
     rows = staged_inversion_study(target, queries, test, list(p.budgets), spec,
                                   knock, p.inversion.config(target_class=0),
                                   seed=scenario.seed)
-    metrics, artifacts = {}, []
+    metrics = {}
     for row in rows:
-        metrics[f"fidelity_b{row.budget}"] = row.fidelity
-        metrics[f"pwcca_b{row.budget}"] = row.pwcca
-        metrics[f"class_similarity_b{row.budget}"] = row.mean_class_similarity
-        metrics[f"inversion_success_b{row.budget}"] = float(
-            np.mean(list(row.inversion_success.values())))
+        scores = {"fidelity": row.fidelity, "pwcca": row.pwcca,
+                  "class_similarity": row.mean_class_similarity,
+                  "inversion_success": float(
+                      np.mean(list(row.inversion_success.values())))}
+        metrics.update({f"{k}_b{row.budget}": v for k, v in scores.items()})
+    metrics.update(scores)  # the last (largest) budget's, unsuffixed
     last = rows[-1]
-    metrics["fidelity"] = last.fidelity
-    metrics["pwcca"] = last.pwcca
-    metrics["class_similarity"] = last.mean_class_similarity
-    metrics["inversion_success"] = float(
-        np.mean(list(last.inversion_success.values())))
-    for cls, image in last.reconstructions.items():
-        artifacts.append(str(save_pgm(
-            image, art_dir / f"reconstruction_b{last.budget}_c{cls}.pgm")))
+    artifacts = [str(save_pgm(image, art_dir /
+                              f"reconstruction_b{last.budget}_c{cls}.pgm"))
+                 for cls, image in last.reconstructions.items()]
     return metrics, artifacts
 
 
-def _stream_generators(scenario, corpus_architectures, per_architecture: int,
-                       victim_tags: list[str]):
-    """One generator per side-channel stream, seeded in bulk, in the order
-    a runner simulates them: `per_architecture` for each corpus
-    architecture, then one per victim tag."""
-    return seeded_generators(
-        [_derived_seed(scenario, f"{a}|{i}") for a in corpus_architectures
+def _corpus_setup(scenario, bench, per_architecture: int,
+                  victim_tags: list[str]):
+    """Shared prefix of the side-channel attacks: the spec of each corpus
+    architecture at the target dataset's shape, and one generator per
+    stream, seeded in bulk, in the order a runner simulates them:
+    `per_architecture` for each corpus architecture, then one per victim
+    tag."""
+    archs = scenario.attack_params.corpus_architectures
+    data_spec = BUILTIN_DATASETS[scenario.target.dataset_id]
+    specs = [bench.architecture(a, data_spec.input_shape,
+                                data_spec.class_count) for a in archs]
+    rngs = seeded_generators(
+        [_derived_seed(scenario, f"{a}|{i}") for a in archs
          for i in range(per_architecture)]
         + [_derived_seed(scenario, tag) for tag in victim_tags])
+    return specs, rngs
 
 
 def _run_deepsniffer(scenario, bench, target, art_dir):
@@ -900,14 +854,10 @@ def _run_deepsniffer(scenario, bench, target, art_dir):
     profile = BUILTIN_ENVIRONMENT_PROFILES[scenario.environment.environment_profile]
     if scenario.environment.verbose_runtime:
         profile = replace(profile, verbose_runtime=True)
-    data_spec = BUILTIN_DATASETS[scenario.target.dataset_id]
-    shape, classes = data_spec.input_shape, data_spec.class_count
     train_profile = replace(profile, id="corpus", metric_jitter=p.train_jitter,
                             verbose_runtime=False)
-    specs = [bench.architecture(a, shape, classes)
-             for a in p.corpus_architectures]
-    rngs = _stream_generators(scenario, p.corpus_architectures,
-                              p.traces_per_architecture, ["victim"])
+    specs, rngs = _corpus_setup(scenario, bench, p.traces_per_architecture,
+                                ["victim"])
     corpus = []
     for spec in specs:
         truth = ds_truth_sequence(spec)
@@ -932,13 +882,8 @@ def _run_deepsniffer(scenario, bench, target, art_dir):
 def _run_deeprecon(scenario, bench, target, art_dir):
     p: DeepReconParams = scenario.attack_params
     profile = BUILTIN_MACHINE_PROFILES[scenario.environment.machine_profile]
-    data_spec = BUILTIN_DATASETS[scenario.target.dataset_id]
-    shape, classes = data_spec.input_shape, data_spec.class_count
-    specs = [bench.architecture(a, shape, classes)
-             for a in p.corpus_architectures]
-    rngs = _stream_generators(scenario, p.corpus_architectures,
-                              p.histograms_per_architecture,
-                              [f"victim|{t}" for t in range(p.trials)])
+    specs, rngs = _corpus_setup(scenario, bench, p.histograms_per_architecture,
+                                [f"victim|{t}" for t in range(p.trials)])
     corpus = [simulate_symbol_stream(spec, profile, seed=next(rngs))
               for spec in specs for _ in range(p.histograms_per_architecture)]
     model = fit_fingerprint_space(corpus, k=p.k_neighbors)
@@ -973,13 +918,46 @@ def _run_equivalency(scenario, bench, target, art_dir):
     return metrics, [str(report_path)]
 
 
-_DISPATCH = {
-    "knockoff": _run_knockoff,
-    "miface": _run_miface,
-    "staged_inversion": _run_staged_inversion,
-    "deepsniffer": _run_deepsniffer,
-    "deeprecon": _run_deeprecon,
-    "equivalency": _run_equivalency,
+class Attack(NamedTuple):
+    """Everything the workbench knows of one attack type."""
+
+    params: type                 # its params dataclass: the schema
+    run: Callable                # (scenario, bench, target, art_dir) -> (metrics, artifacts)
+    requires: ThreatModel        # the capability triple grants must cover
+    metrics: tuple[str, ...]     # what `evaluation` may name, and its default
+    environment: dict            # each environment field it reads: profiles, or None
+    exclusive: bool = False      # runs alone, in a whole-system window
+
+
+_QUERY_SURFACE = ThreatModel("hidden", "none", "partial")
+_SIDE_CHANNEL = ThreatModel("observed", "partial", "none")
+
+# deepsniffer captures accelerator kernel traces, deeprecon probes the CPU
+# cache; each reads its own environment fields and no other attack does
+ATTACKS = {
+    "knockoff": Attack(
+        KnockoffParams, _run_knockoff, _QUERY_SURFACE,
+        ("fidelity", "queries_used", "accuracy_target", "accuracy_stolen",
+         "final_loss"), {}),
+    "deepsniffer": Attack(
+        DeepSnifferParams, _run_deepsniffer, _SIDE_CHANNEL,
+        ("sequence_fidelity", "predicted_length", "true_length"),
+        {"environment_profile": BUILTIN_ENVIRONMENT_PROFILES,
+         "verbose_runtime": None}, exclusive=True),
+    "deeprecon": Attack(
+        DeepReconParams, _run_deeprecon, _SIDE_CHANNEL,
+        ("exact_accuracy", "family_accuracy"),
+        {"machine_profile": BUILTIN_MACHINE_PROFILES}, exclusive=True),
+    "miface": Attack(
+        MifaceParams, _run_miface, _QUERY_SURFACE,
+        ("success", "final_posterior", "iterations", "trace_length"), {}),
+    "staged_inversion": Attack(
+        StagedInversionParams, _run_staged_inversion, _QUERY_SURFACE,
+        ("fidelity", "class_similarity", "pwcca", "inversion_success"), {}),
+    "equivalency": Attack(
+        EquivalencyParams, _run_equivalency, _QUERY_SURFACE,
+        ("fidelity", "pwcca", "distilled_pwcca", "accuracy_target",
+         "accuracy_stolen"), {}),
 }
 
 
@@ -1010,7 +988,7 @@ def execute(scenario: Scenario, bench: Workbench,
         timings["resolve_seconds"] = resolve_s
         art_dir.mkdir(parents=True, exist_ok=True)
         t1 = time.perf_counter()
-        metrics, artifacts = _DISPATCH[scenario.attack_type](
+        metrics, artifacts = ATTACKS[scenario.attack_type].run(
             scenario, bench, target, art_dir)
         timings["attack_seconds"] = time.perf_counter() - t1
         missing = [m for m in scenario.evaluation if m not in metrics]

@@ -11,8 +11,9 @@ the handle types is what enforces the threat model by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from pathlib import Path
-from typing import Literal
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -21,7 +22,19 @@ from .network import Network, TrainConfig, train
 from .similarity import collect_activations, default_probe_point, fidelity, pwcca_distance
 from .zoo import ArchitectureSpec, build_model
 
-OUTPUT_MODES = ("confidence_vector", "top1_label")
+OutputMode = Literal["confidence_vector", "top1_label"]
+InitMode = Literal["random", "auxiliary_sample"]
+
+_field_hints = cache(get_type_hints)
+
+
+def _check_choices(config) -> None:
+    """Reject a value of a dataclass's `Literal`-annotated field that is not
+    one of the choices its annotation names."""
+    for name, hint in _field_hints(type(config)).items():
+        value = getattr(config, name)
+        if get_origin(hint) is Literal and value not in get_args(hint):
+            raise ValueError(f"unknown {name} {value!r}")
 
 
 @dataclass(frozen=True)
@@ -33,12 +46,7 @@ class ThreatModel:
     aux_dataset: Literal["partial", "none"]
 
     def __post_init__(self):
-        if self.model_knowledge not in ("observed", "hidden"):
-            raise ValueError(f"bad model_knowledge {self.model_knowledge!r}")
-        if self.system_knowledge not in ("partial", "none"):
-            raise ValueError(f"bad system_knowledge {self.system_knowledge!r}")
-        if self.aux_dataset not in ("partial", "none"):
-            raise ValueError(f"bad aux_dataset {self.aux_dataset!r}")
+        _check_choices(self)
 
     def dominates(self, required: "ThreatModel") -> list[str]:
         """Violations left when these grants are checked against a requirement.
@@ -54,11 +62,6 @@ class ThreatModel:
         if required.aux_dataset == "partial" and self.aux_dataset != "partial":
             out.append("requires a partial auxiliary dataset")
         return out
-
-    def to_dict(self) -> dict:
-        return {"model_knowledge": self.model_knowledge,
-                "system_knowledge": self.system_knowledge,
-                "aux_dataset": self.aux_dataset}
 
 
 class QueryHandle:
@@ -95,14 +98,13 @@ class GradientHandle(QueryHandle):
 @dataclass
 class KnockoffConfig:
     query_budget: int
-    output_mode: str = "confidence_vector"
+    output_mode: OutputMode = "confidence_vector"
     recreate: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
 
     def __post_init__(self):
         if self.query_budget < 1:
             raise ValueError("query_budget must be >= 1")
-        if self.output_mode not in OUTPUT_MODES:
-            raise ValueError(f"unknown output_mode {self.output_mode!r}")
+        _check_choices(self)
 
 
 @dataclass
@@ -130,7 +132,7 @@ def build_stolen_dataset(target: QueryHandle, queries: Dataset, budget: int,
                          seed: int = 0) -> StolenDataset:
     """Query `budget` inputs sampled without replacement and pair them with
     the target's outputs (full confidence rows, or their one-hot argmax)."""
-    if output_mode not in OUTPUT_MODES:
+    if output_mode not in get_args(OutputMode):
         raise ValueError(f"unknown output_mode {output_mode!r}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -177,7 +179,7 @@ class InversionConfig:
     posterior_threshold: float = 0.9
     max_iterations: int = 500
     step_size: float = 0.1
-    init_mode: str = "random"          # random | auxiliary_sample
+    init_mode: InitMode = "random"
     clamp_range: tuple[float, float] = (-4.0, 4.0)
 
     def __post_init__(self):
@@ -187,8 +189,7 @@ class InversionConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.step_size <= 0:
             raise ValueError("step_size must be positive")
-        if self.init_mode not in ("random", "auxiliary_sample"):
-            raise ValueError(f"unknown init_mode {self.init_mode!r}")
+        _check_choices(self)
         if self.clamp_range[0] >= self.clamp_range[1]:
             raise ValueError("clamp_range must be (lo, hi) with lo < hi")
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,8 @@ from extractbench import network, orchestrator
 from extractbench.cli import main
 from extractbench.datasets import load_dataset
 from extractbench.orchestrator import (
-    ATTACK_TYPES,
-    EXCLUSIVE_ATTACKS,
+    ATTACKS,
+    EnvironmentSpec,
     ScenarioError,
     _derived_seed,
     default_workbench,
@@ -63,7 +64,7 @@ def scenario_doc(attack_type="knockoff", **over):
 
 def minimal_doc(attack_type, sid="s1"):
     """Smallest valid document of an attack type, with grants it passes."""
-    if attack_type in EXCLUSIVE_ATTACKS:
+    if ATTACKS[attack_type].exclusive:
         grants = {"model_knowledge": "observed",
                   "system_knowledge": "partial", "aux_dataset": "none"}
         env = ({"environment_profile": "gpu-quiet"}
@@ -102,7 +103,7 @@ def mutated_documents(draw):
     """The explicit form of a valid document with a few fields replaced,
     removed or added, anywhere in it."""
     doc = parse_scenario(json.dumps(minimal_doc(
-        draw(st.sampled_from(ATTACK_TYPES))))).to_dict()
+        draw(st.sampled_from(tuple(ATTACKS)))))).to_dict()
     params = doc["attack"]["params"]
     sections = [doc, doc["attack"], params, doc["target"], doc["environment"],
                 doc["grants"]]
@@ -234,6 +235,27 @@ BAD_DOCUMENTS = [
     ("equivalency", {"query_budget": 120,
                      "distill_train": {"loss": "cross_entropy"}},
      {}, r"unknown field\(s\) \['attack\.params\.distill_train\.loss'\]"),
+    # the attack table's own messages: type, environment readers, metrics
+    ("warp", {}, {},
+     r"^attack\.type: 'warp' is not one of \['deeprecon', 'deepsniffer', "
+     r"'equivalency', 'knockoff', 'miface', 'staged_inversion'\]$"),
+    (7, {}, {}, r"^attack\.type: 7 is not one of \['deeprecon', "),
+    ("deepsniffer", {}, {},
+     r"^environment\.environment_profile required for deepsniffer$"),
+    ("deeprecon", {}, {"environment": {"machine_profile": "z80-like"}},
+     r"^environment\.machine_profile: unknown profile 'z80-like'$"),
+    ("deepsniffer", {}, {"environment": {"environment_profile": "tpu"}},
+     r"^environment\.environment_profile: unknown profile 'tpu'$"),
+    ("knockoff", {"query_budget": 120}, {"evaluation": ["sequence_fidelity"]},
+     r"^evaluation: metric\(s\) \['sequence_fidelity'\] not produced by "
+     r"knockoff \(available: \['accuracy_stolen', 'accuracy_target', "
+     r"'fidelity', 'final_loss', 'queries_used'\]\)$"),
+    ("knockoff", {"query_budget": 120}, GPU,
+     r"^environment\.environment_profile: knockoff never reads it; only "
+     r"deepsniffer does$"),
+    ("staged_inversion", {"budgets": [5]}, CPU,
+     r"^environment\.machine_profile: staged_inversion never reads it; only "
+     r"deeprecon does$"),
 ]
 
 
@@ -386,6 +408,26 @@ class TestCli:
             bench.check_ids(scenario)
 
 
+class TestAttackTable:
+    def test_init_mode_attacks_require_aux_dataset(self):
+        """An attack that can start inversion from an auxiliary sample
+        requires the auxiliary-dataset grant, so `dominates` alone gates
+        `init_mode: auxiliary_sample`."""
+        hints = orchestrator._field_hints
+        with_init_mode = []
+        for name, attack in ATTACKS.items():
+            params = hints(attack.params)
+            if "init_mode" in params | hints(params.get("inversion", object)):
+                with_init_mode.append(name)
+                assert attack.requires.aux_dataset == "partial", name
+        assert with_init_mode == ["miface", "staged_inversion"]
+
+    def test_each_environment_field_read_by_one_attack(self):
+        readers = Counter(name for attack in ATTACKS.values()
+                          for name in attack.environment)
+        assert readers == Counter(f.name for f in fields(EnvironmentSpec))
+
+
 class TestValidateThreatModel:
     def test_deepsniffer_needs_observed_and_partial(self):
         doc = scenario_doc("deepsniffer", params={},
@@ -452,7 +494,7 @@ class TestSchedule:
         (window,) = plan.windows()
         assert window[0].exclusive and window[0].slots == (0, 1, 2, 3)
 
-    @given(kinds=st.lists(st.sampled_from(ATTACK_TYPES), min_size=1,
+    @given(kinds=st.lists(st.sampled_from(tuple(ATTACKS)), min_size=1,
                           max_size=12),
            slots=st.integers(1, 4))
     @settings(max_examples=60, deadline=None)

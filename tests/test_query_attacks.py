@@ -44,8 +44,15 @@ class TestThreatModel:
         assert len(violations) == 2
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            ThreatModel("full", "none", "none")
+        for grants, bad in [(("full", "none", "none"), "model_knowledge"),
+                            (("hidden", "full", "none"), "system_knowledge"),
+                            (("hidden", "none", "full"), "aux_dataset")]:
+            with pytest.raises(ValueError, match=f"^unknown {bad} 'full'$"):
+                ThreatModel(*grants)
+        with pytest.raises(ValueError, match="^unknown output_mode 'logits'$"):
+            KnockoffConfig(10, output_mode="logits")
+        with pytest.raises(ValueError, match="^unknown init_mode 'zeros'$"):
+            InversionConfig(0, init_mode="zeros")
 
 
 class TestQueryHandle:
