@@ -300,13 +300,19 @@ def save_dataset(dataset: Dataset, directory) -> Path:
 
 def load_dataset(directory) -> Dataset:
     directory = Path(directory)
-    meta = json.loads((directory / "meta.json").read_text())
-    spec = DatasetSpec.from_dict(meta["spec"])
-    n = int(meta["count"])
-    shape = (n,) + tuple(spec.input_shape)
+    try:
+        meta = json.loads((directory / "meta.json").read_text())
+        spec = DatasetSpec.from_dict(meta["spec"])
+        n = int(meta["count"])
+        shape = (n,) + tuple(spec.input_shape)
+        size = int(np.prod(shape))
+        role = meta.get("role", "train")
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"corrupt dataset cache at {directory}: unreadable "
+                         f"meta.json ({type(exc).__name__}: {exc})") from exc
     inputs = np.frombuffer((directory / "samples.bin").read_bytes(),
                            dtype="<f8")
-    if inputs.size != int(np.prod(shape)):
+    if inputs.size != size:
         raise ValueError(f"corrupt dataset cache at {directory}: sample count "
                          f"mismatch")
     labels = np.frombuffer((directory / "labels.bin").read_bytes(), dtype="<i4")
@@ -314,4 +320,4 @@ def load_dataset(directory) -> Dataset:
         raise ValueError(f"corrupt dataset cache at {directory}: label count "
                          f"mismatch")
     return Dataset(spec, np.asarray(inputs, dtype=np.float64).reshape(shape),
-                   np.asarray(labels, dtype=np.int32), meta.get("role", "train"))
+                   np.asarray(labels, dtype=np.int32), role)

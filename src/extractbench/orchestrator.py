@@ -22,10 +22,8 @@ import time
 import types
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
-from functools import cache
 from pathlib import Path
-from typing import (Callable, Literal, NamedTuple, get_args, get_origin,
-                    get_type_hints)
+from typing import Callable, Literal, NamedTuple, Union, get_args, get_origin
 
 import numpy as np
 import zlib
@@ -42,6 +40,7 @@ from .query_attacks import (
     OutputMode,
     QueryHandle,
     ThreatModel,
+    _field_hints,
     check_budgets,
     knockoff_extract,
     miface_invert,
@@ -85,6 +84,19 @@ ROOT_ENV_VAR = "EXTRACTBENCH_ROOT"
 CONVENTIONAL_ARCHITECTURES = ("mini-vgg-4", "mini-vgg-6", "mini-resnet-4",
                               "mini-resnet-6", "mini-dense-3", "mini-dense-4")
 
+BUILTIN_DATASETS = {
+    "blobs-2c-easy": DatasetSpec("blobs-2c-easy", 2, 300, (6, 6, 1), 0.0, 101),
+    "blobs-4c-easy": DatasetSpec("blobs-4c-easy", 4, 700, (6, 6, 1), 0.0, 102),
+    "blobs-4c-mid": DatasetSpec("blobs-4c-mid", 4, 700, (6, 6, 1), 0.5, 103),
+    "blobs-4c-hard": DatasetSpec("blobs-4c-hard", 4, 700, (6, 6, 1), 1.0, 104),
+    "blobs-5c-easy": DatasetSpec("blobs-5c-easy", 5, 300, (6, 6, 1), 0.0, 105),
+    "blobs-10c-mid": DatasetSpec("blobs-10c-mid", 10, 250, (8, 8, 1), 0.3, 106),
+}
+
+# a field annotated with a registry's ids is checked against it on parse
+ArchitectureId = Literal[tuple(BUILTIN_ARCHITECTURES)]
+DatasetId = Literal[tuple(BUILTIN_DATASETS)]
+
 
 class ScenarioError(ValueError):
     """Scenario document violates the schema."""
@@ -95,7 +107,6 @@ class ScenarioError(ValueError):
 # ---------------------------------------------------------------------------
 
 _REQUIRED = object()
-_field_hints = cache(get_type_hints)  # evaluating annotations dominates parsing
 _TYPE_NAMES = {int: "an integer", float: "a finite number",
                bool: "true or false", str: "a string"}
 
@@ -108,7 +119,7 @@ def _typed(value, hint, name: str):
         if isinstance(value, str) and value in args:
             return value
         raise ScenarioError(f"{name}: {value!r} is not one of {sorted(args)}")
-    if origin is types.UnionType:  # X | None, and take() handled None
+    if origin in (types.UnionType, Union):  # X | None; take() handled None
         (inner,) = [a for a in args if a is not type(None)]
         return _typed(value, inner, name)
     if origin is tuple:
@@ -234,7 +245,7 @@ def _steal_config(p, query_budget: int):
 class KnockoffParams:
     query_budget: int
     output_mode: OutputMode = "confidence_vector"
-    surrogate_architecture: str | None = None
+    surrogate_architecture: ArchitectureId | None = None
     query_fraction: float = 0.5
     recreate: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
 
@@ -265,7 +276,6 @@ class MifaceParams(InversionParams):
     query_fraction: float = 0.5
 
     def __post_init__(self):
-        _check_minimums(self, target_class=0)
         check_query_fraction(self.query_fraction)
         self.config(self.target_class)
 
@@ -274,7 +284,7 @@ class MifaceParams(InversionParams):
 class StagedInversionParams:
     budgets: tuple[int, ...]
     output_mode: OutputMode = "confidence_vector"
-    surrogate_architecture: str | None = None
+    surrogate_architecture: ArchitectureId | None = None
     query_fraction: float = 0.5
     recreate: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
     inversion: InversionParams = field(default_factory=InversionParams)
@@ -286,7 +296,7 @@ class StagedInversionParams:
 
 @dataclass
 class DeepSnifferParams:
-    corpus_architectures: tuple[str, ...] = CONVENTIONAL_ARCHITECTURES
+    corpus_architectures: tuple[ArchitectureId, ...] = CONVENTIONAL_ARCHITECTURES
     traces_per_architecture: int = 6
     train_jitter: float = 0.05
     window: int = 1
@@ -306,7 +316,7 @@ class DeepSnifferParams:
 
 @dataclass
 class DeepReconParams:
-    corpus_architectures: tuple[str, ...] = tuple(
+    corpus_architectures: tuple[ArchitectureId, ...] = tuple(
         a for a in BUILTIN_ARCHITECTURES if a != "mini-student-cnn")
     histograms_per_architecture: int = 8
     trials: int = 6
@@ -324,7 +334,7 @@ class DeepReconParams:
 
 @dataclass
 class EquivalencyParams(KnockoffParams):
-    student_architecture: str = "mini-student-cnn"
+    student_architecture: ArchitectureId = "mini-student-cnn"
     temperature: float = 4.0
     hard_label_weight: float = 0.1
     distill_train: TrainConfig = field(default_factory=lambda: TrainConfig(
@@ -345,8 +355,8 @@ class EquivalencyParams(KnockoffParams):
 
 @dataclass
 class EnvironmentSpec:
-    environment_profile: str | None = None
-    machine_profile: str | None = None
+    environment_profile: Literal[tuple(BUILTIN_ENVIRONMENT_PROFILES)] | None = None
+    machine_profile: Literal[tuple(BUILTIN_MACHINE_PROFILES)] | None = None
     verbose_runtime: bool = False
 
 
@@ -409,12 +419,17 @@ def parse_scenario(document: str) -> Scenario:
     target = top.section("target", required=True)
     ref = _construct(
         ModelRef, "target",
-        architecture_id=target.take("architecture_id", str),
-        dataset_id=target.take("dataset_id", str),
+        architecture_id=target.take("architecture_id", ArchitectureId),
+        dataset_id=target.take("dataset_id", DatasetId),
         # an empty subset means all classes, as null does
         class_subset=target.take("class_subset", tuple[int, ...], None) or None,
         checkpoint_tag=target.take("checkpoint_tag", str, "default"))
     target.close()
+    classes = BUILTIN_DATASETS[ref.dataset_id].class_count
+    bad = [c for c in ref.class_subset or () if c >= classes]
+    if bad:
+        raise ScenarioError(f"target.class_subset: {bad} outside dataset "
+                            f"{ref.dataset_id!r} with {classes} classes")
 
     environment = _build(EnvironmentSpec, top.section("environment"), seed)
 
@@ -430,8 +445,8 @@ def parse_scenario(document: str) -> Scenario:
             f"(available: {sorted(entry.metrics)})")
 
     # Set on an attack that never reads it, an environment field would be
-    # ignored silently; a profile field is required by the attack that
-    # reads it.
+    # ignored silently; a field the attack reads that is still null (a
+    # profile) is required.
     for f in fields(EnvironmentSpec):
         if getattr(environment, f.name) not in (None, False) \
                 and f.name not in entry.environment:
@@ -440,15 +455,9 @@ def parse_scenario(document: str) -> Scenario:
             raise ScenarioError(
                 f"environment.{f.name}: {attack_type} never reads it; only "
                 f"{reader} does")
-    for name, profiles in entry.environment.items():
-        if profiles is None:
-            continue
-        value = getattr(environment, name)
-        if value is None:
+    for name in entry.environment:
+        if getattr(environment, name) is None:
             raise ScenarioError(f"environment.{name} required for {attack_type}")
-        if value not in profiles:
-            raise ScenarioError(
-                f"environment.{name}: unknown profile {value!r}")
 
     return Scenario(id=scenario_id, attack_type=attack_type,
                     attack_params=params, target=ref, environment=environment,
@@ -513,17 +522,10 @@ def schedule(batch: list[Scenario], slots: int) -> ResourcePlan:
 
 
 # ---------------------------------------------------------------------------
-# workbench (registries + repository layout)
+# workbench (repository layout + training recipes)
 # ---------------------------------------------------------------------------
 
-BUILTIN_DATASETS = {
-    "blobs-2c-easy": DatasetSpec("blobs-2c-easy", 2, 300, (6, 6, 1), 0.0, 101),
-    "blobs-4c-easy": DatasetSpec("blobs-4c-easy", 4, 700, (6, 6, 1), 0.0, 102),
-    "blobs-4c-mid": DatasetSpec("blobs-4c-mid", 4, 700, (6, 6, 1), 0.5, 103),
-    "blobs-4c-hard": DatasetSpec("blobs-4c-hard", 4, 700, (6, 6, 1), 1.0, 104),
-    "blobs-5c-easy": DatasetSpec("blobs-5c-easy", 5, 300, (6, 6, 1), 0.0, 105),
-    "blobs-10c-mid": DatasetSpec("blobs-10c-mid", 10, 250, (8, 8, 1), 0.3, 106),
-}
+DEFAULT_RECIPE = TrainConfig(epochs=12)
 
 
 @dataclass
@@ -538,8 +540,6 @@ class Workbench:
 
     root: Path
     recipes: dict[str, TrainConfig] = field(default_factory=dict)
-    default_recipe: TrainConfig = field(
-        default_factory=lambda: TrainConfig(epochs=12))
 
     def __post_init__(self):
         self.root = Path(self.root)
@@ -573,7 +573,7 @@ class Workbench:
             raise KeyError(f"unknown dataset id {dataset_id!r}")
         entry = self.datasets_dir / dataset_id
         return _cached(
-            self, entry, (OSError, ValueError, KeyError),
+            self, entry, (OSError, ValueError),
             load=lambda: load_dataset(entry),
             make=lambda: generate(BUILTIN_DATASETS[dataset_id]),
             save=lambda data: save_dataset(data, entry))[0]
@@ -589,34 +589,8 @@ class Workbench:
             spec = self._specs[key] = builtin_spec(*key)
         return spec
 
-    def check_ids(self, scenario: Scenario) -> None:
-        """Raise a ScenarioError that names the first architecture or
-        dataset id of `scenario` missing from the built-in registries,
-        or the target's class subset if it names a class the dataset lacks."""
-        target = scenario.target
-        if target.dataset_id not in BUILTIN_DATASETS:
-            raise ScenarioError(
-                f"target.dataset_id: unknown dataset id {target.dataset_id!r}")
-        classes = BUILTIN_DATASETS[target.dataset_id].class_count
-        bad = [c for c in target.class_subset or () if c >= classes]
-        if bad:
-            raise ScenarioError(
-                f"target.class_subset: {bad} outside dataset "
-                f"{target.dataset_id!r} with {classes} classes")
-        p = scenario.attack_params
-        named = [("target.architecture_id", target.architecture_id)]
-        for name in ("surrogate_architecture", "student_architecture"):
-            if getattr(p, name, None) is not None:
-                named.append((f"attack.params.{name}", getattr(p, name)))
-        named += [("attack.params.corpus_architectures", a)
-                  for a in getattr(p, "corpus_architectures", ())]
-        for where, arch_id in named:
-            if arch_id not in BUILTIN_ARCHITECTURES:
-                raise ScenarioError(
-                    f"{where}: unknown architecture id {arch_id!r}")
-
     def recipe(self, dataset_id: str) -> TrainConfig:
-        return self.recipes.get(dataset_id, self.default_recipe)
+        return self.recipes.get(dataset_id, DEFAULT_RECIPE)
 
 
 def default_workbench(root=None) -> Workbench:
@@ -925,7 +899,7 @@ class Attack(NamedTuple):
     run: Callable                # (scenario, bench, target, art_dir) -> (metrics, artifacts)
     requires: ThreatModel        # the capability triple grants must cover
     metrics: tuple[str, ...]     # what `evaluation` may name, and its default
-    environment: dict            # each environment field it reads: profiles, or None
+    environment: tuple[str, ...]  # the environment fields it reads
     exclusive: bool = False      # runs alone, in a whole-system window
 
 
@@ -938,26 +912,25 @@ ATTACKS = {
     "knockoff": Attack(
         KnockoffParams, _run_knockoff, _QUERY_SURFACE,
         ("fidelity", "queries_used", "accuracy_target", "accuracy_stolen",
-         "final_loss"), {}),
+         "final_loss"), ()),
     "deepsniffer": Attack(
         DeepSnifferParams, _run_deepsniffer, _SIDE_CHANNEL,
         ("sequence_fidelity", "predicted_length", "true_length"),
-        {"environment_profile": BUILTIN_ENVIRONMENT_PROFILES,
-         "verbose_runtime": None}, exclusive=True),
+        ("environment_profile", "verbose_runtime"), exclusive=True),
     "deeprecon": Attack(
         DeepReconParams, _run_deeprecon, _SIDE_CHANNEL,
         ("exact_accuracy", "family_accuracy"),
-        {"machine_profile": BUILTIN_MACHINE_PROFILES}, exclusive=True),
+        ("machine_profile",), exclusive=True),
     "miface": Attack(
         MifaceParams, _run_miface, _QUERY_SURFACE,
-        ("success", "final_posterior", "iterations", "trace_length"), {}),
+        ("success", "final_posterior", "iterations", "trace_length"), ()),
     "staged_inversion": Attack(
         StagedInversionParams, _run_staged_inversion, _QUERY_SURFACE,
-        ("fidelity", "class_similarity", "pwcca", "inversion_success"), {}),
+        ("fidelity", "class_similarity", "pwcca", "inversion_success"), ()),
     "equivalency": Attack(
         EquivalencyParams, _run_equivalency, _QUERY_SURFACE,
         ("fidelity", "pwcca", "distilled_pwcca", "accuracy_target",
-         "accuracy_stolen"), {}),
+         "accuracy_stolen"), ()),
 }
 
 
@@ -966,8 +939,7 @@ def execute(scenario: Scenario, bench: Workbench,
             persist: bool = True) -> RunRecord:
     """Run one validated scenario end to end.
 
-    The registry check (every architecture and dataset id is known) and
-    threat gating happen first; the target resolve (disk load or
+    Threat gating happens first; the target resolve (disk load or
     train-on-miss) is kicked off before attack construction; any failure is
     captured into a failed record rather than raised past this boundary.
     The whole run has BLAS on one thread, and the caller's thread count is
@@ -979,7 +951,6 @@ def execute(scenario: Scenario, bench: Workbench,
     from_cache = None
     art_dir = bench.artifacts_dir / scenario.id / started.replace(":", "")
     try:
-        bench.check_ids(scenario)
         violations = validate_threat_model(scenario)
         if violations:
             raise PermissionError(

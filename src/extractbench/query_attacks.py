@@ -183,6 +183,8 @@ class InversionConfig:
     clamp_range: tuple[float, float] = (-4.0, 4.0)
 
     def __post_init__(self):
+        if self.target_class < 0:
+            raise ValueError("target_class must be >= 0")
         if not 0.0 < self.posterior_threshold <= 1.0:
             raise ValueError("posterior_threshold must lie in (0, 1]")
         if self.max_iterations < 1:

@@ -16,7 +16,8 @@ import json
 import pytest
 
 from extractbench.network import TrainConfig
-from extractbench.orchestrator import Workbench, execute, parse_scenario
+from extractbench.orchestrator import (BUILTIN_DATASETS, Workbench, execute,
+                                       parse_scenario)
 
 HIDDEN = {"model_knowledge": "hidden", "system_knowledge": "none",
           "aux_dataset": "partial"}
@@ -56,7 +57,7 @@ def bench(tmp_path_factory):
     # one training epoch per target keeps train-on-miss cheap; the targets
     # are still trained, so the query attacks see a real model
     return Workbench(tmp_path_factory.mktemp("golden") / "repo",
-                     default_recipe=TrainConfig(epochs=1))
+                     recipes={d: TrainConfig(epochs=1) for d in BUILTIN_DATASETS})
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

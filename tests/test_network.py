@@ -813,7 +813,7 @@ class TestOneTrainingLoop:
         from extractbench.orchestrator import Workbench, zoo_resolve
         from extractbench.zoo import ModelRef
         recipe = TrainConfig(batch_size=10, epochs=1)
-        bench = Workbench(tmp_path / "repo", default_recipe=recipe)
+        bench = Workbench(tmp_path / "repo", recipes={"blobs-2c-easy": recipe})
         rows = len(bench.dataset("blobs-2c-easy").inputs)
         calls = self._record(monkeypatch)
         _, from_cache, _ = zoo_resolve(ModelRef("mini-mlp-1", "blobs-2c-easy"),

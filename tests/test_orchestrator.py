@@ -6,8 +6,9 @@ import subprocess
 import sys
 import time
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from typing import Literal, get_args, get_origin
 
 import numpy as np
 import pytest
@@ -82,6 +83,23 @@ def minimal_doc(attack_type, sid="s1"):
     doc = scenario_doc(attack_type, id=sid, params=params, grants=grants)
     doc["environment"] = env
     return doc
+
+
+def _params_fields(cls, path=()):
+    """(path, annotation) of each field of a params dataclass, nested
+    dataclasses walked into."""
+    for name, hint in orchestrator._field_hints(cls).items():
+        if is_dataclass(hint):
+            yield from _params_fields(hint, path + (name,))
+        else:
+            yield path + (name,), hint
+
+
+def _leaves(hint):
+    """The types an annotation is built from; a Literal is one leaf."""
+    if get_origin(hint) is Literal or not get_args(hint):
+        return [hint]
+    return [leaf for arg in get_args(hint) for leaf in _leaves(arg)]
 
 
 FIELD_VALUES = st.one_of(
@@ -243,9 +261,9 @@ BAD_DOCUMENTS = [
     ("deepsniffer", {}, {},
      r"^environment\.environment_profile required for deepsniffer$"),
     ("deeprecon", {}, {"environment": {"machine_profile": "z80-like"}},
-     r"^environment\.machine_profile: unknown profile 'z80-like'$"),
+     r"^environment\.machine_profile: 'z80-like' is not one of \['i5-3470-like', "),
     ("deepsniffer", {}, {"environment": {"environment_profile": "tpu"}},
-     r"^environment\.environment_profile: unknown profile 'tpu'$"),
+     r"^environment\.environment_profile: 'tpu' is not one of \['gpu-low', "),
     ("knockoff", {"query_budget": 120}, {"evaluation": ["sequence_fidelity"]},
      r"^evaluation: metric\(s\) \['sequence_fidelity'\] not produced by "
      r"knockoff \(available: \['accuracy_stolen', 'accuracy_target', "
@@ -370,9 +388,13 @@ class TestCli:
         root = tmp_path / "repo"
         assert main(["--root", str(root), "validate", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"invalid: {where}: unknown")
-        assert repr(name) in err
+        assert err.startswith(f"invalid: {where}: {name!r} is not one of [")
         assert not root.exists()  # checking ids touches no repository
+        # run and batch refuse it at parse time, as any schema error
+        assert main(["--root", str(root), "run", str(path)]) == 2
+        assert main(["--root", str(root), "batch", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {where}: ")
+        assert not root.exists()
 
     @pytest.mark.parametrize("subset,error", [
         ([0, 5], "target.class_subset: [5] outside dataset 'blobs-2c-easy' "
@@ -398,14 +420,13 @@ class TestCli:
          "attack.params.corpus_architectures"),
         ("deeprecon", {"corpus_architectures": ["x-net", "mini-vgg-4"]},
          "attack.params.corpus_architectures")])
-    def test_every_architecture_id_is_checked(self, bench, attack_type, params,
+    def test_every_architecture_id_is_checked(self, attack_type, params,
                                              where):
         doc = minimal_doc(attack_type)
         doc["attack"]["params"] = params
-        scenario = parse_scenario(json.dumps(doc))
-        with pytest.raises(ScenarioError,
-                           match=f"^{where}: unknown architecture id 'x-net'"):
-            bench.check_ids(scenario)
+        with pytest.raises(ScenarioError, match=rf"^{where}(\[\d\])?: 'x-net' "
+                                                r"is not one of \["):
+            parse_scenario(json.dumps(doc))
 
 
 class TestAttackTable:
@@ -421,6 +442,36 @@ class TestAttackTable:
                 with_init_mode.append(name)
                 assert attack.requires.aux_dataset == "partial", name
         assert with_init_mode == ["miface", "staged_inversion"]
+
+    def test_no_params_field_is_a_plain_string(self):
+        """A string field would take any name unchecked; one naming an
+        architecture, say, must be typed with the registry's ids."""
+        for name, attack in ATTACKS.items():
+            for path, hint in _params_fields(attack.params):
+                assert str not in _leaves(hint), (name, path, hint)
+
+    def test_every_registry_field_rejects_unknown_id(self):
+        registries = (orchestrator.ArchitectureId, orchestrator.DatasetId)
+        checked = set()
+        for name, attack in ATTACKS.items():
+            for path, hint in _params_fields(attack.params):
+                if not any(r in _leaves(hint) for r in registries):
+                    continue
+                doc = minimal_doc(name)
+                section = doc["attack"]["params"]
+                for key in path[:-1]:
+                    section = section.setdefault(key, {})
+                section[path[-1]] = ["x"] if get_origin(hint) is tuple else "x"
+                where = ".".join(("attack", "params") + path)
+                with pytest.raises(ScenarioError, match=rf"^{where}(\[0\])?: "
+                                   r"'x' is not one of \["):
+                    parse_scenario(json.dumps(doc))
+                checked.add((name, path[-1]))
+        assert {("knockoff", "surrogate_architecture"),
+                ("staged_inversion", "surrogate_architecture"),
+                ("equivalency", "student_architecture"),
+                ("deepsniffer", "corpus_architectures"),
+                ("deeprecon", "corpus_architectures")} <= checked
 
     def test_each_environment_field_read_by_one_attack(self):
         readers = Counter(name for attack in ATTACKS.values()
@@ -595,6 +646,17 @@ class TestZooResolve:
 
 
 class TestDatasetCache:
+    @pytest.mark.parametrize("meta", [[], {"spec": None, "count": 600}],
+                             ids=["list", "null-spec"])
+    def test_meta_of_wrong_shape_is_regenerated(self, bench, meta):
+        first = bench.dataset("blobs-2c-easy")
+        (bench.datasets_dir / "blobs-2c-easy" / "meta.json").write_text(
+            json.dumps(meta))
+        again = bench.dataset("blobs-2c-easy")
+        assert np.array_equal(again.inputs, first.inputs)
+        assert load_dataset(bench.datasets_dir / "blobs-2c-easy").spec \
+            == first.spec
+
     def test_truncated_samples_are_regenerated(self, bench):
         first = bench.dataset("blobs-2c-easy")
         cache = bench.datasets_dir / "blobs-2c-easy"
@@ -855,16 +917,13 @@ class TestExecute:
             seed=11)
         assert record.metrics["fidelity"] == fidelity(stolen, target, test)
 
-    def test_nonexistent_architecture_fails_with_name(self, bench):
+    def test_nonexistent_architecture_fails_with_name(self):
         doc = scenario_doc(target={"architecture_id": "mini-ghost",
                                    "dataset_id": "blobs-2c-easy"})
-        record = execute(parse_scenario(json.dumps(doc)), bench)
-        assert record.status == "failed"
-        assert "mini-ghost" in record.failure_reason
-        assert record.artifacts == []
-        # the registry check fails it before the target is resolved
-        assert record.failure_reason.startswith("ScenarioError: target.")
-        assert record.resolved_from_cache is None
+        # parsing rejects it, so no run can start on it
+        with pytest.raises(ScenarioError, match=r"^target\.architecture_id: "
+                           r"'mini-ghost' is not one of \["):
+            parse_scenario(json.dumps(doc))
 
     def test_rerun_reproduces_metrics_exactly(self, bench):
         sc = parse_scenario(json.dumps(scenario_doc(seed=21)))
@@ -914,13 +973,14 @@ class TestBatchAndRecords:
 
     def test_failed_scenario_does_not_stop_batch(self, bench):
         good = scenario_doc(id="ok1", params={"query_budget": 60})
-        bad = scenario_doc(id="bad1",
-                           target={"architecture_id": "mini-ghost",
-                                   "dataset_id": "blobs-2c-easy"})
+        bad = scenario_doc(id="bad1", grants={"model_knowledge": "hidden",
+                                              "system_knowledge": "none",
+                                              "aux_dataset": "none"})
         records = run_batch([parse_scenario(json.dumps(bad)),
                              parse_scenario(json.dumps(good))],
                             bench, slots=1).records
         assert records[0].status == "failed"
+        assert "threat model violation" in records[0].failure_reason
         assert records[1].status == "ok"
 
 

@@ -263,6 +263,11 @@ class TestMifaceInvert:
         with pytest.raises(ValueError, match="aux"):
             miface_invert(GradientHandle(model), cfg, aux=None)
 
+    def test_negative_class_rejected(self):
+        # a negative index would pick a class from the end of the output
+        with pytest.raises(ValueError, match="^target_class must be >= 0$"):
+            InversionConfig(target_class=-1)
+
     def test_class_outside_width_rejected(self, blobs4):
         model = trained_model("mini-mlp-2", blobs4, epochs=1)
         with pytest.raises(ValueError, match="target_class"):
