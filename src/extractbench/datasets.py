@@ -319,5 +319,8 @@ def load_dataset(directory) -> Dataset:
     if labels.size != n:
         raise ValueError(f"corrupt dataset cache at {directory}: label count "
                          f"mismatch")
+    if np.any((labels < 0) | (labels >= spec.class_count)):
+        raise ValueError(f"corrupt dataset cache at {directory}: label "
+                         f"outside [0, {spec.class_count})")
     return Dataset(spec, np.asarray(inputs, dtype=np.float64).reshape(shape),
                    np.asarray(labels, dtype=np.int32), role)

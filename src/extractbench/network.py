@@ -1,18 +1,18 @@
 """Operator-DAG models: compilation, forward/backward, and SGD training.
 
-A model is a list of :class:`NodeSpec` entries wired by node id (the reserved
-id ``"input"`` denotes the graph input). Execution order is topological with
-ties broken by declaration order, so two builds of the same node list behave
-identically. A training forward pass caches per-node activations and kernel
-workspace; backward consumes the cache and computes the gradients its caller
-asks for: those of every trainable tensor (what training reads), of the
-graph input (what inversion attacks climb), or both. Inference goes through
+A :class:`Network` is built from an ArchitectureSpec: :class:`NodeSpec`
+entries wired by node id (the reserved id ``"input"`` denotes the graph
+input) and an input shape. Execution order is topological with ties broken
+by declaration order, so two builds of one spec behave identically. A
+training forward pass caches per-node activations and kernel workspace;
+backward consumes the cache and computes the gradients its caller asks for:
+those of every trainable tensor (what training reads), of the graph input
+(what inversion attacks climb), or both. Inference goes through
 ``predict``, which caches nothing.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -171,24 +171,16 @@ class Network:
     independent.
     """
 
-    def __init__(self, nodes, input_shape, seed: int, spec=None):
-        """With `spec` (an ArchitectureSpec of these same `nodes` and
-        `input_shape`), the execution order and the shapes come from the
-        spec's caches."""
-        self.input_shape = tuple(int(s) for s in input_shape)
-        if spec is None:
-            self.nodes = [NodeSpec(n.node_id, n.kind, dict(n.params),
-                                   tuple(n.inputs)) for n in nodes]
-            self.order = topological_order(self.nodes)
-            self.shapes = node_shapes(self.order, self.input_shape)
-        else:
-            if tuple(nodes) != spec.nodes or self.input_shape != spec.input_shape:
-                raise ValueError(f"nodes and input shape differ from spec {spec.id}")
-            self.nodes = list(spec.nodes)
-            self.order = list(spec.execution_order)
-            self.shapes = spec.derive_shapes()
-        self.output_id = sink_node(self.nodes).node_id
+    def __init__(self, spec, seed: int):
+        """Fresh parameters for `spec` (an ArchitectureSpec), drawn from
+        `seed`; the execution order and the shapes come from the spec's
+        caches."""
         self.spec = spec
+        self.nodes = list(spec.nodes)
+        self.order = list(spec.execution_order)
+        self.shapes = spec.derive_shapes()
+        self.input_shape = self.shapes[INPUT_ID]
+        self.output_id = sink_node(self.nodes).node_id
         self.meta: dict = {"seed": int(seed), "epochs_trained": 0}
 
         rng = np.random.default_rng(seed)
@@ -244,13 +236,6 @@ class Network:
 
     def parameter_count(self) -> int:
         return sum(t.size for w in self.weights.values() for t in w.values())
-
-    def copy(self) -> "Network":
-        """An independent model with this one's state: its tensors are
-        views of its own state vector."""
-        twin = copy.deepcopy(self)  # the copied tensors are loose arrays
-        twin._bind()
-        return twin
 
     # -- the state vector: every tensor, flat, in checkpoint order ----------
 

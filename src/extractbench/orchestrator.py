@@ -66,7 +66,6 @@ from .sidechannel import (
 from .similarity import DistillConfig, accuracy, equivalency_report, fidelity
 from .tensor import one_blas_thread
 from .zoo import (
-    ArchitectureSpec,
     BUILTIN_ARCHITECTURES,
     CheckpointError,
     FILE_NAME,
@@ -544,7 +543,6 @@ class Workbench:
     def __post_init__(self):
         self.root = Path(self.root)
         self._cache_lock = threading.RLock()
-        self._specs: dict[tuple, ArchitectureSpec] = {}
 
     @property
     def checkpoints_dir(self) -> Path:
@@ -578,24 +576,19 @@ class Workbench:
             make=lambda: generate(BUILTIN_DATASETS[dataset_id]),
             save=lambda data: save_dataset(data, entry))[0]
 
-    def architecture(self, arch_id: str, input_shape,
-                     class_count: int) -> ArchitectureSpec:
-        """The spec of `arch_id` for an input shape and class count. A
-        built-in spec is built once per key and then shared, so the facts
-        it caches (execution order, shapes, MAdds) outlive one scenario."""
-        key = (arch_id, tuple(int(s) for s in input_shape), int(class_count))
-        spec = self._specs.get(key)
-        if spec is None:
-            spec = self._specs[key] = builtin_spec(*key)
-        return spec
-
-    def recipe(self, dataset_id: str) -> TrainConfig:
-        return self.recipes.get(dataset_id, DEFAULT_RECIPE)
-
 
 def default_workbench(root=None) -> Workbench:
     root = root or os.environ.get(ROOT_ENV_VAR, "extractbench-repo")
     return Workbench(root=Path(root))
+
+
+def _ref_data(ref: ModelRef, bench: Workbench) -> Dataset:
+    """The data a model reference is trained on: its dataset, restricted to
+    its class subset (labels re-indexed to the subset's order)."""
+    data = bench.dataset(ref.dataset_id)
+    if ref.class_subset is not None:
+        data = restrict_to_classes(data, ref.class_subset)
+    return data
 
 
 def _ref_seed(ref: ModelRef) -> int:
@@ -633,14 +626,13 @@ def zoo_resolve(ref: ModelRef, bench: Workbench):
     started = time.perf_counter()
 
     def make():
-        data = bench.dataset(ref.dataset_id)
-        if ref.class_subset is not None:
-            data = restrict_to_classes(data, ref.class_subset)
-        spec = bench.architecture(ref.architecture_id, data.spec.input_shape,
-                                  data.class_count)
+        data = _ref_data(ref, bench)
+        spec = builtin_spec(ref.architecture_id, data.spec.input_shape,
+                            data.class_count)
         model = build_model(spec, seed=_ref_seed(ref))
-        train(model, data.inputs, data.labels,
-              replace(bench.recipe(ref.dataset_id), seed=_ref_seed(ref)))
+        config = replace(bench.recipes.get(ref.dataset_id, DEFAULT_RECIPE),
+                         seed=_ref_seed(ref))
+        train(model, data.inputs, data.labels, config)
         return model
 
     model, from_cache = _cached(
@@ -728,14 +720,14 @@ def _derived_seed(scenario: Scenario, tag: str) -> int:
 
 
 def _steal_setup(scenario, bench, query_budget: int):
-    """Shared prefix of the stealing attacks: the seeded query/test split,
-    the surrogate architecture and the knockoff config."""
+    """Shared prefix of the stealing attacks: the seeded split of the
+    target's data, the surrogate architecture and the knockoff config."""
     p = scenario.attack_params
-    data = bench.dataset(scenario.target.dataset_id)
+    data = _ref_data(scenario.target, bench)
     queries, test = split(data, p.query_fraction,
                           _derived_seed(scenario, "split"))
     arch_id = p.surrogate_architecture or scenario.target.architecture_id
-    spec = bench.architecture(arch_id, data.spec.input_shape, data.class_count)
+    spec = builtin_spec(arch_id, data.spec.input_shape, data.class_count)
     return queries, test, spec, _steal_config(p, query_budget)
 
 
@@ -745,7 +737,7 @@ def _run_knockoff(scenario, bench, target, art_dir):
     stolen, record = knockoff_extract(QueryHandle(target), queries, spec,
                                       config, seed=scenario.seed)
     stolen_ref = ModelRef(spec.id, scenario.target.dataset_id,
-                          checkpoint_tag=f"stolen-{scenario.id}")
+                          scenario.target.class_subset, f"stolen-{scenario.id}")
     save_checkpoint(stolen, stolen_ref, art_dir)
     out_stolen = stolen.predict(test.inputs)
     out_target = target.predict(test.inputs)
@@ -763,7 +755,7 @@ def _run_miface(scenario, bench, target, art_dir):
     p: MifaceParams = scenario.attack_params
     aux = None
     if p.init_mode == "auxiliary_sample":
-        data = bench.dataset(scenario.target.dataset_id)
+        data = _ref_data(scenario.target, bench)
         aux, _ = split(data, p.query_fraction, _derived_seed(scenario, "split"))
     result = miface_invert(GradientHandle(target), p.config(p.target_class),
                            aux=aux, seed=scenario.seed)
@@ -805,8 +797,7 @@ def _run_staged_inversion(scenario, bench, target, art_dir):
     return metrics, artifacts
 
 
-def _corpus_setup(scenario, bench, per_architecture: int,
-                  victim_tags: list[str]):
+def _corpus_setup(scenario, per_architecture: int, victim_tags: list[str]):
     """Shared prefix of the side-channel attacks: the spec of each corpus
     architecture at the target dataset's shape, and one generator per
     stream, seeded in bulk, in the order a runner simulates them:
@@ -814,8 +805,8 @@ def _corpus_setup(scenario, bench, per_architecture: int,
     tag."""
     archs = scenario.attack_params.corpus_architectures
     data_spec = BUILTIN_DATASETS[scenario.target.dataset_id]
-    specs = [bench.architecture(a, data_spec.input_shape,
-                                data_spec.class_count) for a in archs]
+    specs = [builtin_spec(a, data_spec.input_shape, data_spec.class_count)
+             for a in archs]
     rngs = seeded_generators(
         [_derived_seed(scenario, f"{a}|{i}") for a in archs
          for i in range(per_architecture)]
@@ -830,8 +821,7 @@ def _run_deepsniffer(scenario, bench, target, art_dir):
         profile = replace(profile, verbose_runtime=True)
     train_profile = replace(profile, id="corpus", metric_jitter=p.train_jitter,
                             verbose_runtime=False)
-    specs, rngs = _corpus_setup(scenario, bench, p.traces_per_architecture,
-                                ["victim"])
+    specs, rngs = _corpus_setup(scenario, p.traces_per_architecture, ["victim"])
     corpus = []
     for spec in specs:
         truth = ds_truth_sequence(spec)
@@ -856,7 +846,7 @@ def _run_deepsniffer(scenario, bench, target, art_dir):
 def _run_deeprecon(scenario, bench, target, art_dir):
     p: DeepReconParams = scenario.attack_params
     profile = BUILTIN_MACHINE_PROFILES[scenario.environment.machine_profile]
-    specs, rngs = _corpus_setup(scenario, bench, p.histograms_per_architecture,
+    specs, rngs = _corpus_setup(scenario, p.histograms_per_architecture,
                                 [f"victim|{t}" for t in range(p.trials)])
     corpus = [simulate_symbol_stream(spec, profile, seed=next(rngs))
               for spec in specs for _ in range(p.histograms_per_architecture)]
@@ -879,8 +869,8 @@ def _run_equivalency(scenario, bench, target, art_dir):
     queries, test, spec, config = _steal_setup(scenario, bench, p.query_budget)
     stolen, _ = knockoff_extract(QueryHandle(target), queries, spec, config,
                                  seed=scenario.seed)
-    student = bench.architecture(p.student_architecture,
-                                 queries.spec.input_shape, queries.class_count)
+    student = builtin_spec(p.student_architecture, queries.spec.input_shape,
+                           queries.class_count)
     report = equivalency_report(target, stolen, test, p.distill_config(student))
     metrics = dict(report.metrics())
     pwccas = [v for k, v in metrics.items() if k.startswith("pwcca_")]

@@ -417,11 +417,13 @@ def train_ds_model(corpus: list[tuple[list[KernelTraceEvent], list[str]]],
 
     config = config or DS_CLASSIFIER_RECIPE
     dim = xs.shape[1]
-    model = Network(
-        [NodeSpec("logits", OperatorKind.FC, {"out_features": len(DS_VOCABULARY)},
-                  ("input",)),
-         NodeSpec("probs", OperatorKind.SOFTMAX, {}, ("logits",))],
-        (dim,), seed=config.seed)
+    width = len(DS_VOCABULARY)
+    spec = ArchitectureSpec(
+        "ds-labeler", "ds-labeler",
+        (NodeSpec("logits", OperatorKind.FC, {"out_features": width}, ("input",)),
+         NodeSpec("probs", OperatorKind.SOFTMAX, {}, ("logits",))),
+        (dim,), width)
+    model = Network(spec, config.seed)
     train(model, xs, y, config)
     return SequenceClassifier(window=window, mean=mean, std=std, model=model)
 

@@ -19,6 +19,7 @@ tag) key):
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
@@ -169,7 +170,7 @@ def compute_madd(spec: ArchitectureSpec) -> MAddReport:
 
 def build_model(spec: ArchitectureSpec, seed: int) -> Network:
     """Fresh parameters for a spec; bit-identical under equal seeds."""
-    model = Network(spec.nodes, spec.input_shape, seed, spec=spec)
+    model = Network(spec, seed)
     if model.output_shape != (spec.class_count,):
         raise ShapeError(
             f"spec {spec.id}: output shape {model.output_shape} does not "
@@ -188,8 +189,6 @@ def checkpoint_path(root, ref: ModelRef) -> Path:
 def save_checkpoint(model: Network, ref: ModelRef, root) -> Path:
     """Write atomically; a checkpoint already at the path is kept (see
     :func:`~extractbench.datasets.write_entry`)."""
-    if model.spec is None:
-        raise ValueError("model carries no architecture spec")
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "architecture_id": model.spec.id,
@@ -415,6 +414,16 @@ BUILTIN_ARCHITECTURES = {
 
 
 def builtin_spec(arch_id: str, input_shape, class_count: int) -> ArchitectureSpec:
+    """The spec of a built-in architecture for an input shape and class
+    count. One spec is built per key and then shared, so the facts it
+    caches (execution order, shapes, MAdds) are computed once per process."""
+    return _builtin_spec(arch_id, tuple(int(s) for s in input_shape),
+                         int(class_count))
+
+
+@functools.cache
+def _builtin_spec(arch_id: str, input_shape: tuple[int, ...],
+                  class_count: int) -> ArchitectureSpec:
     if arch_id not in BUILTIN_ARCHITECTURES:
         raise KeyError(f"unknown architecture id {arch_id!r}")
-    return BUILTIN_ARCHITECTURES[arch_id](tuple(input_shape), int(class_count))
+    return BUILTIN_ARCHITECTURES[arch_id](input_shape, class_count)

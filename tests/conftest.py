@@ -8,14 +8,23 @@ import numpy as np
 import pytest
 
 from extractbench.datasets import DatasetSpec, generate, split
-from extractbench.network import TrainConfig, train
+from extractbench.network import Network, TrainConfig, train
 from extractbench.tensor import openblas_threads
-from extractbench.zoo import build_model, builtin_spec
+from extractbench.zoo import ArchitectureSpec, build_model, builtin_spec
 
 
 def make_blobs(classes=4, per_class=200, shape=(6, 6, 1), overlap=0.0, seed=0):
     return generate(DatasetSpec(f"t{classes}c", classes, per_class, shape,
                                 overlap, seed))
+
+
+def network_of(nodes, input_shape, seed=0) -> Network:
+    """A model of a loose node list, built as every model is: from the spec
+    that holds the nodes (whose checks of order and shapes run first). The
+    class count is 1: a Network does not read it, only build_model does."""
+    spec = ArchitectureSpec("test-net", "test", tuple(nodes),
+                            tuple(input_shape), 1)
+    return Network(spec, seed)
 
 
 def trained_model(arch_id, dataset, epochs=12, seed=0, lr=0.01):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from extractbench.datasets import DatasetSpec, generate, split, subset_classes, csg_complexity
-from extractbench.network import Network, NodeSpec, TrainConfig, finite_difference_check, train
+from extractbench.network import NodeSpec, TrainConfig, finite_difference_check, train
 from extractbench.orchestrator import (
     default_workbench,
     execute,
@@ -51,6 +51,8 @@ from extractbench.similarity import (
 )
 from extractbench.tensor import OperatorKind as K
 from extractbench.zoo import build_model, builtin_spec, make_student_cnn
+
+from conftest import network_of
 
 SHAPE = (8, 8, 1)
 CONVENTIONAL = ("mini-vgg-4", "mini-vgg-6", "mini-resnet-4", "mini-resnet-6",
@@ -114,7 +116,7 @@ def test_criterion_01_gradient_integrity():
     rng = np.random.default_rng(0)
     worst = {}
     for kind, (nodes, shape) in per_kind.items():
-        net = Network(nodes, shape, seed=17)
+        net = network_of(nodes, shape, seed=17)
         if any(n.kind is K.BN for n in nodes):
             net.calibrate_bn(rng.standard_normal((16,) + tuple(shape)))
         result = finite_difference_check(net, rng.standard_normal(shape),

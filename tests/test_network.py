@@ -29,7 +29,7 @@ from extractbench.tensor import OperatorKind as K
 from extractbench.tensor import ShapeError
 from extractbench.zoo import BUILTIN_ARCHITECTURES, build_model, builtin_spec
 
-from conftest import make_blobs, same_bits
+from conftest import make_blobs, network_of, same_bits
 
 
 def copied(grads):
@@ -40,8 +40,8 @@ def copied(grads):
 
 
 def fc_softmax(din, dout, seed=0):
-    return Network([NodeSpec("fc", K.FC, {"out_features": dout}, ("input",)),
-                    NodeSpec("sm", K.SOFTMAX, {}, ("fc",))], (din,), seed)
+    return network_of([NodeSpec("fc", K.FC, {"out_features": dout}, ("input",)),
+                       NodeSpec("sm", K.SOFTMAX, {}, ("fc",))], (din,), seed)
 
 
 class TestGraphStructure:
@@ -49,29 +49,29 @@ class TestGraphStructure:
         nodes = [NodeSpec("a", K.RELU, {}, ("b",)),
                  NodeSpec("b", K.RELU, {}, ("a",))]
         with pytest.raises(GraphError, match="cycle"):
-            Network(nodes, (4,), 0)
+            network_of(nodes, (4,), 0)
 
     def test_unknown_input_named(self):
         with pytest.raises(GraphError, match="ghost"):
-            Network([NodeSpec("a", K.RELU, {}, ("ghost",))], (4,), 0)
+            network_of([NodeSpec("a", K.RELU, {}, ("ghost",))], (4,), 0)
 
     def test_two_sinks_rejected(self):
         nodes = [NodeSpec("a", K.RELU, {}, ("input",)),
                  NodeSpec("b", K.GELU, {}, ("input",))]
         with pytest.raises(GraphError, match="exactly one output"):
-            Network(nodes, (4,), 0)
+            network_of(nodes, (4,), 0)
 
     def test_missing_param_names_node(self):
         nodes = [NodeSpec("c1", K.CONV, {"out_channels": 2}, ("input",))]
         with pytest.raises(ValueError,
                            match=r"^node c1: CONV: missing parameter 'kernel'$"):
-            Network(nodes, (6, 6, 1), 0)
+            network_of(nodes, (6, 6, 1), 0)
 
     def test_diamond_executes(self):
         nodes = [NodeSpec("l", K.RELU, {}, ("input",)),
                  NodeSpec("r", K.GELU, {}, ("input",)),
                  NodeSpec("join", K.ADD, {}, ("l", "r"))]
-        net = Network(nodes, (5,), 0)
+        net = network_of(nodes, (5,), 0)
         out = net.forward(np.ones((2, 5)))
         assert out.shape == (2, 5)
 
@@ -99,8 +99,8 @@ class TestBackward:
 
     def test_single_fc_matches_finite_differences(self):
         # independent oracle: perturb each weight, central difference 1e-5
-        net = Network([NodeSpec("fc", K.FC, {"out_features": 3}, ("input",))],
-                      (5,), seed=1)
+        net = network_of([NodeSpec("fc", K.FC, {"out_features": 3}, ("input",))],
+                         (5,), seed=1)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 5))
         proj = rng.standard_normal((2, 3))
@@ -130,7 +130,7 @@ class TestBackward:
                                         "stride": 1, "padding": "same"},
                           ("input",)),
                  NodeSpec("r", K.RELU, {}, ("c",))]
-        net = Network(nodes, (5, 5, 1), seed=3)
+        net = network_of(nodes, (5, 5, 1), seed=3)
         result = finite_difference_check(
             net, np.random.default_rng(4).standard_normal((5, 5, 1)),
             check_input=True)
@@ -199,9 +199,9 @@ class TestTrain:
             ((flat[:, None, :] - means[None]) ** 2).sum(-1), axis=1)
         assert np.mean(oracle_pred == data.labels) >= 0.98
 
-        net = Network([NodeSpec("fc", K.FC, {"out_features": 2}, ("input",)),
-                       NodeSpec("sm", K.SOFTMAX, {}, ("fc",))],
-                      data.spec.input_shape, seed=0)
+        net = network_of([NodeSpec("fc", K.FC, {"out_features": 2}, ("input",)),
+                          NodeSpec("sm", K.SOFTMAX, {}, ("fc",))],
+                         data.spec.input_shape, seed=0)
         train(net, data.inputs, data.labels, TrainConfig(epochs=30, seed=1))
         acc = np.mean(net.predict(data.inputs).argmax(1) == data.labels)
         assert acc >= 0.98
@@ -216,7 +216,7 @@ class TestTrain:
         agreements = {}
         for mode in ("soft", "hard"):
             # converged students: margin information needs training time to pay off
-            student = Network(teacher.nodes, teacher.input_shape, seed=90)
+            student = Network(teacher.spec, seed=90)
             cfg = TrainConfig(learning_rate=0.05, epochs=200, seed=2)
             targets = probs[:budget] if mode == "soft" else probs[:budget].argmax(1)
             train(student, inputs, targets, cfg)
@@ -236,10 +236,10 @@ class TestTrain:
 
 
 def fc_softmax_model(data, seed, epochs):
-    net = Network([NodeSpec("fc", K.FC, {"out_features": data.class_count},
-                            ("input",)),
-                   NodeSpec("sm", K.SOFTMAX, {}, ("fc",))],
-                  data.spec.input_shape, seed=seed)
+    net = network_of([NodeSpec("fc", K.FC, {"out_features": data.class_count},
+                               ("input",)),
+                      NodeSpec("sm", K.SOFTMAX, {}, ("fc",))],
+                     data.spec.input_shape, seed=seed)
     train(net, data.inputs, data.labels, TrainConfig(epochs=epochs, seed=seed))
     return net
 
@@ -259,15 +259,14 @@ class TestFiniteDifferenceCheck:
                 self.grads["fc"]["weight"] *= 2.0
                 return out
 
-        net = Sabotaged([NodeSpec("fc", K.FC, {"out_features": 3}, ("input",)),
-                         NodeSpec("sm", K.SOFTMAX, {}, ("fc",))], (6,), 2)
+        net = Sabotaged(fc_softmax(6, 3).spec, 2)
         result = finite_difference_check(
             net, np.random.default_rng(0).standard_normal(6))
         assert result.max_rel_error >= 0.3
 
     def test_pure_activation_chain_reports_no_parameters(self):
-        net = Network([NodeSpec("r", K.RELU, {}, ("input",)),
-                       NodeSpec("g", K.GELU, {}, ("r",))], (4,), 0)
+        net = network_of([NodeSpec("r", K.RELU, {}, ("input",)),
+                          NodeSpec("g", K.GELU, {}, ("r",))], (4,), 0)
         result = finite_difference_check(net, np.ones(4))
         assert result.max_rel_error == 0.0
         assert not result.has_parameters
@@ -278,7 +277,7 @@ class TestBatchNorm:
         nodes = [NodeSpec("bn", K.BN, {}, ("input",)),
                  NodeSpec("fc", K.FC, {"out_features": 2}, ("bn",)),
                  NodeSpec("sm", K.SOFTMAX, {}, ("fc",))]
-        net = Network(nodes, (5,), seed=0)
+        net = network_of(nodes, (5,), seed=0)
         batch = np.random.default_rng(1).normal(3.0, 2.0, size=(64, 5))
         net.calibrate_bn(batch)
         assert np.allclose(net.buffers["bn"]["running_mean"],
@@ -443,8 +442,6 @@ class TestPlanSeam:
         model = build_model(spec, seed=0)
         assert model.order == list(spec.execution_order)
         assert model.shapes == spec.derive_shapes()
-        with pytest.raises(ValueError, match="differ from spec"):
-            Network(spec.nodes[:-1], spec.input_shape, 0, spec=spec)
 
 
 class TestRequestedGradients:
@@ -477,7 +474,7 @@ class TestRequestedGradients:
         nodes = [NodeSpec("c", K.CONV, {"out_channels": 1, "kernel": [3, 3]},
                           ("input",)),
                  NodeSpec("sum", K.ADD, {}, ("input", "c"))]
-        net = Network(nodes, (4, 4, 1), seed=0)
+        net = network_of(nodes, (4, 4, 1), seed=0)
         net.forward(np.ones((2, 4, 4, 1)))
         assert net.backward(np.ones((2, 4, 4, 1)), input_grad=False) is None
         weight = net.grads["c"]["weight"].copy()
@@ -872,19 +869,6 @@ class TestStateVector:
         self._assert_bound(loaded)
         assert self._train(loaded, data) == self._train(source, data)
         assert same_bits(loaded.state_vector(), source.state_vector())
-
-    def test_copy_trains_alike_and_apart(self):
-        data = make_blobs(classes=3, per_class=10, overlap=0.3, seed=7)
-        model = build_model(builtin_spec("mini-resnet-4", (6, 6, 1), 3), seed=4)
-        self._train(model, data, epochs=1)
-        twin = model.copy()
-        self._assert_bound(twin)
-        before = model.state_vector()
-        history = self._train(twin, data)
-        assert same_bits(model.state_vector(), before)  # the original is apart
-        assert self._train(model, data) == history
-        assert same_bits(twin.state_vector(), model.state_vector())
-        assert twin.meta == model.meta
 
 
 class TestTrainingMatchesGolden:

@@ -43,7 +43,7 @@ from extractbench.sidechannel import (read_histograms_csv,
                                       simulate_symbol_stream)
 from extractbench.similarity import default_probe_point, fidelity
 from extractbench.datasets import split
-from extractbench.zoo import ModelRef
+from extractbench.zoo import ModelRef, build_model, builtin_spec
 
 
 def scenario_doc(attack_type="knockoff", **over):
@@ -586,31 +586,84 @@ class TestZooResolve:
                       == (data.labels[mask] == 3))
         assert acc > 0.9  # trained on exactly those classes
 
-    def test_specs_are_built_once_per_key(self, bench, monkeypatch):
-        built = []
-        real = orchestrator.builtin_spec
+    @pytest.mark.parametrize("attack_type",
+                             ["knockoff", "staged_inversion", "equivalency"])
+    def test_stealing_attacks_query_the_class_subset(self, bench, monkeypatch,
+                                                     attack_type):
+        # the split and the surrogate are over the target's two classes
+        setups = []
+        real = orchestrator._steal_setup
 
-        def counting(*args):
-            built.append(args)
-            return real(*args)
+        def recording(*args):
+            setups.append(real(*args))
+            return setups[-1]
 
-        monkeypatch.setattr(orchestrator, "builtin_spec", counting)
-        spec = bench.architecture("mini-vgg-4", (6, 6, 1), 4)
-        assert bench.architecture("mini-vgg-4", [6, 6, 1], 4) is spec
-        assert bench.architecture("mini-vgg-4", (8, 8, 1), 4) is not spec
-        assert bench.architecture("mini-vgg-4", (6, 6, 1), 5) is not spec
-        assert len(built) == 3
-        # a deeprecon scenario builds its corpus specs once, not per run
+        monkeypatch.setattr(orchestrator, "_steal_setup", recording)
+        doc = minimal_doc(attack_type)
+        doc["target"] = {"architecture_id": "mini-mlp-1",
+                         "dataset_id": "blobs-4c-easy", "class_subset": [0, 2]}
+        record = execute(parse_scenario(json.dumps(doc)), bench, persist=False)
+        assert record.status == "ok", record.failure_reason
+        ((queries, test, spec, _),) = setups
+        assert queries.class_count == test.class_count == 2
+        assert set(np.unique(test.labels)) == {0, 1}
+        assert build_model(spec, seed=0).output_width == 2
+        if attack_type == "knockoff":  # its stolen checkpoint names the subset
+            (path,) = record.artifacts
+            assert Path(path).name == "mini-mlp-1__blobs-4c-easy__c0-2__stolen-s1"
+
+    def test_miface_aux_sample_comes_from_the_class_subset(self, bench,
+                                                            monkeypatch):
+        seen = []
+        real = orchestrator.miface_invert
+
+        def recording(handle, config, aux, seed):
+            seen.append(aux)
+            return real(handle, config, aux=aux, seed=seed)
+
+        monkeypatch.setattr(orchestrator, "miface_invert", recording)
+        doc = minimal_doc("miface")
+        doc["attack"]["params"] = {"target_class": 1,
+                                   "init_mode": "auxiliary_sample",
+                                   "max_iterations": 5}
+        doc["target"] = {"architecture_id": "mini-mlp-1",
+                         "dataset_id": "blobs-4c-easy", "class_subset": [0, 2]}
+        record = execute(parse_scenario(json.dumps(doc)), bench, persist=False)
+        assert record.status == "ok", record.failure_reason
+        (aux,) = seen
+        assert aux.class_count == 2
+        assert aux.class_map == {0: 0, 2: 1}  # class 1 is the dataset's 2
+
+    def test_builtin_spec_is_shared_per_key(self, bench, monkeypatch):
+        spec = builtin_spec("mini-vgg-4", (6, 6, 1), 4)
+        assert builtin_spec("mini-vgg-4", [6, 6, 1], 4) is spec
+        assert builtin_spec("mini-vgg-4", (8, 8, 1), 4) is not spec
+        assert builtin_spec("mini-vgg-4", (6, 6, 1), 5) is not spec
+        with pytest.raises(KeyError, match="mini-nothing"):
+            builtin_spec("mini-nothing", (6, 6, 1), 4)
+        # two deeprecon runs on a cached target read the same corpus spec
+        # objects
         doc = minimal_doc("deeprecon")
         doc["attack"]["params"] = {"histograms_per_architecture": 1,
                                    "trials": 1, "k_neighbors": 1}
-        built_after = []
+        zoo_resolve(parse_scenario(json.dumps(doc)).target, bench)
+        served = []
+        real = orchestrator.builtin_spec
+
+        def recording(*key):
+            served.append(real(*key))
+            return served[-1]
+
+        monkeypatch.setattr(orchestrator, "builtin_spec", recording)
+        runs = []
         for seed in (1, 2):
             doc["seed"] = seed
             assert execute(parse_scenario(json.dumps(doc)), bench,
                            persist=False).status == "ok"
-            built_after.append(len(built))
-        assert built_after[1] == built_after[0]
+            runs.append(served[:])
+            served.clear()
+        assert runs[0] and len(runs[0]) == len(runs[1])
+        assert all(a is b for a, b in zip(*runs))
 
     def test_unknown_dataset_named(self, bench):
         with pytest.raises(KeyError, match="no-such-data"):
@@ -668,6 +721,20 @@ class TestDatasetCache:
         assert np.array_equal(load_dataset(cache).inputs, first.inputs)
         # the corrupt entry was renamed aside and removed: nothing is left
         assert os.listdir(bench.datasets_dir) == ["blobs-2c-easy"]
+
+    def test_label_out_of_range_is_regenerated(self, bench):
+        first = bench.dataset("blobs-2c-easy")
+        labels = bench.datasets_dir / "blobs-2c-easy" / "labels.bin"
+        bad = np.frombuffer(labels.read_bytes(), dtype="<i4").copy()
+        bad[0] = 7  # the count still matches
+        labels.write_bytes(bad.tobytes())
+        with pytest.raises(ValueError, match=r"label outside \[0, 2\)"):
+            load_dataset(labels.parent)
+        assert np.array_equal(bench.dataset("blobs-2c-easy").labels,
+                              first.labels)
+        record = execute(parse_scenario(json.dumps(minimal_doc("knockoff"))),
+                         bench, persist=False)
+        assert record.status == "ok", record.failure_reason
 
     def test_missing_file_is_regenerated(self, bench):
         first = bench.dataset("blobs-2c-easy")
@@ -908,8 +975,8 @@ class TestExecute:
         data = bench.dataset("blobs-2c-easy")
         from extractbench.orchestrator import _derived_seed
         queries, test = split(data, 0.5, _derived_seed(sc, "split"))
-        spec = bench.architecture("mini-mlp-1", data.spec.input_shape,
-                                  data.class_count)
+        spec = builtin_spec("mini-mlp-1", data.spec.input_shape,
+                            data.class_count)
         stolen, _ = knockoff_extract(
             QueryHandle(target), queries, spec,
             KnockoffConfig(query_budget=120,

@@ -291,7 +291,9 @@ class TestEquivalencyReport:
         cfg = DistillConfig(
             student_spec=make_student_cnn(data.spec.input_shape, 3),
             train=TrainConfig(epochs=8, seed=2))
-        report = equivalency_report(target, target.copy(), data, cfg)
+        twin = build_model(target.spec, seed=0)
+        twin.load_state_vector(target.state_vector())
+        report = equivalency_report(target, twin, data, cfg)
         assert report.similarity.fidelity == 1.0
         assert all(v < 1e-6 for v in report.similarity.pwcca_distance.values())
         assert report.distilled_pwcca < 1e-6
