@@ -20,27 +20,26 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
+
+from .fields import (Count, NonNegative, QueryFraction, Range, UnitInterval,
+                     check_fields, check_value)
 
 
 @dataclass(frozen=True)
 class DatasetSpec:
     id: str
-    class_count: int
-    samples_per_class: int
-    input_shape: tuple[int, ...]
-    overlap: float
-    seed: int
-    noise: float = 0.6  # per-pixel sample noise around the class prototype
+    class_count: Annotated[int, Range(2)]
+    samples_per_class: Count
+    input_shape: tuple[Count, ...]
+    overlap: UnitInterval
+    seed: NonNegative
+    noise: Annotated[float, Range(0)] = 0.6  # per-pixel, around the prototype
 
     def __post_init__(self):
-        if self.class_count < 2:
-            raise ValueError("class_count must be >= 2")
-        if self.samples_per_class < 1:
-            raise ValueError("samples_per_class must be positive")
-        if not 0.0 <= self.overlap <= 1.0:
-            raise ValueError("overlap must lie in [0, 1]")
+        check_fields(self)
         if len(self.input_shape) != 3:
             raise ValueError("input_shape must be (H, W, C)")
 
@@ -116,21 +115,22 @@ def generate(spec: DatasetSpec) -> Dataset:
                    labels=labels[perm].astype(np.int32), role="train")
 
 
-def check_query_fraction(query_fraction: float) -> None:
-    if not 0.0 < query_fraction < 1.0:
-        raise ValueError("query_fraction must lie strictly between 0 and 1")
+def query_rows(n: int, query_fraction: float) -> int:
+    """How many of a class's `n` rows :func:`split` puts in the query set:
+    the rounded share, but at least one and at most n - 1 when n > 1."""
+    n_q = int(round(query_fraction * n))
+    return min(max(n_q, 1), n - 1) if n > 1 else n_q
 
 
 def split(dataset: Dataset, query_fraction: float, seed: int):
     """Label-stratified disjoint partition into (query, test)."""
-    check_query_fraction(query_fraction)
+    check_value("query_fraction", query_fraction, QueryFraction)
     rng = np.random.default_rng(seed)
     query_idx, test_idx = [], []
     for label in np.unique(dataset.labels):
         idx = np.flatnonzero(dataset.labels == label)
         idx = idx[rng.permutation(len(idx))]
-        n_q = int(round(query_fraction * len(idx)))
-        n_q = min(max(n_q, 1), len(idx) - 1) if len(idx) > 1 else n_q
+        n_q = query_rows(len(idx), query_fraction)
         query_idx.append(idx[:n_q])
         test_idx.append(idx[n_q:])
     q = np.concatenate(query_idx)

@@ -13,13 +13,13 @@ those of every trainable tensor (what training reads), of the graph input
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
+from .fields import Count, NonNegative, Range, check_fields
 from .tensor import (
     OperatorKind,
     ShapeError,
@@ -404,23 +404,14 @@ class TrainConfig:
     seed. The loss is no part of it: it follows from what is fitted (see
     :func:`train`)."""
 
-    learning_rate: float = 0.01
-    batch_size: int = 10
-    epochs: int = 10
-    seed: int = 0
+    # capped: a far larger step overflows the weights, and the loss reads NaN
+    learning_rate: Annotated[float, Range(0, 100, low_open=True)] = 0.01
+    batch_size: Count = 10
+    epochs: NonNegative = 10
+    seed: NonNegative = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not math.isfinite(self.learning_rate):
-            # the update multiplies the buffers' zero gradients by it too
-            raise ValueError("learning_rate must be finite")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        check_fields(self)
 
 
 def _batch_sums(values: np.ndarray, size: int) -> np.ndarray:

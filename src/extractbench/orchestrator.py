@@ -23,14 +23,18 @@ import types
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Literal, NamedTuple, Union, get_args, get_origin
+from typing import (Annotated, Callable, Literal, NamedTuple, Union, get_args,
+                    get_origin)
 
 import numpy as np
 import zlib
 
-from .datasets import (Dataset, DatasetSpec, check_query_fraction,
-                       discard_entry, generate, load_dataset,
-                       restrict_to_classes, save_dataset, split)
+from .datasets import (Dataset, DatasetSpec, discard_entry, generate,
+                       load_dataset, query_rows, restrict_to_classes,
+                       save_dataset, split)
+from .fields import (Count, Jitter, NonNegative, Positive, PosteriorThreshold,
+                     QueryFraction, Temperature, UnitInterval, check_fields,
+                     field_hints)
 from .network import TrainConfig, train
 from .query_attacks import (
     GradientHandle,
@@ -40,8 +44,8 @@ from .query_attacks import (
     OutputMode,
     QueryHandle,
     ThreatModel,
-    _field_hints,
     check_budgets,
+    check_clamp_range,
     knockoff_extract,
     miface_invert,
     save_pgm,
@@ -114,6 +118,8 @@ def _typed(value, hint, name: str):
     """Check a JSON value against a field annotation. Nothing is cast,
     except that an integer is accepted where a float is expected."""
     origin, args = get_origin(hint), get_args(hint)
+    if origin is Annotated:  # its rules are the config's to check
+        return _typed(value, args[0], name)
     if origin is Literal:
         if isinstance(value, str) and value in args:
             return value
@@ -194,7 +200,7 @@ def _build(cls, section: _Section, seed: int, base=None):
     fields are read as nested sections with their default as base, and a
     TrainConfig seed defaults to the scenario seed.
     """
-    hints = _field_hints(cls)
+    hints = field_hints(cls)
     values = {}
     for f in fields(cls):
         if cls is TrainConfig and f.name == "seed":
@@ -227,41 +233,29 @@ def _to_doc(value):
 # attack parameter blocks: the annotated fields are the schema
 # ---------------------------------------------------------------------------
 
-def _check_minimums(params, **minimums):
-    for name, low in minimums.items():
-        if getattr(params, name) < low:
-            raise ValueError(f"{name} must be >= {low}")
-
-
-def _steal_config(p, query_budget: int):
-    """Knockoff config of a stealing attack's params; also applies the
-    query/test split rule, so parsing checks every stealing field."""
-    check_query_fraction(p.query_fraction)
-    return KnockoffConfig(query_budget, p.output_mode, p.recreate)
-
-
 @dataclass
 class KnockoffParams:
-    query_budget: int
+    query_budget: Count
     output_mode: OutputMode = "confidence_vector"
     surrogate_architecture: ArchitectureId | None = None
-    query_fraction: float = 0.5
+    query_fraction: QueryFraction = 0.5
     recreate: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
 
     def __post_init__(self):
-        _steal_config(self, self.query_budget)
+        check_fields(self)
 
 
 @dataclass
 class InversionParams:
-    posterior_threshold: float = 0.95
-    max_iterations: int = 400
-    step_size: float = 0.2
+    posterior_threshold: PosteriorThreshold = 0.95
+    max_iterations: Count = 400
+    step_size: Positive = 0.2
     init_mode: InitMode = "random"
     clamp_range: tuple[float, float] = (-4.0, 4.0)
 
     def __post_init__(self):
-        self.config(target_class=0)
+        check_fields(self)
+        check_clamp_range(self.clamp_range)
 
     def config(self, target_class: int) -> InversionConfig:
         return InversionConfig(target_class, self.posterior_threshold,
@@ -271,81 +265,63 @@ class InversionParams:
 
 @dataclass
 class MifaceParams(InversionParams):
-    target_class: int = field(kw_only=True)
-    query_fraction: float = 0.5
-
-    def __post_init__(self):
-        check_query_fraction(self.query_fraction)
-        self.config(self.target_class)
+    target_class: NonNegative = field(kw_only=True)
+    query_fraction: QueryFraction = 0.5
 
 
 @dataclass
 class StagedInversionParams:
-    budgets: tuple[int, ...]
+    budgets: tuple[Count, ...]
     output_mode: OutputMode = "confidence_vector"
     surrogate_architecture: ArchitectureId | None = None
-    query_fraction: float = 0.5
+    query_fraction: QueryFraction = 0.5
     recreate: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
     inversion: InversionParams = field(default_factory=InversionParams)
 
     def __post_init__(self):
+        check_fields(self)
         check_budgets(self.budgets)
-        _steal_config(self, max(self.budgets))
 
 
 @dataclass
 class DeepSnifferParams:
     corpus_architectures: tuple[ArchitectureId, ...] = CONVENTIONAL_ARCHITECTURES
-    traces_per_architecture: int = 6
-    train_jitter: float = 0.05
-    window: int = 1
-    classifier_epochs: int = 200
+    traces_per_architecture: Count = 6
+    train_jitter: Jitter = 0.05
+    window: NonNegative = 1
+    classifier_epochs: NonNegative = 200
 
     def __post_init__(self):
         if not self.corpus_architectures:
             raise ValueError("corpus_architectures must be non-empty")
-        _check_minimums(self, traces_per_architecture=1, train_jitter=0,
-                        window=0)
-        self.classifier(seed=0)
-
-    def classifier(self, seed: int) -> TrainConfig:
-        return replace(DS_CLASSIFIER_RECIPE, epochs=self.classifier_epochs,
-                       seed=seed)
+        check_fields(self)
 
 
 @dataclass
 class DeepReconParams:
     corpus_architectures: tuple[ArchitectureId, ...] = tuple(
         a for a in BUILTIN_ARCHITECTURES if a != "mini-student-cnn")
-    histograms_per_architecture: int = 8
-    trials: int = 6
-    k_neighbors: int = 5
+    histograms_per_architecture: Count = 8
+    trials: Count = 6
+    k_neighbors: Count = 5
 
     def __post_init__(self):
         if len(set(self.corpus_architectures)) < 2:
             raise ValueError("corpus_architectures must name at least two "
                              "architectures")
-        _check_minimums(self, histograms_per_architecture=1, trials=1)
+        check_fields(self)
         corpus = len(self.corpus_architectures) * self.histograms_per_architecture
-        if not 1 <= self.k_neighbors <= corpus:
+        if self.k_neighbors > corpus:
             raise ValueError(f"k_neighbors must lie in [1, {corpus}]")
 
 
 @dataclass
 class EquivalencyParams(KnockoffParams):
     student_architecture: ArchitectureId = "mini-student-cnn"
-    temperature: float = 4.0
-    hard_label_weight: float = 0.1
+    temperature: Temperature = 4.0
+    hard_label_weight: UnitInterval = 0.1
     distill_train: TrainConfig = field(default_factory=lambda: TrainConfig(
         epochs=20))
-
-    def __post_init__(self):
-        super().__post_init__()
-        self.distill_config(student_spec=None)
-
-    def distill_config(self, student_spec) -> DistillConfig:
-        return DistillConfig(student_spec, self.temperature,
-                             self.hard_label_weight, self.distill_train)
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +400,16 @@ def parse_scenario(document: str) -> Scenario:
         class_subset=target.take("class_subset", tuple[int, ...], None) or None,
         checkpoint_tag=target.take("checkpoint_tag", str, "default"))
     target.close()
-    classes = BUILTIN_DATASETS[ref.dataset_id].class_count
+    dataset = BUILTIN_DATASETS[ref.dataset_id]
+    classes = dataset.class_count
     bad = [c for c in ref.class_subset or () if c >= classes]
     if bad:
         raise ScenarioError(f"target.class_subset: {bad} outside dataset "
                             f"{ref.dataset_id!r} with {classes} classes")
+    problem = entry.limit(params, len(ref.class_subset or range(classes)),
+                          dataset.samples_per_class)
+    if problem:
+        raise ScenarioError(f"attack.params: {problem}")
 
     environment = _build(EnvironmentSpec, top.section("environment"), seed)
 
@@ -694,7 +675,7 @@ def persist_record(record: RunRecord, bench: Workbench) -> Path:
         n += 1
         path = bench.records_dir / f"{base}_{n}.json"
     tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(record.to_dict(), indent=2))
+    tmp.write_text(json.dumps(record.to_dict(), indent=2, allow_nan=False))
     os.replace(tmp, path)
     return path
 
@@ -728,7 +709,8 @@ def _steal_setup(scenario, bench, query_budget: int):
                           _derived_seed(scenario, "split"))
     arch_id = p.surrogate_architecture or scenario.target.architecture_id
     spec = builtin_spec(arch_id, data.spec.input_shape, data.class_count)
-    return queries, test, spec, _steal_config(p, query_budget)
+    return queries, test, spec, KnockoffConfig(query_budget, p.output_mode,
+                                               p.recreate)
 
 
 def _run_knockoff(scenario, bench, target, art_dir):
@@ -828,8 +810,8 @@ def _run_deepsniffer(scenario, bench, target, art_dir):
         for _ in range(p.traces_per_architecture):
             trace = simulate_kernel_trace(spec, train_profile, seed=next(rngs))
             corpus.append((trace, truth))
-    classifier = train_ds_model(corpus, window=p.window,
-                                config=p.classifier(scenario.seed))
+    classifier = train_ds_model(corpus, window=p.window, config=replace(
+        DS_CLASSIFIER_RECIPE, epochs=p.classifier_epochs, seed=scenario.seed))
     target_spec = target.spec
     trace = simulate_kernel_trace(target_spec, profile, seed=next(rngs))
     predicted = ds_extract(trace, classifier)
@@ -871,7 +853,8 @@ def _run_equivalency(scenario, bench, target, art_dir):
                                  seed=scenario.seed)
     student = builtin_spec(p.student_architecture, queries.spec.input_shape,
                            queries.class_count)
-    report = equivalency_report(target, stolen, test, p.distill_config(student))
+    report = equivalency_report(target, stolen, test, DistillConfig(
+        student, p.temperature, p.hard_label_weight, p.distill_train))
     metrics = dict(report.metrics())
     pwccas = [v for k, v in metrics.items() if k.startswith("pwcca_")]
     metrics["pwcca"] = float(np.mean(pwccas))
@@ -880,6 +863,26 @@ def _run_equivalency(scenario, bench, target, art_dir):
         {"metrics": metrics, "distill_config": report.distill_config,
          "probe_points": report.similarity.probe_points}, indent=2))
     return metrics, [str(report_path)]
+
+
+def _budget_limit(budget: Callable, pwcca: bool = False):
+    """A stealing attack's limit, by `split`'s own rule: `budget(params)`, its
+    largest budget, must fit the query split; with `pwcca`, the test split
+    must also hold more rows than the output width, as PWCCA needs."""
+    def limit(p, classes, rows_per_class):
+        queries = query_rows(rows_per_class, p.query_fraction)
+        if budget(p) > classes * queries:
+            return f"budget {budget(p)} exceeds query-set size {classes * queries}"
+        if pwcca and rows_per_class - queries < 2:
+            return (f"query_fraction {p.query_fraction} leaves "
+                    f"{classes * (rows_per_class - queries)} test rows, too few "
+                    f"for PWCCA over {classes} classes")
+    return limit
+
+
+def _class_limit(p, classes, rows_per_class):
+    if p.target_class >= classes:
+        return f"target_class {p.target_class} outside output width {classes}"
 
 
 class Attack(NamedTuple):
@@ -891,6 +894,9 @@ class Attack(NamedTuple):
     metrics: tuple[str, ...]     # what `evaluation` may name, and its default
     environment: tuple[str, ...]  # the environment fields it reads
     exclusive: bool = False      # runs alone, in a whole-system window
+    # (params, target classes, rows per class) -> what the params ask for
+    # that the target lacks, or None
+    limit: Callable = lambda params, classes, rows_per_class: None
 
 
 _QUERY_SURFACE = ThreatModel("hidden", "none", "partial")
@@ -902,7 +908,8 @@ ATTACKS = {
     "knockoff": Attack(
         KnockoffParams, _run_knockoff, _QUERY_SURFACE,
         ("fidelity", "queries_used", "accuracy_target", "accuracy_stolen",
-         "final_loss"), ()),
+         "final_loss"), (),
+        limit=_budget_limit(lambda p: p.query_budget)),
     "deepsniffer": Attack(
         DeepSnifferParams, _run_deepsniffer, _SIDE_CHANNEL,
         ("sequence_fidelity", "predicted_length", "true_length"),
@@ -913,14 +920,17 @@ ATTACKS = {
         ("machine_profile",), exclusive=True),
     "miface": Attack(
         MifaceParams, _run_miface, _QUERY_SURFACE,
-        ("success", "final_posterior", "iterations", "trace_length"), ()),
+        ("success", "final_posterior", "iterations", "trace_length"), (),
+        limit=_class_limit),
     "staged_inversion": Attack(
         StagedInversionParams, _run_staged_inversion, _QUERY_SURFACE,
-        ("fidelity", "class_similarity", "pwcca", "inversion_success"), ()),
+        ("fidelity", "class_similarity", "pwcca", "inversion_success"), (),
+        limit=_budget_limit(lambda p: p.budgets[-1], pwcca=True)),
     "equivalency": Attack(
         EquivalencyParams, _run_equivalency, _QUERY_SURFACE,
         ("fidelity", "pwcca", "distilled_pwcca", "accuracy_target",
-         "accuracy_stolen"), ()),
+         "accuracy_stolen"), (),
+        limit=_budget_limit(lambda p: p.query_budget, pwcca=True)),
 }
 
 
@@ -955,6 +965,9 @@ def execute(scenario: Scenario, bench: Workbench,
         missing = [m for m in scenario.evaluation if m not in metrics]
         if missing:
             raise RuntimeError(f"requested metric(s) {missing} not produced")
+        unfinite = sorted(m for m, v in metrics.items() if not np.isfinite(v))
+        if unfinite:
+            raise ArithmeticError(f"metric(s) {unfinite} not finite")
         timings["wall_seconds"] = time.perf_counter() - t0
         record = RunRecord(scenario=scenario.to_dict(), status="ok",
                            started=started, ended=_utcnow(), metrics=metrics,

@@ -11,30 +11,20 @@ the handle types is what enforces the threat model by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache
 from pathlib import Path
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import Literal
 
 import numpy as np
 
 from .datasets import Dataset
+from .fields import (Count, NonNegative, Positive, PosteriorThreshold,
+                     check_fields, check_value)
 from .network import Network, TrainConfig, train
 from .similarity import collect_activations, default_probe_point, fidelity, pwcca_distance
 from .zoo import ArchitectureSpec, build_model
 
 OutputMode = Literal["confidence_vector", "top1_label"]
 InitMode = Literal["random", "auxiliary_sample"]
-
-_field_hints = cache(get_type_hints)
-
-
-def _check_choices(config) -> None:
-    """Reject a value of a dataclass's `Literal`-annotated field that is not
-    one of the choices its annotation names."""
-    for name, hint in _field_hints(type(config)).items():
-        value = getattr(config, name)
-        if get_origin(hint) is Literal and value not in get_args(hint):
-            raise ValueError(f"unknown {name} {value!r}")
 
 
 @dataclass(frozen=True)
@@ -46,7 +36,7 @@ class ThreatModel:
     aux_dataset: Literal["partial", "none"]
 
     def __post_init__(self):
-        _check_choices(self)
+        check_fields(self)
 
     def dominates(self, required: "ThreatModel") -> list[str]:
         """Violations left when these grants are checked against a requirement.
@@ -97,14 +87,12 @@ class GradientHandle(QueryHandle):
 
 @dataclass
 class KnockoffConfig:
-    query_budget: int
+    query_budget: Count
     output_mode: OutputMode = "confidence_vector"
     recreate: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
 
     def __post_init__(self):
-        if self.query_budget < 1:
-            raise ValueError("query_budget must be >= 1")
-        _check_choices(self)
+        check_fields(self)
 
 
 @dataclass
@@ -132,10 +120,8 @@ def build_stolen_dataset(target: QueryHandle, queries: Dataset, budget: int,
                          seed: int = 0) -> StolenDataset:
     """Query `budget` inputs sampled without replacement and pair them with
     the target's outputs (full confidence rows, or their one-hot argmax)."""
-    if output_mode not in get_args(OutputMode):
-        raise ValueError(f"unknown output_mode {output_mode!r}")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    check_value("output_mode", output_mode, OutputMode)
+    check_value("budget", budget, Count)
     if budget > len(queries):
         raise ValueError(
             f"budget {budget} exceeds query-set size {len(queries)}")
@@ -175,25 +161,21 @@ def knockoff_extract(target: QueryHandle, queries: Dataset,
 
 @dataclass
 class InversionConfig:
-    target_class: int
-    posterior_threshold: float = 0.9
-    max_iterations: int = 500
-    step_size: float = 0.1
+    target_class: NonNegative
+    posterior_threshold: PosteriorThreshold = 0.9
+    max_iterations: Count = 500
+    step_size: Positive = 0.1
     init_mode: InitMode = "random"
     clamp_range: tuple[float, float] = (-4.0, 4.0)
 
     def __post_init__(self):
-        if self.target_class < 0:
-            raise ValueError("target_class must be >= 0")
-        if not 0.0 < self.posterior_threshold <= 1.0:
-            raise ValueError("posterior_threshold must lie in (0, 1]")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        _check_choices(self)
-        if self.clamp_range[0] >= self.clamp_range[1]:
-            raise ValueError("clamp_range must be (lo, hi) with lo < hi")
+        check_fields(self)
+        check_clamp_range(self.clamp_range)
+
+
+def check_clamp_range(clamp_range) -> None:
+    if clamp_range[0] >= clamp_range[1]:
+        raise ValueError("clamp_range must be (lo, hi) with lo < hi")
 
 
 @dataclass
@@ -263,10 +245,9 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def check_budgets(budgets) -> None:
+    """A budget list's own rules; each budget's range is a query budget's."""
     if not budgets:
         raise ValueError("budgets must be non-empty")
-    if any(b < 1 for b in budgets):
-        raise ValueError("budgets must be positive")
     if sorted(budgets) != list(budgets):
         raise ValueError("budgets must be ascending")
 
@@ -279,6 +260,8 @@ def staged_inversion_study(target: Network, queries: Dataset, test: Dataset,
     """For each budget: steal, invert every class of the stolen model, and
     score reconstructions against the true class-mean images."""
     check_budgets(budgets)
+    # each budget is checked, before any work, as the query budget it becomes
+    configs = [replace(knockoff_config, query_budget=b) for b in budgets]
     handle = QueryHandle(target)
     # the target is the same at every budget: run it on the test set once,
     # for its output and its probe, and each budget's model once likewise
@@ -286,8 +269,7 @@ def staged_inversion_study(target: Network, queries: Dataset, test: Dataset,
     out_target, probe_target = target.predict_and_probe(test.inputs, pt)
     acts_target = collect_activations(probe_target, pt, test.inputs)
     results = []
-    for budget in budgets:
-        cfg = replace(knockoff_config, query_budget=budget)
+    for budget, cfg in zip(budgets, configs):
         stolen, _ = knockoff_extract(handle, queries, surrogate_spec, cfg, seed)
         ps = default_probe_point(stolen)
         out_stolen, probe_stolen = stolen.predict_and_probe(test.inputs, ps)

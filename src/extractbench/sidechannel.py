@@ -33,9 +33,11 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
+from .fields import Count, Jitter, Positive, Range, UnitInterval, check_fields
 from .network import Network, NodeSpec, TrainConfig, train
 from .tensor import OperatorKind, buffer_shapes, weight_shapes
 from .zoo import ArchitectureSpec, compute_madd
@@ -108,15 +110,12 @@ class EnvironmentProfile:
     """Accelerator-side observation conditions for trace capture."""
 
     id: str
-    metric_jitter: float = 0.0       # relative std-dev per metric
+    metric_jitter: Jitter = 0.0      # relative std-dev per metric
     verbose_runtime: bool = False    # extra kernel calls appear in the trace
-    latency_scale: float = 1.0
+    latency_scale: Positive = 1.0
 
     def __post_init__(self):
-        if self.metric_jitter < 0:
-            raise ValueError("metric_jitter must be >= 0")
-        if self.latency_scale <= 0:
-            raise ValueError("latency_scale must be positive")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -124,18 +123,13 @@ class MachineProfile:
     """Cache-probing conditions on the CPU side."""
 
     id: str
-    drop_rate: float = 0.0           # chance a true symbol hit is missed
-    spurious_rate: float = 0.0       # expected spurious hits per symbol
-    reload_threshold: int = 200      # cycles; spurious hits above are discarded
+    drop_rate: UnitInterval = 0.0    # chance a true symbol hit is missed
+    spurious_rate: Annotated[float, Range(0)] = 0.0  # expected per symbol
+    reload_threshold: Count = 200    # cycles; spurious hits above are discarded
     matmul_visible: bool = True
 
     def __post_init__(self):
-        if not 0.0 <= self.drop_rate <= 1.0:
-            raise ValueError("drop_rate must lie in [0, 1]")
-        if self.spurious_rate < 0:
-            raise ValueError("spurious_rate must be >= 0")
-        if self.reload_threshold <= 0:
-            raise ValueError("reload_threshold must be positive")
+        check_fields(self)
 
 
 @dataclass

@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .fields import Temperature, UnitInterval, check_fields
 from .network import CrossEntropy, Loss, Network, TrainConfig, sgd_run
 from .tensor import OperatorKind
 from .zoo import ArchitectureSpec, build_model
@@ -189,15 +190,12 @@ def layer_noise_sensitivity(model: Network, test_set, magnitudes,
 @dataclass
 class DistillConfig:
     student_spec: ArchitectureSpec
-    temperature: float = 4.0
-    hard_label_weight: float = 0.1
+    temperature: Temperature = 4.0
+    hard_label_weight: UnitInterval = 0.1
     train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if not 0.0 <= self.hard_label_weight <= 1.0:
-            raise ValueError("hard_label_weight must lie in [0, 1]")
+        check_fields(self)
 
     def to_dict(self) -> dict:
         return {"student_spec": self.student_spec.id,

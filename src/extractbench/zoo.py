@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import write_entry
+from .fields import Count, check_fields
 from .network import Network, NodeSpec, node_shapes, topological_order
 from .tensor import OperatorKind, ShapeError, madd
 
@@ -50,13 +51,12 @@ class ArchitectureSpec:
     family: str
     nodes: tuple[NodeSpec, ...]
     input_shape: tuple[int, ...]
-    class_count: int
+    class_count: Count
 
     def __post_init__(self):
         if not self.family:
             raise ValueError("family must be non-empty")
-        if self.class_count < 1:
-            raise ValueError("class_count must be positive")
+        check_fields(self)
         self._shapes  # rejects cycles and shape conflicts up front
 
     # Facts derived from the fields, computed once per spec: the spec is

@@ -1,6 +1,7 @@
 """Scenario schema, threat gating, scheduling, execution, records, reports."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import time
 from collections import Counter
 from dataclasses import fields, is_dataclass
 from pathlib import Path
-from typing import Literal, get_args, get_origin
+from typing import Annotated, Literal, get_args, get_origin
 
 import numpy as np
 import pytest
@@ -19,11 +20,15 @@ import extractbench
 from extractbench import network, orchestrator
 from extractbench.cli import main
 from extractbench.datasets import load_dataset
+from extractbench.fields import Range, field_hints
 from extractbench.orchestrator import (
     ATTACKS,
+    BUILTIN_DATASETS,
     EnvironmentSpec,
     ScenarioError,
+    Workbench,
     _derived_seed,
+    _ref_data,
     default_workbench,
     execute,
     load_records,
@@ -88,7 +93,7 @@ def minimal_doc(attack_type, sid="s1"):
 def _params_fields(cls, path=()):
     """(path, annotation) of each field of a params dataclass, nested
     dataclasses walked into."""
-    for name, hint in orchestrator._field_hints(cls).items():
+    for name, hint in field_hints(cls).items():
         if is_dataclass(hint):
             yield from _params_fields(hint, path + (name,))
         else:
@@ -138,6 +143,8 @@ def mutated_documents(draw):
 
 GPU = {"environment": {"environment_profile": "gpu-quiet"}}
 CPU = {"environment": {"machine_profile": "i7-6850k-like"}}
+EASY4 = {"target": {"architecture_id": "mini-mlp-1",
+                    "dataset_id": "blobs-4c-easy"}}
 
 # (attack type, params, top-level overrides, field path the error must name)
 BAD_DOCUMENTS = [
@@ -155,7 +162,7 @@ BAD_DOCUMENTS = [
     ("knockoff", {"query_budget": 0}, {},
      r"attack\.params: query_budget must be >= 1"),
     ("knockoff", {"query_budget": 120, "query_fraction": 2.0}, {},
-     r"attack\.params: query_fraction must lie strictly between 0 and 1"),
+     r"attack\.params: query_fraction must lie in \(0, 1\)"),
     ("knockoff", {"query_budget": 120, "query_fraction": 0}, {},
      r"attack\.params: query_fraction"),
     ("knockoff", {"query_budget": 120, "output_mode": "logits"}, {},
@@ -165,7 +172,7 @@ BAD_DOCUMENTS = [
     ("knockoff", {"query_budget": 120, "recreate": {"loss": "mse"}}, {},
      r"unknown field\(s\) \['attack\.params\.recreate\.loss'\]"),
     ("knockoff", {"query_budget": 120, "recreate": {"learning_rate": 0}}, {},
-     r"attack\.params\.recreate: learning_rate must be positive"),
+     r"attack\.params\.recreate: learning_rate must lie in \(0, 100\]"),
     ("knockoff", {"query_budget": 120}, {"evaluation": "fidelity"},
      r"^evaluation: expected a list"),
     ("knockoff", {"query_budget": 120},
@@ -183,7 +190,7 @@ BAD_DOCUMENTS = [
     ("deeprecon", {"histograms_per_architecture": 0}, CPU,
      r"attack\.params: histograms_per_architecture must be >= 1"),
     ("deeprecon", {"k_neighbors": 0}, CPU,
-     r"attack\.params: k_neighbors must lie in \[1, 104\]"),
+     r"attack\.params: k_neighbors must be >= 1"),
     ("miface", {"target_class": 0, "clamp_range": [1]}, {},
      r"attack\.params\.clamp_range: expected 2 items, got 1"),
     ("miface", {"target_class": 0, "clamp_range": [4, -4]}, {},
@@ -199,13 +206,13 @@ BAD_DOCUMENTS = [
     ("staged_inversion", {"budgets": []}, {},
      r"attack\.params: budgets must be non-empty"),
     ("staged_inversion", {"budgets": [0, 10]}, {},
-     r"attack\.params: budgets must be positive"),
+     r"attack\.params: budgets must be >= 1"),
     ("staged_inversion", {"budgets": [20, 10]}, {},
      r"attack\.params: budgets must be ascending"),
     ("staged_inversion", {"budgets": [5, 10], "inversion": {"clamp_range": [2, 2]}}, {},
      r"attack\.params\.inversion: clamp_range must be"),
     ("equivalency", {"query_budget": 120, "temperature": 0}, {},
-     r"attack\.params: temperature must be positive"),
+     r"attack\.params: temperature must be >= 0\.01"),
     ("equivalency", {"query_budget": 120, "hard_label_weight": 1.5}, {},
      r"attack\.params: hard_label_weight must lie in \[0, 1\]"),
     ("knockoff", {"query_budget": 120},
@@ -213,7 +220,7 @@ BAD_DOCUMENTS = [
                  "dataset_id": "blobs-2c-easy", "class_subset": [-1, 0]}},
      r"^target: class_subset index -1 must be >= 0"),
     ("knockoff", {"query_budget": 120, "recreate": {"seed": -5}}, {},
-     r"attack\.params\.recreate: seed must be non-negative"),
+     r"attack\.params\.recreate: seed must be >= 0"),
     ("knockoff", {"query_budget": 120}, GPU,
      r"^environment\.environment_profile: knockoff never reads it"),
     ("miface", {"target_class": 0}, CPU,
@@ -274,6 +281,44 @@ BAD_DOCUMENTS = [
     ("staged_inversion", {"budgets": [5]}, CPU,
      r"^environment\.machine_profile: staged_inversion never reads it; only "
      r"deeprecon does$"),
+    # JSON integers are unbounded: a huge one is compared, never converted
+    ("knockoff", {"query_budget": 10 ** 400}, {},
+     r"^attack\.params: budget 10{400} exceeds query-set size 300$"),
+    # the target's limits: what its data holds, split by `split`'s own rule
+    # (blobs-4c-easy: 4 classes of 700 rows, so 1400 query rows at 0.5)
+    ("knockoff", {"query_budget": 100000}, EASY4,
+     r"^attack\.params: budget 100000 exceeds query-set size 1400$"),
+    ("knockoff", {"query_budget": 1401}, EASY4,
+     r"^attack\.params: budget 1401 exceeds query-set size 1400$"),
+    ("knockoff", {"query_budget": 5, "query_fraction": 0.001}, {},
+     r"^attack\.params: budget 5 exceeds query-set size 2$"),
+    ("staged_inversion", {"budgets": [10, 100000]}, EASY4,
+     r"^attack\.params: budget 100000 exceeds query-set size 1400$"),
+    ("equivalency", {"query_budget": 1401}, EASY4,
+     r"^attack\.params: budget 1401 exceeds query-set size 1400$"),
+    ("miface", {"target_class": 7}, EASY4,
+     r"^attack\.params: target_class 7 outside output width 4$"),
+    ("miface", {"target_class": 3},
+     {"target": {"architecture_id": "mini-mlp-1",
+                 "dataset_id": "blobs-4c-easy", "class_subset": [0, 2]}},
+     r"^attack\.params: target_class 3 outside output width 2$"),
+    # PWCCA compares output-width activations over the test rows, so it
+    # needs more test rows than classes
+    ("equivalency", {"query_budget": 10, "query_fraction": 0.999}, {},
+     r"^attack\.params: query_fraction 0\.999 leaves 2 test rows, too few "
+     r"for PWCCA over 2 classes$"),
+    ("staged_inversion", {"budgets": [10], "query_fraction": 0.999}, {},
+     r"^attack\.params: query_fraction 0\.999 leaves 2 test rows"),
+    # bounds that keep the arithmetic finite
+    ("equivalency", {"query_budget": 120, "temperature": 1e-300}, {},
+     r"^attack\.params: temperature must be >= 0\.01$"),
+    ("deepsniffer", {"train_jitter": 1e300}, GPU,
+     r"^attack\.params: train_jitter must lie in \[0, 10\]$"),
+    ("knockoff", {"query_budget": 120, "recreate": {"learning_rate": 1e300}},
+     {}, r"^attack\.params\.recreate: learning_rate must lie in \(0, 100\]$"),
+    # k_neighbors' upper bound is the corpus size, a second value
+    ("deeprecon", {"k_neighbors": 105}, CPU,
+     r"attack\.params: k_neighbors must lie in \[1, 104\]"),
 ]
 
 
@@ -434,7 +479,7 @@ class TestAttackTable:
         """An attack that can start inversion from an auxiliary sample
         requires the auxiliary-dataset grant, so `dominates` alone gates
         `init_mode: auxiliary_sample`."""
-        hints = orchestrator._field_hints
+        hints = field_hints
         with_init_mode = []
         for name, attack in ATTACKS.items():
             params = hints(attack.params)
@@ -477,6 +522,189 @@ class TestAttackTable:
         readers = Counter(name for attack in ATTACKS.values()
                           for name in attack.environment)
         assert readers == Counter(f.name for f in fields(EnvironmentSpec))
+
+    def test_every_number_field_carries_a_range(self):
+        """A bare int or float field would take any value unchecked: each
+        scalar number of the params, nested training blocks included, is
+        declared with the range it must lie in."""
+        numbers = 0
+        for name, attack in ATTACKS.items():
+            for path, hint in _params_fields(attack.params):
+                if hint in (int, float):
+                    pytest.fail(f"{name} {'.'.join(path)}: {hint.__name__} "
+                                f"without a Range")
+                if get_origin(hint) is Annotated:
+                    numbers += 1
+                    assert get_args(hint)[0] in (int, float), (name, path)
+                    assert isinstance(get_args(hint)[1], Range), (name, path)
+        assert numbers > 30
+
+
+# ---------------------------------------------------------------------------
+# the declared rules, swept: documents generated from every Range
+# ---------------------------------------------------------------------------
+
+def _rules(cls):
+    """(path, number type, Range, in a list) of every rule reachable from a
+    params dataclass: nested blocks and list items included."""
+    for path, hint in _params_fields(cls):
+        listed = get_origin(hint) is tuple
+        if listed:
+            hint = get_args(hint)[0]
+        if get_origin(hint) is Annotated:
+            kind, rule = get_args(hint)
+            yield path, kind, rule, listed
+
+
+def _edges(kind, rule):
+    """(value, in range) at each bound of a rule, just inside and just
+    outside it: the next integer, or the next float."""
+    def past(bound, toward):
+        if kind is int:
+            return bound + (1 if toward > bound else -1)
+        return math.nextafter(bound, toward)
+    for bound, is_open, inward in ((rule.low, rule.low_open, math.inf),
+                                   (rule.high, rule.high_open, -math.inf)):
+        if bound is not None:
+            bound = kind(bound)
+            yield bound, not is_open
+            yield past(bound, inward), True
+            yield past(bound, -inward), False
+
+
+# the smallest runnable params of each attack, on which no target limit
+# bites: a budget of 2 fits any split of a 2-class target
+SWEEP_BASE = {
+    "knockoff": {"query_budget": 2, "recreate": {"epochs": 1}},
+    "equivalency": {"query_budget": 2, "recreate": {"epochs": 1},
+                    "distill_train": {"epochs": 1}},
+    "miface": {"target_class": 0, "max_iterations": 2},
+    "staged_inversion": {"budgets": [1, 2], "recreate": {"epochs": 1},
+                         "inversion": {"max_iterations": 2}},
+    "deepsniffer": {"corpus_architectures": ["mini-mlp-1", "mini-vgg-4"],
+                    "traces_per_architecture": 1, "classifier_epochs": 1},
+    "deeprecon": {"corpus_architectures": ["mini-mlp-1", "mini-vgg-4"],
+                  "histograms_per_architecture": 1, "trials": 1,
+                  "k_neighbors": 1},
+}
+SWEEP_ENV = {"deepsniffer": {"environment_profile": "gpu-noisy"},
+             "deeprecon": {"machine_profile": "i7-4770-like"}}
+# one architecture per family, on the 6x6 and (two classes of) the 8x8 shape
+SWEEP_TARGETS = [
+    {"architecture_id": arch, **data}
+    for data in ({"dataset_id": "blobs-2c-easy"},
+                 {"dataset_id": "blobs-10c-mid", "class_subset": [2, 7]})
+    for arch in ("mini-mlp-1", "mini-vgg-4", "mini-gelu-4", "mini-resnet-4",
+                 "mini-dense-3", "mini-pyramid-4", "mini-student-cnn")]
+# attacks that compare output-width activations on the test rows by PWCCA,
+# which needs more rows than columns
+PWCCA_ATTACKS = ("staged_inversion", "equivalency")
+
+
+def _sweep_doc(attack_type, params, target, n):
+    doc = minimal_doc(attack_type, sid=f"sweep{n}")
+    doc.update(attack={"type": attack_type, "params": params}, target=target,
+               environment=SWEEP_ENV.get(attack_type, {}))
+    return doc
+
+
+def _target_holds(doc, bench) -> bool:
+    """Whether the target's data holds what the params ask of it, read
+    from a real split of that data (whose sizes do not depend on the
+    seed): the oracle for the target limits."""
+    attack_type = doc["attack"]["type"]
+    if ATTACKS[attack_type].exclusive:
+        return True
+    params = doc["attack"]["params"]
+    ref = ModelRef.from_dict(doc["target"])
+    data = _ref_data(ref, bench)
+    if attack_type == "miface":
+        return params["target_class"] < data.class_count
+    defaults = {f.name: f.default for f in fields(ATTACKS[attack_type].params)}
+    queries, test = split(data, params.get("query_fraction",
+                                           defaults["query_fraction"]), 0)
+    budget = (params["budgets"][-1] if "budgets" in params
+              else params["query_budget"])
+    return budget <= len(queries) and (attack_type not in PWCCA_ATTACKS
+                                       or len(test) > data.class_count)
+
+
+def _limit_cases(bench):
+    """Params at each target limit and one past it, on each sweep dataset."""
+    for target in SWEEP_TARGETS[::7]:
+        data = _ref_data(ModelRef.from_dict(target), bench)
+        size = len(split(data, 0.5, 0)[0])
+        for over in (0, 1):
+            for attack_type in ("knockoff", "equivalency"):
+                yield attack_type, {**SWEEP_BASE[attack_type],
+                                    "query_budget": size + over}, target
+            yield "staged_inversion", {**SWEEP_BASE["staged_inversion"],
+                                       "budgets": [1, size + over]}, target
+            yield "miface", {**SWEEP_BASE["miface"],
+                             "target_class": data.class_count - 1 + over}, target
+
+
+@pytest.fixture(scope="module")
+def sweep_bench(tmp_path_factory):
+    """One root for the whole sweep, whose targets train for one epoch."""
+    return Workbench(tmp_path_factory.mktemp("sweep"), recipes={
+        d: TrainConfig(epochs=1, batch_size=50) for d in BUILTIN_DATASETS})
+
+
+@pytest.fixture(scope="module")
+def sweep(sweep_bench):
+    """(document, expected accepted) for each edge of each declared rule of
+    each attack, and each target limit case."""
+    cases = []
+    for attack_type, attack in ATTACKS.items():
+        for path, kind, rule, listed in _rules(attack.params):
+            for value, in_range in _edges(kind, rule):
+                params = json.loads(json.dumps(SWEEP_BASE[attack_type]))
+                section = params
+                for key in path[:-1]:
+                    section = section.setdefault(key, {})
+                section[path[-1]] = [value] if listed else value
+                doc = _sweep_doc(attack_type, params, SWEEP_TARGETS[
+                    len(cases) % len(SWEEP_TARGETS)], len(cases))
+                cases.append((doc, in_range
+                              and _target_holds(doc, sweep_bench)))
+    for attack_type, params, target in _limit_cases(sweep_bench):
+        doc = _sweep_doc(attack_type, params, target, len(cases))
+        cases.append((doc, _target_holds(doc, sweep_bench)))
+    return cases
+
+
+class TestDeclaredRulesSweep:
+    def test_rejected_exactly_outside_the_rules(self, sweep):
+        wrong = []
+        for doc, expected in sweep:
+            try:
+                parse_scenario(json.dumps(doc))
+                accepted = True
+            except ScenarioError as exc:
+                accepted, reason = False, str(exc)
+            if accepted != expected:
+                wrong.append((doc["attack"], doc["target"],
+                              None if accepted else reason))
+        assert not wrong
+        assert sum(e for _, e in sweep) > 60
+        assert sum(not e for _, e in sweep) > 60
+
+    def test_accepted_documents_run_with_finite_metrics(self, sweep,
+                                                        sweep_bench):
+        failed, targets = [], set()
+        for doc, expected in sweep:
+            if not expected:
+                continue
+            record = execute(parse_scenario(json.dumps(doc)), sweep_bench,
+                             persist=False)
+            if record.status != "ok" or not all(
+                    math.isfinite(v) for v in record.metrics.values()):
+                failed.append((doc["attack"], doc["target"],
+                               record.failure_reason))
+            targets.add(json.dumps(doc["target"]))
+        assert not failed
+        assert targets >= {json.dumps(t) for t in SWEEP_TARGETS}
 
 
 class TestValidateThreatModel:
@@ -1007,8 +1235,33 @@ class TestExecute:
         for artifact in record.artifacts:
             assert Path(artifact).exists()
 
+    def test_non_finite_metric_fails_the_record(self, bench, monkeypatch):
+        """A metric that is NaN or infinite is no result: the record fails,
+        naming the metrics, and is written as JSON (which has no NaN)."""
+        def run(scenario, bench, target, art_dir):
+            return {"fidelity": float("nan"), "queries_used": 2.0,
+                    "accuracy_target": 1.0, "accuracy_stolen": float("inf"),
+                    "final_loss": 0.5}, []
+        monkeypatch.setitem(ATTACKS, "knockoff",
+                            ATTACKS["knockoff"]._replace(run=run))
+        record = execute(parse_scenario(json.dumps(scenario_doc())), bench)
+        assert record.status == "failed"
+        assert record.failure_reason == ("ArithmeticError: metric(s) "
+                                         "['accuracy_stolen', 'fidelity'] "
+                                         "not finite")
+        assert record.metrics == {}
+        (stored,) = load_records(bench.records_dir)
+        assert stored.failure_reason == record.failure_reason
+
 
 class TestBatchAndRecords:
+    def test_record_with_nan_is_not_written(self, bench):
+        record = execute(parse_scenario(json.dumps(scenario_doc())), bench,
+                         persist=False)
+        record.metrics["fidelity"] = float("nan")
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            persist_record(record, bench)
+
     def test_batch_runs_and_persists_in_order(self, bench):
         docs = [scenario_doc(id=f"b{i}", seed=i, params={"query_budget": 60})
                 for i in range(3)]

@@ -293,7 +293,8 @@ class TestStagedInversion:
     def test_zero_budget_rejected_before_work(self):
         data = make_blobs(classes=2, per_class=20, shape=(4, 4, 1), seed=71)
         target, spec = linear_softmax(data, seed=1, epochs=1)
-        with pytest.raises(ValueError, match="positive"):
+        # each budget is checked as the query budget it becomes
+        with pytest.raises(ValueError, match="^query_budget must be >= 1$"):
             staged_inversion_study(target, data, data, [0, 10], spec,
                                    KnockoffConfig(query_budget=1),
                                    InversionConfig(target_class=0), seed=0)
