@@ -19,7 +19,7 @@ from typing import Annotated, NamedTuple
 
 import numpy as np
 
-from .fields import Count, NonNegative, Range, check_fields
+from .fields import NonNegative, Range, check_fields
 from .tensor import (
     OperatorKind,
     ShapeError,
@@ -406,7 +406,9 @@ class TrainConfig:
 
     # capped: a far larger step overflows the weights, and the loss reads NaN
     learning_rate: Annotated[float, Range(0, 100, low_open=True)] = 0.01
-    batch_size: Count = 10
+    # no built-in dataset holds more than 2,800 rows, so a larger batch is
+    # a single batch
+    batch_size: Annotated[int, Range(1, 2800)] = 10
     epochs: NonNegative = 10
     seed: NonNegative = 0
 

@@ -32,20 +32,17 @@ import zlib
 from .datasets import (Dataset, DatasetSpec, discard_entry, generate,
                        load_dataset, query_rows, restrict_to_classes,
                        save_dataset, split)
-from .fields import (Count, Jitter, NonNegative, Positive, PosteriorThreshold,
-                     QueryFraction, Temperature, UnitInterval, check_fields,
-                     field_hints)
+from .fields import (Count, Jitter, NonNegative, QueryFraction, Range,
+                     check_fields, field_hints)
 from .network import TrainConfig, train
 from .query_attacks import (
     GradientHandle,
-    InitMode,
     InversionConfig,
     KnockoffConfig,
     OutputMode,
     QueryHandle,
     ThreatModel,
     check_budgets,
-    check_clamp_range,
     knockoff_extract,
     miface_invert,
     save_pgm,
@@ -71,6 +68,7 @@ from .similarity import DistillConfig, accuracy, equivalency_report, fidelity
 from .tensor import one_blas_thread
 from .zoo import (
     BUILTIN_ARCHITECTURES,
+    ArchitectureId,
     CheckpointError,
     FILE_NAME,
     ModelRef,
@@ -96,8 +94,7 @@ BUILTIN_DATASETS = {
     "blobs-10c-mid": DatasetSpec("blobs-10c-mid", 10, 250, (8, 8, 1), 0.3, 106),
 }
 
-# a field annotated with a registry's ids is checked against it on parse
-ArchitectureId = Literal[tuple(BUILTIN_ARCHITECTURES)]
+# a field annotated with the registry's ids is checked against it on parse
 DatasetId = Literal[tuple(BUILTIN_DATASETS)]
 
 
@@ -230,45 +227,18 @@ def _to_doc(value):
 
 
 # ---------------------------------------------------------------------------
-# attack parameter blocks: the annotated fields are the schema
+# attack parameter blocks: the annotated fields are the schema. Knobs that a
+# library config declares are used from it (knockoff) or extended, not copied
 # ---------------------------------------------------------------------------
 
 @dataclass
-class KnockoffParams:
-    query_budget: Count
-    output_mode: OutputMode = "confidence_vector"
-    surrogate_architecture: ArchitectureId | None = None
-    query_fraction: QueryFraction = 0.5
-    recreate: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
-
-    def __post_init__(self):
-        check_fields(self)
-
-
-@dataclass
-class InversionParams:
-    posterior_threshold: PosteriorThreshold = 0.95
-    max_iterations: Count = 400
-    step_size: Positive = 0.2
-    init_mode: InitMode = "random"
-    clamp_range: tuple[float, float] = (-4.0, 4.0)
-
-    def __post_init__(self):
-        check_fields(self)
-        check_clamp_range(self.clamp_range)
-
-    def config(self, target_class: int) -> InversionConfig:
-        return InversionConfig(target_class, self.posterior_threshold,
-                               self.max_iterations, self.step_size,
-                               self.init_mode, self.clamp_range)
-
-
-@dataclass
-class MifaceParams(InversionParams):
+class MifaceParams(InversionConfig):
     target_class: NonNegative = field(kw_only=True)
     query_fraction: QueryFraction = 0.5
 
 
+# its own knockoff knobs: `budgets` leads its document, where a knockoff's
+# has `query_budget`, so a shared base would reorder the echo
 @dataclass
 class StagedInversionParams:
     budgets: tuple[Count, ...]
@@ -276,7 +246,7 @@ class StagedInversionParams:
     surrogate_architecture: ArchitectureId | None = None
     query_fraction: QueryFraction = 0.5
     recreate: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
-    inversion: InversionParams = field(default_factory=InversionParams)
+    inversion: InversionConfig = field(default_factory=InversionConfig)
 
     def __post_init__(self):
         check_fields(self)
@@ -288,7 +258,10 @@ class DeepSnifferParams:
     corpus_architectures: tuple[ArchitectureId, ...] = CONVENTIONAL_ARCHITECTURES
     traces_per_architecture: Count = 6
     train_jitter: Jitter = 0.05
-    window: NonNegative = 1
+    # corpus traces are noise-free, one event per truth symbol, and the
+    # longest built-in truth sequence is 20 events (mini-resnet-6): a wider
+    # window adds only columns that are zero in every training row
+    window: Annotated[int, Range(0, 20)] = 1
     classifier_epochs: NonNegative = 200
 
     def __post_init__(self):
@@ -315,13 +288,10 @@ class DeepReconParams:
             raise ValueError(f"k_neighbors must lie in [1, {corpus}]")
 
 
+# fields follow the reversed MRO: knockoff's knobs, then distillation's
 @dataclass
-class EquivalencyParams(KnockoffParams):
-    student_architecture: ArchitectureId = "mini-student-cnn"
-    temperature: Temperature = 4.0
-    hard_label_weight: UnitInterval = 0.1
-    distill_train: TrainConfig = field(default_factory=lambda: TrainConfig(
-        epochs=20))
+class EquivalencyParams(DistillConfig, KnockoffConfig):
+    """A knockoff, then target and stolen copy distilled into one student."""
 
 
 # ---------------------------------------------------------------------------
@@ -700,24 +670,23 @@ def _derived_seed(scenario: Scenario, tag: str) -> int:
     return zlib.crc32(f"{scenario.seed}|{tag}".encode()) & 0x7FFFFFFF
 
 
-def _steal_setup(scenario, bench, query_budget: int):
+def _steal_setup(scenario, bench):
     """Shared prefix of the stealing attacks: the seeded split of the
-    target's data, the surrogate architecture and the knockoff config."""
+    target's data and the surrogate architecture."""
     p = scenario.attack_params
     data = _ref_data(scenario.target, bench)
     queries, test = split(data, p.query_fraction,
                           _derived_seed(scenario, "split"))
     arch_id = p.surrogate_architecture or scenario.target.architecture_id
     spec = builtin_spec(arch_id, data.spec.input_shape, data.class_count)
-    return queries, test, spec, KnockoffConfig(query_budget, p.output_mode,
-                                               p.recreate)
+    return queries, test, spec
 
 
 def _run_knockoff(scenario, bench, target, art_dir):
-    p: KnockoffParams = scenario.attack_params
-    queries, test, spec, config = _steal_setup(scenario, bench, p.query_budget)
-    stolen, record = knockoff_extract(QueryHandle(target), queries, spec,
-                                      config, seed=scenario.seed)
+    p: KnockoffConfig = scenario.attack_params
+    queries, test, spec = _steal_setup(scenario, bench)
+    stolen, record = knockoff_extract(QueryHandle(target), queries, spec, p,
+                                      seed=scenario.seed)
     stolen_ref = ModelRef(spec.id, scenario.target.dataset_id,
                           scenario.target.class_subset, f"stolen-{scenario.id}")
     save_checkpoint(stolen, stolen_ref, art_dir)
@@ -739,7 +708,7 @@ def _run_miface(scenario, bench, target, art_dir):
     if p.init_mode == "auxiliary_sample":
         data = _ref_data(scenario.target, bench)
         aux, _ = split(data, p.query_fraction, _derived_seed(scenario, "split"))
-    result = miface_invert(GradientHandle(target), p.config(p.target_class),
+    result = miface_invert(GradientHandle(target), p, p.target_class,
                            aux=aux, seed=scenario.seed)
     pgm = save_pgm(result.reconstruction,
                    art_dir / f"reconstruction_c{p.target_class}.pgm")
@@ -760,10 +729,10 @@ def _run_miface(scenario, bench, target, art_dir):
 
 def _run_staged_inversion(scenario, bench, target, art_dir):
     p: StagedInversionParams = scenario.attack_params
-    queries, test, spec, knock = _steal_setup(scenario, bench, max(p.budgets))
+    queries, test, spec = _steal_setup(scenario, bench)
+    knock = KnockoffConfig(p.budgets[-1], p.output_mode, recreate=p.recreate)
     rows = staged_inversion_study(target, queries, test, list(p.budgets), spec,
-                                  knock, p.inversion.config(target_class=0),
-                                  seed=scenario.seed)
+                                  knock, p.inversion, seed=scenario.seed)
     metrics = {}
     for row in rows:
         scores = {"fidelity": row.fidelity, "pwcca": row.pwcca,
@@ -848,13 +817,10 @@ def _run_deeprecon(scenario, bench, target, art_dir):
 
 def _run_equivalency(scenario, bench, target, art_dir):
     p: EquivalencyParams = scenario.attack_params
-    queries, test, spec, config = _steal_setup(scenario, bench, p.query_budget)
-    stolen, _ = knockoff_extract(QueryHandle(target), queries, spec, config,
+    queries, test, spec = _steal_setup(scenario, bench)
+    stolen, _ = knockoff_extract(QueryHandle(target), queries, spec, p,
                                  seed=scenario.seed)
-    student = builtin_spec(p.student_architecture, queries.spec.input_shape,
-                           queries.class_count)
-    report = equivalency_report(target, stolen, test, DistillConfig(
-        student, p.temperature, p.hard_label_weight, p.distill_train))
+    report = equivalency_report(target, stolen, test, p)
     metrics = dict(report.metrics())
     pwccas = [v for k, v in metrics.items() if k.startswith("pwcca_")]
     metrics["pwcca"] = float(np.mean(pwccas))
@@ -906,7 +872,7 @@ _SIDE_CHANNEL = ThreatModel("observed", "partial", "none")
 # cache; each reads its own environment fields and no other attack does
 ATTACKS = {
     "knockoff": Attack(
-        KnockoffParams, _run_knockoff, _QUERY_SURFACE,
+        KnockoffConfig, _run_knockoff, _QUERY_SURFACE,
         ("fidelity", "queries_used", "accuracy_target", "accuracy_stolen",
          "final_loss"), (),
         limit=_budget_limit(lambda p: p.query_budget)),

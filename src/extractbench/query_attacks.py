@@ -18,10 +18,10 @@ import numpy as np
 
 from .datasets import Dataset
 from .fields import (Count, NonNegative, Positive, PosteriorThreshold,
-                     check_fields, check_value)
+                     QueryFraction, check_fields, check_value)
 from .network import Network, TrainConfig, train
 from .similarity import collect_activations, default_probe_point, fidelity, pwcca_distance
-from .zoo import ArchitectureSpec, build_model
+from .zoo import ArchitectureId, ArchitectureSpec, build_model
 
 OutputMode = Literal["confidence_vector", "top1_label"]
 InitMode = Literal["random", "auxiliary_sample"]
@@ -87,8 +87,13 @@ class GradientHandle(QueryHandle):
 
 @dataclass
 class KnockoffConfig:
+    """`knockoff_extract` reads the budget, the output mode and the training;
+    the caller picks the surrogate (None: the target's) and the query split."""
+
     query_budget: Count
     output_mode: OutputMode = "confidence_vector"
+    surrogate_architecture: ArchitectureId | None = None
+    query_fraction: QueryFraction = 0.5
     recreate: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
 
     def __post_init__(self):
@@ -161,21 +166,16 @@ def knockoff_extract(target: QueryHandle, queries: Dataset,
 
 @dataclass
 class InversionConfig:
-    target_class: NonNegative
-    posterior_threshold: PosteriorThreshold = 0.9
-    max_iterations: Count = 500
-    step_size: Positive = 0.1
+    posterior_threshold: PosteriorThreshold = 0.95
+    max_iterations: Count = 400
+    step_size: Positive = 0.2
     init_mode: InitMode = "random"
     clamp_range: tuple[float, float] = (-4.0, 4.0)
 
     def __post_init__(self):
         check_fields(self)
-        check_clamp_range(self.clamp_range)
-
-
-def check_clamp_range(clamp_range) -> None:
-    if clamp_range[0] >= clamp_range[1]:
-        raise ValueError("clamp_range must be (lo, hi) with lo < hi")
+        if self.clamp_range[0] >= self.clamp_range[1]:
+            raise ValueError("clamp_range must be (lo, hi) with lo < hi")
 
 
 @dataclass
@@ -187,19 +187,22 @@ class InversionResult:
 
 
 def miface_invert(handle: GradientHandle, config: InversionConfig,
-                  aux: Dataset | None = None, seed: int = 0) -> InversionResult:
+                  target_class: int, aux: Dataset | None = None,
+                  seed: int = 0) -> InversionResult:
     """Gradient-ascend the log posterior of the target class until it clears
     the threshold or the iteration cap; the trace is every posterior seen."""
-    if config.target_class >= handle.output_width:
+    # a negative class would index the output from its end
+    check_value("target_class", target_class, NonNegative)
+    if target_class >= handle.output_width:
         raise ValueError(
-            f"target_class {config.target_class} outside output width "
+            f"target_class {target_class} outside output width "
             f"{handle.output_width}")
     rng = np.random.default_rng(seed)
     lo, hi = config.clamp_range
     if config.init_mode == "auxiliary_sample":
         if aux is None:
             raise ValueError("auxiliary_sample init requires an aux dataset")
-        members = np.flatnonzero(aux.labels == config.target_class)
+        members = np.flatnonzero(aux.labels == target_class)
         pool = members if members.size else np.arange(len(aux))
         x = aux.inputs[rng.choice(pool)].copy()
     else:
@@ -207,12 +210,12 @@ def miface_invert(handle: GradientHandle, config: InversionConfig,
         x = 0.05 * rng.standard_normal(handle.input_shape)
     x = np.clip(x, lo, hi)
 
-    p, grad = handle.posterior_and_gradient(x, config.target_class)
+    p, grad = handle.posterior_and_gradient(x, target_class)
     trace = [p]
     steps = 0
     while trace[-1] < config.posterior_threshold and steps < config.max_iterations:
         x = np.clip(x + config.step_size * grad, lo, hi)
-        p, grad = handle.posterior_and_gradient(x, config.target_class)
+        p, grad = handle.posterior_and_gradient(x, target_class)
         trace.append(p)
         steps += 1
     return InversionResult(reconstruction=x, posterior_trace=trace,
@@ -279,8 +282,8 @@ def staged_inversion_study(target: Network, queries: Dataset, test: Dataset,
         recons, sims, succ = {}, {}, {}
         grad_handle = GradientHandle(stolen)
         for cls in range(target.output_width):
-            inv_cfg = replace(inversion_config, target_class=cls)
-            res = miface_invert(grad_handle, inv_cfg, aux=queries,
+            res = miface_invert(grad_handle, inversion_config, cls,
+                                aux=queries,
                                 seed=np.random.default_rng([seed, budget, cls])
                                 .integers(2 ** 31))
             recons[cls] = res.reconstruction

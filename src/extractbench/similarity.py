@@ -16,7 +16,7 @@ import numpy as np
 from .fields import Temperature, UnitInterval, check_fields
 from .network import CrossEntropy, Loss, Network, TrainConfig, sgd_run
 from .tensor import OperatorKind
-from .zoo import ArchitectureSpec, build_model
+from .zoo import ArchitectureId, build_model, builtin_spec
 
 
 def _as_inputs(test_set) -> np.ndarray:
@@ -189,19 +189,20 @@ def layer_noise_sensitivity(model: Network, test_set, magnitudes,
 
 @dataclass
 class DistillConfig:
-    student_spec: ArchitectureSpec
+    student_architecture: ArchitectureId = "mini-student-cnn"
     temperature: Temperature = 4.0
     hard_label_weight: UnitInterval = 0.1
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
+    distill_train: TrainConfig = field(default_factory=lambda: TrainConfig(
+        epochs=20))
 
     def __post_init__(self):
         check_fields(self)
 
     def to_dict(self) -> dict:
-        return {"student_spec": self.student_spec.id,
+        return {"student_spec": self.student_architecture,
                 "temperature": self.temperature,
                 "hard_label_weight": self.hard_label_weight,
-                "train": asdict(self.train)}
+                "train": asdict(self.distill_train)}
 
 
 def _soften(probs: np.ndarray, temperature: float, out=None) -> np.ndarray:
@@ -272,23 +273,23 @@ class DistillLoss(Loss):
 def distill(teacher, config: DistillConfig, transfer_set) -> Network:
     """Train a student on a blend of hard labels and the teacher's softened
     outputs; with hard_label_weight=1 this is exactly ordinary training.
+    The student is the built-in `student_architecture` at the transfer
+    set's input shape and the teacher's output width.
 
     `teacher` is a Network, or its output rows on ``transfer_set.inputs``
     (see `_outputs`)."""
     inputs = transfer_set.inputs
     width = (teacher.shape[1] if isinstance(teacher, np.ndarray)
              else teacher.output_width)
-    if width != config.student_spec.class_count:
-        raise ValueError(
-            f"teacher width {width} != student class count "
-            f"{config.student_spec.class_count}")
     alpha, tau = config.hard_label_weight, config.temperature
     soft_targets = None
     if alpha < 1.0:
         soft_targets = _soften(_outputs(teacher, inputs), tau)
     loss = DistillLoss(transfer_set.labels, soft_targets, alpha, tau, width)
-    student = build_model(config.student_spec, seed=config.train.seed)
-    sgd_run(student, inputs, loss, config.train)
+    student = build_model(builtin_spec(config.student_architecture,
+                                       inputs.shape[1:], width),
+                          seed=config.distill_train.seed)
+    sgd_run(student, inputs, loss, config.distill_train)
     return student
 
 

@@ -25,6 +25,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -411,6 +412,8 @@ BUILTIN_ARCHITECTURES = {
     "mini-pyramid-5": lambda shape, k: make_mini_pyramid(5, shape, k),
     "mini-student-cnn": lambda shape, k: make_student_cnn(shape, k),
 }
+# a field annotated with the registry's ids is checked against it on parse
+ArchitectureId = Literal[tuple(BUILTIN_ARCHITECTURES)]
 
 
 def builtin_spec(arch_id: str, input_shape, class_count: int) -> ArchitectureSpec:

@@ -50,7 +50,7 @@ from extractbench.similarity import (
     pwcca_distance,
 )
 from extractbench.tensor import OperatorKind as K
-from extractbench.zoo import build_model, builtin_spec, make_student_cnn
+from extractbench.zoo import build_model, builtin_spec
 
 from conftest import network_of
 
@@ -283,9 +283,9 @@ def test_criterion_08_staged_inversion():
     handle = GradientHandle(stolen)
     beating = 0
     for cls in range(5):
-        inv = InversionConfig(target_class=cls, posterior_threshold=0.999,
-                              max_iterations=300, step_size=0.2)
-        result = miface_invert(handle, inv, seed=100 + cls)
+        inv = InversionConfig(posterior_threshold=0.999, max_iterations=300,
+                              step_size=0.2)
+        result = miface_invert(handle, inv, cls, seed=100 + cls)
         mean_image = test.class_mean(cls)
         random_sims = [cosine_similarity(rng.standard_normal(mean_image.shape),
                                          mean_image) for _ in range(100)]
@@ -331,8 +331,8 @@ def test_criterion_10_distillation_equivalency():
             stolen, _ = knockoff_extract(QueryHandle(target), queries, spec,
                                          cfg, seed=seed + 2)
             dcfg = DistillConfig(
-                student_spec=make_student_cnn(data.spec.input_shape, 4),
-                train=TrainConfig(epochs=15, seed=seed + 3))
+                "mini-student-cnn",
+                distill_train=TrainConfig(epochs=15, seed=seed + 3))
             rep = equivalency_report(target, stolen, test, dcfg)
             originals.append(np.mean(list(
                 rep.similarity.pwcca_distance.values())))

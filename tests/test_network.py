@@ -707,9 +707,9 @@ class TestSgdLoopMatchesPerStepGather:
                           overlap=0.3, seed=8)
         teacher = fc_softmax_model(data, seed=2, epochs=3)
         config = DistillConfig(
-            student_spec=builtin_spec("mini-mlp-2", (4, 4, 1), 3),
-            temperature=3.0, hard_label_weight=alpha,
-            train=TrainConfig(learning_rate=0.05, batch_size=8, epochs=4, seed=6))
+            "mini-mlp-2", temperature=3.0, hard_label_weight=alpha,
+            distill_train=TrainConfig(learning_rate=0.05, batch_size=8,
+                                      epochs=4, seed=6))
         histories = []
 
         def run():
@@ -788,12 +788,11 @@ class TestOneTrainingLoop:
         from extractbench.similarity import DistillConfig, distill
         data = make_blobs(classes=3, per_class=9, shape=(4, 4, 1), seed=4)
         teacher = fc_softmax_model(data, seed=1, epochs=1)
-        config = DistillConfig(builtin_spec("mini-mlp-2", (4, 4, 1), 3),
-                               hard_label_weight=0.5,
-                               train=TrainConfig(batch_size=4, epochs=2))
+        config = DistillConfig("mini-mlp-2", hard_label_weight=0.5,
+                               distill_train=TrainConfig(batch_size=4, epochs=2))
         calls = self._record(monkeypatch)
         distill(teacher, config, data)
-        self._assert_one_run(calls, 27, config.train)
+        self._assert_one_run(calls, 27, config.distill_train)
 
     def test_train_ds_model(self, monkeypatch):
         spec = builtin_spec("mini-vgg-4", (6, 6, 1), 4)

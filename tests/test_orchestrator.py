@@ -182,7 +182,7 @@ BAD_DOCUMENTS = [
     ("deepsniffer", {"corpus_architectures": "mini-vgg-4"}, GPU,
      r"attack\.params\.corpus_architectures: expected a list"),
     ("deepsniffer", {"window": -3}, GPU,
-     r"attack\.params: window must be >= 0"),
+     r"attack\.params: window must lie in \[0, 20\]"),
     ("deepsniffer", {"traces_per_architecture": 0}, GPU,
      r"attack\.params: traces_per_architecture must be >= 1"),
     ("deeprecon", {"trials": 0}, CPU,
@@ -319,7 +319,43 @@ BAD_DOCUMENTS = [
     # k_neighbors' upper bound is the corpus size, a second value
     ("deeprecon", {"k_neighbors": 105}, CPU,
      r"attack\.params: k_neighbors must lie in \[1, 104\]"),
+    # counts that size an array: past what any built-in run can use
+    ("deepsniffer", {"window": 10 ** 400}, GPU,
+     r"^attack\.params: window must lie in \[0, 20\]$"),
+    ("knockoff", {"query_budget": 120, "recreate": {"batch_size": 10 ** 400}},
+     {}, r"^attack\.params\.recreate: batch_size must lie in \[1, 2800\]$"),
 ]
+
+
+# the echoed params of each `minimal_doc`, key order included (seed 3)
+_TRAIN = {"learning_rate": 0.01, "batch_size": 10, "epochs": 20, "seed": 3}
+_INVERSION = {"posterior_threshold": 0.95, "max_iterations": 400,
+              "step_size": 0.2, "init_mode": "random",
+              "clamp_range": [-4.0, 4.0]}
+_STEAL = {"output_mode": "confidence_vector", "surrogate_architecture": None,
+          "query_fraction": 0.5, "recreate": _TRAIN}
+ECHOED_DEFAULTS = {
+    "knockoff": {"query_budget": 10, **_STEAL},
+    "deepsniffer": {
+        "corpus_architectures": ["mini-vgg-4", "mini-vgg-6", "mini-resnet-4",
+                                 "mini-resnet-6", "mini-dense-3",
+                                 "mini-dense-4"],
+        "traces_per_architecture": 6, "train_jitter": 0.05, "window": 1,
+        "classifier_epochs": 200},
+    "deeprecon": {
+        "corpus_architectures": [
+            "mini-mlp-1", "mini-mlp-2", "mini-mlp-3", "mini-vgg-4",
+            "mini-vgg-6", "mini-gelu-4", "mini-gelu-6", "mini-resnet-4",
+            "mini-resnet-6", "mini-dense-3", "mini-dense-4", "mini-pyramid-4",
+            "mini-pyramid-5"],
+        "histograms_per_architecture": 8, "trials": 6, "k_neighbors": 5},
+    "miface": {**_INVERSION, "target_class": 0, "query_fraction": 0.5},
+    "staged_inversion": {"budgets": [5, 10], **_STEAL, "inversion": _INVERSION},
+    "equivalency": {"query_budget": 10, **_STEAL,
+                    "student_architecture": "mini-student-cnn",
+                    "temperature": 4.0, "hard_label_weight": 0.1,
+                    "distill_train": _TRAIN},
+}
 
 
 @pytest.fixture()
@@ -337,6 +373,14 @@ class TestParseScenario:
         assert params["recreate"]["seed"] == 3  # scenario seed filled in
         assert echoed["environment"]["verbose_runtime"] is False
         assert tuple(echoed["evaluation"])  # default metric set made explicit
+
+    @pytest.mark.parametrize("attack_type", list(ATTACKS))
+    def test_every_attack_echoes_its_defaults(self, attack_type):
+        """Each default is written out, in the schema's field order, whether
+        the params class declares it or a library config it is or extends."""
+        sc = parse_scenario(json.dumps(minimal_doc(attack_type)))
+        assert json.dumps(sc.to_dict()["attack"]["params"]) == json.dumps(
+            ECHOED_DEFAULTS[attack_type])
 
     def test_deepsniffer_with_machine_profile_names_mismatch(self):
         doc = scenario_doc("deepsniffer", params={},
@@ -832,7 +876,7 @@ class TestZooResolve:
                          "dataset_id": "blobs-4c-easy", "class_subset": [0, 2]}
         record = execute(parse_scenario(json.dumps(doc)), bench, persist=False)
         assert record.status == "ok", record.failure_reason
-        ((queries, test, spec, _),) = setups
+        ((queries, test, spec),) = setups
         assert queries.class_count == test.class_count == 2
         assert set(np.unique(test.labels)) == {0, 1}
         assert build_model(spec, seed=0).output_width == 2
@@ -845,9 +889,9 @@ class TestZooResolve:
         seen = []
         real = orchestrator.miface_invert
 
-        def recording(handle, config, aux, seed):
+        def recording(handle, config, target_class, aux, seed):
             seen.append(aux)
-            return real(handle, config, aux=aux, seed=seed)
+            return real(handle, config, target_class, aux=aux, seed=seed)
 
         monkeypatch.setattr(orchestrator, "miface_invert", recording)
         doc = minimal_doc("miface")

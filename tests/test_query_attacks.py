@@ -52,7 +52,7 @@ class TestThreatModel:
         with pytest.raises(ValueError, match="^unknown output_mode 'logits'$"):
             KnockoffConfig(10, output_mode="logits")
         with pytest.raises(ValueError, match="^unknown init_mode 'zeros'$"):
-            InversionConfig(0, init_mode="zeros")
+            InversionConfig(init_mode="zeros")
 
 
 class TestQueryHandle:
@@ -203,10 +203,9 @@ class TestMifaceInvert:
         idx = int(probs[:, 0].argmax())  # a confidently-class-0 sample
         aux = Dataset(blobs4.spec, blobs4.inputs[idx:idx + 1],
                       np.array([0], dtype=np.int32), "query")
-        cfg = InversionConfig(target_class=0,
-                              posterior_threshold=float(probs[idx, 0]) * 0.99,
+        cfg = InversionConfig(posterior_threshold=float(probs[idx, 0]) * 0.99,
                               init_mode="auxiliary_sample")
-        result = miface_invert(handle, cfg, aux=aux, seed=0)
+        result = miface_invert(handle, cfg, 0, aux=aux, seed=0)
         assert result.success
         assert len(result.posterior_trace) == 1
         assert np.array_equal(result.reconstruction, aux.inputs[0])
@@ -216,9 +215,9 @@ class TestMifaceInvert:
                           overlap=0.0, seed=60)
         target, _ = linear_softmax(data, seed=4, epochs=10)
         handle = GradientHandle(target)
-        cfg = InversionConfig(target_class=0, posterior_threshold=0.9,
-                              max_iterations=500, step_size=0.05)
-        result = miface_invert(handle, cfg, seed=1)
+        cfg = InversionConfig(posterior_threshold=0.9, max_iterations=500,
+                              step_size=0.05)
+        result = miface_invert(handle, cfg, 0, seed=1)
         assert result.success
 
         w = target.weights["head"]["weight"]  # (16, 2)
@@ -240,18 +239,18 @@ class TestMifaceInvert:
     def test_iteration_cap_gives_failure_and_trace_of_two(self, blobs4):
         model = trained_model("mini-mlp-2", blobs4, epochs=4)
         handle = GradientHandle(model)
-        cfg = InversionConfig(target_class=0, posterior_threshold=1.0,
-                              max_iterations=1, step_size=1e-9)
-        result = miface_invert(handle, cfg, seed=3)
+        cfg = InversionConfig(posterior_threshold=1.0, max_iterations=1,
+                              step_size=1e-9)
+        result = miface_invert(handle, cfg, 0, seed=3)
         assert not result.success
         assert len(result.posterior_trace) == 2
 
     def test_trace_is_exact_posterior_sequence(self, blobs4):
         model = trained_model("mini-mlp-2", blobs4, epochs=4)
         handle = GradientHandle(model)
-        cfg = InversionConfig(target_class=1, posterior_threshold=0.97,
-                              max_iterations=40, step_size=0.2)
-        result = miface_invert(handle, cfg, seed=4)
+        cfg = InversionConfig(posterior_threshold=0.97, max_iterations=40,
+                              step_size=0.2)
+        result = miface_invert(handle, cfg, 1, seed=4)
         assert len(result.posterior_trace) <= 41
         assert result.success == (result.posterior_trace[-1] >= 0.97)
         final_p = model.predict(result.reconstruction[None])[0, 1]
@@ -259,20 +258,20 @@ class TestMifaceInvert:
 
     def test_aux_init_requires_aux(self, blobs4):
         model = trained_model("mini-mlp-2", blobs4, epochs=1)
-        cfg = InversionConfig(target_class=0, init_mode="auxiliary_sample")
+        cfg = InversionConfig(init_mode="auxiliary_sample")
         with pytest.raises(ValueError, match="aux"):
-            miface_invert(GradientHandle(model), cfg, aux=None)
+            miface_invert(GradientHandle(model), cfg, 0, aux=None)
 
-    def test_negative_class_rejected(self):
+    def test_negative_class_rejected(self, blobs4):
         # a negative index would pick a class from the end of the output
+        model = trained_model("mini-mlp-2", blobs4, epochs=1)
         with pytest.raises(ValueError, match="^target_class must be >= 0$"):
-            InversionConfig(target_class=-1)
+            miface_invert(GradientHandle(model), InversionConfig(), -1, seed=0)
 
     def test_class_outside_width_rejected(self, blobs4):
         model = trained_model("mini-mlp-2", blobs4, epochs=1)
         with pytest.raises(ValueError, match="target_class"):
-            miface_invert(GradientHandle(model),
-                          InversionConfig(target_class=9), seed=0)
+            miface_invert(GradientHandle(model), InversionConfig(), 9, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -282,8 +281,8 @@ def study():
     target, spec = linear_softmax(data, seed=7, epochs=12)
     cfg = KnockoffConfig(query_budget=1,
                          recreate=TrainConfig(epochs=15, seed=3))
-    inv = InversionConfig(target_class=0, posterior_threshold=0.999,
-                          max_iterations=300, step_size=0.2)
+    inv = InversionConfig(posterior_threshold=0.999, max_iterations=300,
+                          step_size=0.2)
     rows = staged_inversion_study(target, queries, test, [50, 600], spec,
                                   cfg, inv, seed=5)
     return rows, target, test, queries, spec, data
@@ -297,7 +296,7 @@ class TestStagedInversion:
         with pytest.raises(ValueError, match="^query_budget must be >= 1$"):
             staged_inversion_study(target, data, data, [0, 10], spec,
                                    KnockoffConfig(query_budget=1),
-                                   InversionConfig(target_class=0), seed=0)
+                                   InversionConfig(), seed=0)
 
     def test_unsorted_budgets_rejected(self):
         data = make_blobs(classes=2, per_class=20, shape=(4, 4, 1), seed=72)
@@ -305,7 +304,7 @@ class TestStagedInversion:
         with pytest.raises(ValueError, match="ascending"):
             staged_inversion_study(target, data, data, [10, 5], spec,
                                    KnockoffConfig(query_budget=1),
-                                   InversionConfig(target_class=0), seed=0)
+                                   InversionConfig(), seed=0)
 
     def test_reconstruction_beats_random_baseline(self, study):
         rows, target, test, *_ = study

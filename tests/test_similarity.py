@@ -16,7 +16,7 @@ from extractbench.similarity import (
     layer_noise_sensitivity,
     pwcca_distance,
 )
-from extractbench.zoo import build_model, builtin_spec, make_student_cnn
+from extractbench.zoo import build_model, builtin_spec
 
 from conftest import make_blobs, same_bits, trained_model
 
@@ -212,9 +212,9 @@ class TestDistill:
         data = make_blobs(classes=3, per_class=60, shape=(4, 4, 1), seed=80)
         teacher = trained_model("mini-mlp-2", data, epochs=6, seed=1)
         spec = builtin_spec("mini-mlp-2", data.spec.input_shape, 3)
-        cfg = DistillConfig(student_spec=spec, temperature=3.0,
+        cfg = DistillConfig(student_architecture="mini-mlp-2", temperature=3.0,
                             hard_label_weight=1.0,
-                            train=TrainConfig(epochs=5, seed=9))
+                            distill_train=TrainConfig(epochs=5, seed=9))
         student = distill(teacher, cfg, data)
 
         reference = build_model(spec, seed=9)
@@ -226,24 +226,22 @@ class TestDistill:
         data = make_blobs(classes=3, per_class=10, shape=(4, 4, 1), seed=84)
         teacher = trained_model("mini-mlp-2", data, epochs=1, seed=1)
         data.labels[4] = 3  # the teacher and the student have 3 classes
-        spec = builtin_spec("mini-mlp-2", data.spec.input_shape, 3)
         for weight in (0.5, 1.0):
-            cfg = DistillConfig(student_spec=spec, hard_label_weight=weight,
-                                train=TrainConfig(epochs=1, seed=9))
+            cfg = DistillConfig("mini-mlp-2", hard_label_weight=weight,
+                                distill_train=TrainConfig(epochs=1, seed=9))
             with pytest.raises(ValueError, match="label range"):
                 distill(teacher, cfg, data)
-        cfg = DistillConfig(student_spec=spec, hard_label_weight=0.0,
-                            train=TrainConfig(epochs=1, seed=9))
+        cfg = DistillConfig("mini-mlp-2", hard_label_weight=0.0,
+                            distill_train=TrainConfig(epochs=1, seed=9))
         distill(teacher, cfg, data)  # soft targets alone read no label
 
     def test_self_distillation_reaches_high_fidelity(self):
         data = make_blobs(classes=3, per_class=150, shape=(4, 4, 1),
                           overlap=0.2, seed=81)
         teacher = trained_model("mini-mlp-2", data, epochs=15, seed=2)
-        spec = builtin_spec("mini-mlp-2", data.spec.input_shape, 3)
-        cfg = DistillConfig(student_spec=spec, temperature=1.0,
+        cfg = DistillConfig("mini-mlp-2", temperature=1.0,
                             hard_label_weight=0.0,
-                            train=TrainConfig(epochs=40, seed=4))
+                            distill_train=TrainConfig(epochs=40, seed=4))
         student = distill(teacher, cfg, data)
         assert fidelity(student, teacher, data) >= 0.9
 
@@ -252,9 +250,8 @@ class TestDistill:
                           overlap=0.4, seed=82)
         train_set, test = split(data, 0.7, seed=1)
         teacher = trained_model("mini-vgg-4", train_set, epochs=12, seed=3)
-        cfg = DistillConfig(
-            student_spec=make_student_cnn(data.spec.input_shape, 4),
-            train=TrainConfig(epochs=20, seed=5))
+        cfg = DistillConfig("mini-student-cnn",
+                            distill_train=TrainConfig(epochs=20, seed=5))
         student = distill(teacher, cfg, train_set)
         assert accuracy(student, test) <= accuracy(teacher, test) + 0.05
 
@@ -262,35 +259,22 @@ class TestDistill:
     def test_teacher_rows_stand_for_the_teacher(self, weight):
         data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=86)
         teacher = trained_model("mini-mlp-2", data, epochs=2, seed=1)
-        cfg = DistillConfig(
-            student_spec=builtin_spec("mini-mlp-2", data.spec.input_shape, 3),
-            temperature=2.0, hard_label_weight=weight,
-            train=TrainConfig(epochs=2, seed=7))
+        cfg = DistillConfig("mini-mlp-2", temperature=2.0,
+                            hard_label_weight=weight,
+                            distill_train=TrainConfig(epochs=2, seed=7))
         from_model = distill(teacher, cfg, data)
         from_rows = distill(teacher.predict(data.inputs), cfg, data)
         assert same_bits(from_rows.state_vector(), from_model.state_vector())
         with pytest.raises(ValueError, match="output rows"):
             distill(teacher.predict(data.inputs[:-1]), cfg, data)
-        bad = DistillConfig(
-            student_spec=builtin_spec("mini-mlp-2", data.spec.input_shape, 4))
-        with pytest.raises(ValueError, match="class count"):
-            distill(teacher.predict(data.inputs), bad, data)
-
-    def test_width_mismatch_rejected(self):
-        data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=83)
-        teacher = trained_model("mini-mlp-2", data, epochs=1)
-        bad = builtin_spec("mini-mlp-2", data.spec.input_shape, 5)
-        with pytest.raises(ValueError, match="class count"):
-            distill(teacher, DistillConfig(student_spec=bad), data)
 
 
 class TestEquivalencyReport:
     def test_target_vs_itself(self):
         data = make_blobs(classes=3, per_class=120, shape=(4, 4, 1), seed=84)
         target = trained_model("mini-mlp-2", data, epochs=6, seed=1)
-        cfg = DistillConfig(
-            student_spec=make_student_cnn(data.spec.input_shape, 3),
-            train=TrainConfig(epochs=8, seed=2))
+        cfg = DistillConfig("mini-student-cnn",
+                            distill_train=TrainConfig(epochs=8, seed=2))
         twin = build_model(target.spec, seed=0)
         twin.load_state_vector(target.state_vector())
         report = equivalency_report(target, twin, data, cfg)
@@ -302,10 +286,9 @@ class TestEquivalencyReport:
         data = make_blobs(classes=3, per_class=120, shape=(4, 4, 1), seed=85)
         target = trained_model("mini-mlp-2", data, epochs=4, seed=1)
         stolen = trained_model("mini-mlp-2", data, epochs=4, seed=2)
-        cfg = DistillConfig(
-            student_spec=make_student_cnn(data.spec.input_shape, 3),
-            temperature=2.5, hard_label_weight=0.3,
-            train=TrainConfig(epochs=6, seed=3))
+        cfg = DistillConfig("mini-student-cnn", temperature=2.5,
+                            hard_label_weight=0.3,
+                            distill_train=TrainConfig(epochs=6, seed=3))
         report = equivalency_report(target, stolen, data, cfg)
         assert report.distill_config["temperature"] == 2.5
         assert report.distill_config["hard_label_weight"] == 0.3
