@@ -19,6 +19,7 @@ import json
 import sys
 from pathlib import Path
 
+from .fields import to_doc
 from .orchestrator import (
     BUILTIN_DATASETS,
     ROOT_ENV_VAR,
@@ -43,7 +44,7 @@ def _bench(args) -> Workbench:
 def _cmd_run(args) -> int:
     scenario = parse_scenario(Path(args.scenario).read_text())
     record = execute(scenario, _bench(args))
-    print(json.dumps(record.to_dict(), indent=2))
+    print(json.dumps(to_doc(record), indent=2))
     return 0 if record.status == "ok" else 1
 
 

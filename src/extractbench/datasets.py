@@ -9,12 +9,16 @@ is what the CSG complexity score is exercised against.
 
 Cache layout per dataset: meta.json (spec echo) + samples.bin (little-endian
 float64, samples row-major in index order) + labels.bin (little-endian int32).
+An entry is served only to a caller whose spec it echoes; one written for
+another spec (an older generator's, say) is corrupt, and rebuilt like any
+corrupt entry, so a root written by an older spec refills.
 """
 
 from __future__ import annotations
 
 import errno
 import json
+import math
 import os
 import shutil
 import tempfile
@@ -25,7 +29,7 @@ from typing import Annotated
 import numpy as np
 
 from .fields import (Count, NonNegative, QueryFraction, Range, UnitInterval,
-                     check_fields, check_value)
+                     check_fields, check_value, is_doc_of, to_doc)
 
 
 @dataclass(frozen=True)
@@ -42,19 +46,6 @@ class DatasetSpec:
         check_fields(self)
         if len(self.input_shape) != 3:
             raise ValueError("input_shape must be (H, W, C)")
-
-    def to_dict(self) -> dict:
-        return {"id": self.id, "class_count": self.class_count,
-                "samples_per_class": self.samples_per_class,
-                "input_shape": list(self.input_shape), "overlap": self.overlap,
-                "seed": self.seed, "noise": self.noise}
-
-    @staticmethod
-    def from_dict(doc: dict) -> "DatasetSpec":
-        return DatasetSpec(doc["id"], int(doc["class_count"]),
-                           int(doc["samples_per_class"]),
-                           tuple(doc["input_shape"]), float(doc["overlap"]),
-                           int(doc["seed"]), float(doc.get("noise", 0.6)))
 
 
 @dataclass
@@ -288,7 +279,7 @@ def discard_entry(entry: Path) -> None:
 def save_dataset(dataset: Dataset, directory) -> Path:
     """Write atomically; an entry already at `directory` is kept (see
     :func:`write_entry`)."""
-    meta = {"spec": dataset.spec.to_dict(), "role": dataset.role,
+    meta = {"spec": to_doc(dataset.spec), "role": dataset.role,
             "count": len(dataset)}
     return write_entry(directory, {
         "meta.json": json.dumps(meta, indent=2).encode(),
@@ -298,21 +289,24 @@ def save_dataset(dataset: Dataset, directory) -> Path:
                                            dtype="<i4").tobytes()})
 
 
-def load_dataset(directory) -> Dataset:
+def load_dataset(directory, spec: DatasetSpec) -> Dataset:
+    """The entry at `directory`, which must hold `spec`'s samples: an entry
+    whose meta.json echoes another spec is corrupt (ValueError)."""
     directory = Path(directory)
     try:
         meta = json.loads((directory / "meta.json").read_text())
-        spec = DatasetSpec.from_dict(meta["spec"])
-        n = int(meta["count"])
-        shape = (n,) + tuple(spec.input_shape)
-        size = int(np.prod(shape))
-        role = meta.get("role", "train")
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        if not is_doc_of(meta["spec"], spec):
+            raise ValueError(f"its spec is not the {spec.id!r} spec asked for")
+        n, role = meta["count"], meta["role"]
+        if (type(n), type(role)) != (int, str):
+            raise TypeError(f"count {n!r} or role {role!r} of the wrong type")
+    except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"corrupt dataset cache at {directory}: unreadable "
                          f"meta.json ({type(exc).__name__}: {exc})") from exc
+    shape = (n, *spec.input_shape)
     inputs = np.frombuffer((directory / "samples.bin").read_bytes(),
                            dtype="<f8")
-    if inputs.size != size:
+    if inputs.size != math.prod(shape):
         raise ValueError(f"corrupt dataset cache at {directory}: sample count "
                          f"mismatch")
     labels = np.frombuffer((directory / "labels.bin").read_bytes(), dtype="<i4")

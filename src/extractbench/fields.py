@@ -1,9 +1,12 @@
-"""Rules declared on config fields (one alias per shared rule), and the one
-walker that checks them."""
+"""Rules declared on config fields (one alias per shared rule), the one
+walker that checks them, and the one writer of a dataclass's JSON document."""
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import fields, is_dataclass
+from enum import Enum
 from functools import cache
 from typing import Annotated, Literal, NamedTuple, get_args, get_origin, get_type_hints
 
@@ -72,3 +75,24 @@ def check_fields(config) -> None:
     """Check each field of a dataclass instance against its annotation."""
     for name, hint in field_hints(type(config)).items():
         check_value(name, getattr(config, name), hint)
+
+
+def to_doc(value):
+    """A value as its JSON document: a dataclass as its fields in order, an
+    enum as its value, a tuple or list as a list, a dict with each value
+    written."""
+    if is_dataclass(value):
+        return {f.name: to_doc(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [to_doc(v) for v in value]
+    if isinstance(value, dict):
+        return {k: to_doc(v) for k, v in value.items()}
+    return value
+
+
+def is_doc_of(doc, value) -> bool:
+    """Whether `doc`, read from JSON, is exactly ``to_doc(value)``: the same
+    keys in the same order, and the same JSON types (``6.0`` is not ``6``)."""
+    return json.dumps(doc) == json.dumps(to_doc(value))

@@ -60,15 +60,6 @@ class NodeSpec:
     params: dict = field(default_factory=dict)
     inputs: tuple[str, ...] = (INPUT_ID,)
 
-    def to_dict(self) -> dict:
-        return {"node_id": self.node_id, "kind": self.kind.value,
-                "params": dict(self.params), "inputs": list(self.inputs)}
-
-    @staticmethod
-    def from_dict(doc: dict) -> "NodeSpec":
-        return NodeSpec(doc["node_id"], OperatorKind(doc["kind"]),
-                        dict(doc["params"]), tuple(doc["inputs"]))
-
 
 def topological_order(nodes: list[NodeSpec]) -> list[NodeSpec]:
     """Execution order: topological, ties resolved by declaration order."""

@@ -33,7 +33,7 @@ from .datasets import (Dataset, DatasetSpec, discard_entry, generate,
                        load_dataset, query_rows, restrict_to_classes,
                        save_dataset, split)
 from .fields import (Count, Jitter, NonNegative, QueryFraction, Range,
-                     check_fields, field_hints)
+                     check_fields, field_hints, to_doc)
 from .network import TrainConfig, train
 from .query_attacks import (
     GradientHandle,
@@ -124,16 +124,21 @@ def _typed(value, hint, name: str):
     if origin in (types.UnionType, Union):  # X | None; take() handled None
         (inner,) = [a for a in args if a is not type(None)]
         return _typed(value, inner, name)
-    if origin is tuple:
+    if origin in (tuple, list):
         if type(value) is not list:
             raise ScenarioError(f"{name}: expected a list, got {value!r}")
-        if args[-1] is Ellipsis:
+        if origin is list or args[-1] is Ellipsis:
             args = args[:1] * len(value)
         elif len(value) != len(args):
             raise ScenarioError(
                 f"{name}: expected {len(args)} items, got {len(value)}")
-        return tuple(_typed(v, t, f"{name}[{i}]")
-                     for i, (v, t) in enumerate(zip(value, args)))
+        return origin(_typed(v, t, f"{name}[{i}]")
+                      for i, (v, t) in enumerate(zip(value, args)))
+    if dict in (hint, origin):  # JSON keys are strings; values as annotated
+        if type(value) is not dict:
+            raise ScenarioError(f"{name}: expected an object, got {value!r}")
+        return {k: _typed(v, args[1], f"{name}.{k}")
+                for k, v in value.items()} if args else value
     if hint is float:
         if type(value) in (int, float) and abs(value) <= sys.float_info.max:
             return float(value)
@@ -215,15 +220,6 @@ def _build(cls, section: _Section, seed: int, base=None):
             values[f.name] = section.take(f.name, hint, default)
     section.close()
     return _construct(cls, section.path, **values)
-
-
-def _to_doc(value):
-    """A dataclass as its JSON document: fields in order, tuples as lists."""
-    if is_dataclass(value):
-        return {f.name: _to_doc(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, tuple):
-        return [_to_doc(v) for v in value]
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +317,10 @@ class Scenario:
         return {"schema_version": self.schema_version, "id": self.id,
                 "seed": self.seed,
                 "attack": {"type": self.attack_type,
-                           "params": _to_doc(self.attack_params)},
-                "target": self.target.to_dict(),
-                "environment": _to_doc(self.environment),
-                "grants": _to_doc(self.grants),
+                           "params": to_doc(self.attack_params)},
+                "target": to_doc(self.target),
+                "environment": to_doc(self.environment),
+                "grants": to_doc(self.grants),
                 "evaluation": list(self.evaluation)}
 
 
@@ -514,23 +510,28 @@ class Workbench:
     def dataset(self, dataset_id: str) -> Dataset:
         """Load from the cache, generating (and caching) on first use.
 
-        A cache entry that fails to load is discarded and regenerated;
-        generation is deterministic, so the replacement equals what was
-        lost.
+        A cache entry that fails to load, or holds another spec's samples,
+        is discarded and regenerated; generation is deterministic, so the
+        replacement equals what was lost.
         """
-        if dataset_id not in BUILTIN_DATASETS:
-            raise KeyError(f"unknown dataset id {dataset_id!r}")
+        spec = _dataset_spec(dataset_id)
         entry = self.datasets_dir / dataset_id
         return _cached(
             self, entry, (OSError, ValueError),
-            load=lambda: load_dataset(entry),
-            make=lambda: generate(BUILTIN_DATASETS[dataset_id]),
+            load=lambda: load_dataset(entry, spec),
+            make=lambda: generate(spec),
             save=lambda data: save_dataset(data, entry))[0]
 
 
 def default_workbench(root=None) -> Workbench:
     root = root or os.environ.get(ROOT_ENV_VAR, "extractbench-repo")
     return Workbench(root=Path(root))
+
+
+def _dataset_spec(dataset_id: str) -> DatasetSpec:
+    if dataset_id not in BUILTIN_DATASETS:
+        raise KeyError(f"unknown dataset id {dataset_id!r}")
+    return BUILTIN_DATASETS[dataset_id]
 
 
 def _ref_data(ref: ModelRef, bench: Workbench) -> Dataset:
@@ -571,15 +572,17 @@ def zoo_resolve(ref: ModelRef, bench: Workbench):
     """Serve a model for a reference, training and caching it when absent.
 
     Returns (model, from_cache, seconds): the timing plus cache flag is what
-    makes the train-on-miss policy observable in run records. Runs with
-    BLAS on one thread (see :func:`~extractbench.tensor.one_blas_thread`).
+    makes the train-on-miss policy observable in run records. A checkpoint
+    of another spec than the one built here is retrained. Runs with BLAS on
+    one thread (see :func:`~extractbench.tensor.one_blas_thread`).
     """
     started = time.perf_counter()
+    data_spec = _dataset_spec(ref.dataset_id)
+    spec = builtin_spec(ref.architecture_id, data_spec.input_shape,
+                        len(ref.class_subset or range(data_spec.class_count)))
 
     def make():
         data = _ref_data(ref, bench)
-        spec = builtin_spec(ref.architecture_id, data.spec.input_shape,
-                            data.class_count)
         model = build_model(spec, seed=_ref_seed(ref))
         config = replace(bench.recipes.get(ref.dataset_id, DEFAULT_RECIPE),
                          seed=_ref_seed(ref))
@@ -588,7 +591,8 @@ def zoo_resolve(ref: ModelRef, bench: Workbench):
 
     model, from_cache = _cached(
         bench, checkpoint_path(bench.checkpoints_dir, ref), CheckpointError,
-        load=lambda: load_checkpoint(ref, bench.checkpoints_dir), make=make,
+        load=lambda: load_checkpoint(ref, bench.checkpoints_dir, spec),
+        make=make,
         save=lambda model: save_checkpoint(model, ref, bench.checkpoints_dir))
     return model, from_cache, time.perf_counter() - started
 
@@ -597,37 +601,24 @@ def zoo_resolve(ref: ModelRef, bench: Workbench):
 # run records
 # ---------------------------------------------------------------------------
 
-@dataclass
+# fields in the order of the written document; a record written before
+# `timings` and `resolved_from_cache` were added reads with their defaults
+@dataclass(kw_only=True)
 class RunRecord:
+    schema_version: int = SCHEMA_VERSION
     scenario: dict
     status: str                       # ok | failed
     started: str
     ended: str
     metrics: dict[str, float]
     artifacts: list[str]
-    timings: dict[str, float]
-    failure_reason: str | None = None
-    schema_version: int = SCHEMA_VERSION
+    timings: dict[str, float] = field(default_factory=dict)
     resolved_from_cache: bool | None = None
-
-    def to_dict(self) -> dict:
-        return {"schema_version": self.schema_version,
-                "scenario": self.scenario, "status": self.status,
-                "started": self.started, "ended": self.ended,
-                "metrics": self.metrics, "artifacts": self.artifacts,
-                "timings": self.timings,
-                "resolved_from_cache": self.resolved_from_cache,
-                "failure_reason": self.failure_reason}
+    failure_reason: str | None = None
 
     @staticmethod
     def from_dict(doc: dict) -> "RunRecord":
-        return RunRecord(scenario=doc["scenario"], status=doc["status"],
-                         started=doc["started"], ended=doc["ended"],
-                         metrics=doc["metrics"], artifacts=doc["artifacts"],
-                         timings=doc.get("timings", {}),
-                         failure_reason=doc.get("failure_reason"),
-                         schema_version=doc.get("schema_version", SCHEMA_VERSION),
-                         resolved_from_cache=doc.get("resolved_from_cache"))
+        return _build(RunRecord, _Section(doc, ""), seed=0)
 
 
 def _utcnow() -> str:
@@ -645,19 +636,20 @@ def persist_record(record: RunRecord, bench: Workbench) -> Path:
         n += 1
         path = bench.records_dir / f"{base}_{n}.json"
     tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(record.to_dict(), indent=2, allow_nan=False))
+    tmp.write_text(json.dumps(to_doc(record), indent=2, allow_nan=False))
     os.replace(tmp, path)
     return path
 
 
 def load_records(records_dir) -> list[RunRecord]:
-    """Every readable record in the directory; an unreadable or incomplete
-    file is skipped and named on stderr."""
+    """Every readable record in the directory; a file that is unreadable,
+    incomplete, or holds a value of the wrong JSON type or an unknown field
+    is skipped and named on stderr."""
     records = []
     for path in sorted(Path(records_dir).glob("*.json")):
         try:
             records.append(RunRecord.from_dict(json.loads(path.read_text())))
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
             print(f"skipping unreadable record {path}: {exc}", file=sys.stderr)
     return records
 
@@ -1013,7 +1005,7 @@ def report(records: list[RunRecord], fmt: str, out_path) -> list[Path]:
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
-        out_path.write_text(json.dumps([r.to_dict() for r in records], indent=2))
+        out_path.write_text(json.dumps(to_doc(records), indent=2))
         return [out_path]
     if fmt != "csv":
         raise ValueError(f"unknown report format {fmt!r}")

@@ -9,12 +9,16 @@ specs skip explicit FLATTEN nodes.
 Checkpoint format (one directory per (architecture, dataset, class subset,
 tag) key):
   metadata.json  format_version, architecture id, full spec echo, dataset id,
-                 class subset, epochs trained, seed
+                 class subset, epochs trained, seed, BN calibrated
   params.bin     little-endian float64; nodes in spec order; per node its
                  weights, then its buffers, in the order the kind's entry of
                  the operator table (tensor._OPS) declares them (CONV/FC:
                  weight, bias; BN: gamma, beta, running_mean, running_var);
                  row-major
+
+A checkpoint is served only to a caller whose spec it echoes. One written
+for another spec (an older architecture definition's, say) is corrupt and
+rebuilt like any corrupt entry, so a root written by an older spec refills.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from typing import Literal
 import numpy as np
 
 from .datasets import write_entry
-from .fields import Count, check_fields
+from .fields import Count, check_fields, is_doc_of, to_doc
 from .network import Network, NodeSpec, node_shapes, topological_order
 from .tensor import OperatorKind, ShapeError, madd
 
@@ -100,19 +104,6 @@ class ArchitectureSpec:
         a fresh dict each call."""
         return dict(self._shapes)
 
-    def to_dict(self) -> dict:
-        return {"id": self.id, "family": self.family,
-                "nodes": [n.to_dict() for n in self.nodes],
-                "input_shape": list(self.input_shape),
-                "class_count": self.class_count}
-
-    @staticmethod
-    def from_dict(doc: dict) -> "ArchitectureSpec":
-        return ArchitectureSpec(
-            doc["id"], doc["family"],
-            tuple(NodeSpec.from_dict(n) for n in doc["nodes"]),
-            tuple(doc["input_shape"]), int(doc["class_count"]))
-
 
 @dataclass(frozen=True)
 class ModelRef:
@@ -142,19 +133,6 @@ class ModelRef:
         subset = "all" if self.class_subset is None else \
             "c" + "-".join(str(i) for i in self.class_subset)
         return f"{self.architecture_id}__{self.dataset_id}__{subset}__{self.checkpoint_tag}"
-
-    def to_dict(self) -> dict:
-        return {"architecture_id": self.architecture_id,
-                "dataset_id": self.dataset_id,
-                "class_subset": list(self.class_subset) if self.class_subset else None,
-                "checkpoint_tag": self.checkpoint_tag}
-
-    @staticmethod
-    def from_dict(doc: dict) -> "ModelRef":
-        subset = doc.get("class_subset")
-        return ModelRef(doc["architecture_id"], doc["dataset_id"],
-                        tuple(subset) if subset else None,
-                        doc.get("checkpoint_tag", "default"))
 
 
 @dataclass(frozen=True)
@@ -193,9 +171,9 @@ def save_checkpoint(model: Network, ref: ModelRef, root) -> Path:
     meta = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "architecture_id": model.spec.id,
-        "spec": model.spec.to_dict(),
+        "spec": to_doc(model.spec),
         "dataset_id": ref.dataset_id,
-        "class_subset": list(ref.class_subset) if ref.class_subset else None,
+        "class_subset": to_doc(ref.class_subset),
         "epochs_trained": model.meta.get("epochs_trained", 0),
         "seed": model.meta.get("seed"),
         "bn_calibrated": model.bn_calibrated,
@@ -205,7 +183,9 @@ def save_checkpoint(model: Network, ref: ModelRef, root) -> Path:
         "params.bin": model.state_vector().astype("<f8").tobytes()})
 
 
-def load_checkpoint(ref: ModelRef, root) -> Network:
+def load_checkpoint(ref: ModelRef, root, spec: ArchitectureSpec) -> Network:
+    """The checkpoint of `ref`, which must hold a model of `spec`: one whose
+    metadata.json echoes another spec is corrupt (CheckpointError)."""
     path = checkpoint_path(root, ref)
     meta_file = path / "metadata.json"
     params_file = path / "params.bin"
@@ -216,9 +196,15 @@ def load_checkpoint(ref: ModelRef, root) -> Network:
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise CheckpointError(
                 f"unsupported checkpoint format {meta.get('format_version')}")
-        spec = ArchitectureSpec.from_dict(meta["spec"])
-        seed = int(meta.get("seed") or 0)
-        epochs_trained = int(meta.get("epochs_trained", 0))
+        if not is_doc_of(meta["spec"], spec):
+            raise ValueError(f"its spec is not the {spec.id!r} spec asked for")
+        seed, epochs_trained, calibrated = (
+            meta["seed"], meta["epochs_trained"], meta["bn_calibrated"])
+        if (type(seed), type(epochs_trained), type(calibrated)) \
+                != (int, int, bool):
+            raise TypeError(f"seed {seed!r}, epochs_trained {epochs_trained!r}"
+                            f" or bn_calibrated {calibrated!r} of the wrong "
+                            f"type")
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CheckpointError(
             f"corrupt checkpoint {path}: unreadable metadata.json "
@@ -232,8 +218,7 @@ def load_checkpoint(ref: ModelRef, root) -> Network:
             f"architecture {spec.id} needs {expected}")
     model.load_state_vector(np.asarray(raw, dtype=np.float64))
     model.meta["epochs_trained"] = epochs_trained
-    model.meta["seed"] = meta.get("seed")
-    model.bn_calibrated = bool(meta.get("bn_calibrated", True))
+    model.bn_calibrated = calibrated
     return model
 
 

@@ -214,7 +214,7 @@ class TestCacheFiles:
     def test_round_trip(self, tmp_path):
         data = generate(spec_for(classes=3, per_class=20, seed=11))
         save_dataset(data, tmp_path / "d")
-        loaded = load_dataset(tmp_path / "d")
+        loaded = load_dataset(tmp_path / "d", data.spec)
         assert np.array_equal(loaded.inputs, data.inputs)
         assert np.array_equal(loaded.labels, data.labels)
         assert loaded.spec == data.spec
@@ -225,7 +225,7 @@ class TestCacheFiles:
         samples = tmp_path / "d" / "samples.bin"
         samples.write_bytes(samples.read_bytes()[:-8])
         with pytest.raises(ValueError, match="corrupt"):
-            load_dataset(tmp_path / "d")
+            load_dataset(tmp_path / "d", data.spec)
 
     def test_interrupted_save_leaves_old_entry_and_no_debris(self, tmp_path,
                                                              monkeypatch):
@@ -243,7 +243,8 @@ class TestCacheFiles:
         with pytest.raises(OSError, match="disk full"):
             save_dataset(new, tmp_path / "d")
         assert [p.name for p in tmp_path.iterdir()] == ["d"]
-        assert np.array_equal(load_dataset(tmp_path / "d").inputs, old.inputs)
+        assert np.array_equal(load_dataset(tmp_path / "d", old.spec).inputs,
+                              old.inputs)
 
     def test_save_keeps_an_existing_entry_and_leaves_no_debris(self, tmp_path):
         # an entry's content is a function of its name, so one already in
@@ -253,7 +254,8 @@ class TestCacheFiles:
         save_dataset(generate(spec_for(classes=3, per_class=20, seed=16)),
                      tmp_path / "d")
         assert [p.name for p in tmp_path.iterdir()] == ["d"]
-        assert np.array_equal(load_dataset(tmp_path / "d").inputs, first.inputs)
+        assert np.array_equal(load_dataset(tmp_path / "d", first.spec).inputs,
+                              first.inputs)
 
     def test_discard_entry(self, tmp_path):
         save_dataset(generate(spec_for(classes=3, per_class=20, seed=17)),

@@ -1,12 +1,15 @@
-"""Field rules declared on annotations, and the walker that checks them."""
+"""Field rules declared on annotations, the walker that checks them, and
+the one document writer."""
 
+import json
 from dataclasses import dataclass
 from typing import Annotated, Literal
 
 import pytest
 
 from extractbench.fields import (Count, Range, UnitInterval, check_fields,
-                                 check_value, field_hints)
+                                 check_value, field_hints, is_doc_of, to_doc)
+from extractbench.zoo import builtin_spec
 
 
 @dataclass
@@ -75,3 +78,24 @@ class TestCheckFields:
         hint = field_hints(Config)["count"]
         assert hint == Count
         assert field_hints(Config) is field_hints(Config)
+
+
+class TestToDoc:
+    SPEC = builtin_spec("mini-mlp-1", (2, 2, 1), 2)
+
+    def test_spec_document_keeps_its_keys_and_types(self):
+        # the spec echo of every checkpoint's metadata.json: fields in
+        # order, the operator kind as its value, tuples as lists
+        assert json.dumps(to_doc(self.SPEC)) == json.dumps({
+            "id": "mini-mlp-1", "family": "mini-mlp",
+            "nodes": [{"node_id": "head", "kind": "fc",
+                       "params": {"out_features": 2}, "inputs": ["input"]},
+                      {"node_id": "probs", "kind": "softmax", "params": {},
+                       "inputs": ["head"]}],
+            "input_shape": [2, 2, 1], "class_count": 2})
+
+    def test_a_document_read_back_matches_only_exactly(self):
+        doc = json.loads(json.dumps(to_doc(self.SPEC)))
+        assert is_doc_of(doc, self.SPEC)
+        assert not is_doc_of({**doc, "input_shape": [2.0, 2.0, 1]}, self.SPEC)
+        assert not is_doc_of(dict(reversed(doc.items())), self.SPEC)

@@ -20,7 +20,7 @@ import extractbench
 from extractbench import network, orchestrator
 from extractbench.cli import main
 from extractbench.datasets import load_dataset
-from extractbench.fields import Range, field_hints
+from extractbench.fields import Range, field_hints, to_doc
 from extractbench.orchestrator import (
     ATTACKS,
     BUILTIN_DATASETS,
@@ -660,7 +660,7 @@ def _target_holds(doc, bench) -> bool:
     if ATTACKS[attack_type].exclusive:
         return True
     params = doc["attack"]["params"]
-    ref = ModelRef.from_dict(doc["target"])
+    ref = ModelRef(**doc["target"])
     data = _ref_data(ref, bench)
     if attack_type == "miface":
         return params["target_class"] < data.class_count
@@ -676,7 +676,7 @@ def _target_holds(doc, bench) -> bool:
 def _limit_cases(bench):
     """Params at each target limit and one past it, on each sweep dataset."""
     for target in SWEEP_TARGETS[::7]:
-        data = _ref_data(ModelRef.from_dict(target), bench)
+        data = _ref_data(ModelRef(**target), bench)
         size = len(split(data, 0.5, 0)[0])
         for over in (0, 1):
             for attack_type in ("knockoff", "equivalency"):
@@ -969,18 +969,37 @@ class TestZooResolve:
         _, cached, _ = zoo_resolve(ref, bench)
         assert cached
 
+    def test_checkpoint_of_another_spec_retrains(self, bench):
+        """An entry is served only to a caller who would have made it: one
+        whose stored spec is not the spec built here is retrained."""
+        ref = ModelRef("mini-mlp-2", "blobs-2c-easy", None, "default")
+        first, _, _ = zoo_resolve(ref, bench)
+        meta_file = bench.checkpoints_dir / ref.slug() / "metadata.json"
+        meta = json.loads(meta_file.read_text())
+        meta["spec"]["family"] = "mini-other"
+        meta_file.write_text(json.dumps(meta))
+        again, cached, _ = zoo_resolve(ref, bench)
+        assert not cached
+        assert again.spec is builtin_spec("mini-mlp-2", (6, 6, 1), 2)
+        assert np.array_equal(again.state_vector(), first.state_vector())
+        _, cached, _ = zoo_resolve(ref, bench)
+        assert cached
+
 
 class TestDatasetCache:
-    @pytest.mark.parametrize("meta", [[], {"spec": None, "count": 600}],
-                             ids=["list", "null-spec"])
+    @pytest.mark.parametrize("meta", [
+        [], {"spec": None, "count": 600},
+        {"spec": {**to_doc(BUILTIN_DATASETS["blobs-2c-easy"]),
+                  "input_shape": [6.0, 6.0, 1]}, "role": "train", "count": 600},
+    ], ids=["list", "null-spec", "float-shape"])
     def test_meta_of_wrong_shape_is_regenerated(self, bench, meta):
         first = bench.dataset("blobs-2c-easy")
         (bench.datasets_dir / "blobs-2c-easy" / "meta.json").write_text(
             json.dumps(meta))
         again = bench.dataset("blobs-2c-easy")
         assert np.array_equal(again.inputs, first.inputs)
-        assert load_dataset(bench.datasets_dir / "blobs-2c-easy").spec \
-            == first.spec
+        assert load_dataset(bench.datasets_dir / "blobs-2c-easy",
+                            first.spec).spec == first.spec
 
     def test_truncated_samples_are_regenerated(self, bench):
         first = bench.dataset("blobs-2c-easy")
@@ -990,7 +1009,8 @@ class TestDatasetCache:
         again = bench.dataset("blobs-2c-easy")
         assert np.array_equal(again.inputs, first.inputs)
         assert np.array_equal(again.labels, first.labels)
-        assert np.array_equal(load_dataset(cache).inputs, first.inputs)
+        assert np.array_equal(load_dataset(cache, first.spec).inputs,
+                              first.inputs)
         # the corrupt entry was renamed aside and removed: nothing is left
         assert os.listdir(bench.datasets_dir) == ["blobs-2c-easy"]
 
@@ -1001,7 +1021,7 @@ class TestDatasetCache:
         bad[0] = 7  # the count still matches
         labels.write_bytes(bad.tobytes())
         with pytest.raises(ValueError, match=r"label outside \[0, 2\)"):
-            load_dataset(labels.parent)
+            load_dataset(labels.parent, first.spec)
         assert np.array_equal(bench.dataset("blobs-2c-easy").labels,
                               first.labels)
         record = execute(parse_scenario(json.dumps(minimal_doc("knockoff"))),
@@ -1036,11 +1056,12 @@ while not (root / "go").exists() and time.monotonic() < deadline:
     time.sleep(0.001)
 for _ in range(iterations):
     save_dataset(data, root / "datasets" / "race")
-    assert np.array_equal(load_dataset(root / "datasets" / "race").inputs,
-                          data.inputs)
+    assert np.array_equal(
+        load_dataset(root / "datasets" / "race", data.spec).inputs, data.inputs)
     save_checkpoint(model, ref, root / "checkpoints")
-    assert np.array_equal(load_checkpoint(ref, root / "checkpoints").state_vector(),
-                          model.state_vector())
+    assert np.array_equal(
+        load_checkpoint(ref, root / "checkpoints", model.spec).state_vector(),
+        model.state_vector())
 """
 
 
@@ -1385,23 +1406,46 @@ class TestReport:
         records = self._records(bench, n=2)
         (path,) = report(records, "json", tmp_path / "out.json")
         loaded = json.loads(path.read_text())
-        assert loaded == [r.to_dict() for r in records]
+        assert loaded == to_doc(records)
 
     def test_empty_records_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no records"):
             report([], "csv", tmp_path / "x.csv")
 
     def test_report_skips_unreadable_record(self, bench, tmp_path, capsys):
-        persist_record(self._records(bench, n=1)[0], bench)
+        good = json.loads(persist_record(self._records(bench, n=1)[0],
+                                         bench).read_text())
         (bench.records_dir / "broken.json").write_text("{")
+        (bench.records_dir / "status-number.json").write_text(
+            json.dumps({**good, "status": 3}))
+        (bench.records_dir / "metric-string.json").write_text(json.dumps(
+            {**good, "metrics": {**good["metrics"], "fidelity": "0.9"}}))
         out = tmp_path / "out.json"
         assert main(["report", str(bench.records_dir), "--format", "json",
                      "--out", str(out)]) == 0
-        assert "broken.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        for name in ("broken.json", "status-number.json", "metric-string.json"):
+            assert name in err
         assert [r["scenario"]["id"] for r in json.loads(out.read_text())] == ["r0"]
+
+    def test_record_written_before_timings_loads_with_defaults(self, tmp_path):
+        (tmp_path / "old.json").write_text("""{
+          "schema_version": 1,
+          "scenario": {"id": "old"},
+          "status": "ok",
+          "started": "2026-01-01T00:00:00+00:00",
+          "ended": "2026-01-01T00:00:01+00:00",
+          "metrics": {"fidelity": 0.5},
+          "artifacts": [],
+          "failure_reason": null
+        }""")
+        (record,) = load_records(tmp_path)
+        assert record.timings == {} and record.resolved_from_cache is None
+        assert record.metrics == {"fidelity": 0.5}
+        assert record.scenario == {"id": "old"}
 
     def test_records_embed_schema_version(self, bench):
         record = self._records(bench, n=1)[0]
-        assert record.to_dict()["schema_version"] == 1
+        assert to_doc(record)["schema_version"] == 1
         path = persist_record(record, bench)
         assert json.loads(path.read_text())["schema_version"] == 1

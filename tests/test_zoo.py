@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from extractbench.fields import to_doc
 from extractbench.network import NodeSpec
 from extractbench.tensor import OperatorKind as K
 from extractbench.tensor import ShapeError
@@ -40,6 +41,11 @@ def _set_param(metadata_text, node_id, name, value):
         if node["node_id"] == node_id:
             node["params"][name] = value
     return json.dumps(meta)
+
+
+def _set_meta(metadata_text, key, value):
+    """metadata.json text with one top-level field replaced."""
+    return json.dumps({**json.loads(metadata_text), key: value})
 
 
 # The checkpoint tensor order the module docstring documents.
@@ -215,10 +221,12 @@ class TestCheckpoints:
         model = trained_model("mini-resnet-4", data, epochs=2, seed=7)
         ref = ModelRef("mini-resnet-4", data.spec.id, None, "t1")
         save_checkpoint(model, ref, tmp_path)
-        loaded = load_checkpoint(ref, tmp_path)
+        loaded = load_checkpoint(ref, tmp_path, model.spec)
         assert np.array_equal(loaded.state_vector(), model.state_vector())
         assert loaded.meta["epochs_trained"] == model.meta["epochs_trained"]
-        assert loaded.spec.to_dict() == model.spec.to_dict()
+        assert to_doc(loaded.spec) == to_doc(model.spec)
+        assert loaded.meta == model.meta
+        assert loaded.bn_calibrated is model.bn_calibrated
 
     def test_truncated_params_is_corruption(self, tmp_path):
         data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=6)
@@ -228,7 +236,7 @@ class TestCheckpoints:
         params = checkpoint_path(tmp_path, ref) / "params.bin"
         params.write_bytes(params.read_bytes()[:-16])
         with pytest.raises(CheckpointError, match="corrupt"):
-            load_checkpoint(ref, tmp_path)
+            load_checkpoint(ref, tmp_path, model.spec)
 
     @pytest.mark.parametrize("damage", [
         lambda text: text[:len(text) // 2],
@@ -238,8 +246,12 @@ class TestCheckpoints:
         lambda text: "[]",
         lambda text: _set_param(text, "conv", "stride", 0),
         lambda text: _set_param(text, "head", "out_features", 0),
+        lambda text: _set_meta(text, "bn_calibrated", "false"),
+        lambda text: _set_meta(text, "seed", "12"),
+        lambda text: _set_meta(text, "epochs_trained", 2.9),
     ], ids=["truncated", "empty", "no-spec", "not-an-object", "stride-0",
-            "out-features-0"])
+            "out-features-0", "calibrated-string", "seed-string",
+            "epochs-float"])
     def test_unreadable_metadata_is_corruption(self, tmp_path, damage):
         data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=6)
         model = trained_model("mini-student-cnn", data, epochs=1, seed=7)
@@ -248,11 +260,12 @@ class TestCheckpoints:
         meta = checkpoint_path(tmp_path, ref) / "metadata.json"
         meta.write_text(damage(meta.read_text()))
         with pytest.raises(CheckpointError, match="corrupt.*metadata.json"):
-            load_checkpoint(ref, tmp_path)
+            load_checkpoint(ref, tmp_path, model.spec)
 
     def test_missing_checkpoint_errors(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint"):
-            load_checkpoint(ModelRef("mini-mlp-2", "nope", None, "x"), tmp_path)
+            load_checkpoint(ModelRef("mini-mlp-2", "nope", None, "x"), tmp_path,
+                            builtin_spec("mini-mlp-2", SHAPE, 4))
 
     def test_two_tags_coexist(self, tmp_path):
         data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=8)
@@ -262,9 +275,9 @@ class TestCheckpoints:
         r2 = ModelRef("mini-mlp-2", data.spec.id, None, "late")
         save_checkpoint(m1, r1, tmp_path)
         save_checkpoint(m2, r2, tmp_path)
-        assert np.array_equal(load_checkpoint(r1, tmp_path).state_vector(),
+        assert np.array_equal(load_checkpoint(r1, tmp_path, m1.spec).state_vector(),
                               m1.state_vector())
-        assert np.array_equal(load_checkpoint(r2, tmp_path).state_vector(),
+        assert np.array_equal(load_checkpoint(r2, tmp_path, m2.spec).state_vector(),
                               m2.state_vector())
 
     def test_save_keeps_an_existing_checkpoint(self, tmp_path):
@@ -275,7 +288,7 @@ class TestCheckpoints:
         save_checkpoint(m1, ref, tmp_path)
         save_checkpoint(m2, ref, tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == [ref.slug()]
-        assert np.array_equal(load_checkpoint(ref, tmp_path).state_vector(),
+        assert np.array_equal(load_checkpoint(ref, tmp_path, m1.spec).state_vector(),
                               m1.state_vector())
 
     def test_interrupted_save_leaves_old_checkpoint_and_no_debris(
@@ -296,7 +309,7 @@ class TestCheckpoints:
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(new, ref, tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == [ref.slug()]
-        assert np.array_equal(load_checkpoint(ref, tmp_path).state_vector(),
+        assert np.array_equal(load_checkpoint(ref, tmp_path, old.spec).state_vector(),
                               old.state_vector())
 
     @pytest.mark.parametrize("tag", ["..", "/abs", "a/b", "", "x/../../../tagesc"])
