@@ -24,7 +24,7 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Annotated
+from typing import Annotated, Literal
 
 import numpy as np
 
@@ -46,6 +46,18 @@ class DatasetSpec:
         check_fields(self)
         if len(self.input_shape) != 3:
             raise ValueError("input_shape must be (H, W, C)")
+
+
+BUILTIN_DATASETS = {
+    "blobs-2c-easy": DatasetSpec("blobs-2c-easy", 2, 300, (6, 6, 1), 0.0, 101),
+    "blobs-4c-easy": DatasetSpec("blobs-4c-easy", 4, 700, (6, 6, 1), 0.0, 102),
+    "blobs-4c-mid": DatasetSpec("blobs-4c-mid", 4, 700, (6, 6, 1), 0.5, 103),
+    "blobs-4c-hard": DatasetSpec("blobs-4c-hard", 4, 700, (6, 6, 1), 1.0, 104),
+    "blobs-5c-easy": DatasetSpec("blobs-5c-easy", 5, 300, (6, 6, 1), 0.0, 105),
+    "blobs-10c-mid": DatasetSpec("blobs-10c-mid", 10, 250, (8, 8, 1), 0.3, 106),
+}
+# a field annotated with the registry's ids is checked against it
+DatasetId = Literal[tuple(BUILTIN_DATASETS)]
 
 
 @dataclass

@@ -29,8 +29,8 @@ from typing import (Annotated, Callable, Literal, NamedTuple, Union, get_args,
 import numpy as np
 import zlib
 
-from .datasets import (Dataset, DatasetSpec, discard_entry, generate,
-                       load_dataset, query_rows, restrict_to_classes,
+from .datasets import (BUILTIN_DATASETS, Dataset, DatasetId, discard_entry,
+                       generate, load_dataset, query_rows, restrict_to_classes,
                        save_dataset, split)
 from .fields import (Count, Jitter, NonNegative, QueryFraction, Range,
                      check_fields, field_hints, to_doc)
@@ -85,18 +85,6 @@ ROOT_ENV_VAR = "EXTRACTBENCH_ROOT"
 CONVENTIONAL_ARCHITECTURES = ("mini-vgg-4", "mini-vgg-6", "mini-resnet-4",
                               "mini-resnet-6", "mini-dense-3", "mini-dense-4")
 
-BUILTIN_DATASETS = {
-    "blobs-2c-easy": DatasetSpec("blobs-2c-easy", 2, 300, (6, 6, 1), 0.0, 101),
-    "blobs-4c-easy": DatasetSpec("blobs-4c-easy", 4, 700, (6, 6, 1), 0.0, 102),
-    "blobs-4c-mid": DatasetSpec("blobs-4c-mid", 4, 700, (6, 6, 1), 0.5, 103),
-    "blobs-4c-hard": DatasetSpec("blobs-4c-hard", 4, 700, (6, 6, 1), 1.0, 104),
-    "blobs-5c-easy": DatasetSpec("blobs-5c-easy", 5, 300, (6, 6, 1), 0.0, 105),
-    "blobs-10c-mid": DatasetSpec("blobs-10c-mid", 10, 250, (8, 8, 1), 0.3, 106),
-}
-
-# a field annotated with the registry's ids is checked against it on parse
-DatasetId = Literal[tuple(BUILTIN_DATASETS)]
-
 
 class ScenarioError(ValueError):
     """Scenario document violates the schema."""
@@ -121,7 +109,7 @@ def _typed(value, hint, name: str):
         if isinstance(value, str) and value in args:
             return value
         raise ScenarioError(f"{name}: {value!r} is not one of {sorted(args)}")
-    if origin in (types.UnionType, Union):  # X | None; take() handled None
+    if origin in (types.UnionType, Union):  # X | None; _build handled None
         (inner,) = [a for a in args if a is not type(None)]
         return _typed(value, inner, name)
     if origin in (tuple, list):
@@ -147,61 +135,17 @@ def _typed(value, hint, name: str):
     raise ScenarioError(f"{name}: expected {_TYPE_NAMES[hint]}, got {value!r}")
 
 
-class _Section:
-    """Dict view that tracks consumption and rejects unknown fields."""
+def _build(cls, doc, path: str, seed: int, base=None):
+    """Read a dataclass from a JSON object, one field per annotation.
 
-    def __init__(self, doc, path: str):
-        if not isinstance(doc, dict):
-            raise ScenarioError(f"{path or 'document'} must be an object")
-        self.doc = doc
-        self.path = path
-        self.seen: set[str] = set()
-
-    def _name(self, key):
-        return f"{self.path}.{key}" if self.path else key
-
-    def take(self, key, hint, default=_REQUIRED):
-        """The value of `key` checked against `hint`; absent or null gives
-        `default`."""
-        self.seen.add(key)
-        if key not in self.doc or self.doc[key] is None:
-            if default is _REQUIRED:
-                raise ScenarioError(f"{self._name(key)} required")
-            return default
-        return _typed(self.doc[key], hint, self._name(key))
-
-    def section(self, key, required=False):
-        self.seen.add(key)
-        value = self.doc.get(key)
-        if value is None:
-            if required:
-                raise ScenarioError(f"{self._name(key)} required")
-            value = {}
-        return _Section(value, self._name(key))
-
-    def close(self):
-        unknown = set(self.doc) - self.seen
-        if unknown:
-            raise ScenarioError(
-                f"unknown field(s) {sorted(self._name(k) for k in unknown)}")
-
-
-def _construct(cls, path: str, **values):
-    """Build a config, reporting its own range checks as schema errors."""
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
-
-
-def _build(cls, section: _Section, seed: int, base=None):
-    """Read a dataclass from a section, one field per annotation.
-
-    Defaults come from `base` (the default instance of the enclosing field)
-    or else from the field; a field with neither is required. Dataclass
-    fields are read as nested sections with their default as base, and a
-    TrainConfig seed defaults to the scenario seed.
+    An absent or null field takes its default: from `base` (the default
+    instance of the enclosing field), or else from the field; a field with
+    neither is required. A dataclass field is read as a nested object with
+    its default as base, and a TrainConfig seed defaults to the scenario
+    seed. A key that names no field is rejected, and the config's own
+    ValueError is reported at `path`.
     """
+    _typed(doc, dict, path or "document")
     hints = field_hints(cls)
     values = {}
     for f in fields(cls):
@@ -213,13 +157,22 @@ def _build(cls, section: _Section, seed: int, base=None):
             default = f.default_factory()
         else:
             default = _REQUIRED if f.default is MISSING else f.default
-        hint = hints[f.name]
+        hint, value = hints[f.name], doc.get(f.name)
+        name = f"{path}.{f.name}" if path else f.name
+        if value is None and default is _REQUIRED:
+            raise ScenarioError(f"{name} required")
         if is_dataclass(hint):
-            values[f.name] = _build(hint, section.section(f.name), seed, default)
+            values[f.name] = _build(hint, {} if value is None else value, name,
+                                    seed, None if default is _REQUIRED else default)
         else:
-            values[f.name] = section.take(f.name, hint, default)
-    section.close()
-    return _construct(cls, section.path, **values)
+            values[f.name] = default if value is None else _typed(value, hint, name)
+    unknown = [f"{path}.{k}" if path else k for k in doc if k not in values]
+    if unknown:
+        raise ScenarioError(f"unknown field(s) {sorted(unknown)}")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +255,25 @@ class EnvironmentSpec:
 
 
 @dataclass
+class _AttackBlock:
+    type: Literal[tuple(ATTACKS)]
+    params: dict = field(default_factory=dict)  # read by the type's class
+
+
+# the top level, in reading order; `parse_scenario` ties its values together
+@dataclass(kw_only=True)
+class _Document:
+    schema_version: int
+    id: str
+    seed: int = 0
+    attack: _AttackBlock
+    target: ModelRef
+    environment: EnvironmentSpec = field(default_factory=EnvironmentSpec)
+    grants: ThreatModel
+    evaluation: tuple[str, ...] | None = None  # None: all the attack's metrics
+
+
+@dataclass
 class Scenario:
     id: str
     attack_type: str
@@ -338,34 +310,19 @@ def parse_scenario(document: str) -> Scenario:
         raise ScenarioError(
             f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}")
 
-    top = _Section(doc, "")
-    version = top.take("schema_version", int)
-    if version != SCHEMA_VERSION:
-        raise ScenarioError(
-            f"schema_version: {version} unsupported (expected {SCHEMA_VERSION})")
-    scenario_id = top.take("id", str)
-    if not FILE_NAME.fullmatch(scenario_id):
-        raise ScenarioError(f"id: {scenario_id!r} must be one file-name "
+    top = _build(_Document, doc, "", seed=0)
+    if top.schema_version != SCHEMA_VERSION:
+        raise ScenarioError(f"schema_version: {top.schema_version} unsupported "
+                            f"(expected {SCHEMA_VERSION})")
+    if not FILE_NAME.fullmatch(top.id):
+        raise ScenarioError(f"id: {top.id!r} must be one file-name "
                             f"component ({FILE_NAME.pattern})")
-    seed = top.take("seed", int, 0)
-    if seed < 0:
-        raise ScenarioError(f"seed: {seed} must be >= 0")
+    if top.seed < 0:
+        raise ScenarioError(f"seed: {top.seed} must be >= 0")
 
-    attack = top.section("attack", required=True)
-    attack_type = attack.take("type", Literal[tuple(ATTACKS)])
+    attack_type, ref = top.attack.type, top.target
     entry = ATTACKS[attack_type]
-    params = _build(entry.params, attack.section("params"), seed)
-    attack.close()
-
-    target = top.section("target", required=True)
-    ref = _construct(
-        ModelRef, "target",
-        architecture_id=target.take("architecture_id", ArchitectureId),
-        dataset_id=target.take("dataset_id", DatasetId),
-        # an empty subset means all classes, as null does
-        class_subset=target.take("class_subset", tuple[int, ...], None) or None,
-        checkpoint_tag=target.take("checkpoint_tag", str, "default"))
-    target.close()
+    params = _build(entry.params, top.attack.params, "attack.params", top.seed)
     dataset = BUILTIN_DATASETS[ref.dataset_id]
     classes = dataset.class_count
     bad = [c for c in ref.class_subset or () if c >= classes]
@@ -377,13 +334,7 @@ def parse_scenario(document: str) -> Scenario:
     if problem:
         raise ScenarioError(f"attack.params: {problem}")
 
-    environment = _build(EnvironmentSpec, top.section("environment"), seed)
-
-    grants = _build(ThreatModel, top.section("grants", required=True), seed)
-
-    evaluation = top.take("evaluation", tuple[str, ...], entry.metrics)
-    top.close()
-
+    evaluation = entry.metrics if top.evaluation is None else top.evaluation
     bad = [m for m in evaluation if m not in entry.metrics]
     if bad:
         raise ScenarioError(
@@ -394,7 +345,7 @@ def parse_scenario(document: str) -> Scenario:
     # ignored silently; a field the attack reads that is still null (a
     # profile) is required.
     for f in fields(EnvironmentSpec):
-        if getattr(environment, f.name) not in (None, False) \
+        if getattr(top.environment, f.name) not in (None, False) \
                 and f.name not in entry.environment:
             reader = next(t for t, a in ATTACKS.items()
                           if f.name in a.environment)
@@ -402,13 +353,13 @@ def parse_scenario(document: str) -> Scenario:
                 f"environment.{f.name}: {attack_type} never reads it; only "
                 f"{reader} does")
     for name in entry.environment:
-        if getattr(environment, name) is None:
+        if getattr(top.environment, name) is None:
             raise ScenarioError(f"environment.{name} required for {attack_type}")
 
-    return Scenario(id=scenario_id, attack_type=attack_type,
-                    attack_params=params, target=ref, environment=environment,
-                    grants=grants, evaluation=evaluation, seed=seed,
-                    schema_version=version)
+    return Scenario(id=top.id, attack_type=attack_type, attack_params=params,
+                    target=ref, environment=top.environment, grants=top.grants,
+                    evaluation=evaluation, seed=top.seed,
+                    schema_version=top.schema_version)
 
 
 def validate_threat_model(scenario: Scenario) -> list[str]:
@@ -514,7 +465,7 @@ class Workbench:
         is discarded and regenerated; generation is deterministic, so the
         replacement equals what was lost.
         """
-        spec = _dataset_spec(dataset_id)
+        spec = BUILTIN_DATASETS[dataset_id]
         entry = self.datasets_dir / dataset_id
         return _cached(
             self, entry, (OSError, ValueError),
@@ -526,12 +477,6 @@ class Workbench:
 def default_workbench(root=None) -> Workbench:
     root = root or os.environ.get(ROOT_ENV_VAR, "extractbench-repo")
     return Workbench(root=Path(root))
-
-
-def _dataset_spec(dataset_id: str) -> DatasetSpec:
-    if dataset_id not in BUILTIN_DATASETS:
-        raise KeyError(f"unknown dataset id {dataset_id!r}")
-    return BUILTIN_DATASETS[dataset_id]
 
 
 def _ref_data(ref: ModelRef, bench: Workbench) -> Dataset:
@@ -577,7 +522,7 @@ def zoo_resolve(ref: ModelRef, bench: Workbench):
     one thread (see :func:`~extractbench.tensor.one_blas_thread`).
     """
     started = time.perf_counter()
-    data_spec = _dataset_spec(ref.dataset_id)
+    data_spec = BUILTIN_DATASETS[ref.dataset_id]
     spec = builtin_spec(ref.architecture_id, data_spec.input_shape,
                         len(ref.class_subset or range(data_spec.class_count)))
 
@@ -618,7 +563,7 @@ class RunRecord:
 
     @staticmethod
     def from_dict(doc: dict) -> "RunRecord":
-        return _build(RunRecord, _Section(doc, ""), seed=0)
+        return _build(RunRecord, doc, "", seed=0)
 
 
 def _utcnow() -> str:

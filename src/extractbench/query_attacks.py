@@ -88,7 +88,8 @@ class GradientHandle(QueryHandle):
 @dataclass
 class KnockoffConfig:
     """`knockoff_extract` reads the budget, the output mode and the training;
-    the caller picks the surrogate (None: the target's) and the query split."""
+    the caller picks the query split and the surrogate (None: the target's),
+    whose spec `knockoff_extract` is given."""
 
     query_budget: Count
     output_mode: OutputMode = "confidence_vector"
@@ -149,7 +150,12 @@ def knockoff_extract(target: QueryHandle, queries: Dataset,
                      seed: int = 0):
     """Steal by querying: build the stolen dataset, then train a fresh
     surrogate on what the target leaked, its confidence rows or its top-1
-    labels; `train` fits the first by KL and the second by cross-entropy."""
+    labels; `train` fits the first by KL and the second by cross-entropy.
+    A config that names a surrogate must name `surrogate_spec`'s."""
+    if config.surrogate_architecture not in (None, surrogate_spec.id):
+        raise ValueError(f"surrogate_architecture "
+                         f"{config.surrogate_architecture!r} is not the "
+                         f"surrogate spec's {surrogate_spec.id!r}")
     stolen_data = build_stolen_dataset(target, queries, config.query_budget,
                                        config.output_mode, seed)
     surrogate = build_model(surrogate_spec, seed=seed)

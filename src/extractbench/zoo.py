@@ -33,7 +33,7 @@ from typing import Literal
 
 import numpy as np
 
-from .datasets import write_entry
+from .datasets import DatasetId, write_entry
 from .fields import Count, check_fields, is_doc_of, to_doc
 from .network import Network, NodeSpec, node_shapes, topological_order
 from .tensor import OperatorKind, ShapeError, madd
@@ -107,24 +107,26 @@ class ArchitectureSpec:
 
 @dataclass(frozen=True)
 class ModelRef:
-    """Key under which a trained model is cached and served."""
+    """Key under which a trained model is cached and served: registry ids,
+    and a class subset (None or empty: all classes)."""
 
-    architecture_id: str
-    dataset_id: str
+    architecture_id: ArchitectureId
+    dataset_id: DatasetId
     class_subset: tuple[int, ...] | None = None
     checkpoint_tag: str = "default"
 
     def __post_init__(self):
-        if self.class_subset is not None:
-            subset = tuple(self.class_subset)
-            if not subset or len(set(subset)) != len(subset):
+        check_fields(self)
+        subset = tuple(sorted(self.class_subset or ()))
+        if subset:
+            if len(set(subset)) != len(subset):
                 raise ValueError("class_subset must be non-empty with unique indices")
             if len(subset) < 2:
                 raise ValueError(f"class_subset {list(subset)} must name at "
                                  f"least two classes")
-            if min(subset) < 0:
-                raise ValueError(f"class_subset index {min(subset)} must be >= 0")
-            object.__setattr__(self, "class_subset", tuple(sorted(subset)))
+            if subset[0] < 0:
+                raise ValueError(f"class_subset index {subset[0]} must be >= 0")
+        object.__setattr__(self, "class_subset", subset or None)
         if not FILE_NAME.fullmatch(self.checkpoint_tag):
             raise ValueError(f"checkpoint_tag {self.checkpoint_tag!r} must be one "
                              f"file-name component ({FILE_NAME.pattern})")

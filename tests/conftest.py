@@ -130,16 +130,20 @@ def _tolerant_mismatch(stored, got, path="") -> str | None:
 def golden(request, platform, record_property):
     """`golden(file, name, value)` compares a JSON value with the entry
     `name` of ``tests/golden/<file>.json``: exactly (as canonical JSON text)
-    when the entry was made on this platform, else within GOLDEN_RTOL. Under
-    ``--write-golden`` it stores the value instead and skips. The mode is
-    recorded on the test and listed at the end of the run."""
+    when the entry was made on this platform, else within GOLDEN_RTOL. A
+    `platform_value` (digests of float arrays, say) is compared only on the
+    platform the entry was made on, exactly. Under ``--write-golden`` it
+    stores the values instead and skips. The mode is recorded on the test
+    and listed at the end of the run."""
 
-    def check(file: str, name: str, value) -> None:
+    def check(file: str, name: str, value, platform_value=None) -> None:
         value = json.loads(json.dumps(value))  # tuples -> lists, as stored
         path = GOLDEN_DIR / f"{file}.json"
         stored = json.loads(path.read_text()) if path.is_file() else {}
         if request.config.getoption("--write-golden"):
             stored[name] = {"platform": platform, "value": value}
+            if platform_value is not None:
+                stored[name]["platform_value"] = platform_value
             GOLDEN_DIR.mkdir(exist_ok=True)
             path.write_text(json.dumps(dict(sorted(stored.items())), indent=1)
                             + "\n")
@@ -151,6 +155,9 @@ def golden(request, platform, record_property):
             record_property("golden_mode", "exact")
             assert json.dumps(value) == json.dumps(entry["value"]), \
                 f"{file}:{name} differs from its golden entry (exact mode)"
+            assert json.dumps(platform_value) == json.dumps(
+                entry.get("platform_value")), \
+                f"{file}:{name} platform value differs from its golden entry"
         else:
             record_property("golden_mode", "tolerant")
             problem = _tolerant_mismatch(entry["value"], value)

@@ -53,6 +53,14 @@ class TestThreatModel:
             KnockoffConfig(10, output_mode="logits")
         with pytest.raises(ValueError, match="^unknown init_mode 'zeros'$"):
             InversionConfig(init_mode="zeros")
+        # the spec is the surrogate: a config naming another is refused
+        data = make_blobs(classes=2, per_class=5, shape=(4, 4, 1))
+        spec = builtin_spec("mini-mlp-1", (4, 4, 1), 2)
+        with pytest.raises(ValueError, match="^surrogate_architecture "
+                           "'mini-mlp-2' is not the surrogate spec's "
+                           "'mini-mlp-1'$"):
+            knockoff_extract(QueryHandle(build_model(spec, seed=0)), data, spec,
+                             KnockoffConfig(10, surrogate_architecture="mini-mlp-2"))
 
 
 class TestQueryHandle:

@@ -26,6 +26,8 @@ from extractbench.zoo import (
 from conftest import make_blobs, same_bits, trained_model
 
 SHAPE = (8, 8, 1)
+# a reference names a registry dataset; save and load treat it as a key only
+KEY = "blobs-2c-easy"
 
 
 def conv_node(nid, src, channels, kernel=3, stride=1, padding="same"):
@@ -219,7 +221,7 @@ class TestCheckpoints:
     def test_round_trip_bit_identical(self, tmp_path):
         data = make_blobs(classes=3, per_class=30, shape=(4, 4, 1), seed=5)
         model = trained_model("mini-resnet-4", data, epochs=2, seed=7)
-        ref = ModelRef("mini-resnet-4", data.spec.id, None, "t1")
+        ref = ModelRef("mini-resnet-4", KEY, None, "t1")
         save_checkpoint(model, ref, tmp_path)
         loaded = load_checkpoint(ref, tmp_path, model.spec)
         assert np.array_equal(loaded.state_vector(), model.state_vector())
@@ -231,7 +233,7 @@ class TestCheckpoints:
     def test_truncated_params_is_corruption(self, tmp_path):
         data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=6)
         model = trained_model("mini-mlp-2", data, epochs=1, seed=7)
-        ref = ModelRef("mini-mlp-2", data.spec.id, None, "t1")
+        ref = ModelRef("mini-mlp-2", KEY, None, "t1")
         save_checkpoint(model, ref, tmp_path)
         params = checkpoint_path(tmp_path, ref) / "params.bin"
         params.write_bytes(params.read_bytes()[:-16])
@@ -255,7 +257,7 @@ class TestCheckpoints:
     def test_unreadable_metadata_is_corruption(self, tmp_path, damage):
         data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=6)
         model = trained_model("mini-student-cnn", data, epochs=1, seed=7)
-        ref = ModelRef("mini-student-cnn", data.spec.id, None, "t1")
+        ref = ModelRef("mini-student-cnn", KEY, None, "t1")
         save_checkpoint(model, ref, tmp_path)
         meta = checkpoint_path(tmp_path, ref) / "metadata.json"
         meta.write_text(damage(meta.read_text()))
@@ -264,15 +266,15 @@ class TestCheckpoints:
 
     def test_missing_checkpoint_errors(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint"):
-            load_checkpoint(ModelRef("mini-mlp-2", "nope", None, "x"), tmp_path,
+            load_checkpoint(ModelRef("mini-mlp-2", KEY, None, "x"), tmp_path,
                             builtin_spec("mini-mlp-2", SHAPE, 4))
 
     def test_two_tags_coexist(self, tmp_path):
         data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=8)
         m1 = trained_model("mini-mlp-2", data, epochs=1, seed=1)
         m2 = trained_model("mini-mlp-2", data, epochs=2, seed=2)
-        r1 = ModelRef("mini-mlp-2", data.spec.id, None, "early")
-        r2 = ModelRef("mini-mlp-2", data.spec.id, None, "late")
+        r1 = ModelRef("mini-mlp-2", KEY, None, "early")
+        r2 = ModelRef("mini-mlp-2", KEY, None, "late")
         save_checkpoint(m1, r1, tmp_path)
         save_checkpoint(m2, r2, tmp_path)
         assert np.array_equal(load_checkpoint(r1, tmp_path, m1.spec).state_vector(),
@@ -284,7 +286,7 @@ class TestCheckpoints:
         data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=8)
         m1 = trained_model("mini-mlp-2", data, epochs=1, seed=1)
         m2 = trained_model("mini-mlp-2", data, epochs=2, seed=2)
-        ref = ModelRef("mini-mlp-2", data.spec.id, None, "t1")
+        ref = ModelRef("mini-mlp-2", KEY, None, "t1")
         save_checkpoint(m1, ref, tmp_path)
         save_checkpoint(m2, ref, tmp_path)
         assert [p.name for p in tmp_path.iterdir()] == [ref.slug()]
@@ -296,7 +298,7 @@ class TestCheckpoints:
         data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=8)
         old = trained_model("mini-mlp-2", data, epochs=1, seed=1)
         new = trained_model("mini-mlp-2", data, epochs=2, seed=2)
-        ref = ModelRef("mini-mlp-2", data.spec.id, None, "t1")
+        ref = ModelRef("mini-mlp-2", KEY, None, "t1")
         save_checkpoint(old, ref, tmp_path)
         real_write = Path.write_bytes
 
@@ -317,3 +319,16 @@ class TestCheckpoints:
         with pytest.raises(ValueError,
                            match="checkpoint_tag .* must be one file-name component"):
             ModelRef("mini-mlp-2", "blobs-2c-easy", None, tag)
+
+    @pytest.mark.parametrize("ids,message", [
+        (("mini-nothing", KEY), "unknown architecture_id 'mini-nothing'"),
+        (("mini-mlp-2", "no-such-data"), "unknown dataset_id 'no-such-data'")],
+        ids=["architecture", "dataset"])
+    def test_unknown_registry_id_names_its_field(self, ids, message):
+        with pytest.raises(ValueError, match=message):
+            ModelRef(*ids)
+
+    def test_empty_class_subset_means_all_classes(self):
+        ref = ModelRef("mini-mlp-2", KEY, ())
+        assert ref.class_subset is None
+        assert ref == ModelRef("mini-mlp-2", KEY)
