@@ -84,7 +84,7 @@ def _cmd_validate(args) -> int:
         for v in violations:
             print(f"threat-model violation: {v}", file=sys.stderr)
         return 1
-    print(json.dumps(scenario.to_dict(), indent=2))
+    print(json.dumps(to_doc(scenario), indent=2))
     return 0
 
 

@@ -29,7 +29,7 @@ from typing import Annotated, Literal
 import numpy as np
 
 from .fields import (Count, NonNegative, QueryFraction, Range, UnitInterval,
-                     check_fields, check_value, is_doc_of, to_doc)
+                     check_fields, check_value, from_doc, is_doc_of, to_doc)
 
 
 @dataclass(frozen=True)
@@ -288,13 +288,20 @@ def discard_entry(entry: Path) -> None:
     shutil.rmtree(aside, ignore_errors=True)
 
 
+# meta.json, in the order it is written
+@dataclass
+class _Meta:
+    spec: dict  # the dataset's spec document, compared with the caller's
+    role: str
+    count: int
+
+
 def save_dataset(dataset: Dataset, directory) -> Path:
     """Write atomically; an entry already at `directory` is kept (see
     :func:`write_entry`)."""
-    meta = {"spec": to_doc(dataset.spec), "role": dataset.role,
-            "count": len(dataset)}
+    meta = _Meta(to_doc(dataset.spec), dataset.role, len(dataset))
     return write_entry(directory, {
-        "meta.json": json.dumps(meta, indent=2).encode(),
+        "meta.json": json.dumps(to_doc(meta), indent=2).encode(),
         "samples.bin": np.ascontiguousarray(dataset.inputs,
                                             dtype="<f8").tobytes(),
         "labels.bin": np.ascontiguousarray(dataset.labels,
@@ -303,30 +310,28 @@ def save_dataset(dataset: Dataset, directory) -> Path:
 
 def load_dataset(directory, spec: DatasetSpec) -> Dataset:
     """The entry at `directory`, which must hold `spec`'s samples: an entry
-    whose meta.json echoes another spec is corrupt (ValueError)."""
+    whose meta.json echoes another spec, or is not exactly a meta document,
+    is corrupt (ValueError)."""
     directory = Path(directory)
     try:
-        meta = json.loads((directory / "meta.json").read_text())
-        if not is_doc_of(meta["spec"], spec):
+        meta = from_doc(_Meta, json.loads((directory / "meta.json").read_text()))
+        if not is_doc_of(meta.spec, spec):
             raise ValueError(f"its spec is not the {spec.id!r} spec asked for")
-        n, role = meta["count"], meta["role"]
-        if (type(n), type(role)) != (int, str):
-            raise TypeError(f"count {n!r} or role {role!r} of the wrong type")
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise ValueError(f"corrupt dataset cache at {directory}: unreadable "
                          f"meta.json ({type(exc).__name__}: {exc})") from exc
-    shape = (n, *spec.input_shape)
+    shape = (meta.count, *spec.input_shape)
     inputs = np.frombuffer((directory / "samples.bin").read_bytes(),
                            dtype="<f8")
     if inputs.size != math.prod(shape):
         raise ValueError(f"corrupt dataset cache at {directory}: sample count "
                          f"mismatch")
     labels = np.frombuffer((directory / "labels.bin").read_bytes(), dtype="<i4")
-    if labels.size != n:
+    if labels.size != meta.count:
         raise ValueError(f"corrupt dataset cache at {directory}: label count "
                          f"mismatch")
     if np.any((labels < 0) | (labels >= spec.class_count)):
         raise ValueError(f"corrupt dataset cache at {directory}: label "
                          f"outside [0, {spec.class_count})")
     return Dataset(spec, np.asarray(inputs, dtype=np.float64).reshape(shape),
-                   np.asarray(labels, dtype=np.int32), role)
+                   np.asarray(labels, dtype=np.int32), meta.role)

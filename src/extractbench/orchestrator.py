@@ -16,15 +16,14 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import sys
 import threading
 import time
-import types
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import (Annotated, Callable, Literal, NamedTuple, Union, get_args,
-                    get_origin)
+from typing import Annotated, Callable, Literal, NamedTuple
 
 import numpy as np
 import zlib
@@ -33,7 +32,7 @@ from .datasets import (BUILTIN_DATASETS, Dataset, DatasetId, discard_entry,
                        generate, load_dataset, query_rows, restrict_to_classes,
                        save_dataset, split)
 from .fields import (Count, Jitter, NonNegative, QueryFraction, Range,
-                     check_fields, field_hints, to_doc)
+                     ScenarioError, check_fields, from_doc, to_doc)
 from .network import TrainConfig, train
 from .query_attacks import (
     GradientHandle,
@@ -84,95 +83,6 @@ ROOT_ENV_VAR = "EXTRACTBENCH_ROOT"
 
 CONVENTIONAL_ARCHITECTURES = ("mini-vgg-4", "mini-vgg-6", "mini-resnet-4",
                               "mini-resnet-6", "mini-dense-3", "mini-dense-4")
-
-
-class ScenarioError(ValueError):
-    """Scenario document violates the schema."""
-
-
-# ---------------------------------------------------------------------------
-# strict document traversal
-# ---------------------------------------------------------------------------
-
-_REQUIRED = object()
-_TYPE_NAMES = {int: "an integer", float: "a finite number",
-               bool: "true or false", str: "a string"}
-
-
-def _typed(value, hint, name: str):
-    """Check a JSON value against a field annotation. Nothing is cast,
-    except that an integer is accepted where a float is expected."""
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is Annotated:  # its rules are the config's to check
-        return _typed(value, args[0], name)
-    if origin is Literal:
-        if isinstance(value, str) and value in args:
-            return value
-        raise ScenarioError(f"{name}: {value!r} is not one of {sorted(args)}")
-    if origin in (types.UnionType, Union):  # X | None; _build handled None
-        (inner,) = [a for a in args if a is not type(None)]
-        return _typed(value, inner, name)
-    if origin in (tuple, list):
-        if type(value) is not list:
-            raise ScenarioError(f"{name}: expected a list, got {value!r}")
-        if origin is list or args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
-            raise ScenarioError(
-                f"{name}: expected {len(args)} items, got {len(value)}")
-        return origin(_typed(v, t, f"{name}[{i}]")
-                      for i, (v, t) in enumerate(zip(value, args)))
-    if dict in (hint, origin):  # JSON keys are strings; values as annotated
-        if type(value) is not dict:
-            raise ScenarioError(f"{name}: expected an object, got {value!r}")
-        return {k: _typed(v, args[1], f"{name}.{k}")
-                for k, v in value.items()} if args else value
-    if hint is float:
-        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
-            return float(value)
-    elif type(value) is hint:
-        return value
-    raise ScenarioError(f"{name}: expected {_TYPE_NAMES[hint]}, got {value!r}")
-
-
-def _build(cls, doc, path: str, seed: int, base=None):
-    """Read a dataclass from a JSON object, one field per annotation.
-
-    An absent or null field takes its default: from `base` (the default
-    instance of the enclosing field), or else from the field; a field with
-    neither is required. A dataclass field is read as a nested object with
-    its default as base, and a TrainConfig seed defaults to the scenario
-    seed. A key that names no field is rejected, and the config's own
-    ValueError is reported at `path`.
-    """
-    _typed(doc, dict, path or "document")
-    hints = field_hints(cls)
-    values = {}
-    for f in fields(cls):
-        if cls is TrainConfig and f.name == "seed":
-            default = seed
-        elif base is not None:
-            default = getattr(base, f.name)
-        elif f.default_factory is not MISSING:
-            default = f.default_factory()
-        else:
-            default = _REQUIRED if f.default is MISSING else f.default
-        hint, value = hints[f.name], doc.get(f.name)
-        name = f"{path}.{f.name}" if path else f.name
-        if value is None and default is _REQUIRED:
-            raise ScenarioError(f"{name} required")
-        if is_dataclass(hint):
-            values[f.name] = _build(hint, {} if value is None else value, name,
-                                    seed, None if default is _REQUIRED else default)
-        else:
-            values[f.name] = default if value is None else _typed(value, hint, name)
-    unknown = [f"{path}.{k}" if path else k for k in doc if k not in values]
-    if unknown:
-        raise ScenarioError(f"unknown field(s) {sorted(unknown)}")
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -253,47 +163,28 @@ class EnvironmentSpec:
     machine_profile: Literal[tuple(BUILTIN_MACHINE_PROFILES)] | None = None
     verbose_runtime: bool = False
 
+    def __post_init__(self):
+        check_fields(self)
+
 
 @dataclass
-class _AttackBlock:
+class AttackBlock:
     type: Literal[tuple(ATTACKS)]
-    params: dict = field(default_factory=dict)  # read by the type's class
+    # read as a JSON object; `parse_scenario` puts the type's params in
+    params: dict = field(default_factory=dict)
 
 
-# the top level, in reading order; `parse_scenario` ties its values together
+# the document, in reading order; `parse_scenario` ties its values together
 @dataclass(kw_only=True)
-class _Document:
+class Scenario:
     schema_version: int
     id: str
     seed: int = 0
-    attack: _AttackBlock
+    attack: AttackBlock
     target: ModelRef
     environment: EnvironmentSpec = field(default_factory=EnvironmentSpec)
     grants: ThreatModel
     evaluation: tuple[str, ...] | None = None  # None: all the attack's metrics
-
-
-@dataclass
-class Scenario:
-    id: str
-    attack_type: str
-    attack_params: object
-    target: ModelRef
-    environment: EnvironmentSpec
-    grants: ThreatModel
-    evaluation: tuple[str, ...]
-    seed: int
-    schema_version: int = SCHEMA_VERSION
-
-    def to_dict(self) -> dict:
-        return {"schema_version": self.schema_version, "id": self.id,
-                "seed": self.seed,
-                "attack": {"type": self.attack_type,
-                           "params": to_doc(self.attack_params)},
-                "target": to_doc(self.target),
-                "environment": to_doc(self.environment),
-                "grants": to_doc(self.grants),
-                "evaluation": list(self.evaluation)}
 
 
 def parse_scenario(document: str) -> Scenario:
@@ -301,8 +192,8 @@ def parse_scenario(document: str) -> Scenario:
 
     Unknown fields anywhere are rejected, every value must have its field's
     JSON type, and the attack's own range rules run here; every omitted
-    optional field is filled with its default, so `to_dict()` round-trips
-    an explicit form.
+    optional field is filled with its default, so `to_doc` of the result
+    round-trips an explicit form.
     """
     try:
         doc = json.loads(document)
@@ -310,7 +201,7 @@ def parse_scenario(document: str) -> Scenario:
         raise ScenarioError(
             f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}")
 
-    top = _build(_Document, doc, "", seed=0)
+    top = from_doc(Scenario, doc)
     if top.schema_version != SCHEMA_VERSION:
         raise ScenarioError(f"schema_version: {top.schema_version} unsupported "
                             f"(expected {SCHEMA_VERSION})")
@@ -322,7 +213,7 @@ def parse_scenario(document: str) -> Scenario:
 
     attack_type, ref = top.attack.type, top.target
     entry = ATTACKS[attack_type]
-    params = _build(entry.params, top.attack.params, "attack.params", top.seed)
+    params = from_doc(entry.params, top.attack.params, "attack.params", top.seed)
     dataset = BUILTIN_DATASETS[ref.dataset_id]
     classes = dataset.class_count
     bad = [c for c in ref.class_subset or () if c >= classes]
@@ -356,16 +247,14 @@ def parse_scenario(document: str) -> Scenario:
         if getattr(top.environment, name) is None:
             raise ScenarioError(f"environment.{name} required for {attack_type}")
 
-    return Scenario(id=top.id, attack_type=attack_type, attack_params=params,
-                    target=ref, environment=top.environment, grants=top.grants,
-                    evaluation=evaluation, seed=top.seed,
-                    schema_version=top.schema_version)
+    return replace(top, attack=replace(top.attack, params=params),
+                   evaluation=evaluation)
 
 
 def validate_threat_model(scenario: Scenario) -> list[str]:
     """Violations of the attack's required capability triple (empty = ok)."""
-    required = ATTACKS[scenario.attack_type].requires
-    return [f"{scenario.attack_type}: {v}"
+    required = ATTACKS[scenario.attack.type].requires
+    return [f"{scenario.attack.type}: {v}"
             for v in scenario.grants.dominates(required)]
 
 
@@ -402,7 +291,7 @@ def schedule(batch: list[Scenario], slots: int) -> ResourcePlan:
     window = 0
     fill = 0
     for scenario in batch:
-        if ATTACKS[scenario.attack_type].exclusive:
+        if ATTACKS[scenario.attack.type].exclusive:
             if fill:
                 window += 1
                 fill = 0
@@ -563,7 +452,7 @@ class RunRecord:
 
     @staticmethod
     def from_dict(doc: dict) -> "RunRecord":
-        return _build(RunRecord, doc, "", seed=0)
+        return from_doc(RunRecord, doc)
 
 
 def _utcnow() -> str:
@@ -610,7 +499,7 @@ def _derived_seed(scenario: Scenario, tag: str) -> int:
 def _steal_setup(scenario, bench):
     """Shared prefix of the stealing attacks: the seeded split of the
     target's data and the surrogate architecture."""
-    p = scenario.attack_params
+    p = scenario.attack.params
     data = _ref_data(scenario.target, bench)
     queries, test = split(data, p.query_fraction,
                           _derived_seed(scenario, "split"))
@@ -620,7 +509,7 @@ def _steal_setup(scenario, bench):
 
 
 def _run_knockoff(scenario, bench, target, art_dir):
-    p: KnockoffConfig = scenario.attack_params
+    p: KnockoffConfig = scenario.attack.params
     queries, test, spec = _steal_setup(scenario, bench)
     stolen, record = knockoff_extract(QueryHandle(target), queries, spec, p,
                                       seed=scenario.seed)
@@ -640,7 +529,7 @@ def _run_knockoff(scenario, bench, target, art_dir):
 
 
 def _run_miface(scenario, bench, target, art_dir):
-    p: MifaceParams = scenario.attack_params
+    p: MifaceParams = scenario.attack.params
     aux = None
     if p.init_mode == "auxiliary_sample":
         data = _ref_data(scenario.target, bench)
@@ -665,7 +554,7 @@ def _run_miface(scenario, bench, target, art_dir):
 
 
 def _run_staged_inversion(scenario, bench, target, art_dir):
-    p: StagedInversionParams = scenario.attack_params
+    p: StagedInversionParams = scenario.attack.params
     queries, test, spec = _steal_setup(scenario, bench)
     knock = KnockoffConfig(p.budgets[-1], p.output_mode, recreate=p.recreate)
     rows = staged_inversion_study(target, queries, test, list(p.budgets), spec,
@@ -691,7 +580,7 @@ def _corpus_setup(scenario, per_architecture: int, victim_tags: list[str]):
     stream, seeded in bulk, in the order a runner simulates them:
     `per_architecture` for each corpus architecture, then one per victim
     tag."""
-    archs = scenario.attack_params.corpus_architectures
+    archs = scenario.attack.params.corpus_architectures
     data_spec = BUILTIN_DATASETS[scenario.target.dataset_id]
     specs = [builtin_spec(a, data_spec.input_shape, data_spec.class_count)
              for a in archs]
@@ -703,7 +592,7 @@ def _corpus_setup(scenario, per_architecture: int, victim_tags: list[str]):
 
 
 def _run_deepsniffer(scenario, bench, target, art_dir):
-    p: DeepSnifferParams = scenario.attack_params
+    p: DeepSnifferParams = scenario.attack.params
     profile = BUILTIN_ENVIRONMENT_PROFILES[scenario.environment.environment_profile]
     if scenario.environment.verbose_runtime:
         profile = replace(profile, verbose_runtime=True)
@@ -732,7 +621,7 @@ def _run_deepsniffer(scenario, bench, target, art_dir):
 
 
 def _run_deeprecon(scenario, bench, target, art_dir):
-    p: DeepReconParams = scenario.attack_params
+    p: DeepReconParams = scenario.attack.params
     profile = BUILTIN_MACHINE_PROFILES[scenario.environment.machine_profile]
     specs, rngs = _corpus_setup(scenario, p.histograms_per_architecture,
                                 [f"victim|{t}" for t in range(p.trials)])
@@ -753,7 +642,7 @@ def _run_deeprecon(scenario, bench, target, art_dir):
 
 
 def _run_equivalency(scenario, bench, target, art_dir):
-    p: EquivalencyParams = scenario.attack_params
+    p: EquivalencyParams = scenario.attack.params
     queries, test, spec = _steal_setup(scenario, bench)
     stolen, _ = knockoff_extract(QueryHandle(target), queries, spec, p,
                                  seed=scenario.seed)
@@ -851,7 +740,7 @@ def execute(scenario: Scenario, bench: Workbench,
     started = _utcnow()
     t0 = time.perf_counter()
     timings: dict[str, float] = {}
-    from_cache = None
+    from_cache = failure = None
     art_dir = bench.artifacts_dir / scenario.id / started.replace(":", "")
     try:
         violations = validate_threat_model(scenario)
@@ -862,7 +751,7 @@ def execute(scenario: Scenario, bench: Workbench,
         timings["resolve_seconds"] = resolve_s
         art_dir.mkdir(parents=True, exist_ok=True)
         t1 = time.perf_counter()
-        metrics, artifacts = ATTACKS[scenario.attack_type].run(
+        metrics, artifacts = ATTACKS[scenario.attack.type].run(
             scenario, bench, target, art_dir)
         timings["attack_seconds"] = time.perf_counter() - t1
         missing = [m for m in scenario.evaluation if m not in metrics]
@@ -871,20 +760,16 @@ def execute(scenario: Scenario, bench: Workbench,
         unfinite = sorted(m for m, v in metrics.items() if not np.isfinite(v))
         if unfinite:
             raise ArithmeticError(f"metric(s) {unfinite} not finite")
-        timings["wall_seconds"] = time.perf_counter() - t0
-        record = RunRecord(scenario=scenario.to_dict(), status="ok",
-                           started=started, ended=_utcnow(), metrics=metrics,
-                           artifacts=artifacts, timings=timings,
-                           resolved_from_cache=from_cache)
     except Exception as exc:
-        import shutil
         shutil.rmtree(art_dir, ignore_errors=True)
-        timings["wall_seconds"] = time.perf_counter() - t0
-        record = RunRecord(scenario=scenario.to_dict(), status="failed",
-                           started=started, ended=_utcnow(), metrics={},
-                           artifacts=[], timings=timings,
-                           failure_reason=f"{type(exc).__name__}: {exc}",
-                           resolved_from_cache=from_cache)
+        metrics, artifacts = {}, []
+        failure = f"{type(exc).__name__}: {exc}"
+    timings["wall_seconds"] = time.perf_counter() - t0
+    record = RunRecord(scenario=to_doc(scenario),
+                       status="failed" if failure else "ok", started=started,
+                       ended=_utcnow(), metrics=metrics, artifacts=artifacts,
+                       timings=timings, resolved_from_cache=from_cache,
+                       failure_reason=failure)
     if persist:
         persist_record(record, bench)
     return record

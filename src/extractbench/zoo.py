@@ -34,7 +34,7 @@ from typing import Literal
 import numpy as np
 
 from .datasets import DatasetId, write_entry
-from .fields import Count, check_fields, is_doc_of, to_doc
+from .fields import Count, check_fields, from_doc, is_doc_of, to_doc
 from .network import Network, NodeSpec, node_shapes, topological_order
 from .tensor import OperatorKind, ShapeError, madd
 
@@ -120,7 +120,7 @@ class ModelRef:
         subset = tuple(sorted(self.class_subset or ()))
         if subset:
             if len(set(subset)) != len(subset):
-                raise ValueError("class_subset must be non-empty with unique indices")
+                raise ValueError("class_subset indices must be unique")
             if len(subset) < 2:
                 raise ValueError(f"class_subset {list(subset)} must name at "
                                  f"least two classes")
@@ -167,51 +167,54 @@ def checkpoint_path(root, ref: ModelRef) -> Path:
     return Path(root) / ref.slug()
 
 
+# metadata.json, in the order it is written
+@dataclass(kw_only=True)
+class _Metadata:
+    format_version: int
+    architecture_id: str
+    spec: dict  # the model's spec document, compared with the caller's
+    dataset_id: str
+    class_subset: tuple[int, ...] | None = None
+    epochs_trained: int
+    seed: int
+    bn_calibrated: bool
+
+
 def save_checkpoint(model: Network, ref: ModelRef, root) -> Path:
     """Write atomically; a checkpoint already at the path is kept (see
     :func:`~extractbench.datasets.write_entry`)."""
-    meta = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "architecture_id": model.spec.id,
-        "spec": to_doc(model.spec),
-        "dataset_id": ref.dataset_id,
-        "class_subset": to_doc(ref.class_subset),
-        "epochs_trained": model.meta.get("epochs_trained", 0),
-        "seed": model.meta.get("seed"),
-        "bn_calibrated": model.bn_calibrated,
-    }
+    meta = _Metadata(
+        format_version=CHECKPOINT_FORMAT_VERSION, architecture_id=model.spec.id,
+        spec=to_doc(model.spec), dataset_id=ref.dataset_id,
+        class_subset=ref.class_subset,
+        epochs_trained=model.meta.get("epochs_trained", 0),
+        seed=model.meta.get("seed"), bn_calibrated=model.bn_calibrated)
     return write_entry(checkpoint_path(root, ref), {
-        "metadata.json": json.dumps(meta, indent=2).encode(),
+        "metadata.json": json.dumps(to_doc(meta), indent=2).encode(),
         "params.bin": model.state_vector().astype("<f8").tobytes()})
 
 
 def load_checkpoint(ref: ModelRef, root, spec: ArchitectureSpec) -> Network:
     """The checkpoint of `ref`, which must hold a model of `spec`: one whose
-    metadata.json echoes another spec is corrupt (CheckpointError)."""
+    metadata.json echoes another spec, or is not exactly a metadata
+    document, is corrupt (CheckpointError)."""
     path = checkpoint_path(root, ref)
     meta_file = path / "metadata.json"
     params_file = path / "params.bin"
     if not meta_file.exists() or not params_file.exists():
         raise CheckpointError(f"no checkpoint at {path}")
     try:
-        meta = json.loads(meta_file.read_text())
-        if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+        meta = from_doc(_Metadata, json.loads(meta_file.read_text()))
+        if meta.format_version != CHECKPOINT_FORMAT_VERSION:
             raise CheckpointError(
-                f"unsupported checkpoint format {meta.get('format_version')}")
-        if not is_doc_of(meta["spec"], spec):
+                f"unsupported checkpoint format {meta.format_version}")
+        if not is_doc_of(meta.spec, spec):
             raise ValueError(f"its spec is not the {spec.id!r} spec asked for")
-        seed, epochs_trained, calibrated = (
-            meta["seed"], meta["epochs_trained"], meta["bn_calibrated"])
-        if (type(seed), type(epochs_trained), type(calibrated)) \
-                != (int, int, bool):
-            raise TypeError(f"seed {seed!r}, epochs_trained {epochs_trained!r}"
-                            f" or bn_calibrated {calibrated!r} of the wrong "
-                            f"type")
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except ValueError as exc:
         raise CheckpointError(
             f"corrupt checkpoint {path}: unreadable metadata.json "
             f"({type(exc).__name__}: {exc})") from exc
-    model = build_model(spec, seed=seed)
+    model = build_model(spec, seed=meta.seed)
     raw = np.frombuffer(params_file.read_bytes(), dtype="<f8")
     expected = model.state_vector().size
     if raw.size != expected:
@@ -219,8 +222,8 @@ def load_checkpoint(ref: ModelRef, root, spec: ArchitectureSpec) -> Network:
             f"corrupt checkpoint {path}: params.bin holds {raw.size} values, "
             f"architecture {spec.id} needs {expected}")
     model.load_state_vector(np.asarray(raw, dtype=np.float64))
-    model.meta["epochs_trained"] = epochs_trained
-    model.bn_calibrated = calibrated
+    model.meta["epochs_trained"] = meta.epochs_trained
+    model.bn_calibrated = meta.bn_calibrated
     return model
 
 

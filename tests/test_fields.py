@@ -21,6 +21,8 @@ class Config:
     scale: float = 1.0
     sizes: tuple[Count, ...] = (1,)
     pair: tuple[float, float] = (0.0, 1.0)
+    choice: Literal["a", "b"] | None = None
+    limit: Count | None = None
 
     def __post_init__(self):
         check_fields(self)
@@ -69,7 +71,9 @@ class TestCheckFields:
         ("weight", float("nan"), "^weight must be finite$"),
         ("scale", float("inf"), "^scale must be finite$"),
         ("sizes", (3, 0), "^sizes must be >= 1$"),
-        ("pair", (0.0, float("-inf")), "^pair must be finite$")])
+        ("pair", (0.0, float("-inf")), "^pair must be finite$"),
+        ("choice", "c", "^unknown choice 'c'$"),
+        ("limit", 0, "^limit must be >= 1$")])
     def test_each_rule_is_enforced(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             Config(**{field: value})

@@ -25,7 +25,9 @@ from extractbench.orchestrator import (
     ATTACKS,
     BUILTIN_DATASETS,
     EnvironmentSpec,
+    EquivalencyParams,
     ScenarioError,
+    StagedInversionParams,
     Workbench,
     _derived_seed,
     _ref_data,
@@ -125,8 +127,8 @@ FIELD_VALUES = st.one_of(
 def mutated_documents(draw):
     """The explicit form of a valid document with a few fields replaced,
     removed or added, anywhere in it."""
-    doc = parse_scenario(json.dumps(minimal_doc(
-        draw(st.sampled_from(tuple(ATTACKS)))))).to_dict()
+    doc = to_doc(parse_scenario(json.dumps(minimal_doc(
+        draw(st.sampled_from(tuple(ATTACKS)))))))
     params = doc["attack"]["params"]
     sections = [doc, doc["attack"], params, doc["target"], doc["environment"],
                 doc["grants"]]
@@ -178,7 +180,7 @@ BAD_DOCUMENTS = [
     ("knockoff", {"query_budget": 120},
      {"target": {"architecture_id": "mini-mlp-1",
                  "dataset_id": "blobs-2c-easy", "class_subset": [1, 1]}},
-     r"^target: class_subset must be non-empty with unique indices"),
+     r"^target: class_subset indices must be unique"),
     ("deepsniffer", {"corpus_architectures": "mini-vgg-4"}, GPU,
      r"attack\.params\.corpus_architectures: expected a list"),
     ("deepsniffer", {"window": -3}, GPU,
@@ -366,7 +368,7 @@ def bench(tmp_path):
 class TestParseScenario:
     def test_minimal_knockoff_gets_explicit_defaults(self):
         sc = parse_scenario(json.dumps(scenario_doc()))
-        echoed = sc.to_dict()
+        echoed = to_doc(sc)
         params = echoed["attack"]["params"]
         assert params["output_mode"] == "confidence_vector"
         assert params["query_fraction"] == 0.5
@@ -379,7 +381,7 @@ class TestParseScenario:
         """Each default is written out, in the schema's field order, whether
         the params class declares it or a library config it is or extends."""
         sc = parse_scenario(json.dumps(minimal_doc(attack_type)))
-        assert json.dumps(sc.to_dict()["attack"]["params"]) == json.dumps(
+        assert json.dumps(to_doc(sc)["attack"]["params"]) == json.dumps(
             ECHOED_DEFAULTS[attack_type])
 
     def test_deepsniffer_with_machine_profile_names_mismatch(self):
@@ -441,7 +443,7 @@ class TestParseScenario:
     def test_integer_accepted_for_float(self):
         doc = scenario_doc(params={"query_budget": 120,
                                    "recreate": {"learning_rate": 1}})
-        recreate = parse_scenario(json.dumps(doc)).attack_params.recreate
+        recreate = parse_scenario(json.dumps(doc)).attack.params.recreate
         assert type(recreate.learning_rate) is float
 
     @given(document=st.one_of(mutated_documents(), st.text(max_size=40)))
@@ -451,7 +453,7 @@ class TestParseScenario:
             sc = parse_scenario(document)
         except ScenarioError:
             return
-        assert parse_scenario(json.dumps(sc.to_dict())) == sc
+        assert parse_scenario(json.dumps(to_doc(sc))) == sc
 
 
 class TestCli:
@@ -566,6 +568,21 @@ class TestAttackTable:
         readers = Counter(name for attack in ATTACKS.values()
                           for name in attack.environment)
         assert readers == Counter(f.name for f in fields(EnvironmentSpec))
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: EnvironmentSpec(environment_profile="nope"),
+         "^unknown environment_profile 'nope'$"),
+        (lambda: EnvironmentSpec(machine_profile="nope"),
+         "^unknown machine_profile 'nope'$"),
+        (lambda: EquivalencyParams(query_budget=10,
+                                   surrogate_architecture="x-net"),
+         "^unknown surrogate_architecture 'x-net'$"),
+        (lambda: StagedInversionParams((10,), surrogate_architecture="x-net"),
+         "^unknown surrogate_architecture 'x-net'$")],
+        ids=["environment", "machine", "equivalency", "staged"])
+    def test_optional_ids_are_checked_when_made(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
 
     def test_every_number_field_carries_a_range(self):
         """A bare int or float field would take any value unchecked: each
@@ -983,12 +1000,16 @@ class TestDatasetCache:
         [], {"spec": None, "count": 600},
         {"spec": {**to_doc(BUILTIN_DATASETS["blobs-2c-easy"]),
                   "input_shape": [6.0, 6.0, 1]}, "role": "train", "count": 600},
-    ], ids=["list", "null-spec", "float-shape"])
+        {"spec": to_doc(BUILTIN_DATASETS["blobs-2c-easy"]), "role": "train",
+         "count": 600, "note": "x"},
+    ], ids=["list", "null-spec", "float-shape", "extra-key"])
     def test_meta_of_wrong_shape_is_regenerated(self, bench, meta):
         first = bench.dataset("blobs-2c-easy")
-        (bench.datasets_dir / "blobs-2c-easy" / "meta.json").write_text(
-            json.dumps(meta))
+        meta_file = bench.datasets_dir / "blobs-2c-easy" / "meta.json"
+        written = meta_file.read_bytes()
+        meta_file.write_text(json.dumps(meta))
         again = bench.dataset("blobs-2c-easy")
+        assert meta_file.read_bytes() == written  # rebuilt, not served
         assert np.array_equal(again.inputs, first.inputs)
         assert load_dataset(bench.datasets_dir / "blobs-2c-easy",
                             first.spec).spec == first.spec
@@ -1112,7 +1133,7 @@ class TestSideChannelRunnersSeedInBulk:
         calls = self._spied(monkeypatch, "simulate_symbol_stream")
         record = execute(sc, bench)
         assert record.status == "ok", record.failure_reason
-        corpus_tags = [f"{a}|{i}" for a in sc.attack_params.corpus_architectures
+        corpus_tags = [f"{a}|{i}" for a in sc.attack.params.corpus_architectures
                        for i in range(3)]
         tags = corpus_tags + [f"victim|{t}" for t in range(4)]
         assert len(calls) == len(tags)
@@ -1170,7 +1191,7 @@ class TestEachModelPredictsOncePerSet:
         assert record.status == "ok", record.failure_reason
         from extractbench.orchestrator import _derived_seed
         _, test = split(bench.dataset(sc.target.dataset_id),
-                        sc.attack_params.query_fraction,
+                        sc.attack.params.query_fraction,
                         _derived_seed(sc, "split"))
         on_test = {key: n for key, n in counts.items()
                    if np.array_equal(arrays[key[1]], test.inputs)}

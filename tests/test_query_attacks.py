@@ -53,6 +53,10 @@ class TestThreatModel:
             KnockoffConfig(10, output_mode="logits")
         with pytest.raises(ValueError, match="^unknown init_mode 'zeros'$"):
             InversionConfig(init_mode="zeros")
+        # an optional field's value is checked too
+        with pytest.raises(ValueError,
+                           match="^unknown surrogate_architecture 'x-net'$"):
+            KnockoffConfig(10, surrogate_architecture="x-net")
         # the spec is the surrogate: a config naming another is refused
         data = make_blobs(classes=2, per_class=5, shape=(4, 4, 1))
         spec = builtin_spec("mini-mlp-1", (4, 4, 1), 2)

@@ -251,9 +251,10 @@ class TestCheckpoints:
         lambda text: _set_meta(text, "bn_calibrated", "false"),
         lambda text: _set_meta(text, "seed", "12"),
         lambda text: _set_meta(text, "epochs_trained", 2.9),
+        lambda text: json.dumps({**json.loads(text), "note": "x"}),
     ], ids=["truncated", "empty", "no-spec", "not-an-object", "stride-0",
             "out-features-0", "calibrated-string", "seed-string",
-            "epochs-float"])
+            "epochs-float", "extra-key"])
     def test_unreadable_metadata_is_corruption(self, tmp_path, damage):
         data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=6)
         model = trained_model("mini-student-cnn", data, epochs=1, seed=7)
