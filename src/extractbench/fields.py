@@ -51,6 +51,13 @@ QueryFraction = Annotated[float, Range(0, 1, low_open=True, high_open=True)]
 Temperature = Annotated[float, Range(0.01)]
 # a log-normal jitter's sigma: far wider ones overflow a latency to inf
 Jitter = Annotated[float, Range(0, 10)]
+# Counts that only make a run longer (epochs, inversion iterations, traces,
+# histograms, trials) share one ceiling, 100x the most that any workload,
+# golden, test or CI document asks of one (500 iterations): a runaway count
+# fails at parse time instead of running for days. Zero epochs train nothing.
+MAX_REPEATS = 50_000
+Repeats = Annotated[int, Range(1, MAX_REPEATS)]
+Epochs = Annotated[int, Range(0, MAX_REPEATS)]
 
 
 @cache

@@ -8,7 +8,7 @@ training forward pass caches per-node activations and kernel workspace;
 backward consumes the cache and computes the gradients its caller asks for:
 those of every trainable tensor (what training reads), of the graph input
 (what inversion attacks climb), or both. Inference goes through
-``predict``, which caches nothing.
+``predict``, which caches nothing and runs a large batch in row blocks.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Annotated, NamedTuple
 
 import numpy as np
 
-from .fields import NonNegative, Range, check_fields
+from .fields import Epochs, NonNegative, Range, check_fields
 from .tensor import (
     OperatorKind,
     ShapeError,
@@ -32,6 +32,10 @@ from .tensor import (
 
 INPUT_ID = "input"
 _FLOAT64 = np.dtype(np.float64)
+# float64 elements of kernel workspace one block of an inference pass may
+# fill (2 MiB): a larger pass runs in blocks of rows, so its memory is set
+# by the network, not by the batch, and each block's im2col stays in cache
+_BLOCK_ELEMENTS = 2 ** 18
 
 
 def _constant(value: float) -> np.ndarray:
@@ -45,6 +49,7 @@ def _constant(value: float) -> np.ndarray:
 
 _LOG_EPS = _constant(1e-12)
 _MINUS_ONE = _constant(-1.0)
+_ZERO = _constant(0.0)
 
 
 class GraphError(ValueError):
@@ -145,7 +150,8 @@ class Network:
     position: 0 is the graph input, ``k + 1`` the output of the k-th step.
     Every other node leads to the one output node, so it runs last and its
     output is the last activation. Every pass sends each node it runs
-    through ``op_forward`` or ``op_backward`` once, with the kind first.
+    through ``op_forward`` or ``op_backward`` once, with the kind first (an
+    inference pass in row blocks: once per block).
 
     Every weight and buffer is a view of one float64 state vector, laid out
     in checkpoint order: nodes in declaration order, each node's weights
@@ -209,6 +215,13 @@ class Network:
                       if reader == node_id),
                 any(d != INPUT_ID for d in node.inputs)))
         self._reversed = self._plan[::-1]
+        # a row's widest workspace: a CONV's im2col columns, else the output
+        width = max(
+            int(np.prod(step.geometry[:4])) * self.shapes[node.inputs[0]][-1]
+            if step.kind is OperatorKind.CONV
+            else int(np.prod(self.shapes[step.node_id]))
+            for node, step in zip(self.order, self._plan))
+        self._block_rows = max(1, _BLOCK_ELEMENTS // width)
         self._acts: list[np.ndarray] | None = None
         self._ctxs: list[dict] = []
 
@@ -267,7 +280,7 @@ class Network:
 
     def _run(self, x, steps: int | None = None, keep: bool = False,
              calibrate: bool = False, hold: int | None = None):
-        """The one forward loop: runs the first `steps` plan steps (all by
+        """The one forward pass: runs the first `steps` plan steps (all by
         default) and returns (activations, kernel workspaces).
 
         With `keep` (training) every activation and each step's workspace
@@ -275,7 +288,9 @@ class Network:
         activation is dropped after its last reader, so only the last
         step's output survives, and the activation at position `hold`.
         `calibrate` first sets each BN's running statistics from the batch
-        that reaches it.
+        that reaches it. An inference pass (neither) over more rows than
+        one block runs the plan on each block of rows in turn and joins
+        what survives, so each row's output is its block's.
         """
         # asarray costs about 0.1 us even when it has nothing to do
         if x.__class__ is not np.ndarray or x.dtype is not _FLOAT64:
@@ -285,26 +300,38 @@ class Network:
                 f"input shape {x.shape[1:]} does not match model input "
                 f"{self.input_shape}")
         plan = self._plan if steps is None else self._plan[:steps]
-        acts: list = [x]  # step k appends position k + 1
-        ctxs: list = []
-        for _, kind, params, weights, buffers, _, _, gather, _, geometry, \
-                frees, _ in plan:
-            inputs = gather(acts)
-            if calibrate and kind is OperatorKind.BN:
-                axes = tuple(range(inputs[0].ndim - 1))
-                buffers["running_mean"][...] = inputs[0].mean(axis=axes)
-                buffers["running_var"][...] = inputs[0].var(axis=axes)
-            if keep:
-                ctxs.append(ctx := {})
-                acts.append(op_forward(kind, params, weights, buffers, inputs,
-                                       ctx, geometry))
-            else:
-                acts.append(op_forward(kind, params, weights, buffers, inputs,
-                                       None, geometry))
-                for k in frees:
-                    if k != hold:
-                        acts[k] = None
-        return acts, ctxs
+        rows = self._block_rows
+        whole = keep or calibrate or x.shape[0] <= rows
+        batches = (x,) if whole else [x[i:i + rows]
+                                      for i in range(0, x.shape[0], rows)]
+        passes = []
+        for batch in batches:
+            acts: list = [batch]  # step k appends position k + 1
+            ctxs: list = []
+            for _, kind, params, weights, buffers, _, _, gather, _, geometry, \
+                    frees, _ in plan:
+                inputs = gather(acts)
+                if calibrate and kind is OperatorKind.BN:
+                    axes = tuple(range(inputs[0].ndim - 1))
+                    buffers["running_mean"][...] = inputs[0].mean(axis=axes)
+                    buffers["running_var"][...] = inputs[0].var(axis=axes)
+                if keep:
+                    ctxs.append(ctx := {})
+                    acts.append(op_forward(kind, params, weights, buffers,
+                                           inputs, ctx, geometry))
+                else:
+                    acts.append(op_forward(kind, params, weights, buffers,
+                                           inputs, None, geometry))
+                    for k in frees:
+                        if k != hold:
+                            acts[k] = None
+            passes.append(acts)
+        if whole:
+            return acts, ctxs
+        joined: list = [None] * len(acts)
+        for k in {len(plan), hold} - {None}:
+            joined[k] = np.concatenate([block[k] for block in passes])
+        return joined, ctxs
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Batched training forward pass: keeps every activation and kernel
@@ -360,8 +387,6 @@ class Network:
                 f"{acts[-1].shape}")
         grads: list = [None] * len(acts)
         grads[-1] = grad
-        if input_grad:  # else position 0 stays None and its gradients drop
-            grads[0] = np.zeros_like(acts[0])
         ctxs = self._ctxs
         for _, kind, params, weights, buffers, wgrads, ins, gather, out, \
                 geometry, _, reads_inner in self._reversed:
@@ -377,6 +402,8 @@ class Network:
                     grads[k] = grads[k] + ig
                 elif k:
                     grads[k] = ig
+                elif input_grad:  # else the graph input's gradients drop
+                    grads[0] = ig + _ZERO  # the bits of 0.0 + ig, in a copy
         return grads[0]
 
     def calibrate_bn(self, batch: np.ndarray) -> None:
@@ -400,7 +427,7 @@ class TrainConfig:
     # no built-in dataset holds more than 2,800 rows, so a larger batch is
     # a single batch
     batch_size: Annotated[int, Range(1, 2800)] = 10
-    epochs: NonNegative = 10
+    epochs: Epochs = 10
     seed: NonNegative = 0
 
     def __post_init__(self):

@@ -31,8 +31,8 @@ import zlib
 from .datasets import (BUILTIN_DATASETS, Dataset, DatasetId, discard_entry,
                        generate, load_dataset, query_rows, restrict_to_classes,
                        save_dataset, split)
-from .fields import (Count, Jitter, NonNegative, QueryFraction, Range,
-                     ScenarioError, check_fields, from_doc, to_doc)
+from .fields import (Count, Epochs, Jitter, NonNegative, QueryFraction, Range,
+                     Repeats, ScenarioError, check_fields, from_doc, to_doc)
 from .network import TrainConfig, train
 from .query_attacks import (
     GradientHandle,
@@ -115,13 +115,13 @@ class StagedInversionParams:
 @dataclass
 class DeepSnifferParams:
     corpus_architectures: tuple[ArchitectureId, ...] = CONVENTIONAL_ARCHITECTURES
-    traces_per_architecture: Count = 6
+    traces_per_architecture: Repeats = 6
     train_jitter: Jitter = 0.05
     # corpus traces are noise-free, one event per truth symbol, and the
     # longest built-in truth sequence is 20 events (mini-resnet-6): a wider
     # window adds only columns that are zero in every training row
     window: Annotated[int, Range(0, 20)] = 1
-    classifier_epochs: NonNegative = 200
+    classifier_epochs: Epochs = 200
 
     def __post_init__(self):
         if not self.corpus_architectures:
@@ -133,8 +133,8 @@ class DeepSnifferParams:
 class DeepReconParams:
     corpus_architectures: tuple[ArchitectureId, ...] = tuple(
         a for a in BUILTIN_ARCHITECTURES if a != "mini-student-cnn")
-    histograms_per_architecture: Count = 8
-    trials: Count = 6
+    histograms_per_architecture: Repeats = 8
+    trials: Repeats = 6
     k_neighbors: Count = 5
 
     def __post_init__(self):

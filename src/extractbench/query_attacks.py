@@ -18,7 +18,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .fields import (Count, NonNegative, Positive, PosteriorThreshold,
-                     QueryFraction, check_fields, check_value)
+                     QueryFraction, Repeats, check_fields, check_value)
 from .network import Network, TrainConfig, train
 from .similarity import collect_activations, default_probe_point, fidelity, pwcca_distance
 from .zoo import ArchitectureId, ArchitectureSpec, build_model
@@ -76,7 +76,7 @@ class GradientHandle(QueryHandle):
         batch = np.asarray(x, dtype=np.float64)[None, ...]
         probs = self._model.forward(batch)
         p = max(float(probs[0, target_class]), 1e-300)
-        seed = np.zeros_like(probs)
+        seed = np.zeros(probs.shape)  # zeros_like, minus its wrapper
         seed[0, target_class] = 1.0 / p
         return p, self._model.backward(seed, weight_grads=False)[0]
 
@@ -173,7 +173,7 @@ def knockoff_extract(target: QueryHandle, queries: Dataset,
 @dataclass
 class InversionConfig:
     posterior_threshold: PosteriorThreshold = 0.95
-    max_iterations: Count = 400
+    max_iterations: Repeats = 400
     step_size: Positive = 0.2
     init_mode: InitMode = "random"
     clamp_range: tuple[float, float] = (-4.0, 4.0)

@@ -1,5 +1,6 @@
 """Graph execution, backprop through DAGs, SGD training, gradient checking."""
 
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -444,6 +445,113 @@ class TestPlanSeam:
         assert model.shapes == spec.derive_shapes()
 
 
+class TestRowBlocks:
+    """An inference pass over more rows than the network's block runs the
+    plan on one block of rows at a time and joins the output and the held
+    probe, so a row's output is its block's. Training passes, calibration
+    and passes of at most one block run whole."""
+
+    SHAPES = [((6, 6, 1), 2), ((8, 8, 1), 10)]
+
+    @staticmethod
+    def _widest_row(spec):
+        """The widest per-row workspace, from the spec's shapes: a CONV's
+        im2col columns (oh*ow*kh*kw*cin), else the node's output."""
+        shapes = spec.derive_shapes()
+        widths = []
+        for node in spec.nodes:
+            out = shapes[node.node_id]
+            if node.kind is K.CONV:
+                kh, kw = node.params["kernel"]
+                cin = shapes[node.inputs[0]][-1]
+                widths.append(out[0] * out[1] * kh * kw * cin)
+            else:
+                widths.append(int(np.prod(out)))
+        return max(widths)
+
+    @pytest.mark.parametrize("shape,classes", SHAPES)
+    @pytest.mark.parametrize("arch_id", sorted(BUILTIN_ARCHITECTURES))
+    def test_block_rows_follow_the_widest_workspace(self, arch_id, shape,
+                                                    classes):
+        spec = builtin_spec(arch_id, shape, classes)
+        rows = build_model(spec, seed=0)._block_rows
+        assert rows == 2 ** 18 // self._widest_row(spec)
+        if spec.family == "mini-mlp":
+            assert rows > 2800  # more than any built-in dataset holds
+
+    def test_resnet_block_on_the_small_shape(self):
+        spec = builtin_spec("mini-resnet-4", (6, 6, 1), 5)
+        assert build_model(spec, seed=0)._block_rows == 101
+
+    @pytest.mark.parametrize("shape,classes", SHAPES)
+    @pytest.mark.parametrize("arch_id", sorted(BUILTIN_ARCHITECTURES))
+    def test_a_pass_is_its_blocks_joined(self, arch_id, shape, classes):
+        model = build_model(builtin_spec(arch_id, shape, classes), seed=1)
+        # the real block where it is small, else one that keeps the test small
+        rows = model._block_rows = min(model._block_rows, 128)
+        x = np.random.default_rng(0).standard_normal((3 * rows + 5,) + shape)
+        blocks = [x[i:i + rows] for i in range(0, len(x), rows)]
+        assert [len(b) for b in blocks] == [rows] * 3 + [5]
+        assert same_bits(model.predict(x),
+                         np.concatenate([model.predict(b) for b in blocks]))
+        for probe in (similarity.default_probe_point(model), "input"):
+            out, act = model.predict_and_probe(x, probe)
+            parts = [model.predict_and_probe(b, probe) for b in blocks]
+            assert same_bits(out, np.concatenate([p[0] for p in parts])), probe
+            assert same_bits(act, np.concatenate([p[1] for p in parts])), probe
+
+    def test_each_block_sends_each_node_through_the_seam(self, monkeypatch):
+        model, x = TestPredictAndWorkspace._model_and_input("mini-resnet-4", 1)
+        rows = model._block_rows
+        x = np.random.default_rng(0).standard_normal((3 * rows + 1, 8, 8, 1))
+        calls = []
+        owner = {id(w): node_id for node_id, w in model.weights.items()}
+        real = network.op_forward
+
+        def record(*args):
+            calls.append((args[0], owner[id(args[2])], len(args[4][0])))
+            return real(*args)
+
+        monkeypatch.setattr(network, "op_forward", record)
+
+        def per_node(*sizes):
+            return [(n.kind, n.node_id, size)
+                    for size in sizes for n in model.order]
+
+        model.predict(x)
+        assert calls == per_node(rows, rows, rows, 1)
+        calls.clear()
+        model.predict_and_probe(x, "input")
+        assert calls == per_node(rows, rows, rows, 1)
+        calls.clear()
+        model.predict(x[:rows])
+        assert calls == per_node(rows)
+        # training and calibration passes run whole
+        calls.clear()
+        model.forward(x)
+        assert calls == per_node(len(x))
+        calls.clear()
+        model.calibrate_bn(x)
+        assert calls == per_node(len(x))
+
+    def test_predict_memory_is_bounded_by_the_network(self):
+        model = build_model(builtin_spec("mini-resnet-4", (6, 6, 1), 5), seed=0)
+        rows = model._block_rows
+        model.predict(np.zeros((1, 6, 6, 1)))  # one-time caches
+        peaks = []
+        for blocks in (1, 2, 8):
+            x = np.random.default_rng(0).standard_normal((blocks * rows, 6, 6, 1))
+            tracemalloc.start()
+            try:
+                model.predict(x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # twice the workspace budget; a whole 750-row pass peaks at 22 MB
+        assert max(peaks) < 2 * 8 * network._BLOCK_ELEMENTS
+        assert peaks[-1] < 1.05 * peaks[0]
+
+
 class TestRequestedGradients:
     """`backward` computes only the gradients its caller asks for, and each
     one it computes has the bits of the full backward."""
@@ -468,6 +576,17 @@ class TestRequestedGradients:
         model._grad[...] = np.nan  # weight_grads=False writes none
         assert same_bits(model.backward(gout, weight_grads=False), full)
         assert np.isnan(model._grad).all()
+
+    def test_input_gradient_is_a_fresh_sum_from_zero(self):
+        # the graph input's gradient has the bits of 0.0 + the first one to
+        # reach it: a copy of FLATTEN's view of the output gradient, with
+        # -0.0 read as +0.0
+        net = network_of([NodeSpec("f", K.FLATTEN, {}, ("input",))], (2, 2, 1))
+        net.forward(np.ones((1, 2, 2, 1)))
+        g = np.array([[-0.0, 1.0, -2.0, 0.0]])
+        ig = net.backward(g)
+        assert same_bits(ig, (0.0 + g).reshape(1, 2, 2, 1))
+        assert not np.shares_memory(ig, g)
 
     def test_two_readers_of_the_input_without_input_grad(self):
         # the CONV skips its input gradient, the ADD's is dropped

@@ -20,7 +20,7 @@ import extractbench
 from extractbench import network, orchestrator
 from extractbench.cli import main
 from extractbench.datasets import load_dataset
-from extractbench.fields import Range, field_hints, to_doc
+from extractbench.fields import MAX_REPEATS, Range, field_hints, to_doc
 from extractbench.orchestrator import (
     ATTACKS,
     BUILTIN_DATASETS,
@@ -186,11 +186,13 @@ BAD_DOCUMENTS = [
     ("deepsniffer", {"window": -3}, GPU,
      r"attack\.params: window must lie in \[0, 20\]"),
     ("deepsniffer", {"traces_per_architecture": 0}, GPU,
-     r"attack\.params: traces_per_architecture must be >= 1"),
+     r"attack\.params: traces_per_architecture must lie in \[1, 50000\]"),
+    ("deepsniffer", {"classifier_epochs": 10 ** 9}, GPU,
+     r"attack\.params: classifier_epochs must lie in \[0, 50000\]"),
     ("deeprecon", {"trials": 0}, CPU,
-     r"attack\.params: trials must be >= 1"),
+     r"attack\.params: trials must lie in \[1, 50000\]"),
     ("deeprecon", {"histograms_per_architecture": 0}, CPU,
-     r"attack\.params: histograms_per_architecture must be >= 1"),
+     r"attack\.params: histograms_per_architecture must lie in \[1, 50000\]"),
     ("deeprecon", {"k_neighbors": 0}, CPU,
      r"attack\.params: k_neighbors must be >= 1"),
     ("miface", {"target_class": 0, "clamp_range": [1]}, {},
@@ -202,6 +204,8 @@ BAD_DOCUMENTS = [
     ("miface", {"target_class": -1}, {}, r"attack\.params: target_class must be >= 0"),
     ("miface", {"target_class": 0, "max_iterations": 2.5}, {},
      r"attack\.params\.max_iterations: expected an integer"),
+    ("miface", {"target_class": 0, "max_iterations": 10 ** 400}, {},
+     r"attack\.params: max_iterations must lie in \[1, 50000\]"),
     ("miface", {}, {}, r"attack\.params\.target_class required"),
     ("staged_inversion", {"budgets": 30}, {},
      r"attack\.params\.budgets: expected a list"),
@@ -223,6 +227,8 @@ BAD_DOCUMENTS = [
      r"^target: class_subset index -1 must be >= 0"),
     ("knockoff", {"query_budget": 120, "recreate": {"seed": -5}}, {},
      r"attack\.params\.recreate: seed must be >= 0"),
+    ("knockoff", {"query_budget": 120, "recreate": {"epochs": 50001}}, {},
+     r"attack\.params\.recreate: epochs must lie in \[0, 50000\]"),
     ("knockoff", {"query_budget": 120}, GPU,
      r"^environment\.environment_profile: knockoff never reads it"),
     ("miface", {"target_class": 0}, CPU,
@@ -714,8 +720,10 @@ def sweep_bench(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def sweep(sweep_bench):
-    """(document, expected accepted) for each edge of each declared rule of
-    each attack, and each target limit case."""
+    """(document, expected accepted, run) for each edge of each declared
+    rule of each attack, and each target limit case. An accepted document
+    is run unless a count sits at the shared ceiling of run lengths, where
+    one run would take minutes: there only the parse is checked."""
     cases = []
     for attack_type, attack in ATTACKS.items():
         for path, kind, rule, listed in _rules(attack.params):
@@ -727,18 +735,20 @@ def sweep(sweep_bench):
                 section[path[-1]] = [value] if listed else value
                 doc = _sweep_doc(attack_type, params, SWEEP_TARGETS[
                     len(cases) % len(SWEEP_TARGETS)], len(cases))
-                cases.append((doc, in_range
-                              and _target_holds(doc, sweep_bench)))
+                accepted = in_range and _target_holds(doc, sweep_bench)
+                cases.append((doc, accepted, accepted and (
+                    rule.high != MAX_REPEATS or value <= rule.low + 1)))
     for attack_type, params, target in _limit_cases(sweep_bench):
         doc = _sweep_doc(attack_type, params, target, len(cases))
-        cases.append((doc, _target_holds(doc, sweep_bench)))
+        accepted = _target_holds(doc, sweep_bench)
+        cases.append((doc, accepted, accepted))
     return cases
 
 
 class TestDeclaredRulesSweep:
     def test_rejected_exactly_outside_the_rules(self, sweep):
         wrong = []
-        for doc, expected in sweep:
+        for doc, expected, _ in sweep:
             try:
                 parse_scenario(json.dumps(doc))
                 accepted = True
@@ -748,14 +758,22 @@ class TestDeclaredRulesSweep:
                 wrong.append((doc["attack"], doc["target"],
                               None if accepted else reason))
         assert not wrong
-        assert sum(e for _, e in sweep) > 60
-        assert sum(not e for _, e in sweep) > 60
+        assert sum(e for _, e, _ in sweep) > 60
+        assert sum(not e for _, e, _ in sweep) > 60
+
+    def test_run_lengths_share_one_ceiling(self):
+        capped = {path[-1] for attack in ATTACKS.values()
+                  for path, _, rule, _ in _rules(attack.params)
+                  if rule.high == MAX_REPEATS}
+        assert capped == {"epochs", "max_iterations", "traces_per_architecture",
+                          "classifier_epochs", "histograms_per_architecture",
+                          "trials"}
 
     def test_accepted_documents_run_with_finite_metrics(self, sweep,
                                                         sweep_bench):
         failed, targets = [], set()
-        for doc, expected in sweep:
-            if not expected:
+        for doc, _, run in sweep:
+            if not run:
                 continue
             record = execute(parse_scenario(json.dumps(doc)), sweep_bench,
                              persist=False)
