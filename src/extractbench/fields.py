@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 import types
 from dataclasses import MISSING, fields, is_dataclass
@@ -60,6 +61,13 @@ Repeats = Annotated[int, Range(1, MAX_REPEATS)]
 Epochs = Annotated[int, Range(0, MAX_REPEATS)]
 
 
+# each scalar type's name, and the class of what a field of it holds:
+# numbers.Integral takes numpy ints; a bool, an int subclass, is no number
+_TYPES = {int: ("an integer", numbers.Integral),
+          float: ("a finite number", numbers.Real),
+          bool: ("true or false", bool), str: ("a string", str)}
+
+
 @cache
 def field_hints(cls) -> dict:
     """A dataclass's resolved annotations, their `Annotated` rules kept."""
@@ -67,9 +75,10 @@ def field_hints(cls) -> dict:
 
 
 def check_value(name: str, value, hint) -> None:
-    """Raise ValueError if `value` breaks a rule of the annotation `hint`: a
-    `Literal`'s choices, a `Range`, a float's finiteness, or those of tuple
-    items or of an optional's value."""
+    """Raise ValueError if `value` breaks a rule of the annotation `hint`:
+    its type (a fixed-length tuple's length too), a `Literal`'s choices, a
+    `Range`, a float's finiteness, or those of each tuple item or of an
+    optional's value."""
     origin, args = get_origin(hint), get_args(hint)
     if origin in (types.UnionType, Union):  # X | None: None passes
         if value is not None:
@@ -81,9 +90,17 @@ def check_value(name: str, value, hint) -> None:
         check_value(name, value, args[0])
         if not args[1].holds(value):
             raise ValueError(f"{name} {args[1]}")
-    elif origin is tuple:  # every tuple field here holds items of one type
-        for item in value:
-            check_value(name, item, args[0])
+    elif origin is tuple:
+        if args[-1] is Ellipsis:  # tuple[X, ...]: any number of X
+            args = args[:1] * len(value)
+        elif not isinstance(value, tuple) or len(value) != len(args):
+            raise ValueError(
+                f"{name} must be a tuple of {len(args)} items, got {value!r}")
+        for item, item_hint in zip(value, args):
+            check_value(name, item, item_hint)
+    elif hint in _TYPES and not (isinstance(value, _TYPES[hint][1]) and (
+            hint is bool or not isinstance(value, bool))):
+        raise ValueError(f"{name} must be {_TYPES[hint][0]}, got {value!r}")
     elif isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"{name} must be finite")
 
@@ -98,6 +115,14 @@ def check_fields(config) -> None:
     """Check each field of a dataclass instance against its annotation."""
     for name, hint in field_hints(type(config)).items():
         check_value(name, getattr(config, name), hint)
+
+
+class Checked:
+    """A base for a config dataclass: its fields are checked when it is
+    made. A subclass with rules of its own extends `__post_init__`."""
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 def to_doc(value):
@@ -126,8 +151,6 @@ class ScenarioError(ValueError):
 
 
 _REQUIRED = object()
-_TYPE_NAMES = {int: "an integer", float: "a finite number",
-               bool: "true or false", str: "a string"}
 
 
 def _typed(value, hint, name: str):
@@ -162,7 +185,7 @@ def _typed(value, hint, name: str):
             return float(value)
     elif type(value) is hint:
         return value
-    raise ScenarioError(f"{name}: expected {_TYPE_NAMES[hint]}, got {value!r}")
+    raise ScenarioError(f"{name}: expected {_TYPES[hint][0]}, got {value!r}")
 
 
 def from_doc(cls, doc, path: str = "", seed: int | None = None, base=None):

@@ -13,22 +13,15 @@ those of every trainable tensor (what training reads), of the graph input
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Annotated, NamedTuple
 
 import numpy as np
 
-from .fields import Epochs, NonNegative, Range, check_fields
-from .tensor import (
-    OperatorKind,
-    ShapeError,
-    infer_shape,
-    init_weights,
-    kernel_geometry,
-    op_backward,
-    op_forward,
-)
+from .fields import Checked, Epochs, NonNegative, Range
+from .tensor import (OperatorKind, Params, ShapeError, infer_shape, init_weights,
+                     kernel_geometry, op_backward, op_forward, params_class)
 
 INPUT_ID = "input"
 _FLOAT64 = np.dtype(np.float64)
@@ -62,8 +55,15 @@ class NodeSpec:
 
     node_id: str
     kind: OperatorKind
-    params: dict = field(default_factory=dict)
+    params: Params = None  # of the kind's params class; None if it has none
     inputs: tuple[str, ...] = (INPUT_ID,)
+
+    def __post_init__(self):
+        expected = params_class(self.kind)
+        if not isinstance(self.params, expected or type(None)):
+            name = f"a {expected.__name__}" if expected else "None"
+            raise ValueError(f"node {self.node_id}: {self.kind.name} params "
+                             f"must be {name}, got {self.params!r}")
 
 
 def topological_order(nodes: list[NodeSpec]) -> list[NodeSpec]:
@@ -119,7 +119,7 @@ class _Step(NamedTuple):
 
     node_id: str
     kind: OperatorKind
-    params: dict
+    params: Params
     weights: dict           # the Network's own dicts, updated in place
     buffers: dict
     grads: dict              # views of the gradient vector, one per weight
@@ -417,7 +417,7 @@ class Network:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Checked):
     """How SGD runs: step size, rows per step, passes and the shuffling
     seed. The loss is no part of it: it follows from what is fitted (see
     :func:`train`)."""
@@ -429,9 +429,6 @@ class TrainConfig:
     batch_size: Annotated[int, Range(1, 2800)] = 10
     epochs: Epochs = 10
     seed: NonNegative = 0
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 def _batch_sums(values: np.ndarray, size: int) -> np.ndarray:

@@ -31,8 +31,9 @@ import zlib
 from .datasets import (BUILTIN_DATASETS, Dataset, DatasetId, discard_entry,
                        generate, load_dataset, query_rows, restrict_to_classes,
                        save_dataset, split)
-from .fields import (Count, Epochs, Jitter, NonNegative, QueryFraction, Range,
-                     Repeats, ScenarioError, check_fields, from_doc, to_doc)
+from .fields import (Checked, Count, Epochs, Jitter, NonNegative, QueryFraction,
+                     Range, Repeats, ScenarioError, check_fields, from_doc,
+                     to_doc)
 from .network import TrainConfig, train
 from .query_attacks import (
     GradientHandle,
@@ -158,13 +159,10 @@ class EquivalencyParams(DistillConfig, KnockoffConfig):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class EnvironmentSpec:
+class EnvironmentSpec(Checked):
     environment_profile: Literal[tuple(BUILTIN_ENVIRONMENT_PROFILES)] | None = None
     machine_profile: Literal[tuple(BUILTIN_MACHINE_PROFILES)] | None = None
     verbose_runtime: bool = False
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass

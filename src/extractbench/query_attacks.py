@@ -17,7 +17,7 @@ from typing import Literal
 import numpy as np
 
 from .datasets import Dataset
-from .fields import (Count, NonNegative, Positive, PosteriorThreshold,
+from .fields import (Checked, Count, NonNegative, Positive, PosteriorThreshold,
                      QueryFraction, Repeats, check_fields, check_value)
 from .network import Network, TrainConfig, train
 from .similarity import collect_activations, default_probe_point, fidelity, pwcca_distance
@@ -28,15 +28,12 @@ InitMode = Literal["random", "auxiliary_sample"]
 
 
 @dataclass(frozen=True)
-class ThreatModel:
+class ThreatModel(Checked):
     """Capability triple granted to (or required by) an attack."""
 
     model_knowledge: Literal["observed", "hidden"]
     system_knowledge: Literal["partial", "none"]
     aux_dataset: Literal["partial", "none"]
-
-    def __post_init__(self):
-        check_fields(self)
 
     def dominates(self, required: "ThreatModel") -> list[str]:
         """Violations left when these grants are checked against a requirement.
@@ -86,7 +83,7 @@ class GradientHandle(QueryHandle):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class KnockoffConfig:
+class KnockoffConfig(Checked):
     """`knockoff_extract` reads the budget, the output mode and the training;
     the caller picks the query split and the surrogate (None: the target's),
     whose spec `knockoff_extract` is given."""
@@ -96,9 +93,6 @@ class KnockoffConfig:
     surrogate_architecture: ArchitectureId | None = None
     query_fraction: QueryFraction = 0.5
     recreate: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass

@@ -37,9 +37,9 @@ from typing import Annotated
 
 import numpy as np
 
-from .fields import Count, Jitter, Positive, Range, UnitInterval, check_fields
+from .fields import Checked, Count, Jitter, Positive, Range, UnitInterval
 from .network import Network, NodeSpec, TrainConfig, train
-from .tensor import OperatorKind, buffer_shapes, weight_shapes
+from .tensor import FCParams, OperatorKind, buffer_shapes, weight_shapes
 from .zoo import ArchitectureSpec, compute_madd
 
 NOISE = "NOISE"
@@ -76,9 +76,6 @@ _SYMBOL_MAP: dict[OperatorKind, tuple[str, ...]] = {
     OperatorKind.GELU: (),
     OperatorKind.FLATTEN: (),
 }
-# per kind, the positions in SYMBOLS of the symbols it touches
-_SYMBOL_HITS = {kind: tuple(SYMBOLS.index(sym) for sym in syms)
-                for kind, syms in _SYMBOL_MAP.items()}
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,7 @@ class KernelTraceEvent:
 
 
 @dataclass(frozen=True)
-class EnvironmentProfile:
+class EnvironmentProfile(Checked):
     """Accelerator-side observation conditions for trace capture."""
 
     id: str
@@ -114,12 +111,9 @@ class EnvironmentProfile:
     verbose_runtime: bool = False    # extra kernel calls appear in the trace
     latency_scale: Positive = 1.0
 
-    def __post_init__(self):
-        check_fields(self)
-
 
 @dataclass(frozen=True)
-class MachineProfile:
+class MachineProfile(Checked):
     """Cache-probing conditions on the CPU side."""
 
     id: str
@@ -127,9 +121,6 @@ class MachineProfile:
     spurious_rate: Annotated[float, Range(0)] = 0.0  # expected per symbol
     reload_threshold: Count = 200    # cycles; spurious hits above are discarded
     matmul_visible: bool = True
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass
@@ -261,10 +252,11 @@ def seeded_generators(seeds: Iterable[int]) -> Iterator[np.random.Generator]:
 # kernel-trace simulation
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _node_volumes(spec: ArchitectureSpec) -> np.ndarray:
     """Noise-free (MAdd + output elements, read, write, input, output) of
     every node, one row each in execution order: the trace's base metrics
-    before the latency scale. A fact of the spec (``spec.derived``)."""
+    before the latency scale. Computed once per spec."""
     shapes = spec.derive_shapes()
     madd = compute_madd(spec).per_node
     rows = []
@@ -285,12 +277,13 @@ def _node_volumes(spec: ArchitectureSpec) -> np.ndarray:
     return volumes
 
 
+@functools.cache
 def _symbol_hits(spec: ArchitectureSpec) -> tuple[int, ...]:
     """The position in SYMBOLS of every true symbol hit of one inference,
-    node by node in execution order and in each kind's symbol order. A
-    fact of the spec (``spec.derived``)."""
-    return tuple(i for node in spec.execution_order
-                 for i in _SYMBOL_HITS[node.kind])
+    node by node in execution order and in each kind's symbol order.
+    Computed once per spec."""
+    return tuple(SYMBOLS.index(symbol) for node in spec.execution_order
+                 for symbol in _SYMBOL_MAP[node.kind])
 
 
 def simulate_kernel_trace(spec: ArchitectureSpec, profile: EnvironmentProfile,
@@ -307,7 +300,7 @@ def simulate_kernel_trace(spec: ArchitectureSpec, profile: EnvironmentProfile,
     insertion position.
     """
     rng = np.random.default_rng(seed)
-    mats = spec.derived(_node_volumes).copy()
+    mats = _node_volumes(spec).copy()
     mats[:, 0] *= profile.latency_scale  # the integer column is exact
     if profile.metric_jitter > 0:
         mats *= rng.lognormal(0.0, profile.metric_jitter, size=mats.shape)
@@ -414,8 +407,8 @@ def train_ds_model(corpus: list[tuple[list[KernelTraceEvent], list[str]]],
     width = len(DS_VOCABULARY)
     spec = ArchitectureSpec(
         "ds-labeler", "ds-labeler",
-        (NodeSpec("logits", OperatorKind.FC, {"out_features": width}, ("input",)),
-         NodeSpec("probs", OperatorKind.SOFTMAX, {}, ("logits",))),
+        (NodeSpec("logits", OperatorKind.FC, FCParams(width), ("input",)),
+         NodeSpec("probs", OperatorKind.SOFTMAX, None, ("logits",))),
         (dim,), width)
     model = Network(spec, config.seed)
     train(model, xs, y, config)
@@ -466,7 +459,7 @@ def simulate_symbol_stream(spec: ArchitectureSpec, profile: MachineProfile,
     order, a Poisson count of spurious hits followed by their reload times.
     """
     rng = np.random.default_rng(seed)
-    hits = spec.derived(_symbol_hits)
+    hits = _symbol_hits(spec)
     counts = [0] * len(SYMBOLS)
     # a few dozen hits: a Python loop counts them faster than np.bincount
     for i, draw in zip(hits, rng.random(len(hits)).tolist()):

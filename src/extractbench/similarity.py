@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .fields import Temperature, UnitInterval, check_fields
+from .fields import Checked, Temperature, UnitInterval
 from .network import CrossEntropy, Loss, Network, TrainConfig, sgd_run
 from .tensor import OperatorKind
 from .zoo import ArchitectureId, build_model, builtin_spec
@@ -188,15 +188,12 @@ def layer_noise_sensitivity(model: Network, test_set, magnitudes,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class DistillConfig:
+class DistillConfig(Checked):
     student_architecture: ArchitectureId = "mini-student-cnn"
     temperature: Temperature = 4.0
     hard_label_weight: UnitInterval = 0.1
     distill_train: TrainConfig = field(default_factory=lambda: TrainConfig(
         epochs=20))
-
-    def __post_init__(self):
-        check_fields(self)
 
     def to_dict(self) -> dict:
         return {"student_spec": self.student_architecture,

@@ -2,12 +2,13 @@
 
 Everything downstream (model building, training, attack simulation) runs on
 the eleven operator kinds defined here. Each kind is declared once, as one
-entry of the operator table ``_OPS``: its static parameters with their value
-checks, its output-shape rule, its weight and buffer shapes (in checkpoint
-order), its multiply count, and its forward and backward kernels. The public
-functions below are lookups in that table. Kernels are pure functions over
-batched float64 numpy arrays (leading axis = batch). :func:`one_blas_thread`
-runs a block of them with the loaded OpenBLAS on one thread.
+entry of the operator table ``_OPS``: the class of its static parameters
+(which checks its fields when made, by the rules they declare), its
+output-shape rule, its weight and buffer shapes (in checkpoint order), its
+multiply count, and its forward and backward kernels. The public functions
+below are lookups in that table. Kernels are pure functions over batched
+float64 numpy arrays (leading axis = batch). :func:`one_blas_thread` runs
+a block of them with the loaded OpenBLAS on one thread.
 
 Data layout conventions:
   - images are (H, W, C), channels last
@@ -18,15 +19,16 @@ Data layout conventions:
 from __future__ import annotations
 
 import math
-import numbers
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cache, lru_cache, partial
-from typing import Callable
+from typing import Callable, Literal
 
 import numpy as np
+
+from .fields import Checked, Count
 
 BN_EPS = 1e-5
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -56,28 +58,39 @@ class OperatorKind(Enum):
 
 
 # ---------------------------------------------------------------------------
-# static parameters: each is (what a valid value is, predicate, required);
-# a param that is not required has its default in the kind's shape rule
+# static parameters: one frozen dataclass per kind that has any, whose
+# fields declare their rules (as `fields.Checked`, it checks them when made)
 # ---------------------------------------------------------------------------
 
-def _is_positive_int(value) -> bool:
-    # numbers.Integral takes numpy ints; bool is an int subclass and is refused
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value > 0)
+@dataclass(frozen=True)
+class ConvParams(Checked):
+    out_channels: Count
+    kernel: tuple[Count, Count]  # (height, width)
+    stride: Count = 1
+    padding: Literal["same", "valid"] = "same"
+    bias: bool = True
 
 
-_POSITIVE_INT = ("a positive int", _is_positive_int, False)
-_KERNEL = ("two positive ints",
-           lambda v: isinstance(v, (list, tuple)) and len(v) == 2
-           and all(_is_positive_int(k) for k in v), False)
-_BOOL = ("a bool", lambda v: isinstance(v, bool), False)
-_PADDING = ("'same' or 'valid'",
-            lambda v: isinstance(v, str) and v in ("same", "valid"), False)
+@dataclass(frozen=True)
+class FCParams(Checked):
+    out_features: Count
+    bias: bool = True
 
 
-def _required(param):
-    valid, check, _ = param
-    return valid, check, True
+@dataclass(frozen=True)
+class PoolParams(Checked):
+    """The params of MAXPOOL and AVGPOOL."""
+
+    kernel: tuple[Count, Count]  # (height, width)
+    stride: Count | None = None  # None: the kernel's height
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.stride is None:
+            object.__setattr__(self, "stride", self.kernel[0])
+
+
+Params = ConvParams | FCParams | PoolParams | None
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +101,8 @@ def _pool_geometry(kind, params, shape):
     if len(shape) != 3:
         raise ShapeError(f"{kind.name} expects an (H, W, C) input, got {shape}")
     h, w, c = shape
-    kh, kw = params["kernel"]
-    s = params.get("stride", kh)
+    kh, kw = params.kernel
+    s = params.stride
     if kh > h or kw > w:
         raise ShapeError(f"{kind.name}: window {kh}x{kw} larger than input {shape}")
     return (h - kh) // s + 1, (w - kw) // s + 1, kh, kw, s
@@ -99,9 +112,9 @@ def _conv_geometry(params, shape):
     if len(shape) != 3:
         raise ShapeError(f"CONV expects an (H, W, C) input, got {shape}")
     h, w, _ = shape
-    kh, kw = params["kernel"]
-    s = params.get("stride", 1)
-    if params.get("padding", "same") == "same":
+    kh, kw = params.kernel
+    s = params.stride
+    if params.padding == "same":
         out_h = -(-h // s)
         out_w = -(-w // s)
         pad_h = max((out_h - 1) * s + kh - h, 0)
@@ -128,13 +141,13 @@ def _flatten_shape(params, input_shapes):
 
 def _fc_shape(params, input_shapes):
     (shape,) = input_shapes
-    return (int(params["out_features"]),)
+    return (params.out_features,)
 
 
 def _conv_shape(params, input_shapes):
     (shape,) = input_shapes
     out_h, out_w, *_ = _conv_geometry(params, shape)
-    return (out_h, out_w, int(params["out_channels"]))
+    return (out_h, out_w, params.out_channels)
 
 
 def _pool_shape(kind, params, input_shapes):
@@ -173,20 +186,20 @@ def _no_tensors(params, input_shapes):
 
 def _with_bias(params, weight_shape):
     out = {"weight": weight_shape}
-    if params.get("bias", True):
+    if params.bias:
         out["bias"] = (weight_shape[-1],)
     return out
 
 
 def _conv_weights(params, input_shapes):
     (shape,) = input_shapes
-    kh, kw = params["kernel"]
-    return _with_bias(params, (kh, kw, shape[2], int(params["out_channels"])))
+    kh, kw = params.kernel
+    return _with_bias(params, (kh, kw, shape[2], params.out_channels))
 
 
 def _fc_weights(params, input_shapes):
     (shape,) = input_shapes
-    return _with_bias(params, (int(np.prod(shape)), int(params["out_features"])))
+    return _with_bias(params, (int(np.prod(shape)), params.out_features))
 
 
 def _bn_weights(params, input_shapes):
@@ -207,12 +220,12 @@ def _conv_madd(params, input_shapes):
     # one multiply per kernel tap and output element; padded taps count too
     (shape,) = input_shapes
     out_h, out_w, kh, kw, _, _ = _conv_geometry(params, shape)
-    return out_h * out_w * int(params["out_channels"]) * kh * kw * shape[2]
+    return out_h * out_w * params.out_channels * kh * kw * shape[2]
 
 
 def _fc_madd(params, input_shapes):
     (shape,) = input_shapes
-    return int(np.prod(shape)) * int(params["out_features"])
+    return int(np.prod(shape)) * params.out_features
 
 
 def _bn_madd(params, input_shapes):
@@ -541,7 +554,7 @@ class _Op:
     shape: Callable       # (params, input_shapes) -> output shape
     forward: Callable     # kernel signatures: see the kernels section
     backward: Callable
-    params: dict = field(default_factory=dict)   # name -> (valid, check, required)
+    params: type | None = None        # the params class; None: it takes none
     weights: Callable = _no_tensors   # (params, input_shapes) -> {name: shape},
     buffers: Callable = _no_tensors   # in checkpoint order
     madd: Callable = _no_madd         # (params, input_shapes) -> multiplies
@@ -551,13 +564,10 @@ class _Op:
 
 _OPS: dict[OperatorKind, _Op] = {
     OperatorKind.CONV: _Op(
-        _conv_shape, _conv_forward, _conv_backward,
-        params={"out_channels": _required(_POSITIVE_INT), "kernel": _required(_KERNEL),
-                "stride": _POSITIVE_INT, "padding": _PADDING, "bias": _BOOL},
+        _conv_shape, _conv_forward, _conv_backward, params=ConvParams,
         weights=_conv_weights, madd=_conv_madd, geometry=_conv_geometry),
     OperatorKind.FC: _Op(
-        _fc_shape, _fc_forward, _fc_backward,
-        params={"out_features": _required(_POSITIVE_INT), "bias": _BOOL},
+        _fc_shape, _fc_forward, _fc_backward, params=FCParams,
         weights=_fc_weights, madd=_fc_madd),
     OperatorKind.RELU: _Op(_same_shape, _relu_forward, _relu_backward),
     OperatorKind.GELU: _Op(_same_shape, _gelu_forward, _gelu_backward),
@@ -566,13 +576,11 @@ _OPS: dict[OperatorKind, _Op] = {
         weights=_bn_weights, buffers=_bn_buffers, madd=_bn_madd),
     OperatorKind.MAXPOOL: _Op(
         partial(_pool_shape, OperatorKind.MAXPOOL), _maxpool_forward,
-        _maxpool_backward,
-        params={"kernel": _required(_KERNEL), "stride": _POSITIVE_INT},
+        _maxpool_backward, params=PoolParams,
         geometry=partial(_pool_geometry, OperatorKind.MAXPOOL)),
     OperatorKind.AVGPOOL: _Op(
         partial(_pool_shape, OperatorKind.AVGPOOL), _avgpool_forward,
-        _avgpool_backward,
-        params={"kernel": _required(_KERNEL), "stride": _POSITIVE_INT},
+        _avgpool_backward, params=PoolParams,
         geometry=partial(_pool_geometry, OperatorKind.AVGPOOL)),
     OperatorKind.ADD: _Op(_add_shape, _add_forward, _add_backward),
     OperatorKind.CONCAT: _Op(_concat_shape, _concat_forward, _concat_backward),
@@ -585,38 +593,28 @@ _OPS: dict[OperatorKind, _Op] = {
 # public interface: one table lookup each
 # ---------------------------------------------------------------------------
 
-def infer_shape(kind: OperatorKind, params: dict, input_shapes: list[tuple[int, ...]]):
-    """Output shape of one operator application (shapes exclude the batch axis).
-
-    Also checks the static params: an unknown name, a missing required one or
-    an invalid value is a ValueError that names the kind and the param.
-    """
-    op = _OPS[kind]
-    unknown = set(params) - set(op.params)
-    if unknown:
-        raise ValueError(f"{kind.name}: unknown parameter(s) {sorted(unknown)}")
-    for name, (_, _, required) in op.params.items():
-        if required and name not in params:
-            raise ValueError(f"{kind.name}: missing parameter {name!r}")
-    for name, value in params.items():
-        valid, check, _ = op.params[name]
-        if not check(value):
-            raise ValueError(f"{kind.name}: parameter {name!r} must be {valid}, "
-                             f"got {value!r}")
-    return op.shape(params, input_shapes)
+def infer_shape(kind: OperatorKind, params: Params,
+                input_shapes: list[tuple[int, ...]]):
+    """Output shape of one operator application (shapes exclude the batch axis)."""
+    return _OPS[kind].shape(params, input_shapes)
 
 
-def weight_shapes(kind: OperatorKind, params: dict, input_shapes) -> dict[str, tuple]:
+def params_class(kind: OperatorKind) -> type | None:
+    """The class of a `kind` node's static params; None for a kind without."""
+    return _OPS[kind].params
+
+
+def weight_shapes(kind: OperatorKind, params: Params, input_shapes) -> dict[str, tuple]:
     """Trainable tensor shapes by name, in checkpoint order."""
     return _OPS[kind].weights(params, input_shapes)
 
 
-def buffer_shapes(kind: OperatorKind, params: dict, input_shapes) -> dict[str, tuple]:
+def buffer_shapes(kind: OperatorKind, params: Params, input_shapes) -> dict[str, tuple]:
     """Non-trainable (BN running statistics) shapes by name, in checkpoint order."""
     return _OPS[kind].buffers(params, input_shapes)
 
 
-def madd(kind: OperatorKind, params: dict, input_shapes) -> int:
+def madd(kind: OperatorKind, params: Params, input_shapes) -> int:
     """Multiplies of one operator application.
 
     Convention: CONV = H_out*W_out*C_out*K_h*K_w*C_in; FC = fan_in*fan_out;
@@ -626,7 +624,7 @@ def madd(kind: OperatorKind, params: dict, input_shapes) -> int:
     return _OPS[kind].madd(params, input_shapes)
 
 
-def kernel_geometry(kind: OperatorKind, params: dict, input_shape):
+def kernel_geometry(kind: OperatorKind, params: Params, input_shape):
     """The static window geometry the kernels of a CONV or pool read, for
     an input of `input_shape` (batch axis excluded); None for other kinds.
 

@@ -36,7 +36,7 @@ import numpy as np
 from .datasets import DatasetId, write_entry
 from .fields import Count, check_fields, from_doc, is_doc_of, to_doc
 from .network import Network, NodeSpec, node_shapes, topological_order
-from .tensor import OperatorKind, ShapeError, madd
+from .tensor import ConvParams, FCParams, OperatorKind, PoolParams, ShapeError, madd
 
 CHECKPOINT_FORMAT_VERSION = 1
 # one file-name component: scenario ids and checkpoint tags become parts of
@@ -50,7 +50,8 @@ class CheckpointError(RuntimeError):
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
-    """Declarative model description; immutable and freely shareable."""
+    """Declarative model description; immutable, hashable and freely
+    shareable."""
 
     id: str
     family: str
@@ -64,10 +65,21 @@ class ArchitectureSpec:
         check_fields(self)
         self._shapes  # rejects cycles and shape conflicts up front
 
+    # the dataclass's hash, computed once: its own would hash every node
+    # on every call, and a spec keys the fact caches of every simulated
+    # trace and symbol stream
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.id, self.family, self.nodes, self.input_shape,
+                     self.class_count))
+
     # Facts derived from the fields, computed once per spec: the spec is
-    # frozen, so they cannot go stale. They live on the instance, since specs
-    # hold dicts and are unhashable, so no cache keyed on a spec could. The
-    # dicts are private; callers get copies (derive_shapes, compute_madd).
+    # frozen, so they cannot go stale. The dicts are private; callers get
+    # copies (derive_shapes, compute_madd). Another module's facts of a spec
+    # are functools.cache functions of it (the side-channel volumes, say).
 
     @cached_property
     def execution_order(self) -> tuple[NodeSpec, ...]:
@@ -83,21 +95,6 @@ class ArchitectureSpec:
         return {node.node_id: madd(node.kind, node.params,
                                    [self._shapes[d] for d in node.inputs])
                 for node in self.nodes}
-
-    @cached_property
-    def _derived(self) -> dict:
-        return {}
-
-    def derived(self, fact):
-        """``fact(self)``, computed once per spec: for the facts of a spec
-        that another module defines (the side-channel simulators' per-node
-        volumes, say). `fact` must be a pure function of the spec, and is
-        its key; what it returns is shared, so it must not be mutated."""
-        try:
-            return self._derived[fact]
-        except KeyError:
-            value = self._derived[fact] = fact(self)
-            return value
 
     def derive_shapes(self) -> dict[str, tuple[int, ...]]:
         """Output shape of every node, plus the graph input under "input";
@@ -231,25 +228,26 @@ def load_checkpoint(ref: ModelRef, root, spec: ArchitectureSpec) -> Network:
 # builtin miniature families
 # ---------------------------------------------------------------------------
 
-def _conv(nid, src, channels, kernel=3, stride=1):
-    return NodeSpec(nid, OperatorKind.CONV,
-                    {"out_channels": channels, "kernel": [kernel, kernel],
-                     "stride": stride, "padding": "same"}, (src,))
+def _conv(nid, src, channels):
+    return NodeSpec(nid, OperatorKind.CONV, ConvParams(channels, (3, 3)), (src,))
+
+
+def _pool(nid, kind, src):
+    return NodeSpec(nid, kind, PoolParams((2, 2), 2), (src,))
 
 
 def _head(nodes, src, class_count):
-    nodes.append(NodeSpec("head", OperatorKind.FC,
-                          {"out_features": class_count}, (src,)))
-    nodes.append(NodeSpec("probs", OperatorKind.SOFTMAX, {}, ("head",)))
+    nodes.append(NodeSpec("head", OperatorKind.FC, FCParams(class_count), (src,)))
+    nodes.append(NodeSpec("probs", OperatorKind.SOFTMAX, None, ("head",)))
 
 
 def make_mini_mlp(weight_layers: int, input_shape, class_count, hidden=16) -> ArchitectureSpec:
     """FC/RELU stack: `weight_layers` counts FC nodes including the head."""
     nodes, src = [], "input"
     for i in range(weight_layers - 1):
-        nodes.append(NodeSpec(f"fc{i + 1}", OperatorKind.FC,
-                              {"out_features": hidden}, (src,)))
-        nodes.append(NodeSpec(f"act{i + 1}", OperatorKind.RELU, {}, (f"fc{i + 1}",)))
+        nodes.append(NodeSpec(f"fc{i + 1}", OperatorKind.FC, FCParams(hidden),
+                              (src,)))
+        nodes.append(NodeSpec(f"act{i + 1}", OperatorKind.RELU, None, (f"fc{i + 1}",)))
         src = f"act{i + 1}"
     _head(nodes, src, class_count)
     return ArchitectureSpec(f"mini-mlp-{weight_layers}", "mini-mlp", tuple(nodes),
@@ -263,13 +261,12 @@ def _vgg_like(arch_id, family, activation, conv_blocks, input_shape, class_count
         for _ in range(convs):
             idx += 1
             nodes.append(_conv(f"conv{idx}", src, channels))
-            nodes.append(NodeSpec(f"act{idx}", activation, {}, (f"conv{idx}",)))
+            nodes.append(NodeSpec(f"act{idx}", activation, None, (f"conv{idx}",)))
             src = f"act{idx}"
-        nodes.append(NodeSpec(f"pool{block}", OperatorKind.MAXPOOL,
-                              {"kernel": [2, 2], "stride": 2}, (src,)))
+        nodes.append(_pool(f"pool{block}", OperatorKind.MAXPOOL, src))
         src = f"pool{block}"
-    nodes.append(NodeSpec("fc1", OperatorKind.FC, {"out_features": 24}, (src,)))
-    nodes.append(NodeSpec("factN", activation, {}, ("fc1",)))
+    nodes.append(NodeSpec("fc1", OperatorKind.FC, FCParams(24), (src,)))
+    nodes.append(NodeSpec("factN", activation, None, ("fc1",)))
     _head(nodes, "factN", class_count)
     return ArchitectureSpec(arch_id, family, tuple(nodes), tuple(input_shape),
                             class_count)
@@ -294,23 +291,22 @@ def make_mini_resnet(weight_layers: int, input_shape, class_count) -> Architectu
     channels = 8
     nodes = [
         _conv("stem", "input", channels),
-        NodeSpec("stem_bn", OperatorKind.BN, {}, ("stem",)),
-        NodeSpec("stem_act", OperatorKind.RELU, {}, ("stem_bn",)),
+        NodeSpec("stem_bn", OperatorKind.BN, None, ("stem",)),
+        NodeSpec("stem_act", OperatorKind.RELU, None, ("stem_bn",)),
     ]
     src = "stem_act"
     for b in range(1, blocks + 1):
         nodes.extend([
             _conv(f"b{b}_conv1", src, channels),
-            NodeSpec(f"b{b}_bn1", OperatorKind.BN, {}, (f"b{b}_conv1",)),
-            NodeSpec(f"b{b}_act1", OperatorKind.RELU, {}, (f"b{b}_bn1",)),
+            NodeSpec(f"b{b}_bn1", OperatorKind.BN, None, (f"b{b}_conv1",)),
+            NodeSpec(f"b{b}_act1", OperatorKind.RELU, None, (f"b{b}_bn1",)),
             _conv(f"b{b}_conv2", f"b{b}_act1", channels),
-            NodeSpec(f"b{b}_bn2", OperatorKind.BN, {}, (f"b{b}_conv2",)),
-            NodeSpec(f"b{b}_add", OperatorKind.ADD, {}, (src, f"b{b}_bn2")),
-            NodeSpec(f"b{b}_act2", OperatorKind.RELU, {}, (f"b{b}_add",)),
+            NodeSpec(f"b{b}_bn2", OperatorKind.BN, None, (f"b{b}_conv2",)),
+            NodeSpec(f"b{b}_add", OperatorKind.ADD, None, (src, f"b{b}_bn2")),
+            NodeSpec(f"b{b}_act2", OperatorKind.RELU, None, (f"b{b}_add",)),
         ])
         src = f"b{b}_act2"
-    nodes.append(NodeSpec("gap", OperatorKind.AVGPOOL,
-                          {"kernel": [2, 2], "stride": 2}, (src,)))
+    nodes.append(_pool("gap", OperatorKind.AVGPOOL, src))
     _head(nodes, "gap", class_count)
     return ArchitectureSpec(f"mini-resnet-{weight_layers}", "mini-resnet",
                             tuple(nodes), tuple(input_shape), class_count)
@@ -321,23 +317,21 @@ def make_mini_dense(weight_layers: int, input_shape, class_count) -> Architectur
     growth_convs = {3: 2, 4: 3}[weight_layers]
     nodes = [
         _conv("stem", "input", 6),
-        NodeSpec("stem_act", OperatorKind.RELU, {}, ("stem",)),
-        NodeSpec("stem_pool", OperatorKind.MAXPOOL,
-                 {"kernel": [2, 2], "stride": 2}, ("stem_act",)),
+        NodeSpec("stem_act", OperatorKind.RELU, None, ("stem",)),
+        _pool("stem_pool", OperatorKind.MAXPOOL, "stem_act"),
     ]
     carried = ["stem_pool"]
     for g in range(1, growth_convs + 1):
         if len(carried) == 1:
             feed = carried[0]
         else:
-            nodes.append(NodeSpec(f"cat{g}", OperatorKind.CONCAT, {}, tuple(carried)))
+            nodes.append(NodeSpec(f"cat{g}", OperatorKind.CONCAT, None, tuple(carried)))
             feed = f"cat{g}"
         nodes.append(_conv(f"grow{g}", feed, 4))
-        nodes.append(NodeSpec(f"gact{g}", OperatorKind.RELU, {}, (f"grow{g}",)))
+        nodes.append(NodeSpec(f"gact{g}", OperatorKind.RELU, None, (f"grow{g}",)))
         carried.append(f"gact{g}")
-    nodes.append(NodeSpec("cat_out", OperatorKind.CONCAT, {}, tuple(carried)))
-    nodes.append(NodeSpec("final_pool", OperatorKind.MAXPOOL,
-                          {"kernel": [2, 2], "stride": 2}, ("cat_out",)))
+    nodes.append(NodeSpec("cat_out", OperatorKind.CONCAT, None, tuple(carried)))
+    nodes.append(_pool("final_pool", OperatorKind.MAXPOOL, "cat_out"))
     _head(nodes, "final_pool", class_count)
     return ArchitectureSpec(f"mini-dense-{weight_layers}", "mini-dense",
                             tuple(nodes), tuple(input_shape), class_count)
@@ -348,26 +342,23 @@ def make_mini_pyramid(weight_layers: int, input_shape, class_count) -> Architect
     layers, the width profile of full-scale convnets."""
     nodes = [
         _conv("conv1", "input", 2),
-        NodeSpec("act1", OperatorKind.RELU, {}, ("conv1",)),
-        NodeSpec("pool1", OperatorKind.MAXPOOL, {"kernel": [2, 2], "stride": 2},
-                 ("act1",)),
+        NodeSpec("act1", OperatorKind.RELU, None, ("conv1",)),
+        _pool("pool1", OperatorKind.MAXPOOL, "act1"),
     ]
     if weight_layers == 4:
         nodes.append(_conv("conv2", "pool1", 12))
-        nodes.append(NodeSpec("act2", OperatorKind.RELU, {}, ("conv2",)))
-        nodes.append(NodeSpec("pool2", OperatorKind.AVGPOOL,
-                              {"kernel": [2, 2], "stride": 2}, ("act2",)))
+        nodes.append(NodeSpec("act2", OperatorKind.RELU, None, ("conv2",)))
+        nodes.append(_pool("pool2", OperatorKind.AVGPOOL, "act2"))
     elif weight_layers == 5:
         nodes.append(_conv("conv2", "pool1", 8))
-        nodes.append(NodeSpec("act2", OperatorKind.RELU, {}, ("conv2",)))
+        nodes.append(NodeSpec("act2", OperatorKind.RELU, None, ("conv2",)))
         nodes.append(_conv("conv3", "act2", 16))
-        nodes.append(NodeSpec("act3", OperatorKind.RELU, {}, ("conv3",)))
-        nodes.append(NodeSpec("pool2", OperatorKind.MAXPOOL,
-                              {"kernel": [2, 2], "stride": 2}, ("act3",)))
+        nodes.append(NodeSpec("act3", OperatorKind.RELU, None, ("conv3",)))
+        nodes.append(_pool("pool2", OperatorKind.MAXPOOL, "act3"))
     else:
         raise ValueError("mini-pyramid ships depths 4 and 5")
-    nodes.append(NodeSpec("fc1", OperatorKind.FC, {"out_features": 24}, ("pool2",)))
-    nodes.append(NodeSpec("factN", OperatorKind.RELU, {}, ("fc1",)))
+    nodes.append(NodeSpec("fc1", OperatorKind.FC, FCParams(24), ("pool2",)))
+    nodes.append(NodeSpec("factN", OperatorKind.RELU, None, ("fc1",)))
     _head(nodes, "factN", class_count)
     return ArchitectureSpec(f"mini-pyramid-{weight_layers}", "mini-pyramid",
                             tuple(nodes), tuple(input_shape), class_count)
@@ -377,9 +368,8 @@ def make_student_cnn(input_shape, class_count) -> ArchitectureSpec:
     """Five-layer CNN used as the common distillation student."""
     nodes = [
         _conv("conv", "input", 4),
-        NodeSpec("act", OperatorKind.RELU, {}, ("conv",)),
-        NodeSpec("pool", OperatorKind.MAXPOOL, {"kernel": [2, 2], "stride": 2},
-                 ("act",)),
+        NodeSpec("act", OperatorKind.RELU, None, ("conv",)),
+        _pool("pool", OperatorKind.MAXPOOL, "act"),
     ]
     _head(nodes, "pool", class_count)
     return ArchitectureSpec("mini-student-cnn", "mini-student", tuple(nodes),

@@ -7,6 +7,7 @@ nothing here depends on wall-clock except the two explicit time budgets.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from extractbench.similarity import (
     layer_noise_sensitivity,
     pwcca_distance,
 )
+from extractbench.tensor import ConvParams, FCParams, PoolParams
 from extractbench.tensor import OperatorKind as K
 from extractbench.zoo import build_model, builtin_spec
 
@@ -85,33 +87,33 @@ def _knockoff_fidelity(data, budget, seed, epochs_target=12, epochs_steal=15):
 
 def test_criterion_01_gradient_integrity():
     started = time.perf_counter()
-    conv = {"out_channels": 2, "kernel": [3, 3], "stride": 1, "padding": "same"}
+    conv = ConvParams(2, (3, 3))
     per_kind = {
-        K.RELU: ([NodeSpec("fc", K.FC, {"out_features": 6}, ("input",)),
-                  NodeSpec("op", K.RELU, {}, ("fc",))], (5,)),
-        K.GELU: ([NodeSpec("fc", K.FC, {"out_features": 6}, ("input",)),
-                  NodeSpec("op", K.GELU, {}, ("fc",))], (5,)),
-        K.SOFTMAX: ([NodeSpec("fc", K.FC, {"out_features": 6}, ("input",)),
-                     NodeSpec("op", K.SOFTMAX, {}, ("fc",))], (5,)),
+        K.RELU: ([NodeSpec("fc", K.FC, FCParams(6), ("input",)),
+                  NodeSpec("op", K.RELU, None, ("fc",))], (5,)),
+        K.GELU: ([NodeSpec("fc", K.FC, FCParams(6), ("input",)),
+                  NodeSpec("op", K.GELU, None, ("fc",))], (5,)),
+        K.SOFTMAX: ([NodeSpec("fc", K.FC, FCParams(6), ("input",)),
+                     NodeSpec("op", K.SOFTMAX, None, ("fc",))], (5,)),
         K.FLATTEN: ([NodeSpec("c", K.CONV, conv, ("input",)),
-                     NodeSpec("op", K.FLATTEN, {}, ("c",))], (4, 4, 1)),
-        K.FC: ([NodeSpec("op", K.FC, {"out_features": 4}, ("input",))], (8,)),
-        K.CONV: ([NodeSpec("op", K.CONV, dict(conv, out_channels=3),
+                     NodeSpec("op", K.FLATTEN, None, ("c",))], (4, 4, 1)),
+        K.FC: ([NodeSpec("op", K.FC, FCParams(4), ("input",))], (8,)),
+        K.CONV: ([NodeSpec("op", K.CONV, replace(conv, out_channels=3),
                            ("input",))], (6, 6, 2)),
         K.MAXPOOL: ([NodeSpec("c", K.CONV, conv, ("input",)),
-                     NodeSpec("op", K.MAXPOOL, {"kernel": [2, 2], "stride": 2},
+                     NodeSpec("op", K.MAXPOOL, PoolParams((2, 2), 2),
                               ("c",))], (6, 6, 1)),
         K.AVGPOOL: ([NodeSpec("c", K.CONV, conv, ("input",)),
-                     NodeSpec("op", K.AVGPOOL, {"kernel": [2, 2], "stride": 2},
+                     NodeSpec("op", K.AVGPOOL, PoolParams((2, 2), 2),
                               ("c",))], (6, 6, 1)),
         K.BN: ([NodeSpec("c", K.CONV, conv, ("input",)),
-                NodeSpec("op", K.BN, {}, ("c",))], (6, 6, 1)),
-        K.ADD: ([NodeSpec("a", K.FC, {"out_features": 6}, ("input",)),
-                 NodeSpec("b", K.FC, {"out_features": 6}, ("input",)),
-                 NodeSpec("op", K.ADD, {}, ("a", "b"))], (5,)),
-        K.CONCAT: ([NodeSpec("a", K.FC, {"out_features": 3}, ("input",)),
-                    NodeSpec("b", K.FC, {"out_features": 5}, ("input",)),
-                    NodeSpec("op", K.CONCAT, {}, ("a", "b"))], (5,)),
+                NodeSpec("op", K.BN, None, ("c",))], (6, 6, 1)),
+        K.ADD: ([NodeSpec("a", K.FC, FCParams(6), ("input",)),
+                 NodeSpec("b", K.FC, FCParams(6), ("input",)),
+                 NodeSpec("op", K.ADD, None, ("a", "b"))], (5,)),
+        K.CONCAT: ([NodeSpec("a", K.FC, FCParams(3), ("input",)),
+                    NodeSpec("b", K.FC, FCParams(5), ("input",)),
+                    NodeSpec("op", K.CONCAT, None, ("a", "b"))], (5,)),
     }
     rng = np.random.default_rng(0)
     worst = {}

@@ -5,10 +5,13 @@ import json
 from dataclasses import dataclass
 from typing import Annotated, Literal
 
+import numpy as np
 import pytest
 
 from extractbench.fields import (Count, Range, UnitInterval, check_fields,
                                  check_value, field_hints, is_doc_of, to_doc)
+from extractbench.network import TrainConfig
+from extractbench.query_attacks import InversionConfig
 from extractbench.zoo import builtin_spec
 
 
@@ -23,6 +26,7 @@ class Config:
     pair: tuple[float, float] = (0.0, 1.0)
     choice: Literal["a", "b"] | None = None
     limit: Count | None = None
+    flag: bool = False
 
     def __post_init__(self):
         check_fields(self)
@@ -39,8 +43,8 @@ class TestRange:
     def test_message_names_the_interval(self, rule, text):
         assert str(rule) == text
 
-    @pytest.mark.parametrize("value,ok", [(1, True), (0, False), (0.5, False),
-                                          (10 ** 400, True), (-10 ** 400, False)])
+    @pytest.mark.parametrize("value,ok", [(1, True), (0, False), (10 ** 400, True),
+                                          (-10 ** 400, False)])
     def test_lower_bound(self, value, ok):
         hint = Annotated[int, Range(1)]
         if ok:
@@ -84,17 +88,63 @@ class TestCheckFields:
         assert field_hints(Config) is field_hints(Config)
 
 
+class TestTypes:
+    """A config built in Python is checked like one read from JSON: an int
+    field holds an integer that is not a bool, a float field a number that
+    is not a bool, a bool field a bool, and a fixed-length tuple field a
+    tuple of exactly its items, each checked by its own annotation."""
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("count", 0.5, r"^count must be an integer, got 0\.5$"),
+        ("count", 2.0, r"^count must be an integer, got 2\.0$"),
+        ("count", True, "^count must be an integer, got True$"),
+        ("count", "3", "^count must be an integer, got '3'$"),
+        ("limit", 1.5, r"^limit must be an integer, got 1\.5$"),
+        ("scale", "1", "^scale must be a finite number, got '1'$"),
+        ("weight", False, "^weight must be a finite number, got False$"),
+        ("flag", 1, "^flag must be true or false, got 1$"),
+        ("pair", (0.0, 1.0, 2.0),
+         r"^pair must be a tuple of 2 items, got \(0\.0, 1\.0, 2\.0\)$"),
+        ("pair", (0.0,), r"^pair must be a tuple of 2 items, got \(0\.0,\)$"),
+        ("pair", [0.0, 1.0], r"^pair must be a tuple of 2 items, got \[0\.0, 1\.0\]$"),
+        ("pair", "ab", "^pair must be a tuple of 2 items, got 'ab'$"),
+        ("pair", (0.0, "1"), "^pair must be a finite number, got '1'$"),
+        ("sizes", "12", "^sizes must be an integer, got '1'$"),
+        ("sizes", (1, 2.5), r"^sizes must be an integer, got 2\.5$")])
+    def test_wrong_type_is_a_value_error(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            Config(**{field: value})
+
+    def test_numbers_of_other_types_pass(self):
+        Config(count=np.int64(2), limit=np.int32(3), scale=2, weight=np.float64(0.5),
+               share=np.float32(0.5), sizes=[2, np.int64(3)], pair=(0, 1))
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: TrainConfig(batch_size=2.5), "^batch_size must be an integer"),
+        (lambda: TrainConfig(batch_size="3"), "^batch_size must be an integer"),
+        (lambda: InversionConfig(clamp_range=(0.0, 1.0, 2.0)),
+         "^clamp_range must be a tuple of 2 items"),
+        (lambda: InversionConfig(clamp_range="ab"),
+         "^clamp_range must be a tuple of 2 items")])
+    def test_library_configs_check_types(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+
 class TestToDoc:
     SPEC = builtin_spec("mini-mlp-1", (2, 2, 1), 2)
 
     def test_spec_document_keeps_its_keys_and_types(self):
         # the spec echo of every checkpoint's metadata.json: fields in
-        # order, the operator kind as its value, tuples as lists
+        # order, the operator kind as its value, tuples as lists, each
+        # node's params with every default written (null for a kind
+        # without params)
         assert json.dumps(to_doc(self.SPEC)) == json.dumps({
             "id": "mini-mlp-1", "family": "mini-mlp",
             "nodes": [{"node_id": "head", "kind": "fc",
-                       "params": {"out_features": 2}, "inputs": ["input"]},
-                      {"node_id": "probs", "kind": "softmax", "params": {},
+                       "params": {"out_features": 2, "bias": True},
+                       "inputs": ["input"]},
+                      {"node_id": "probs", "kind": "softmax", "params": None,
                        "inputs": ["head"]}],
             "input_shape": [2, 2, 1], "class_count": 2})
 

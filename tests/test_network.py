@@ -26,6 +26,7 @@ from extractbench.sidechannel import (
     simulate_kernel_trace,
     train_ds_model,
 )
+from extractbench.tensor import ConvParams, FCParams, PoolParams
 from extractbench.tensor import OperatorKind as K
 from extractbench.tensor import ShapeError
 from extractbench.zoo import BUILTIN_ARCHITECTURES, build_model, builtin_spec
@@ -41,37 +42,45 @@ def copied(grads):
 
 
 def fc_softmax(din, dout, seed=0):
-    return network_of([NodeSpec("fc", K.FC, {"out_features": dout}, ("input",)),
-                       NodeSpec("sm", K.SOFTMAX, {}, ("fc",))], (din,), seed)
+    return network_of([NodeSpec("fc", K.FC, FCParams(dout), ("input",)),
+                       NodeSpec("sm", K.SOFTMAX, None, ("fc",))], (din,), seed)
 
 
 class TestGraphStructure:
     def test_cycle_detected(self):
-        nodes = [NodeSpec("a", K.RELU, {}, ("b",)),
-                 NodeSpec("b", K.RELU, {}, ("a",))]
+        nodes = [NodeSpec("a", K.RELU, None, ("b",)),
+                 NodeSpec("b", K.RELU, None, ("a",))]
         with pytest.raises(GraphError, match="cycle"):
             network_of(nodes, (4,), 0)
 
     def test_unknown_input_named(self):
         with pytest.raises(GraphError, match="ghost"):
-            network_of([NodeSpec("a", K.RELU, {}, ("ghost",))], (4,), 0)
+            network_of([NodeSpec("a", K.RELU, None, ("ghost",))], (4,), 0)
 
     def test_two_sinks_rejected(self):
-        nodes = [NodeSpec("a", K.RELU, {}, ("input",)),
-                 NodeSpec("b", K.GELU, {}, ("input",))]
+        nodes = [NodeSpec("a", K.RELU, None, ("input",)),
+                 NodeSpec("b", K.GELU, None, ("input",))]
         with pytest.raises(GraphError, match="exactly one output"):
             network_of(nodes, (4,), 0)
 
-    def test_missing_param_names_node(self):
-        nodes = [NodeSpec("c1", K.CONV, {"out_channels": 2}, ("input",))]
-        with pytest.raises(ValueError,
-                           match=r"^node c1: CONV: missing parameter 'kernel'$"):
-            network_of(nodes, (6, 6, 1), 0)
+    @pytest.mark.parametrize("kind,params,expected", [
+        (K.CONV, {"out_channels": 2, "kernel": [3, 3]}, "a ConvParams"),
+        (K.CONV, None, "a ConvParams"),
+        (K.MAXPOOL, ConvParams(2, (3, 3)), "a PoolParams"),
+        (K.FC, PoolParams((2, 2)), "a FCParams"),
+        (K.RELU, FCParams(2), "None"),
+    ])
+    def test_params_of_another_class_name_node_and_kind(self, kind, params,
+                                                        expected):
+        # a node holds its kind's params class: a dict is no second form
+        with pytest.raises(ValueError, match=rf"^node c1: {kind.name} params "
+                                             rf"must be {expected}, got "):
+            NodeSpec("c1", kind, params, ("input",))
 
     def test_diamond_executes(self):
-        nodes = [NodeSpec("l", K.RELU, {}, ("input",)),
-                 NodeSpec("r", K.GELU, {}, ("input",)),
-                 NodeSpec("join", K.ADD, {}, ("l", "r"))]
+        nodes = [NodeSpec("l", K.RELU, None, ("input",)),
+                 NodeSpec("r", K.GELU, None, ("input",)),
+                 NodeSpec("join", K.ADD, None, ("l", "r"))]
         net = network_of(nodes, (5,), 0)
         out = net.forward(np.ones((2, 5)))
         assert out.shape == (2, 5)
@@ -100,7 +109,7 @@ class TestBackward:
 
     def test_single_fc_matches_finite_differences(self):
         # independent oracle: perturb each weight, central difference 1e-5
-        net = network_of([NodeSpec("fc", K.FC, {"out_features": 3}, ("input",))],
+        net = network_of([NodeSpec("fc", K.FC, FCParams(3), ("input",))],
                          (5,), seed=1)
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 5))
@@ -127,10 +136,8 @@ class TestBackward:
                 assert rel < 1e-4
 
     def test_conv_relu_input_gradient_matches_finite_differences(self):
-        nodes = [NodeSpec("c", K.CONV, {"out_channels": 2, "kernel": [3, 3],
-                                        "stride": 1, "padding": "same"},
-                          ("input",)),
-                 NodeSpec("r", K.RELU, {}, ("c",))]
+        nodes = [NodeSpec("c", K.CONV, ConvParams(2, (3, 3)), ("input",)),
+                 NodeSpec("r", K.RELU, None, ("c",))]
         net = network_of(nodes, (5, 5, 1), seed=3)
         result = finite_difference_check(
             net, np.random.default_rng(4).standard_normal((5, 5, 1)),
@@ -200,8 +207,8 @@ class TestTrain:
             ((flat[:, None, :] - means[None]) ** 2).sum(-1), axis=1)
         assert np.mean(oracle_pred == data.labels) >= 0.98
 
-        net = network_of([NodeSpec("fc", K.FC, {"out_features": 2}, ("input",)),
-                          NodeSpec("sm", K.SOFTMAX, {}, ("fc",))],
+        net = network_of([NodeSpec("fc", K.FC, FCParams(2), ("input",)),
+                          NodeSpec("sm", K.SOFTMAX, None, ("fc",))],
                          data.spec.input_shape, seed=0)
         train(net, data.inputs, data.labels, TrainConfig(epochs=30, seed=1))
         acc = np.mean(net.predict(data.inputs).argmax(1) == data.labels)
@@ -237,9 +244,9 @@ class TestTrain:
 
 
 def fc_softmax_model(data, seed, epochs):
-    net = network_of([NodeSpec("fc", K.FC, {"out_features": data.class_count},
+    net = network_of([NodeSpec("fc", K.FC, FCParams(data.class_count),
                                ("input",)),
-                      NodeSpec("sm", K.SOFTMAX, {}, ("fc",))],
+                      NodeSpec("sm", K.SOFTMAX, None, ("fc",))],
                      data.spec.input_shape, seed=seed)
     train(net, data.inputs, data.labels, TrainConfig(epochs=epochs, seed=seed))
     return net
@@ -266,8 +273,8 @@ class TestFiniteDifferenceCheck:
         assert result.max_rel_error >= 0.3
 
     def test_pure_activation_chain_reports_no_parameters(self):
-        net = network_of([NodeSpec("r", K.RELU, {}, ("input",)),
-                          NodeSpec("g", K.GELU, {}, ("r",))], (4,), 0)
+        net = network_of([NodeSpec("r", K.RELU, None, ("input",)),
+                          NodeSpec("g", K.GELU, None, ("r",))], (4,), 0)
         result = finite_difference_check(net, np.ones(4))
         assert result.max_rel_error == 0.0
         assert not result.has_parameters
@@ -275,9 +282,9 @@ class TestFiniteDifferenceCheck:
 
 class TestBatchNorm:
     def test_calibration_fixes_running_stats(self):
-        nodes = [NodeSpec("bn", K.BN, {}, ("input",)),
-                 NodeSpec("fc", K.FC, {"out_features": 2}, ("bn",)),
-                 NodeSpec("sm", K.SOFTMAX, {}, ("fc",))]
+        nodes = [NodeSpec("bn", K.BN, None, ("input",)),
+                 NodeSpec("fc", K.FC, FCParams(2), ("bn",)),
+                 NodeSpec("sm", K.SOFTMAX, None, ("fc",))]
         net = network_of(nodes, (5,), seed=0)
         batch = np.random.default_rng(1).normal(3.0, 2.0, size=(64, 5))
         net.calibrate_bn(batch)
@@ -429,7 +436,7 @@ class TestPlanSeam:
         model.calibrate_bn(x)
         assert rules == 0
         # a kernel called outside a plan gets its geometry from the same rule
-        tensor.op_forward(K.MAXPOOL, {"kernel": [2, 2]}, {}, {}, [x])
+        tensor.op_forward(K.MAXPOOL, PoolParams((2, 2)), {}, {}, [x])
         assert rules == 1
 
     def test_spec_supplies_order_and_shapes(self, monkeypatch):
@@ -462,7 +469,7 @@ class TestRowBlocks:
         for node in spec.nodes:
             out = shapes[node.node_id]
             if node.kind is K.CONV:
-                kh, kw = node.params["kernel"]
+                kh, kw = node.params.kernel
                 cin = shapes[node.inputs[0]][-1]
                 widths.append(out[0] * out[1] * kh * kw * cin)
             else:
@@ -581,7 +588,7 @@ class TestRequestedGradients:
         # the graph input's gradient has the bits of 0.0 + the first one to
         # reach it: a copy of FLATTEN's view of the output gradient, with
         # -0.0 read as +0.0
-        net = network_of([NodeSpec("f", K.FLATTEN, {}, ("input",))], (2, 2, 1))
+        net = network_of([NodeSpec("f", K.FLATTEN, None, ("input",))], (2, 2, 1))
         net.forward(np.ones((1, 2, 2, 1)))
         g = np.array([[-0.0, 1.0, -2.0, 0.0]])
         ig = net.backward(g)
@@ -590,9 +597,9 @@ class TestRequestedGradients:
 
     def test_two_readers_of_the_input_without_input_grad(self):
         # the CONV skips its input gradient, the ADD's is dropped
-        nodes = [NodeSpec("c", K.CONV, {"out_channels": 1, "kernel": [3, 3]},
+        nodes = [NodeSpec("c", K.CONV, ConvParams(1, (3, 3)),
                           ("input",)),
-                 NodeSpec("sum", K.ADD, {}, ("input", "c"))]
+                 NodeSpec("sum", K.ADD, None, ("input", "c"))]
         net = network_of(nodes, (4, 4, 1), seed=0)
         net.forward(np.ones((2, 4, 4, 1)))
         assert net.backward(np.ones((2, 4, 4, 1)), input_grad=False) is None

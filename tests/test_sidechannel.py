@@ -39,10 +39,11 @@ from extractbench.sidechannel import (
 )
 from extractbench.sidechannel import _SYMBOL_MAP, _nearest, _vote
 from extractbench.network import NodeSpec, node_shapes, topological_order
+from extractbench.tensor import ConvParams, FCParams
 from extractbench.tensor import OperatorKind as K
 from extractbench.tensor import buffer_shapes, madd, weight_shapes
 from extractbench.zoo import (BUILTIN_ARCHITECTURES, ArchitectureSpec,
-                              builtin_spec, compute_madd)
+                              builtin_spec, compute_madd, make_mini_resnet)
 
 SHAPE = (8, 8, 1)
 CONVENTIONAL = ("mini-vgg-4", "mini-vgg-6", "mini-resnet-4", "mini-resnet-6",
@@ -51,10 +52,9 @@ CONVENTIONAL = ("mini-vgg-4", "mini-vgg-6", "mini-resnet-4", "mini-resnet-6",
 
 def chain_spec():
     nodes = (
-        NodeSpec("c", K.CONV, {"out_channels": 2, "kernel": [3, 3],
-                               "stride": 1, "padding": "same"}, ("input",)),
-        NodeSpec("r", K.RELU, {}, ("c",)),
-        NodeSpec("f", K.FC, {"out_features": 4}, ("r",)),
+        NodeSpec("c", K.CONV, ConvParams(2, (3, 3)), ("input",)),
+        NodeSpec("r", K.RELU, None, ("c",)),
+        NodeSpec("f", K.FC, FCParams(4), ("r",)),
     )
     return ArchitectureSpec("chain", "test", nodes, SHAPE, 4)
 
@@ -225,11 +225,9 @@ class TestSequenceFidelity:
 class TestSymbolStream:
     def test_mapping_on_plain_chain(self):
         nodes = (
-            NodeSpec("c1", K.CONV, {"out_channels": 2, "kernel": [3, 3],
-                                    "stride": 1, "padding": "same"}, ("input",)),
-            NodeSpec("c2", K.CONV, {"out_channels": 2, "kernel": [3, 3],
-                                    "stride": 1, "padding": "same"}, ("c1",)),
-            NodeSpec("r", K.RELU, {}, ("c2",)),
+            NodeSpec("c1", K.CONV, ConvParams(2, (3, 3)), ("input",)),
+            NodeSpec("c2", K.CONV, ConvParams(2, (3, 3)), ("c1",)),
+            NodeSpec("r", K.RELU, None, ("c2",)),
         )
         spec = ArchitectureSpec("cc", "test", nodes, SHAPE, 4)
         hist = simulate_symbol_stream(spec, MachineProfile("clean"), seed=0)
@@ -555,8 +553,8 @@ class TestSimulatorsMatchScalarDraws:
     def test_symbol_stream_without_symbols(self):
         # GELU and FLATTEN touch no watched symbol: no drop draw at all
         spec = ArchitectureSpec(
-            "quiet", "test", (NodeSpec("g", K.GELU, {}, ("input",)),
-                              NodeSpec("f", K.FLATTEN, {}, ("g",))), (4,), 4)
+            "quiet", "test", (NodeSpec("g", K.GELU, None, ("input",)),
+                              NodeSpec("f", K.FLATTEN, None, ("g",))), (4,), 4)
         profile = BUILTIN_MACHINE_PROFILES["i5-3470-like"]
         for seed in range(5):
             assert (simulate_symbol_stream(spec, profile, seed=seed).counts
@@ -642,30 +640,26 @@ class TestSpecFacts:
                                      seed=1) == oracle_kernel_trace(
             spec, BUILTIN_ENVIRONMENT_PROFILES["gpu-low"], 1)
 
-    def test_simulator_facts_are_computed_once_per_spec(self, monkeypatch):
+    def test_simulator_facts_are_computed_once_per_spec(self):
         from extractbench import sidechannel
         spec = builtin_spec("mini-resnet-4", SHAPE, 4)
         trace_profile = BUILTIN_ENVIRONMENT_PROFILES["gpu-verbose"]
         machine = BUILTIN_MACHINE_PROFILES["i7-4770-like"]
         want = (oracle_kernel_trace(spec, trace_profile, 2),
                 oracle_symbol_stream(spec, machine, 2))
-        calls = []
-        for name in ("_node_volumes", "_symbol_hits"):
-            real = getattr(sidechannel, name)
-
-            def counted(spec, _real=real, _name=name):
-                calls.append(_name)
-                return _real(spec)
-
-            monkeypatch.setattr(sidechannel, name, counted)
-        for _ in range(3):
-            assert same_events(simulate_kernel_trace(spec, trace_profile, 2),
+        facts = (sidechannel._node_volumes, sidechannel._symbol_hits)
+        for fact in facts:
+            fact.cache_clear()
+        # an equal spec built apart hashes equal, so it shares the facts
+        for each in (spec, spec, make_mini_resnet(4, SHAPE, 4)):
+            assert same_events(simulate_kernel_trace(each, trace_profile, 2),
                                want[0])
-            assert (simulate_symbol_stream(spec, machine, 2).counts
+            assert (simulate_symbol_stream(each, machine, 2).counts
                     == want[1])
-        assert sorted(calls) == ["_node_volumes", "_symbol_hits"]
+        for fact in facts:
+            assert (fact.cache_info().hits, fact.cache_info().misses) == (2, 1)
         # shared by every trace of the spec, so no caller may write them
-        assert not spec.derived(sidechannel._node_volumes).flags.writeable
+        assert not sidechannel._node_volumes(spec).flags.writeable
 
     def test_compute_madd_returns_a_copy(self):
         spec = builtin_spec("mini-vgg-4", SHAPE, 4)

@@ -11,10 +11,14 @@ import threading
 import numpy as np
 import pytest
 
+from extractbench.fields import from_doc
 from extractbench.tensor import (
     _OPS,
     BN_EPS,
+    ConvParams,
+    FCParams,
     OperatorKind,
+    PoolParams,
     ShapeError,
     _col2im,
     _conv_cols,
@@ -29,6 +33,7 @@ from extractbench.tensor import (
     op_backward,
     op_forward,
     openblas_threads,
+    params_class,
 )
 from extractbench.network import TrainConfig, train
 from extractbench.zoo import BUILTIN_ARCHITECTURES, build_model, builtin_spec
@@ -89,16 +94,16 @@ class TestForwardExamples:
     """Hand calculations, one sample at a time (batch of one)."""
 
     def test_relu_definition(self):
-        out = op_forward(K.RELU, {}, {}, {}, [np.array([[-1.0, 0.0, 2.0]])])
+        out = op_forward(K.RELU, None, {}, {}, [np.array([[-1.0, 0.0, 2.0]])])
         assert np.array_equal(out, [[0.0, 0.0, 2.0]])
 
     def test_softmax_symmetry(self):
-        out = op_forward(K.SOFTMAX, {}, {}, {}, [np.array([[0.0, 0.0]])])
+        out = op_forward(K.SOFTMAX, None, {}, {}, [np.array([[0.0, 0.0]])])
         assert np.allclose(out, [[0.5, 0.5]])
 
     def test_conv_identity_scale(self):
-        params = {"out_channels": 1, "kernel": [1, 1], "stride": 1,
-                  "padding": "valid", "bias": False}
+        params = ConvParams(1, (1, 1), stride=1,
+                            padding="valid", bias=False)
         out = op_forward(K.CONV, params, {"weight": np.full((1, 1, 1, 1), 2.0)},
                          {}, [np.ones((1, 1, 1, 1))])
         assert out.shape == (1, 1, 1, 1)
@@ -107,8 +112,7 @@ class TestForwardExamples:
     def test_forward_is_deterministic(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((1, 6, 6, 2))
-        params = {"out_channels": 3, "kernel": [3, 3], "stride": 1,
-                  "padding": "same"}
+        params = ConvParams(3, (3, 3), stride=1, padding="same")
         weights = {"weight": rng.standard_normal((3, 3, 2, 3)),
                    "bias": rng.standard_normal(3)}
         a = op_forward(K.CONV, params, weights, {}, [x])
@@ -121,7 +125,7 @@ class TestTensorInvariants:
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.normal(0, 5, size=(4, 7))
-            y = op_forward(K.SOFTMAX, {}, {}, {}, [x])
+            y = op_forward(K.SOFTMAX, None, {}, {}, [x])
             assert np.all(y > 0)
             assert np.allclose(y.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -129,65 +133,73 @@ class TestTensorInvariants:
 class TestShapeContracts:
     def test_add_mismatch_names_shapes(self):
         with pytest.raises(ShapeError, match=r"ADD.*\(2, 2, 1\).*\(2, 2, 3\)"):
-            infer_shape(K.ADD, {}, [(2, 2, 1), (2, 2, 3)])
+            infer_shape(K.ADD, None, [(2, 2, 1), (2, 2, 3)])
 
     def test_concat_needs_matching_leading_dims(self):
         with pytest.raises(ShapeError, match="CONCAT"):
-            infer_shape(K.CONCAT, {}, [(4, 4, 2), (2, 2, 2)])
+            infer_shape(K.CONCAT, None, [(4, 4, 2), (2, 2, 2)])
 
     def test_pool_window_too_large(self):
         with pytest.raises(ShapeError, match="MAXPOOL"):
-            infer_shape(K.MAXPOOL, {"kernel": [5, 5], "stride": 1}, [(4, 4, 1)])
+            infer_shape(K.MAXPOOL, PoolParams((5, 5), 1), [(4, 4, 1)])
 
-    def test_unknown_param_rejected(self):
-        with pytest.raises(ValueError, match="unknown parameter"):
-            infer_shape(K.CONV, {"out_channels": 1, "kernel": [1, 1],
-                                 "striide": 2}, [(4, 4, 1)])
-
-    @pytest.mark.parametrize("kind,params,bad", [
-        (K.CONV, {"out_channels": 2, "kernel": [3, 3], "stride": 0}, "stride"),
-        (K.MAXPOOL, {"kernel": [2, 2], "stride": -1}, "stride"),
-        (K.AVGPOOL, {"kernel": [2, 2], "stride": 2.5}, "stride"),
-        (K.CONV, {"out_channels": 0, "kernel": [3, 3]}, "out_channels"),
-        (K.CONV, {"out_channels": "3", "kernel": [3, 3]}, "out_channels"),
-        (K.FC, {"out_features": 0}, "out_features"),
-        (K.FC, {"out_features": True}, "out_features"),
-        (K.CONV, {"out_channels": 2, "kernel": [3]}, "kernel"),
-        (K.MAXPOOL, {"kernel": [2, 0]}, "kernel"),
-        (K.MAXPOOL, {"kernel": "22"}, "kernel"),
-        (K.FC, {"out_features": 3, "bias": 1}, "bias"),
-        (K.CONV, {"out_channels": 2, "kernel": [3, 3], "padding": "full"},
+    @pytest.mark.parametrize("cls,params,bad", [
+        (ConvParams, {"out_channels": 2, "kernel": (3, 3), "stride": 0}, "stride"),
+        (PoolParams, {"kernel": (2, 2), "stride": -1}, "stride"),
+        (PoolParams, {"kernel": (2, 2), "stride": 2.5}, "stride"),
+        (ConvParams, {"out_channels": 0, "kernel": (3, 3)}, "out_channels"),
+        (ConvParams, {"out_channels": "3", "kernel": (3, 3)}, "out_channels"),
+        (FCParams, {"out_features": 0}, "out_features"),
+        (FCParams, {"out_features": True}, "out_features"),
+        (ConvParams, {"out_channels": 2, "kernel": (3,)}, "kernel"),
+        (ConvParams, {"out_channels": 2, "kernel": [3, 3]}, "kernel"),
+        (PoolParams, {"kernel": (2, 0)}, "kernel"),
+        (PoolParams, {"kernel": "22"}, "kernel"),
+        (FCParams, {"out_features": 3, "bias": 1}, "bias"),
+        (ConvParams, {"out_channels": 2, "kernel": (3, 3), "padding": "full"},
          "padding"),
     ])
-    def test_invalid_param_value_named(self, kind, params, bad):
-        shape = (4,) if kind is K.FC else (6, 6, 2)
-        with pytest.raises(ValueError, match=rf"^{kind.name}: parameter '{bad}'"):
-            infer_shape(kind, params, [shape])
+    def test_invalid_param_value_named(self, cls, params, bad):
+        with pytest.raises(ValueError, match=rf"^(unknown )?{bad} "):
+            cls(**params)
 
-    @pytest.mark.parametrize("kind,params,missing", [
-        (K.CONV, {"out_channels": 2}, "kernel"),
-        (K.CONV, {"kernel": [3, 3], "stride": 1}, "out_channels"),
-        (K.FC, {"bias": False}, "out_features"),
-        (K.MAXPOOL, {"stride": 2}, "kernel"),
-        (K.AVGPOOL, {}, "kernel"),
+    @pytest.mark.parametrize("cls,doc,name,message", [
+        (ConvParams, {"out_channels": 1, "kernel": [1, 1], "striide": 2},
+         "striide", r"unknown field\(s\) \['striide'\]"),
+        (ConvParams, {"out_channels": 2}, "kernel", "kernel required"),
+        (ConvParams, {"kernel": [3, 3], "stride": 1}, "out_channels",
+         "out_channels required"),
+        (FCParams, {"bias": False}, "out_features", "out_features required"),
+        (PoolParams, {"stride": 2}, "kernel", "kernel required"),
+        (PoolParams, {}, "kernel", "kernel required"),
     ])
-    def test_missing_required_param_named(self, kind, params, missing):
-        shape = (4,) if kind is K.FC else (6, 6, 2)
-        with pytest.raises(ValueError,
-                           match=rf"^{kind.name}: missing parameter '{missing}'$"):
-            infer_shape(kind, params, [shape])
+    def test_unknown_or_missing_param_named(self, cls, doc, name, message):
+        # read from a JSON object, as every config is, it is a ValueError
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            from_doc(cls, doc)
+        # made in Python, the dataclass's own TypeError names the param
+        with pytest.raises(TypeError, match=rf"'{name}'"):
+            cls(**doc)
 
     def test_numpy_ints_accepted(self):
-        shape = infer_shape(K.CONV, {"out_channels": np.int64(2),
-                                     "kernel": [np.int32(3), 3],
-                                     "stride": np.int64(2)}, [(6, 6, 2)])
-        assert shape == (3, 3, 2)
+        params = ConvParams(out_channels=np.int64(2), kernel=(np.int32(3), 3),
+                            stride=np.int64(2))
+        assert infer_shape(K.CONV, params, [(6, 6, 2)]) == (3, 3, 2)
 
     def test_conv_same_padding_shape(self):
-        shape = infer_shape(K.CONV, {"out_channels": 5, "kernel": [3, 3],
-                                     "stride": 2, "padding": "same"},
-                            [(7, 7, 2)])
-        assert shape == (4, 4, 5)
+        params = ConvParams(5, (3, 3), stride=2, padding="same")
+        assert infer_shape(K.CONV, params, [(7, 7, 2)]) == (4, 4, 5)
+
+    def test_pool_stride_defaults_to_kernel_height(self):
+        assert PoolParams((3, 2)).stride == 3
+        assert PoolParams((2, 2)) == PoolParams((2, 2), 2)
+        assert hash(PoolParams((2, 2))) == hash(PoolParams((2, 2), 2))
+        assert infer_shape(K.MAXPOOL, PoolParams((3, 2)), [(9, 8, 1)]) == (3, 3, 1)
+
+    def test_every_kind_names_its_params_class(self):
+        assert {kind: params_class(kind) for kind in K if params_class(kind)} == {
+            K.CONV: ConvParams, K.FC: FCParams, K.MAXPOOL: PoolParams,
+            K.AVGPOOL: PoolParams}
 
 
 class TestConservation:
@@ -195,16 +207,16 @@ class TestConservation:
         rng = np.random.default_rng(1)
         a = rng.standard_normal((2, 3, 3, 2))
         b = rng.standard_normal((2, 3, 3, 5))
-        cat = op_forward(K.CONCAT, {}, {}, {}, [a, b])
+        cat = op_forward(K.CONCAT, None, {}, {}, [a, b])
         assert cat.size == a.size + b.size
-        added = op_forward(K.ADD, {}, {}, {}, [a, a])
+        added = op_forward(K.ADD, None, {}, {}, [a, a])
         assert added.size == a.size
         assert np.allclose(added, 2 * a)
 
     def test_maxpool_equals_bruteforce_window_scan(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((2, 6, 8, 3))
-        params = {"kernel": [2, 3], "stride": 2}
+        params = PoolParams((2, 3), 2)
         out = op_forward(K.MAXPOOL, params, {}, {}, [x])
         n, oh, ow, c = out.shape
         for b in range(n):
@@ -217,7 +229,7 @@ class TestConservation:
     def test_maxpool_tie_routes_to_first_row_major(self):
         x = np.full((1, 2, 2, 1), 3.0)  # all entries tie
         grad = np.ones((1, 1, 1, 1))
-        _, (gx,) = op_backward(K.MAXPOOL, {"kernel": [2, 2], "stride": 2},
+        _, (gx,) = op_backward(K.MAXPOOL, PoolParams((2, 2), 2),
                                {}, {}, [x], None, grad)
         assert gx[0, 0, 0, 0] == 1.0
         assert gx.sum() == 1.0
@@ -225,31 +237,31 @@ class TestConservation:
 
 # every kind, every supported rank
 GRADIENT_CASES = [
-    (K.RELU, {}, [(5,)]),
-    (K.RELU, {}, [(4, 4, 2)]),
-    (K.GELU, {}, [(5,)]),
-    (K.GELU, {}, [(3, 3, 2)]),
-    (K.SOFTMAX, {}, [(6,)]),
-    (K.SOFTMAX, {}, [(2, 2, 4)]),
-    (K.ADD, {}, [(4, 4, 2)] * 2),
-    (K.ADD, {}, [(7,)] * 3),
-    (K.CONCAT, {}, [(3, 3, 2), (3, 3, 4)]),
-    (K.CONCAT, {}, [(4,), (6,)]),
-    (K.FLATTEN, {}, [(3, 4, 2)]),
-    (K.FC, {"out_features": 3}, [(6,)]),
-    (K.FC, {"out_features": 4}, [(3, 3, 2)]),
-    (K.BN, {}, [(4, 4, 3)]),
-    (K.BN, {}, [(5,)]),
-    (K.MAXPOOL, {"kernel": [2, 2], "stride": 2}, [(6, 6, 2)]),
-    (K.MAXPOOL, {"kernel": [3, 3], "stride": 1}, [(5, 5, 1)]),
-    (K.AVGPOOL, {"kernel": [2, 2], "stride": 2}, [(6, 6, 2)]),
-    (K.AVGPOOL, {"kernel": [2, 2], "stride": 1}, [(4, 4, 3)]),
-    (K.CONV, {"out_channels": 3, "kernel": [3, 3], "stride": 1,
-              "padding": "same"}, [(5, 5, 2)]),
-    (K.CONV, {"out_channels": 2, "kernel": [2, 2], "stride": 2,
-              "padding": "valid"}, [(6, 6, 3)]),
-    (K.CONV, {"out_channels": 2, "kernel": [3, 3], "stride": 2,
-              "padding": "same", "bias": False}, [(7, 7, 1)]),
+    (K.RELU, None, [(5,)]),
+    (K.RELU, None, [(4, 4, 2)]),
+    (K.GELU, None, [(5,)]),
+    (K.GELU, None, [(3, 3, 2)]),
+    (K.SOFTMAX, None, [(6,)]),
+    (K.SOFTMAX, None, [(2, 2, 4)]),
+    (K.ADD, None, [(4, 4, 2)] * 2),
+    (K.ADD, None, [(7,)] * 3),
+    (K.CONCAT, None, [(3, 3, 2), (3, 3, 4)]),
+    (K.CONCAT, None, [(4,), (6,)]),
+    (K.FLATTEN, None, [(3, 4, 2)]),
+    (K.FC, FCParams(3), [(6,)]),
+    (K.FC, FCParams(4), [(3, 3, 2)]),
+    (K.BN, None, [(4, 4, 3)]),
+    (K.BN, None, [(5,)]),
+    (K.MAXPOOL, PoolParams((2, 2), 2), [(6, 6, 2)]),
+    (K.MAXPOOL, PoolParams((3, 3), 1), [(5, 5, 1)]),
+    (K.AVGPOOL, PoolParams((2, 2), 2), [(6, 6, 2)]),
+    (K.AVGPOOL, PoolParams((2, 2), 1), [(4, 4, 3)]),
+    (K.CONV, ConvParams(3, (3, 3), stride=1,
+                        padding="same"), [(5, 5, 2)]),
+    (K.CONV, ConvParams(2, (2, 2), stride=2,
+                        padding="valid"), [(6, 6, 3)]),
+    (K.CONV, ConvParams(2, (3, 3), stride=2,
+                        padding="same", bias=False), [(7, 7, 1)]),
 ]
 
 
@@ -316,7 +328,7 @@ class TestKeptWorkspace:
         rng = np.random.default_rng(7)
         # rounded values give many ties; -0.0 gradients must keep their sign
         x = np.round(rng.standard_normal((3, 6, 6, 2)))
-        params = {"kernel": [2, 2], "stride": 2}
+        params = PoolParams((2, 2), 2)
         grad = rng.standard_normal((3, 3, 3, 2))
         grad[grad < 0] = -0.0
         _, (gx,) = op_backward(K.MAXPOOL, params, {}, {}, [x], None, grad)
@@ -390,14 +402,14 @@ class TestLoopFreeDataMovement:
 
     @pytest.mark.parametrize("padding", ["same", "valid"])
     @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("kernel,hw", [([3, 3], (7, 7)), ([2, 3], (6, 5)),
-                                           ([1, 1], (4, 4))])
+    @pytest.mark.parametrize("kernel,hw", [((3, 3), (7, 7)), ((2, 3), (6, 5)),
+                                           ((1, 1), (4, 4))])
     def test_im2col_and_col2im_equal_tap_loops(self, kernel, hw, stride, padding):
         rng = np.random.default_rng(stride * 10 + kernel[1])
         # a channel slice: the windows must follow the input's own strides
         x = rng.standard_normal((3,) + hw + (5,))[..., 1:4]
-        params = {"out_channels": 2, "kernel": kernel, "stride": stride,
-                  "padding": padding}
+        params = ConvParams(2, kernel, stride=stride,
+                            padding=padding)
         out_h, out_w, kh, kw, s, pads = _conv_geometry(params, x.shape[1:])
         pt, pb, pl, pr = pads
         xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
@@ -426,14 +438,14 @@ class TestLoopFreeDataMovement:
     @pytest.mark.parametrize("integers", [False, True])
     @pytest.mark.parametrize("batch", [1, 10])
     @pytest.mark.parametrize("stride", [1, 2, 3])
-    @pytest.mark.parametrize("kernel", [[1, 1], [2, 2], [3, 3], [4, 4], [5, 5],
-                                        [1, 3], [3, 2]])
+    @pytest.mark.parametrize("kernel", [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5),
+                                        (1, 3), (3, 2)])
     @pytest.mark.parametrize("padding", ["same", "valid"])
     def test_col2im_equals_tap_loop(self, padding, kernel, stride, batch,
                                     integers):
         rng = np.random.default_rng([batch, stride, *kernel, int(integers)])
-        params = {"out_channels": 2, "kernel": kernel, "stride": stride,
-                  "padding": padding}
+        params = ConvParams(2, kernel, stride=stride,
+                            padding=padding)
         h, w, c = 7, 6, 3
         out_h, out_w, kh, kw, s, pads = _conv_geometry(params, (h, w, c))
         padded = (batch, h + pads[0] + pads[1], w + pads[2] + pads[3], c)
@@ -460,7 +472,7 @@ class TestLoopFreeDataMovement:
         rng = np.random.default_rng([batch, k, s])
         x = rng.integers(-1, 2, size=(batch, 8, 7, 3)).astype(float)
         x[rng.random(x.shape) < 0.3] = -0.0
-        params = {"kernel": [k, k], "stride": s}
+        params = PoolParams((k, k), s)
         out_h, out_w = (8 - k) // s + 1, (7 - k) // s + 1
         grad = self._signed_zero_gradients(rng, (batch, out_h, out_w, 3), True)
         # MAXPOOL: each window's gradient goes to its first maximum
@@ -507,7 +519,7 @@ class TestLoopFreeDataMovement:
         # many ties, among them +0.0 and -0.0 in the same window
         x = rng.integers(-1, 2, size=(4,) + hw + (3,)).astype(float)
         x[rng.random(x.shape) < 0.3] = -0.0
-        params = {"kernel": [2, 2], "stride": 2}
+        params = PoolParams((2, 2), 2)
         out_h, out_w = hw[0] // 2, hw[1] // 2
         grad = rng.standard_normal((4, out_h, out_w, 3))
         grad[grad < 0] = -0.0
@@ -554,8 +566,8 @@ class TestPoolsEqualTapLoops:
     @pytest.mark.parametrize("kind", [K.MAXPOOL, K.AVGPOOL])
     @pytest.mark.parametrize("batch", [1, 10])
     @pytest.mark.parametrize("channels", [1, 3])
-    @pytest.mark.parametrize("kernel,s", [([2, 2], 2), ([3, 3], 3), ([2, 3], 3),
-                                          ([3, 2], 3), ([1, 2], 2), ([3, 3], 2)])
+    @pytest.mark.parametrize("kernel,s", [((2, 2), 2), ((3, 3), 3), ((2, 3), 3),
+                                          ((3, 2), 3), ((1, 2), 2), ((3, 3), 2)])
     @pytest.mark.parametrize("hw", [(8, 8), (5, 5), (7, 7)])
     def test_pool_equals_tap_loop(self, hw, kernel, s, channels, batch, kind,
                                   values):
@@ -568,7 +580,7 @@ class TestPoolsEqualTapLoops:
         else:
             x = rng.standard_normal(shape)
         kh, kw = kernel
-        params = {"kernel": kernel, "stride": s}
+        params = PoolParams(kernel, s)
         out_h, out_w = (hw[0] - kh) // s + 1, (hw[1] - kw) // s + 1
         out, first = _tap_loop_pool(x, kind, kh, kw, s, out_h, out_w)
         ctx = {}
@@ -597,7 +609,7 @@ class TestPoolsEqualTapLoops:
         x = np.zeros((2, 4, 6, 2))
         x[1, 1, 5, 0] = 1.0  # batch 1, window (0, 2), channel 0: tap (1, 1)
         ctx = {}
-        op_forward(K.MAXPOOL, {"kernel": [2, 2], "stride": 2}, {}, {}, [x], ctx)
+        op_forward(K.MAXPOOL, PoolParams((2, 2), 2), {}, {}, [x], ctx)
         winner = ctx["winner"]
         assert winner.shape == (2, 2, 3, 2)
         # all-zero windows: the first tap (0, 0) wins

@@ -8,8 +8,8 @@ import pytest
 
 from extractbench.fields import to_doc
 from extractbench.network import NodeSpec
+from extractbench.tensor import ConvParams, FCParams, PoolParams, ShapeError
 from extractbench.tensor import OperatorKind as K
-from extractbench.tensor import ShapeError
 from extractbench.zoo import (
     ArchitectureSpec,
     BUILTIN_ARCHITECTURES,
@@ -20,6 +20,7 @@ from extractbench.zoo import (
     checkpoint_path,
     compute_madd,
     load_checkpoint,
+    make_mini_vgg,
     save_checkpoint,
 )
 
@@ -31,9 +32,8 @@ KEY = "blobs-2c-easy"
 
 
 def conv_node(nid, src, channels, kernel=3, stride=1, padding="same"):
-    return NodeSpec(nid, K.CONV, {"out_channels": channels,
-                                  "kernel": [kernel, kernel], "stride": stride,
-                                  "padding": padding}, (src,))
+    return NodeSpec(nid, K.CONV,
+                    ConvParams(channels, (kernel, kernel), stride, padding), (src,))
 
 
 def _set_param(metadata_text, node_id, name, value):
@@ -42,6 +42,17 @@ def _set_param(metadata_text, node_id, name, value):
     for node in meta["spec"]["nodes"]:
         if node["node_id"] == node_id:
             node["params"][name] = value
+    return json.dumps(meta)
+
+
+def _pre_dataclass_params(metadata_text):
+    """metadata.json text with the spec echo's params in the form written
+    before they were dataclasses: without their defaults, `{}` for none."""
+    meta = json.loads(metadata_text)
+    for node in meta["spec"]["nodes"]:
+        params = node["params"] or {}
+        params.pop("bias", None)
+        node["params"] = params
     return json.dumps(meta)
 
 
@@ -68,9 +79,9 @@ class TestBuildModel:
         nodes = (
             conv_node("a", "input", 2),
             conv_node("b", "input", 3),
-            NodeSpec("sum", K.ADD, {}, ("a", "b")),
-            NodeSpec("fc", K.FC, {"out_features": 2}, ("sum",)),
-            NodeSpec("sm", K.SOFTMAX, {}, ("fc",)),
+            NodeSpec("sum", K.ADD, None, ("a", "b")),
+            NodeSpec("fc", K.FC, FCParams(2), ("sum",)),
+            NodeSpec("sm", K.SOFTMAX, None, ("fc",)),
         )
         with pytest.raises(ShapeError) as err:
             ArchitectureSpec("bad", "test", nodes, SHAPE, 2)
@@ -106,10 +117,23 @@ class TestBuildModel:
         assert same_bits(model.state_vector(), np.concatenate(parts))
 
 
+class TestSpecHash:
+    def test_builtin_spec_hashes(self):
+        spec = builtin_spec("mini-resnet-6", (8, 8, 1), 4)
+        assert hash(spec) == hash(spec)
+        assert {spec: 1}[builtin_spec("mini-resnet-6", (8, 8, 1), 4)] == 1
+
+    def test_equal_specs_built_apart_hash_equal(self):
+        a, b = make_mini_vgg(4, SHAPE, 4), make_mini_vgg(4, SHAPE, 4)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert make_mini_vgg(6, SHAPE, 4) != a
+
+
 class TestMAdd:
     def test_single_fc(self):
-        nodes = (NodeSpec("fc", K.FC, {"out_features": 5}, ("input",)),
-                 NodeSpec("sm", K.SOFTMAX, {}, ("fc",)))
+        nodes = (NodeSpec("fc", K.FC, FCParams(5), ("input",)),
+                 NodeSpec("sm", K.SOFTMAX, None, ("fc",)))
         spec = ArchitectureSpec("fc10x5", "test", nodes, (10,), 5)
         report = compute_madd(spec)
         assert report.per_node["fc"] == 50
@@ -117,9 +141,9 @@ class TestMAdd:
 
     def test_conv_example_matches_nested_loop_oracle(self):
         nodes = (conv_node("c", "input", 4),
-                 NodeSpec("fl", K.FLATTEN, {}, ("c",)),
-                 NodeSpec("fc", K.FC, {"out_features": 2}, ("fl",)),
-                 NodeSpec("sm", K.SOFTMAX, {}, ("fc",)))
+                 NodeSpec("fl", K.FLATTEN, None, ("c",)),
+                 NodeSpec("fc", K.FC, FCParams(2), ("fl",)),
+                 NodeSpec("sm", K.SOFTMAX, None, ("fc",)))
         spec = ArchitectureSpec("c8", "test", nodes, (8, 8, 3), 2)
         report = compute_madd(spec)
 
@@ -137,8 +161,8 @@ class TestMAdd:
         assert report.per_node["c"] == count
 
     def test_pure_activation_chain_is_zero(self):
-        nodes = (NodeSpec("r", K.RELU, {}, ("input",)),
-                 NodeSpec("p", K.MAXPOOL, {"kernel": [2, 2], "stride": 2},
+        nodes = (NodeSpec("r", K.RELU, None, ("input",)),
+                 NodeSpec("p", K.MAXPOOL, PoolParams((2, 2), 2),
                           ("r",)))
         spec = ArchitectureSpec("act", "test", nodes, (4, 4, 2), 8)
         assert compute_madd(spec).total == 0
@@ -164,9 +188,9 @@ class TestMAdd:
             stride = int(rng.integers(1, 3))
             nodes = (conv_node("c", "input", cout, kernel=kern, stride=stride,
                                padding="valid"),
-                     NodeSpec("fl", K.FLATTEN, {}, ("c",)),
-                     NodeSpec("fc", K.FC, {"out_features": 2}, ("fl",)),
-                     NodeSpec("sm", K.SOFTMAX, {}, ("fc",)))
+                     NodeSpec("fl", K.FLATTEN, None, ("c",)),
+                     NodeSpec("fc", K.FC, FCParams(2), ("fl",)),
+                     NodeSpec("sm", K.SOFTMAX, None, ("fc",)))
             spec = ArchitectureSpec("r", "test", nodes, (h, w, cin), 2)
             oh = (h - kern) // stride + 1
             ow = (w - kern) // stride + 1
@@ -187,18 +211,18 @@ class TestOperatorSequence:
 
     def test_three_node_chain(self):
         nodes = (conv_node("c", "input", 2),
-                 NodeSpec("r", K.RELU, {}, ("c",)),
-                 NodeSpec("f", K.FC, {"out_features": 3}, ("r",)),
-                 NodeSpec("sm", K.SOFTMAX, {}, ("f",)))
+                 NodeSpec("r", K.RELU, None, ("c",)),
+                 NodeSpec("f", K.FC, FCParams(3), ("r",)),
+                 NodeSpec("sm", K.SOFTMAX, None, ("f",)))
         spec = ArchitectureSpec("chain", "test", nodes, (4, 4, 1), 3)
         assert [n.kind for n in spec.execution_order][:3] == [K.CONV, K.RELU, K.FC]
 
     def test_diamond_branches_precede_join(self):
         nodes = (conv_node("l", "input", 2),
                  conv_node("r", "input", 2),
-                 NodeSpec("join", K.ADD, {}, ("l", "r")),
-                 NodeSpec("fc", K.FC, {"out_features": 2}, ("join",)),
-                 NodeSpec("sm", K.SOFTMAX, {}, ("fc",)))
+                 NodeSpec("join", K.ADD, None, ("l", "r")),
+                 NodeSpec("fc", K.FC, FCParams(2), ("join",)),
+                 NodeSpec("sm", K.SOFTMAX, None, ("fc",)))
         spec = ArchitectureSpec("diamond", "test", nodes, (4, 4, 1), 2)
         seq = [n.kind for n in spec.execution_order]
         assert seq.index(K.ADD) > max(i for i, k in enumerate(seq)
@@ -248,13 +272,14 @@ class TestCheckpoints:
         lambda text: "[]",
         lambda text: _set_param(text, "conv", "stride", 0),
         lambda text: _set_param(text, "head", "out_features", 0),
+        _pre_dataclass_params,
         lambda text: _set_meta(text, "bn_calibrated", "false"),
         lambda text: _set_meta(text, "seed", "12"),
         lambda text: _set_meta(text, "epochs_trained", 2.9),
         lambda text: json.dumps({**json.loads(text), "note": "x"}),
     ], ids=["truncated", "empty", "no-spec", "not-an-object", "stride-0",
-            "out-features-0", "calibrated-string", "seed-string",
-            "epochs-float", "extra-key"])
+            "out-features-0", "params-pre-dataclass", "calibrated-string",
+            "seed-string", "epochs-float", "extra-key"])
     def test_unreadable_metadata_is_corruption(self, tmp_path, damage):
         data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=6)
         model = trained_model("mini-student-cnn", data, epochs=1, seed=7)
