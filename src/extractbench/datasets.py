@@ -28,12 +28,12 @@ from typing import Annotated, Literal
 
 import numpy as np
 
-from .fields import (Count, NonNegative, QueryFraction, Range, UnitInterval,
-                     check_fields, check_value, from_doc, is_doc_of, to_doc)
+from .fields import (Checked, Count, NonNegative, QueryFraction, Range,
+                     UnitInterval, check_value, from_doc, is_doc_of, to_doc)
 
 
 @dataclass(frozen=True)
-class DatasetSpec:
+class DatasetSpec(Checked):
     id: str
     class_count: Annotated[int, Range(2)]
     samples_per_class: Count
@@ -43,7 +43,7 @@ class DatasetSpec:
     noise: Annotated[float, Range(0)] = 0.6  # per-pixel, around the prototype
 
     def __post_init__(self):
-        check_fields(self)
+        super().__post_init__()
         if len(self.input_shape) != 3:
             raise ValueError("input_shape must be (H, W, C)")
 
@@ -290,7 +290,7 @@ def discard_entry(entry: Path) -> None:
 
 # meta.json, in the order it is written
 @dataclass
-class _Meta:
+class _Meta(Checked):
     spec: dict  # the dataset's spec document, compared with the caller's
     role: str
     count: int

@@ -1,8 +1,10 @@
 """Rules declared on config fields (one alias per shared rule), the one
 walker that checks them, and the one writer and the one reader of a
 dataclass's JSON document: `to_doc` writes scenarios, run records and cache
-metadata, and `from_doc`, its inverse, reads them back strictly (unknown
-keys and wrong JSON types are a `ScenarioError`, and nothing is cast)."""
+metadata, and `from_doc`, its inverse, reads them back. `from_doc` only
+shapes JSON (defaults, required and unknown keys, objects, lists as tuples,
+integers as floats); every rule, types included, is checked by the class
+it builds, through `check_value`, and a broken one is a `ScenarioError`."""
 
 from __future__ import annotations
 
@@ -16,6 +18,8 @@ from enum import Enum
 from functools import cache
 from typing import (Annotated, Literal, NamedTuple, Union, get_args, get_origin,
                     get_type_hints)
+
+import numpy as np
 
 
 class Range(NamedTuple):
@@ -77,8 +81,8 @@ def field_hints(cls) -> dict:
 def check_value(name: str, value, hint) -> None:
     """Raise ValueError if `value` breaks a rule of the annotation `hint`:
     its type (a fixed-length tuple's length too), a `Literal`'s choices, a
-    `Range`, a float's finiteness, or those of each tuple item or of an
-    optional's value."""
+    `Range`, a float's finiteness, or those of each item of a tuple or list,
+    each value of a dict, or an optional's value."""
     origin, args = get_origin(hint), get_args(hint)
     if origin in (types.UnionType, Union):  # X | None: None passes
         if value is not None:
@@ -90,18 +94,26 @@ def check_value(name: str, value, hint) -> None:
         check_value(name, value, args[0])
         if not args[1].holds(value):
             raise ValueError(f"{name} {args[1]}")
-    elif origin is tuple:
-        if args[-1] is Ellipsis:  # tuple[X, ...]: any number of X
-            args = args[:1] * len(value)
-        elif not isinstance(value, tuple) or len(value) != len(args):
+    elif origin is tuple and args[-1] is not Ellipsis:
+        if not isinstance(value, tuple) or len(value) != len(args):
             raise ValueError(
                 f"{name} must be a tuple of {len(args)} items, got {value!r}")
         for item, item_hint in zip(value, args):
             check_value(name, item, item_hint)
+    elif origin in (tuple, list):  # tuple[X, ...] or list[X]: any number of X
+        if not isinstance(value, (tuple, list)):
+            raise ValueError(f"{name} must be a list or tuple, got {value!r}")
+        for item in value:
+            check_value(name, item, args[0])
+    elif dict in (hint, origin):  # dict[str, X]: each value an X
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} must be an object, got {value!r}")
+        for key, item in value.items() if args else ():
+            check_value(f"{name}.{key}", item, args[1])
     elif hint in _TYPES and not (isinstance(value, _TYPES[hint][1]) and (
             hint is bool or not isinstance(value, bool))):
         raise ValueError(f"{name} must be {_TYPES[hint][0]}, got {value!r}")
-    elif isinstance(value, float) and not math.isfinite(value):
+    elif hint is float and not -math.inf < value < math.inf:  # NaN fails too
         raise ValueError(f"{name} must be finite")
 
 
@@ -111,24 +123,20 @@ def _present(args) -> object:
     return inner
 
 
-def check_fields(config) -> None:
-    """Check each field of a dataclass instance against its annotation."""
-    for name, hint in field_hints(type(config)).items():
-        check_value(name, getattr(config, name), hint)
-
-
 class Checked:
     """A base for a config dataclass: its fields are checked when it is
-    made. A subclass with rules of its own extends `__post_init__`."""
+    made. A subclass with rules of its own extends `__post_init__`, calling
+    this one first, so that its own rules see values of the declared types."""
 
     def __post_init__(self):
-        check_fields(self)
+        for name, hint in field_hints(type(self)).items():
+            check_value(name, getattr(self, name), hint)
 
 
 def to_doc(value):
     """A value as its JSON document: a dataclass as its fields in order, an
     enum as its value, a tuple or list as a list, a dict with each value
-    written."""
+    written, and a numpy scalar as its Python int, float or bool."""
     if is_dataclass(value):
         return {f.name: to_doc(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, Enum):
@@ -137,6 +145,8 @@ def to_doc(value):
         return [to_doc(v) for v in value]
     if isinstance(value, dict):
         return {k: to_doc(v) for k, v in value.items()}
+    if isinstance(value, np.generic):
+        return value.item()
     return value
 
 
@@ -153,39 +163,28 @@ class ScenarioError(ValueError):
 _REQUIRED = object()
 
 
-def _typed(value, hint, name: str):
-    """Check a JSON value against a field annotation. Nothing is cast,
-    except that an integer is accepted where a float is expected."""
+def _shaped(value, hint):
+    """A JSON value in the form its field holds, for the field's class to
+    check: a list read for a tuple field becomes a tuple, and an integer
+    read for a float field a float (infinite past the largest float, as
+    JSON's `1e400` reads), in items and dict values too."""
     origin, args = get_origin(hint), get_args(hint)
-    if origin is Annotated:  # its rules are the config's to check
-        return _typed(value, args[0], name)
-    if origin is Literal:
-        if isinstance(value, str) and value in args:
-            return value
-        raise ScenarioError(f"{name}: {value!r} is not one of {sorted(args)}")
-    if origin in (types.UnionType, Union):  # X | None; from_doc handled None
-        return _typed(value, _present(args), name)
-    if origin in (tuple, list):
-        if type(value) is not list:
-            raise ScenarioError(f"{name}: expected a list, got {value!r}")
+    if origin is Annotated:
+        return _shaped(value, args[0])
+    if origin in (types.UnionType, Union):
+        return _shaped(value, _present(args))
+    if type(value) is list and origin in (tuple, list):
         if origin is list or args[-1] is Ellipsis:
             args = args[:1] * len(value)
-        elif len(value) != len(args):
-            raise ScenarioError(
-                f"{name}: expected {len(args)} items, got {len(value)}")
-        return origin(_typed(v, t, f"{name}[{i}]")
-                      for i, (v, t) in enumerate(zip(value, args)))
-    if dict in (hint, origin):  # JSON keys are strings; values as annotated
-        if type(value) is not dict:
-            raise ScenarioError(f"{name}: expected an object, got {value!r}")
-        return {k: _typed(v, args[1], f"{name}.{k}")
-                for k, v in value.items()} if args else value
-    if hint is float:
-        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
-            return float(value)
-    elif type(value) is hint:
-        return value
-    raise ScenarioError(f"{name}: expected {_TYPES[hint][0]}, got {value!r}")
+        if len(args) == len(value):
+            value = [_shaped(v, t) for v, t in zip(value, args)]
+        return origin(value)
+    if type(value) is dict and origin is dict:
+        return {k: _shaped(v, args[1]) for k, v in value.items()}
+    if hint is float and type(value) is int:
+        return (float(value) if abs(value) <= sys.float_info.max
+                else math.inf if value > 0 else -math.inf)
+    return value
 
 
 def from_doc(cls, doc, path: str = "", seed: int | None = None, base=None):
@@ -196,11 +195,14 @@ def from_doc(cls, doc, path: str = "", seed: int | None = None, base=None):
     instance of the enclosing field), or else from the field; a field with
     neither is required. Given a `seed`, every field named `seed` defaults
     to it instead (a scenario's training configs take the scenario seed). A
-    dataclass field is read as a nested object with its default as base. A
-    key that names no field is rejected, and the dataclass's own ValueError
-    is reported at `path`.
+    dataclass field is read as a nested object with its default as base,
+    and any other value is shaped (see `_shaped`), not checked. A key that
+    names no field is rejected, and the ValueError of the dataclass, which
+    checks its fields, is reported at `path`.
     """
-    _typed(doc, dict, path or "document")
+    if type(doc) is not dict:
+        raise ScenarioError(
+            f"{path or 'document'}: expected an object, got {doc!r}")
     hints = field_hints(cls)
     values = {}
     for f in fields(cls):
@@ -220,11 +222,11 @@ def from_doc(cls, doc, path: str = "", seed: int | None = None, base=None):
             values[f.name] = from_doc(hint, {} if value is None else value, name,
                                       seed, None if default is _REQUIRED else default)
         else:
-            values[f.name] = default if value is None else _typed(value, hint, name)
+            values[f.name] = default if value is None else _shaped(value, hint)
     unknown = [f"{path}.{k}" if path else k for k in doc if k not in values]
     if unknown:
         raise ScenarioError(f"unknown field(s) {sorted(unknown)}")
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
+        raise ScenarioError(f"{path}: {exc}" if path else str(exc)) from None

@@ -32,8 +32,7 @@ from .datasets import (BUILTIN_DATASETS, Dataset, DatasetId, discard_entry,
                        generate, load_dataset, query_rows, restrict_to_classes,
                        save_dataset, split)
 from .fields import (Checked, Count, Epochs, Jitter, NonNegative, QueryFraction,
-                     Range, Repeats, ScenarioError, check_fields, from_doc,
-                     to_doc)
+                     Range, Repeats, ScenarioError, from_doc, to_doc)
 from .network import TrainConfig, train
 from .query_attacks import (
     GradientHandle,
@@ -100,7 +99,7 @@ class MifaceParams(InversionConfig):
 # its own knockoff knobs: `budgets` leads its document, where a knockoff's
 # has `query_budget`, so a shared base would reorder the echo
 @dataclass
-class StagedInversionParams:
+class StagedInversionParams(Checked):
     budgets: tuple[Count, ...]
     output_mode: OutputMode = "confidence_vector"
     surrogate_architecture: ArchitectureId | None = None
@@ -109,12 +108,12 @@ class StagedInversionParams:
     inversion: InversionConfig = field(default_factory=InversionConfig)
 
     def __post_init__(self):
-        check_fields(self)
+        super().__post_init__()
         check_budgets(self.budgets)
 
 
 @dataclass
-class DeepSnifferParams:
+class DeepSnifferParams(Checked):
     corpus_architectures: tuple[ArchitectureId, ...] = CONVENTIONAL_ARCHITECTURES
     traces_per_architecture: Repeats = 6
     train_jitter: Jitter = 0.05
@@ -125,13 +124,13 @@ class DeepSnifferParams:
     classifier_epochs: Epochs = 200
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.corpus_architectures:
             raise ValueError("corpus_architectures must be non-empty")
-        check_fields(self)
 
 
 @dataclass
-class DeepReconParams:
+class DeepReconParams(Checked):
     corpus_architectures: tuple[ArchitectureId, ...] = tuple(
         a for a in BUILTIN_ARCHITECTURES if a != "mini-student-cnn")
     histograms_per_architecture: Repeats = 8
@@ -139,10 +138,10 @@ class DeepReconParams:
     k_neighbors: Count = 5
 
     def __post_init__(self):
+        super().__post_init__()
         if len(set(self.corpus_architectures)) < 2:
             raise ValueError("corpus_architectures must name at least two "
                              "architectures")
-        check_fields(self)
         corpus = len(self.corpus_architectures) * self.histograms_per_architecture
         if self.k_neighbors > corpus:
             raise ValueError(f"k_neighbors must lie in [1, {corpus}]")
@@ -166,15 +165,16 @@ class EnvironmentSpec(Checked):
 
 
 @dataclass
-class AttackBlock:
+class AttackBlock(Checked):
     type: Literal[tuple(ATTACKS)]
-    # read as a JSON object; `parse_scenario` puts the type's params in
-    params: dict = field(default_factory=dict)
+    # the JSON object as read, then the params `parse_scenario` builds from
+    # it: no one type holds both, so `object`, which has no rule
+    params: object = field(default_factory=dict)
 
 
 # the document, in reading order; `parse_scenario` ties its values together
 @dataclass(kw_only=True)
-class Scenario:
+class Scenario(Checked):
     schema_version: int
     id: str
     seed: int = 0
@@ -436,7 +436,7 @@ def zoo_resolve(ref: ModelRef, bench: Workbench):
 # fields in the order of the written document; a record written before
 # `timings` and `resolved_from_cache` were added reads with their defaults
 @dataclass(kw_only=True)
-class RunRecord:
+class RunRecord(Checked):
     schema_version: int = SCHEMA_VERSION
     scenario: dict
     status: str                       # ok | failed
@@ -644,13 +644,16 @@ def _run_equivalency(scenario, bench, target, art_dir):
     queries, test, spec = _steal_setup(scenario, bench)
     stolen, _ = knockoff_extract(QueryHandle(target), queries, spec, p,
                                  seed=scenario.seed)
-    report = equivalency_report(target, stolen, test, p)
+    # the params are a DistillConfig and more: the report keeps only that
+    distill = DistillConfig(**{f.name: getattr(p, f.name)
+                               for f in fields(DistillConfig)})
+    report = equivalency_report(target, stolen, test, distill)
     metrics = dict(report.metrics())
     pwccas = [v for k, v in metrics.items() if k.startswith("pwcca_")]
     metrics["pwcca"] = float(np.mean(pwccas))
     report_path = art_dir / "equivalency.json"
     report_path.write_text(json.dumps(
-        {"metrics": metrics, "distill_config": report.distill_config,
+        {"metrics": metrics, "distill_config": to_doc(report.distill_config),
          "probe_points": report.similarity.probe_points}, indent=2))
     return metrics, [str(report_path)]
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .datasets import Dataset
 from .fields import (Checked, Count, NonNegative, Positive, PosteriorThreshold,
-                     QueryFraction, Repeats, check_fields, check_value)
+                     QueryFraction, Repeats, check_value)
 from .network import Network, TrainConfig, train
 from .similarity import collect_activations, default_probe_point, fidelity, pwcca_distance
 from .zoo import ArchitectureId, ArchitectureSpec, build_model
@@ -165,7 +165,7 @@ def knockoff_extract(target: QueryHandle, queries: Dataset,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class InversionConfig:
+class InversionConfig(Checked):
     posterior_threshold: PosteriorThreshold = 0.95
     max_iterations: Repeats = 400
     step_size: Positive = 0.2
@@ -173,7 +173,7 @@ class InversionConfig:
     clamp_range: tuple[float, float] = (-4.0, 4.0)
 
     def __post_init__(self):
-        check_fields(self)
+        super().__post_init__()
         if self.clamp_range[0] >= self.clamp_range[1]:
             raise ValueError("clamp_range must be (lo, hi) with lo < hi")
 

@@ -9,7 +9,7 @@ every argmax yet organize their representations differently.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -195,12 +195,6 @@ class DistillConfig(Checked):
     distill_train: TrainConfig = field(default_factory=lambda: TrainConfig(
         epochs=20))
 
-    def to_dict(self) -> dict:
-        return {"student_spec": self.student_architecture,
-                "temperature": self.temperature,
-                "hard_label_weight": self.hard_label_weight,
-                "train": asdict(self.distill_train)}
-
 
 def _soften(probs: np.ndarray, temperature: float, out=None) -> np.ndarray:
     """softmax(logits / T) computed from the probability simplex."""
@@ -307,7 +301,7 @@ class SimilarityReport:
 class EquivalencyReport:
     similarity: SimilarityReport
     distilled_pwcca: float
-    distill_config: dict
+    distill_config: DistillConfig
 
     def metrics(self) -> dict[str, float]:
         out = {"fidelity": self.similarity.fidelity,
@@ -349,4 +343,4 @@ def equivalency_report(target: Network, stolen: Network, test_set,
         accuracy_target=accuracy(out_target, test_set),
         accuracy_stolen=accuracy(out_stolen, test_set))
     return EquivalencyReport(similarity=report, distilled_pwcca=distilled,
-                             distill_config=distill_config.to_dict())
+                             distill_config=distill_config)

@@ -34,7 +34,7 @@ from typing import Literal
 import numpy as np
 
 from .datasets import DatasetId, write_entry
-from .fields import Count, check_fields, from_doc, is_doc_of, to_doc
+from .fields import Checked, Count, from_doc, is_doc_of, to_doc
 from .network import Network, NodeSpec, node_shapes, topological_order
 from .tensor import ConvParams, FCParams, OperatorKind, PoolParams, ShapeError, madd
 
@@ -49,7 +49,7 @@ class CheckpointError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ArchitectureSpec:
+class ArchitectureSpec(Checked):
     """Declarative model description; immutable, hashable and freely
     shareable."""
 
@@ -60,9 +60,9 @@ class ArchitectureSpec:
     class_count: Count
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.family:
             raise ValueError("family must be non-empty")
-        check_fields(self)
         self._shapes  # rejects cycles and shape conflicts up front
 
     # the dataclass's hash, computed once: its own would hash every node
@@ -103,7 +103,7 @@ class ArchitectureSpec:
 
 
 @dataclass(frozen=True)
-class ModelRef:
+class ModelRef(Checked):
     """Key under which a trained model is cached and served: registry ids,
     and a class subset (None or empty: all classes)."""
 
@@ -113,7 +113,7 @@ class ModelRef:
     checkpoint_tag: str = "default"
 
     def __post_init__(self):
-        check_fields(self)
+        super().__post_init__()
         subset = tuple(sorted(self.class_subset or ()))
         if subset:
             if len(set(subset)) != len(subset):
@@ -166,7 +166,7 @@ def checkpoint_path(root, ref: ModelRef) -> Path:
 
 # metadata.json, in the order it is written
 @dataclass(kw_only=True)
-class _Metadata:
+class _Metadata(Checked):
     format_version: int
     architecture_id: str
     spec: dict  # the model's spec document, compared with the caller's

@@ -2,21 +2,22 @@
 the one document writer."""
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Annotated, Literal
 
 import numpy as np
 import pytest
 
-from extractbench.fields import (Count, Range, UnitInterval, check_fields,
-                                 check_value, field_hints, is_doc_of, to_doc)
+from extractbench.fields import (Checked, Count, Range, ScenarioError,
+                                 UnitInterval, check_value, field_hints,
+                                 from_doc, is_doc_of, to_doc)
 from extractbench.network import TrainConfig
 from extractbench.query_attacks import InversionConfig
 from extractbench.zoo import builtin_spec
 
 
 @dataclass
-class Config:
+class Config(Checked):
     mode: Literal["a", "b"] = "a"
     count: Count = 1
     share: Annotated[float, Range(0, 1, low_open=True, high_open=True)] = 0.5
@@ -27,9 +28,8 @@ class Config:
     choice: Literal["a", "b"] | None = None
     limit: Count | None = None
     flag: bool = False
-
-    def __post_init__(self):
-        check_fields(self)
+    table: dict[str, float] = field(default_factory=dict)
+    names: list[str] = field(default_factory=list)
 
 
 class TestRange:
@@ -109,8 +109,13 @@ class TestTypes:
         ("pair", [0.0, 1.0], r"^pair must be a tuple of 2 items, got \[0\.0, 1\.0\]$"),
         ("pair", "ab", "^pair must be a tuple of 2 items, got 'ab'$"),
         ("pair", (0.0, "1"), "^pair must be a finite number, got '1'$"),
-        ("sizes", "12", "^sizes must be an integer, got '1'$"),
-        ("sizes", (1, 2.5), r"^sizes must be an integer, got 2\.5$")])
+        ("sizes", "12", "^sizes must be a list or tuple, got '12'$"),
+        ("sizes", (1, 2.5), r"^sizes must be an integer, got 2\.5$"),
+        ("table", [1], r"^table must be an object, got \[1\]$"),
+        ("table", {"a": "x"}, r"^table\.a must be a finite number, got 'x'$"),
+        ("table", {"a": float("nan")}, r"^table\.a must be finite$"),
+        ("names", "ab", "^names must be a list or tuple, got 'ab'$"),
+        ("names", ["a", 1], "^names must be a string, got 1$")])
     def test_wrong_type_is_a_value_error(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             Config(**{field: value})
@@ -131,6 +136,37 @@ class TestTypes:
             make()
 
 
+class TestFromDoc:
+    """`from_doc` shapes JSON and the class checks it: each rule has the
+    one message `check_value` gives, after the block's path."""
+
+    def test_lists_become_tuples_and_integers_floats(self):
+        config = from_doc(Config, {"pair": [0, 1], "sizes": [2, 3], "scale": 2,
+                                   "table": {"a": 1}, "names": ["x"]})
+        assert config.pair == (0.0, 1.0) and type(config.pair[0]) is float
+        assert config.sizes == (2, 3) and type(config.scale) is float
+        assert type(config.table["a"]) is float and config.names == ["x"]
+        assert json.dumps(to_doc(config)) == json.dumps(to_doc(from_doc(
+            Config, json.loads(json.dumps(to_doc(config))))))
+
+    @pytest.mark.parametrize("doc,path,message", [
+        ({"count": "3"}, "", "^count must be an integer, got '3'$"),
+        ({"count": 2.0}, "block", r"^block: count must be an integer, got 2\.0$"),
+        ({"mode": "c"}, "a.b", r"^a\.b: unknown mode 'c'$"),
+        ({"sizes": "12"}, "", "^sizes must be a list or tuple, got '12'$"),
+        ({"pair": [0, 1, 2]}, "",
+         r"^pair must be a tuple of 2 items, got \(0, 1, 2\)$"),
+        ({"scale": 10 ** 400}, "", "^scale must be finite$"),
+        ({"scale": -10 ** 400}, "", "^scale must be finite$"),
+        ({"count": 0}, "", "^count must be >= 1$"),
+        ({"table": {"a": True}}, "", "^table.a must be a finite number, got True$"),
+        (5, "block", "^block: expected an object, got 5$"),
+        ({"extra": 1}, "block", r"^unknown field\(s\) \['block\.extra'\]$")])
+    def test_each_fault_is_a_scenario_error(self, doc, path, message):
+        with pytest.raises(ScenarioError, match=message):
+            from_doc(Config, doc, path)
+
+
 class TestToDoc:
     SPEC = builtin_spec("mini-mlp-1", (2, 2, 1), 2)
 
@@ -147,6 +183,13 @@ class TestToDoc:
                       {"node_id": "probs", "kind": "softmax", "params": None,
                        "inputs": ["head"]}],
             "input_shape": [2, 2, 1], "class_count": 2})
+
+    def test_numpy_numbers_are_written_as_python_numbers(self):
+        doc = to_doc({"i": np.int64(2), "f": np.float32(0.5), "b": np.bool_(True),
+                      "items": (np.int32(1), np.float64(1.5), True)})
+        assert json.dumps(doc) == ('{"i": 2, "f": 0.5, "b": true, '
+                                   '"items": [1, 1.5, true]}')
+        assert [type(v) for v in (doc["i"], doc["f"], doc["b"])] == [int, float, bool]
 
     def test_a_document_read_back_matches_only_exactly(self):
         doc = json.loads(json.dumps(to_doc(self.SPEC)))

@@ -24,6 +24,8 @@ from extractbench.fields import MAX_REPEATS, Range, field_hints, to_doc
 from extractbench.orchestrator import (
     ATTACKS,
     BUILTIN_DATASETS,
+    DeepReconParams,
+    DeepSnifferParams,
     EnvironmentSpec,
     EquivalencyParams,
     ScenarioError,
@@ -152,15 +154,15 @@ EASY4 = {"target": {"architecture_id": "mini-mlp-1",
 BAD_DOCUMENTS = [
     ("knockoff", {"query_budget": 120},
      {"environment": {"verbose_runtime": "false"}},
-     r"environment\.verbose_runtime: expected true or false"),
+     r"^environment: verbose_runtime must be true or false, got 'false'$"),
     ("knockoff", {"query_budget": "500"}, {},
-     r"attack\.params\.query_budget: expected an integer"),
+     r"^attack\.params: query_budget must be an integer, got '500'$"),
     ("knockoff", {"query_budget": 120.0}, {},
-     r"attack\.params\.query_budget: expected an integer"),
+     r"^attack\.params: query_budget must be an integer, got 120\.0$"),
     ("knockoff", {"query_budget": 120}, {"seed": True},
-     r"^seed: expected an integer"),
+     r"^seed must be an integer, got True$"),
     ("knockoff", {"query_budget": 120}, {"seed": -1}, r"^seed: -1 must be >= 0"),
-    ("knockoff", {"query_budget": 120}, {"id": 7}, r"^id: expected a string"),
+    ("knockoff", {"query_budget": 120}, {"id": 7}, r"^id must be a string, got 7$"),
     ("knockoff", {"query_budget": 0}, {},
      r"attack\.params: query_budget must be >= 1"),
     ("knockoff", {"query_budget": 120, "query_fraction": 2.0}, {},
@@ -168,21 +170,22 @@ BAD_DOCUMENTS = [
     ("knockoff", {"query_budget": 120, "query_fraction": 0}, {},
      r"attack\.params: query_fraction"),
     ("knockoff", {"query_budget": 120, "output_mode": "logits"}, {},
-     r"attack\.params\.output_mode: 'logits' is not one of"),
+     r"^attack\.params: unknown output_mode 'logits'$"),
     ("knockoff", {"query_budget": 120, "recreate": {"epochs": "5"}}, {},
-     r"attack\.params\.recreate\.epochs: expected an integer"),
+     r"^attack\.params\.recreate: epochs must be an integer, got '5'$"),
     ("knockoff", {"query_budget": 120, "recreate": {"loss": "mse"}}, {},
      r"unknown field\(s\) \['attack\.params\.recreate\.loss'\]"),
     ("knockoff", {"query_budget": 120, "recreate": {"learning_rate": 0}}, {},
      r"attack\.params\.recreate: learning_rate must lie in \(0, 100\]"),
     ("knockoff", {"query_budget": 120}, {"evaluation": "fidelity"},
-     r"^evaluation: expected a list"),
+     r"^evaluation must be a list or tuple, got 'fidelity'$"),
     ("knockoff", {"query_budget": 120},
      {"target": {"architecture_id": "mini-mlp-1",
                  "dataset_id": "blobs-2c-easy", "class_subset": [1, 1]}},
      r"^target: class_subset indices must be unique"),
     ("deepsniffer", {"corpus_architectures": "mini-vgg-4"}, GPU,
-     r"attack\.params\.corpus_architectures: expected a list"),
+     r"^attack\.params: corpus_architectures must be a list or tuple, "
+     r"got 'mini-vgg-4'$"),
     ("deepsniffer", {"window": -3}, GPU,
      r"attack\.params: window must lie in \[0, 20\]"),
     ("deepsniffer", {"traces_per_architecture": 0}, GPU,
@@ -196,19 +199,19 @@ BAD_DOCUMENTS = [
     ("deeprecon", {"k_neighbors": 0}, CPU,
      r"attack\.params: k_neighbors must be >= 1"),
     ("miface", {"target_class": 0, "clamp_range": [1]}, {},
-     r"attack\.params\.clamp_range: expected 2 items, got 1"),
+     r"^attack\.params: clamp_range must be a tuple of 2 items, got \(1,\)$"),
     ("miface", {"target_class": 0, "clamp_range": [4, -4]}, {},
      r"attack\.params: clamp_range must be \(lo, hi\) with lo < hi"),
     ("miface", {"target_class": 0, "step_size": float("nan")}, {},
-     r"attack\.params\.step_size: expected a finite number"),
+     r"^attack\.params: step_size must be finite$"),
     ("miface", {"target_class": -1}, {}, r"attack\.params: target_class must be >= 0"),
     ("miface", {"target_class": 0, "max_iterations": 2.5}, {},
-     r"attack\.params\.max_iterations: expected an integer"),
+     r"^attack\.params: max_iterations must be an integer, got 2\.5$"),
     ("miface", {"target_class": 0, "max_iterations": 10 ** 400}, {},
      r"attack\.params: max_iterations must lie in \[1, 50000\]"),
     ("miface", {}, {}, r"attack\.params\.target_class required"),
     ("staged_inversion", {"budgets": 30}, {},
-     r"attack\.params\.budgets: expected a list"),
+     r"^attack\.params: budgets must be a list or tuple, got 30$"),
     ("staged_inversion", {"budgets": []}, {},
      r"attack\.params: budgets must be non-empty"),
     ("staged_inversion", {"budgets": [0, 10]}, {},
@@ -270,15 +273,14 @@ BAD_DOCUMENTS = [
      {}, r"unknown field\(s\) \['attack\.params\.distill_train\.loss'\]"),
     # the attack table's own messages: type, environment readers, metrics
     ("warp", {}, {},
-     r"^attack\.type: 'warp' is not one of \['deeprecon', 'deepsniffer', "
-     r"'equivalency', 'knockoff', 'miface', 'staged_inversion'\]$"),
-    (7, {}, {}, r"^attack\.type: 7 is not one of \['deeprecon', "),
+     r"^attack: unknown type 'warp'$"),
+    (7, {}, {}, r"^attack: unknown type 7$"),
     ("deepsniffer", {}, {},
      r"^environment\.environment_profile required for deepsniffer$"),
     ("deeprecon", {}, {"environment": {"machine_profile": "z80-like"}},
-     r"^environment\.machine_profile: 'z80-like' is not one of \['i5-3470-like', "),
+     r"^environment: unknown machine_profile 'z80-like'$"),
     ("deepsniffer", {}, {"environment": {"environment_profile": "tpu"}},
-     r"^environment\.environment_profile: 'tpu' is not one of \['gpu-low', "),
+     r"^environment: unknown environment_profile 'tpu'$"),
     ("knockoff", {"query_budget": 120}, {"evaluation": ["sequence_fidelity"]},
      r"^evaluation: metric\(s\) \['sequence_fidelity'\] not produced by "
      r"knockoff \(available: \['accuracy_stolen', 'accuracy_target', "
@@ -332,6 +334,13 @@ BAD_DOCUMENTS = [
      r"^attack\.params: window must lie in \[0, 20\]$"),
     ("knockoff", {"query_budget": 120, "recreate": {"batch_size": 10 ** 400}},
      {}, r"^attack\.params\.recreate: batch_size must lie in \[1, 2800\]$"),
+    # a string is no list of ids, and is not read one character at a time
+    ("deeprecon", {"corpus_architectures": "mini-mlp-1"}, CPU,
+     r"^attack\.params: corpus_architectures must be a list or tuple, "
+     r"got 'mini-mlp-1'$"),
+    # a JSON integer too large for a float is no finite number
+    ("knockoff", {"query_budget": 120, "query_fraction": 10 ** 400}, {},
+     r"^attack\.params: query_fraction must be finite$"),
 ]
 
 
@@ -470,7 +479,8 @@ class TestCli:
             "miface", params={"target_class": 0, "clamp_range": [1]})))
         assert main(["validate", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("invalid: attack.params.clamp_range")
+        assert err.startswith("invalid: attack.params: clamp_range must be a "
+                              "tuple of 2 items")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("target,where,name", [
@@ -485,12 +495,13 @@ class TestCli:
         root = tmp_path / "repo"
         assert main(["--root", str(root), "validate", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"invalid: {where}: {name!r} is not one of [")
+        block, _, field = where.rpartition(".")
+        assert err == f"invalid: {block}: unknown {field} {name!r}\n"
         assert not root.exists()  # checking ids touches no repository
         # run and batch refuse it at parse time, as any schema error
         assert main(["--root", str(root), "run", str(path)]) == 2
         assert main(["--root", str(root), "batch", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {where}: ")
+        assert capsys.readouterr().err.startswith(f"error: {block}: unknown ")
         assert not root.exists()
 
     @pytest.mark.parametrize("subset,error", [
@@ -521,8 +532,9 @@ class TestCli:
                                              where):
         doc = minimal_doc(attack_type)
         doc["attack"]["params"] = params
-        with pytest.raises(ScenarioError, match=rf"^{where}(\[\d\])?: 'x-net' "
-                                                r"is not one of \["):
+        block, _, field = where.rpartition(".")
+        with pytest.raises(ScenarioError,
+                           match=rf"^{block}: unknown {field} 'x-net'$"):
             parse_scenario(json.dumps(doc))
 
 
@@ -559,9 +571,9 @@ class TestAttackTable:
                 for key in path[:-1]:
                     section = section.setdefault(key, {})
                 section[path[-1]] = ["x"] if get_origin(hint) is tuple else "x"
-                where = ".".join(("attack", "params") + path)
-                with pytest.raises(ScenarioError, match=rf"^{where}(\[0\])?: "
-                                   r"'x' is not one of \["):
+                block = ".".join(("attack", "params") + path[:-1])
+                with pytest.raises(ScenarioError,
+                                   match=rf"^{block}: unknown {path[-1]} 'x'$"):
                     parse_scenario(json.dumps(doc))
                 checked.add((name, path[-1]))
         assert {("knockoff", "surrogate_architecture"),
@@ -587,6 +599,25 @@ class TestAttackTable:
          "^unknown surrogate_architecture 'x-net'$")],
         ids=["environment", "machine", "equivalency", "staged"])
     def test_optional_ids_are_checked_when_made(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: DeepReconParams(corpus_architectures=5),
+         "^corpus_architectures must be a list or tuple, got 5$"),
+        (lambda: DeepSnifferParams(corpus_architectures=5),
+         "^corpus_architectures must be a list or tuple, got 5$"),
+        (lambda: DeepReconParams(corpus_architectures="mini-mlp-1"),
+         "^corpus_architectures must be a list or tuple, got 'mini-mlp-1'$"),
+        (lambda: StagedInversionParams(budgets=5),
+         "^budgets must be a list or tuple, got 5$"),
+        (lambda: ModelRef("mini-mlp-1", "blobs-2c-easy", class_subset=5),
+         "^class_subset must be a list or tuple, got 5$")],
+        ids=["deeprecon", "deepsniffer", "deeprecon-string", "staged",
+             "model-ref"])
+    def test_field_types_are_checked_before_own_rules(self, make, message):
+        """A field of the wrong type is a ValueError that names it, never a
+        TypeError from a rule of the class that reads the field first."""
         with pytest.raises(ValueError, match=message):
             make()
 
@@ -1312,9 +1343,24 @@ class TestExecute:
         doc = scenario_doc(target={"architecture_id": "mini-ghost",
                                    "dataset_id": "blobs-2c-easy"})
         # parsing rejects it, so no run can start on it
-        with pytest.raises(ScenarioError, match=r"^target\.architecture_id: "
-                           r"'mini-ghost' is not one of \["):
+        with pytest.raises(ScenarioError,
+                           match=r"^target: unknown architecture_id 'mini-ghost'$"):
             parse_scenario(json.dumps(doc))
+
+    def test_equivalency_artifact_echoes_the_distill_config(self, bench):
+        doc = minimal_doc("equivalency")
+        doc["attack"]["params"].update(recreate={"epochs": 1},
+                                       distill_train={"epochs": 1})
+        record = execute(parse_scenario(json.dumps(doc)), bench)
+        assert record.status == "ok", record.failure_reason
+        (path,) = record.artifacts
+        echo = json.loads(Path(path).read_text())["distill_config"]
+        params = record.scenario["attack"]["params"]
+        # the distillation knobs of the params, in their echo's key order
+        keys = ["student_architecture", "temperature", "hard_label_weight",
+                "distill_train"]
+        assert list(echo) == keys
+        assert echo == {k: params[k] for k in keys}
 
     def test_rerun_reproduces_metrics_exactly(self, bench):
         sc = parse_scenario(json.dumps(scenario_doc(seed=21)))

@@ -1,9 +1,12 @@
 """Fidelity, PWCCA (QR-SVD oracle-checked), noise curves, distillation."""
 
+import json
+
 import numpy as np
 import pytest
 
 from extractbench.datasets import split
+from extractbench.fields import to_doc
 from extractbench.network import TrainConfig, train
 from extractbench.similarity import (
     DistillConfig,
@@ -290,10 +293,12 @@ class TestEquivalencyReport:
                             hard_label_weight=0.3,
                             distill_train=TrainConfig(epochs=6, seed=3))
         report = equivalency_report(target, stolen, data, cfg)
-        assert report.distill_config["temperature"] == 2.5
-        assert report.distill_config["hard_label_weight"] == 0.3
-        assert report.distill_config["student_spec"] == "mini-student-cnn"
-        assert report.distill_config["train"] == {
-            "learning_rate": 0.01, "batch_size": 10, "epochs": 6, "seed": 3}
+        assert report.distill_config is cfg
+        # the artifact's echo is the config's document, keys in field order
+        assert json.dumps(to_doc(report.distill_config)) == json.dumps({
+            "student_architecture": "mini-student-cnn", "temperature": 2.5,
+            "hard_label_weight": 0.3,
+            "distill_train": {"learning_rate": 0.01, "batch_size": 10,
+                              "epochs": 6, "seed": 3}})
         metrics = report.metrics()
         assert "fidelity" in metrics and "distilled_pwcca" in metrics

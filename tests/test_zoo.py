@@ -254,6 +254,24 @@ class TestCheckpoints:
         assert loaded.meta == model.meta
         assert loaded.bn_calibrated is model.bn_calibrated
 
+    def test_spec_with_numpy_numbers_round_trips(self, tmp_path):
+        # numpy integers pass the params' rules; metadata.json writes them as
+        # JSON integers, and the same spec is served its checkpoint back
+        spec = ArchitectureSpec("np-fc", "mini-mlp", (
+            NodeSpec("head", K.FC, FCParams(np.int64(2))),
+            NodeSpec("probs", K.SOFTMAX, None, ("head",))), (2, 2, 1),
+            np.int64(2))
+        model = build_model(spec, seed=3)
+        ref = ModelRef("mini-mlp-1", KEY, None, "np")
+        save_checkpoint(model, ref, tmp_path)
+        loaded = load_checkpoint(ref, tmp_path, spec)
+        assert np.array_equal(loaded.state_vector(), model.state_vector())
+        meta = json.loads((checkpoint_path(tmp_path, ref)
+                           / "metadata.json").read_text())
+        assert meta["spec"]["nodes"][0]["params"] == {"out_features": 2,
+                                                      "bias": True}
+        assert type(meta["spec"]["class_count"]) is int
+
     def test_truncated_params_is_corruption(self, tmp_path):
         data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=6)
         model = trained_model("mini-mlp-2", data, epochs=1, seed=7)
