@@ -29,7 +29,8 @@ from typing import Annotated, Literal
 import numpy as np
 
 from .fields import (Checked, Count, NonNegative, QueryFraction, Range,
-                     UnitInterval, check_value, from_doc, is_doc_of, to_doc)
+                     UnitInterval, check_value, doc_text, from_doc, is_doc_of,
+                     to_doc)
 
 
 @dataclass(frozen=True)
@@ -315,7 +316,7 @@ def load_dataset(directory, spec: DatasetSpec) -> Dataset:
     directory = Path(directory)
     try:
         meta = from_doc(_Meta, json.loads((directory / "meta.json").read_text()))
-        if not is_doc_of(meta.spec, spec):
+        if not is_doc_of(meta.spec, doc_text(spec)):
             raise ValueError(f"its spec is not the {spec.id!r} spec asked for")
     except ValueError as exc:
         raise ValueError(f"corrupt dataset cache at {directory}: unreadable "

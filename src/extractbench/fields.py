@@ -1,10 +1,11 @@
 """Rules declared on config fields (one alias per shared rule), the one
 walker that checks them, and the one writer and the one reader of a
 dataclass's JSON document: `to_doc` writes scenarios, run records and cache
-metadata, and `from_doc`, its inverse, reads them back. `from_doc` only
-shapes JSON (defaults, required and unknown keys, objects, lists as tuples,
-integers as floats); every rule, types included, is checked by the class
-it builds, through `check_value`, and a broken one is a `ScenarioError`."""
+metadata, and `from_doc`, its inverse, reads them back. A message names a
+value as JSON writes it (`true`, `null`, `[1]`). `from_doc` only shapes
+JSON (defaults, required and unknown keys, objects, lists as tuples,
+integers as floats); every rule, types included, is checked by the class it
+builds, through `check_value`, and a broken one is a `ScenarioError`."""
 
 from __future__ import annotations
 
@@ -89,7 +90,8 @@ def check_value(name: str, value, hint) -> None:
             check_value(name, value, _present(args))
     elif origin is Literal:
         if value not in args:
-            raise ValueError(f"unknown {name} {value!r}")
+            raise ValueError(f"unknown {name} {_shown(value)} "
+                             f"(one of {_shown(sorted(args))})")
     elif origin is Annotated:
         check_value(name, value, args[0])
         if not args[1].holds(value):
@@ -97,24 +99,32 @@ def check_value(name: str, value, hint) -> None:
     elif origin is tuple and args[-1] is not Ellipsis:
         if not isinstance(value, tuple) or len(value) != len(args):
             raise ValueError(
-                f"{name} must be a tuple of {len(args)} items, got {value!r}")
+                f"{name} must be a tuple of {len(args)} items, got {_shown(value)}")
         for item, item_hint in zip(value, args):
             check_value(name, item, item_hint)
     elif origin in (tuple, list):  # tuple[X, ...] or list[X]: any number of X
         if not isinstance(value, (tuple, list)):
-            raise ValueError(f"{name} must be a list or tuple, got {value!r}")
+            raise ValueError(f"{name} must be a list or tuple, got {_shown(value)}")
         for item in value:
             check_value(name, item, args[0])
     elif dict in (hint, origin):  # dict[str, X]: each value an X
         if not isinstance(value, dict):
-            raise ValueError(f"{name} must be an object, got {value!r}")
+            raise ValueError(f"{name} must be an object, got {_shown(value)}")
         for key, item in value.items() if args else ():
             check_value(f"{name}.{key}", item, args[1])
     elif hint in _TYPES and not (isinstance(value, _TYPES[hint][1]) and (
             hint is bool or not isinstance(value, bool))):
-        raise ValueError(f"{name} must be {_TYPES[hint][0]}, got {value!r}")
+        raise ValueError(f"{name} must be {_TYPES[hint][0]}, got {_shown(value)}")
     elif hint is float and not -math.inf < value < math.inf:  # NaN fails too
         raise ValueError(f"{name} must be finite")
+
+
+def _shown(value) -> str:
+    """A value in a message, as JSON writes it; its repr where JSON cannot."""
+    try:
+        return json.dumps(to_doc(value), allow_nan=False, ensure_ascii=False)
+    except (TypeError, ValueError):
+        return repr(value)
 
 
 def _present(args) -> object:
@@ -150,10 +160,17 @@ def to_doc(value):
     return value
 
 
-def is_doc_of(doc, value) -> bool:
-    """Whether `doc`, read from JSON, is exactly ``to_doc(value)``: the same
-    keys in the same order, and the same JSON types (``6.0`` is not ``6``)."""
-    return json.dumps(doc) == json.dumps(to_doc(value))
+def doc_text(value) -> str:
+    """The JSON text of `value`'s document, which a cache entry is named
+    and checked by."""
+    return json.dumps(to_doc(value))
+
+
+def is_doc_of(doc, text: str) -> bool:
+    """Whether `doc`, read from JSON (so already a document), is exactly
+    the one whose `doc_text` is `text`: the same keys in the same order,
+    and the same JSON types (``6.0`` is not ``6``)."""
+    return json.dumps(doc) == text
 
 
 class ScenarioError(ValueError):
@@ -202,7 +219,7 @@ def from_doc(cls, doc, path: str = "", seed: int | None = None, base=None):
     """
     if type(doc) is not dict:
         raise ScenarioError(
-            f"{path or 'document'}: expected an object, got {doc!r}")
+            f"{path or 'document'}: expected an object, got {_shown(doc)}")
     hints = field_hints(cls)
     values = {}
     for f in fields(cls):

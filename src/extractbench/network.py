@@ -178,7 +178,6 @@ class Network:
         self.shapes = spec.derive_shapes()
         self.input_shape = self.shapes[INPUT_ID]
         self.output_id = sink_node(self.nodes).node_id
-        self.meta: dict = {"seed": int(seed), "epochs_trained": 0}
 
         rng = np.random.default_rng(seed)
         self.weights: dict[str, dict[str, np.ndarray]] = {}
@@ -597,7 +596,6 @@ def sgd_run(model: Network, inputs: np.ndarray, loss,
             grad *= rate
             state -= grad
         history.append(loss.epoch_loss())
-        model.meta["epochs_trained"] += 1
     return history
 
 

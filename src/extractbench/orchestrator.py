@@ -18,7 +18,6 @@ import json
 import os
 import shutil
 import sys
-import threading
 import time
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
@@ -32,7 +31,7 @@ from .datasets import (BUILTIN_DATASETS, Dataset, DatasetId, discard_entry,
                        generate, load_dataset, query_rows, restrict_to_classes,
                        save_dataset, split)
 from .fields import (Checked, Count, Epochs, Jitter, NonNegative, QueryFraction,
-                     Range, Repeats, ScenarioError, from_doc, to_doc)
+                     Range, Repeats, ScenarioError, doc_text, from_doc, to_doc)
 from .network import TrainConfig, train
 from .query_attacks import (
     GradientHandle,
@@ -68,12 +67,10 @@ from .tensor import one_blas_thread
 from .zoo import (
     BUILTIN_ARCHITECTURES,
     ArchitectureId,
-    CheckpointError,
     FILE_NAME,
     ModelRef,
     build_model,
     builtin_spec,
-    checkpoint_path,
     load_checkpoint,
     save_checkpoint,
 )
@@ -315,19 +312,14 @@ DEFAULT_RECIPE = TrainConfig(epochs=12)
 @dataclass
 class Workbench:
     """Repository roots plus the training recipes; datasets and
-    architectures come from the built-in registries.
-
-    Cache fills (dataset generation, train-on-miss checkpoints) go through
-    :func:`_cached` under one lock, so concurrent scenarios sharing a target
-    never write the same cache entry twice.
-    """
+    architectures come from the built-in registries. Every cache fill
+    (a dataset's, a train-on-miss checkpoint's) is :func:`_cached`'s."""
 
     root: Path
     recipes: dict[str, TrainConfig] = field(default_factory=dict)
 
     def __post_init__(self):
         self.root = Path(self.root)
-        self._cache_lock = threading.RLock()
 
     @property
     def checkpoints_dir(self) -> Path:
@@ -355,8 +347,7 @@ class Workbench:
         spec = BUILTIN_DATASETS[dataset_id]
         entry = self.datasets_dir / dataset_id
         return _cached(
-            self, entry, (OSError, ValueError),
-            load=lambda: load_dataset(entry, spec),
+            entry, load=lambda: load_dataset(entry, spec),
             make=lambda: generate(spec),
             save=lambda data: save_dataset(data, entry))[0]
 
@@ -375,23 +366,32 @@ def _ref_data(ref: ModelRef, bench: Workbench) -> Dataset:
     return data
 
 
-def _ref_seed(ref: ModelRef) -> int:
-    return zlib.crc32(ref.slug().encode()) & 0x7FFFFFFF
+def _cached(entry: Path, load, make, save):
+    """The one cache-fill rule: `load()` the entry; if that raises an
+    OSError or a ValueError (a file missing, unreadable or corrupt, or made
+    from something else), discard the entry, if any, then `make()` the
+    value and `save()` it. Returns (value, from_cache).
 
-
-def _cached(bench: Workbench, entry: Path, corrupt, load, make, save):
-    """The one cache-fill rule: `load()` the entry; if that raises one of
-    the `corrupt` exceptions, discard the entry (when there is one), then
-    `make()` the value and `save()` it. Returns (value, from_cache).
-
-    Runs under the workbench's cache lock, so one process never fills an
-    entry twice; a per-entry file lock for processes sharing a root would
-    go here too.
+    A hit takes no lock, nor write access: entries are published and
+    discarded by rename, so none is read half there. A miss holds an
+    exclusive `flock` on `<entry>.lock` (never deleted), which threads and
+    processes alike wait for, and loads again under it: an entry is filled
+    once. Off POSIX (Windows) fills run unlocked: `write_entry` keeps that
+    safe, but two callers may both make the value.
     """
-    with bench._cache_lock:
-        try:
+    try:
+        return load(), True
+    except (OSError, ValueError):
+        pass
+    lock = entry.with_name(entry.name + ".lock")
+    lock.parent.mkdir(parents=True, exist_ok=True)
+    with open(lock, "ab") as held:  # closing it releases the lock
+        if os.name == "posix":
+            import fcntl  # loaded on the first miss, not on import
+            fcntl.flock(held, fcntl.LOCK_EX)
+        try:  # another caller may have filled it while this one waited
             return load(), True
-        except corrupt:
+        except (OSError, ValueError):
             if entry.exists():  # corrupt or half there
                 discard_entry(entry)
         value = make()
@@ -404,28 +404,30 @@ def zoo_resolve(ref: ModelRef, bench: Workbench):
     """Serve a model for a reference, training and caching it when absent.
 
     Returns (model, from_cache, seconds): the timing plus cache flag is what
-    makes the train-on-miss policy observable in run records. A checkpoint
-    of another spec than the one built here is retrained. Runs with BLAS on
-    one thread (see :func:`~extractbench.tensor.one_blas_thread`).
+    makes the train-on-miss policy observable in run records. The entry is
+    named and checked by `made_from`, all that sets the model's bits. BLAS
+    runs on one thread (:func:`~extractbench.tensor.one_blas_thread`).
     """
     started = time.perf_counter()
     data_spec = BUILTIN_DATASETS[ref.dataset_id]
     spec = builtin_spec(ref.architecture_id, data_spec.input_shape,
                         len(ref.class_subset or range(data_spec.class_count)))
+    recipe = replace(bench.recipes.get(ref.dataset_id, DEFAULT_RECIPE),
+                     seed=zlib.crc32(ref.slug().encode()) & 0x7FFFFFFF)
+    made_from = {"spec": spec, "data": data_spec,
+                 "class_subset": ref.class_subset, "recipe": recipe}
+    text = doc_text(made_from)  # computed once: the name and the check
+    entry = bench.checkpoints_dir / ref.slug() / f"{zlib.crc32(text.encode()):08x}"
 
     def make():
         data = _ref_data(ref, bench)
-        model = build_model(spec, seed=_ref_seed(ref))
-        config = replace(bench.recipes.get(ref.dataset_id, DEFAULT_RECIPE),
-                         seed=_ref_seed(ref))
-        train(model, data.inputs, data.labels, config)
+        model = build_model(spec, seed=recipe.seed)
+        train(model, data.inputs, data.labels, recipe)
         return model
 
     model, from_cache = _cached(
-        bench, checkpoint_path(bench.checkpoints_dir, ref), CheckpointError,
-        load=lambda: load_checkpoint(ref, bench.checkpoints_dir, spec),
-        make=make,
-        save=lambda model: save_checkpoint(model, ref, bench.checkpoints_dir))
+        entry, load=lambda: load_checkpoint(entry, spec, text), make=make,
+        save=lambda model: save_checkpoint(model, entry, made_from))
     return model, from_cache, time.perf_counter() - started
 
 
@@ -513,7 +515,8 @@ def _run_knockoff(scenario, bench, target, art_dir):
                                       seed=scenario.seed)
     stolen_ref = ModelRef(spec.id, scenario.target.dataset_id,
                           scenario.target.class_subset, f"stolen-{scenario.id}")
-    save_checkpoint(stolen, stolen_ref, art_dir)
+    path = art_dir / stolen_ref.slug()
+    save_checkpoint(stolen, path, {"spec": spec, "scenario": scenario})
     out_stolen = stolen.predict(test.inputs)
     out_target = target.predict(test.inputs)
     metrics = {
@@ -523,7 +526,7 @@ def _run_knockoff(scenario, bench, target, art_dir):
         "accuracy_stolen": accuracy(out_stolen, test),
         "final_loss": record.loss_history[-1] if record.loss_history else 0.0,
     }
-    return metrics, [str(checkpoint_path(art_dir, stolen_ref))]
+    return metrics, [str(path)]
 
 
 def _run_miface(scenario, bench, target, art_dir):

@@ -6,19 +6,19 @@ attacks treat as ground truth. Builders below ship several miniature
 families at two depths each; FC nodes flatten their input internally, so the
 specs skip explicit FLATTEN nodes.
 
-Checkpoint format (one directory per (architecture, dataset, class subset,
-tag) key):
-  metadata.json  format_version, architecture id, full spec echo, dataset id,
-                 class subset, epochs trained, seed, BN calibrated
+Checkpoint format (one directory, the entry):
+  metadata.json  format_version; made_from, the document of everything that
+                 set the model's bits (a cached model's: its spec, dataset
+                 spec, class subset and recipe); BN calibrated
   params.bin     little-endian float64; nodes in spec order; per node its
                  weights, then its buffers, in the order the kind's entry of
                  the operator table (tensor._OPS) declares them (CONV/FC:
                  weight, bias; BN: gamma, beta, running_mean, running_var);
                  row-major
 
-A checkpoint is served only to a caller whose spec it echoes. One written
-for another spec (an older architecture definition's, say) is corrupt and
-rebuilt like any corrupt entry, so a root written by an older spec refills.
+A cached model's entry is `<root>/<ref slug>/<crc>`, `<crc>` the CRC-32 of
+its made_from's JSON text, served only to a caller who would have made it:
+one made from another (an older spec, another recipe) is corrupt, refilled.
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ from .fields import Checked, Count, from_doc, is_doc_of, to_doc
 from .network import Network, NodeSpec, node_shapes, topological_order
 from .tensor import ConvParams, FCParams, OperatorKind, PoolParams, ShapeError, madd
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 # one file-name component: scenario ids and checkpoint tags become parts of
 # cache, record and artifact paths, so none may climb out of its directory
 FILE_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
-class CheckpointError(RuntimeError):
+class CheckpointError(ValueError):
     """Missing or corrupt checkpoint data."""
 
 
@@ -160,66 +160,47 @@ def build_model(spec: ArchitectureSpec, seed: int) -> Network:
 # checkpoint persistence
 # ---------------------------------------------------------------------------
 
-def checkpoint_path(root, ref: ModelRef) -> Path:
-    return Path(root) / ref.slug()
-
-
 # metadata.json, in the order it is written
-@dataclass(kw_only=True)
+@dataclass
 class _Metadata(Checked):
     format_version: int
-    architecture_id: str
-    spec: dict  # the model's spec document, compared with the caller's
-    dataset_id: str
-    class_subset: tuple[int, ...] | None = None
-    epochs_trained: int
-    seed: int
+    made_from: dict  # compared with the caller's (see load_checkpoint)
     bn_calibrated: bool
 
 
-def save_checkpoint(model: Network, ref: ModelRef, root) -> Path:
-    """Write atomically; a checkpoint already at the path is kept (see
+def save_checkpoint(model: Network, entry, made_from: dict) -> Path:
+    """Write `model` at `entry` atomically, with `made_from`, the document
+    of what made it; a checkpoint already there is kept (see
     :func:`~extractbench.datasets.write_entry`)."""
-    meta = _Metadata(
-        format_version=CHECKPOINT_FORMAT_VERSION, architecture_id=model.spec.id,
-        spec=to_doc(model.spec), dataset_id=ref.dataset_id,
-        class_subset=ref.class_subset,
-        epochs_trained=model.meta.get("epochs_trained", 0),
-        seed=model.meta.get("seed"), bn_calibrated=model.bn_calibrated)
-    return write_entry(checkpoint_path(root, ref), {
+    meta = _Metadata(CHECKPOINT_FORMAT_VERSION, made_from, model.bn_calibrated)
+    return write_entry(entry, {
         "metadata.json": json.dumps(to_doc(meta), indent=2).encode(),
         "params.bin": model.state_vector().astype("<f8").tobytes()})
 
 
-def load_checkpoint(ref: ModelRef, root, spec: ArchitectureSpec) -> Network:
-    """The checkpoint of `ref`, which must hold a model of `spec`: one whose
-    metadata.json echoes another spec, or is not exactly a metadata
-    document, is corrupt (CheckpointError)."""
-    path = checkpoint_path(root, ref)
-    meta_file = path / "metadata.json"
-    params_file = path / "params.bin"
-    if not meta_file.exists() or not params_file.exists():
-        raise CheckpointError(f"no checkpoint at {path}")
+def load_checkpoint(entry: Path, spec: ArchitectureSpec, made_from: str) -> Network:
+    """The model of `spec` at `entry`, which must have been made from the
+    document whose `doc_text` is `made_from`: an entry whose metadata.json
+    holds another, or is not exactly a metadata document, is corrupt
+    (CheckpointError, a ValueError); a file missing is an OSError."""
     try:
-        meta = from_doc(_Metadata, json.loads(meta_file.read_text()))
+        meta = from_doc(_Metadata, json.loads((entry / "metadata.json").read_text()))
         if meta.format_version != CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint format {meta.format_version}")
-        if not is_doc_of(meta.spec, spec):
-            raise ValueError(f"its spec is not the {spec.id!r} spec asked for")
+            raise ValueError(f"unsupported format {meta.format_version}")
+        if not is_doc_of(meta.made_from, made_from):
+            raise ValueError("it was made from another spec, data or recipe")
     except ValueError as exc:
         raise CheckpointError(
-            f"corrupt checkpoint {path}: unreadable metadata.json "
+            f"corrupt checkpoint {entry}: unreadable metadata.json "
             f"({type(exc).__name__}: {exc})") from exc
-    model = build_model(spec, seed=meta.seed)
-    raw = np.frombuffer(params_file.read_bytes(), dtype="<f8")
+    model = build_model(spec, seed=0)  # every parameter is overwritten
+    raw = np.frombuffer((entry / "params.bin").read_bytes(), dtype="<f8")
     expected = model.state_vector().size
     if raw.size != expected:
         raise CheckpointError(
-            f"corrupt checkpoint {path}: params.bin holds {raw.size} values, "
-            f"architecture {spec.id} needs {expected}")
+            f"corrupt checkpoint {entry}: params.bin holds {raw.size} "
+            f"values, architecture {spec.id} needs {expected}")
     model.load_state_vector(np.asarray(raw, dtype=np.float64))
-    model.meta["epochs_trained"] = meta.epochs_trained
     model.bn_calibrated = meta.bn_calibrated
     return model
 

@@ -13,6 +13,18 @@ from extractbench.tensor import openblas_threads
 from extractbench.zoo import ArchitectureSpec, build_model, builtin_spec
 
 
+# what a message naming an unknown architecture or dataset id appends: every
+# id of the registry, sorted, as JSON writes them
+ARCH_CHOICES = (' (one of ["mini-dense-3", "mini-dense-4", "mini-gelu-4", '
+                '"mini-gelu-6", "mini-mlp-1", "mini-mlp-2", "mini-mlp-3", '
+                '"mini-pyramid-4", "mini-pyramid-5", "mini-resnet-4", '
+                '"mini-resnet-6", "mini-student-cnn", "mini-vgg-4", '
+                '"mini-vgg-6"])')
+DATASET_CHOICES = (' (one of ["blobs-10c-mid", "blobs-2c-easy", '
+                   '"blobs-4c-easy", "blobs-4c-hard", "blobs-4c-mid", '
+                   '"blobs-5c-easy"])')
+
+
 def make_blobs(classes=4, per_class=200, shape=(6, 6, 1), overlap=0.0, seed=0):
     return generate(DatasetSpec(f"t{classes}c", classes, per_class, shape,
                                 overlap, seed))

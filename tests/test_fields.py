@@ -10,7 +10,7 @@ import pytest
 
 from extractbench.fields import (Checked, Count, Range, ScenarioError,
                                  UnitInterval, check_value, field_hints,
-                                 from_doc, is_doc_of, to_doc)
+                                 doc_text, from_doc, is_doc_of, to_doc)
 from extractbench.network import TrainConfig
 from extractbench.query_attacks import InversionConfig
 from extractbench.zoo import builtin_spec
@@ -67,7 +67,7 @@ class TestCheckFields:
         Config()
 
     @pytest.mark.parametrize("field,value,message", [
-        ("mode", "c", "^unknown mode 'c'$"),
+        ("mode", "c", r'^unknown mode "c" \(one of \["a", "b"\]\)$'),
         ("count", 0, "^count must be >= 1$"),
         ("share", 0.0, r"^share must lie in \(0, 1\)$"),
         ("share", 1.0, r"^share must lie in \(0, 1\)$"),
@@ -76,11 +76,16 @@ class TestCheckFields:
         ("scale", float("inf"), "^scale must be finite$"),
         ("sizes", (3, 0), "^sizes must be >= 1$"),
         ("pair", (0.0, float("-inf")), "^pair must be finite$"),
-        ("choice", "c", "^unknown choice 'c'$"),
+        ("choice", "c", r'^unknown choice "c" \(one of \["a", "b"\]\)$'),
         ("limit", 0, "^limit must be >= 1$")])
     def test_each_rule_is_enforced(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             Config(**{field: value})
+
+    def test_unknown_choice_lists_the_choices_sorted(self):
+        with pytest.raises(ValueError, match=r'^unknown mode "c" '
+                                             r'\(one of \["a", "b", "z"\]\)$'):
+            check_value("mode", "c", Literal["z", "b", "a"])
 
     def test_hints_keep_the_rules(self):
         hint = field_hints(Config)["count"]
@@ -97,24 +102,30 @@ class TestTypes:
     @pytest.mark.parametrize("field,value,message", [
         ("count", 0.5, r"^count must be an integer, got 0\.5$"),
         ("count", 2.0, r"^count must be an integer, got 2\.0$"),
-        ("count", True, "^count must be an integer, got True$"),
-        ("count", "3", "^count must be an integer, got '3'$"),
+        ("count", True, "^count must be an integer, got true$"),
+        ("count", "3", '^count must be an integer, got "3"$'),
+        ("count", None, "^count must be an integer, got null$"),
         ("limit", 1.5, r"^limit must be an integer, got 1\.5$"),
-        ("scale", "1", "^scale must be a finite number, got '1'$"),
-        ("weight", False, "^weight must be a finite number, got False$"),
+        ("scale", "1", '^scale must be a finite number, got "1"$'),
+        ("weight", False, "^weight must be a finite number, got false$"),
         ("flag", 1, "^flag must be true or false, got 1$"),
         ("pair", (0.0, 1.0, 2.0),
-         r"^pair must be a tuple of 2 items, got \(0\.0, 1\.0, 2\.0\)$"),
-        ("pair", (0.0,), r"^pair must be a tuple of 2 items, got \(0\.0,\)$"),
+         r"^pair must be a tuple of 2 items, got \[0\.0, 1\.0, 2\.0\]$"),
+        ("pair", (0.0,), r"^pair must be a tuple of 2 items, got \[0\.0\]$"),
         ("pair", [0.0, 1.0], r"^pair must be a tuple of 2 items, got \[0\.0, 1\.0\]$"),
-        ("pair", "ab", "^pair must be a tuple of 2 items, got 'ab'$"),
-        ("pair", (0.0, "1"), "^pair must be a finite number, got '1'$"),
-        ("sizes", "12", "^sizes must be a list or tuple, got '12'$"),
+        ("pair", "ab", '^pair must be a tuple of 2 items, got "ab"$'),
+        ("pair", (0.0, "1"), '^pair must be a finite number, got "1"$'),
+        ("sizes", "12", '^sizes must be a list or tuple, got "12"$'),
+        # JSON cannot write a set or a NaN: the message shows its repr
+        ("sizes", {1}, r"^sizes must be a list or tuple, got \{1\}$"),
+        ("count", float("nan"), "^count must be an integer, got nan$"),
         ("sizes", (1, 2.5), r"^sizes must be an integer, got 2\.5$"),
         ("table", [1], r"^table must be an object, got \[1\]$"),
-        ("table", {"a": "x"}, r"^table\.a must be a finite number, got 'x'$"),
+        ("table", {"a": "x"}, r'^table\.a must be a finite number, got "x"$'),
         ("table", {"a": float("nan")}, r"^table\.a must be finite$"),
-        ("names", "ab", "^names must be a list or tuple, got 'ab'$"),
+        ("names", "ab", '^names must be a list or tuple, got "ab"$'),
+        # a string is shown as written, not escaped
+        ("names", "modèle", '^names must be a list or tuple, got "modèle"$'),
         ("names", ["a", 1], "^names must be a string, got 1$")])
     def test_wrong_type_is_a_value_error(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -150,17 +161,18 @@ class TestFromDoc:
             Config, json.loads(json.dumps(to_doc(config))))))
 
     @pytest.mark.parametrize("doc,path,message", [
-        ({"count": "3"}, "", "^count must be an integer, got '3'$"),
+        ({"count": "3"}, "", '^count must be an integer, got "3"$'),
         ({"count": 2.0}, "block", r"^block: count must be an integer, got 2\.0$"),
-        ({"mode": "c"}, "a.b", r"^a\.b: unknown mode 'c'$"),
-        ({"sizes": "12"}, "", "^sizes must be a list or tuple, got '12'$"),
+        ({"mode": "c"}, "a.b", r'^a\.b: unknown mode "c" \(one of \["a", "b"\]\)$'),
+        ({"sizes": "12"}, "", '^sizes must be a list or tuple, got "12"$'),
         ({"pair": [0, 1, 2]}, "",
-         r"^pair must be a tuple of 2 items, got \(0, 1, 2\)$"),
+         r"^pair must be a tuple of 2 items, got \[0, 1, 2\]$"),
         ({"scale": 10 ** 400}, "", "^scale must be finite$"),
         ({"scale": -10 ** 400}, "", "^scale must be finite$"),
         ({"count": 0}, "", "^count must be >= 1$"),
-        ({"table": {"a": True}}, "", "^table.a must be a finite number, got True$"),
+        ({"table": {"a": True}}, "", "^table.a must be a finite number, got true$"),
         (5, "block", "^block: expected an object, got 5$"),
+        ("x", "", '^document: expected an object, got "x"$'),
         ({"extra": 1}, "block", r"^unknown field\(s\) \['block\.extra'\]$")])
     def test_each_fault_is_a_scenario_error(self, doc, path, message):
         with pytest.raises(ScenarioError, match=message):
@@ -192,7 +204,9 @@ class TestToDoc:
         assert [type(v) for v in (doc["i"], doc["f"], doc["b"])] == [int, float, bool]
 
     def test_a_document_read_back_matches_only_exactly(self):
-        doc = json.loads(json.dumps(to_doc(self.SPEC)))
-        assert is_doc_of(doc, self.SPEC)
-        assert not is_doc_of({**doc, "input_shape": [2.0, 2.0, 1]}, self.SPEC)
-        assert not is_doc_of(dict(reversed(doc.items())), self.SPEC)
+        text = doc_text(self.SPEC)
+        assert text == json.dumps(to_doc(self.SPEC))
+        doc = json.loads(text)
+        assert is_doc_of(doc, text)
+        assert not is_doc_of({**doc, "input_shape": [2.0, 2.0, 1]}, text)
+        assert not is_doc_of(dict(reversed(doc.items())), text)

@@ -713,7 +713,6 @@ def per_step_gather_sgd_run(model, inputs, loss, config, step_losses=None):
         if step_losses is not None:
             step_losses.append(np.array(losses, dtype=np.float64))
         history.append(float(np.mean(losses)))
-        model.meta["epochs_trained"] += 1
     return history
 
 
@@ -741,7 +740,7 @@ def test_weight_gradients_are_disjoint_views(arch_id):
 
 class TestSgdLoopMatchesPerStepGather:
     """`sgd_run` trains to the bits of the per-step-gather loop: weights,
-    BN statistics, each step's loss, loss history and meta, for every loss
+    BN statistics, each step's loss and the loss history, for every loss
     object. The step losses are compared too, since an epoch's mean can
     keep its bits while some of its steps' losses change."""
 
@@ -776,7 +775,6 @@ class TestSgdLoopMatchesPerStepGather:
         for epoch, (got, want) in enumerate(zip(steps, want_steps)):
             assert same_bits(got, want), f"step losses of epoch {epoch}"
         assert same_bits(model.state_vector(), want_model.state_vector())
-        assert model.meta == want_model.meta
 
     @pytest.mark.parametrize("arch_id,batch_size", [
         ("mini-mlp-2", 7),       # 60 rows: a partial last batch

@@ -3,11 +3,15 @@
 import json
 import math
 import os
+import re
+import shutil
 import subprocess
 import sys
 import time
+import zlib
 from collections import Counter
-from dataclasses import fields, is_dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 from typing import Annotated, Literal, get_args, get_origin
 
@@ -53,6 +57,8 @@ from extractbench.sidechannel import (read_histograms_csv,
 from extractbench.similarity import default_probe_point, fidelity
 from extractbench.datasets import split
 from extractbench.zoo import ModelRef, build_model, builtin_spec
+
+from conftest import ARCH_CHOICES, DATASET_CHOICES
 
 
 def scenario_doc(attack_type="knockoff", **over):
@@ -147,6 +153,7 @@ def mutated_documents(draw):
 
 GPU = {"environment": {"environment_profile": "gpu-quiet"}}
 CPU = {"environment": {"machine_profile": "i7-6850k-like"}}
+ARCHS = re.escape(ARCH_CHOICES)
 EASY4 = {"target": {"architecture_id": "mini-mlp-1",
                     "dataset_id": "blobs-4c-easy"}}
 
@@ -154,13 +161,13 @@ EASY4 = {"target": {"architecture_id": "mini-mlp-1",
 BAD_DOCUMENTS = [
     ("knockoff", {"query_budget": 120},
      {"environment": {"verbose_runtime": "false"}},
-     r"^environment: verbose_runtime must be true or false, got 'false'$"),
+     r'^environment: verbose_runtime must be true or false, got "false"$'),
     ("knockoff", {"query_budget": "500"}, {},
-     r"^attack\.params: query_budget must be an integer, got '500'$"),
+     r'^attack\.params: query_budget must be an integer, got "500"$'),
     ("knockoff", {"query_budget": 120.0}, {},
      r"^attack\.params: query_budget must be an integer, got 120\.0$"),
     ("knockoff", {"query_budget": 120}, {"seed": True},
-     r"^seed must be an integer, got True$"),
+     r"^seed must be an integer, got true$"),
     ("knockoff", {"query_budget": 120}, {"seed": -1}, r"^seed: -1 must be >= 0"),
     ("knockoff", {"query_budget": 120}, {"id": 7}, r"^id must be a string, got 7$"),
     ("knockoff", {"query_budget": 0}, {},
@@ -170,22 +177,23 @@ BAD_DOCUMENTS = [
     ("knockoff", {"query_budget": 120, "query_fraction": 0}, {},
      r"attack\.params: query_fraction"),
     ("knockoff", {"query_budget": 120, "output_mode": "logits"}, {},
-     r"^attack\.params: unknown output_mode 'logits'$"),
+     r'^attack\.params: unknown output_mode "logits" '
+     r'\(one of \["confidence_vector", "top1_label"\]\)$'),
     ("knockoff", {"query_budget": 120, "recreate": {"epochs": "5"}}, {},
-     r"^attack\.params\.recreate: epochs must be an integer, got '5'$"),
+     r'^attack\.params\.recreate: epochs must be an integer, got "5"$'),
     ("knockoff", {"query_budget": 120, "recreate": {"loss": "mse"}}, {},
      r"unknown field\(s\) \['attack\.params\.recreate\.loss'\]"),
     ("knockoff", {"query_budget": 120, "recreate": {"learning_rate": 0}}, {},
      r"attack\.params\.recreate: learning_rate must lie in \(0, 100\]"),
     ("knockoff", {"query_budget": 120}, {"evaluation": "fidelity"},
-     r"^evaluation must be a list or tuple, got 'fidelity'$"),
+     r'^evaluation must be a list or tuple, got "fidelity"$'),
     ("knockoff", {"query_budget": 120},
      {"target": {"architecture_id": "mini-mlp-1",
                  "dataset_id": "blobs-2c-easy", "class_subset": [1, 1]}},
      r"^target: class_subset indices must be unique"),
     ("deepsniffer", {"corpus_architectures": "mini-vgg-4"}, GPU,
      r"^attack\.params: corpus_architectures must be a list or tuple, "
-     r"got 'mini-vgg-4'$"),
+     r'got "mini-vgg-4"$'),
     ("deepsniffer", {"window": -3}, GPU,
      r"attack\.params: window must lie in \[0, 20\]"),
     ("deepsniffer", {"traces_per_architecture": 0}, GPU,
@@ -199,7 +207,7 @@ BAD_DOCUMENTS = [
     ("deeprecon", {"k_neighbors": 0}, CPU,
      r"attack\.params: k_neighbors must be >= 1"),
     ("miface", {"target_class": 0, "clamp_range": [1]}, {},
-     r"^attack\.params: clamp_range must be a tuple of 2 items, got \(1,\)$"),
+     r"^attack\.params: clamp_range must be a tuple of 2 items, got \[1\]$"),
     ("miface", {"target_class": 0, "clamp_range": [4, -4]}, {},
      r"attack\.params: clamp_range must be \(lo, hi\) with lo < hi"),
     ("miface", {"target_class": 0, "step_size": float("nan")}, {},
@@ -273,14 +281,19 @@ BAD_DOCUMENTS = [
      {}, r"unknown field\(s\) \['attack\.params\.distill_train\.loss'\]"),
     # the attack table's own messages: type, environment readers, metrics
     ("warp", {}, {},
-     r"^attack: unknown type 'warp'$"),
-    (7, {}, {}, r"^attack: unknown type 7$"),
+     r'^attack: unknown type "warp" \(one of \["deeprecon", "deepsniffer", '
+     r'"equivalency", "knockoff", "miface", "staged_inversion"\]\)$'),
+    (7, {}, {}, r'^attack: unknown type 7 \(one of \["deeprecon", '
+                r'"deepsniffer", "equivalency", "knockoff", "miface", '
+                r'"staged_inversion"\]\)$'),
     ("deepsniffer", {}, {},
      r"^environment\.environment_profile required for deepsniffer$"),
     ("deeprecon", {}, {"environment": {"machine_profile": "z80-like"}},
-     r"^environment: unknown machine_profile 'z80-like'$"),
+     r'^environment: unknown machine_profile "z80-like" \(one of '
+     r'\["i5-3470-like", "i7-4770-like", "i7-6850k-like", "tf2-like"\]\)$'),
     ("deepsniffer", {}, {"environment": {"environment_profile": "tpu"}},
-     r"^environment: unknown environment_profile 'tpu'$"),
+     r'^environment: unknown environment_profile "tpu" \(one of '
+     r'\["gpu-low", "gpu-noisy", "gpu-quiet", "gpu-verbose"\]\)$'),
     ("knockoff", {"query_budget": 120}, {"evaluation": ["sequence_fidelity"]},
      r"^evaluation: metric\(s\) \['sequence_fidelity'\] not produced by "
      r"knockoff \(available: \['accuracy_stolen', 'accuracy_target', "
@@ -337,7 +350,7 @@ BAD_DOCUMENTS = [
     # a string is no list of ids, and is not read one character at a time
     ("deeprecon", {"corpus_architectures": "mini-mlp-1"}, CPU,
      r"^attack\.params: corpus_architectures must be a list or tuple, "
-     r"got 'mini-mlp-1'$"),
+     r'got "mini-mlp-1"$'),
     # a JSON integer too large for a float is no finite number
     ("knockoff", {"query_budget": 120, "query_fraction": 10 ** 400}, {},
      r"^attack\.params: query_fraction must be finite$"),
@@ -483,20 +496,20 @@ class TestCli:
                               "tuple of 2 items")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("target,where,name", [
+    @pytest.mark.parametrize("target,where,name,choices", [
         ({"architecture_id": "mini-ghost", "dataset_id": "blobs-2c-easy"},
-         "target.architecture_id", "mini-ghost"),
+         "target.architecture_id", "mini-ghost", ARCH_CHOICES),
         ({"architecture_id": "mini-mlp-1", "dataset_id": "blobs-9c-none"},
-         "target.dataset_id", "blobs-9c-none")])
+         "target.dataset_id", "blobs-9c-none", DATASET_CHOICES)])
     def test_validate_rejects_unknown_ids(self, tmp_path, capsys, target,
-                                          where, name):
+                                          where, name, choices):
         path = tmp_path / "unknown.json"
         path.write_text(json.dumps(scenario_doc(target=target)))
         root = tmp_path / "repo"
         assert main(["--root", str(root), "validate", str(path)]) == 1
         err = capsys.readouterr().err
         block, _, field = where.rpartition(".")
-        assert err == f"invalid: {block}: unknown {field} {name!r}\n"
+        assert err == f'invalid: {block}: unknown {field} "{name}"{choices}\n'
         assert not root.exists()  # checking ids touches no repository
         # run and batch refuse it at parse time, as any schema error
         assert main(["--root", str(root), "run", str(path)]) == 2
@@ -534,7 +547,7 @@ class TestCli:
         doc["attack"]["params"] = params
         block, _, field = where.rpartition(".")
         with pytest.raises(ScenarioError,
-                           match=rf"^{block}: unknown {field} 'x-net'$"):
+                           match=rf'^{block}: unknown {field} "x-net"{ARCHS}$'):
             parse_scenario(json.dumps(doc))
 
 
@@ -573,7 +586,7 @@ class TestAttackTable:
                 section[path[-1]] = ["x"] if get_origin(hint) is tuple else "x"
                 block = ".".join(("attack", "params") + path[:-1])
                 with pytest.raises(ScenarioError,
-                                   match=rf"^{block}: unknown {path[-1]} 'x'$"):
+                                   match=rf'^{block}: unknown {path[-1]} "x"{ARCHS}$'):
                     parse_scenario(json.dumps(doc))
                 checked.add((name, path[-1]))
         assert {("knockoff", "surrogate_architecture"),
@@ -589,14 +602,16 @@ class TestAttackTable:
 
     @pytest.mark.parametrize("make,message", [
         (lambda: EnvironmentSpec(environment_profile="nope"),
-         "^unknown environment_profile 'nope'$"),
+         r'^unknown environment_profile "nope" \(one of \["gpu-low", '
+         r'"gpu-noisy", "gpu-quiet", "gpu-verbose"\]\)$'),
         (lambda: EnvironmentSpec(machine_profile="nope"),
-         "^unknown machine_profile 'nope'$"),
+         r'^unknown machine_profile "nope" \(one of \["i5-3470-like", '
+         r'"i7-4770-like", "i7-6850k-like", "tf2-like"\]\)$'),
         (lambda: EquivalencyParams(query_budget=10,
                                    surrogate_architecture="x-net"),
-         "^unknown surrogate_architecture 'x-net'$"),
+         f'^unknown surrogate_architecture "x-net"{ARCHS}$'),
         (lambda: StagedInversionParams((10,), surrogate_architecture="x-net"),
-         "^unknown surrogate_architecture 'x-net'$")],
+         f'^unknown surrogate_architecture "x-net"{ARCHS}$')],
         ids=["environment", "machine", "equivalency", "staged"])
     def test_optional_ids_are_checked_when_made(self, make, message):
         with pytest.raises(ValueError, match=message):
@@ -608,7 +623,7 @@ class TestAttackTable:
         (lambda: DeepSnifferParams(corpus_architectures=5),
          "^corpus_architectures must be a list or tuple, got 5$"),
         (lambda: DeepReconParams(corpus_architectures="mini-mlp-1"),
-         "^corpus_architectures must be a list or tuple, got 'mini-mlp-1'$"),
+         '^corpus_architectures must be a list or tuple, got "mini-mlp-1"$'),
         (lambda: StagedInversionParams(budgets=5),
          "^budgets must be a list or tuple, got 5$"),
         (lambda: ModelRef("mini-mlp-1", "blobs-2c-easy", class_subset=5),
@@ -1003,23 +1018,53 @@ class TestZooResolve:
         assert runs[0] and len(runs[0]) == len(runs[1])
         assert all(a is b for a, b in zip(*runs))
 
-    def test_truncated_metadata_retrains(self, bench):
-        ref = ModelRef("mini-mlp-1", "blobs-2c-easy", None, "default")
-        first, _, _ = zoo_resolve(ref, bench)
-        meta = bench.checkpoints_dir / ref.slug() / "metadata.json"
-        meta.write_text(meta.read_text()[:40])
-        again, cached, _ = zoo_resolve(ref, bench)
-        assert not cached
-        assert np.array_equal(again.state_vector(), first.state_vector())
-        _, cached, _ = zoo_resolve(ref, bench)
-        assert cached
+    def test_entry_is_named_and_checked_by_what_made_it(self, bench):
+        ref = ModelRef("mini-mlp-1", "blobs-4c-mid", (1, 3), "sub")
+        zoo_resolve(ref, bench)
+        entry = _checkpoint_entry(bench, ref)
+        meta = json.loads((entry / "metadata.json").read_text())
+        made_from = meta["made_from"]
+        assert list(meta) == ["format_version", "made_from", "bn_calibrated"]
+        assert list(made_from) == ["spec", "data", "class_subset", "recipe"]
+        assert made_from["spec"] == to_doc(
+            builtin_spec("mini-mlp-1", (6, 6, 1), 2))
+        assert made_from["data"] == to_doc(BUILTIN_DATASETS["blobs-4c-mid"])
+        assert made_from["class_subset"] == [1, 3]
+        assert made_from["recipe"] == to_doc(replace(
+            orchestrator.DEFAULT_RECIPE,
+            seed=zlib.crc32(ref.slug().encode()) & 0x7FFFFFFF))
+        assert entry.name == f"{zlib.crc32(json.dumps(made_from).encode()):08x}"
+
+    def test_a_recipe_is_served_only_the_model_it_makes(self, tmp_path):
+        """Same scenario and seed, same metrics: a target trained first on
+        a shared root by another recipe is not served, on that root, to a
+        workbench with the default one."""
+        scenario = parse_scenario(json.dumps(scenario_doc(
+            seed=0, params={"query_budget": 100},
+            target={"architecture_id": "mini-mlp-2",
+                    "dataset_id": "blobs-4c-mid"})))
+        fresh = execute(scenario, default_workbench(tmp_path / "fresh"),
+                        persist=False)
+        quick = Workbench(tmp_path / "shared",
+                          recipes={"blobs-4c-mid": TrainConfig(epochs=1)})
+        assert not zoo_resolve(scenario.target, quick)[1]
+        shared = execute(scenario, default_workbench(tmp_path / "shared"),
+                         persist=False)
+        assert shared.status == fresh.status == "ok", shared.failure_reason
+        assert shared.resolved_from_cache is False
+        assert shared.metrics["accuracy_target"] == 0.9971428571428571
+        assert shared.metrics == fresh.metrics
+        # each recipe's model has its own entry, and is served from it
+        assert zoo_resolve(scenario.target, quick)[1]
+        assert len(list((quick.checkpoints_dir / scenario.target.slug())
+                        .glob("*/params.bin"))) == 2
 
     def test_invalid_param_in_metadata_retrains(self, bench):
         ref = ModelRef("mini-student-cnn", "blobs-2c-easy", None, "default")
         first, _, _ = zoo_resolve(ref, bench)
-        meta_file = bench.checkpoints_dir / ref.slug() / "metadata.json"
+        meta_file = _checkpoint_entry(bench, ref) / "metadata.json"
         meta = json.loads(meta_file.read_text())
-        meta["spec"]["nodes"][0]["params"]["stride"] = 0
+        meta["made_from"]["spec"]["nodes"][0]["params"]["stride"] = 0
         meta_file.write_text(json.dumps(meta))
         again, cached, _ = zoo_resolve(ref, bench)
         assert not cached
@@ -1032,9 +1077,9 @@ class TestZooResolve:
         whose stored spec is not the spec built here is retrained."""
         ref = ModelRef("mini-mlp-2", "blobs-2c-easy", None, "default")
         first, _, _ = zoo_resolve(ref, bench)
-        meta_file = bench.checkpoints_dir / ref.slug() / "metadata.json"
+        meta_file = _checkpoint_entry(bench, ref) / "metadata.json"
         meta = json.loads(meta_file.read_text())
-        meta["spec"]["family"] = "mini-other"
+        meta["made_from"]["spec"]["family"] = "mini-other"
         meta_file.write_text(json.dumps(meta))
         again, cached, _ = zoo_resolve(ref, bench)
         assert not cached
@@ -1042,6 +1087,99 @@ class TestZooResolve:
         assert np.array_equal(again.state_vector(), first.state_vector())
         _, cached, _ = zoo_resolve(ref, bench)
         assert cached
+
+    def test_root_of_the_old_layout_refills_once(self, bench):
+        """A root written before entries were named by what made them holds
+        the checkpoint files in the reference's directory itself: they are
+        never read, the model trains once more, and is then served."""
+        ref = ModelRef("mini-mlp-1", "blobs-2c-easy")
+        first, _, _ = zoo_resolve(ref, bench)
+        entry = _checkpoint_entry(bench, ref)
+        for name in ("metadata.json", "params.bin"):
+            (entry.parent / name).write_bytes((entry / name).read_bytes())
+        shutil.rmtree(entry)
+        again, cached, _ = zoo_resolve(ref, bench)
+        assert not cached
+        assert np.array_equal(again.state_vector(), first.state_vector())
+        assert zoo_resolve(ref, bench)[1]
+
+
+def _checkpoint_entry(bench, ref) -> Path:
+    """The one checkpoint entry of `ref` on the bench's root."""
+    (entry,) = [p for p in (bench.checkpoints_dir / ref.slug()).iterdir()
+                if p.is_dir()]
+    return entry
+
+
+REF = ModelRef("mini-mlp-1", "blobs-2c-easy")
+# each kind of cache entry: (fill the entry; its directory, once filled;
+# its data file; its metadata file)
+CACHE_ENTRIES = {
+    "dataset": (lambda bench: bench.dataset("blobs-2c-easy"),
+                lambda bench: bench.datasets_dir / "blobs-2c-easy",
+                "samples.bin", "meta.json"),
+    "checkpoint": (lambda bench: zoo_resolve(REF, bench)[0],
+                   lambda bench: _checkpoint_entry(bench, REF),
+                   "params.bin", "metadata.json"),
+}
+
+
+def _as_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+# each damage: (which file, what is done to it)
+DAMAGES = {
+    "truncated-data": ("data", lambda p: p.write_bytes(p.read_bytes()[:-8])),
+    "missing-data": ("data", Path.unlink),
+    "directory-data": ("data", _as_directory),
+    "truncated-meta": ("meta", lambda p: p.write_text(p.read_text()[:40])),
+    "missing-meta": ("meta", Path.unlink),
+    "directory-meta": ("meta", _as_directory),
+    "list-meta": ("meta", lambda p: p.write_text("[]")),
+    "extra-key-meta": ("meta", lambda p: p.write_text(json.dumps(
+        {**json.loads(p.read_text()), "note": "x"}))),
+}
+
+
+class TestCacheRefill:
+    """Both kinds of cache entry follow the one fill rule: an entry that
+    cannot be read (a file truncated, missing or a directory, metadata of
+    the wrong shape) is discarded and filled again, with the same bits."""
+
+    @pytest.mark.parametrize("damage", DAMAGES)
+    @pytest.mark.parametrize("kind", CACHE_ENTRIES)
+    def test_damaged_entry_is_refilled(self, bench, kind, damage):
+        fill, entry_of, data_file, meta_file = CACHE_ENTRIES[kind]
+        which, harm = DAMAGES[damage]
+        first = fill(bench)
+        entry = entry_of(bench)
+        written = {p.name: p.read_bytes() for p in entry.iterdir()}
+        harm(entry / (data_file if which == "data" else meta_file))
+        again = fill(bench)
+        assert {p.name: p.read_bytes() for p in entry.iterdir()} == written
+        if kind == "dataset":
+            assert np.array_equal(again.inputs, first.inputs)
+            assert np.array_equal(again.labels, first.labels)
+        else:
+            assert np.array_equal(again.state_vector(), first.state_vector())
+        # the damaged entry was renamed aside and removed: only the entry
+        # and its lock file are left
+        assert sorted(os.listdir(entry.parent)) == [entry.name,
+                                                    entry.name + ".lock"]
+
+    @pytest.mark.parametrize("kind", CACHE_ENTRIES)
+    def test_a_hit_writes_nothing(self, bench, kind):
+        """A hit takes no lock, so a root its reader cannot write still
+        serves it: no lock file, nor any other, is made."""
+        fill, entry_of, _, _ = CACHE_ENTRIES[kind]
+        fill(bench)
+        for lock in bench.root.rglob("*.lock"):
+            lock.unlink()
+        before = sorted(bench.root.rglob("*"))
+        fill(bench)
+        assert sorted(bench.root.rglob("*")) == before
 
 
 class TestDatasetCache:
@@ -1063,19 +1201,6 @@ class TestDatasetCache:
         assert load_dataset(bench.datasets_dir / "blobs-2c-easy",
                             first.spec).spec == first.spec
 
-    def test_truncated_samples_are_regenerated(self, bench):
-        first = bench.dataset("blobs-2c-easy")
-        cache = bench.datasets_dir / "blobs-2c-easy"
-        samples = cache / "samples.bin"
-        samples.write_bytes(samples.read_bytes()[:-8])
-        again = bench.dataset("blobs-2c-easy")
-        assert np.array_equal(again.inputs, first.inputs)
-        assert np.array_equal(again.labels, first.labels)
-        assert np.array_equal(load_dataset(cache, first.spec).inputs,
-                              first.inputs)
-        # the corrupt entry was renamed aside and removed: nothing is left
-        assert os.listdir(bench.datasets_dir) == ["blobs-2c-easy"]
-
     def test_label_out_of_range_is_regenerated(self, bench):
         first = bench.dataset("blobs-2c-easy")
         labels = bench.datasets_dir / "blobs-2c-easy" / "labels.bin"
@@ -1090,53 +1215,62 @@ class TestDatasetCache:
                          bench, persist=False)
         assert record.status == "ok", record.failure_reason
 
-    def test_missing_file_is_regenerated(self, bench):
-        first = bench.dataset("blobs-2c-easy")
-        (bench.datasets_dir / "blobs-2c-easy" / "labels.bin").unlink()
-        assert np.array_equal(bench.dataset("blobs-2c-easy").labels,
-                              first.labels)
-        assert os.listdir(bench.datasets_dir) == ["blobs-2c-easy"]
 
-
-# Saves and loads one dataset entry and one checkpoint entry, again and
-# again, from the moment a `go` file appears; any exception exits nonzero.
-_HAMMER = r"""
+# Each process writes `ready-<i>` and waits for a `go` file, so that the two
+# start together; any exception exits nonzero.
+_START = r"""
 import sys, time
 from pathlib import Path
-import numpy as np
-from extractbench.datasets import DatasetSpec, generate, load_dataset, save_dataset
-from extractbench.zoo import (ModelRef, build_model, builtin_spec,
-                              load_checkpoint, save_checkpoint)
-
-root, iterations = Path(sys.argv[1]), int(sys.argv[2])
-data = generate(DatasetSpec("race", 2, 5, (4, 4, 1), 0.2, seed=1))
-model = build_model(builtin_spec("mini-mlp-1", (4, 4, 1), 2), seed=3)
-ref = ModelRef("mini-mlp-1", "blobs-2c-easy")
-(root / f"ready-{sys.argv[3]}").touch()
+root = Path(sys.argv[1])
+(root / f"ready-{sys.argv[2]}").touch()
 deadline = time.monotonic() + 60
 while not (root / "go").exists() and time.monotonic() < deadline:
     time.sleep(0.001)
-for _ in range(iterations):
+"""
+
+# Saves and loads one dataset entry and one checkpoint entry, again and
+# again.
+_HAMMER = _START + r"""
+import numpy as np
+from extractbench.datasets import DatasetSpec, generate, load_dataset, save_dataset
+from extractbench.fields import doc_text
+from extractbench.zoo import build_model, builtin_spec, load_checkpoint, save_checkpoint
+
+data = generate(DatasetSpec("race", 2, 5, (4, 4, 1), 0.2, seed=1))
+model = build_model(builtin_spec("mini-mlp-1", (4, 4, 1), 2), seed=3)
+made_from = {"race": 1}
+for _ in range(200):
     save_dataset(data, root / "datasets" / "race")
     assert np.array_equal(
         load_dataset(root / "datasets" / "race", data.spec).inputs, data.inputs)
-    save_checkpoint(model, ref, root / "checkpoints")
+    save_checkpoint(model, root / "checkpoints" / "race", made_from)
     assert np.array_equal(
-        load_checkpoint(ref, root / "checkpoints", model.spec).state_vector(),
+        load_checkpoint(root / "checkpoints" / "race", model.spec,
+                        doc_text(made_from)).state_vector(),
         model.state_vector())
+"""
+
+# Resolves one missing model on a shared root, and prints whether it was
+# served from the cache.
+_RESOLVE = _START + r"""
+from extractbench.orchestrator import Workbench, zoo_resolve
+from extractbench.zoo import ModelRef
+
+_, from_cache, _ = zoo_resolve(ModelRef("mini-mlp-1", "blobs-2c-easy"),
+                               Workbench(root / "repo"))
+print(from_cache)
 """
 
 
 class TestCacheAcrossProcesses:
-    def test_two_processes_save_and_load_one_entry(self, tmp_path):
-        """Two writers publish the same entries: whichever rename lands
-        first wins, the other discards its copy, and no reader ever finds
-        an entry half there."""
+    @staticmethod
+    def _run_two(tmp_path, script) -> list[str]:
+        """Start two processes of `script` together; their outputs."""
         src = str(Path(extractbench.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         procs = [subprocess.Popen(
-            [sys.executable, "-c", _HAMMER, str(tmp_path), "200", str(i)],
+            [sys.executable, "-c", script, str(tmp_path), str(i)],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
             for i in range(2)]
         try:
@@ -1146,15 +1280,48 @@ class TestCacheAcrossProcesses:
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
             (tmp_path / "go").touch()
-            errors = [p.communicate(timeout=120)[1] for p in procs]
+            outputs = [p.communicate(timeout=120) for p in procs]
         finally:
             for p in procs:
                 p.kill()
                 p.wait()
-        assert [p.returncode for p in procs] == [0, 0], errors
+        assert [p.returncode for p in procs] == [0, 0], outputs
+        return [out for out, _ in outputs]
+
+    def test_two_processes_save_and_load_one_entry(self, tmp_path):
+        """Two writers publish the same entries: whichever rename lands
+        first wins, the other discards its copy, and no reader ever finds
+        an entry half there."""
+        self._run_two(tmp_path, _HAMMER)
         assert os.listdir(tmp_path / "datasets") == ["race"]
-        assert (os.listdir(tmp_path / "checkpoints")
-                == [ModelRef("mini-mlp-1", "blobs-2c-easy").slug()])
+        assert os.listdir(tmp_path / "checkpoints") == ["race"]
+
+    def test_threads_of_one_process_fill_each_entry_once(self, bench,
+                                                         monkeypatch):
+        """The entry's lock holds between threads as between processes:
+        four threads that miss one model train it once, and generate its
+        dataset once."""
+        generated = []
+        real = orchestrator.generate
+        monkeypatch.setattr(orchestrator, "generate",
+                            lambda spec: generated.append(spec) or real(spec))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(zoo_resolve, REF, bench)
+                           for _ in range(4)]
+                flags = [f.result(timeout=120)[1] for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(flags) == [False, True, True, True]
+        assert len(generated) == 1
+
+    def test_one_missing_model_is_trained_once(self, tmp_path):
+        """Two processes resolve one missing model at once: the entry's lock
+        makes one wait while the other trains, then serves it the model."""
+        outputs = self._run_two(tmp_path, _RESOLVE)
+        assert sorted(outputs) == ["False\n", "True\n"]
 
 
 class TestSideChannelRunnersSeedInBulk:
@@ -1344,7 +1511,8 @@ class TestExecute:
                                    "dataset_id": "blobs-2c-easy"})
         # parsing rejects it, so no run can start on it
         with pytest.raises(ScenarioError,
-                           match=r"^target: unknown architecture_id 'mini-ghost'$"):
+                           match=rf'^target: unknown architecture_id '
+                                 rf'"mini-ghost"{ARCHS}$'):
             parse_scenario(json.dumps(doc))
 
     def test_equivalency_artifact_echoes_the_distill_config(self, bench):

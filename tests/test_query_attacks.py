@@ -1,5 +1,7 @@
 """Query extraction and inversion, with closed-form/grid-search oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from extractbench.query_attacks import (
 from extractbench.similarity import fidelity
 from extractbench.zoo import builtin_spec, build_model
 
-from conftest import make_blobs, trained_model
+from conftest import ARCH_CHOICES, make_blobs, trained_model
 
 
 def linear_softmax(data, seed=0, epochs=15):
@@ -44,18 +46,24 @@ class TestThreatModel:
         assert len(violations) == 2
 
     def test_invalid_values_rejected(self):
-        for grants, bad in [(("full", "none", "none"), "model_knowledge"),
-                            (("hidden", "full", "none"), "system_knowledge"),
-                            (("hidden", "none", "full"), "aux_dataset")]:
-            with pytest.raises(ValueError, match=f"^unknown {bad} 'full'$"):
+        for grants, bad, choices in [
+                (("full", "none", "none"), "model_knowledge", '"hidden", "observed"'),
+                (("hidden", "full", "none"), "system_knowledge", '"none", "partial"'),
+                (("hidden", "none", "full"), "aux_dataset", '"none", "partial"')]:
+            with pytest.raises(ValueError, match=re.escape(
+                    f'unknown {bad} "full" (one of [{choices}])') + "$"):
                 ThreatModel(*grants)
-        with pytest.raises(ValueError, match="^unknown output_mode 'logits'$"):
+        with pytest.raises(ValueError, match=r'^unknown output_mode "logits" '
+                                             r'\(one of \["confidence_vector", '
+                                             r'"top1_label"\]\)$'):
             KnockoffConfig(10, output_mode="logits")
-        with pytest.raises(ValueError, match="^unknown init_mode 'zeros'$"):
+        with pytest.raises(ValueError, match=r'^unknown init_mode "zeros" \(one '
+                                             r'of \["auxiliary_sample", "random"\]\)$'):
             InversionConfig(init_mode="zeros")
         # an optional field's value is checked too
         with pytest.raises(ValueError,
-                           match="^unknown surrogate_architecture 'x-net'$"):
+                           match='^unknown surrogate_architecture "x-net"'
+                                 + re.escape(ARCH_CHOICES) + "$"):
             KnockoffConfig(10, surrogate_architecture="x-net")
         # the spec is the surrogate: a config naming another is refused
         data = make_blobs(classes=2, per_class=5, shape=(4, 4, 1))

@@ -1,13 +1,14 @@
 """Architecture specs, MAdd accounting, checkpoints."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from extractbench.fields import to_doc
-from extractbench.network import NodeSpec
+from extractbench.fields import doc_text, to_doc
+from extractbench.network import NodeSpec, TrainConfig
 from extractbench.tensor import ConvParams, FCParams, PoolParams, ShapeError
 from extractbench.tensor import OperatorKind as K
 from extractbench.zoo import (
@@ -17,17 +18,17 @@ from extractbench.zoo import (
     ModelRef,
     build_model,
     builtin_spec,
-    checkpoint_path,
     compute_madd,
     load_checkpoint,
     make_mini_vgg,
     save_checkpoint,
 )
 
-from conftest import make_blobs, same_bits, trained_model
+from conftest import (ARCH_CHOICES, DATASET_CHOICES, make_blobs, same_bits,
+                      trained_model)
 
 SHAPE = (8, 8, 1)
-# a reference names a registry dataset; save and load treat it as a key only
+# a reference names a registry dataset
 KEY = "blobs-2c-easy"
 
 
@@ -37,22 +38,29 @@ def conv_node(nid, src, channels, kernel=3, stride=1, padding="same"):
 
 
 def _set_param(metadata_text, node_id, name, value):
-    """metadata.json text with one node param of the spec echo replaced."""
+    """metadata.json text with one node param of the stored spec replaced."""
     meta = json.loads(metadata_text)
-    for node in meta["spec"]["nodes"]:
+    for node in meta["made_from"]["spec"]["nodes"]:
         if node["node_id"] == node_id:
             node["params"][name] = value
     return json.dumps(meta)
 
 
 def _pre_dataclass_params(metadata_text):
-    """metadata.json text with the spec echo's params in the form written
+    """metadata.json text with the stored spec's params in the form written
     before they were dataclasses: without their defaults, `{}` for none."""
     meta = json.loads(metadata_text)
-    for node in meta["spec"]["nodes"]:
+    for node in meta["made_from"]["spec"]["nodes"]:
         params = node["params"] or {}
         params.pop("bias", None)
         node["params"] = params
+    return json.dumps(meta)
+
+
+def _set_recipe(metadata_text, key, value):
+    """metadata.json text with one field of the stored recipe replaced."""
+    meta = json.loads(metadata_text)
+    meta["made_from"]["recipe"][key] = value
     return json.dumps(meta)
 
 
@@ -241,18 +249,31 @@ class TestOperatorSequence:
             assert K.GELU not in [n.kind for n in spec.execution_order]
 
 
+def _made_from(spec, epochs=1) -> dict:
+    """A made_from document: save and load treat it as opaque, so any spec
+    and recipe will do."""
+    return {"spec": spec, "recipe": TrainConfig(epochs=epochs, seed=7)}
+
+
+def _load(entry, spec, made_from):
+    """The checkpoint at `entry`, asked for as made from `made_from`."""
+    return load_checkpoint(entry, spec, doc_text(made_from))
+
+
 class TestCheckpoints:
     def test_round_trip_bit_identical(self, tmp_path):
         data = make_blobs(classes=3, per_class=30, shape=(4, 4, 1), seed=5)
         model = trained_model("mini-resnet-4", data, epochs=2, seed=7)
-        ref = ModelRef("mini-resnet-4", KEY, None, "t1")
-        save_checkpoint(model, ref, tmp_path)
-        loaded = load_checkpoint(ref, tmp_path, model.spec)
+        made_from = _made_from(model.spec, epochs=2)
+        save_checkpoint(model, tmp_path / "t1", made_from)
+        loaded = _load(tmp_path / "t1", model.spec, made_from)
         assert np.array_equal(loaded.state_vector(), model.state_vector())
-        assert loaded.meta["epochs_trained"] == model.meta["epochs_trained"]
-        assert to_doc(loaded.spec) == to_doc(model.spec)
-        assert loaded.meta == model.meta
+        assert loaded.spec is model.spec
         assert loaded.bn_calibrated is model.bn_calibrated
+        # metadata.json holds the format, made_from and the BN flag, no more
+        meta = json.loads((tmp_path / "t1" / "metadata.json").read_text())
+        assert meta == {"format_version": 2, "made_from": to_doc(made_from),
+                        "bn_calibrated": True}
 
     def test_spec_with_numpy_numbers_round_trips(self, tmp_path):
         # numpy integers pass the params' rules; metadata.json writes them as
@@ -262,88 +283,94 @@ class TestCheckpoints:
             NodeSpec("probs", K.SOFTMAX, None, ("head",))), (2, 2, 1),
             np.int64(2))
         model = build_model(spec, seed=3)
-        ref = ModelRef("mini-mlp-1", KEY, None, "np")
-        save_checkpoint(model, ref, tmp_path)
-        loaded = load_checkpoint(ref, tmp_path, spec)
+        made_from = _made_from(spec)
+        save_checkpoint(model, tmp_path / "np", made_from)
+        loaded = _load(tmp_path / "np", spec, made_from)
         assert np.array_equal(loaded.state_vector(), model.state_vector())
-        meta = json.loads((checkpoint_path(tmp_path, ref)
-                           / "metadata.json").read_text())
-        assert meta["spec"]["nodes"][0]["params"] == {"out_features": 2,
-                                                      "bias": True}
-        assert type(meta["spec"]["class_count"]) is int
+        meta = json.loads((tmp_path / "np" / "metadata.json").read_text())
+        spec_doc = meta["made_from"]["spec"]
+        assert spec_doc["nodes"][0]["params"] == {"out_features": 2,
+                                                  "bias": True}
+        assert type(spec_doc["class_count"]) is int
 
     def test_truncated_params_is_corruption(self, tmp_path):
         data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=6)
         model = trained_model("mini-mlp-2", data, epochs=1, seed=7)
-        ref = ModelRef("mini-mlp-2", KEY, None, "t1")
-        save_checkpoint(model, ref, tmp_path)
-        params = checkpoint_path(tmp_path, ref) / "params.bin"
+        save_checkpoint(model, tmp_path / "t1", _made_from(model.spec))
+        params = tmp_path / "t1" / "params.bin"
         params.write_bytes(params.read_bytes()[:-16])
         with pytest.raises(CheckpointError, match="corrupt"):
-            load_checkpoint(ref, tmp_path, model.spec)
+            _load(tmp_path / "t1", model.spec, _made_from(model.spec))
 
     @pytest.mark.parametrize("damage", [
         lambda text: text[:len(text) // 2],
         lambda text: "",
         lambda text: json.dumps({k: v for k, v in json.loads(text).items()
-                                 if k != "spec"}),
+                                 if k != "made_from"}),
         lambda text: "[]",
         lambda text: _set_param(text, "conv", "stride", 0),
         lambda text: _set_param(text, "head", "out_features", 0),
         _pre_dataclass_params,
+        lambda text: _set_recipe(text, "epochs", 2),
+        lambda text: _set_recipe(text, "learning_rate", 0.02),
         lambda text: _set_meta(text, "bn_calibrated", "false"),
-        lambda text: _set_meta(text, "seed", "12"),
-        lambda text: _set_meta(text, "epochs_trained", 2.9),
+        lambda text: _set_meta(text, "format_version", 1),
+        lambda text: _set_meta(text, "format_version", "2"),
+        lambda text: _set_meta(text, "made_from", []),
         lambda text: json.dumps({**json.loads(text), "note": "x"}),
-    ], ids=["truncated", "empty", "no-spec", "not-an-object", "stride-0",
-            "out-features-0", "params-pre-dataclass", "calibrated-string",
-            "seed-string", "epochs-float", "extra-key"])
+    ], ids=["truncated", "empty", "no-made-from", "not-an-object", "stride-0",
+            "out-features-0", "params-pre-dataclass", "other-epochs",
+            "other-learning-rate", "calibrated-string", "format-1",
+            "format-string", "made-from-list", "extra-key"])
     def test_unreadable_metadata_is_corruption(self, tmp_path, damage):
         data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=6)
         model = trained_model("mini-student-cnn", data, epochs=1, seed=7)
-        ref = ModelRef("mini-student-cnn", KEY, None, "t1")
-        save_checkpoint(model, ref, tmp_path)
-        meta = checkpoint_path(tmp_path, ref) / "metadata.json"
+        save_checkpoint(model, tmp_path / "t1", _made_from(model.spec))
+        meta = tmp_path / "t1" / "metadata.json"
         meta.write_text(damage(meta.read_text()))
         with pytest.raises(CheckpointError, match="corrupt.*metadata.json"):
-            load_checkpoint(ref, tmp_path, model.spec)
+            _load(tmp_path / "t1", model.spec, _made_from(model.spec))
 
-    def test_missing_checkpoint_errors(self, tmp_path):
-        with pytest.raises(CheckpointError, match="no checkpoint"):
-            load_checkpoint(ModelRef("mini-mlp-2", KEY, None, "x"), tmp_path,
-                            builtin_spec("mini-mlp-2", SHAPE, 4))
+    def test_corruption_is_a_value_error(self):
+        assert issubclass(CheckpointError, ValueError)
 
-    def test_two_tags_coexist(self, tmp_path):
+    def test_missing_checkpoint_is_an_os_error(self, tmp_path):
+        spec = builtin_spec("mini-mlp-2", SHAPE, 4)
+        with pytest.raises(FileNotFoundError):
+            _load(tmp_path / "x", spec, _made_from(spec))
+
+    def test_two_entries_coexist(self, tmp_path):
         data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=8)
         m1 = trained_model("mini-mlp-2", data, epochs=1, seed=1)
         m2 = trained_model("mini-mlp-2", data, epochs=2, seed=2)
-        r1 = ModelRef("mini-mlp-2", KEY, None, "early")
-        r2 = ModelRef("mini-mlp-2", KEY, None, "late")
-        save_checkpoint(m1, r1, tmp_path)
-        save_checkpoint(m2, r2, tmp_path)
-        assert np.array_equal(load_checkpoint(r1, tmp_path, m1.spec).state_vector(),
+        save_checkpoint(m1, tmp_path / "early", _made_from(m1.spec, 1))
+        save_checkpoint(m2, tmp_path / "late", _made_from(m2.spec, 2))
+        assert np.array_equal(_load(tmp_path / "early", m1.spec,
+                                    _made_from(m1.spec, 1)).state_vector(),
                               m1.state_vector())
-        assert np.array_equal(load_checkpoint(r2, tmp_path, m2.spec).state_vector(),
+        assert np.array_equal(_load(tmp_path / "late", m2.spec,
+                                    _made_from(m2.spec, 2)).state_vector(),
                               m2.state_vector())
 
     def test_save_keeps_an_existing_checkpoint(self, tmp_path):
         data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=8)
         m1 = trained_model("mini-mlp-2", data, epochs=1, seed=1)
         m2 = trained_model("mini-mlp-2", data, epochs=2, seed=2)
-        ref = ModelRef("mini-mlp-2", KEY, None, "t1")
-        save_checkpoint(m1, ref, tmp_path)
-        save_checkpoint(m2, ref, tmp_path)
-        assert [p.name for p in tmp_path.iterdir()] == [ref.slug()]
-        assert np.array_equal(load_checkpoint(ref, tmp_path, m1.spec).state_vector(),
-                              m1.state_vector())
+        made_from = _made_from(m1.spec)
+        save_checkpoint(m1, tmp_path / "t1", made_from)
+        save_checkpoint(m2, tmp_path / "t1", made_from)
+        assert [p.name for p in tmp_path.iterdir()] == ["t1"]
+        assert np.array_equal(
+            _load(tmp_path / "t1", m1.spec, made_from).state_vector(),
+            m1.state_vector())
 
     def test_interrupted_save_leaves_old_checkpoint_and_no_debris(
             self, tmp_path, monkeypatch):
         data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=8)
         old = trained_model("mini-mlp-2", data, epochs=1, seed=1)
         new = trained_model("mini-mlp-2", data, epochs=2, seed=2)
-        ref = ModelRef("mini-mlp-2", KEY, None, "t1")
-        save_checkpoint(old, ref, tmp_path)
+        made_from = _made_from(old.spec)
+        save_checkpoint(old, tmp_path / "t1", made_from)
         real_write = Path.write_bytes
 
         def failing_write(path, data):
@@ -353,10 +380,11 @@ class TestCheckpoints:
 
         monkeypatch.setattr(Path, "write_bytes", failing_write)
         with pytest.raises(OSError, match="disk full"):
-            save_checkpoint(new, ref, tmp_path)
-        assert [p.name for p in tmp_path.iterdir()] == [ref.slug()]
-        assert np.array_equal(load_checkpoint(ref, tmp_path, old.spec).state_vector(),
-                              old.state_vector())
+            save_checkpoint(new, tmp_path / "t1", made_from)
+        assert [p.name for p in tmp_path.iterdir()] == ["t1"]
+        assert np.array_equal(
+            _load(tmp_path / "t1", old.spec, made_from).state_vector(),
+            old.state_vector())
 
     @pytest.mark.parametrize("tag", ["..", "/abs", "a/b", "", "x/../../../tagesc"])
     def test_tag_is_one_file_name_component(self, tag):
@@ -365,11 +393,13 @@ class TestCheckpoints:
             ModelRef("mini-mlp-2", "blobs-2c-easy", None, tag)
 
     @pytest.mark.parametrize("ids,message", [
-        (("mini-nothing", KEY), "unknown architecture_id 'mini-nothing'"),
-        (("mini-mlp-2", "no-such-data"), "unknown dataset_id 'no-such-data'")],
+        (("mini-nothing", KEY),
+         f'unknown architecture_id "mini-nothing"{ARCH_CHOICES}'),
+        (("mini-mlp-2", "no-such-data"),
+         f'unknown dataset_id "no-such-data"{DATASET_CHOICES}')],
         ids=["architecture", "dataset"])
     def test_unknown_registry_id_names_its_field(self, ids, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ModelRef(*ids)
 
     def test_empty_class_subset_means_all_classes(self):
