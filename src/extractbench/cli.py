@@ -100,8 +100,12 @@ def _cmd_zoo(args) -> int:
         ckpt_dir = bench.checkpoints_dir
         if ckpt_dir.exists():
             print("checkpoints:")
-            for p in sorted(ckpt_dir.iterdir()):
-                print(f"  {p.name}")
+            # an entry is `<slug>/<crc>` holding metadata.json; a writer's
+            # temp and discard directories beside it are `<crc>.tmp...`
+            for meta in sorted(ckpt_dir.glob("*/*/metadata.json")):
+                entry = meta.parent
+                if "." not in entry.name:
+                    print(f"  {entry.parent.name}/{entry.name}")
         return 0
     # train
     subset = tuple(int(c) for c in args.classes.split(",")) if args.classes else None

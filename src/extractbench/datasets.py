@@ -7,11 +7,12 @@ near-perfect), 1 collapses all classes onto one distribution. That single
 knob stands in for the difficulty spread between easy and hard corpora and
 is what the CSG complexity score is exercised against.
 
-Cache layout per dataset: meta.json (spec echo) + samples.bin (little-endian
-float64, samples row-major in index order) + labels.bin (little-endian int32).
-An entry is served only to a caller whose spec it echoes; one written for
-another spec (an older generator's, say) is corrupt, and rebuilt like any
-corrupt entry, so a root written by an older spec refills.
+Cache layout per dataset: meta.json (`spec`, the spec's document, then
+`count`, the row count) + samples.bin (little-endian float64, samples
+row-major in index order) + labels.bin (little-endian int32). An entry is
+served only to a caller whose spec it echoes; one written for another spec
+(an older generator's, say), or whose meta.json holds another key, is
+corrupt, and rebuilt like any corrupt entry.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import json
 import math
 import os
 import shutil
-import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Annotated, Literal
 
@@ -68,13 +68,6 @@ class Dataset:
     spec: DatasetSpec
     inputs: np.ndarray          # (n,) + input_shape, float64
     labels: np.ndarray          # (n,), int32
-    role: str = "train"         # train | query | test
-    sample_ids: np.ndarray = field(default=None)  # provenance into the source set
-    class_map: dict[int, int] | None = None       # original label -> re-indexed
-
-    def __post_init__(self):
-        if self.sample_ids is None:
-            self.sample_ids = np.arange(len(self.labels))
 
     def __len__(self) -> int:
         return int(self.labels.shape[0])
@@ -116,7 +109,7 @@ def generate(spec: DatasetSpec) -> Dataset:
     inputs = protos[labels] + spec.noise * noise
     perm = rng.permutation(n)
     return Dataset(spec=spec, inputs=inputs[perm],
-                   labels=labels[perm].astype(np.int32), role="train")
+                   labels=labels[perm].astype(np.int32))
 
 
 def query_rows(n: int, query_fraction: float) -> int:
@@ -139,12 +132,8 @@ def split(dataset: Dataset, query_fraction: float, seed: int):
         test_idx.append(idx[n_q:])
     q = np.concatenate(query_idx)
     t = np.concatenate(test_idx)
-    return (
-        Dataset(dataset.spec, dataset.inputs[q], dataset.labels[q], "query",
-                dataset.sample_ids[q], dataset.class_map),
-        Dataset(dataset.spec, dataset.inputs[t], dataset.labels[t], "test",
-                dataset.sample_ids[t], dataset.class_map),
-    )
+    return (Dataset(dataset.spec, dataset.inputs[q], dataset.labels[q]),
+            Dataset(dataset.spec, dataset.inputs[t], dataset.labels[t]))
 
 
 def subset_classes(dataset: Dataset, k: int, seed: int) -> Dataset:
@@ -165,14 +154,13 @@ def restrict_to_classes(dataset: Dataset, classes) -> Dataset:
         raise ValueError(
             f"invalid class selection {classes} of dataset {dataset.spec.id!r} "
             f"with {dataset.class_count} classes")
-    class_map = {int(old): new for new, old in enumerate(classes)}
+    new_label = {int(old): new for new, old in enumerate(classes)}
     mask = np.isin(dataset.labels, classes)
-    labels = np.array([class_map[int(l)] for l in dataset.labels[mask]],
+    labels = np.array([new_label[int(l)] for l in dataset.labels[mask]],
                       dtype=np.int32)
     spec = replace(dataset.spec, id=f"{dataset.spec.id}-sub{len(classes)}",
                    class_count=len(classes))
-    return Dataset(spec, dataset.inputs[mask], labels, dataset.role,
-                   dataset.sample_ids[mask], class_map)
+    return Dataset(spec, dataset.inputs[mask], labels)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +237,19 @@ def csg_complexity(dataset: Dataset, monte_carlo_samples: int = 100,
 # cache files
 # ---------------------------------------------------------------------------
 
+def _fresh_dir(beside: Path, infix: str) -> Path:
+    """A new empty directory `<beside>.<infix><random>` beside `beside`, made
+    by a plain mkdir, so it has the mode the umask gives (mkdtemp's is
+    0o700, which would keep other users out of a published entry)."""
+    while True:
+        path = beside.with_name(f"{beside.name}.{infix}{os.urandom(4).hex()}")
+        try:
+            path.mkdir()
+            return path
+        except FileExistsError:
+            continue
+
+
 def write_entry(final, files: dict[str, bytes]) -> Path:
     """Publish a cache entry holding `files` (name -> bytes) at `final`.
 
@@ -260,7 +261,7 @@ def write_entry(final, files: dict[str, bytes]) -> Path:
     """
     final = Path(final)
     final.parent.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(prefix=final.name + ".tmp", dir=final.parent))
+    tmp = _fresh_dir(final, "tmp")
     try:
         for name, data in files.items():
             (tmp / name).write_bytes(data)
@@ -280,8 +281,7 @@ def discard_entry(entry: Path) -> None:
     """Remove a (corrupt) cache entry: rename it aside atomically, then
     delete it, so a writer that publishes at the same time is not touched.
     An entry that is already gone is fine."""
-    aside = Path(tempfile.mkdtemp(prefix=entry.name + ".discard",
-                                  dir=entry.parent))
+    aside = _fresh_dir(entry, "discard")
     try:
         os.rename(entry, aside)  # onto the empty directory, atomically
     except FileNotFoundError:
@@ -293,14 +293,13 @@ def discard_entry(entry: Path) -> None:
 @dataclass
 class _Meta(Checked):
     spec: dict  # the dataset's spec document, compared with the caller's
-    role: str
     count: int
 
 
 def save_dataset(dataset: Dataset, directory) -> Path:
     """Write atomically; an entry already at `directory` is kept (see
     :func:`write_entry`)."""
-    meta = _Meta(to_doc(dataset.spec), dataset.role, len(dataset))
+    meta = _Meta(to_doc(dataset.spec), len(dataset))
     return write_entry(directory, {
         "meta.json": json.dumps(to_doc(meta), indent=2).encode(),
         "samples.bin": np.ascontiguousarray(dataset.inputs,
@@ -335,4 +334,4 @@ def load_dataset(directory, spec: DatasetSpec) -> Dataset:
         raise ValueError(f"corrupt dataset cache at {directory}: label "
                          f"outside [0, {spec.class_count})")
     return Dataset(spec, np.asarray(inputs, dtype=np.float64).reshape(shape),
-                   np.asarray(labels, dtype=np.int32), meta.role)
+                   np.asarray(labels, dtype=np.int32))

@@ -511,8 +511,8 @@ def _steal_setup(scenario, bench):
 def _run_knockoff(scenario, bench, target, art_dir):
     p: KnockoffConfig = scenario.attack.params
     queries, test, spec = _steal_setup(scenario, bench)
-    stolen, record = knockoff_extract(QueryHandle(target), queries, spec, p,
-                                      seed=scenario.seed)
+    stolen, history = knockoff_extract(QueryHandle(target), queries, spec, p,
+                                       seed=scenario.seed)
     stolen_ref = ModelRef(spec.id, scenario.target.dataset_id,
                           scenario.target.class_subset, f"stolen-{scenario.id}")
     path = art_dir / stolen_ref.slug()
@@ -520,11 +520,11 @@ def _run_knockoff(scenario, bench, target, art_dir):
     out_stolen = stolen.predict(test.inputs)
     out_target = target.predict(test.inputs)
     metrics = {
-        "fidelity": fidelity(out_stolen, out_target, test),
-        "queries_used": float(record.queries_used),
+        "fidelity": fidelity(out_stolen, out_target),
+        "queries_used": float(p.query_budget),
         "accuracy_target": accuracy(out_target, test),
         "accuracy_stolen": accuracy(out_stolen, test),
-        "final_loss": record.loss_history[-1] if record.loss_history else 0.0,
+        "final_loss": history[-1] if history else 0.0,
     }
     return metrics, [str(path)]
 
@@ -543,7 +543,7 @@ def _run_miface(scenario, bench, target, art_dir):
     recon = Dataset(
         spec=BUILTIN_DATASETS[scenario.target.dataset_id],
         inputs=result.reconstruction[None, ...],
-        labels=np.array([p.target_class], dtype=np.int32), role="query")
+        labels=np.array([p.target_class], dtype=np.int32))
     save_dataset(recon, sample_dir)
     metrics = {
         "success": float(result.success),
@@ -647,17 +647,15 @@ def _run_equivalency(scenario, bench, target, art_dir):
     queries, test, spec = _steal_setup(scenario, bench)
     stolen, _ = knockoff_extract(QueryHandle(target), queries, spec, p,
                                  seed=scenario.seed)
-    # the params are a DistillConfig and more: the report keeps only that
+    # the params are a DistillConfig and more: equivalency.json echoes that
     distill = DistillConfig(**{f.name: getattr(p, f.name)
                                for f in fields(DistillConfig)})
-    report = equivalency_report(target, stolen, test, distill)
-    metrics = dict(report.metrics())
-    pwccas = [v for k, v in metrics.items() if k.startswith("pwcca_")]
-    metrics["pwcca"] = float(np.mean(pwccas))
+    metrics, (pa, pb) = equivalency_report(target, stolen, test, distill)
+    metrics["pwcca"] = metrics[f"pwcca_{pa}:{pb}"]
     report_path = art_dir / "equivalency.json"
     report_path.write_text(json.dumps(
-        {"metrics": metrics, "distill_config": to_doc(report.distill_config),
-         "probe_points": report.similarity.probe_points}, indent=2))
+        {"metrics": metrics, "distill_config": to_doc(distill),
+         "probe_points": [[pa, pb]]}, indent=2))
     return metrics, [str(report_path)]
 
 

@@ -98,28 +98,18 @@ class KnockoffConfig(Checked):
 @dataclass
 class StolenDataset:
     inputs: np.ndarray
-    targets: np.ndarray        # probability rows (confidence) or one-hot (label)
-    query_ids: np.ndarray      # provenance into the query set
-    output_mode: str
+    targets: np.ndarray  # in the form `train` fits: probability rows or labels
 
     def __len__(self):
         return int(self.inputs.shape[0])
-
-    def hard_labels(self) -> np.ndarray:
-        return self.targets.argmax(axis=1).astype(np.int32)
-
-
-@dataclass
-class AttackRecord:
-    loss_history: list[float]
-    queries_used: int
 
 
 def build_stolen_dataset(target: QueryHandle, queries: Dataset, budget: int,
                          output_mode: str = "confidence_vector",
                          seed: int = 0) -> StolenDataset:
     """Query `budget` inputs sampled without replacement and pair them with
-    the target's outputs (full confidence rows, or their one-hot argmax)."""
+    the target's outputs: its full confidence rows, or its top-1 labels
+    (int32)."""
     check_value("output_mode", output_mode, OutputMode)
     check_value("budget", budget, Count)
     if budget > len(queries):
@@ -128,15 +118,10 @@ def build_stolen_dataset(target: QueryHandle, queries: Dataset, budget: int,
     rng = np.random.default_rng(seed)
     picked = rng.choice(len(queries), size=budget, replace=False)
     inputs = queries.inputs[picked]
-    probs = target.predict(inputs)
+    targets = target.predict(inputs)
     if output_mode == "top1_label":
-        targets = np.zeros_like(probs)
-        targets[np.arange(budget), probs.argmax(axis=1)] = 1.0
-    else:
-        targets = probs
-    return StolenDataset(inputs=inputs, targets=targets,
-                         query_ids=queries.sample_ids[picked],
-                         output_mode=output_mode)
+        targets = targets.argmax(axis=1).astype(np.int32)
+    return StolenDataset(inputs, targets)
 
 
 def knockoff_extract(target: QueryHandle, queries: Dataset,
@@ -145,7 +130,8 @@ def knockoff_extract(target: QueryHandle, queries: Dataset,
     """Steal by querying: build the stolen dataset, then train a fresh
     surrogate on what the target leaked, its confidence rows or its top-1
     labels; `train` fits the first by KL and the second by cross-entropy.
-    A config that names a surrogate must name `surrogate_spec`'s."""
+    A config that names a surrogate must name `surrogate_spec`'s. Returns
+    (surrogate, its training loss history)."""
     if config.surrogate_architecture not in (None, surrogate_spec.id):
         raise ValueError(f"surrogate_architecture "
                          f"{config.surrogate_architecture!r} is not the "
@@ -153,11 +139,8 @@ def knockoff_extract(target: QueryHandle, queries: Dataset,
     stolen_data = build_stolen_dataset(target, queries, config.query_budget,
                                        config.output_mode, seed)
     surrogate = build_model(surrogate_spec, seed=seed)
-    targets = (stolen_data.targets if config.output_mode == "confidence_vector"
-               else stolen_data.hard_labels())
-    history = train(surrogate, stolen_data.inputs, targets, config.recreate)
-    record = AttackRecord(loss_history=history, queries_used=len(stolen_data))
-    return surrogate, record
+    return surrogate, train(surrogate, stolen_data.inputs, stolen_data.targets,
+                            config.recreate)
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +253,14 @@ def staged_inversion_study(target: Network, queries: Dataset, test: Dataset,
     # for its output and its probe, and each budget's model once likewise
     pt = default_probe_point(target)
     out_target, probe_target = target.predict_and_probe(test.inputs, pt)
-    acts_target = collect_activations(probe_target, pt, test.inputs)
+    acts_target = collect_activations(probe_target)
     results = []
     for budget, cfg in zip(budgets, configs):
         stolen, _ = knockoff_extract(handle, queries, surrogate_spec, cfg, seed)
         ps = default_probe_point(stolen)
         out_stolen, probe_stolen = stolen.predict_and_probe(test.inputs, ps)
-        fid = fidelity(out_stolen, out_target, test)
-        dist = pwcca_distance(
-            acts_target, collect_activations(probe_stolen, ps, test.inputs))
+        fid = fidelity(out_stolen, out_target)
+        dist = pwcca_distance(acts_target, collect_activations(probe_stolen))
         recons, sims, succ = {}, {}, {}
         grad_handle = GradientHandle(stolen)
         for cls in range(target.output_width):

@@ -19,43 +19,23 @@ from .tensor import OperatorKind
 from .zoo import ArchitectureId, build_model, builtin_spec
 
 
-def _as_inputs(test_set) -> np.ndarray:
-    return test_set.inputs if hasattr(test_set, "inputs") else np.asarray(test_set)
-
-
-def _outputs(model, inputs: np.ndarray) -> np.ndarray:
-    """A model's output rows on `inputs`. `model` is a Network, or those rows
-    already computed by the caller from this very array: a prediction is a
-    function of the whole batch, so rows of any other array (a chunk, a copy
-    of another split) need not carry the same bits."""
-    if not isinstance(model, np.ndarray):
-        return model.predict(inputs)
-    if model.shape[0] != inputs.shape[0]:
+def fidelity(out_a: np.ndarray, out_b: np.ndarray) -> float:
+    """Fraction of rows on which two models' output rows on the same inputs
+    agree in their top-1 label."""
+    if out_a.shape != out_b.shape:
         raise ValueError(
-            f"{model.shape[0]} output rows for {inputs.shape[0]} inputs")
-    return model
-
-
-def fidelity(model_a, model_b, test_set) -> float:
-    """Fraction of inputs on which the two models' top-1 labels agree.
-
-    Either model may be given as its output rows on the test set."""
-    inputs = _as_inputs(test_set)
-    if inputs.shape[0] == 0:
+            f"output shapes differ: {out_a.shape} vs {out_b.shape}")
+    if out_a.shape[0] == 0:
         raise ValueError("empty test set")
-    pa = _outputs(model_a, inputs)
-    pb = _outputs(model_b, inputs)
-    if pa.shape[1] != pb.shape[1]:
+    return float(np.mean(out_a.argmax(axis=1) == out_b.argmax(axis=1)))
+
+
+def accuracy(outputs: np.ndarray, dataset) -> float:
+    """Top-1 accuracy of a model's output rows on a labelled set."""
+    if outputs.shape[0] != len(dataset):
         raise ValueError(
-            f"output widths differ: {pa.shape[1]} vs {pb.shape[1]}")
-    return float(np.mean(pa.argmax(axis=1) == pb.argmax(axis=1)))
-
-
-def accuracy(model, dataset) -> float:
-    """Top-1 accuracy on a labelled set; `model` may be given as its output
-    rows on the set."""
-    return float(np.mean(_outputs(model, dataset.inputs).argmax(axis=1)
-                         == dataset.labels))
+            f"{outputs.shape[0]} output rows for {len(dataset)} labels")
+    return float(np.mean(outputs.argmax(axis=1) == dataset.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -118,16 +98,11 @@ def default_probe_point(model: Network) -> str:
     return out.node_id
 
 
-def collect_activations(model, probe_point: str, inputs) -> np.ndarray:
-    """Row i is the flattened probe-layer activation on input i.
-
-    `model` is a Network, or its activation rows at `probe_point` on
-    `inputs` (see `_outputs`), such as :meth:`Network.predict_and_probe`
-    gives with the output."""
-    x = _as_inputs(inputs)
-    if not isinstance(model, np.ndarray):
-        model = model.predict(x, probe_point)
-    return _outputs(model, x).reshape(x.shape[0], -1)
+def collect_activations(probe_rows: np.ndarray) -> np.ndarray:
+    """Row i is the flattened probe-layer activation on input i, from the
+    probe rows :meth:`Network.predict_and_probe` (or `predict` at a probe
+    point) gives."""
+    return probe_rows.reshape(probe_rows.shape[0], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +135,7 @@ def layer_noise_sensitivity(model: Network, test_set, magnitudes,
     if sorted(magnitudes) != magnitudes:
         raise ValueError("magnitudes must be ascending")
     layers = model.parameterized_nodes()
-    baseline = accuracy(model, test_set)
+    baseline = accuracy(model.predict(test_set.inputs), test_set)
     acc = np.empty((len(layers), len(magnitudes)))
     acc[:, 0] = baseline
     for i, lid in enumerate(layers):
@@ -176,7 +151,7 @@ def layer_noise_sensitivity(model: Network, test_set, magnitudes,
                 for name, orig in originals.items():
                     model.weights[lid][name][...] = orig + rng.normal(
                         0.0, mag * scale, size=orig.shape)
-                vals.append(accuracy(model, test_set))
+                vals.append(accuracy(model.predict(test_set.inputs), test_set))
             acc[i, j] = float(np.mean(vals))
         for name, orig in originals.items():
             model.weights[lid][name][...] = orig
@@ -261,21 +236,20 @@ class DistillLoss(Loss):
         return loss
 
 
-def distill(teacher, config: DistillConfig, transfer_set) -> Network:
+def distill(teacher_outputs: np.ndarray, config: DistillConfig,
+            transfer_set) -> Network:
     """Train a student on a blend of hard labels and the teacher's softened
     outputs; with hard_label_weight=1 this is exactly ordinary training.
     The student is the built-in `student_architecture` at the transfer
-    set's input shape and the teacher's output width.
-
-    `teacher` is a Network, or its output rows on ``transfer_set.inputs``
-    (see `_outputs`)."""
+    set's input shape and the teacher's output width. `teacher_outputs`
+    are the teacher's output rows on ``transfer_set.inputs``."""
     inputs = transfer_set.inputs
-    width = (teacher.shape[1] if isinstance(teacher, np.ndarray)
-             else teacher.output_width)
+    if teacher_outputs.shape[0] != len(transfer_set):
+        raise ValueError(f"{teacher_outputs.shape[0]} teacher output rows "
+                         f"for {len(transfer_set)} transfer rows")
+    width = teacher_outputs.shape[1]
     alpha, tau = config.hard_label_weight, config.temperature
-    soft_targets = None
-    if alpha < 1.0:
-        soft_targets = _soften(_outputs(teacher, inputs), tau)
+    soft_targets = _soften(teacher_outputs, tau) if alpha < 1.0 else None
     loss = DistillLoss(transfer_set.labels, soft_targets, alpha, tau, width)
     student = build_model(builtin_spec(config.student_architecture,
                                        inputs.shape[1:], width),
@@ -288,35 +262,13 @@ def distill(teacher, config: DistillConfig, transfer_set) -> Network:
 # equivalency reporting
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SimilarityReport:
-    fidelity: float
-    pwcca_distance: dict[str, float]
-    probe_points: list[tuple[str, str]]
-    accuracy_target: float
-    accuracy_stolen: float
-
-
-@dataclass
-class EquivalencyReport:
-    similarity: SimilarityReport
-    distilled_pwcca: float
-    distill_config: DistillConfig
-
-    def metrics(self) -> dict[str, float]:
-        out = {"fidelity": self.similarity.fidelity,
-               "accuracy_target": self.similarity.accuracy_target,
-               "accuracy_stolen": self.similarity.accuracy_stolen,
-               "distilled_pwcca": self.distilled_pwcca}
-        for pair, value in self.similarity.pwcca_distance.items():
-            out[f"pwcca_{pair}"] = value
-        return out
-
-
 def equivalency_report(target: Network, stolen: Network, test_set,
-                       distill_config: DistillConfig) -> EquivalencyReport:
+                       distill_config: DistillConfig):
     """Fidelity + PWCCA between a target and its stolen copy, then the same
-    PWCCA after both are distilled into one student spec (matched probes)."""
+    PWCCA after both are distilled into one student spec (matched probes).
+
+    Returns (metrics, (target probe point, stolen probe point)); the PWCCA
+    of the two models is keyed `pwcca_<target probe>:<stolen probe>`."""
     if target.output_width != stolen.output_width:
         raise ValueError("models are not comparable: output widths differ")
     pa, pb = default_probe_point(target), default_probe_point(stolen)
@@ -326,21 +278,20 @@ def equivalency_report(target: Network, stolen: Network, test_set,
     # every metric below reads those arrays
     out_target, probe_target = target.predict_and_probe(inputs, pa)
     out_stolen, probe_stolen = stolen.predict_and_probe(inputs, pb)
-    fid = fidelity(out_target, out_stolen, test_set)
-    distances = {f"{pa}:{pb}": pwcca_distance(
-        collect_activations(probe_target, pa, inputs),
-        collect_activations(probe_stolen, pb, inputs))}
+    fid = fidelity(out_target, out_stolen)
+    pwcca = pwcca_distance(collect_activations(probe_target),
+                           collect_activations(probe_stolen))
 
     st_target = distill(out_target, distill_config, test_set)
     st_stolen = distill(out_stolen, distill_config, test_set)
     probe = default_probe_point(st_target)
     distilled = pwcca_distance(
-        collect_activations(st_target, probe, inputs),
-        collect_activations(st_stolen, probe, inputs))
+        collect_activations(st_target.predict(inputs, probe)),
+        collect_activations(st_stolen.predict(inputs, probe)))
 
-    report = SimilarityReport(
-        fidelity=fid, pwcca_distance=distances, probe_points=[(pa, pb)],
-        accuracy_target=accuracy(out_target, test_set),
-        accuracy_stolen=accuracy(out_stolen, test_set))
-    return EquivalencyReport(similarity=report, distilled_pwcca=distilled,
-                             distill_config=distill_config)
+    metrics = {"fidelity": fid,
+               "accuracy_target": accuracy(out_target, test_set),
+               "accuracy_stolen": accuracy(out_stolen, test_set),
+               "distilled_pwcca": distilled,
+               f"pwcca_{pa}:{pb}": pwcca}
+    return metrics, (pa, pb)

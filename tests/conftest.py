@@ -47,6 +47,19 @@ def trained_model(arch_id, dataset, epochs=12, seed=0, lr=0.01):
     return model
 
 
+def rows(data):
+    """Each input row's bytes: generated rows are distinct, so they name a
+    row across a dataset's splits and subsets."""
+    return [r.tobytes() for r in data.inputs.reshape(len(data), -1)]
+
+
+def relabelling(source, sub):
+    """The (source label, sub label) pairs of the rows of `sub`, a split or
+    re-indexed class subset of `source`."""
+    label = dict(zip(rows(source), source.labels.tolist()))
+    return set(zip((label[r] for r in rows(sub)), sub.labels.tolist()))
+
+
 def same_bits(a, b):
     """Equal values and equal signs, so +0.0 and -0.0 count as different."""
     a, b = np.asarray(a), np.asarray(b)

@@ -82,7 +82,7 @@ def _knockoff_fidelity(data, budget, seed, epochs_target=12, epochs_steal=15):
                                               seed=seed + 1))
     stolen, _ = knockoff_extract(QueryHandle(target), queries, spec, cfg,
                                  seed=seed + 2)
-    return fidelity(stolen, target, test)
+    return fidelity(stolen.predict(test.inputs), target.predict(test.inputs))
 
 
 def test_criterion_01_gradient_integrity():
@@ -279,7 +279,8 @@ def test_criterion_08_staged_inversion():
                          recreate=TrainConfig(epochs=15, seed=2))
     stolen, _ = knockoff_extract(QueryHandle(target), queries, spec, cfg,
                                  seed=3)
-    stolen_fidelity = fidelity(stolen, target, test)
+    stolen_fidelity = fidelity(stolen.predict(test.inputs),
+                               target.predict(test.inputs))
 
     rng = np.random.default_rng(0)
     handle = GradientHandle(stolen)
@@ -335,10 +336,9 @@ def test_criterion_10_distillation_equivalency():
             dcfg = DistillConfig(
                 "mini-student-cnn",
                 distill_train=TrainConfig(epochs=15, seed=seed + 3))
-            rep = equivalency_report(target, stolen, test, dcfg)
-            originals.append(np.mean(list(
-                rep.similarity.pwcca_distance.values())))
-            distilled.append(rep.distilled_pwcca)
+            metrics, (pa, pb) = equivalency_report(target, stolen, test, dcfg)
+            originals.append(metrics[f"pwcca_{pa}:{pb}"])
+            distilled.append(metrics["distilled_pwcca"])
         if np.median(distilled) < np.median(originals):
             improved += 1
         details.append(f"{arch_id}: {np.median(originals):.3f}->"

@@ -23,6 +23,8 @@ from extractbench.datasets import (
     subset_classes,
 )
 
+from conftest import relabelling, rows
+
 
 def spec_for(classes=4, per_class=60, shape=(4, 4, 1), overlap=0.0, seed=0):
     return DatasetSpec("t", classes, per_class, shape, overlap, seed)
@@ -89,17 +91,20 @@ class TestSplit:
     def test_disjoint_and_conserving(self):
         data = generate(spec_for(classes=3, per_class=21))
         q, t = split(data, 0.4, seed=2)
-        assert set(q.sample_ids).isdisjoint(t.sample_ids)
+        assert len(set(rows(data))) == len(data)
+        assert set(rows(q)).isdisjoint(rows(t))
         assert len(q) + len(t) == len(data)
-        assert sorted(np.concatenate([q.sample_ids, t.sample_ids]).tolist()) \
-            == sorted(data.sample_ids.tolist())
+        assert sorted(rows(q) + rows(t)) == sorted(rows(data))
+        # each row keeps its label
+        assert relabelling(data, q) | relabelling(data, t) == {
+            (c, c) for c in range(3)}
 
     def test_different_seeds_differ(self):
         data = generate(spec_for(classes=4, per_class=40))
         q1, _ = split(data, 0.5, seed=1)
         q2, _ = split(data, 0.5, seed=2)
         assert len(q1) == len(q2)
-        assert set(q1.sample_ids) != set(q2.sample_ids)
+        assert set(rows(q1)) != set(rows(q2))
 
     def test_fraction_bounds(self):
         data = generate(spec_for())
@@ -107,18 +112,17 @@ class TestSplit:
             with pytest.raises(ValueError, match="query_fraction"):
                 split(data, bad, seed=0)
 
-    def test_roles_assigned(self):
-        q, t = split(generate(spec_for()), 0.5, 0)
-        assert q.role == "query" and t.role == "test"
-
 
 class TestSubsetClasses:
     def test_full_k_is_permutation_relabel(self):
         data = generate(spec_for(classes=6, per_class=15))
         sub = subset_classes(data, 6, seed=3)
         assert len(sub) == len(data)
-        assert sorted(sub.class_map.keys()) == list(range(6))
-        assert sorted(sub.class_map.values()) == list(range(6))
+        assert sorted(rows(sub)) == sorted(rows(data))
+        pairs = relabelling(data, sub)
+        assert len(pairs) == 6
+        assert sorted(old for old, _ in pairs) == list(range(6))
+        assert sorted(new for _, new in pairs) == list(range(6))
 
     def test_two_of_ten_size(self):
         data = generate(spec_for(classes=10, per_class=30))
@@ -129,8 +133,10 @@ class TestSubsetClasses:
     def test_reindex_map_is_bijection(self):
         data = generate(spec_for(classes=7, per_class=10))
         sub = subset_classes(data, 4, seed=5)
-        assert len(sub.class_map) == 4
-        assert sorted(sub.class_map.values()) == [0, 1, 2, 3]
+        pairs = relabelling(data, sub)
+        assert len(pairs) == 4
+        assert len({old for old, _ in pairs}) == 4
+        assert sorted(new for _, new in pairs) == [0, 1, 2, 3]
 
     def test_k_out_of_range(self):
         data = generate(spec_for(classes=4))
@@ -141,7 +147,7 @@ class TestSubsetClasses:
     def test_restrict_to_classes_follows_order(self):
         data = generate(spec_for(classes=5, per_class=12))
         sub = restrict_to_classes(data, (3, 0))
-        assert sub.class_map == {3: 0, 0: 1}
+        assert relabelling(data, sub) == {(3, 0), (0, 1)}
         assert len(sub) == 24
 
 

@@ -845,7 +845,7 @@ class TestSgdLoopMatchesPerStepGather:
 
             with monkeypatch.context() as patch:
                 patch.setattr(similarity, "sgd_run", recording)
-                student = distill(teacher, config, data)
+                student = distill(teacher.predict(data.inputs), config, data)
             return student, histories[-1]
 
         self._assert_same(*self._both(monkeypatch, similarity, run))
@@ -914,8 +914,9 @@ class TestOneTrainingLoop:
         teacher = fc_softmax_model(data, seed=1, epochs=1)
         config = DistillConfig("mini-mlp-2", hard_label_weight=0.5,
                                distill_train=TrainConfig(batch_size=4, epochs=2))
+        out = teacher.predict(data.inputs)
         calls = self._record(monkeypatch)
-        distill(teacher, config, data)
+        distill(out, config, data)
         self._assert_one_run(calls, 27, config.distill_train)
 
     def test_train_ds_model(self, monkeypatch):

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import time
@@ -58,7 +59,7 @@ from extractbench.similarity import default_probe_point, fidelity
 from extractbench.datasets import split
 from extractbench.zoo import ModelRef, build_model, builtin_spec
 
-from conftest import ARCH_CHOICES, DATASET_CHOICES
+from conftest import ARCH_CHOICES, DATASET_CHOICES, relabelling
 
 
 def scenario_doc(attack_type="knockoff", **over):
@@ -985,7 +986,8 @@ class TestZooResolve:
         assert record.status == "ok", record.failure_reason
         (aux,) = seen
         assert aux.class_count == 2
-        assert aux.class_map == {0: 0, 2: 1}  # class 1 is the dataset's 2
+        data = bench.dataset("blobs-4c-easy")
+        assert relabelling(data, aux) == {(0, 0), (2, 1)}  # 1 is the data's 2
 
     def test_builtin_spec_is_shared_per_key(self, bench, monkeypatch):
         spec = builtin_spec("mini-vgg-4", (6, 6, 1), 4)
@@ -1088,6 +1090,26 @@ class TestZooResolve:
         _, cached, _ = zoo_resolve(ref, bench)
         assert cached
 
+    def test_zoo_list_prints_each_entry(self, tmp_path, capsys):
+        """`zoo list` prints one `<slug>/<crc>` line per entry: two recipes'
+        models of one reference are two lines, and lock files, a writer's
+        temp directory and old-layout files are not entries."""
+        root = tmp_path / "repo"
+        ref = ModelRef("mini-mlp-1", "blobs-2c-easy")
+        zoo_resolve(ref, Workbench(root))
+        zoo_resolve(ref, Workbench(root, recipes={
+            "blobs-2c-easy": TrainConfig(epochs=1)}))
+        slug = root / "checkpoints" / ref.slug()
+        entries = sorted(p.name for p in slug.iterdir() if p.is_dir())
+        (slug / "metadata.json").write_text("{}")  # the old layout's
+        debris = slug / f"{entries[0]}.tmpabcd1234"
+        debris.mkdir()
+        (debris / "metadata.json").write_text("{}")
+        assert main(["--root", str(root), "zoo", "list"]) == 0
+        listed = capsys.readouterr().out.split("checkpoints:\n")[1]
+        assert listed.split() == [f"{ref.slug()}/{e}" for e in entries]
+        assert len(entries) == 2
+
     def test_root_of_the_old_layout_refills_once(self, bench):
         """A root written before entries were named by what made them holds
         the checkpoint files in the reference's directory itself: they are
@@ -1182,14 +1204,33 @@ class TestCacheRefill:
         assert sorted(bench.root.rglob("*")) == before
 
 
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("kind", CACHE_ENTRIES)
+def test_entry_takes_the_writers_umask(bench, kind):
+    """An entry directory gets the mode a plain mkdir gets, as its files
+    do, so other users can read a shared root."""
+    fill, entry_of, _, _ = CACHE_ENTRIES[kind]
+    umask = os.umask(0o022)
+    try:
+        fill(bench)
+    finally:
+        os.umask(umask)
+    entry = entry_of(bench)
+    assert stat.S_IMODE(entry.stat().st_mode) == 0o755
+    assert {stat.S_IMODE(p.stat().st_mode) for p in entry.iterdir()} == {0o644}
+
+
 class TestDatasetCache:
     @pytest.mark.parametrize("meta", [
         [], {"spec": None, "count": 600},
         {"spec": {**to_doc(BUILTIN_DATASETS["blobs-2c-easy"]),
-                  "input_shape": [6.0, 6.0, 1]}, "role": "train", "count": 600},
+                  "input_shape": [6.0, 6.0, 1]}, "count": 600},
+        {"spec": to_doc(BUILTIN_DATASETS["blobs-2c-easy"]), "count": 600,
+         "note": "x"},
+        # as written before a dataset lost its role: refilled once
         {"spec": to_doc(BUILTIN_DATASETS["blobs-2c-easy"]), "role": "train",
-         "count": 600, "note": "x"},
-    ], ids=["list", "null-spec", "float-shape", "extra-key"])
+         "count": 600},
+    ], ids=["list", "null-spec", "float-shape", "extra-key", "old-role"])
     def test_meta_of_wrong_shape_is_regenerated(self, bench, meta):
         first = bench.dataset("blobs-2c-easy")
         meta_file = bench.datasets_dir / "blobs-2c-easy" / "meta.json"
@@ -1504,7 +1545,8 @@ class TestExecute:
             KnockoffConfig(query_budget=120,
                            recreate=TrainConfig(epochs=20, seed=11)),
             seed=11)
-        assert record.metrics["fidelity"] == fidelity(stolen, target, test)
+        assert record.metrics["fidelity"] == fidelity(
+            stolen.predict(test.inputs), target.predict(test.inputs))
 
     def test_nonexistent_architecture_fails_with_name(self):
         doc = scenario_doc(target={"architecture_id": "mini-ghost",

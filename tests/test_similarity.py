@@ -24,16 +24,6 @@ from extractbench.zoo import build_model, builtin_spec
 from conftest import make_blobs, same_bits, trained_model
 
 
-class _Fixed:
-    """Stub model with preset prediction rows."""
-
-    def __init__(self, probs):
-        self._probs = np.asarray(probs, dtype=np.float64)
-
-    def predict(self, inputs):
-        return self._probs[:len(inputs)]
-
-
 def canonical_correlations_oracle(a, b):
     """Independent CCA oracle: QR-orthonormalize both views, SVD the overlap."""
     qa, _ = np.linalg.qr(a - a.mean(axis=0))
@@ -43,8 +33,8 @@ def canonical_correlations_oracle(a, b):
 
 class TestFidelity:
     def test_self_agreement(self, blobs4):
-        model = trained_model("mini-mlp-2", blobs4, epochs=2)
-        assert fidelity(model, model, blobs4) == 1.0
+        out = trained_model("mini-mlp-2", blobs4, epochs=2).predict(blobs4.inputs)
+        assert fidelity(out, out) == 1.0
 
     def test_definitional_ratio(self):
         n, k = 100, 3
@@ -57,7 +47,7 @@ class TestFidelity:
             other = (top + 1) % k
             pb[i] = 0.0
             pb[i, other] = 1.0
-        got = fidelity(_Fixed(pa), _Fixed(pb), np.zeros((n, 1)))
+        got = fidelity(pa, pb)
         assert got == pytest.approx(0.83)
 
     def test_constant_model_frequency(self, blobs4):
@@ -66,40 +56,28 @@ class TestFidelity:
         const = np.zeros_like(probs)
         const[:, 2] = 1.0
         expected = np.mean(probs.argmax(1) == 2)
-        got = fidelity(_Fixed(const), model, blobs4.inputs)
+        got = fidelity(const, probs)
         assert got == pytest.approx(expected)
 
     def test_symmetric(self, blobs4):
         a = trained_model("mini-mlp-2", blobs4, epochs=2, seed=1)
         b = trained_model("mini-mlp-2", blobs4, epochs=2, seed=2)
-        assert fidelity(a, b, blobs4) == pytest.approx(fidelity(b, a, blobs4))
+        oa, ob = a.predict(blobs4.inputs), b.predict(blobs4.inputs)
+        assert fidelity(oa, ob) == pytest.approx(fidelity(ob, oa))
 
     def test_width_mismatch_rejected(self, blobs4):
-        a = _Fixed(np.ones((4, 3)) / 3)
-        b = _Fixed(np.ones((4, 5)) / 5)
-        with pytest.raises(ValueError, match="widths"):
-            fidelity(a, b, np.zeros((4, 1)))
+        with pytest.raises(ValueError, match="shapes differ"):
+            fidelity(np.ones((4, 3)) / 3, np.ones((4, 5)) / 5)
 
     def test_empty_set_rejected(self, blobs4):
-        model = trained_model("mini-mlp-2", blobs4, epochs=1)
         with pytest.raises(ValueError, match="empty"):
-            fidelity(model, model, np.zeros((0, 6, 6, 1)))
-
-    def test_output_rows_stand_for_their_model(self, blobs4):
-        a = trained_model("mini-mlp-2", blobs4, epochs=2, seed=1)
-        b = trained_model("mini-mlp-2", blobs4, epochs=2, seed=2)
-        out_a, out_b = a.predict(blobs4.inputs), b.predict(blobs4.inputs)
-        want = fidelity(a, b, blobs4)
-        assert fidelity(out_a, b, blobs4) == want
-        assert fidelity(a, out_b, blobs4) == want
-        assert fidelity(out_a, out_b, blobs4) == want
-        assert accuracy(out_a, blobs4) == accuracy(a, blobs4)
+            fidelity(np.zeros((0, 4)), np.zeros((0, 4)))
 
     def test_output_rows_of_another_set_rejected(self, blobs4):
         model = trained_model("mini-mlp-2", blobs4, epochs=1)
         rows = model.predict(blobs4.inputs[:10])
-        with pytest.raises(ValueError, match="10 output rows"):
-            fidelity(rows, model, blobs4)
+        with pytest.raises(ValueError, match="shapes differ"):
+            fidelity(rows, model.predict(blobs4.inputs))
         with pytest.raises(ValueError, match="10 output rows"):
             accuracy(rows, blobs4)
 
@@ -146,33 +124,31 @@ class TestPwcca:
 class TestCollectActivations:
     def test_softmax_probe_rows_sum_to_one(self, blobs4):
         model = trained_model("mini-mlp-2", blobs4, epochs=2)
-        acts = collect_activations(model, model.output_id, blobs4.inputs[:12])
+        acts = collect_activations(
+            model.predict(blobs4.inputs[:12], model.output_id))
         assert np.allclose(acts.sum(axis=1), 1.0, atol=1e-9)
 
     def test_row_per_input_and_determinism(self, blobs4):
         model = trained_model("mini-mlp-2", blobs4, epochs=2)
         probe = default_probe_point(model)
-        acts = collect_activations(model, probe, blobs4.inputs[:9])
+        acts = collect_activations(model.predict(blobs4.inputs[:9], probe))
         assert acts.shape[0] == 9
         dup = np.repeat(blobs4.inputs[:1], 4, axis=0)
-        rows = collect_activations(model, probe, dup)
+        rows = collect_activations(model.predict(dup, probe))
         assert np.array_equal(rows, np.repeat(rows[:1], 4, axis=0))
 
-    def test_probe_rows_stand_for_their_model(self, blobs4):
+    def test_conv_activation_is_flattened_per_row(self, blobs4):
         model = build_model(builtin_spec("mini-vgg-4", (6, 6, 1), 4), seed=0)
-        x = blobs4.inputs[:20]
-        # the pre-softmax rows, and a conv layer's (n, H, W, C) activation
-        for probe in (default_probe_point(model), model.order[0].node_id):
-            _, rows = model.predict_and_probe(x, probe)
-            assert same_bits(collect_activations(rows, probe, x),
-                             collect_activations(model, probe, x)), probe
-        with pytest.raises(ValueError, match="10 output rows"):
-            collect_activations(rows[:10], probe, x)
+        # a conv layer's (n, H, W, C) activation
+        _, rows = model.predict_and_probe(blobs4.inputs[:20],
+                                          model.order[0].node_id)
+        assert rows.ndim == 4
+        assert same_bits(collect_activations(rows), rows.reshape(20, -1))
 
     def test_unknown_probe_rejected(self, blobs4):
         model = trained_model("mini-mlp-2", blobs4, epochs=1)
         with pytest.raises(KeyError, match="probe"):
-            collect_activations(model, "nope", blobs4.inputs[:3])
+            model.predict(blobs4.inputs[:3], "nope")
 
     def test_default_probe_is_pre_softmax(self, blobs4):
         model = trained_model("mini-mlp-2", blobs4, epochs=1)
@@ -183,7 +159,7 @@ class TestLayerNoiseSensitivity:
     def test_zero_magnitude_equals_baseline_exactly(self, blobs4_split):
         _, test = blobs4_split
         model = trained_model("mini-mlp-2", test, epochs=4)
-        baseline = accuracy(model, test)
+        baseline = accuracy(model.predict(test.inputs), test)
         curves = layer_noise_sensitivity(model, test, [0.0, 1.0], trials=2,
                                          seed=0)
         assert np.all(curves.accuracy[:, 0] == baseline)
@@ -218,7 +194,7 @@ class TestDistill:
         cfg = DistillConfig(student_architecture="mini-mlp-2", temperature=3.0,
                             hard_label_weight=1.0,
                             distill_train=TrainConfig(epochs=5, seed=9))
-        student = distill(teacher, cfg, data)
+        student = distill(teacher.predict(data.inputs), cfg, data)
 
         reference = build_model(spec, seed=9)
         train(reference, data.inputs, data.labels,
@@ -228,15 +204,16 @@ class TestDistill:
     def test_out_of_range_hard_label_rejected(self):
         data = make_blobs(classes=3, per_class=10, shape=(4, 4, 1), seed=84)
         teacher = trained_model("mini-mlp-2", data, epochs=1, seed=1)
+        rows = teacher.predict(data.inputs)
         data.labels[4] = 3  # the teacher and the student have 3 classes
         for weight in (0.5, 1.0):
             cfg = DistillConfig("mini-mlp-2", hard_label_weight=weight,
                                 distill_train=TrainConfig(epochs=1, seed=9))
             with pytest.raises(ValueError, match="label range"):
-                distill(teacher, cfg, data)
+                distill(rows, cfg, data)
         cfg = DistillConfig("mini-mlp-2", hard_label_weight=0.0,
                             distill_train=TrainConfig(epochs=1, seed=9))
-        distill(teacher, cfg, data)  # soft targets alone read no label
+        distill(rows, cfg, data)  # soft targets alone read no label
 
     def test_self_distillation_reaches_high_fidelity(self):
         data = make_blobs(classes=3, per_class=150, shape=(4, 4, 1),
@@ -245,8 +222,9 @@ class TestDistill:
         cfg = DistillConfig("mini-mlp-2", temperature=1.0,
                             hard_label_weight=0.0,
                             distill_train=TrainConfig(epochs=40, seed=4))
-        student = distill(teacher, cfg, data)
-        assert fidelity(student, teacher, data) >= 0.9
+        out = teacher.predict(data.inputs)
+        student = distill(out, cfg, data)
+        assert fidelity(student.predict(data.inputs), out) >= 0.9
 
     def test_student_does_not_beat_teacher_by_much(self):
         data = make_blobs(classes=4, per_class=150, shape=(6, 6, 1),
@@ -255,20 +233,18 @@ class TestDistill:
         teacher = trained_model("mini-vgg-4", train_set, epochs=12, seed=3)
         cfg = DistillConfig("mini-student-cnn",
                             distill_train=TrainConfig(epochs=20, seed=5))
-        student = distill(teacher, cfg, train_set)
-        assert accuracy(student, test) <= accuracy(teacher, test) + 0.05
+        student = distill(teacher.predict(train_set.inputs), cfg, train_set)
+        assert (accuracy(student.predict(test.inputs), test)
+                <= accuracy(teacher.predict(test.inputs), test) + 0.05)
 
     @pytest.mark.parametrize("weight", [0.0, 0.3])
-    def test_teacher_rows_stand_for_the_teacher(self, weight):
+    def test_teacher_rows_of_another_set_rejected(self, weight):
         data = make_blobs(classes=3, per_class=20, shape=(4, 4, 1), seed=86)
         teacher = trained_model("mini-mlp-2", data, epochs=2, seed=1)
         cfg = DistillConfig("mini-mlp-2", temperature=2.0,
                             hard_label_weight=weight,
                             distill_train=TrainConfig(epochs=2, seed=7))
-        from_model = distill(teacher, cfg, data)
-        from_rows = distill(teacher.predict(data.inputs), cfg, data)
-        assert same_bits(from_rows.state_vector(), from_model.state_vector())
-        with pytest.raises(ValueError, match="output rows"):
+        with pytest.raises(ValueError, match="59 teacher output rows for 60"):
             distill(teacher.predict(data.inputs[:-1]), cfg, data)
 
 
@@ -280,25 +256,26 @@ class TestEquivalencyReport:
                             distill_train=TrainConfig(epochs=8, seed=2))
         twin = build_model(target.spec, seed=0)
         twin.load_state_vector(target.state_vector())
-        report = equivalency_report(target, twin, data, cfg)
-        assert report.similarity.fidelity == 1.0
-        assert all(v < 1e-6 for v in report.similarity.pwcca_distance.values())
-        assert report.distilled_pwcca < 1e-6
+        metrics, (pa, pb) = equivalency_report(target, twin, data, cfg)
+        assert metrics["fidelity"] == 1.0
+        assert metrics[f"pwcca_{pa}:{pb}"] < 1e-6
+        assert metrics["distilled_pwcca"] < 1e-6
 
-    def test_report_echoes_distill_config(self):
+    def test_metrics_and_distill_config_document(self):
         data = make_blobs(classes=3, per_class=120, shape=(4, 4, 1), seed=85)
         target = trained_model("mini-mlp-2", data, epochs=4, seed=1)
         stolen = trained_model("mini-mlp-2", data, epochs=4, seed=2)
         cfg = DistillConfig("mini-student-cnn", temperature=2.5,
                             hard_label_weight=0.3,
                             distill_train=TrainConfig(epochs=6, seed=3))
-        report = equivalency_report(target, stolen, data, cfg)
-        assert report.distill_config is cfg
+        metrics, probes = equivalency_report(target, stolen, data, cfg)
+        assert probes == ("head", "head")
+        assert list(metrics) == ["fidelity", "accuracy_target",
+                                 "accuracy_stolen", "distilled_pwcca",
+                                 "pwcca_head:head"]
         # the artifact's echo is the config's document, keys in field order
-        assert json.dumps(to_doc(report.distill_config)) == json.dumps({
+        assert json.dumps(to_doc(cfg)) == json.dumps({
             "student_architecture": "mini-student-cnn", "temperature": 2.5,
             "hard_label_weight": 0.3,
             "distill_train": {"learning_rate": 0.01, "batch_size": 10,
                               "epochs": 6, "seed": 3}})
-        metrics = report.metrics()
-        assert "fidelity" in metrics and "distilled_pwcca" in metrics
