@@ -7,9 +7,9 @@
     extractbench zoo train --arch <id> --dataset <id> [--classes i,j,...] [--tag T]
     extractbench validate <scenario.json>
 
-The repository root (checkpoints, dataset cache, records, artifacts) comes
-from --root or the EXTRACTBENCH_ROOT environment variable. Exit code is 0
-only when every scenario in the invocation succeeded.
+The repository root (checkpoints, records, artifacts) comes from --root
+or the EXTRACTBENCH_ROOT environment variable. Exit code is 0 only when
+every scenario in the invocation succeeded.
 """
 
 from __future__ import annotations

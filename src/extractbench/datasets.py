@@ -7,19 +7,17 @@ near-perfect), 1 collapses all classes onto one distribution. That single
 knob stands in for the difficulty spread between easy and hard corpora and
 is what the CSG complexity score is exercised against.
 
-Cache layout per dataset: meta.json (`spec`, the spec's document, then
-`count`, the row count) + samples.bin (little-endian float64, samples
-row-major in index order) + labels.bin (little-endian int32). An entry is
-served only to a caller whose spec it echoes; one written for another spec
-(an older generator's, say), or whose meta.json holds another key, is
-corrupt, and rebuilt like any corrupt entry.
+A dataset is never stored: its seeded spec defines it, and it is generated
+where it is read. The one written to disk is miface's reconstruction
+artifact: meta.json (`spec`, the spec's document, then `count`, the row
+count) + samples.bin (little-endian float64, samples row-major in index
+order) + labels.bin (little-endian int32).
 """
 
 from __future__ import annotations
 
 import errno
 import json
-import math
 import os
 import shutil
 from dataclasses import dataclass, replace
@@ -29,8 +27,7 @@ from typing import Annotated, Literal
 import numpy as np
 
 from .fields import (Checked, Count, NonNegative, QueryFraction, Range,
-                     UnitInterval, check_value, doc_text, from_doc, is_doc_of,
-                     to_doc)
+                     UnitInterval, check_value, to_doc)
 
 
 @dataclass(frozen=True)
@@ -105,8 +102,9 @@ def generate(spec: DatasetSpec) -> Dataset:
     protos = _prototypes(spec, rng)
     n = spec.class_count * spec.samples_per_class
     labels = np.repeat(np.arange(spec.class_count), spec.samples_per_class)
-    noise = rng.standard_normal((n,) + tuple(spec.input_shape))
-    inputs = protos[labels] + spec.noise * noise
+    # in place: two arrays of the data's size alive at a time, not four
+    inputs = rng.standard_normal((n,) + tuple(spec.input_shape)) * spec.noise
+    inputs += protos[labels]  # the bits of protos[labels] + inputs: + commutes
     perm = rng.permutation(n)
     return Dataset(spec=spec, inputs=inputs[perm],
                    labels=labels[perm].astype(np.int32))
@@ -234,7 +232,7 @@ def csg_complexity(dataset: Dataset, monte_carlo_samples: int = 100,
 
 
 # ---------------------------------------------------------------------------
-# cache files
+# entry files: a checkpoint cache entry, a dataset artifact
 # ---------------------------------------------------------------------------
 
 def _fresh_dir(beside: Path, infix: str) -> Path:
@@ -289,49 +287,13 @@ def discard_entry(entry: Path) -> None:
     shutil.rmtree(aside, ignore_errors=True)
 
 
-# meta.json, in the order it is written
-@dataclass
-class _Meta(Checked):
-    spec: dict  # the dataset's spec document, compared with the caller's
-    count: int
-
-
 def save_dataset(dataset: Dataset, directory) -> Path:
-    """Write atomically; an entry already at `directory` is kept (see
-    :func:`write_entry`)."""
-    meta = _Meta(to_doc(dataset.spec), len(dataset))
+    """Write the artifact layout atomically; one already at `directory` is
+    kept (see :func:`write_entry`)."""
+    meta = {"spec": to_doc(dataset.spec), "count": len(dataset)}
     return write_entry(directory, {
-        "meta.json": json.dumps(to_doc(meta), indent=2).encode(),
+        "meta.json": json.dumps(meta, indent=2).encode(),
         "samples.bin": np.ascontiguousarray(dataset.inputs,
                                             dtype="<f8").tobytes(),
         "labels.bin": np.ascontiguousarray(dataset.labels,
                                            dtype="<i4").tobytes()})
-
-
-def load_dataset(directory, spec: DatasetSpec) -> Dataset:
-    """The entry at `directory`, which must hold `spec`'s samples: an entry
-    whose meta.json echoes another spec, or is not exactly a meta document,
-    is corrupt (ValueError)."""
-    directory = Path(directory)
-    try:
-        meta = from_doc(_Meta, json.loads((directory / "meta.json").read_text()))
-        if not is_doc_of(meta.spec, doc_text(spec)):
-            raise ValueError(f"its spec is not the {spec.id!r} spec asked for")
-    except ValueError as exc:
-        raise ValueError(f"corrupt dataset cache at {directory}: unreadable "
-                         f"meta.json ({type(exc).__name__}: {exc})") from exc
-    shape = (meta.count, *spec.input_shape)
-    inputs = np.frombuffer((directory / "samples.bin").read_bytes(),
-                           dtype="<f8")
-    if inputs.size != math.prod(shape):
-        raise ValueError(f"corrupt dataset cache at {directory}: sample count "
-                         f"mismatch")
-    labels = np.frombuffer((directory / "labels.bin").read_bytes(), dtype="<i4")
-    if labels.size != meta.count:
-        raise ValueError(f"corrupt dataset cache at {directory}: label count "
-                         f"mismatch")
-    if np.any((labels < 0) | (labels >= spec.class_count)):
-        raise ValueError(f"corrupt dataset cache at {directory}: label "
-                         f"outside [0, {spec.class_count})")
-    return Dataset(spec, np.asarray(inputs, dtype=np.float64).reshape(shape),
-                   np.asarray(labels, dtype=np.int32))

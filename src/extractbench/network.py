@@ -288,8 +288,9 @@ class Network:
         step's output survives, and the activation at position `hold`.
         `calibrate` first sets each BN's running statistics from the batch
         that reaches it. An inference pass (neither) over more rows than
-        one block runs the plan on each block of rows in turn and joins
-        what survives, so each row's output is its block's.
+        one block runs the plan on each block of rows in turn (a 1-row tail
+        joins the block before it) and joins what survives, so each row's
+        output is its block's.
         """
         # asarray costs about 0.1 us even when it has nothing to do
         if x.__class__ is not np.ndarray or x.dtype is not _FLOAT64:
@@ -300,9 +301,11 @@ class Network:
                 f"{self.input_shape}")
         plan = self._plan if steps is None else self._plan[:steps]
         rows = self._block_rows
-        whole = keep or calibrate or x.shape[0] <= rows
-        batches = (x,) if whole else [x[i:i + rows]
-                                      for i in range(0, x.shape[0], rows)]
+        # a 1-row tail joins the block before it: numpy's 1-row matmul
+        # rounds apart from the many-row one
+        whole = keep or calibrate or x.shape[0] <= rows + 1
+        batches = (x,) if whole else np.split(x, range(rows, x.shape[0] - 1,
+                                                       rows))
         passes = []
         for batch in batches:
             acts: list = [batch]  # step k appends position k + 1

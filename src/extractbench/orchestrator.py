@@ -28,19 +28,19 @@ import numpy as np
 import zlib
 
 from .datasets import (BUILTIN_DATASETS, Dataset, DatasetId, discard_entry,
-                       generate, load_dataset, query_rows, restrict_to_classes,
-                       save_dataset, split)
+                       generate, query_rows, restrict_to_classes, save_dataset,
+                       split)
 from .fields import (Checked, Count, Epochs, Jitter, NonNegative, QueryFraction,
                      Range, Repeats, ScenarioError, doc_text, from_doc, to_doc)
 from .network import TrainConfig, train
 from .query_attacks import (
+    Budgets,
     GradientHandle,
     InversionConfig,
+    Knobs,
     KnockoffConfig,
-    OutputMode,
     QueryHandle,
     ThreatModel,
-    check_budgets,
     knockoff_extract,
     miface_invert,
     save_pgm,
@@ -93,20 +93,10 @@ class MifaceParams(InversionConfig):
     query_fraction: QueryFraction = 0.5
 
 
-# its own knockoff knobs: `budgets` leads its document, where a knockoff's
-# has `query_budget`, so a shared base would reorder the echo
+# a knockoff's knobs after `budgets`, by the reversed MRO, as in its echo
 @dataclass
-class StagedInversionParams(Checked):
-    budgets: tuple[Count, ...]
-    output_mode: OutputMode = "confidence_vector"
-    surrogate_architecture: ArchitectureId | None = None
-    query_fraction: QueryFraction = 0.5
-    recreate: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
+class StagedInversionParams(Knobs, Budgets):
     inversion: InversionConfig = field(default_factory=InversionConfig)
-
-    def __post_init__(self):
-        super().__post_init__()
-        check_budgets(self.budgets)
 
 
 @dataclass
@@ -311,9 +301,8 @@ DEFAULT_RECIPE = TrainConfig(epochs=12)
 
 @dataclass
 class Workbench:
-    """Repository roots plus the training recipes; datasets and
-    architectures come from the built-in registries. Every cache fill
-    (a dataset's, a train-on-miss checkpoint's) is :func:`_cached`'s."""
+    """Repository roots plus the training recipes; every train-on-miss
+    checkpoint is filled by :func:`_cached`."""
 
     root: Path
     recipes: dict[str, TrainConfig] = field(default_factory=dict)
@@ -326,10 +315,6 @@ class Workbench:
         return self.root / "checkpoints"
 
     @property
-    def datasets_dir(self) -> Path:
-        return self.root / "datasets"
-
-    @property
     def records_dir(self) -> Path:
         return self.root / "records"
 
@@ -337,30 +322,16 @@ class Workbench:
     def artifacts_dir(self) -> Path:
         return self.root / "artifacts"
 
-    def dataset(self, dataset_id: str) -> Dataset:
-        """Load from the cache, generating (and caching) on first use.
-
-        A cache entry that fails to load, or holds another spec's samples,
-        is discarded and regenerated; generation is deterministic, so the
-        replacement equals what was lost.
-        """
-        spec = BUILTIN_DATASETS[dataset_id]
-        entry = self.datasets_dir / dataset_id
-        return _cached(
-            entry, load=lambda: load_dataset(entry, spec),
-            make=lambda: generate(spec),
-            save=lambda data: save_dataset(data, entry))[0]
-
 
 def default_workbench(root=None) -> Workbench:
     root = root or os.environ.get(ROOT_ENV_VAR, "extractbench-repo")
     return Workbench(root=Path(root))
 
 
-def _ref_data(ref: ModelRef, bench: Workbench) -> Dataset:
-    """The data a model reference is trained on: its dataset, restricted to
-    its class subset (labels re-indexed to the subset's order)."""
-    data = bench.dataset(ref.dataset_id)
+def load_dataset(ref: ModelRef) -> Dataset:
+    """A model reference's training data: its dataset, generated from its
+    spec, never stored, restricted to its class subset in the subset's order."""
+    data = generate(BUILTIN_DATASETS[ref.dataset_id])
     if ref.class_subset is not None:
         data = restrict_to_classes(data, ref.class_subset)
     return data
@@ -420,7 +391,7 @@ def zoo_resolve(ref: ModelRef, bench: Workbench):
     entry = bench.checkpoints_dir / ref.slug() / f"{zlib.crc32(text.encode()):08x}"
 
     def make():
-        data = _ref_data(ref, bench)
+        data = load_dataset(ref)
         model = build_model(spec, seed=recipe.seed)
         train(model, data.inputs, data.labels, recipe)
         return model
@@ -496,11 +467,11 @@ def _derived_seed(scenario: Scenario, tag: str) -> int:
     return zlib.crc32(f"{scenario.seed}|{tag}".encode()) & 0x7FFFFFFF
 
 
-def _steal_setup(scenario, bench):
+def _steal_setup(scenario):
     """Shared prefix of the stealing attacks: the seeded split of the
     target's data and the surrogate architecture."""
     p = scenario.attack.params
-    data = _ref_data(scenario.target, bench)
+    data = load_dataset(scenario.target)
     queries, test = split(data, p.query_fraction,
                           _derived_seed(scenario, "split"))
     arch_id = p.surrogate_architecture or scenario.target.architecture_id
@@ -508,9 +479,9 @@ def _steal_setup(scenario, bench):
     return queries, test, spec
 
 
-def _run_knockoff(scenario, bench, target, art_dir):
+def _run_knockoff(scenario, target, art_dir):
     p: KnockoffConfig = scenario.attack.params
-    queries, test, spec = _steal_setup(scenario, bench)
+    queries, test, spec = _steal_setup(scenario)
     stolen, history = knockoff_extract(QueryHandle(target), queries, spec, p,
                                        seed=scenario.seed)
     stolen_ref = ModelRef(spec.id, scenario.target.dataset_id,
@@ -529,22 +500,22 @@ def _run_knockoff(scenario, bench, target, art_dir):
     return metrics, [str(path)]
 
 
-def _run_miface(scenario, bench, target, art_dir):
+def _run_miface(scenario, target, art_dir):
     p: MifaceParams = scenario.attack.params
     aux = None
     if p.init_mode == "auxiliary_sample":
-        data = _ref_data(scenario.target, bench)
+        data = load_dataset(scenario.target)
         aux, _ = split(data, p.query_fraction, _derived_seed(scenario, "split"))
     result = miface_invert(GradientHandle(target), p, p.target_class,
                            aux=aux, seed=scenario.seed)
     pgm = save_pgm(result.reconstruction,
                    art_dir / f"reconstruction_c{p.target_class}.pgm")
     sample_dir = art_dir / f"reconstruction_c{p.target_class}"
-    recon = Dataset(
-        spec=BUILTIN_DATASETS[scenario.target.dataset_id],
-        inputs=result.reconstruction[None, ...],
-        labels=np.array([p.target_class], dtype=np.int32))
-    save_dataset(recon, sample_dir)
+    subset = scenario.target.class_subset  # output k is the subset's k-th class
+    label = subset[p.target_class] if subset else p.target_class
+    save_dataset(Dataset(BUILTIN_DATASETS[scenario.target.dataset_id],
+                         result.reconstruction[None, ...],
+                         np.array([label], dtype=np.int32)), sample_dir)
     metrics = {
         "success": float(result.success),
         "final_posterior": result.posterior_trace[-1],
@@ -554,9 +525,9 @@ def _run_miface(scenario, bench, target, art_dir):
     return metrics, [str(pgm), str(sample_dir)]
 
 
-def _run_staged_inversion(scenario, bench, target, art_dir):
+def _run_staged_inversion(scenario, target, art_dir):
     p: StagedInversionParams = scenario.attack.params
-    queries, test, spec = _steal_setup(scenario, bench)
+    queries, test, spec = _steal_setup(scenario)
     knock = KnockoffConfig(p.budgets[-1], p.output_mode, recreate=p.recreate)
     rows = staged_inversion_study(target, queries, test, list(p.budgets), spec,
                                   knock, p.inversion, seed=scenario.seed)
@@ -592,7 +563,7 @@ def _corpus_setup(scenario, per_architecture: int, victim_tags: list[str]):
     return specs, rngs
 
 
-def _run_deepsniffer(scenario, bench, target, art_dir):
+def _run_deepsniffer(scenario, target, art_dir):
     p: DeepSnifferParams = scenario.attack.params
     profile = BUILTIN_ENVIRONMENT_PROFILES[scenario.environment.environment_profile]
     if scenario.environment.verbose_runtime:
@@ -621,7 +592,7 @@ def _run_deepsniffer(scenario, bench, target, art_dir):
     return metrics, [str(trace_path)]
 
 
-def _run_deeprecon(scenario, bench, target, art_dir):
+def _run_deeprecon(scenario, target, art_dir):
     p: DeepReconParams = scenario.attack.params
     profile = BUILTIN_MACHINE_PROFILES[scenario.environment.machine_profile]
     specs, rngs = _corpus_setup(scenario, p.histograms_per_architecture,
@@ -642,9 +613,9 @@ def _run_deeprecon(scenario, bench, target, art_dir):
     return metrics, [str(csv_path)]
 
 
-def _run_equivalency(scenario, bench, target, art_dir):
+def _run_equivalency(scenario, target, art_dir):
     p: EquivalencyParams = scenario.attack.params
-    queries, test, spec = _steal_setup(scenario, bench)
+    queries, test, spec = _steal_setup(scenario)
     stolen, _ = knockoff_extract(QueryHandle(target), queries, spec, p,
                                  seed=scenario.seed)
     # the params are a DistillConfig and more: equivalency.json echoes that
@@ -683,7 +654,7 @@ class Attack(NamedTuple):
     """Everything the workbench knows of one attack type."""
 
     params: type                 # its params dataclass: the schema
-    run: Callable                # (scenario, bench, target, art_dir) -> (metrics, artifacts)
+    run: Callable                # (scenario, target, art_dir) -> (metrics, artifacts)
     requires: ThreatModel        # the capability triple grants must cover
     metrics: tuple[str, ...]     # what `evaluation` may name, and its default
     environment: tuple[str, ...]  # the environment fields it reads
@@ -754,7 +725,7 @@ def execute(scenario: Scenario, bench: Workbench,
         art_dir.mkdir(parents=True, exist_ok=True)
         t1 = time.perf_counter()
         metrics, artifacts = ATTACKS[scenario.attack.type].run(
-            scenario, bench, target, art_dir)
+            scenario, target, art_dir)
         timings["attack_seconds"] = time.perf_counter() - t1
         missing = [m for m in scenario.evaluation if m not in metrics]
         if missing:

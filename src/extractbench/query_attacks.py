@@ -83,16 +83,35 @@ class GradientHandle(QueryHandle):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class KnockoffConfig(Checked):
-    """`knockoff_extract` reads the budget, the output mode and the training;
-    the caller picks the query split and the surrogate (None: the target's),
-    whose spec `knockoff_extract` is given."""
+class Knobs(Checked):
+    """A stealing attack's knobs: `knockoff_extract` reads the output mode
+    and the training; the caller picks the query split and the surrogate
+    (None: the target's), whose spec `knockoff_extract` is given."""
 
-    query_budget: Count
     output_mode: OutputMode = "confidence_vector"
     surrogate_architecture: ArchitectureId | None = None
     query_fraction: QueryFraction = 0.5
     recreate: TrainConfig = field(default_factory=lambda: TrainConfig(epochs=20))
+
+
+@dataclass
+class Budget(Checked):
+    query_budget: Count
+
+
+@dataclass
+class Budgets(Checked):
+    budgets: tuple[Count, ...]
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_budgets(self.budgets)
+
+
+@dataclass
+class KnockoffConfig(Knobs, Budget):
+    """Fields follow the reversed MRO: the budget leads, as in the document,
+    where a field declared here would follow the knobs' defaults."""
 
 
 @dataclass

@@ -5,6 +5,7 @@ oracle: every point of every class is scanned with a brute-force neighbor
 search, and the spectral summary is recomputed along an independent path.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +17,13 @@ from extractbench.datasets import (
     csg_complexity,
     discard_entry,
     generate,
-    load_dataset,
     restrict_to_classes,
     save_dataset,
     split,
     subset_classes,
+    write_entry,
 )
+from extractbench.fields import to_doc
 
 from conftest import relabelling, rows
 
@@ -217,55 +219,43 @@ class TestCsg:
 
 
 class TestCacheFiles:
-    def test_round_trip(self, tmp_path):
+    def test_artifact_layout(self, tmp_path):
         data = generate(spec_for(classes=3, per_class=20, seed=11))
         save_dataset(data, tmp_path / "d")
-        loaded = load_dataset(tmp_path / "d", data.spec)
-        assert np.array_equal(loaded.inputs, data.inputs)
-        assert np.array_equal(loaded.labels, data.labels)
-        assert loaded.spec == data.spec
-
-    def test_truncation_detected(self, tmp_path):
-        data = generate(spec_for(classes=3, per_class=20, seed=12))
-        save_dataset(data, tmp_path / "d")
-        samples = tmp_path / "d" / "samples.bin"
-        samples.write_bytes(samples.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="corrupt"):
-            load_dataset(tmp_path / "d", data.spec)
+        meta = (tmp_path / "d" / "meta.json").read_text()
+        assert meta == json.dumps({"spec": to_doc(data.spec), "count": 60},
+                                  indent=2)
+        assert (tmp_path / "d" / "samples.bin").read_bytes() == \
+            data.inputs.astype("<f8").tobytes()
+        assert (tmp_path / "d" / "labels.bin").read_bytes() == \
+            data.labels.astype("<i4").tobytes()
 
     def test_interrupted_save_leaves_old_entry_and_no_debris(self, tmp_path,
                                                              monkeypatch):
-        old = generate(spec_for(classes=3, per_class=20, seed=13))
-        save_dataset(old, tmp_path / "d")
-        new = generate(spec_for(classes=3, per_class=20, seed=14))
+        write_entry(tmp_path / "d", {"a": b"old", "b": b"old"})
         real_write = Path.write_bytes
 
         def failing_write(path, data):
-            if path.name == "labels.bin":
+            if path.name == "b":
                 raise OSError("disk full")
             return real_write(path, data)
 
         monkeypatch.setattr(Path, "write_bytes", failing_write)
         with pytest.raises(OSError, match="disk full"):
-            save_dataset(new, tmp_path / "d")
+            write_entry(tmp_path / "d", {"a": b"new", "b": b"new"})
         assert [p.name for p in tmp_path.iterdir()] == ["d"]
-        assert np.array_equal(load_dataset(tmp_path / "d", old.spec).inputs,
-                              old.inputs)
+        assert (tmp_path / "d" / "a").read_bytes() == b"old"
 
     def test_save_keeps_an_existing_entry_and_leaves_no_debris(self, tmp_path):
         # an entry's content is a function of its name, so one already in
         # place was put there by another writer of the same content
-        first = generate(spec_for(classes=3, per_class=20, seed=15))
-        save_dataset(first, tmp_path / "d")
-        save_dataset(generate(spec_for(classes=3, per_class=20, seed=16)),
-                     tmp_path / "d")
+        write_entry(tmp_path / "d", {"a": b"first"})
+        write_entry(tmp_path / "d", {"a": b"second"})
         assert [p.name for p in tmp_path.iterdir()] == ["d"]
-        assert np.array_equal(load_dataset(tmp_path / "d", first.spec).inputs,
-                              first.inputs)
+        assert (tmp_path / "d" / "a").read_bytes() == b"first"
 
     def test_discard_entry(self, tmp_path):
-        save_dataset(generate(spec_for(classes=3, per_class=20, seed=17)),
-                     tmp_path / "d")
+        write_entry(tmp_path / "d", {"a": b"x"})
         discard_entry(tmp_path / "d")
         assert list(tmp_path.iterdir()) == []
         discard_entry(tmp_path / "d")  # already gone: nothing to do

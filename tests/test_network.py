@@ -507,6 +507,18 @@ class TestRowBlocks:
             assert same_bits(out, np.concatenate([p[0] for p in parts])), probe
             assert same_bits(act, np.concatenate([p[1] for p in parts])), probe
 
+    @pytest.mark.parametrize("shape,classes", SHAPES)
+    @pytest.mark.parametrize("arch_id", sorted(BUILTIN_ARCHITECTURES))
+    def test_a_one_row_tail_joins_the_block_before_it(self, arch_id, shape,
+                                                      classes):
+        # one row past a block is one pass, as a training forward runs it:
+        # alone, the last row would take numpy's 1-row matmul, which rounds
+        # apart from the many-row kernel
+        model = build_model(builtin_spec(arch_id, shape, classes), seed=1)
+        x = np.random.default_rng(0).standard_normal(
+            (model._block_rows + 1,) + shape)
+        assert same_bits(model.predict(x), model.forward(x))
+
     def test_each_block_sends_each_node_through_the_seam(self, monkeypatch):
         model, x = TestPredictAndWorkspace._model_and_input("mini-resnet-4", 1)
         rows = model._block_rows
@@ -525,11 +537,11 @@ class TestRowBlocks:
             return [(n.kind, n.node_id, size)
                     for size in sizes for n in model.order]
 
-        model.predict(x)
-        assert calls == per_node(rows, rows, rows, 1)
+        model.predict(x)  # the 1-row tail joins the last block
+        assert calls == per_node(rows, rows, rows + 1)
         calls.clear()
         model.predict_and_probe(x, "input")
-        assert calls == per_node(rows, rows, rows, 1)
+        assert calls == per_node(rows, rows, rows + 1)
         calls.clear()
         model.predict(x[:rows])
         assert calls == per_node(rows)
@@ -931,11 +943,12 @@ class TestOneTrainingLoop:
         self._assert_one_run(calls, rows, config)
 
     def test_train_on_miss(self, monkeypatch, tmp_path):
+        from extractbench.datasets import BUILTIN_DATASETS, generate
         from extractbench.orchestrator import Workbench, zoo_resolve
         from extractbench.zoo import ModelRef
         recipe = TrainConfig(batch_size=10, epochs=1)
         bench = Workbench(tmp_path / "repo", recipes={"blobs-2c-easy": recipe})
-        rows = len(bench.dataset("blobs-2c-easy").inputs)
+        rows = len(generate(BUILTIN_DATASETS["blobs-2c-easy"]).inputs)
         calls = self._record(monkeypatch)
         _, from_cache, _ = zoo_resolve(ModelRef("mini-mlp-1", "blobs-2c-easy"),
                                        bench)

@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 import extractbench
 from extractbench import network, orchestrator
 from extractbench.cli import main
-from extractbench.datasets import load_dataset
 from extractbench.fields import MAX_REPEATS, Range, field_hints, to_doc
 from extractbench.orchestrator import (
     ATTACKS,
@@ -37,9 +36,9 @@ from extractbench.orchestrator import (
     StagedInversionParams,
     Workbench,
     _derived_seed,
-    _ref_data,
     default_workbench,
     execute,
+    load_dataset,
     load_records,
     parse_scenario,
     persist_record,
@@ -56,7 +55,7 @@ from extractbench.sidechannel import (read_histograms_csv,
                                       simulate_kernel_trace,
                                       simulate_symbol_stream)
 from extractbench.similarity import default_probe_point, fidelity
-from extractbench.datasets import split
+from extractbench.datasets import generate, split
 from extractbench.zoo import ModelRef, build_model, builtin_spec
 
 from conftest import ARCH_CHOICES, DATASET_CHOICES, relabelling
@@ -413,6 +412,24 @@ class TestParseScenario:
         assert json.dumps(to_doc(sc)["attack"]["params"]) == json.dumps(
             ECHOED_DEFAULTS[attack_type])
 
+    def test_stealing_params_declare_each_knob_once(self):
+        """The knockoff knobs have one declaration, the budget and the
+        budgets one each; fields follow the reversed MRO, so every echo
+        keeps its key order."""
+        knobs = ["output_mode", "surrogate_architecture", "query_fraction",
+                 "recreate"]
+        classes = (KnockoffConfig, StagedInversionParams, EquivalencyParams)
+        assert {cls: [f.name for f in fields(cls)] for cls in classes} == {
+            KnockoffConfig: ["query_budget", *knobs],
+            StagedInversionParams: ["budgets", *knobs, "inversion"],
+            EquivalencyParams: ["query_budget", *knobs, "student_architecture",
+                                "temperature", "hard_label_weight",
+                                "distill_train"]}
+        declared = fields(StagedInversionParams)[1:5]
+        for cls in (KnockoffConfig, EquivalencyParams):
+            assert all(a is b for a, b in zip(fields(cls)[1:5], declared))
+        assert fields(KnockoffConfig)[0] is fields(EquivalencyParams)[0]
+
     def test_deepsniffer_with_machine_profile_names_mismatch(self):
         doc = scenario_doc("deepsniffer", params={},
                            grants={"model_knowledge": "observed",
@@ -722,7 +739,7 @@ def _sweep_doc(attack_type, params, target, n):
     return doc
 
 
-def _target_holds(doc, bench) -> bool:
+def _target_holds(doc) -> bool:
     """Whether the target's data holds what the params ask of it, read
     from a real split of that data (whose sizes do not depend on the
     seed): the oracle for the target limits."""
@@ -731,7 +748,7 @@ def _target_holds(doc, bench) -> bool:
         return True
     params = doc["attack"]["params"]
     ref = ModelRef(**doc["target"])
-    data = _ref_data(ref, bench)
+    data = load_dataset(ref)
     if attack_type == "miface":
         return params["target_class"] < data.class_count
     defaults = {f.name: f.default for f in fields(ATTACKS[attack_type].params)}
@@ -743,10 +760,10 @@ def _target_holds(doc, bench) -> bool:
                                        or len(test) > data.class_count)
 
 
-def _limit_cases(bench):
+def _limit_cases():
     """Params at each target limit and one past it, on each sweep dataset."""
     for target in SWEEP_TARGETS[::7]:
-        data = _ref_data(ModelRef(**target), bench)
+        data = load_dataset(ModelRef(**target))
         size = len(split(data, 0.5, 0)[0])
         for over in (0, 1):
             for attack_type in ("knockoff", "equivalency"):
@@ -766,7 +783,7 @@ def sweep_bench(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def sweep(sweep_bench):
+def sweep():
     """(document, expected accepted, run) for each edge of each declared
     rule of each attack, and each target limit case. An accepted document
     is run unless a count sits at the shared ceiling of run lengths, where
@@ -782,12 +799,12 @@ def sweep(sweep_bench):
                 section[path[-1]] = [value] if listed else value
                 doc = _sweep_doc(attack_type, params, SWEEP_TARGETS[
                     len(cases) % len(SWEEP_TARGETS)], len(cases))
-                accepted = in_range and _target_holds(doc, sweep_bench)
+                accepted = in_range and _target_holds(doc)
                 cases.append((doc, accepted, accepted and (
                     rule.high != MAX_REPEATS or value <= rule.low + 1)))
-    for attack_type, params, target in _limit_cases(sweep_bench):
+    for attack_type, params, target in _limit_cases():
         doc = _sweep_doc(attack_type, params, target, len(cases))
-        accepted = _target_holds(doc, sweep_bench)
+        accepted = _target_holds(doc)
         cases.append((doc, accepted, accepted))
     return cases
 
@@ -934,7 +951,7 @@ class TestZooResolve:
         ref = ModelRef("mini-mlp-1", "blobs-4c-mid", (1, 3), "sub")
         model, _, _ = zoo_resolve(ref, bench)
         assert model.output_width == 2
-        data = bench.dataset("blobs-4c-mid")
+        data = generate(BUILTIN_DATASETS["blobs-4c-mid"])
         mask = np.isin(data.labels, (1, 3))
         acc = np.mean(model.predict(data.inputs[mask]).argmax(1)
                       == (data.labels[mask] == 3))
@@ -986,7 +1003,7 @@ class TestZooResolve:
         assert record.status == "ok", record.failure_reason
         (aux,) = seen
         assert aux.class_count == 2
-        data = bench.dataset("blobs-4c-easy")
+        data = generate(BUILTIN_DATASETS["blobs-4c-easy"])
         assert relabelling(data, aux) == {(0, 0), (2, 1)}  # 1 is the data's 2
 
     def test_builtin_spec_is_shared_per_key(self, bench, monkeypatch):
@@ -1134,16 +1151,11 @@ def _checkpoint_entry(bench, ref) -> Path:
 
 
 REF = ModelRef("mini-mlp-1", "blobs-2c-easy")
-# each kind of cache entry: (fill the entry; its directory, once filled;
-# its data file; its metadata file)
-CACHE_ENTRIES = {
-    "dataset": (lambda bench: bench.dataset("blobs-2c-easy"),
-                lambda bench: bench.datasets_dir / "blobs-2c-easy",
-                "samples.bin", "meta.json"),
-    "checkpoint": (lambda bench: zoo_resolve(REF, bench)[0],
-                   lambda bench: _checkpoint_entry(bench, REF),
-                   "params.bin", "metadata.json"),
-}
+
+
+def _fill(bench):
+    """Resolve REF, training it into its entry on a miss."""
+    return zoo_resolve(REF, bench)[0]
 
 
 def _as_directory(path):
@@ -1153,108 +1165,94 @@ def _as_directory(path):
 
 # each damage: (which file, what is done to it)
 DAMAGES = {
-    "truncated-data": ("data", lambda p: p.write_bytes(p.read_bytes()[:-8])),
-    "missing-data": ("data", Path.unlink),
-    "directory-data": ("data", _as_directory),
-    "truncated-meta": ("meta", lambda p: p.write_text(p.read_text()[:40])),
-    "missing-meta": ("meta", Path.unlink),
-    "directory-meta": ("meta", _as_directory),
-    "list-meta": ("meta", lambda p: p.write_text("[]")),
-    "extra-key-meta": ("meta", lambda p: p.write_text(json.dumps(
+    "truncated-data": ("params.bin", lambda p: p.write_bytes(p.read_bytes()[:-8])),
+    "missing-data": ("params.bin", Path.unlink),
+    "directory-data": ("params.bin", _as_directory),
+    "truncated-meta": ("metadata.json", lambda p: p.write_text(p.read_text()[:40])),
+    "missing-meta": ("metadata.json", Path.unlink),
+    "directory-meta": ("metadata.json", _as_directory),
+    "list-meta": ("metadata.json", lambda p: p.write_text("[]")),
+    "extra-key-meta": ("metadata.json", lambda p: p.write_text(json.dumps(
         {**json.loads(p.read_text()), "note": "x"}))),
 }
 
 
 class TestCacheRefill:
-    """Both kinds of cache entry follow the one fill rule: an entry that
-    cannot be read (a file truncated, missing or a directory, metadata of
-    the wrong shape) is discarded and filled again, with the same bits."""
+    """A checkpoint entry follows the one fill rule: an entry that cannot
+    be read (a file truncated, missing or a directory, metadata of the
+    wrong shape) is discarded and filled again, with the same bits."""
 
     @pytest.mark.parametrize("damage", DAMAGES)
-    @pytest.mark.parametrize("kind", CACHE_ENTRIES)
-    def test_damaged_entry_is_refilled(self, bench, kind, damage):
-        fill, entry_of, data_file, meta_file = CACHE_ENTRIES[kind]
+    def test_damaged_entry_is_refilled(self, bench, damage):
         which, harm = DAMAGES[damage]
-        first = fill(bench)
-        entry = entry_of(bench)
+        first = _fill(bench)
+        entry = _checkpoint_entry(bench, REF)
         written = {p.name: p.read_bytes() for p in entry.iterdir()}
-        harm(entry / (data_file if which == "data" else meta_file))
-        again = fill(bench)
+        harm(entry / which)
+        again = _fill(bench)
         assert {p.name: p.read_bytes() for p in entry.iterdir()} == written
-        if kind == "dataset":
-            assert np.array_equal(again.inputs, first.inputs)
-            assert np.array_equal(again.labels, first.labels)
-        else:
-            assert np.array_equal(again.state_vector(), first.state_vector())
+        assert np.array_equal(again.state_vector(), first.state_vector())
         # the damaged entry was renamed aside and removed: only the entry
         # and its lock file are left
         assert sorted(os.listdir(entry.parent)) == [entry.name,
                                                     entry.name + ".lock"]
 
-    @pytest.mark.parametrize("kind", CACHE_ENTRIES)
-    def test_a_hit_writes_nothing(self, bench, kind):
+    def test_a_hit_writes_nothing(self, bench):
         """A hit takes no lock, so a root its reader cannot write still
         serves it: no lock file, nor any other, is made."""
-        fill, entry_of, _, _ = CACHE_ENTRIES[kind]
-        fill(bench)
+        _fill(bench)
         for lock in bench.root.rglob("*.lock"):
             lock.unlink()
         before = sorted(bench.root.rglob("*"))
-        fill(bench)
+        _fill(bench)
         assert sorted(bench.root.rglob("*")) == before
 
 
 @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
-@pytest.mark.parametrize("kind", CACHE_ENTRIES)
-def test_entry_takes_the_writers_umask(bench, kind):
+def test_entry_takes_the_writers_umask(bench):
     """An entry directory gets the mode a plain mkdir gets, as its files
     do, so other users can read a shared root."""
-    fill, entry_of, _, _ = CACHE_ENTRIES[kind]
     umask = os.umask(0o022)
     try:
-        fill(bench)
+        _fill(bench)
     finally:
         os.umask(umask)
-    entry = entry_of(bench)
+    entry = _checkpoint_entry(bench, REF)
     assert stat.S_IMODE(entry.stat().st_mode) == 0o755
     assert {stat.S_IMODE(p.stat().st_mode) for p in entry.iterdir()} == {0o644}
 
 
-class TestDatasetCache:
-    @pytest.mark.parametrize("meta", [
-        [], {"spec": None, "count": 600},
-        {"spec": {**to_doc(BUILTIN_DATASETS["blobs-2c-easy"]),
-                  "input_shape": [6.0, 6.0, 1]}, "count": 600},
-        {"spec": to_doc(BUILTIN_DATASETS["blobs-2c-easy"]), "count": 600,
-         "note": "x"},
-        # as written before a dataset lost its role: refilled once
-        {"spec": to_doc(BUILTIN_DATASETS["blobs-2c-easy"]), "role": "train",
-         "count": 600},
-    ], ids=["list", "null-spec", "float-shape", "extra-key", "old-role"])
-    def test_meta_of_wrong_shape_is_regenerated(self, bench, meta):
-        first = bench.dataset("blobs-2c-easy")
-        meta_file = bench.datasets_dir / "blobs-2c-easy" / "meta.json"
-        written = meta_file.read_bytes()
-        meta_file.write_text(json.dumps(meta))
-        again = bench.dataset("blobs-2c-easy")
-        assert meta_file.read_bytes() == written  # rebuilt, not served
-        assert np.array_equal(again.inputs, first.inputs)
-        assert load_dataset(bench.datasets_dir / "blobs-2c-easy",
-                            first.spec).spec == first.spec
+class TestNoDatasetCache:
+    """A dataset is generated from its spec where it is read: no run, batch
+    or resolve writes one under the root."""
 
-    def test_label_out_of_range_is_regenerated(self, bench):
-        first = bench.dataset("blobs-2c-easy")
-        labels = bench.datasets_dir / "blobs-2c-easy" / "labels.bin"
-        bad = np.frombuffer(labels.read_bytes(), dtype="<i4").copy()
-        bad[0] = 7  # the count still matches
-        labels.write_bytes(bad.tobytes())
-        with pytest.raises(ValueError, match=r"label outside \[0, 2\)"):
-            load_dataset(labels.parent, first.spec)
-        assert np.array_equal(bench.dataset("blobs-2c-easy").labels,
-                              first.labels)
-        record = execute(parse_scenario(json.dumps(minimal_doc("knockoff"))),
-                         bench, persist=False)
+    def test_runs_write_no_datasets_directory(self, bench):
+        sc = parse_scenario(json.dumps(scenario_doc()))
+        _, from_cache, _ = zoo_resolve(sc.target, bench)
+        assert not from_cache  # trained, so its data was read
+        assert execute(sc, bench).status == "ok"
+        result = run_batch([parse_scenario(json.dumps(scenario_doc(id=f"b{i}")))
+                            for i in range(2)], bench)
+        assert result.all_ok()
+        assert sorted(p.name for p in bench.root.iterdir()) == [
+            "artifacts", "checkpoints", "records"]
+
+    def test_miface_artifact_labels_the_datasets_class(self, bench):
+        """Under a class subset, output k is the subset's k-th class: the
+        reconstruction is labelled in the dataset's own classes."""
+        doc = minimal_doc("miface")
+        doc["attack"]["params"] = {"target_class": 1, "max_iterations": 5}
+        doc["target"] = {"architecture_id": "mini-mlp-1",
+                         "dataset_id": "blobs-4c-easy", "class_subset": [0, 2]}
+        record = execute(parse_scenario(json.dumps(doc)), bench, persist=False)
         assert record.status == "ok", record.failure_reason
+        sample_dir = Path(record.artifacts[1])
+        assert sample_dir.name == "reconstruction_c1"
+        labels = np.frombuffer((sample_dir / "labels.bin").read_bytes(), "<i4")
+        assert labels.tolist() == [2]
+        meta = json.loads((sample_dir / "meta.json").read_text())
+        assert meta == {"spec": to_doc(BUILTIN_DATASETS["blobs-4c-easy"]),
+                        "count": 1}
 
 
 # Each process writes `ready-<i>` and waits for a `go` file, so that the two
@@ -1269,21 +1267,15 @@ while not (root / "go").exists() and time.monotonic() < deadline:
     time.sleep(0.001)
 """
 
-# Saves and loads one dataset entry and one checkpoint entry, again and
-# again.
+# Saves and loads one checkpoint entry, again and again.
 _HAMMER = _START + r"""
 import numpy as np
-from extractbench.datasets import DatasetSpec, generate, load_dataset, save_dataset
 from extractbench.fields import doc_text
 from extractbench.zoo import build_model, builtin_spec, load_checkpoint, save_checkpoint
 
-data = generate(DatasetSpec("race", 2, 5, (4, 4, 1), 0.2, seed=1))
 model = build_model(builtin_spec("mini-mlp-1", (4, 4, 1), 2), seed=3)
 made_from = {"race": 1}
 for _ in range(200):
-    save_dataset(data, root / "datasets" / "race")
-    assert np.array_equal(
-        load_dataset(root / "datasets" / "race", data.spec).inputs, data.inputs)
     save_checkpoint(model, root / "checkpoints" / "race", made_from)
     assert np.array_equal(
         load_checkpoint(root / "checkpoints" / "race", model.spec,
@@ -1330,11 +1322,10 @@ class TestCacheAcrossProcesses:
         return [out for out, _ in outputs]
 
     def test_two_processes_save_and_load_one_entry(self, tmp_path):
-        """Two writers publish the same entries: whichever rename lands
-        first wins, the other discards its copy, and no reader ever finds
-        an entry half there."""
+        """Two writers publish the same entry: whichever rename lands first
+        wins, the other discards its copy, and no reader ever finds the
+        entry half there."""
         self._run_two(tmp_path, _HAMMER)
-        assert os.listdir(tmp_path / "datasets") == ["race"]
         assert os.listdir(tmp_path / "checkpoints") == ["race"]
 
     def test_threads_of_one_process_fill_each_entry_once(self, bench,
@@ -1447,7 +1438,7 @@ class TestEachModelPredictsOncePerSet:
         record = execute(sc, bench)
         assert record.status == "ok", record.failure_reason
         from extractbench.orchestrator import _derived_seed
-        _, test = split(bench.dataset(sc.target.dataset_id),
+        _, test = split(generate(BUILTIN_DATASETS[sc.target.dataset_id]),
                         sc.attack.params.query_fraction,
                         _derived_seed(sc, "split"))
         on_test = {key: n for key, n in counts.items()
@@ -1535,7 +1526,7 @@ class TestExecute:
 
         # independent recomputation through the module API
         target, _, _ = zoo_resolve(sc.target, bench)
-        data = bench.dataset("blobs-2c-easy")
+        data = generate(BUILTIN_DATASETS["blobs-2c-easy"])
         from extractbench.orchestrator import _derived_seed
         queries, test = split(data, 0.5, _derived_seed(sc, "split"))
         spec = builtin_spec("mini-mlp-1", data.spec.input_shape,
@@ -1590,7 +1581,7 @@ class TestExecute:
     def test_non_finite_metric_fails_the_record(self, bench, monkeypatch):
         """A metric that is NaN or infinite is no result: the record fails,
         naming the metrics, and is written as JSON (which has no NaN)."""
-        def run(scenario, bench, target, art_dir):
+        def run(scenario, target, art_dir):
             return {"fidelity": float("nan"), "queries_used": 2.0,
                     "accuracy_target": 1.0, "accuracy_stolen": float("inf"),
                     "final_loss": 0.5}, []
