@@ -213,7 +213,10 @@ class Network:
                 tuple(self._position[d] for d, reader in last_reader.items()
                       if reader == node_id),
                 any(d != INPUT_ID for d in node.inputs)))
-        self._reversed = self._plan[::-1]
+        self._single_plan = [step._replace(geometry=kernel_geometry(
+            node.kind, node.params, self.shapes[node.inputs[0]], True))
+            for node, step in zip(self.order, self._plan)]
+        self._reversed = self._plan[::-1], self._single_plan[::-1]  # by single_rows
         # a row's widest workspace: a CONV's im2col columns, else the output
         width = max(
             int(np.prod(step.geometry[:4])) * self.shapes[node.inputs[0]][-1]
@@ -278,9 +281,9 @@ class Network:
     # -- execution -----------------------------------------------------------
 
     def _run(self, x, steps: int | None = None, keep: bool = False,
-             calibrate: bool = False, hold: int | None = None):
-        """The one forward pass: runs the first `steps` plan steps (all by
-        default) and returns (activations, kernel workspaces).
+             calibrate: bool = False, hold: int | None = None, single_rows=False):
+        """The one forward pass: runs the first `steps` steps (all by default)
+        of the (stacked, with `single_rows`) plan; returns (activations, workspaces).
 
         With `keep` (training) every activation and each step's workspace
         are kept for backward. Without it no workspace is made and each
@@ -299,7 +302,9 @@ class Network:
             raise ShapeError(
                 f"input shape {x.shape[1:]} does not match model input "
                 f"{self.input_shape}")
-        plan = self._plan if steps is None else self._plan[:steps]
+        plan = self._single_plan if single_rows else self._plan
+        if steps is not None:
+            plan = plan[:steps]
         rows = self._block_rows
         # a 1-row tail joins the block before it: numpy's 1-row matmul
         # rounds apart from the many-row one
@@ -335,10 +340,12 @@ class Network:
             joined[k] = np.concatenate([block[k] for block in passes])
         return joined, ctxs
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, single_rows: bool = False) -> np.ndarray:
         """Batched training forward pass: keeps every activation and kernel
-        workspace for :meth:`backward`."""
-        self._acts, self._ctxs = self._run(x, keep=True)
+        workspace for :meth:`backward`. With `single_rows` (a stacked pass)
+        each row and its gradient keep their 1-row bits (`kernel_geometry`)."""
+        self._acts, self._ctxs = self._run(x, keep=True, single_rows=single_rows)
+        self._backward_plan = self._reversed[single_rows]
         return self._acts[-1]
 
     def predict(self, x: np.ndarray, node_id: str | None = None) -> np.ndarray:
@@ -391,7 +398,7 @@ class Network:
         grads[-1] = grad
         ctxs = self._ctxs
         for _, kind, params, weights, buffers, wgrads, ins, gather, out, \
-                geometry, _, reads_inner in self._reversed:
+                geometry, _, reads_inner in self._backward_plan:
             igrads = op_backward(
                 kind, params, weights, buffers, gather(acts),
                 acts[out], grads[out], ctxs[out - 1], geometry,

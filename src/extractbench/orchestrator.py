@@ -508,11 +508,10 @@ def _run_miface(scenario, target, art_dir):
         aux, _ = split(data, p.query_fraction, _derived_seed(scenario, "split"))
     result = miface_invert(GradientHandle(target), p, p.target_class,
                            aux=aux, seed=scenario.seed)
-    pgm = save_pgm(result.reconstruction,
-                   art_dir / f"reconstruction_c{p.target_class}.pgm")
-    sample_dir = art_dir / f"reconstruction_c{p.target_class}"
     subset = scenario.target.class_subset  # output k is the subset's k-th class
     label = subset[p.target_class] if subset else p.target_class
+    pgm = save_pgm(result.reconstruction, art_dir / f"reconstruction_c{label}.pgm")
+    sample_dir = art_dir / f"reconstruction_c{label}"
     save_dataset(Dataset(BUILTIN_DATASETS[scenario.target.dataset_id],
                          result.reconstruction[None, ...],
                          np.array([label], dtype=np.int32)), sample_dir)
@@ -540,9 +539,10 @@ def _run_staged_inversion(scenario, target, art_dir):
         metrics.update({f"{k}_b{row.budget}": v for k, v in scores.items()})
     metrics.update(scores)  # the last (largest) budget's, unsuffixed
     last = rows[-1]
+    subset = scenario.target.class_subset or range(len(last.reconstructions))
     artifacts = [str(save_pgm(image, art_dir /
-                              f"reconstruction_b{last.budget}_c{cls}.pgm"))
-                 for cls, image in last.reconstructions.items()]
+                              f"reconstruction_b{last.budget}_c{subset[k]}.pgm"))
+                 for k, image in last.reconstructions.items()]
     return metrics, artifacts
 
 

@@ -69,13 +69,15 @@ class GradientHandle(QueryHandle):
         super().__init__(model)
         self.input_shape = model.input_shape
 
-    def posterior_and_gradient(self, x: np.ndarray, target_class: int):
-        batch = np.asarray(x, dtype=np.float64)[None, ...]
-        probs = self._model.forward(batch)
-        p = max(float(probs[0, target_class]), 1e-300)
+    def posterior_and_gradient(self, xs: np.ndarray, classes):
+        """Each row's posterior of its class, and the gradient of its log, from
+        one stacked pass: each row has the bits of its own 1-row pass."""
+        probs = self._model.forward(xs, single_rows=True)
+        rows = np.arange(probs.shape[0])
+        p = np.maximum(probs[rows, classes], 1e-300)
         seed = np.zeros(probs.shape)  # zeros_like, minus its wrapper
-        seed[0, target_class] = 1.0 / p
-        return p, self._model.backward(seed, weight_grads=False)[0]
+        seed[rows, classes] = 1.0 / p
+        return p, self._model.backward(seed, weight_grads=False)
 
 
 # ---------------------------------------------------------------------------
@@ -188,41 +190,56 @@ class InversionResult:
     iterations: int
 
 
-def miface_invert(handle: GradientHandle, config: InversionConfig,
-                  target_class: int, aux: Dataset | None = None,
-                  seed: int = 0) -> InversionResult:
-    """Gradient-ascend the log posterior of the target class until it clears
-    the threshold or the iteration cap; the trace is every posterior seen."""
-    # a negative class would index the output from its end
-    check_value("target_class", target_class, NonNegative)
-    if target_class >= handle.output_width:
-        raise ValueError(
-            f"target_class {target_class} outside output width "
-            f"{handle.output_width}")
-    rng = np.random.default_rng(seed)
-    lo, hi = config.clamp_range
-    if config.init_mode == "auxiliary_sample":
+def invert_classes(handle: GradientHandle, config: InversionConfig, classes,
+                   seeds, aux: Dataset | None = None) -> list[InversionResult]:
+    """For each class, from a start drawn from its seed, gradient-ascend its
+    log posterior until it clears the threshold or the iteration cap; the
+    trace is every posterior seen. The unfinished ascents step in one
+    stacked pass, so each result has the bits of its class's ascent alone."""
+    starts = []
+    for target_class, seed in zip(classes, seeds, strict=True):
+        # a negative class would index the output from its end
+        check_value("target_class", target_class, NonNegative)
+        if target_class >= handle.output_width:
+            raise ValueError(
+                f"target_class {target_class} outside output width "
+                f"{handle.output_width}")
+        rng = np.random.default_rng(seed)
+        if config.init_mode == "random":
+            # near-gray start: reconstructions are shaped by the ascent, not the init
+            starts.append(0.05 * rng.standard_normal(handle.input_shape))
+            continue
         if aux is None:
             raise ValueError("auxiliary_sample init requires an aux dataset")
         members = np.flatnonzero(aux.labels == target_class)
         pool = members if members.size else np.arange(len(aux))
-        x = aux.inputs[rng.choice(pool)].copy()
-    else:
-        # near-gray start: reconstructions are shaped by the ascent, not the init
-        x = 0.05 * rng.standard_normal(handle.input_shape)
-    x = np.clip(x, lo, hi)
-
-    p, grad = handle.posterior_and_gradient(x, target_class)
-    trace = [p]
-    steps = 0
-    while trace[-1] < config.posterior_threshold and steps < config.max_iterations:
+        starts.append(aux.inputs[rng.choice(pool)])
+    lo, hi = config.clamp_range
+    threshold, cap = config.posterior_threshold, config.max_iterations
+    x = np.clip(np.stack(starts), lo, hi)
+    live, cls = list(range(len(starts))), np.asarray(classes)
+    traces, results = [[] for _ in starts], [None] * len(starts)
+    for steps in range(cap + 1):
+        p, grad = handle.posterior_and_gradient(x, cls)
+        going = []  # positions in the stack of the rows that step on
+        for j, (i, pi) in enumerate(zip(live, p.tolist())):
+            traces[i].append(pi)
+            if pi < threshold and steps < cap:
+                going.append(j)
+            else:
+                results[i] = InversionResult(x[j], traces[i], pi >= threshold, steps)
+        if not going:
+            return results
+        if len(going) < len(live):
+            x, grad, cls = x[going], grad[going], cls[going]
+            live = [live[j] for j in going]
         x = np.clip(x + config.step_size * grad, lo, hi)
-        p, grad = handle.posterior_and_gradient(x, target_class)
-        trace.append(p)
-        steps += 1
-    return InversionResult(reconstruction=x, posterior_trace=trace,
-                           success=trace[-1] >= config.posterior_threshold,
-                           iterations=steps)
+
+
+def miface_invert(handle: GradientHandle, config: InversionConfig, target_class: int,
+                  aux: Dataset | None = None, seed: int = 0) -> InversionResult:
+    """:func:`invert_classes` of one class."""
+    return invert_classes(handle, config, [target_class], [seed], aux)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +297,14 @@ def staged_inversion_study(target: Network, queries: Dataset, test: Dataset,
         out_stolen, probe_stolen = stolen.predict_and_probe(test.inputs, ps)
         fid = fidelity(out_stolen, out_target)
         dist = pwcca_distance(acts_target, collect_activations(probe_stolen))
-        recons, sims, succ = {}, {}, {}
-        grad_handle = GradientHandle(stolen)
-        for cls in range(target.output_width):
-            res = miface_invert(grad_handle, inversion_config, cls,
-                                aux=queries,
-                                seed=np.random.default_rng([seed, budget, cls])
-                                .integers(2 ** 31))
-            recons[cls] = res.reconstruction
-            succ[cls] = res.success
-            sims[cls] = cosine_similarity(res.reconstruction, test.class_mean(cls))
+        classes = range(target.output_width)
+        inverted = invert_classes(
+            GradientHandle(stolen), inversion_config, classes,
+            [np.random.default_rng([seed, budget, c]).integers(2 ** 31)
+             for c in classes], aux=queries)
+        recons = {c: res.reconstruction for c, res in zip(classes, inverted)}
+        succ = {c: res.success for c, res in zip(classes, inverted)}
+        sims = {c: cosine_similarity(recons[c], test.class_mean(c)) for c in classes}
         results.append(StagedBudgetResult(
             budget=budget, fidelity=fid, pwcca=dist, reconstructions=recons,
             class_similarity=sims, inversion_success=succ))

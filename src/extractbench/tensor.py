@@ -242,8 +242,16 @@ def _bn_madd(params, input_shapes):
 #           (`wgrads` is None, or one array per weight, of its shape, that
 #           the kernel writes the weight's gradient into; what is skipped:
 #           see op_backward; `geometry` is the kind's geometry tuple, None
-#           for the kinds that have none)
+#           for the kinds that have none, or in a stacked pass SingleRows)
 # ---------------------------------------------------------------------------
+
+class SingleRows(tuple):
+    """An FC's or 1x1-output CONV's geometry in a stacked pass."""
+
+    @staticmethod
+    def matmul(a, b):  # each row of `a` with the bits of its own 1-row matmul
+        return a @ b if len(a) == 1 else (a[:, None, :] @ b)[:, 0, :]
+
 
 def _windows(x, kh, kw, stride, out_h, out_w):
     """(n, oh, ow, kh, kw, c) strided view of the windows of a contiguous
@@ -295,7 +303,8 @@ def _conv_forward(params, weights, buffers, inputs, ctx, geometry):
         ctx["cols"] = cols
     w = weights["weight"]
     cout = w.shape[3]
-    y = cols.reshape(x.shape[0] * out_h * out_w, -1) @ w.reshape(-1, cout)
+    matmul = geometry.matmul if geometry.__class__ is SingleRows else np.matmul
+    y = matmul(cols.reshape(x.shape[0] * out_h * out_w, -1), w.reshape(-1, cout))
     y = y.reshape(x.shape[0], out_h, out_w, cout)
     if "bias" in weights:
         y += weights["bias"]
@@ -320,7 +329,8 @@ def _conv_backward(params, weights, buffers, inputs, output, grad, ctx,
     if not input_grad:
         return [None]
     n, h, wd, c = x.shape
-    gcols = (gflat @ w.reshape(-1, cout).T).reshape(n, out_h, out_w, kh, kw, c)
+    matmul = geometry.matmul if geometry.__class__ is SingleRows else np.matmul
+    gcols = matmul(gflat, w.reshape(-1, cout).T).reshape(n, out_h, out_w, kh, kw, c)
     pt, pb, pl, pr = pads
     gxp = _col2im(gcols, (n, h + pt + pb, wd + pl + pr, c), kh, kw, s, out_h, out_w)
     return [gxp[:, pt:pt + h, pl:pl + wd, :]]
@@ -486,7 +496,7 @@ def _fc_forward(params, weights, buffers, inputs, ctx, geometry):
         x = x.reshape(x.shape[0], -1)
     w = weights["weight"]
     try:
-        y = x @ w
+        y = x @ w if geometry is None else geometry.matmul(x, w)
     except ValueError:
         raise ShapeError(
             f"FC: input of {x.shape[1]} features does not match weight "
@@ -507,7 +517,8 @@ def _fc_backward(params, weights, buffers, inputs, output, grad, ctx,
             np.add.reduce(grad, axis=0, out=wgrads["bias"])
     if not input_grad:
         return [None]
-    return [(grad @ weights["weight"].T).reshape(x.shape)]
+    matmul = np.matmul if geometry is None else geometry.matmul
+    return [matmul(grad, weights["weight"].T).reshape(x.shape)]
 
 
 def _add_forward(params, weights, buffers, inputs, ctx, geometry):
@@ -624,15 +635,22 @@ def madd(kind: OperatorKind, params: Params, input_shapes) -> int:
     return _OPS[kind].madd(params, input_shapes)
 
 
-def kernel_geometry(kind: OperatorKind, params: Params, input_shape):
+def kernel_geometry(kind: OperatorKind, params: Params, input_shape, single_rows=False):
     """The static window geometry the kernels of a CONV or pool read, for
     an input of `input_shape` (batch axis excluded); None for other kinds.
 
     CONV: (out_h, out_w, kh, kw, stride, (top, bottom, left, right) pads);
     MAXPOOL and AVGPOOL: (out_h, out_w, kh, kw, stride).
+
+    With `single_rows`, that of a stacked pass, whose rows keep their 1-row
+    bits: a :class:`SingleRows` where the matmul has one row per example.
     """
     rule = _OPS[kind].geometry
-    return None if rule is None else rule(params, tuple(input_shape))
+    geometry = None if rule is None else rule(params, tuple(input_shape))
+    if single_rows and (kind is OperatorKind.FC or kind is OperatorKind.CONV
+                        and geometry[0] * geometry[1] == 1):
+        return SingleRows(geometry or ())
+    return geometry
 
 
 def init_weights(kind, params, input_shapes, rng: np.random.Generator):

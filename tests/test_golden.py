@@ -127,8 +127,9 @@ def test_architecture_bits_match_golden(arch_id, dataset_id, golden):
     arrays["predict"] = model.predict(held)
     probe = spec.execution_order[(len(spec.nodes) - 1) // 2].node_id
     _, arrays["probe"] = model.predict_and_probe(held, probe)
-    posterior, arrays["input_gradient"] = GradientHandle(
-        model).posterior_and_gradient(held[0], int(data.labels[200]))
+    posteriors, gradients = GradientHandle(model).posterior_and_gradient(
+        held[:1], [int(data.labels[200])])
+    posterior, arrays["input_gradient"] = float(posteriors[0]), gradients[0]
     bn = [model.buffers[n.node_id][name] for n in spec.execution_order
           if n.kind is OperatorKind.BN
           for name in ("running_mean", "running_var")]

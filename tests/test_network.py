@@ -412,6 +412,10 @@ class TestPlanSeam:
         calls.clear()
         model.calibrate_bn(x)
         assert calls == forward
+        calls.clear()
+        out = model.forward(x, single_rows=True)
+        model.backward(np.ones_like(out), weight_grads=False)
+        assert calls == forward + backward
 
     def test_no_geometry_is_computed_per_pass(self, monkeypatch):
         # mini-pyramid-4 has a CONV, a MAXPOOL and an AVGPOOL
@@ -434,6 +438,8 @@ class TestPlanSeam:
         model.backward(np.ones_like(out), weight_grads=False)
         model.predict(x)
         model.calibrate_bn(x)
+        out = model.forward(x, single_rows=True)
+        model.backward(np.ones_like(out), weight_grads=False)
         assert rules == 0
         # a kernel called outside a plan gets its geometry from the same rule
         tensor.op_forward(K.MAXPOOL, PoolParams((2, 2)), {}, {}, [x])
@@ -569,6 +575,67 @@ class TestRowBlocks:
         # twice the workspace budget; a whole 750-row pass peaks at 22 MB
         assert max(peaks) < 2 * 8 * network._BLOCK_ELEMENTS
         assert peaks[-1] < 1.05 * peaks[0]
+
+
+class TestStackedPass:
+    """A stacked pass, `forward(x, single_rows=True)` and the backward that
+    consumes its cache, gives each row the bits of its own 1-row pass.
+    numpy's 1-row matmul rounds apart from a many-row one, so the kernels
+    whose matmul has one row per example (FC, and CONV with a 1x1 output)
+    run each row's as a 1-row matmul, forward and back; without that, a
+    row differs from its 1-row pass."""
+
+    SHAPES = [((6, 6, 1), 2), ((8, 8, 3), 10)]
+
+    @staticmethod
+    def _check(model, rows, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows,) + model.input_shape)
+        grad = rng.standard_normal((rows,) + model.output_shape)
+        alone = []
+        for i in range(rows):  # each row's own 1-row pass, as training runs it
+            out = model.forward(x[i:i + 1])
+            alone.append((out, model.backward(grad[i:i + 1], weight_grads=False)))
+        out = model.forward(x, single_rows=True)
+        input_grad = model.backward(grad, weight_grads=False)
+        for i, (out_i, grad_i) in enumerate(alone):
+            assert same_bits(out[i:i + 1], out_i), i
+            assert same_bits(input_grad[i:i + 1], grad_i), i
+
+    @pytest.mark.parametrize("rows", [2, 10])
+    @pytest.mark.parametrize("shape,classes", SHAPES)
+    @pytest.mark.parametrize("arch_id", sorted(BUILTIN_ARCHITECTURES))
+    def test_each_row_has_its_one_row_bits(self, arch_id, shape, classes, rows):
+        model = build_model(builtin_spec(arch_id, shape, classes), seed=1)
+        self._check(model, rows, seed=rows)
+
+    def test_a_conv_with_a_one_by_one_output(self):
+        # its window is its whole input: one matmul row per example
+        conv = ConvParams(16, (6, 6), padding="valid")
+        model = network_of([NodeSpec("conv", K.CONV, conv, ("input",)),
+                            NodeSpec("relu", K.RELU, None, ("conv",)),
+                            NodeSpec("fc", K.FC, FCParams(5), ("relu",)),
+                            NodeSpec("sm", K.SOFTMAX, None, ("fc",))],
+                           (6, 6, 3), seed=2)
+        self._check(model, 10, seed=0)
+
+    def test_backward_follows_the_mode_of_its_forward(self, monkeypatch):
+        model = build_model(builtin_spec("mini-mlp-2", (6, 6, 1), 4), seed=0)
+        fcs = sum(n.kind is K.FC for n in model.order)
+        geometries = []
+        real = network.op_backward
+
+        def record(*args, **kwargs):
+            if args[0] is K.FC:
+                geometries.append(type(args[8]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(network, "op_backward", record)
+        for single_rows in (True, False, True):
+            out = model.forward(np.zeros((5, 6, 6, 1)), single_rows=single_rows)
+            model.backward(np.ones_like(out), weight_grads=False)
+        assert geometries == ([tensor.SingleRows] * fcs + [type(None)] * fcs
+                              + [tensor.SingleRows] * fcs)
 
 
 class TestRequestedGradients:

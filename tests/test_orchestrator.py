@@ -1239,20 +1239,33 @@ class TestNoDatasetCache:
 
     def test_miface_artifact_labels_the_datasets_class(self, bench):
         """Under a class subset, output k is the subset's k-th class: the
-        reconstruction is labelled in the dataset's own classes."""
+        reconstruction is named and labelled in the dataset's own classes."""
         doc = minimal_doc("miface")
         doc["attack"]["params"] = {"target_class": 1, "max_iterations": 5}
         doc["target"] = {"architecture_id": "mini-mlp-1",
                          "dataset_id": "blobs-4c-easy", "class_subset": [0, 2]}
         record = execute(parse_scenario(json.dumps(doc)), bench, persist=False)
         assert record.status == "ok", record.failure_reason
+        assert Path(record.artifacts[0]).name == "reconstruction_c2.pgm"
         sample_dir = Path(record.artifacts[1])
-        assert sample_dir.name == "reconstruction_c1"
+        assert sample_dir.name == "reconstruction_c2"
         labels = np.frombuffer((sample_dir / "labels.bin").read_bytes(), "<i4")
         assert labels.tolist() == [2]
         meta = json.loads((sample_dir / "meta.json").read_text())
         assert meta == {"spec": to_doc(BUILTIN_DATASETS["blobs-4c-easy"]),
                         "count": 1}
+
+    def test_staged_artifacts_name_the_datasets_classes(self, bench):
+        doc = minimal_doc("staged_inversion")
+        doc["attack"]["params"] = {"budgets": [5, 10],
+                                   "inversion": {"max_iterations": 3}}
+        doc["target"] = {"architecture_id": "mini-mlp-1",
+                         "dataset_id": "blobs-4c-easy",
+                         "class_subset": [1, 3]}
+        record = execute(parse_scenario(json.dumps(doc)), bench, persist=False)
+        assert record.status == "ok", record.failure_reason
+        assert [Path(a).name for a in record.artifacts] == [
+            "reconstruction_b10_c1.pgm", "reconstruction_b10_c3.pgm"]
 
 
 # Each process writes `ready-<i>` and waits for a `go` file, so that the two
@@ -1426,12 +1439,13 @@ class TestEachModelPredictsOncePerSet:
         arrays = {}  # id -> every counted model and array, kept alive
         real_run = Network._run
 
-        def run(self, x, steps=None, keep=False, calibrate=False, hold=None):
+        def run(self, x, steps=None, keep=False, calibrate=False, hold=None,
+                **mode):
             arrays[id(self)], arrays[id(x)] = self, x
             key = id(self), id(x)
             counts[key] += 1
             read[key] = {len(self._plan) if steps is None else steps, hold}
-            return real_run(self, x, steps, keep, calibrate, hold)
+            return real_run(self, x, steps, keep, calibrate, hold, **mode)
 
         monkeypatch.setattr(Network, "_run", run)
         sc = parse_scenario(json.dumps(doc))
@@ -1472,6 +1486,49 @@ class TestEachModelPredictsOncePerSet:
         # target and stolen: output and probe in one pass; each student:
         # its probe alone
         assert shapes == [(False, True)] * 2 + [(True, True)] * 2
+
+
+class TestInversionPassRows:
+    """The row count of each `Network.forward` during `execute`, as the
+    benchmark reads it (`network.miface_rows_per_forward` averages the rows
+    of the forwards under `miface_invert`): a miface scenario sends 1-row
+    passes, and a staged inversion steps its classes' ascents on each
+    stolen model in passes of class-count rows."""
+
+    @staticmethod
+    def _forward_rows(bench, monkeypatch, doc):
+        sc = parse_scenario(json.dumps(doc))
+        zoo_resolve(sc.target, bench)  # the target's training is no pass here
+        rows = []
+        real = Network.forward
+
+        def record(self, x, *args, **kwargs):
+            rows.append((len(x), kwargs.get("single_rows", False)))
+            return real(self, x, *args, **kwargs)
+
+        monkeypatch.setattr(Network, "forward", record)
+        record_ = execute(sc, bench, persist=False)
+        assert record_.status == "ok", record_.failure_reason
+        return Counter(rows)
+
+    def test_miface_sends_one_row_passes(self, bench, monkeypatch):
+        doc = minimal_doc("miface")
+        doc["attack"]["params"] = {"target_class": 1, "max_iterations": 5,
+                                   "posterior_threshold": 1.0}
+        assert self._forward_rows(bench, monkeypatch, doc) == {(1, True): 6}
+
+    def test_staged_inversion_stacks_its_classes(self, bench, monkeypatch):
+        doc = minimal_doc("staged_inversion")
+        doc["attack"]["params"] = {
+            "budgets": [5, 10],
+            "inversion": {"max_iterations": 3, "posterior_threshold": 1.0}}
+        doc["target"] = {"architecture_id": "mini-mlp-1",
+                         "dataset_id": "blobs-4c-easy"}
+        rows = self._forward_rows(bench, monkeypatch, doc)
+        # 4 passes of every class for each budget; the rest train the
+        # stolen models
+        assert {key: n for key, n in rows.items() if key[1]} == {(4, True): 8}
+        assert 1 not in {n for n, _ in rows}
 
 
 class TestOneBlasThreadPerRun:

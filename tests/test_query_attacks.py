@@ -15,6 +15,7 @@ from extractbench.query_attacks import (
     ThreatModel,
     build_stolen_dataset,
     cosine_similarity,
+    invert_classes,
     knockoff_extract,
     miface_invert,
     save_pgm,
@@ -23,7 +24,7 @@ from extractbench.query_attacks import (
 from extractbench.similarity import fidelity
 from extractbench.zoo import builtin_spec, build_model
 
-from conftest import ARCH_CHOICES, make_blobs, rows, trained_model
+from conftest import ARCH_CHOICES, make_blobs, rows, same_bits, trained_model
 
 
 def linear_softmax(data, seed=0, epochs=15):
@@ -213,10 +214,10 @@ class TestMifaceInvert:
             return real(self, grad, **kwargs)
 
         monkeypatch.setattr(Network, "backward", recording)
-        p, grad = GradientHandle(model).posterior_and_gradient(x, 1)
+        p, grad = GradientHandle(model).posterior_and_gradient(x[None], [1])
         assert flags == [{"weight_grads": False}]
-        assert p == p_full
-        assert np.array_equal(grad, expected)
+        assert p.tolist() == [p_full]
+        assert np.array_equal(grad[0], expected)
 
     def test_satisfied_threshold_returns_init(self, blobs4):
         model = trained_model("mini-mlp-2", blobs4, epochs=8)
@@ -294,6 +295,67 @@ class TestMifaceInvert:
         model = trained_model("mini-mlp-2", blobs4, epochs=1)
         with pytest.raises(ValueError, match="target_class"):
             miface_invert(GradientHandle(model), InversionConfig(), 9, seed=0)
+
+
+def ascent_alone(model, config, target_class, seed, aux):
+    """One class's ascent as a loop of ordinary 1-row passes, each a
+    `forward` and a `backward` of its own: the oracle of the stacked form.
+    Returns (reconstruction, posterior trace)."""
+    rng = np.random.default_rng(seed)
+    lo, hi = config.clamp_range
+    if config.init_mode == "auxiliary_sample":
+        members = np.flatnonzero(aux.labels == target_class)
+        pool = members if members.size else np.arange(len(aux))
+        x = aux.inputs[rng.choice(pool)].copy()
+    else:
+        x = 0.05 * rng.standard_normal(model.input_shape)
+    x = np.clip(x, lo, hi)
+    trace = []
+    while True:
+        probs = model.forward(x[None])
+        p = max(float(probs[0, target_class]), 1e-300)
+        trace.append(p)
+        if p >= config.posterior_threshold or len(trace) > config.max_iterations:
+            return x, trace
+        seed_grad = np.zeros(probs.shape)
+        seed_grad[0, target_class] = 1.0 / p
+        grad = model.backward(seed_grad, weight_grads=False)[0]
+        x = np.clip(x + config.step_size * grad, lo, hi)
+
+
+class TestInvertClasses:
+    """`invert_classes` steps every unfinished ascent in one stacked pass,
+    and each class's result equals its ascent alone, in 1-row passes."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return make_blobs(classes=4, per_class=200, shape=(6, 6, 1), seed=0)
+
+    # thresholds at which the four ascents stop at different iterations, so
+    # rows leave the stack one by one (vgg: one at its start, with aux init)
+    @pytest.mark.parametrize("init_mode", ["random", "auxiliary_sample"])
+    @pytest.mark.parametrize("arch_id,threshold",
+                             [("mini-vgg-4", 0.6), ("mini-mlp-2", 0.9)])
+    def test_each_class_equals_its_ascent_alone(self, data, arch_id, threshold,
+                                                init_mode):
+        model = trained_model(arch_id, data, epochs=2)
+        cfg = InversionConfig(posterior_threshold=threshold, max_iterations=40,
+                              init_mode=init_mode)
+        classes, seeds = [0, 1, 2, 3], [5, 6, 7, 8]
+        stacked = invert_classes(GradientHandle(model), cfg, classes, seeds,
+                                 aux=data)
+        singles = [miface_invert(GradientHandle(model), cfg, c, aux=data, seed=s)
+                   for c, s in zip(classes, seeds)]
+        iterations = set()
+        for c, s, res, single in zip(classes, seeds, stacked, singles):
+            x, trace = ascent_alone(model, cfg, c, s, data)
+            for got in (res, single):
+                assert same_bits(got.reconstruction, x), c
+                assert got.posterior_trace == trace, c
+                assert got.iterations == len(trace) - 1, c
+                assert got.success == (trace[-1] >= threshold), c
+            iterations.add(res.iterations)
+        assert len(iterations) > 1
 
 
 @pytest.fixture(scope="module")
