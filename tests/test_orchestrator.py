@@ -56,7 +56,8 @@ from extractbench.sidechannel import (read_histograms_csv,
                                       simulate_symbol_stream)
 from extractbench.similarity import default_probe_point, fidelity
 from extractbench.datasets import generate, split
-from extractbench.zoo import ModelRef, build_model, builtin_spec
+from extractbench.zoo import (BUILTIN_ARCHITECTURES, ModelRef, build_model,
+                              builtin_spec)
 
 from conftest import ARCH_CHOICES, DATASET_CHOICES, relabelling
 
@@ -354,6 +355,9 @@ BAD_DOCUMENTS = [
     # a JSON integer too large for a float is no finite number
     ("knockoff", {"query_budget": 120, "query_fraction": 10 ** 400}, {},
      r"^attack\.params: query_fraction must be finite$"),
+    # the top level is a declared block like every other
+    ("knockoff", {"query_budget": 120}, {"note": "x"},
+     r"^unknown field\(s\) \['note'\]$"),
 ]
 
 
@@ -568,6 +572,37 @@ class TestCli:
                            match=rf'^{block}: unknown {field} "x-net"{ARCHS}$'):
             parse_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("attack_type", list(ATTACKS))
+    def test_validate_echo_validates_to_itself(self, tmp_path, capsys,
+                                               attack_type):
+        """`validate` prints the scenario's own document: validated again,
+        it comes back byte for byte."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(minimal_doc(attack_type)))
+        echoes = []
+        for _ in range(2):
+            assert main(["validate", str(path)]) == 0
+            echoes.append(capsys.readouterr().out)
+            path.write_text(echoes[-1])
+        assert echoes[0] == echoes[1]
+
+    @pytest.mark.parametrize("argv,named", [
+        (["validate", "{dir}"], "{dir}"),
+        (["run", "{dir}"], "{dir}"),
+        (["zoo", "train", "--arch", "mini-mlp-2", "--dataset", "no-such-data"],
+         'unknown dataset_id "no-such-data"')],
+        ids=["validate-directory", "run-directory", "zoo-unknown-dataset"])
+    def test_bad_input_is_an_error_not_traceback(self, tmp_path, capsys,
+                                                 argv, named):
+        """A scenario path that is no readable file, or a model reference
+        naming no registry id, exits 2 with one `error:` line naming it."""
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        assert main(["--root", str(tmp_path / "repo"), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert named.format(dir=tmp_path) in err
+        assert "Traceback" not in err
+
 
 class TestAttackTable:
     def test_init_mode_attacks_require_aux_dataset(self):
@@ -761,8 +796,9 @@ def _target_holds(doc) -> bool:
 
 
 def _limit_cases():
-    """Params at each target limit and one past it, on each sweep dataset."""
-    for target in SWEEP_TARGETS[::7]:
+    """Params at each target limit and one past it, on each sweep dataset
+    and on the blobs-4c-easy target whose limits `BAD_DOCUMENTS` names."""
+    for target in SWEEP_TARGETS[::7] + [EASY4["target"]]:
         data = load_dataset(ModelRef(**target))
         size = len(split(data, 0.5, 0)[0])
         for over in (0, 1):
@@ -937,6 +973,24 @@ class TestSchedule:
         assert windows == sorted(windows)
 
 
+def _pre_dataclass_params(spec):
+    """The spec echo of a root written before node params were dataclasses:
+    dicts without their defaults (no FC `bias`), `{}` for a param-less
+    node."""
+    for node in spec["nodes"]:
+        if node["kind"] == "fc":
+            del node["params"]["bias"]
+        elif node["params"] is None:
+            node["params"] = {}
+
+
+# each: a stored spec document rewritten into one the builder does not make
+SPEC_MUTATIONS = {
+    "family": lambda spec: spec.update(family="mini-other"),
+    "pre-dataclass-params": _pre_dataclass_params,
+}
+
+
 class TestZooResolve:
     def test_train_on_miss_then_cache_hit(self, bench):
         ref = ModelRef("mini-mlp-1", "blobs-2c-easy", None, "default")
@@ -1091,14 +1145,16 @@ class TestZooResolve:
         _, cached, _ = zoo_resolve(ref, bench)
         assert cached
 
-    def test_checkpoint_of_another_spec_retrains(self, bench):
+    @pytest.mark.parametrize("mutate", SPEC_MUTATIONS)
+    def test_checkpoint_of_another_spec_retrains(self, bench, mutate):
         """An entry is served only to a caller who would have made it: one
-        whose stored spec is not the spec built here is retrained."""
+        whose stored spec is not the spec built here is retrained once,
+        then served."""
         ref = ModelRef("mini-mlp-2", "blobs-2c-easy", None, "default")
         first, _, _ = zoo_resolve(ref, bench)
         meta_file = _checkpoint_entry(bench, ref) / "metadata.json"
         meta = json.loads(meta_file.read_text())
-        meta["made_from"]["spec"]["family"] = "mini-other"
+        SPEC_MUTATIONS[mutate](meta["made_from"]["spec"])
         meta_file.write_text(json.dumps(meta))
         again, cached, _ = zoo_resolve(ref, bench)
         assert not cached
@@ -1123,7 +1179,9 @@ class TestZooResolve:
         debris.mkdir()
         (debris / "metadata.json").write_text("{}")
         assert main(["--root", str(root), "zoo", "list"]) == 0
-        listed = capsys.readouterr().out.split("checkpoints:\n")[1]
+        head, listed = capsys.readouterr().out.split("checkpoints:\n")
+        assert head.split() == ["architectures:", *BUILTIN_ARCHITECTURES,
+                                "datasets:", *BUILTIN_DATASETS]
         assert listed.split() == [f"{ref.slug()}/{e}" for e in entries]
         assert len(entries) == 2
 
